@@ -107,10 +107,9 @@ class SpitzLedger:
         self._h_proof_bytes = self.metrics.histogram("ledger.proof_bytes")
         self._tree = PosTree.empty(self.chunks, mask_bits)
         self._chain = HashChain()
+        # Each block's ``tree_root`` is all a temporal read needs: the
+        # index instance it sealed is a handle on that root.
         self._blocks: List[Block] = []
-        # Cached per-block trees for temporal queries (handles only —
-        # nodes are shared in the chunk store, so this is cheap).
-        self._trees: List[PosTree] = []
         # Retained statement lists (the block header commits to their
         # digest; keeping the plaintext enables provenance queries and
         # stays auditable via statements_digest).
@@ -166,7 +165,6 @@ class SpitzLedger:
             write_count=len(writes),
         )
         self._blocks.append(block)
-        self._trees.append(self._tree)
         self._statements.append(tuple(statements))
         self._c_blocks_sealed.inc()
         self._c_writes_sealed.inc(len(writes))
@@ -257,9 +255,9 @@ class SpitzLedger:
 
     def tree_at(self, height: int) -> PosTree:
         """The index instance sealed by block ``height`` (0-based)."""
-        if not 0 <= height < len(self._trees):
-            raise CommitNotFoundError(f"block #{height}")
-        return self._trees[height]
+        return PosTree(
+            self.chunks, self.block(height).tree_root, self._tree.mask_bits
+        )
 
     def get_at(self, key: bytes, height: int) -> Optional[bytes]:
         """Historical point read as of block ``height``."""
@@ -285,8 +283,8 @@ class SpitzLedger:
         not a phantom ``(0, None)`` entry.
         """
         changes: List[Tuple[int, Optional[bytes]]] = []
-        for height, tree in enumerate(self._trees):
-            value = tree.get(key)
+        for height in range(len(self._blocks)):
+            value = self.tree_at(height).get(key)
             if changes:
                 if value != changes[-1][1]:
                     changes.append((height, value))
@@ -344,6 +342,12 @@ class SpitzLedger:
             if block.chain_digest != running:
                 return False
         return running == self._chain.head
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots and checkpoints written by earlier versions carry
+        # ``_trees``, one index handle per block; block roots replace it.
+        state.pop("_trees", None)
+        self.__dict__.update(state)
 
     def storage_report(self) -> Dict[str, float]:
         stats = self.chunks.stats

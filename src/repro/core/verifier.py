@@ -19,6 +19,7 @@ from repro.core.proofs import (
     LedgerProof,
     LedgerRangeProof,
 )
+from repro.indexes.siri import NodeCache
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.search.proofs import SearchProof
 from repro.txn.batch import DeferredVerifier
@@ -61,7 +62,7 @@ class ClientVerifier:
         # a block header whose chain link was recomputed once stays
         # valid.  This is what makes verification of consecutive reads
         # cheap (they share the ledger index's upper levels).
-        self._node_cache: dict = {}
+        self._node_cache = NodeCache()
         self._block_cache: set = set()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._c_checks = self.metrics.counter("verifier.checks")

@@ -240,14 +240,20 @@ class ChunkStore:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_stripes"]
-        del state["_stats_lock"]
+        # The side caches are derived from the chunks; a snapshot that
+        # carried them would store every index node twice.
+        for transient in (
+            "_stripes", "_stats_lock", "decode_cache", "boundary_cache"
+        ):
+            del state[transient]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._stripes = [threading.Lock() for _ in range(STRIPE_COUNT)]
         self._stats_lock = threading.Lock()
+        self.decode_cache = {}
+        self.boundary_cache = {}
 
 
 class _MultiLock:

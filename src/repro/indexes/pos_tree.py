@@ -43,6 +43,7 @@ from repro.indexes.siri import (
     DELETE,
     SiriIndex,
     SiriProof,
+    cache_node,
     decode_node,
     encode_node,
     verify_siri_proof,
@@ -125,9 +126,7 @@ def _replay_range(
                 results.append((key, value))
         return results
     children = node[1]
-    first_keys = [child[0] for child in children]
-    start = max(bisect.bisect_right(first_keys, low) - 1, 0)
-    for index in range(start, len(children)):
+    for index in range(_child_index(children, low), len(children)):
         if children[index][0] > high:
             break
         results.extend(
@@ -205,13 +204,9 @@ def _decode_proof_nodes(
     decoded: Dict[Digest, tuple] = {}
     for raw in nodes:
         digest = hash_bytes(raw)
-        if cache is not None:
-            node = cache.get(digest)
-            if node is None:
-                node = decode_node(raw)
-                cache[digest] = node
-        else:
-            node = decode_node(raw)
+        node = cache.get(digest) if cache is not None else None
+        if node is None:
+            node = cache_node(cache, digest, raw)
         decoded[digest] = node
     return decoded
 
@@ -228,24 +223,35 @@ def _replay_lookup(
                     return value
             return None
         children = node[1]
-        first_keys = [child[0] for child in children]
-        index = max(bisect.bisect_right(first_keys, key) - 1, 0)
-        address = Digest(children[index][1])
+        address = Digest(children[_child_index(children, key)][1])
 
 
-@dataclass(frozen=True)
 class _Ref:
-    """In-memory reference to one node of one level.
+    """Unpickling target for the per-level node references of handles
+    written before a handle was just a root; only ``address`` is read
+    (:meth:`PosTree.__setstate__`)."""
 
-    ``boundary`` caches the content-defined split decision for this
-    node's address (under the owning tree's mask), so level re-chunking
-    is an attribute walk instead of per-ref integer hashing.
+
+def _position(pairs: Sequence[tuple], key: bytes, lo: int = 0) -> int:
+    """Index of the first pair keyed ``>= key``.
+
+    A node's pairs sort by key, and the 1-tuple ``(key,)`` sorts just
+    before every pair with that key, so the pairs bisect as they are.
     """
+    return bisect.bisect_left(pairs, (key,), lo)
 
-    first_key: bytes
-    address: Digest
-    count: int
-    boundary: bool = False
+
+def _position_after(pairs: Sequence[tuple], key: bytes, lo: int = 0) -> int:
+    """Index just past the pair keyed ``key``, or where it would go."""
+    index = _position(pairs, key, lo)
+    if index < len(pairs) and pairs[index][0] == key:
+        return index + 1
+    return index
+
+
+def _child_index(children: Sequence[tuple], key: bytes) -> int:
+    """The child whose subtree ``key`` falls in (the first, if before all)."""
+    return max(_position_after(children, key) - 1, 0)
 
 
 def _entry_is_boundary(
@@ -269,29 +275,104 @@ def _entry_is_boundary(
     return result
 
 
-def _ref_boundary(address: Digest, mask: int) -> bool:
+def _ref_boundary(address: bytes, mask: int) -> bool:
     return int.from_bytes(address[:4], "big") & mask == 0
 
 
-class PosTree(SiriIndex):
-    """An immutable POS-tree instance.
+class _Run:
+    """The pairs of a stretch of one level (leaves ``"L"`` or branches
+    ``"B"``), and where the split rule cuts them into nodes."""
 
-    Instances are cheap handles: they share the chunk store and carry
-    per-level node reference lists (derived metadata, rebuildable from
-    the root address alone via :meth:`load`).
+    def __init__(self, store: ChunkStore, mask_bits: int, tag: str):
+        self.store, self.tag = store, tag
+        self.mask = (1 << mask_bits) - 1
+        self.pairs: List[tuple] = []
+        #: Lengths of ``pairs`` at which a node ends.
+        self.cuts: List[int] = []
+
+    def _ends_node(self, pair: tuple) -> bool:
+        """The content-defined split rule: does a node end after ``pair``?"""
+        if self.tag == "L":
+            return _entry_is_boundary(
+                pair[0], pair[1], self.mask, self.store.boundary_cache
+            )
+        return _ref_boundary(pair[1], self.mask)
+
+    def add(self, pairs: Sequence[tuple]) -> None:
+        """Append new pairs, testing each against the split rule."""
+        for pair in pairs:
+            self.pairs.append(pair)
+            if self._ends_node(pair):
+                self.cuts.append(len(self.pairs))
+
+    def keep(self, node: tuple, start: int, stop: int) -> None:
+        """Append ``node[start:stop]``, pairs of one stored node: only
+        its last pair can be a split point, or the node would have
+        ended earlier (the level's last node need not end on one)."""
+        if start < stop:
+            self.pairs += node[start:stop]
+            if stop == len(node) and self._ends_node(node[-1]):
+                self.cuts.append(len(self.pairs))
+
+    @property
+    def ended(self) -> bool:
+        """Whether the last pair is a split point (not so when empty)."""
+        return bool(self.cuts) and self.cuts[-1] == len(self.pairs)
+
+    def write(self) -> List[Tuple[bytes, bytes]]:
+        """Store the nodes; returns the pairs the level above lists
+        them under."""
+        stops = list(self.cuts)
+        if self.pairs and not self.ended:
+            stops.append(len(self.pairs))
+        listed: List[Tuple[bytes, bytes]] = []
+        start = 0
+        for stop in stops:
+            node = (self.tag, tuple(self.pairs[start:stop]))
+            address = self.store.put(encode_node(node))
+            # Freshly written nodes are the likeliest next reads, and
+            # the next version's pairs are sliced out of this tuple.
+            self.store.decode_cache[address] = node
+            listed.append((node[1][0][0], bytes(address)))
+            start = stop
+        return listed
+
+
+#: One edit to a level: the old pairs keyed ``low..high`` (none of them:
+#: an insert at ``low``) give way to ``pairs``.
+_Change = Tuple[Optional[bytes], Optional[bytes], Sequence[tuple]]
+
+
+class PosTree(SiriIndex):
+    """An immutable POS-tree instance: ``(store, root, mask_bits)``.
+
+    Everything else is read from the root down through the store's
+    ``decode_cache``, so a handle on any historical root costs nothing
+    to make or keep.  :meth:`apply` builds each rewritten node's pairs
+    by slicing its predecessor's decoded tuple: versions of a node
+    share every pair that did not change *by identity*, and a version
+    costs the memory of the path it rewrote.
     """
 
     def __init__(
         self,
         store: ChunkStore,
-        levels: List[List[_Ref]],
+        root: Digest,
         mask_bits: int = DEFAULT_MASK_BITS,
     ):
         self.store = store
         self.mask_bits = mask_bits
-        self._mask = (1 << mask_bits) - 1
-        # levels[0] = leaves; levels[-1] = [root ref].
-        self._levels = levels
+        self._root = root
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots and checkpoints written by earlier versions carry
+        # ``_levels`` (per-level ``_Ref`` lists, root last), not ``_root``.
+        levels = state.pop("_levels", None)
+        for derived in ("_first_keys_cache", "_mask"):
+            state.pop(derived, None)
+        if levels is not None:
+            state["_root"] = levels[-1][0].address
+        self.__dict__.update(state)
 
     # -- construction ----------------------------------------------------
 
@@ -299,15 +380,7 @@ class PosTree(SiriIndex):
     def empty(
         cls, store: ChunkStore, mask_bits: int = DEFAULT_MASK_BITS
     ) -> "PosTree":
-        address = store.put(encode_node(("L", ())))
-        mask = (1 << mask_bits) - 1
-        root = _Ref(
-            first_key=b"",
-            address=address,
-            count=0,
-            boundary=_ref_boundary(address, mask),
-        )
-        return cls(store, [[root]], mask_bits)
+        return cls(store, store.put(encode_node(("L", ()))), mask_bits)
 
     @classmethod
     def from_items(
@@ -317,14 +390,9 @@ class PosTree(SiriIndex):
         mask_bits: int = DEFAULT_MASK_BITS,
     ) -> "PosTree":
         """Bulk-build from (key, value) pairs (later duplicates win)."""
-        merged = dict(items)
-        entries = sorted(merged.items())
-        if not entries:
-            return cls.empty(store, mask_bits)
-        tree = cls(store, [], mask_bits)
-        leaf_refs = tree._store_leaf_groups(tree._split_entries(entries))
-        tree._levels = tree._build_upper_levels([leaf_refs])
-        return tree
+        leaves = _Run(store, mask_bits, "L")
+        leaves.add(sorted(dict(items).items()))
+        return cls._from_top(store, mask_bits, leaves.write())
 
     @classmethod
     def load(
@@ -333,167 +401,117 @@ class PosTree(SiriIndex):
         root: Digest,
         mask_bits: int = DEFAULT_MASK_BITS,
     ) -> "PosTree":
-        """Reconstruct level metadata by walking down from ``root``.
+        """A handle on the instance rooted at ``root`` (e.g. a
+        historical ledger block's ``tree_root``)."""
+        return cls(store, root, mask_bits)
 
-        Used when only a digest is at hand (e.g. a historical ledger
-        block); O(number of branch nodes).
-        """
-        mask = (1 << mask_bits) - 1
-        levels_down: List[List[_Ref]] = []
-        node = decode_node(store.get(root))
-        if node[0] == "L":
-            first = node[1][0][0] if node[1] else b""
-            ref = _Ref(
-                first, root, len(node[1]), _ref_boundary(root, mask)
-            )
-            return cls(store, [[ref]], mask_bits)
-        current = [
-            _Ref(node[1][0][0], root, len(node[1]),
-                 _ref_boundary(root, mask))
-        ]
-        levels_down.append(current)
-        while True:
-            children: List[_Ref] = []
-            is_leaf_level = False
-            for ref in current:
-                parent = decode_node(store.get(ref.address))
-                for first_key, child_bytes in parent[1]:
-                    child_address = Digest(child_bytes)
-                    child = decode_node(store.get(child_address))
-                    children.append(
-                        _Ref(
-                            first_key,
-                            child_address,
-                            len(child[1]),
-                            _ref_boundary(child_address, mask),
-                        )
-                    )
-                    if child[0] == "L":
-                        is_leaf_level = True
-            levels_down.append(children)
-            if is_leaf_level:
-                break
-            current = children
-        return cls(store, levels_down[::-1], mask_bits)
-
-    # -- node helpers ------------------------------------------------------
-
-    def _load_node(self, address: Digest) -> tuple:
-        node = self.store.decode_cache.get(address)
-        if node is None:
-            node = decode_node(self.store.get(address))
-            self.store.decode_cache[address] = node
-        return node
-
-    def _leaf_entries(self, ref: _Ref) -> List[Tuple[bytes, bytes]]:
-        node = self._load_node(ref.address)
-        if node[0] != "L":
-            raise ProofError("expected a leaf node")
-        return list(node[1])
-
-    def _store_leaf(self, entries: Sequence[Tuple[bytes, bytes]]) -> _Ref:
-        node = ("L", tuple(entries))
-        address = self.store.put(encode_node(node))
-        # Freshly written leaves are the likeliest next reads; caching
-        # the decoded form now saves the unpickle on that read.
-        self.store.decode_cache[address] = node
-        first = entries[0][0] if entries else b""
-        return _Ref(
-            first_key=first,
-            address=address,
-            count=len(entries),
-            boundary=_ref_boundary(address, self._mask),
-        )
-
-    def _store_branch(self, children: Sequence[_Ref]) -> _Ref:
-        node = (
-            "B",
-            tuple(
-                (child.first_key, bytes(child.address))
-                for child in children
-            ),
-        )
-        address = self.store.put(encode_node(node))
-        self.store.decode_cache[address] = node
-        return _Ref(
-            first_key=children[0].first_key,
-            address=address,
-            count=len(children),
-            boundary=_ref_boundary(address, self._mask),
-        )
-
-    # -- content-defined splitting ----------------------------------------
-
-    def _split_entries(
-        self, entries: Sequence[Tuple[bytes, bytes]]
-    ) -> List[List[Tuple[bytes, bytes]]]:
-        cache = self.store.boundary_cache
-        groups: List[List[Tuple[bytes, bytes]]] = []
-        current: List[Tuple[bytes, bytes]] = []
-        for key, value in entries:
-            current.append((key, value))
-            if _entry_is_boundary(key, value, self._mask, cache):
-                groups.append(current)
-                current = []
-        if current:
-            groups.append(current)
-        return groups
-
-    def _split_refs(self, refs: Sequence[_Ref]) -> List[List[_Ref]]:
-        groups: List[List[_Ref]] = []
-        current: List[_Ref] = []
-        for ref in refs:
-            current.append(ref)
-            if ref.boundary:
-                groups.append(current)
-                current = []
-        if current:
-            groups.append(current)
-        return groups
-
-    def _store_leaf_groups(
-        self, groups: Sequence[Sequence[Tuple[bytes, bytes]]]
-    ) -> List[_Ref]:
-        return [self._store_leaf(group) for group in groups]
-
-    def _build_upper_levels(
-        self, levels: List[List[_Ref]]
-    ) -> List[List[_Ref]]:
-        """Chunk level lists upward until a single root remains."""
-        while len(levels[-1]) > 1:
-            groups = self._split_refs(levels[-1])
-            levels.append([self._store_branch(group) for group in groups])
-        return levels
+    @classmethod
+    def _from_top(
+        cls, store: ChunkStore, mask_bits: int, top: List[Tuple[bytes, bytes]]
+    ) -> "PosTree":
+        """The tree whose topmost written level the pairs ``top`` list."""
+        while len(top) > 1:
+            level = _Run(store, mask_bits, "B")
+            level.add(top)
+            top = level.write()
+        if not top:
+            return cls.empty(store, mask_bits)
+        tree = cls(store, Digest(top[0][1]), mask_bits)
+        # The root is the lowest level with a single node; deletes can
+        # leave single-child branches above it.
+        node = tree._node(tree.root)
+        while node[0] == "B" and len(node[1]) == 1:
+            tree = cls(store, Digest(node[1][0][1]), mask_bits)
+            node = tree._node(tree.root)
+        return tree
 
     # -- reads -------------------------------------------------------------
 
     @property
     def root(self) -> Digest:
-        return self._levels[-1][0].address
+        return self._root
+
+    def _node(
+        self, address: Digest, collected: Optional[Dict[Digest, bytes]] = None
+    ) -> tuple:
+        """The decoded node at ``address``; its bytes join ``collected``
+        (a proof's address-keyed node set) when one is being built."""
+        raw = None
+        if collected is not None:
+            raw = collected.get(address)
+            if raw is None:
+                raw = collected[address] = self.store.get(address)
+        node = self.store.decode_cache.get(address)
+        if node is None:
+            node = decode_node(
+                raw if raw is not None else self.store.get(address)
+            )
+            self.store.decode_cache[address] = node
+        return node
+
+    def _lookup(
+        self, key: bytes, collected: Optional[Dict[Digest, bytes]] = None
+    ) -> Optional[bytes]:
+        """Walk ``key``'s path from the root; its value or None."""
+        node = self._node(self.root, collected)
+        while node[0] == "B":
+            children = node[1]
+            child = children[_child_index(children, key)][1]
+            node = self._node(Digest(child), collected)
+        pairs = node[1]
+        index = _position(pairs, key)
+        if index < len(pairs) and pairs[index][0] == key:
+            return pairs[index][1]
+        return None
+
+    def _descend(
+        self, key: bytes, depth: int
+    ) -> Tuple[Digest, tuple, Optional[bytes], Optional[bytes]]:
+        """The node ``depth`` levels below the root on ``key``'s path.
+
+        Returns ``(address, pairs, listed, upper)``: ``listed`` is the
+        key its parent lists it under, ``upper`` the key its right
+        neighbour at that depth is listed under (None: there is none).
+        """
+        address, listed, upper = self.root, None, None
+        for _ in range(depth):
+            children = self._node(address)[1]
+            index = _child_index(children, key)
+            if index + 1 < len(children):
+                upper = children[index + 1][0]
+            listed, child = children[index]
+            address = Digest(child)
+        return address, self._node(address)[1], listed, upper
+
+    def _leaves(self, address: Digest) -> Iterator[tuple]:
+        """Every leaf's pairs under ``address``, left to right."""
+        node = self._node(address)
+        if node[0] == "L":
+            yield node[1]
+        else:
+            for _first_key, child in node[1]:
+                yield from self._leaves(Digest(child))
 
     @property
     def height(self) -> int:
         """Number of levels (1 = a lone leaf)."""
-        return len(self._levels)
+        height = 1
+        node = self._node(self.root)
+        while node[0] == "B":
+            node = self._node(Digest(node[1][0][1]))
+            height += 1
+        return height
 
     @property
     def count(self) -> int:
         """Number of entries."""
-        return sum(ref.count for ref in self._levels[0])
+        return sum(len(pairs) for pairs in self._leaves(self.root))
 
     def __len__(self) -> int:
         return self.count
 
-    def _leaf_index_for(self, key: bytes) -> int:
-        index = bisect.bisect_right(self._leaf_first_keys(), key) - 1
-        return max(index, 0)
-
     def get(self, key: bytes) -> Optional[bytes]:
-        ref = self._levels[0][self._leaf_index_for(key)]
-        for entry_key, value in self._leaf_entries(ref):
-            if entry_key == key:
-                return value
-        return None
+        return self._lookup(key)
 
     def get_with_proof(self, key: bytes) -> Tuple[Optional[bytes], SiriProof]:
         """Lookup plus authentication path in a single traversal.
@@ -502,28 +520,9 @@ class PosTree(SiriIndex):
         Spitz's verified-read advantage: the proof is the list of node
         bytes the lookup touched anyway.
         """
-        nodes: List[bytes] = []
-        address = self.root
-        value: Optional[bytes] = None
-        while True:
-            raw = self.store.get(address)
-            nodes.append(raw)
-            node = self.store.decode_cache.get(address)
-            if node is None:
-                node = decode_node(raw)
-                self.store.decode_cache[address] = node
-            if node[0] == "B":
-                children = node[1]
-                first_keys = [child[0] for child in children]
-                index = max(bisect.bisect_right(first_keys, key) - 1, 0)
-                address = Digest(children[index][1])
-            else:
-                for entry_key, entry_value in node[1]:
-                    if entry_key == key:
-                        value = entry_value
-                        break
-                break
-        proof = SiriProof(key=key, value=value, nodes=tuple(nodes))
+        path: Dict[Digest, bytes] = {}
+        value = self._lookup(key, path)
+        proof = SiriProof(key=key, value=value, nodes=tuple(path.values()))
         return value, proof
 
     def get_many_with_proof(
@@ -537,32 +536,9 @@ class PosTree(SiriIndex):
         Values come back in request order (None for absent keys).
         """
         collected: Dict[Digest, bytes] = {}
-        entries: List[Tuple[bytes, Optional[bytes]]] = []
-        values: List[Optional[bytes]] = []
-        for key in keys:
-            address = self.root
-            value: Optional[bytes] = None
-            while True:
-                if address not in collected:
-                    collected[address] = self.store.get(address)
-                node = self._load_node(address)
-                if node[0] == "B":
-                    children = node[1]
-                    first_keys = [child[0] for child in children]
-                    index = max(
-                        bisect.bisect_right(first_keys, key) - 1, 0
-                    )
-                    address = Digest(children[index][1])
-                else:
-                    for entry_key, entry_value in node[1]:
-                        if entry_key == key:
-                            value = entry_value
-                            break
-                    break
-            values.append(value)
-            entries.append((key, value))
+        values = [self._lookup(key, collected) for key in keys]
         proof = PosMultiProof(
-            entries=tuple(entries),
+            entries=tuple(zip(keys, values)),
             nodes=tuple(collected.values()),
             root=self.root,
         )
@@ -572,9 +548,7 @@ class PosTree(SiriIndex):
     def _find_child(node: tuple, key: bytes):
         if node[0] == "B":
             children = node[1]
-            first_keys = [child[0] for child in children]
-            index = max(bisect.bisect_right(first_keys, key) - 1, 0)
-            return Digest(children[index][1])
+            return Digest(children[_child_index(children, key)][1])
         for entry_key, entry_value in node[1]:
             if entry_key == key:
                 return entry_value
@@ -595,24 +569,14 @@ class PosTree(SiriIndex):
         return verify_siri_proof(proof, root, cls._find_child, cache)
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        for ref in self._levels[0]:
-            yield from self._leaf_entries(ref)
+        for pairs in self._leaves(self.root):
+            yield from pairs
 
     def scan(
         self, low: bytes, high: bytes
     ) -> List[Tuple[bytes, bytes]]:
         """Entries with ``low <= key <= high`` in key order."""
-        results: List[Tuple[bytes, bytes]] = []
-        start = max(bisect.bisect_right(self._leaf_first_keys(), low) - 1, 0)
-        for ref in self._levels[0][start:]:
-            if ref.first_key > high and results:
-                break
-            for key, value in self._leaf_entries(ref):
-                if key > high:
-                    return results
-                if key >= low:
-                    results.append((key, value))
-        return results
+        return self._collect_range(self.root, low, high, None)
 
     def scan_with_proof(
         self, low: bytes, high: bytes
@@ -642,29 +606,21 @@ class PosTree(SiriIndex):
         address: Digest,
         low: bytes,
         high: bytes,
-        collected: Dict[Digest, bytes],
+        collected: Optional[Dict[Digest, bytes]],
     ) -> List[Tuple[bytes, bytes]]:
-        raw = self.store.get(address)
-        collected[address] = raw
-        node = self.store.decode_cache.get(address)
-        if node is None:
-            node = decode_node(raw)
-            self.store.decode_cache[address] = node
-        results: List[Tuple[bytes, bytes]] = []
+        node = self._node(address, collected)
+        pairs = node[1]
         if node[0] == "L":
-            for key, value in node[1]:
-                if low <= key <= high:
-                    results.append((key, value))
-            return results
-        children = node[1]
-        first_keys = [child[0] for child in children]
-        start = max(bisect.bisect_right(first_keys, low) - 1, 0)
-        for index in range(start, len(children)):
-            if children[index][0] > high:
+            return list(
+                pairs[_position(pairs, low):_position_after(pairs, high)]
+            )
+        results: List[Tuple[bytes, bytes]] = []
+        for index in range(_child_index(pairs, low), len(pairs)):
+            if pairs[index][0] > high:
                 break
             results.extend(
                 self._collect_range(
-                    Digest(children[index][1]), low, high, collected
+                    Digest(pairs[index][1]), low, high, collected
                 )
             )
         return results
@@ -677,213 +633,86 @@ class PosTree(SiriIndex):
         ``updates`` maps keys to byte values or the
         :data:`~repro.indexes.siri.DELETE` sentinel.
 
-        Updates are grouped by the leaf they land in and each affected
-        leaf region is rebuilt independently (with boundary-cascade
-        into following leaves when a region's final entry stops being
-        a split point).  The changed spans are then spliced upward
-        level by level, so cost is proportional to the number of
-        touched nodes — O(batch * height) — independent of tree size.
+        One pass per level, leaves first: each run of touched nodes is
+        found by descending from the root, its decoded pairs are
+        edited by slicing and re-split by the content-defined rule
+        (taking in right neighbours while the run's last pair is not a
+        split point), and the nodes it replaced become the edit to the
+        level above.  Work and memory are O(batch * height * node
+        size) whatever the size of the tree.
         """
-        if not updates:
-            return self
-        if len(self._levels[0]) == 1 and self._levels[0][0].count == 0:
-            inserts = [
-                (key, value)
-                for key, value in updates.items()
-                if value is not DELETE
-            ]
-            return PosTree.from_items(self.store, inserts, self.mask_bits)
+        changes: List[_Change] = []
+        for key in sorted(updates):
+            value = updates[key]
+            changes.append(
+                (key, key, () if value is DELETE else ((key, value),))
+            )
+        tag = "L"
+        for depth in reversed(range(self.height)):
+            changes = self._rewrite_level(depth, tag, changes)
+            if not changes:
+                return self  # every run was rebuilt to the nodes it had
+            if changes[0][0] is None:
+                break
+            tag = "B"
+        return self._from_top(self.store, self.mask_bits, changes[0][2])
 
-        old_leaves = self._levels[0]
-        first_keys = self._leaf_first_keys()
-        by_leaf: Dict[int, Dict[bytes, object]] = {}
-        for key, value in updates.items():
-            index = max(bisect.bisect_right(first_keys, key) - 1, 0)
-            by_leaf.setdefault(index, {})[key] = value
+    def _rewrite_level(
+        self, depth: int, tag: str, changes: List[_Change]
+    ) -> List[_Change]:
+        """Apply sorted, disjoint ``changes`` to the nodes ``depth``
+        levels below the root.
 
-        pending = sorted(by_leaf)
-        new_leaves: List[_Ref] = []
-        spans: List[Tuple[int, int, List[_Ref]]] = []
-        consumed = 0
-        position = 0
-        while position < len(pending):
-            start = pending[position]
-            new_leaves.extend(old_leaves[consumed:start])
-            entries = list(self._leaf_entries(old_leaves[start]))
-            region_updates = dict(by_leaf[start])
-            applied: set = set()
-            end = start + 1
-            position += 1
+        Returns the changes that makes to the level above — or, where
+        no level above survives, one change keyed None whose pairs
+        list the nodes now on top.
+        """
+        # Each run replaces a stretch of neighbouring nodes.  ``edge``
+        # is the key the next node right of the runs so far is listed
+        # under (every level's first node is listed under the tree's
+        # least key), None past the last.
+        runs: List[Tuple[Optional[bytes], Optional[bytes], list, _Run]] = []
+        edge = self._node(self.root)[1][0][0] if depth else None
+        tiled = True
+        done = 0
+        while done < len(changes):
+            address, node, first, upper = self._descend(
+                changes[done][0], depth
+            )
+            tiled = tiled and first == edge
+            last = first
+            replaced = [address]
+            run = _Run(self.store, self.mask_bits, tag)
+            kept = 0
             while True:
-                # Pull in any later update groups the region has grown
-                # over (their leaves are already absorbed).
-                while position < len(pending) and pending[position] < end:
-                    region_updates.update(by_leaf[pending[position]])
-                    position += 1
-                for key, value in region_updates.items():
-                    if key in applied and value is not DELETE:
-                        continue
-                    _apply_entry(entries, key, value)
-                    applied.add(key)
-                if end >= len(old_leaves):
-                    break
-                if entries and _entry_is_boundary(
-                    entries[-1][0],
-                    entries[-1][1],
-                    self._mask,
-                    self.store.boundary_cache,
+                while done < len(changes) and (
+                    upper is None or changes[done][0] < upper
                 ):
+                    low, high, new = changes[done]
+                    cut = _position(node, low, kept)
+                    run.keep(node, kept, cut)
+                    run.add(new)
+                    kept = _position_after(node, high, cut)
+                    done += 1
+                run.keep(node, kept, len(node))
+                if upper is None or (high < upper and run.ended):
                     break
-                # Cascade: the region no longer ends on a split point,
-                # so the next old leaf merges into it.
-                entries.extend(self._leaf_entries(old_leaves[end]))
-                end += 1
-            region_refs = self._store_leaf_groups(
-                self._split_entries(entries)
-            )
-            if not _same_refs(old_leaves, start, end, region_refs):
-                spans.append((start, end, region_refs))
-            new_leaves.extend(region_refs)
-            consumed = end
-        new_leaves.extend(old_leaves[consumed:])
-        if not new_leaves:
-            return PosTree.empty(self.store, self.mask_bits)
-        if not spans:
-            return self  # every region rebuilt to its previous address
-
-        new_levels: List[List[_Ref]] = [new_leaves]
-        child_spans = spans
-        level_index = 1
-        while len(new_levels[-1]) > 1:
-            if level_index >= len(self._levels):
-                # The tree grew taller: chunk the remainder upward.
-                return PosTree(
-                    self.store,
-                    self._build_upper_levels(new_levels),
-                    self.mask_bits,
-                )
-            if not child_spans:
-                # Changes converged to identical nodes; the remaining
-                # old levels are still valid above this point.
-                new_levels.extend(self._levels[level_index:])
-                return PosTree(self.store, new_levels, self.mask_bits)
-            parents, child_spans = self._splice_parents(
-                old_children=self._levels[level_index - 1],
-                old_parents=self._levels[level_index],
-                spans=child_spans,
-            )
-            new_levels.append(parents)
-            level_index += 1
-        return PosTree(self.store, new_levels, self.mask_bits)
-
-    def _splice_parents(
-        self,
-        old_children: List[_Ref],
-        old_parents: List[_Ref],
-        spans: List[Tuple[int, int, List[_Ref]]],
-    ) -> Tuple[List[_Ref], List[Tuple[int, int, List[_Ref]]]]:
-        """Rebuild only the parents covering changed child spans.
-
-        ``spans`` lists disjoint ascending replacements at the child
-        level: ``old_children[start:end]`` became ``refs``.  Returns
-        the new parent list plus the equivalent spans one level up.
-        """
-        offsets: List[int] = []
-        total = 0
-        for parent in old_parents:
-            offsets.append(total)
-            total += parent.count
-
-        def parent_of(child_index: int) -> int:
-            return max(bisect.bisect_right(offsets, child_index) - 1, 0)
-
-        new_parents: List[_Ref] = []
-        parent_spans: List[Tuple[int, int, List[_Ref]]] = []
-        consumed_parent = 0
-        i = 0
-        while i < len(spans):
-            span_start, span_end, span_refs = spans[i]
-            start_parent = max(parent_of(span_start), consumed_parent)
-            region: List[_Ref] = list(
-                old_children[offsets[start_parent]:span_start]
-            )
-            region.extend(span_refs)
-            cursor = span_end
-            end_parent = parent_of(max(span_end - 1, span_start)) + 1
-            end_parent = max(end_parent, start_parent + 1)
-            i += 1
-            while True:
-                region_child_end = (
-                    offsets[end_parent]
-                    if end_parent < len(old_parents)
-                    else len(old_children)
-                )
-                if i < len(spans) and spans[i][0] < region_child_end:
-                    next_start, next_end, next_refs = spans[i]
-                    i += 1
-                    region.extend(old_children[cursor:next_start])
-                    region.extend(next_refs)
-                    cursor = next_end
-                    end_parent = max(
-                        end_parent,
-                        parent_of(max(next_end - 1, next_start)) + 1,
-                    )
-                    continue
-                region.extend(old_children[cursor:region_child_end])
-                cursor = region_child_end
-                if region and region[-1].boundary:
-                    break
-                if end_parent >= len(old_parents):
-                    break
-                end_parent += 1
-            new_parents.extend(old_parents[consumed_parent:start_parent])
-            region_parents = [
-                self._store_branch(group)
-                for group in self._split_refs(region)
-            ]
-            if not _same_refs(
-                old_parents, start_parent, end_parent, region_parents
-            ):
-                parent_spans.append(
-                    (start_parent, end_parent, region_parents)
-                )
-            new_parents.extend(region_parents)
-            consumed_parent = end_parent
-        new_parents.extend(old_parents[consumed_parent:])
-        return new_parents, parent_spans
-
-    def _leaf_first_keys(self) -> List[bytes]:
-        """Memoized first-key list of the leaf level."""
-        cached = getattr(self, "_first_keys_cache", None)
-        if cached is None:
-            cached = [ref.first_key for ref in self._levels[0]]
-            self._first_keys_cache = cached
-        return cached
-
-
-def _same_refs(
-    old_level: List[_Ref], start: int, end: int, new_refs: List[_Ref]
-) -> bool:
-    """True when a rebuilt region reproduced the old node addresses."""
-    if end - start != len(new_refs):
-        return False
-    for offset, ref in enumerate(new_refs):
-        if old_level[start + offset].address != ref.address:
-            return False
-    return True
-
-
-def _apply_entry(
-    entries: List[Tuple[bytes, bytes]], key: bytes, value: object
-) -> None:
-    """In-place sorted insert/replace/delete of one entry."""
-    keys = [entry[0] for entry in entries]
-    index = bisect.bisect_left(keys, key)
-    present = index < len(entries) and entries[index][0] == key
-    if value is DELETE:
-        if present:
-            entries.pop(index)
-    elif present:
-        entries[index] = (key, value)  # type: ignore[arg-type]
-    else:
-        entries.insert(index, (key, value))  # type: ignore[arg-type]
+                # The run does not end on a split point (or its last
+                # change reaches further): the next node joins it.
+                address, node, last, upper = self._descend(upper, depth)
+                replaced.append(address)
+                kept = _position_after(node, high)
+            runs.append((first, last, replaced, run))
+            edge = upper
+        if tag == "B" and tiled and edge is None:
+            top = [pair for *_nodes, run in runs for pair in run.pairs]
+            if len(top) <= 1:
+                # The runs are the whole level and list one node: the
+                # level below is down to its root; nothing to write.
+                return [(None, None, top)]
+        above: List[_Change] = []
+        for first, last, replaced, run in runs:
+            written = run.write()
+            if [child for _key, child in written] != replaced:
+                above.append((first, last, written))
+        return above

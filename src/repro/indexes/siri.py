@@ -22,7 +22,7 @@ from __future__ import annotations
 import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ProofError
@@ -54,6 +54,33 @@ def encode_node(node: tuple) -> bytes:
 def decode_node(data: bytes) -> tuple:
     """Inverse of :func:`encode_node`."""
     return pickle.loads(data)
+
+
+class NodeCache(dict):
+    """A verifier's memo of hash-checked nodes: digest → decoded node.
+
+    ``entries`` hash-conses the nodes' entries.  Successive versions
+    of a node differ in the entry that changed, so the versions held
+    here share every other entry by identity — as the server's decoded
+    nodes do (:meth:`~repro.indexes.pos_tree.PosTree.apply`) — instead
+    of each keeping its own copy of every key and value.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entries: Dict[tuple, tuple] = {}
+
+
+def cache_node(cache: Optional[dict], digest: Digest, raw: bytes) -> tuple:
+    """Decode ``raw``, which the caller has hashed to ``digest``, and
+    memoize the node in ``cache`` (if any)."""
+    node = decode_node(raw)
+    if isinstance(cache, NodeCache):
+        shared = cache.entries.setdefault
+        node = (node[0], tuple(map(shared, node[1], node[1])))
+    if cache is not None:
+        cache[digest] = node
+    return node
 
 
 @dataclass(frozen=True)
@@ -166,9 +193,7 @@ def verify_siri_proof(
             if node is None:
                 if hash_bytes(raw) != expected:
                     return False
-                node = decode_node(raw)
-                if cache is not None:
-                    cache[expected] = node
+                node = cache_node(cache, expected, raw)
             step = find_child(node, proof.key)
             if isinstance(step, Digest):
                 expected = step

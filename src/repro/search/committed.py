@@ -80,6 +80,8 @@ def encode_search_value(value) -> bytes:
     number = float(value)
     if math.isnan(number):
         raise QueryError("cannot index NaN: it has no total order")
+    if number == 0.0:
+        number = 0.0  # -0.0 compares equal to 0.0: one encoding for both
     bits = struct.unpack(">Q", struct.pack(">d", number))[0]
     if bits & 0x8000_0000_0000_0000:
         bits ^= 0xFFFF_FFFF_FFFF_FFFF

@@ -113,6 +113,19 @@ class TestDatabaseSearch:
         verifier.trust(db.digest())
         assert verifier.verify(proof)
 
+    def test_eq_zero_finds_a_row_stored_as_negative_zero(self):
+        db = SpitzDatabase(indexed_columns=["readings.t"])
+        db.sql("CREATE TABLE readings (id INT, t FLOAT, PRIMARY KEY (id))")
+        db.insert("readings", {"id": 1, "t": -0.0})
+        db.insert("readings", {"id": 2, "t": 1.5})
+        predicate = SearchPredicate.eq(0)
+        ukeys, proof = db.search_verified("readings.t", predicate)
+        assert ukeys == db.search("readings.t", predicate)
+        assert len(ukeys) == 1
+        verifier = ClientVerifier()
+        verifier.trust(db.digest())
+        assert verifier.verify(proof)
+
     def test_search_without_index_raises(self):
         db = SpitzDatabase()
         with pytest.raises(QueryError):

@@ -14,7 +14,7 @@ The load-bearing properties:
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.forkbase.chunk_store import ChunkStore
 from repro.core.ledger import SpitzLedger
@@ -47,6 +47,7 @@ ukeys = st.binary(min_size=1, max_size=12)
 
 
 @given(a=numerics, b=numerics)
+@example(a=0.0, b=-0.0)
 @settings(max_examples=200, deadline=None)
 def test_numeric_encoding_preserves_order(a, b):
     ea, eb = encode_search_value(a), encode_search_value(b)

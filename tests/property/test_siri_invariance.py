@@ -8,11 +8,12 @@ depends only on the final logical content.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.hashing import Digest
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.mbt import MerkleBucketTree
 from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import DELETE
+from repro.indexes.siri import DELETE, decode_node
 
 keys = st.binary(min_size=1, max_size=12)
 values = st.binary(min_size=0, max_size=16)
@@ -62,6 +63,56 @@ def test_pos_tree_invariance(script, batch_size):
     _check_invariance(
         lambda store: PosTree.empty(store, mask_bits=2), script, batch_size
     )
+
+
+#: Few distinct keys, so overwrites and deletes land on entries that
+#: exist; with ``mask_bits=1`` every second entry ends a node, so the
+#: trees are many levels deep and deletes keep removing split points.
+deep_scripts = st.lists(
+    st.tuples(
+        st.integers(0, 150).map(lambda n: b"k%03d" % n),
+        st.one_of(
+            st.integers(0, 3).map(lambda n: b"v%d" % n), st.just(DELETE)
+        ),
+    ),
+    min_size=30,
+    max_size=300,
+)
+
+
+def _reachable(store, address):
+    """Addresses of every node under (and including) ``address``."""
+    tag, pairs = decode_node(store.get(address))
+    found = {address}
+    if tag == "B":
+        for _first_key, child in pairs:
+            found |= _reachable(store, Digest(child))
+    return found
+
+
+@given(script=deep_scripts, batch_size=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_pos_tree_deep_trees_match_bulk_build(script, batch_size):
+    """After every batch: the root ``from_items`` builds for the same
+    content, nothing written that the new root does not reach, and
+    every earlier root still reads its own content."""
+    store = ChunkStore()
+    tree = PosTree.empty(store, mask_bits=1)
+    earlier = []
+    for start in range(0, len(script), batch_size):
+        batch = dict(script[start:start + batch_size])
+        state = _final_state(script[:start + batch_size])
+        before = set(store.addresses())
+        tree = tree.apply(batch)
+        bulk = PosTree.from_items(ChunkStore(), list(state.items()), 1)
+        assert tree.root == bulk.root
+        assert tree.height == bulk.height
+        assert tree.count == len(state)
+        written = set(store.addresses()) - before
+        assert written <= _reachable(store, tree.root)
+        earlier.append((tree.root, state))
+    for root, state in earlier:
+        assert dict(PosTree.load(store, root, mask_bits=1).items()) == state
 
 
 @given(script=scripts, batch_size=st.integers(1, 7))

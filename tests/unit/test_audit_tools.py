@@ -77,6 +77,16 @@ class TestAuditLedger:
         assert findings
 
 
+    def test_detects_a_block_whose_index_root_left_the_store(self):
+        ledger = _ledger([(f"k{i}".encode(), b"v") for i in range(5)])
+        del ledger.chunks._entries[ledger.block(2).tree_root]
+        ledger.chunks.decode_cache.clear()  # as after a reload
+        findings = audit_ledger(ledger)
+        assert [f for f in findings if "index unreadable" in f] and all(
+            "#2" in finding for finding in findings
+        )
+
+
 class TestProofBundles:
     def _db(self):
         db = SpitzDatabase()

@@ -1,9 +1,12 @@
 """Unit tests for the content-addressed chunk store."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ChunkNotFoundError
 from repro.forkbase.chunk_store import ChunkStore
+from repro.indexes.pos_tree import PosTree
 
 
 class TestChunkStore:
@@ -73,6 +76,32 @@ class TestChunkStore:
         a = store.put(b"1")
         b = store.put(b"2")
         assert {a, b} == set(store.addresses())
+
+
+class TestChunkStorePickling:
+    def test_snapshot_leaves_the_derived_caches_out(self, store):
+        """The decode and split-point caches restate the chunks; a
+        pickled store carries the chunks only and serves the same
+        roots and proofs once reloaded."""
+        items = [(b"k%04d" % i, b"v%d" % i) for i in range(2000)]
+        tree = PosTree.from_items(store, items).apply({b"k1000": b"new"})
+        assert store.decode_cache and store.boundary_cache
+        _value, proof = tree.get_with_proof(b"k1000")
+        _entries, range_proof = tree.scan_with_proof(b"k0990", b"k1010")
+
+        blob = pickle.dumps(store)
+        caches = pickle.dumps((store.decode_cache, store.boundary_cache))
+        assert len(blob) < store.stats.physical_bytes + len(caches) // 2
+        reloaded = pickle.loads(blob)
+        assert reloaded.decode_cache == {} and reloaded.boundary_cache == {}
+        assert reloaded.stats == store.stats
+
+        again = PosTree.load(reloaded, tree.root)
+        assert again.get_with_proof(b"k1000") == (b"new", proof)
+        assert again.scan_with_proof(b"k0990", b"k1010")[1] == range_proof
+        assert list(again.items()) == list(tree.items())
+        update = {b"k0500": b"later", b"k1500": b"later"}
+        assert again.apply(update).root == tree.apply(update).root
 
 
 class TestChunkStoreThreadSafety:

@@ -1,12 +1,18 @@
 """Unit tests for the Spitz ledger."""
 
 import dataclasses
+import gc
+import pickle
+import random
+import tracemalloc
 
 import pytest
 
+from repro.crypto.hashing import hash_bytes
 from repro.errors import CommitNotFoundError
 from repro.indexes.siri import DELETE
 from repro.core.ledger import SpitzLedger
+from repro.core.verifier import ClientVerifier
 
 
 class TestLedgerBlocks:
@@ -167,3 +173,72 @@ class TestLedgerHistory:
         report = ledger.storage_report()
         assert report["blocks"] == 1
         assert report["physical_bytes"] > 0
+
+
+class TestVersionCost:
+    def test_a_commit_retains_what_it_rewrote(self):
+        """Memory guard: 500 single-key blocks on a 20k-key ledger keep
+        at most twice the bytes they added to the chunk store — the new
+        nodes and their decoded forms, not a tree handle per block."""
+        ledger = SpitzLedger(mask_bits=5)
+        ledger.append_block(
+            {b"k%05d" % i: b"v" * 100 for i in range(20_000)}
+        )
+        rng = random.Random(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            stored = ledger.chunks.stats.physical_bytes
+            for i in range(500):
+                ledger.append_block(
+                    {b"k%05d" % rng.randrange(20_000): b"w%07d" % i + b"x" * 92}
+                )
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+            stored = ledger.chunks.stats.physical_bytes - stored
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 * stored, f"{retained} retained, {stored} stored"
+
+    def test_verifier_cache_shares_entries_between_node_versions(self):
+        ledger = SpitzLedger(mask_bits=3)
+        ledger.append_block({b"k%04d" % i: b"v%d" % i for i in range(2000)})
+        verifier = ClientVerifier()
+        paths = []
+        for value in (b"one", b"two"):
+            ledger.append_block({b"k1000": value})
+            verifier.observe(ledger.digest())
+            _value, proof = ledger.get_with_proof(b"k1000")
+            assert verifier.verify(proof)
+            paths.append(
+                [verifier._node_cache[hash_bytes(raw)] for raw in proof.siri.nodes]
+            )
+        assert len(paths[0]) == len(paths[1]) > 2
+        for old, new in zip(*paths):
+            assert new is not old
+            was = {entry: entry for entry in old[1]}
+            kept = [entry for entry in new[1] if entry in was]
+            assert kept and all(entry is was[entry] for entry in kept)
+
+
+class TestLegacyState:
+    def test_ledger_pickled_with_per_block_trees_opens_on_block_roots(self):
+        """State as written before temporal reads went through block
+        roots: a ``_trees`` list with one handle per block."""
+        ledger = SpitzLedger()
+        ledger.append_block({b"k": b"v1", b"other": b"x"})
+        ledger.append_block({b"k": b"v2"})
+        state = dict(vars(ledger))
+        state["_trees"] = [ledger.tree_at(0), ledger.tree_at(1)]
+        legacy = SpitzLedger.__new__(SpitzLedger)
+        legacy.__setstate__(state)
+        assert "_trees" not in vars(legacy)
+        reopened = pickle.loads(pickle.dumps(legacy))
+        assert reopened.digest() == ledger.digest()
+        assert reopened.get_at(b"k", 0) == b"v1"
+        assert reopened.key_history(b"k") == [(0, b"v1"), (1, b"v2")]
+        verifier = ClientVerifier()
+        verifier.trust(reopened.digest())
+        _value, proof = reopened.get_with_proof(b"k")
+        assert verifier.verify(proof)

@@ -1,10 +1,13 @@
 """Unit tests for the POS-tree (SIRI member Spitz's ledger uses)."""
 
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
-from repro.indexes.pos_tree import PosTree
+from repro.crypto.hashing import Digest
+from repro.indexes.pos_tree import PosTree, _Ref
 from repro.indexes.siri import DELETE, SiriProof
 
 
@@ -98,6 +101,90 @@ class TestPersistence:
     def test_empty_apply_returns_self(self, store):
         tree = PosTree.from_items(store, _items(10))
         assert tree.apply({}) is tree
+
+
+def _decoded_path(tree, key):
+    """The store's decoded nodes on ``key``'s path, root first."""
+    path = []
+    address = tree.root
+    while True:
+        node = tree.store.decode_cache[address]
+        path.append(node)
+        if node[0] == "L":
+            return path
+        listed = [first_key for first_key, _child in node[1]]
+        index = max(
+            sum(first_key <= key for first_key in listed) - 1, 0
+        )
+        address = Digest(node[1][index][1])
+
+
+class TestVersionSharing:
+    def test_versions_share_unchanged_pairs_by_identity(self, store):
+        tree = PosTree.from_items(store, _items(3000), mask_bits=3)
+        key = b"k001500"
+        changed = tree.apply({key: b"changed"})
+        old_path = _decoded_path(tree, key)
+        new_path = _decoded_path(changed, key)
+        assert len(old_path) == len(new_path) == tree.height > 2
+        for old, new in zip(old_path, new_path):
+            assert new is not old
+            was = {pair: pair for pair in old[1]}
+            kept = [pair for pair in new[1] if pair in was]
+            assert kept and all(pair is was[pair] for pair in kept)
+
+    def test_handle_state_is_the_root(self, store):
+        tree = PosTree.from_items(store, _items(500))
+        assert set(vars(tree)) == {"store", "mask_bits", "_root"}
+
+    def test_single_key_apply_allocates_a_path_not_a_level(self, store):
+        """Memory guard: one single-key apply on a 200k-key tree (6 000
+        leaves) peaks under 64 KB — the nodes on one path — where
+        per-level lists cost 8 bytes a leaf, twice over."""
+        tree = PosTree.from_items(
+            store,
+            [(b"k%07d" % i, b"v%07d" % i + b"x" * 92) for i in range(200_000)],
+        )
+        tree.apply({b"k0100000": b"warm"})
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _peak = tracemalloc.get_traced_memory()
+            tree.apply({b"k0100001": b"changed" + b"y" * 93})
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024, f"apply peak {peak - before} bytes"
+
+
+class TestLegacyState:
+    def test_handle_pickled_with_level_lists_opens_on_its_root(self, store):
+        """State as written before handles were roots: ``_levels`` of
+        ``_Ref`` objects (root level last) and a first-keys cache."""
+        tree = PosTree.from_items(store, _items(300), mask_bits=3)
+
+        def ref(address):
+            legacy = _Ref()
+            vars(legacy).update(
+                first_key=b"", address=address, count=1, boundary=False
+            )
+            return legacy
+
+        legacy = PosTree.__new__(PosTree)
+        legacy.__setstate__(
+            {
+                "store": store,
+                "mask_bits": 3,
+                "_mask": 7,
+                "_levels": [[ref(tree.root), ref(tree.root)], [ref(tree.root)]],
+                "_first_keys_cache": [b""],
+            }
+        )
+        assert vars(legacy) == vars(tree)
+        reloaded = pickle.loads(pickle.dumps(legacy))
+        assert reloaded.root == tree.root
+        assert reloaded.get(b"k000123") == b"v123"
+        assert reloaded.apply({b"a": b"b"}).root == tree.apply({b"a": b"b"}).root
 
 
 class TestReads:
