@@ -46,7 +46,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.audit import audit_ledger
 from repro.core.client import run_saturation
@@ -140,20 +140,30 @@ def cmd_put(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check(proof, digest) -> Tuple[bool, str]:
+    """Verify ``proof`` the way a client holding ``digest`` would."""
+    verifier = ClientVerifier()
+    verifier.trust(digest)
+    ok = verifier.verify(proof)
+    return ok, "VERIFIED" if ok else "VERIFICATION FAILED"
+
+
+def _render(value: Optional[bytes]) -> str:
+    return value.decode(errors="replace") if value else "(absent)"
+
+
 def cmd_get(args: argparse.Namespace) -> int:
     with _Session(args.db) as session:
         db = session.db
         if args.verify:
             value, proof = db.get_verified(args.key.encode())
-            verifier = ClientVerifier()
-            verifier.trust(db.digest())
-            ok = verifier.verify(proof)
-            state = "VERIFIED" if ok else "VERIFICATION FAILED"
-            rendered = value.decode(errors="replace") if value else "(absent)"
-            print(f"{rendered}  [{state}; {len(proof.siri.nodes)} proof nodes]")
+            ok, state = _check(proof, db.digest())
+            print(
+                f"{_render(value)}  "
+                f"[{state}; {len(proof.cacheable_nodes)} proof nodes]"
+            )
             return 0 if ok else 2
-        value = db.get(args.key.encode())
-        print(value.decode(errors="replace") if value else "(absent)")
+        print(_render(db.get(args.key.encode())))
     return 0
 
 
@@ -163,26 +173,18 @@ def cmd_mget(args: argparse.Namespace) -> int:
         keys = [key.encode() for key in args.keys]
         if args.verify:
             values, proof = db.get_many_verified(keys)
-            verifier = ClientVerifier()
-            verifier.trust(db.digest())
-            ok = verifier.verify(proof)
-            for key, value in zip(args.keys, values):
-                rendered = (
-                    value.decode(errors="replace") if value else "(absent)"
-                )
-                print(f"{key}\t{rendered}")
-            state = "VERIFIED" if ok else "VERIFICATION FAILED"
+        else:
+            values, proof = db.get_many(keys), None
+        for key, value in zip(args.keys, values):
+            print(f"{key}\t{_render(value)}")
+        if proof is not None:
+            ok, state = _check(proof, db.digest())
             print(
-                f"[{state}; one multiproof, {len(proof.multi.nodes)} "
+                f"[{state}; one multiproof, {len(proof.cacheable_nodes)} "
                 f"deduped nodes, {proof.size_bytes} bytes for "
                 f"{len(keys)} keys]"
             )
             return 0 if ok else 2
-        for key, value in zip(args.keys, db.get_many(keys)):
-            rendered = (
-                value.decode(errors="replace") if value else "(absent)"
-            )
-            print(f"{key}\t{rendered}")
     return 0
 
 
@@ -277,10 +279,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             return 1
         _print_search_matches(response.result)
         if args.verify:
-            verifier = ClientVerifier()
-            verifier.trust(response.digest)
-            ok = verifier.verify(response.proof)
-            state = "VERIFIED" if ok else "VERIFICATION FAILED"
+            ok, state = _check(response.proof, response.digest)
             print(
                 f"[{state}; {len(response.result)} matches, "
                 f"{response.proof.size_bytes} proof bytes over the wire]"
@@ -296,11 +295,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         db = session.db
         if args.verify:
             ukeys, proof = db.search_verified(args.column, predicate)
-            verifier = ClientVerifier()
-            verifier.trust(db.digest())
-            ok = verifier.verify(proof)
+            ok, state = _check(proof, db.digest())
             _print_search_matches(ukeys)
-            state = "VERIFIED" if ok else "VERIFICATION FAILED"
             print(
                 f"[{state}; {len(ukeys)} matches, {proof.size_bytes} "
                 f"proof bytes incl. completeness evidence]"

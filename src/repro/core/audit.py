@@ -16,19 +16,13 @@ self-contained evidence package.  This module provides both:
 
 from __future__ import annotations
 
-import pickle
+import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.crypto.hashing import Digest
-from repro.errors import VerificationError
-from repro.core.ledger import (
-    LedgerDigest,
-    SpitzLedger,
-    block_digest_of,
-    chain_digest_of,
-)
-from repro.core.proofs import LedgerProof, LedgerRangeProof
+from repro.crypto.hashing import EMPTY_DIGEST
+from repro.errors import SpitzError, VerificationError
+from repro.core.ledger import LedgerDigest, SpitzLedger
 
 
 @dataclass(frozen=True)
@@ -82,8 +76,6 @@ def audit_ledger(ledger: SpitzLedger) -> List[str]:
     serve proofs for that block).
     """
     findings: List[str] = []
-    from repro.crypto.hashing import EMPTY_DIGEST
-
     running = EMPTY_DIGEST
     for height in range(ledger.height):
         block = ledger.block(height)
@@ -91,16 +83,9 @@ def audit_ledger(ledger: SpitzLedger) -> List[str]:
             findings.append(
                 f"block #{height}: broken previous-link"
             )
-        digest = block_digest_of(
-            height=block.height,
-            previous=block.previous_chain_digest,
-            tree_root=block.tree_root,
-            writes_digest=block.writes_digest,
-            statements_digest=block.statements_digest,
-        )
-        running = chain_digest_of(block.previous_chain_digest, digest)
-        if block.chain_digest != running:
+        if not block.seals():
             findings.append(f"block #{height}: chain digest mismatch")
+        running = block.chain_digest
         try:
             # Touch every level's first node to prove reachability.
             ledger.tree_at(height).get(b"")
@@ -115,15 +100,39 @@ class ProofBundle:
 
     description: str
     digest: LedgerDigest
-    proof: object  # LedgerProof | LedgerRangeProof
+    proof: object  # anything answering the proof protocol
 
     def serialize(self) -> bytes:
-        return pickle.dumps(self, protocol=4)
+        """A JSON document of wire-codec frames.
+
+        A bundle is evidence handed to a third party by the party being
+        audited, so it is data in the strict wire format and never a
+        pickle: loading one cannot run the sender's code.
+        """
+        from repro.serve.codec import encode_value
+
+        return json.dumps({
+            "description": self.description,
+            "digest": encode_value(self.digest),
+            "proof": encode_value(self.proof),
+        }).encode("utf-8")
 
     @staticmethod
     def deserialize(data: bytes) -> "ProofBundle":
-        bundle = pickle.loads(data)
-        if not isinstance(bundle, ProofBundle):
+        from repro.serve.codec import decode_value
+
+        try:
+            frame = json.loads(data)
+            bundle = ProofBundle(
+                description=frame["description"],
+                digest=decode_value(frame["digest"]),
+                proof=decode_value(frame["proof"]),
+            )
+        except (ValueError, KeyError, TypeError, SpitzError) as error:
+            raise VerificationError(f"not a proof bundle: {error}") from None
+        if not isinstance(bundle.description, str) or not isinstance(
+            bundle.digest, LedgerDigest
+        ):
             raise VerificationError("not a proof bundle")
         return bundle
 
@@ -160,9 +169,9 @@ def verify_bundle(
             f"({bundle.digest.chain_digest.short} vs "
             f"{trusted.chain_digest.short})"
         )
-    proof = bundle.proof
-    if not isinstance(proof, (LedgerProof, LedgerRangeProof)):
-        return False, "bundle carries an unknown proof type"
-    if not proof.verify(bundle.digest.chain_digest):
+    verify = getattr(bundle.proof, "verify", None)
+    if verify is None:
+        return False, "bundle carries no verifiable proof"
+    if not verify(bundle.digest.chain_digest):
         return False, "proof does not verify against the bundle digest"
     return True, "verified"

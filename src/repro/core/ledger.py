@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import Digest, EMPTY_DIGEST, hash_many, hash_value
-from repro.crypto.merkle import HashChain, _node_hash
+from repro.crypto.merkle import HashChain
 from repro.errors import CommitNotFoundError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pos_tree import PosTree
@@ -30,44 +30,15 @@ from repro.core.proofs import (
     LedgerMultiProof,
     LedgerProof,
     LedgerRangeProof,
+    block_digest_of,
 )
 
 
-def block_digest_of(
-    height: int,
-    previous: Digest,
-    tree_root: Digest,
-    writes_digest: Digest,
-    statements_digest: Digest,
-) -> Digest:
-    """Digest of a block header (the chain links these)."""
-    return hash_value(
-        (
-            "spitz-block",
-            height,
-            bytes(previous),
-            bytes(tree_root),
-            bytes(writes_digest),
-            bytes(statements_digest),
-        )
-    )
-
-
-def chain_digest_of(previous: Digest, block_digest: Digest) -> Digest:
-    """Chain link function (shared with :class:`HashChain`)."""
-    return _node_hash(previous, block_digest)
-
-
 @dataclass(frozen=True)
-class Block:
-    """One sealed ledger block."""
+class Block(BlockWitness):
+    """One sealed ledger block: the header a proof witnesses plus the
+    number of writes it sealed."""
 
-    height: int
-    previous_chain_digest: Digest
-    tree_root: Digest
-    writes_digest: Digest
-    statements_digest: Digest
-    chain_digest: Digest
     write_count: int
 
     def witness(self) -> BlockWitness:
@@ -200,17 +171,24 @@ class SpitzLedger:
         """Unverified point read from the latest index instance."""
         return self._tree.get(key)
 
+    def _prove(self, wrap, block: Block, lookup, *args):
+        """Run one proof-collecting ``lookup`` and bind its evidence to
+        ``block``: ``(answer, wrap(evidence, witness))``, accounted."""
+        with self.metrics.tracer.stage_in_trace("ledger.prove"):
+            answer, evidence = lookup(*args)
+            proof = wrap(evidence, block.witness())
+        self._c_proofs_served.inc()
+        self._h_proof_bytes.observe(proof.size_bytes)
+        return answer, proof
+
     def get_with_proof(
         self, key: bytes
     ) -> Tuple[Optional[bytes], LedgerProof]:
         """Point read plus proof in one traversal (the unified index)."""
-        with self.metrics.tracer.stage_in_trace("ledger.prove"):
-            block = self._require_block()
-            value, siri = self._tree.get_with_proof(key)
-            proof = LedgerProof(siri=siri, block=block.witness())
-        self._c_proofs_served.inc()
-        self._h_proof_bytes.observe(proof.size_bytes)
-        return value, proof
+        return self._prove(
+            LedgerProof, self._require_block(),
+            self._tree.get_with_proof, key,
+        )
 
     def get_many_with_proof(
         self, keys: Sequence[bytes]
@@ -221,13 +199,10 @@ class SpitzLedger:
         :class:`~repro.core.proofs.BlockWitness` and re-ship the index's
         shared upper nodes; the multiproof dedups both.
         """
-        with self.metrics.tracer.stage_in_trace("ledger.prove"):
-            block = self._require_block()
-            values, multi = self._tree.get_many_with_proof(keys)
-            proof = LedgerMultiProof(multi=multi, block=block.witness())
-        self._c_proofs_served.inc()
-        self._h_proof_bytes.observe(proof.size_bytes)
-        return values, proof
+        return self._prove(
+            LedgerMultiProof, self._require_block(),
+            self._tree.get_many_with_proof, keys,
+        )
 
     def scan(self, low: bytes, high: bytes) -> List[Tuple[bytes, bytes]]:
         return self._tree.scan(low, high)
@@ -236,15 +211,10 @@ class SpitzLedger:
         self, low: bytes, high: bytes
     ) -> Tuple[List[Tuple[bytes, bytes]], LedgerRangeProof]:
         """Range scan plus one covering proof (Section 6.2.2)."""
-        with self.metrics.tracer.stage_in_trace("ledger.prove"):
-            block = self._require_block()
-            entries, range_proof = self._tree.scan_with_proof(low, high)
-            proof = LedgerRangeProof(
-                range_proof=range_proof, block=block.witness()
-            )
-        self._c_proofs_served.inc()
-        self._h_proof_bytes.observe(proof.size_bytes)
-        return entries, proof
+        return self._prove(
+            LedgerRangeProof, self._require_block(),
+            self._tree.scan_with_proof, low, high,
+        )
 
     def _require_block(self) -> Block:
         if not self._blocks:
@@ -267,13 +237,10 @@ class SpitzLedger:
         self, key: bytes, height: int
     ) -> Tuple[Optional[bytes], LedgerProof]:
         """Historical verified read: proof against block ``height``."""
-        with self.metrics.tracer.stage_in_trace("ledger.prove"):
-            block = self.block(height)
-            value, siri = self.tree_at(height).get_with_proof(key)
-            proof = LedgerProof(siri=siri, block=block.witness())
-        self._c_proofs_served.inc()
-        self._h_proof_bytes.observe(proof.size_bytes)
-        return value, proof
+        return self._prove(
+            LedgerProof, self.block(height),
+            self.tree_at(height).get_with_proof, key,
+        )
 
     def key_history(self, key: bytes) -> List[Tuple[int, Optional[bytes]]]:
         """(height, value) whenever ``key``'s value changed.
@@ -329,18 +296,9 @@ class SpitzLedger:
         """
         running = EMPTY_DIGEST
         for block in self._blocks:
-            if block.previous_chain_digest != running:
+            if block.previous_chain_digest != running or not block.seals():
                 return False
-            digest = block_digest_of(
-                height=block.height,
-                previous=block.previous_chain_digest,
-                tree_root=block.tree_root,
-                writes_digest=block.writes_digest,
-                statements_digest=block.statements_digest,
-            )
-            running = chain_digest_of(running, digest)
-            if block.chain_digest != running:
-                return False
+            running = block.chain_digest
         return running == self._chain.head
 
     def __setstate__(self, state: dict) -> None:

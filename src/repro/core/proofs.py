@@ -2,24 +2,53 @@
 
 A Spitz proof binds three layers (Section 5.3):
 
-1. the **SIRI path** — the POS-tree nodes from the block's index root
-   down to the queried entry;
+1. the **evidence** — the POS-tree nodes from the block's index root
+   down to the queried entries (a point path, a deduplicated multi-key
+   node set, or a replayable range);
 2. the **block** — the header whose digest commits to that index root;
 3. the **chain** — the hash-chain digest that commits to the block.
 
 A client holding a trusted :class:`~repro.core.ledger.LedgerDigest`
 can therefore detect tampering with the value, with the index, with
 the block, or with history ordering, by recomputing digests bottom-up.
+
+Every proof in the repository answers the same four questions —
+``verify(trusted, node_cache, block_cache)``, ``cacheable_nodes``,
+``label`` and ``size_bytes`` — which is all
+:class:`~repro.core.verifier.ClientVerifier`, the audit tools and the
+CLI ever ask of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Tuple
 
-from repro.crypto.hashing import Digest
-from repro.indexes.pos_tree import PosMultiProof, PosRangeProof, PosTree
+from repro.crypto.hashing import Digest, hash_value
+from repro.crypto.merkle import _node_hash
+from repro.indexes.pos_tree import PosMultiProof, PosRangeProof
 from repro.indexes.siri import SiriProof
+
+
+def block_digest_of(
+    height: int,
+    previous: Digest,
+    tree_root: Digest,
+    writes_digest: Digest,
+    statements_digest: Digest,
+) -> Digest:
+    """Digest of a block header (the chain links these)."""
+    return hash_value(
+        (
+            "spitz-block",
+            height,
+            bytes(previous),
+            bytes(tree_root),
+            bytes(writes_digest),
+            bytes(statements_digest),
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -34,19 +63,95 @@ class BlockWitness:
     statements_digest: Digest
     chain_digest: Digest
 
+    def seals(self) -> bool:
+        """True iff ``chain_digest`` is what the header fields and the
+        previous link hash to."""
+        digest = block_digest_of(
+            height=self.height,
+            previous=self.previous_chain_digest,
+            tree_root=self.tree_root,
+            writes_digest=self.writes_digest,
+            statements_digest=self.statements_digest,
+        )
+        # The chain link function is HashChain's.
+        return self.chain_digest == _node_hash(
+            self.previous_chain_digest, digest
+        )
+
+    def anchor(
+        self, trusted_chain_digest: Digest, block_cache: Optional[set] = None
+    ) -> Optional[Digest]:
+        """The block anchor step: trusted chain digest → index root.
+
+        Returns the index root this block commits to, or ``None`` when
+        the block is not the one the trusted digest names or its header
+        does not hash to its chain digest.  ``block_cache`` (managed by
+        :class:`~repro.core.verifier.ClientVerifier`) memoizes headers
+        already recomputed — the cost model behind Section 5.3's
+        deferred scheme.
+        """
+        if self.chain_digest != trusted_chain_digest:
+            return None
+        if block_cache is None or self.chain_digest not in block_cache:
+            if not self.seals():
+                return None
+            if block_cache is not None:
+                block_cache.add(self.chain_digest)
+        return self.tree_root
+
 
 #: Wire weight of one :class:`BlockWitness`: five 32-byte digests plus
-#: an 8-byte height.  (Historically charged as ``6 * 32``, overstating
-#: every ``ledger.proof_bytes`` observation by 32 bytes.)
+#: an 8-byte height.
 BLOCK_WITNESS_BYTES = 5 * 32 + 8
 
 
+class BlockAnchored:
+    """Evidence checked under the index root of one sealed block.
+
+    The single ``verify`` of every single-ledger proof: the block
+    anchor step turns the trusted chain digest into the block's index
+    root, and the evidence — anything exposing ``verify(root, cache)``,
+    ``nodes``, ``keys``, ``label`` and ``size_bytes`` — is checked under
+    that root.  Subclasses are dataclasses with a ``block`` field that
+    name their evidence field and point ``evidence`` at it.
+    """
+
+    @property
+    def keys(self) -> Tuple[bytes, ...]:
+        """Every key the proof makes a claim about."""
+        return self.evidence.keys
+
+    @property
+    def cacheable_nodes(self) -> Tuple[bytes, ...]:
+        """Index nodes eligible for the verifier's node cache."""
+        return self.evidence.nodes
+
+    @property
+    def size_bytes(self) -> int:
+        return self.evidence.size_bytes + BLOCK_WITNESS_BYTES
+
+    @property
+    def label(self) -> str:
+        return f"{self.evidence.label}@block{self.block.height}"
+
+    def verify(
+        self,
+        trusted_chain_digest: Digest,
+        node_cache: Optional[dict] = None,
+        block_cache: Optional[set] = None,
+    ) -> bool:
+        """Check the full binding against a trusted chain digest."""
+        root = self.block.anchor(trusted_chain_digest, block_cache)
+        return root is not None and self.evidence.verify(root, node_cache)
+
+
 @dataclass(frozen=True)
-class LedgerProof:
+class LedgerProof(BlockAnchored):
     """Proof for one point read (or proven absence)."""
 
     siri: SiriProof
     block: BlockWitness
+    evidence = property(attrgetter("siri"))
 
     @property
     def key(self) -> bytes:
@@ -56,34 +161,9 @@ class LedgerProof:
     def value(self) -> Optional[bytes]:
         return self.siri.value
 
-    @property
-    def size_bytes(self) -> int:
-        return self.siri.size_bytes + BLOCK_WITNESS_BYTES
-
-    def verify(
-        self,
-        trusted_chain_digest: Digest,
-        node_cache: Optional[dict] = None,
-        block_cache: Optional[set] = None,
-    ) -> bool:
-        """Check the full binding against a trusted chain digest.
-
-        ``node_cache``/``block_cache`` (managed by
-        :class:`~repro.core.verifier.ClientVerifier`) memoize
-        already-verified index nodes and block headers across proofs —
-        the cost model behind Section 5.3's deferred scheme.
-        """
-        if self.block.chain_digest != trusted_chain_digest:
-            return False
-        if not _check_block(self.block, block_cache):
-            return False
-        return PosTree.verify_proof(
-            self.siri, self.block.tree_root, node_cache
-        )
-
 
 @dataclass(frozen=True)
-class LedgerRangeProof:
+class LedgerRangeProof(BlockAnchored):
     """Proof covering every entry of a range scan in one object.
 
     This is what makes verified range queries cheap in Spitz
@@ -94,91 +174,28 @@ class LedgerRangeProof:
 
     range_proof: PosRangeProof
     block: BlockWitness
+    evidence = property(attrgetter("range_proof"))
 
     @property
     def entries(self) -> Tuple[Tuple[bytes, bytes], ...]:
         return self.range_proof.entries
 
-    @property
-    def size_bytes(self) -> int:
-        return self.range_proof.size_bytes + BLOCK_WITNESS_BYTES
-
-    def verify(
-        self,
-        trusted_chain_digest: Digest,
-        node_cache: Optional[dict] = None,
-        block_cache: Optional[set] = None,
-    ) -> bool:
-        if self.block.chain_digest != trusted_chain_digest:
-            return False
-        if not _check_block(self.block, block_cache):
-            return False
-        return self.range_proof.verify(self.block.tree_root, node_cache)
-
 
 @dataclass(frozen=True)
-class LedgerMultiProof:
+class LedgerMultiProof(BlockAnchored):
     """Proof for K point reads sharing one block witness.
 
     The batched analogue of :class:`LedgerProof`: the inner
     :class:`~repro.indexes.pos_tree.PosMultiProof` deduplicates index
     nodes across the K keys, and the :class:`BlockWitness` — identical
     for every key answered against the same sealed block — is bound
-    once instead of K times.  Verification is the same three-layer
-    recomputation: chain digest, block digest, then every key's path
-    under the block's index root.
+    once instead of K times.
     """
 
     multi: PosMultiProof
     block: BlockWitness
+    evidence = property(attrgetter("multi"))
 
     @property
     def entries(self) -> Tuple[Tuple[bytes, Optional[bytes]], ...]:
         return self.multi.entries
-
-    @property
-    def keys(self) -> Tuple[bytes, ...]:
-        return self.multi.keys
-
-    @property
-    def size_bytes(self) -> int:
-        return self.multi.size_bytes + BLOCK_WITNESS_BYTES
-
-    def verify(
-        self,
-        trusted_chain_digest: Digest,
-        node_cache: Optional[dict] = None,
-        block_cache: Optional[set] = None,
-    ) -> bool:
-        if self.block.chain_digest != trusted_chain_digest:
-            return False
-        if not _check_block(self.block, block_cache):
-            return False
-        return self.multi.verify(self.block.tree_root, node_cache)
-
-
-def _check_block(block: BlockWitness, block_cache: Optional[set]) -> bool:
-    """Recompute a block's digest + chain link (memoized per witness).
-
-    Imports locally to avoid a module cycle with the ledger, which
-    owns the block-digest recipe.
-    """
-    from repro.core.ledger import block_digest_of, chain_digest_of
-
-    if block_cache is not None and block.chain_digest in block_cache:
-        return True
-    digest = block_digest_of(
-        height=block.height,
-        previous=block.previous_chain_digest,
-        tree_root=block.tree_root,
-        writes_digest=block.writes_digest,
-        statements_digest=block.statements_digest,
-    )
-    recomputed_chain = chain_digest_of(
-        block.previous_chain_digest, digest
-    )
-    if recomputed_chain != block.chain_digest:
-        return False
-    if block_cache is not None:
-        block_cache.add(block.chain_digest)
-    return True

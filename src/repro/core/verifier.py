@@ -10,21 +10,13 @@ immediately) and deferred (batch) modes.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import TamperDetectedError, VerificationError
 from repro.core.ledger import LedgerDigest
-from repro.core.proofs import (
-    LedgerMultiProof,
-    LedgerProof,
-    LedgerRangeProof,
-)
 from repro.indexes.siri import NodeCache
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.search.proofs import SearchProof
 from repro.txn.batch import DeferredVerifier
-
-Proof = Union[LedgerProof, LedgerRangeProof, LedgerMultiProof, SearchProof]
 
 
 class ClientVerifier:
@@ -141,8 +133,6 @@ class ClientVerifier:
         any reordering, substitution or truncation breaks a link.
         This is the chain analogue of a Merkle consistency proof.
         """
-        from repro.core.ledger import block_digest_of, chain_digest_of
-
         if self._trusted is None:
             raise VerificationError(
                 "no trusted digest: call trust() first"
@@ -164,20 +154,13 @@ class ClientVerifier:
                     f"extension breaks at block #{witness.height}: "
                     "does not chain from the trusted digest"
                 )
-            block_digest = block_digest_of(
-                height=witness.height,
-                previous=witness.previous_chain_digest,
-                tree_root=witness.tree_root,
-                writes_digest=witness.writes_digest,
-                statements_digest=witness.statements_digest,
-            )
-            running = chain_digest_of(running, block_digest)
-            if witness.chain_digest != running:
+            if not witness.seals():
                 self._record_detection()
                 raise TamperDetectedError(
                     f"extension block #{witness.height} has an "
                     "inconsistent chain digest"
                 )
+            running = witness.chain_digest
         if running != digest.chain_digest:
             self._record_detection()
             raise TamperDetectedError(
@@ -202,8 +185,12 @@ class ClientVerifier:
 
     # -- verification ---------------------------------------------------------
 
-    def verify(self, proof: Proof) -> bool:
+    def verify(self, proof) -> bool:
         """Check ``proof`` against the trusted digest.
+
+        ``proof`` is anything answering the proof protocol
+        (:mod:`repro.core.proofs`): ``verify(trusted, node_cache,
+        block_cache)``, ``cacheable_nodes``, ``label``, ``size_bytes``.
 
         In deferred mode the check is queued and True is returned
         optimistically; :meth:`flush` (or queue auto-flush) performs
@@ -217,7 +204,7 @@ class ClientVerifier:
         if self._queue is not None:
             self._run_deferred(
                 lambda: self._queue.submit(
-                    label=self._label(proof),
+                    label=proof.label,
                     check=lambda: proof.verify(
                         trusted_chain, self._node_cache, self._block_cache
                     ),
@@ -236,11 +223,11 @@ class ClientVerifier:
             self._record_detection()
         return ok
 
-    def verify_or_raise(self, proof: Proof) -> None:
+    def verify_or_raise(self, proof) -> None:
         """Like :meth:`verify` but raises on failure (online mode)."""
         if not self.verify(proof):
             raise TamperDetectedError(
-                f"proof failed verification: {self._label(proof)}"
+                f"proof failed verification: {proof.label}"
             )
 
     def flush(self) -> None:
@@ -284,44 +271,14 @@ class ClientVerifier:
             if failures:
                 self._record_detection(failures)
 
-    def _account_cache(self, proof: Proof, nodes_before: int) -> None:
+    def _account_cache(self, proof, nodes_before: int) -> None:
         """Attribute one proof's nodes to cache hits vs misses."""
-        if isinstance(proof, LedgerProof):
-            nodes = proof.siri.nodes
-        elif isinstance(proof, LedgerMultiProof):
-            nodes = proof.multi.nodes
-        elif isinstance(proof, LedgerRangeProof):
-            nodes = proof.range_proof.nodes
-        elif isinstance(proof, SearchProof):
-            nodes = proof.cacheable_nodes
-        else:
-            # Sharded (and future) proof types advertise their index
-            # nodes themselves; anything that doesn't simply skips
-            # cache accounting.
-            nodes = getattr(proof, "cacheable_nodes", ())
         misses = len(self._node_cache) - nodes_before
-        hits = max(len(nodes) - misses, 0)
+        hits = max(len(proof.cacheable_nodes) - misses, 0)
         self.cache_hits += hits
         self.cache_misses += misses
         self._c_cache_hits.inc(hits)
         self._c_cache_misses.inc(misses)
-
-    @staticmethod
-    def _label(proof: Proof) -> str:
-        if isinstance(proof, LedgerProof):
-            return f"point:{proof.key!r}@block{proof.block.height}"
-        if isinstance(proof, LedgerMultiProof):
-            return (
-                f"multi:{len(proof.multi.entries)}keys"
-                f"@block{proof.block.height}"
-            )
-        if isinstance(proof, LedgerRangeProof):
-            return (
-                f"range:{proof.range_proof.low!r}.."
-                f"{proof.range_proof.high!r}@block{proof.block.height}"
-            )
-        label = getattr(proof, "label", None)
-        return label if label is not None else type(proof).__name__
 
 
 class VerifiedWriter:

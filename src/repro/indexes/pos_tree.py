@@ -95,6 +95,14 @@ class PosRangeProof:
             + sum(len(k) + len(v) for k, v in self.entries)
         )
 
+    @property
+    def keys(self) -> Tuple[bytes, ...]:
+        return tuple(key for key, _value in self.entries)
+
+    @property
+    def label(self) -> str:
+        return f"range:{self.low!r}..{self.high!r}"
+
     def verify(self, root: Digest, cache: Optional[dict] = None) -> bool:
         """True iff the claimed entries are exactly the range content.
 
@@ -162,6 +170,10 @@ class PosMultiProof:
     @property
     def keys(self) -> Tuple[bytes, ...]:
         return tuple(key for key, _value in self.entries)
+
+    @property
+    def label(self) -> str:
+        return f"multi:{len(self.entries)}keys"
 
     @property
     def size_bytes(self) -> int:

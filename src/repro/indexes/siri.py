@@ -104,6 +104,22 @@ class SiriProof:
         """Approximate wire size, for cost accounting."""
         return len(self.key) + sum(len(n) for n in self.nodes) + 16
 
+    @property
+    def keys(self) -> Tuple[bytes, ...]:
+        return (self.key,)
+
+    @property
+    def label(self) -> str:
+        return f"point:{self.key!r}"
+
+    def verify(self, root: Digest, cache: Optional[dict] = None) -> bool:
+        """True iff the path authenticates the claim under a POS-tree
+        ``root`` — the index every ledger and search column uses.  (MPT
+        and MBT paths go through their own ``verify_proof``.)"""
+        from repro.indexes.pos_tree import PosTree
+
+        return PosTree.verify_proof(self, root, cache)
+
 
 class SiriIndex(ABC):
     """Interface shared by POS-tree, MPT and MBT."""

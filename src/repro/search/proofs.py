@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.crypto.hashing import Digest
 from repro.errors import QueryError
-from repro.indexes.pos_tree import _VERIFY_ERRORS, PosRangeProof, PosTree
+from repro.indexes.pos_tree import _VERIFY_ERRORS, PosRangeProof
 from repro.indexes.siri import SiriProof
 from repro.core.proofs import LedgerProof
 from repro.search.committed import (
@@ -224,12 +224,13 @@ class SearchPredicate:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SearchPredicate":
-        return cls(
-            op=payload["op"],
-            value=payload.get("value"),
-            low=payload.get("low"),
-            high=payload.get("high"),
-        )
+        """Inverse of :meth:`to_payload`; anything else — a non-object,
+        no ``op``, a stray key — is a :class:`QueryError`."""
+        if not isinstance(payload, dict) or not (
+            {"op"} <= payload.keys() <= {"op", "value", "low", "high"}
+        ):
+            raise QueryError(f"malformed predicate payload: {payload!r}")
+        return cls(**payload)
 
 
 def _literal(token: str):
@@ -292,9 +293,9 @@ class SearchProof:
     @property
     def cacheable_nodes(self) -> Tuple[bytes, ...]:
         """Index nodes eligible for the verifier's node cache."""
-        nodes = tuple(self.anchor.siri.nodes)
+        nodes = self.anchor.cacheable_nodes
         if self.evidence is not None:
-            nodes += tuple(self.evidence.nodes)
+            nodes += self.evidence.nodes
         return nodes
 
     def verify(
@@ -326,41 +327,35 @@ class SearchProof:
                 # missing column *proves* it is unindexed — the only
                 # supportable claim is the empty result.
                 return self.matches == () and self.evidence is None
+            evidence = self.evidence
             if self.predicate.op == "eq":
-                return self._verify_point(root, node_cache)
-            return self._verify_range(root, node_cache)
+                bound = isinstance(evidence, SiriProof) and (
+                    evidence.key == encode_search_value(self.predicate.value)
+                )
+            else:
+                bound = isinstance(evidence, PosRangeProof) and (
+                    (evidence.low, evidence.high) == self.predicate.bounds()
+                )
+            supported = bound and evidence.verify(root, node_cache)
+            return supported and self.matches == _supported_matches(
+                self.predicate, evidence
+            )
         except _SEARCH_VERIFY_ERRORS:
             return False
 
-    def _verify_point(self, root: Digest, node_cache: Optional[dict]) -> bool:
-        evidence = self.evidence
-        if not isinstance(evidence, SiriProof):
-            return False
-        key = encode_search_value(self.predicate.value)
-        if evidence.key != key:
-            return False
-        if not PosTree.verify_proof(evidence, root, node_cache):
-            return False
-        if evidence.value is None:
-            return self.matches == ()
-        postings = decode_postings(evidence.value)
-        return self.matches == ((key, postings),)
 
-    def _verify_range(self, root: Digest, node_cache: Optional[dict]) -> bool:
-        evidence = self.evidence
-        if not isinstance(evidence, PosRangeProof):
-            return False
-        low, high = self.predicate.bounds()
-        if evidence.low != low or evidence.high != high:
-            return False
-        if not evidence.verify(root, node_cache):
-            return False
-        expected: List[Tuple[bytes, Tuple[bytes, ...]]] = []
-        for key, raw in evidence.entries:
-            value = decode_search_value(key)
-            if self.predicate.matches(value):
-                expected.append((key, decode_postings(raw)))
-        return self.matches == tuple(expected)
+def _supported_matches(predicate: SearchPredicate, evidence) -> Matches:
+    """The matches ``evidence`` supports for ``predicate`` — what the
+    server claims and what the verifier recomputes, from one recipe."""
+    if predicate.op == "eq":
+        if evidence.value is None:
+            return ()
+        return ((evidence.key, decode_postings(evidence.value)),)
+    return tuple(
+        (key, decode_postings(raw))
+        for key, raw in evidence.entries
+        if predicate.matches(decode_search_value(key))
+    )
 
 
 def build_search_proof(
@@ -383,19 +378,12 @@ def build_search_proof(
     if tree is None:
         return SearchProof(column, predicate, (), anchor, None)
     if predicate.op == "eq":
-        key = encode_search_value(predicate.value)
-        raw, evidence = tree.get_with_proof(key)
-        matches: Matches = (
-            ((key, decode_postings(raw)),) if raw is not None else ()
+        _raw, evidence = tree.get_with_proof(
+            encode_search_value(predicate.value)
         )
-        return SearchProof(column, predicate, matches, anchor, evidence)
-    low, high = predicate.bounds()
-    entries, evidence = tree.scan_with_proof(low, high)
-    matches = tuple(
-        (key, decode_postings(raw))
-        for key, raw in entries
-        if predicate.matches(decode_search_value(key))
-    )
+    else:
+        _entries, evidence = tree.scan_with_proof(*predicate.bounds())
+    matches = _supported_matches(predicate, evidence)
     return SearchProof(column, predicate, matches, anchor, evidence)
 
 

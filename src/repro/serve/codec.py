@@ -1,54 +1,27 @@
 """JSON wire codec for requests, responses, proofs and snapshots.
 
-One serialization path, three consumers: the HTTP server frames every
-:class:`~repro.core.request_handler.Response` with it, the HTTP client
-decodes back to the same in-memory objects, and the CLI's ``--json``
-outputs (``spitz stats``, ``spitz slowest``, the bench harness) run
-their snapshot dicts through :func:`to_jsonable` so anything a STATS
-endpoint can serve, the CLI prints byte-identically.
+The HTTP server frames every ``Response`` with it, the HTTP client
+decodes back to the same in-process objects (which ``ClientVerifier``
+verifies unchanged), and the CLI's ``--json`` outputs go through
+:func:`to_jsonable`.
 
-Framing rules — JSON has no bytes, so binary values are *tagged*:
+Binary values are *tagged*, ``{"$tag": body}``: ``$bytes`` is base64
+and every other tag is one entry of the **frame table** near the end
+of this module — a tag, the dataclass it carries and one ``(field,
+field codec)`` row per field in frame-key order; the frame key *is*
+the field name.  That table is the whole wire format (DESIGN.md §5b).
 
-- ``bytes`` (keys, values, index-node blobs) →
-  ``{"$bytes": "<base64>"}``;
-- a 32-byte :class:`~repro.crypto.hashing.Digest` → the same tag (it
-  is a ``bytes`` subclass; type identity is restored where the schema
-  demands a digest, e.g. inside proofs);
-- :class:`~repro.core.ledger.LedgerDigest` → ``{"$ledger_digest":
-  {"height", "chain_digest", "tree_root"}}`` with hex digests;
-- :class:`~repro.core.proofs.LedgerProof` /
-  :class:`~repro.core.proofs.LedgerRangeProof` /
-  :class:`~repro.core.proofs.LedgerMultiProof` → ``{"$proof": ...}`` /
-  ``{"$range_proof": ...}`` / ``{"$multi_proof": ...}``, every field
-  encoded explicitly — **no
-  pickle at the envelope layer**, so a malicious response cannot smuggle
-  arbitrary objects through the codec itself.  (The SIRI node blobs
-  *inside* a proof are the index's own node encoding; the verifier
-  decodes them only after their digests check out.)
-- :class:`~repro.shard.digest.ShardedDigest` →
-  ``{"$sharded_digest": {"num_shards", "height", "root"}}``;
-- :class:`~repro.shard.proofs.ShardedProof` /
-  :class:`~repro.shard.proofs.ShardedMultiProof` →
-  ``{"$sharded_proof": ...}`` / ``{"$sharded_multi_proof": ...}``: the
-  inner single-ledger proof frames plus an explicit shard-membership
-  branch (shard id, shard digest, Merkle path) per part;
-- :class:`~repro.search.proofs.SearchProof` → ``{"$search_proof":
-  {"column", "predicate", "matches", "anchor", "evidence"}}``: the
-  predicate as plain JSON scalars, the anchor as a point-proof frame,
-  the evidence tagged ``point``/``range`` by kind;
-- tuples → JSON lists (decoders restore tuples where the proof schema
-  requires them).
-
-Decoding a served proof therefore yields the exact object the
-in-process path produces, and :class:`~repro.core.verifier.ClientVerifier`
-verifies it unchanged — the paper's remote-client story over a real
-wire.
+Decoding is strict everywhere: integers are non-negative ``int`` by
+exact type, bytes and digests are strings, a frame has exactly its
+table's keys, a tag has no sibling keys, and whatever is wrong only
+:class:`WireCodecError` escapes.  A frame can only build the
+dataclasses named here — no pickle at this layer.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.ledger import Block, LedgerDigest
 from repro.core.proofs import (
@@ -59,8 +32,8 @@ from repro.core.proofs import (
 )
 from repro.core.request_handler import Request, RequestKind, Response
 from repro.crypto.hashing import Digest
-from repro.errors import SpitzError
 from repro.crypto.merkle import MerkleProof
+from repro.errors import SpitzError
 from repro.indexes.pos_tree import PosMultiProof, PosRangeProof
 from repro.indexes.siri import SiriProof
 from repro.search.proofs import SearchPredicate, SearchProof
@@ -76,498 +49,302 @@ class WireCodecError(SpitzError):
     """A wire frame could not be encoded or decoded."""
 
 
-# ---------------------------------------------------------------------------
-# value encoding (bytes / digests / proofs / containers)
-# ---------------------------------------------------------------------------
+class Field(NamedTuple):
+    """How one value crosses the wire: in-memory → JSON and back."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    #: Set by :func:`spliced`: keys read and written in the parent frame.
+    inline_keys: frozenset = frozenset()
+
+
+def _typed(kind: type, what: str) -> Callable[[Any], Any]:
+    def check(value: Any) -> Any:
+        if type(value) is not kind:
+            raise WireCodecError(f"expected {what}, not {value!r:.40}")
+        return value
+
+    return check
+
+
+_text = _typed(str, "a string")
+_object = _typed(dict, "an object")
+_array = _typed(list, "an array")
+
 
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
+def _unb64(text: Any) -> bytes:
+    if type(text) is str:
+        try:
+            return base64.b64decode(text, validate=True)
+        except ValueError:
+            pass
+    raise WireCodecError(f"expected base64 text, not {text!r:.40}")
+
+
+def _digest(text: Any) -> Digest:
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError) as error:
-        raise WireCodecError(f"invalid base64 frame: {error}") from None
+        return Digest.from_hex(_text(text))
+    except ValueError as error:
+        raise WireCodecError(f"invalid digest: {error}") from None
+
+
+def _uint(value: Any) -> int:
+    if type(value) is not int or value < 0:
+        raise WireCodecError(f"expected an int >= 0, not {value!r:.40}")
+    return value
+
+
+BYTES = Field(_b64, _unb64)
+DIGEST = Field(Digest.hex, _digest)
+UINT = Field(int, _uint)
+BOOL = Field(bool, _typed(bool, "a boolean"))
+TEXT = Field(str, _text)
+PREDICATE = Field(SearchPredicate.to_payload, SearchPredicate.from_payload)
+
+
+def optional(field: Field) -> Field:
+    encode, decode = field.encode, field.decode
+    return Field(
+        lambda value: None if value is None else encode(value),
+        lambda frame: None if frame is None else decode(frame),
+    )
+
+
+def tuple_of(field: Field) -> Field:
+    """A JSON list ⇄ a tuple of ``field`` values."""
+    encode, decode = field.encode, field.decode
+    return Field(
+        lambda values: [encode(value) for value in values],
+        lambda frame: tuple(map(decode, _array(frame))),
+    )
+
+
+def pair(first: Field, second: Field) -> Field:
+    """A two-element JSON list ⇄ a 2-tuple."""
+
+    def encode(value: Tuple[Any, Any]) -> list:
+        return [first.encode(value[0]), second.encode(value[1])]
+
+    def decode(frame: Any) -> Tuple[Any, Any]:
+        if type(frame) is not list or len(frame) != 2:
+            raise WireCodecError("expected a two-element array")
+        return first.decode(frame[0]), second.decode(frame[1])
+
+    return Field(encode, decode)
+
+
+def spliced(struct: "Struct") -> Field:
+    """A struct-valued row whose keys sit directly in the parent frame
+    (``$range_proof`` is the range evidence's keys beside ``block``)."""
+    keys = struct.keys
+    return Field(
+        struct.encode,
+        lambda frame: struct.decode({key: frame[key] for key in keys}),
+        keys,
+    )
+
+
+class Struct:
+    """The codec of one dataclass: a JSON object with exactly the rows'
+    keys ⇄ ``cls(**fields)``; a field codec's objection, or ``cls``'s
+    own, is re-raised naming the field.  Usable as a :class:`Field`."""
+
+    inline_keys: frozenset = frozenset()
+
+    def __init__(self, cls: type, *rows: Tuple[str, Any]):
+        self.cls = cls
+        self._rows = [
+            (name, field.encode, field.decode, bool(field.inline_keys))
+            for name, field in rows
+        ]
+        self.keys = frozenset().union(
+            *(field.inline_keys or (name,) for name, field in rows)
+        )
+
+    def encode(self, value: Any) -> Dict[str, Any]:
+        frame: Dict[str, Any] = {}
+        for name, encode, _decode, inline in self._rows:
+            if inline:
+                frame.update(encode(getattr(value, name)))
+            else:
+                frame[name] = encode(getattr(value, name))
+        return frame
+
+    def decode(self, frame: Any) -> Any:
+        if _object(frame).keys() != self.keys:
+            raise WireCodecError(
+                f"{self.cls.__name__} frame keys must be {sorted(self.keys)}"
+            )
+        name, fields = None, {}
+        try:
+            for name, _encode, decode, inline in self._rows:
+                fields[name] = decode(frame if inline else frame[name])
+            return self.cls(**fields)
+        except (SpitzError, TypeError, ValueError) as error:
+            where = f"{self.cls.__name__}.{name}"
+            raise WireCodecError(f"{where}: {error}") from None
+
+
+def union(discriminator: str, **variants: Struct) -> Field:
+    """One of several structs: a ``discriminator`` key leads the frame
+    and names the variant; encoding picks it by the value's type."""
+
+    def encode(value: Any) -> Dict[str, Any]:
+        for name, variant in variants.items():
+            if type(value) is variant.cls:
+                return {discriminator: name, **variant.encode(value)}
+        return _refuse(value)
+
+    def decode(frame: Any) -> Any:
+        body = dict(_object(frame))
+        name = body.pop(discriminator, None)
+        if type(name) is not str or name not in variants:
+            raise WireCodecError(f"unknown {discriminator} {name!r}")
+        return variants[name].decode(body)
+
+    return Field(encode, decode)
+
+
+_DECODE_TAG: Dict[str, Callable[[Any], Any]] = {"$bytes": _unb64}
+_ENCODE_TYPE: Dict[type, Tuple[Optional[str], Callable[[Any], Any]]] = {}
+
+
+def tagged(tag: str, cls: type, *rows: Tuple[str, Any]) -> Struct:
+    """One frame-table entry: ``{tag: {rows...}}`` ⇄ ``cls``."""
+    entry = Struct(cls, *rows)
+    _DECODE_TAG[tag] = entry.decode
+    _ENCODE_TYPE[cls] = (tag, entry.encode)
+    return entry
+
+
+def _refuse(value: Any) -> Any:
+    raise WireCodecError(f"cannot encode {type(value).__name__} for the wire")
+
+
+def _encode(value: Any, other: Callable[[Any], Any]) -> Any:
+    """The one value walker; ``other`` decides what becomes of a value
+    (or a dict key) the wire has no shape for."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    framed = _ENCODE_TYPE.get(type(value))
+    if framed is not None:
+        tag, encode = framed
+        return {tag: encode(value)} if tag else encode(value)
+    if isinstance(value, (bytes, bytearray)):
+        return {"$bytes": _b64(bytes(value))}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item, other) for item in value]
+    if isinstance(value, dict):
+        return {
+            key if isinstance(key, str) else other(key): _encode(item, other)
+            for key, item in value.items()
+        }
+    return other(value)
 
 
 def encode_value(value: Any) -> Any:
     """Encode one payload/result value into JSON-safe form (strict:
     raises :class:`WireCodecError` on types the wire cannot carry)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, LedgerDigest):
-        return {"$ledger_digest": _encode_ledger_digest(value)}
-    if isinstance(value, LedgerProof):
-        return {"$proof": _encode_point_proof(value)}
-    if isinstance(value, LedgerRangeProof):
-        return {"$range_proof": _encode_range_proof(value)}
-    if isinstance(value, LedgerMultiProof):
-        return {"$multi_proof": _encode_multi_proof(value)}
-    if isinstance(value, ShardedDigest):
-        return {"$sharded_digest": _encode_sharded_digest(value)}
-    if isinstance(value, ShardedProof):
-        return {"$sharded_proof": _encode_sharded_proof(value)}
-    if isinstance(value, ShardedMultiProof):
-        return {"$sharded_multi_proof": _encode_sharded_multi_proof(value)}
-    if isinstance(value, SearchProof):
-        return {"$search_proof": _encode_search_proof(value)}
-    if isinstance(value, Block):
-        # SQL writes return the sealed Block; clients only need the
-        # commit receipt, so ship a plain summary (decodes as a dict).
-        return {
-            "height": value.height,
-            "chain_digest": _b64(bytes(value.chain_digest)),
-            "write_count": value.write_count,
-        }
-    if isinstance(value, (bytes, bytearray)):
-        return {"$bytes": _b64(bytes(value))}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(item) for item in value]
-    if isinstance(value, dict):
-        return {_encode_key(key): encode_value(item)
-                for key, item in value.items()}
-    raise WireCodecError(
-        f"cannot encode {type(value).__name__} for the wire"
-    )
+    return _encode(value, _refuse)
 
 
-def _encode_key(key: Any) -> str:
-    if isinstance(key, str):
-        return key
-    raise WireCodecError(
-        f"wire dict keys must be strings, got {type(key).__name__}"
-    )
+def to_jsonable(value: Any) -> Any:
+    """:func:`encode_value` for snapshot/report dicts: anything exotic
+    (non-string dict keys included) degrades to ``repr`` instead of
+    raising — a stats surface must never fail to serialize."""
+    return _encode(value, repr)
 
 
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value` (lists stay lists)."""
     if isinstance(value, dict):
-        if "$bytes" in value:
-            return _unb64(value["$bytes"])
-        if "$ledger_digest" in value:
-            return _decode_ledger_digest(value["$ledger_digest"])
-        if "$proof" in value:
-            return _decode_point_proof(value["$proof"])
-        if "$range_proof" in value:
-            return _decode_range_proof(value["$range_proof"])
-        if "$multi_proof" in value:
-            return _decode_multi_proof(value["$multi_proof"])
-        if "$sharded_digest" in value:
-            return _decode_sharded_digest(value["$sharded_digest"])
-        if "$sharded_proof" in value:
-            return _decode_sharded_proof(value["$sharded_proof"])
-        if "$sharded_multi_proof" in value:
-            return _decode_sharded_multi_proof(value["$sharded_multi_proof"])
-        if "$search_proof" in value:
-            return _decode_search_proof(value["$search_proof"])
+        for tag in value:
+            decode = _DECODE_TAG.get(tag)
+            if decode is not None:
+                if len(value) != 1:
+                    raise WireCodecError(f"{tag} frame has sibling keys")
+                return decode(value[tag])
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_value(item) for item in value]
     return value
 
 
-def to_jsonable(value: Any) -> Any:
-    """Best-effort JSON-safe view for snapshot/report dicts.
+# -- the frame table --
 
-    Same framing as :func:`encode_value` for everything it knows;
-    anything exotic degrades to ``repr`` instead of raising, because a
-    stats surface must never fail to serialize whatever a component
-    put in its snapshot.  Non-string dict keys are stringified.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, LedgerDigest):
-        return {"$ledger_digest": _encode_ledger_digest(value)}
-    if isinstance(value, ShardedDigest):
-        return {"$sharded_digest": _encode_sharded_digest(value)}
-    if isinstance(value, (bytes, bytearray)):
-        return {"$bytes": _b64(bytes(value))}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {
-            key if isinstance(key, str) else repr(key): to_jsonable(item)
-            for key, item in value.items()
-        }
-    if isinstance(value, (LedgerProof, LedgerRangeProof, LedgerMultiProof,
-                          ShardedProof, ShardedMultiProof, SearchProof)):
-        return encode_value(value)
-    return repr(value)
+BLOBS = tuple_of(BYTES)
+LEDGER_DIGEST = tagged(
+    "$ledger_digest", LedgerDigest,
+    ("height", UINT), ("chain_digest", DIGEST), ("tree_root", DIGEST),
+)
+BLOCK = Struct(
+    BlockWitness, ("height", UINT), ("previous_chain_digest", DIGEST),
+    ("tree_root", DIGEST), ("writes_digest", DIGEST),
+    ("statements_digest", DIGEST), ("chain_digest", DIGEST),
+)
+# Evidence under a root: a point path, a multi-key node set, a range.
+POINT = Struct(
+    SiriProof, ("key", BYTES), ("value", optional(BYTES)), ("nodes", BLOBS),
+)
+MULTI = Struct(
+    PosMultiProof, ("entries", tuple_of(pair(BYTES, optional(BYTES)))),
+    ("nodes", BLOBS), ("root", DIGEST),
+)
+RANGE = Struct(
+    PosRangeProof, ("low", BYTES), ("high", BYTES),
+    ("entries", tuple_of(pair(BYTES, BYTES))),
+    ("nodes", BLOBS), ("root", DIGEST),
+)
+# Evidence anchored in a block.
+PROOF = tagged("$proof", LedgerProof, ("siri", POINT), ("block", BLOCK))
+tagged(
+    "$range_proof", LedgerRangeProof,
+    ("range_proof", spliced(RANGE)), ("block", BLOCK),
+)
+MULTI_PROOF = tagged(
+    "$multi_proof", LedgerMultiProof,
+    ("multi", spliced(MULTI)), ("block", BLOCK),
+)
+tagged(
+    "$search_proof", SearchProof,
+    ("column", TEXT), ("predicate", PREDICATE),
+    ("matches", tuple_of(pair(BYTES, BLOBS))), ("anchor", PROOF),
+    ("evidence", optional(union("kind", point=POINT, range=RANGE))),
+)
+# A block-anchored proof anchored again in one shard of the fleet.
+SHARDED_DIGEST = tagged(
+    "$sharded_digest", ShardedDigest,
+    ("num_shards", UINT), ("height", UINT), ("root", DIGEST),
+)
+BRANCH = Struct(
+    MerkleProof, ("leaf_index", UINT), ("tree_size", UINT),
+    ("path", tuple_of(pair(DIGEST, BOOL))),
+)
+MEMBERSHIP = Struct(
+    ShardMembership, ("shard_id", UINT), ("shard_digest", LEDGER_DIGEST),
+    ("proof", spliced(BRANCH)),
+)
+tagged(
+    "$sharded_proof", ShardedProof,
+    ("inner", PROOF), ("membership", MEMBERSHIP), ("digest", SHARDED_DIGEST),
+)
+PART = Struct(
+    ShardedMultiPart, ("membership", MEMBERSHIP), ("multi", MULTI_PROOF),
+)
+tagged(
+    "$sharded_multi_proof", ShardedMultiProof,
+    ("keys", BLOBS), ("parts", tuple_of(PART)), ("digest", SHARDED_DIGEST),
+)
+# SQL writes return the sealed Block; clients only need the commit
+# receipt, so it ships as a plain untagged summary (decodes as a dict).
+_ENCODE_TYPE[Block] = (None, Struct(
+    Block, ("height", UINT), ("chain_digest", BYTES), ("write_count", UINT),
+).encode)
 
-
-# ---------------------------------------------------------------------------
-# digests and proofs
-# ---------------------------------------------------------------------------
-
-def _encode_digest(digest: Digest) -> str:
-    return digest.hex()
-
-
-def _decode_digest(text: Any) -> Digest:
-    if not isinstance(text, str):
-        raise WireCodecError("digest frame must be a hex string")
-    try:
-        return Digest.from_hex(text)
-    except ValueError as error:
-        raise WireCodecError(f"invalid digest frame: {error}") from None
-
-
-def _encode_ledger_digest(digest: LedgerDigest) -> Dict[str, Any]:
-    return {
-        "height": digest.height,
-        "chain_digest": _encode_digest(digest.chain_digest),
-        "tree_root": _encode_digest(digest.tree_root),
-    }
-
-
-def _decode_ledger_digest(frame: Any) -> LedgerDigest:
-    try:
-        return LedgerDigest(
-            height=int(frame["height"]),
-            chain_digest=_decode_digest(frame["chain_digest"]),
-            tree_root=_decode_digest(frame["tree_root"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireCodecError(
-            f"malformed ledger-digest frame: {error}"
-        ) from None
-
-
-def _encode_block(block: BlockWitness) -> Dict[str, Any]:
-    return {
-        "height": block.height,
-        "previous_chain_digest": _encode_digest(block.previous_chain_digest),
-        "tree_root": _encode_digest(block.tree_root),
-        "writes_digest": _encode_digest(block.writes_digest),
-        "statements_digest": _encode_digest(block.statements_digest),
-        "chain_digest": _encode_digest(block.chain_digest),
-    }
-
-
-def _decode_block(frame: Any) -> BlockWitness:
-    try:
-        return BlockWitness(
-            height=int(frame["height"]),
-            previous_chain_digest=_decode_digest(
-                frame["previous_chain_digest"]
-            ),
-            tree_root=_decode_digest(frame["tree_root"]),
-            writes_digest=_decode_digest(frame["writes_digest"]),
-            statements_digest=_decode_digest(frame["statements_digest"]),
-            chain_digest=_decode_digest(frame["chain_digest"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireCodecError(
-            f"malformed block-witness frame: {error}"
-        ) from None
-
-
-def _encode_point_proof(proof: LedgerProof) -> Dict[str, Any]:
-    siri = proof.siri
-    return {
-        "siri": {
-            "key": _b64(siri.key),
-            "value": None if siri.value is None else _b64(siri.value),
-            "nodes": [_b64(node) for node in siri.nodes],
-        },
-        "block": _encode_block(proof.block),
-    }
-
-
-def _decode_point_proof(frame: Any) -> LedgerProof:
-    try:
-        siri = frame["siri"]
-        value = siri["value"]
-        return LedgerProof(
-            siri=SiriProof(
-                key=_unb64(siri["key"]),
-                value=None if value is None else _unb64(value),
-                nodes=tuple(_unb64(node) for node in siri["nodes"]),
-            ),
-            block=_decode_block(frame["block"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireCodecError(f"malformed proof frame: {error}") from None
-
-
-def _encode_range_proof(proof: LedgerRangeProof) -> Dict[str, Any]:
-    inner = proof.range_proof
-    return {
-        "low": _b64(inner.low),
-        "high": _b64(inner.high),
-        "entries": [[_b64(key), _b64(value)] for key, value in inner.entries],
-        "nodes": [_b64(node) for node in inner.nodes],
-        "root": _encode_digest(inner.root),
-        "block": _encode_block(proof.block),
-    }
-
-
-def _decode_range_proof(frame: Any) -> LedgerRangeProof:
-    try:
-        return LedgerRangeProof(
-            range_proof=PosRangeProof(
-                low=_unb64(frame["low"]),
-                high=_unb64(frame["high"]),
-                entries=tuple(
-                    (_unb64(key), _unb64(value))
-                    for key, value in frame["entries"]
-                ),
-                nodes=tuple(_unb64(node) for node in frame["nodes"]),
-                root=_decode_digest(frame["root"]),
-            ),
-            block=_decode_block(frame["block"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireCodecError(
-            f"malformed range-proof frame: {error}"
-        ) from None
-
-
-def _encode_multi_proof(proof: LedgerMultiProof) -> Dict[str, Any]:
-    inner = proof.multi
-    return {
-        "entries": [
-            [_b64(key), None if value is None else _b64(value)]
-            for key, value in inner.entries
-        ],
-        "nodes": [_b64(node) for node in inner.nodes],
-        "root": _encode_digest(inner.root),
-        "block": _encode_block(proof.block),
-    }
-
-
-def _decode_multi_proof(frame: Any) -> LedgerMultiProof:
-    try:
-        return LedgerMultiProof(
-            multi=PosMultiProof(
-                entries=tuple(
-                    (_unb64(key), None if value is None else _unb64(value))
-                    for key, value in frame["entries"]
-                ),
-                nodes=tuple(_unb64(node) for node in frame["nodes"]),
-                root=_decode_digest(frame["root"]),
-            ),
-            block=_decode_block(frame["block"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireCodecError(
-            f"malformed multi-proof frame: {error}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# search proofs
-# ---------------------------------------------------------------------------
-
-def _encode_search_evidence(evidence: Any) -> Any:
-    if evidence is None:
-        return None
-    if isinstance(evidence, SiriProof):
-        return {
-            "kind": "point",
-            "key": _b64(evidence.key),
-            "value": (
-                None if evidence.value is None else _b64(evidence.value)
-            ),
-            "nodes": [_b64(node) for node in evidence.nodes],
-        }
-    if isinstance(evidence, PosRangeProof):
-        return {
-            "kind": "range",
-            "low": _b64(evidence.low),
-            "high": _b64(evidence.high),
-            "entries": [
-                [_b64(key), _b64(value)]
-                for key, value in evidence.entries
-            ],
-            "nodes": [_b64(node) for node in evidence.nodes],
-            "root": _encode_digest(evidence.root),
-        }
-    raise WireCodecError(
-        f"cannot encode search evidence of type {type(evidence).__name__}"
-    )
-
-
-def _decode_search_evidence(frame: Any) -> Any:
-    if frame is None:
-        return None
-    kind = frame.get("kind") if isinstance(frame, dict) else None
-    if kind == "point":
-        value = frame["value"]
-        return SiriProof(
-            key=_unb64(frame["key"]),
-            value=None if value is None else _unb64(value),
-            nodes=tuple(_unb64(node) for node in frame["nodes"]),
-        )
-    if kind == "range":
-        return PosRangeProof(
-            low=_unb64(frame["low"]),
-            high=_unb64(frame["high"]),
-            entries=tuple(
-                (_unb64(key), _unb64(value))
-                for key, value in frame["entries"]
-            ),
-            nodes=tuple(_unb64(node) for node in frame["nodes"]),
-            root=_decode_digest(frame["root"]),
-        )
-    raise WireCodecError(f"unknown search evidence kind {kind!r}")
-
-
-def _encode_search_proof(proof: SearchProof) -> Dict[str, Any]:
-    return {
-        "column": proof.column,
-        "predicate": proof.predicate.to_payload(),
-        "matches": [
-            [_b64(value), [_b64(ukey) for ukey in postings]]
-            for value, postings in proof.matches
-        ],
-        "anchor": _encode_point_proof(proof.anchor),
-        "evidence": _encode_search_evidence(proof.evidence),
-    }
-
-
-def _decode_search_proof(frame: Any) -> SearchProof:
-    try:
-        column = frame["column"]
-        if not isinstance(column, str):
-            raise WireCodecError("search-proof column must be a string")
-        return SearchProof(
-            column=column,
-            predicate=SearchPredicate.from_payload(frame["predicate"]),
-            matches=tuple(
-                (
-                    _unb64(value),
-                    tuple(_unb64(ukey) for ukey in postings),
-                )
-                for value, postings in frame["matches"]
-            ),
-            anchor=_decode_point_proof(frame["anchor"]),
-            evidence=_decode_search_evidence(frame["evidence"]),
-        )
-    except (KeyError, TypeError, ValueError, SpitzError) as error:
-        if isinstance(error, WireCodecError):
-            raise
-        raise WireCodecError(
-            f"malformed search-proof frame: {error}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# sharded digests and proofs
-# ---------------------------------------------------------------------------
-
-def _encode_sharded_digest(digest: ShardedDigest) -> Dict[str, Any]:
-    return {
-        "num_shards": digest.num_shards,
-        "height": digest.height,
-        "root": _encode_digest(digest.root),
-    }
-
-
-def _decode_sharded_digest(frame: Any) -> ShardedDigest:
-    try:
-        return ShardedDigest(
-            num_shards=int(frame["num_shards"]),
-            height=int(frame["height"]),
-            root=_decode_digest(frame["root"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireCodecError(
-            f"malformed sharded-digest frame: {error}"
-        ) from None
-
-
-def _encode_membership(membership: ShardMembership) -> Dict[str, Any]:
-    return {
-        "shard_id": membership.shard_id,
-        "shard_digest": _encode_ledger_digest(membership.shard_digest),
-        "leaf_index": membership.proof.leaf_index,
-        "tree_size": membership.proof.tree_size,
-        "path": [
-            [_encode_digest(sibling), bool(is_left)]
-            for sibling, is_left in membership.proof.path
-        ],
-    }
-
-
-def _decode_membership(frame: Any) -> ShardMembership:
-    try:
-        return ShardMembership(
-            shard_id=int(frame["shard_id"]),
-            shard_digest=_decode_ledger_digest(frame["shard_digest"]),
-            proof=MerkleProof(
-                leaf_index=int(frame["leaf_index"]),
-                tree_size=int(frame["tree_size"]),
-                path=tuple(
-                    (_decode_digest(sibling), bool(is_left))
-                    for sibling, is_left in frame["path"]
-                ),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireCodecError(
-            f"malformed shard-membership frame: {error}"
-        ) from None
-
-
-def _encode_sharded_proof(proof: ShardedProof) -> Dict[str, Any]:
-    return {
-        "inner": _encode_point_proof(proof.inner),
-        "membership": _encode_membership(proof.membership),
-        "digest": _encode_sharded_digest(proof.digest),
-    }
-
-
-def _decode_sharded_proof(frame: Any) -> ShardedProof:
-    try:
-        return ShardedProof(
-            inner=_decode_point_proof(frame["inner"]),
-            membership=_decode_membership(frame["membership"]),
-            digest=_decode_sharded_digest(frame["digest"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireCodecError(
-            f"malformed sharded-proof frame: {error}"
-        ) from None
-
-
-def _encode_sharded_multi_proof(proof: ShardedMultiProof) -> Dict[str, Any]:
-    return {
-        "keys": [_b64(key) for key in proof.keys],
-        "parts": [
-            {
-                "membership": _encode_membership(part.membership),
-                "multi": _encode_multi_proof(part.multi),
-            }
-            for part in proof.parts
-        ],
-        "digest": _encode_sharded_digest(proof.digest),
-    }
-
-
-def _decode_sharded_multi_proof(frame: Any) -> ShardedMultiProof:
-    try:
-        return ShardedMultiProof(
-            keys=tuple(_unb64(key) for key in frame["keys"]),
-            parts=tuple(
-                ShardedMultiPart(
-                    membership=_decode_membership(part["membership"]),
-                    multi=_decode_multi_proof(part["multi"]),
-                )
-                for part in frame["parts"]
-            ),
-            digest=_decode_sharded_digest(frame["digest"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireCodecError(
-            f"malformed sharded-multi-proof frame: {error}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# request / response envelopes
-# ---------------------------------------------------------------------------
 
 def encode_request(request: Request) -> Dict[str, Any]:
     return {
@@ -578,20 +355,15 @@ def encode_request(request: Request) -> Dict[str, Any]:
 
 
 def decode_request(frame: Any) -> Request:
-    if not isinstance(frame, dict):
-        raise WireCodecError("request frame must be a JSON object")
     try:
-        kind = RequestKind(frame["kind"])
+        kind = RequestKind(_object(frame)["kind"])
     except (KeyError, ValueError):
         raise WireCodecError(
             f"unknown request kind {frame.get('kind')!r}"
         ) from None
-    payload = frame.get("payload", {})
-    if not isinstance(payload, dict):
-        raise WireCodecError("request payload must be a JSON object")
     return Request(
         kind=kind,
-        payload=decode_value(payload),
+        payload=decode_value(_object(frame.get("payload", {}))),
         verify=bool(frame.get("verify", False)),
     )
 
@@ -601,25 +373,16 @@ def encode_response(response: Response) -> Dict[str, Any]:
         "ok": response.ok,
         "result": encode_value(response.result),
         "proof": encode_value(response.proof),
-        "digest": (
-            None if response.digest is None
-            else encode_value(response.digest)
-        ),
+        "digest": encode_value(response.digest),
         "error": response.error,
         "retryable": bool(response.retryable),
     }
 
 
 def decode_response(frame: Any) -> Response:
-    if not isinstance(frame, dict):
-        raise WireCodecError("response frame must be a JSON object")
-    digest: Optional[object] = None
-    digest_frame = frame.get("digest")
-    if digest_frame is not None:
-        decoded = decode_value(digest_frame)
-        if not isinstance(decoded, (LedgerDigest, ShardedDigest)):
-            raise WireCodecError("response digest frame is not a digest")
-        digest = decoded
+    digest = decode_value(_object(frame).get("digest"))
+    if not isinstance(digest, (LedgerDigest, ShardedDigest, type(None))):
+        raise WireCodecError("response digest frame is not a digest")
     return Response(
         ok=bool(frame.get("ok", False)),
         result=decode_value(frame.get("result")),
@@ -631,12 +394,7 @@ def decode_response(frame: Any) -> Response:
 
 
 __all__ = [
-    "WireCodecError",
-    "decode_request",
-    "decode_response",
-    "decode_value",
-    "encode_request",
-    "encode_response",
-    "encode_value",
+    "WireCodecError", "decode_request", "decode_response", "decode_value",
+    "encode_request", "encode_response", "encode_value", "tagged",
     "to_jsonable",
 ]

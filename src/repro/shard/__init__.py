@@ -14,7 +14,7 @@ from repro.shard.database import ShardedDatabase, make_shard_oracle
 from repro.shard.digest import (
     ShardMembership,
     ShardedDigest,
-    build_shard_tree,
+    anchor_shards,
     digest_of_digests,
     shard_leaf,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "ShardedMultiPart",
     "ShardedMultiProof",
     "ShardedProof",
-    "build_shard_tree",
+    "anchor_shards",
     "digest_of_digests",
     "make_shard_oracle",
     "shard_for_key",

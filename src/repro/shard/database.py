@@ -39,9 +39,8 @@ from repro.core.schema import KV_PREFIX
 from repro.errors import QueryError
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.digest import (
-    ShardMembership,
     ShardedDigest,
-    build_shard_tree,
+    anchor_shards,
     digest_of_digests,
 )
 from repro.shard.proofs import (
@@ -289,17 +288,8 @@ class ShardedDatabase:
         with shard.txn_manager.commit_lock:
             value, inner = shard.get_verified(key)
             shard_digest = shard.digest()
-        digests = self._shard_digests({shard_id: shard_digest})
-        tree = build_shard_tree(digests)
-        top = ShardedDigest(
-            num_shards=self.num_shards,
-            height=sum(digest.height for digest in digests),
-            root=tree.root,
-        )
-        membership = ShardMembership(
-            shard_id=shard_id,
-            shard_digest=shard_digest,
-            proof=tree.prove(shard_id),
+        top, (membership,) = anchor_shards(
+            self._shard_digests({shard_id: shard_digest}), [shard_id]
         )
         self._c_proofs.inc()
         return value, ShardedProof(
@@ -325,23 +315,14 @@ class ShardedDatabase:
             multis[shard_id] = multi
             for (position, _key), value in zip(pairs, sub_values):
                 values[position] = value
-        digests = self._shard_digests(pinned)
-        tree = build_shard_tree(digests)
-        top = ShardedDigest(
-            num_shards=self.num_shards,
-            height=sum(digest.height for digest in digests),
-            root=tree.root,
+        top, memberships = anchor_shards(
+            self._shard_digests(pinned), sorted(multis)
         )
         parts = tuple(
             ShardedMultiPart(
-                membership=ShardMembership(
-                    shard_id=shard_id,
-                    shard_digest=pinned[shard_id],
-                    proof=tree.prove(shard_id),
-                ),
-                multi=multis[shard_id],
+                membership=membership, multi=multis[membership.shard_id]
             )
-            for shard_id in sorted(multis)
+            for membership in memberships
         )
         self._c_proofs.inc(len(parts) or 1)
         proof = ShardedMultiProof(

@@ -18,32 +18,34 @@ equal-height-fork rule unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ledger import LedgerDigest
+from repro.core.schema import KV_PREFIX
 from repro.crypto.hashing import Digest
 from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.shard.router import shard_for_key
 
 #: Domain tag for shard leaves: a leaf can never collide with interior
 #: nodes (Merkle domain separation) nor with other leaf vocabularies.
 _LEAF_TAG = b"spitz-shard-leaf\x00"
 
 
-def shard_leaf(shard_id: int, digest: LedgerDigest) -> bytes:
-    """Canonical leaf encoding binding a shard id to its digest."""
+def shard_leaf(shard_id: int, num_shards: int, digest: LedgerDigest) -> bytes:
+    """Canonical leaf encoding binding a shard id *and the fleet size*
+    to the shard's digest.
+
+    ``num_shards`` decides which shard owns a key, so it has to be as
+    authentic as the shard id: with it in every leaf, a branch that
+    reaches the trusted root fixes both.
+    """
     return (
         _LEAF_TAG
         + shard_id.to_bytes(4, "big")
+        + num_shards.to_bytes(4, "big")
         + digest.height.to_bytes(8, "big")
         + digest.chain_digest
         + digest.tree_root
-    )
-
-
-def build_shard_tree(digests: Sequence[LedgerDigest]) -> MerkleTree:
-    """Merkle tree with leaf ``i`` committing to shard ``i``'s digest."""
-    return MerkleTree(
-        [shard_leaf(i, digest) for i, digest in enumerate(digests)]
     )
 
 
@@ -71,36 +73,54 @@ class ShardedDigest:
         return self.root
 
 
-def digest_of_digests(digests: Sequence[LedgerDigest]) -> ShardedDigest:
-    """Fold per-shard digests into the single top-level digest."""
-    tree = build_shard_tree(digests)
-    return ShardedDigest(
-        num_shards=len(digests),
-        height=sum(digest.height for digest in digests),
-        root=tree.root,
-    )
-
-
 @dataclass(frozen=True)
 class ShardMembership:
-    """The shard-membership branch carried by every sharded proof.
+    """The shard anchor step carried by every sharded proof.
 
     Binds one shard's :class:`~repro.core.ledger.LedgerDigest` under
-    the top-level root: the Merkle path proves leaf ``shard_id``
-    commits to exactly this digest, and the inner ledger proof then
-    verifies against ``shard_digest.chain_digest`` as usual.
+    the top-level root: the Merkle path proves leaf ``shard_id`` of a
+    ``num_shards``-leaf fleet commits to exactly this digest, and the
+    inner ledger proof then verifies against
+    ``shard_digest.chain_digest`` as usual.
     """
 
     shard_id: int
     shard_digest: LedgerDigest
     proof: MerkleProof
 
-    def verify(self, trusted_root: Digest) -> bool:
+    @property
+    def num_shards(self) -> int:
+        """The fleet size the leaf commits to (one leaf per shard)."""
+        return self.proof.tree_size
+
+    def anchor(
+        self, trusted_root: Digest, keys: Sequence[bytes]
+    ) -> Optional[Digest]:
+        """Trusted digest-of-digests → this shard's chain digest.
+
+        ``None`` unless the leaf is under ``trusted_root`` *and* every
+        one of ``keys`` (ledger keys, ``KV_PREFIX`` included) routes to
+        this shard: without the second half a server could answer from
+        a shard that does not own the key and prove any record absent.
+        Nonsense field values (a height that does not fit the leaf
+        encoding, say) are a failed anchor, never an exception.
+        """
         if self.proof.leaf_index != self.shard_id:
-            return False
-        return self.proof.verify(
-            shard_leaf(self.shard_id, self.shard_digest), trusted_root
-        )
+            return None
+        try:
+            leaf = shard_leaf(
+                self.shard_id, self.num_shards, self.shard_digest
+            )
+            if not self.proof.verify(leaf, trusted_root):
+                return None
+            for key in keys:
+                if not key.startswith(KV_PREFIX) or self.shard_id != (
+                    shard_for_key(key[len(KV_PREFIX):], self.num_shards)
+                ):
+                    return None
+        except (OverflowError, TypeError, ValueError):
+            return None
+        return self.shard_digest.chain_digest
 
     @property
     def size_bytes(self) -> int:
@@ -108,12 +128,23 @@ class ShardMembership:
         return 4 + 8 + 64 + self.proof.size_bytes
 
 
-def memberships_for(
+def anchor_shards(
     digests: Sequence[LedgerDigest], shard_ids: Sequence[int]
-) -> List[ShardMembership]:
-    """Membership branches for ``shard_ids`` under one shared tree."""
-    tree = build_shard_tree(digests)
-    return [
+) -> Tuple[ShardedDigest, List[ShardMembership]]:
+    """The digest-of-digests over ``digests`` (leaf ``i`` commits to
+    shard ``i``) and membership branches for ``shard_ids`` under it."""
+    tree = MerkleTree(
+        [
+            shard_leaf(shard_id, len(digests), digest)
+            for shard_id, digest in enumerate(digests)
+        ]
+    )
+    top = ShardedDigest(
+        num_shards=len(digests),
+        height=sum(digest.height for digest in digests),
+        root=tree.root,
+    )
+    return top, [
         ShardMembership(
             shard_id=shard_id,
             shard_digest=digests[shard_id],
@@ -121,3 +152,8 @@ def memberships_for(
         )
         for shard_id in shard_ids
     ]
+
+
+def digest_of_digests(digests: Sequence[LedgerDigest]) -> ShardedDigest:
+    """Fold per-shard digests into the single top-level digest."""
+    return anchor_shards(digests, ())[0]

@@ -133,9 +133,47 @@ class TestProofBundles:
         assert not ok
 
     def test_deserialize_garbage_rejected(self):
+        for garbage in (b"not a bundle", b"[]", b'{"description": "x"}'):
+            with pytest.raises(VerificationError):
+                ProofBundle.deserialize(garbage)
+
+    def test_a_pickle_is_refused_not_loaded(self):
+        # A bundle comes from the party being audited; unpickling one
+        # would run that party's code on the auditor's machine.
         import pickle
 
-        with pytest.raises(Exception):
-            ProofBundle.deserialize(b"not a pickle")
-        with pytest.raises(VerificationError):
-            ProofBundle.deserialize(pickle.dumps({"not": "a bundle"}))
+        class Boom:
+            def __reduce__(self):
+                return (pytest.fail, ("the bundle was unpickled",))
+
+        db = self._db()
+        for blob in (
+            pickle.dumps(Boom()),
+            pickle.dumps(make_bundle(db.ledger, b"k\x00k05"), protocol=4),
+        ):
+            with pytest.raises(VerificationError):
+                ProofBundle.deserialize(blob)
+
+    def test_serialized_bundle_is_a_json_document_of_wire_frames(self):
+        import json
+
+        db = self._db()
+        document = json.loads(make_bundle(db.ledger, b"k\x00k05").serialize())
+        assert set(document) == {"description", "digest", "proof"}
+        assert set(document["digest"]) == {"$ledger_digest"}
+        assert set(document["proof"]) == {"$proof"}
+
+    def test_any_proof_kind_can_be_bundled(self):
+        db = self._db()
+        digest = db.digest()
+        for proof in (
+            db.scan_verified(b"k03", b"k09")[1],
+            db.get_many_verified([b"k01", b"k17", b"nope"])[1],
+        ):
+            bundle = ProofBundle("kinds", digest, proof)
+            restored = ProofBundle.deserialize(bundle.serialize())
+            assert restored == bundle
+            ok, message = verify_bundle(restored, trusted=digest)
+            assert ok, message
+        ok, message = verify_bundle(ProofBundle("none", digest, {"a": 1}))
+        assert not ok and "proof" in message

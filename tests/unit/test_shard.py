@@ -12,13 +12,14 @@ import pytest
 from repro.core.database import SpitzDatabase
 from repro.core.verifier import ClientVerifier
 from repro.errors import QueryError, TamperDetectedError
+from repro.core.schema import KV_PREFIX
 from repro.shard import (
     ShardRouter,
     ShardedDatabase,
+    anchor_shards,
     digest_of_digests,
     shard_for_key,
 )
-from repro.shard.digest import memberships_for
 
 
 def _seed_digests(count, writes=3):
@@ -81,19 +82,62 @@ class TestDigestOfDigests:
         assert top.chain_digest == top.root
         assert top.tree_root == top.root
 
-    def test_membership_verifies_and_forgeries_fail(self):
+    def test_membership_anchors_and_forgeries_fail(self):
         digests = _seed_digests(4)
-        top = digest_of_digests(digests)
-        (membership,) = memberships_for(digests, [2])
-        assert membership.verify(top.root)
+        top, (membership,) = anchor_shards(digests, [2])
+        assert top == digest_of_digests(digests)
+        assert membership.anchor(top.root, ()) == digests[2].chain_digest
         # Claiming the branch proves a different shard id fails.
         relabeled = dataclasses.replace(membership, shard_id=1)
-        assert not relabeled.verify(top.root)
+        assert relabeled.anchor(top.root, ()) is None
         # A forged shard digest under a real branch fails.
         forged = dataclasses.replace(
             membership, shard_digest=_seed_digests(1)[0]
         )
-        assert not forged.verify(top.root)
+        assert forged.anchor(top.root, ()) is None
+
+    def test_membership_binds_the_fleet_size_and_the_keys(self):
+        digests = _seed_digests(4)
+        top, (membership,) = anchor_shards(digests, [2])
+        assert membership.num_shards == 4
+        # The leaf commits to num_shards: a branch claiming another
+        # fleet size (which would re-route every key) does not reach
+        # the root.
+        resized = dataclasses.replace(
+            membership,
+            proof=dataclasses.replace(membership.proof, tree_size=3),
+        )
+        assert resized.anchor(top.root, ()) is None
+        owned = [
+            KV_PREFIX + b"k%d" % i
+            for i in range(40)
+            if shard_for_key(b"k%d" % i, 4) == 2
+        ]
+        foreign = KV_PREFIX + next(
+            b"k%d" % i for i in range(40) if shard_for_key(b"k%d" % i, 4) != 2
+        )
+        assert membership.anchor(top.root, owned) is not None
+        assert membership.anchor(top.root, owned + [foreign]) is None
+        # A key outside the KV keyspace has no owning shard at all.
+        assert membership.anchor(top.root, [owned[0][len(KV_PREFIX):]]) is None
+
+    def test_nonsense_membership_values_fail_without_raising(self):
+        digests = _seed_digests(2)
+        top, (membership,) = anchor_shards(digests, [1])
+        huge = dataclasses.replace(
+            membership,
+            shard_digest=dataclasses.replace(
+                membership.shard_digest, height=2**70
+            ),
+        )
+        assert huge.anchor(top.root, ()) is None
+        negative = dataclasses.replace(
+            membership,
+            shard_digest=dataclasses.replace(
+                membership.shard_digest, height=-1
+            ),
+        )
+        assert negative.anchor(top.root, ()) is None
 
 
 class TestShardedFacade:
@@ -174,7 +218,7 @@ class TestShardedFacade:
         verifier = ClientVerifier()
         verifier.trust(proof.digest)
         assert verifier.verify(proof)
-        assert [v for _, v in proof.entries()] == values
+        assert [v for _, v in proof.entries] == values
 
     def test_tampered_value_fails_verification(self):
         db = ShardedDatabase(num_shards=4)
@@ -206,6 +250,70 @@ class TestShardedFacade:
         verifier = ClientVerifier()
         verifier.trust(proof.digest)
         assert not verifier.verify(relabeled)
+
+    @staticmethod
+    def _verifiers(digest):
+        """A verifier warmed by an honest read and a cold one."""
+        warm, cold = ClientVerifier(), ClientVerifier()
+        warm.trust(digest)
+        cold.trust(digest)
+        return warm, cold
+
+    def test_absence_from_a_shard_that_does_not_own_the_key_is_rejected(self):
+        # The record exists on its own shard; every other shard can
+        # honestly prove it absent *from that shard*.  Pairing such an
+        # inner proof with that shard's genuine membership branch used
+        # to verify, letting the server hide any record.
+        db = ShardedDatabase(num_shards=4)
+        for i in range(30):
+            db.put(b"h%02d" % i, b"v%02d" % i)
+        key = b"h11"
+        honest_value, honest = db.get_verified(key)
+        assert honest_value == b"v11"
+        wrong = (db.shard_of(key) + 1) % 4
+        none_value, inner = db.shards[wrong].get_verified(key)
+        assert none_value is None
+        top, (membership,) = anchor_shards(
+            [shard.digest() for shard in db.shards], [wrong]
+        )
+        assert top == honest.digest
+        forged = dataclasses.replace(
+            honest, inner=inner, membership=membership
+        )
+        assert forged.value is None
+        warm, cold = self._verifiers(top)
+        assert warm.verify(honest)
+        assert not warm.verify(forged)
+        assert not cold.verify(forged)
+
+    def test_multi_part_answered_by_the_wrong_shard_is_rejected(self):
+        db = ShardedDatabase(num_shards=4)
+        for i in range(30):
+            db.put(b"g%02d" % i, b"v%02d" % i)
+        keys = [b"g03", b"g17", b"g28"]
+        _values, honest = db.get_many_verified(keys)
+        victim = honest.parts[0]
+        hidden = [key[len(KV_PREFIX):] for key in victim.multi.keys]
+        wrong = next(
+            shard for shard in range(4)
+            if shard not in {part.shard_id for part in honest.parts}
+        )
+        none_values, multi = db.shards[wrong].get_many_verified(hidden)
+        assert none_values == [None] * len(hidden)
+        _top, (membership,) = anchor_shards(
+            [shard.digest() for shard in db.shards], [wrong]
+        )
+        forged_part = dataclasses.replace(
+            victim, membership=membership, multi=multi
+        )
+        forged = dataclasses.replace(
+            honest, parts=(forged_part,) + honest.parts[1:]
+        )
+        assert dict(forged.entries)[victim.multi.keys[0]] is None
+        warm, cold = self._verifiers(honest.digest)
+        assert warm.verify(honest)
+        assert not warm.verify(forged)
+        assert not cold.verify(forged)
 
     def test_fork_detection_rejects_backwards_and_kind_swap(self):
         db = ShardedDatabase(num_shards=2)

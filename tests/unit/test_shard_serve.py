@@ -59,7 +59,7 @@ class TestShardedCodec:
         keys = [b"wk02", b"missing", b"wk19"]
         values, proof = db.get_many_verified(keys)
         decoded = decode_value(_json_roundtrip(encode_value(proof)))
-        assert [v for _, v in decoded.entries()] == values
+        assert [v for _, v in decoded.entries] == values
         verifier = ClientVerifier()
         verifier.trust(decoded.digest)
         assert verifier.verify(decoded)
@@ -177,7 +177,7 @@ class TestShardedHttp:
                 assert batch.ok, batch.error
                 verifier.observe(batch.digest)
                 verifier.verify_or_raise(batch.proof)
-                assert [v for _, v in batch.proof.entries()] == [
+                assert [v for _, v in batch.proof.entries] == [
                     b"hv1", b"hv5", None,
                 ]
         finally:
