@@ -8,7 +8,8 @@ self-contained evidence package.  This module provides both:
 - :func:`compare_replicas` — find the first block where two ledgers
   diverge (a *fork*), or prove one is a prefix of the other;
 - :func:`audit_ledger` — full internal-consistency audit of one
-  ledger (chain links, per-block index roots reachable);
+  ledger (chain links, and every index node and value chunk each
+  block wrote re-hashed to its address);
 - :class:`ProofBundle` — a serializable evidence package (claim +
   proof + the digest it binds to) that a third party can check
   offline with :func:`verify_bundle`.
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.crypto.hashing import EMPTY_DIGEST
+from repro.crypto.hashing import EMPTY_DIGEST, Digest, hash_bytes
 from repro.errors import SpitzError, VerificationError
+from repro.forkbase.chunk_store import ChunkStore
+from repro.indexes.siri import decode_node
 from repro.core.ledger import LedgerDigest, SpitzLedger
 
 
@@ -70,13 +73,16 @@ def compare_replicas(a: SpitzLedger, b: SpitzLedger) -> ForkReport:
 def audit_ledger(ledger: SpitzLedger) -> List[str]:
     """Full internal audit; returns a list of findings (empty = clean).
 
-    Checks every chain link, recomputes every block digest, and walks
-    each block's index root to confirm the nodes are all present in
-    the store (a storage layer that dropped or corrupted nodes cannot
-    serve proofs for that block).
+    Checks every chain link, recomputes every block digest, and
+    re-hashes what each block wrote: every index node under its root
+    that no earlier block's root reaches, and the value chunk of every
+    pair in those leaves.  A storage layer that dropped or corrupted a
+    node cannot serve proofs for that block; one that dropped or
+    corrupted a value chunk cannot serve the value its leaf commits to.
     """
     findings: List[str] = []
     running = EMPTY_DIGEST
+    audited: Set[Tuple[bytes, bool]] = set()
     for height in range(ledger.height):
         block = ledger.block(height)
         if block.previous_chain_digest != running:
@@ -86,12 +92,37 @@ def audit_ledger(ledger: SpitzLedger) -> List[str]:
         if not block.seals():
             findings.append(f"block #{height}: chain digest mismatch")
         running = block.chain_digest
-        try:
-            # Touch every level's first node to prove reachability.
-            ledger.tree_at(height).get(b"")
-        except Exception as error:
-            findings.append(f"block #{height}: index unreadable ({error})")
+        for problem in _audit_chunks(ledger.chunks, block.tree_root, audited):
+            findings.append(f"block #{height}: {problem}")
     return findings
+
+
+def _audit_chunks(
+    chunks: ChunkStore, root: Digest, audited: Set[Tuple[bytes, bool]]
+) -> Iterator[str]:
+    """What is wrong with the chunks under the index ``root`` not yet in
+    ``audited`` (``(address, is an index node)`` of every chunk already
+    re-hashed).  Reads the stored bytes, never the decode cache."""
+    pending = [(root, True)]
+    while pending:
+        address, is_node = chunk = pending.pop()
+        if chunk in audited:
+            continue
+        audited.add(chunk)
+        kind = "index node" if is_node else "value chunk"
+        what = f"{kind} {address.hex()[:12]}"
+        raw = chunks.get_optional(address)
+        if raw is None:
+            yield f"{what} missing"
+        elif hash_bytes(raw) != address:
+            yield f"{what} does not hash to its address"
+        elif is_node:
+            try:
+                tag, pairs = decode_node(raw)
+            except ValueError as error:
+                yield f"{what} unreadable ({error})"
+                continue
+            pending += [(digest, tag == "B") for _key, digest in pairs]
 
 
 @dataclass(frozen=True)

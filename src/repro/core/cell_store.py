@@ -42,8 +42,9 @@ class CellStore:
         self, column: str, primary_key: bytes, timestamp: int, value: bytes
     ) -> UniversalKey:
         """Store a new cell version; returns its universal key."""
-        ukey = UniversalKey.for_cell(column, primary_key, timestamp, value)
+        # The chunk address *is* the value hash the key carries.
         address = self._chunks.put(value)
+        ukey = UniversalKey(column, primary_key, timestamp, address)
         encoded = ukey.encode()
         self._index.insert(encoded, (ukey, address))
         self._by_encoded[encoded] = (ukey, address)

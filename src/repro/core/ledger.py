@@ -245,18 +245,21 @@ class SpitzLedger:
     def key_history(self, key: bytes) -> List[Tuple[int, Optional[bytes]]]:
         """(height, value) whenever ``key``'s value changed.
 
-        Walks the per-block index instances; deletions appear as None.
+        Walks the per-block index instances comparing value digests, so
+        a value is fetched only where it changed; deletions appear as
+        None.
         A key that never existed has no changes — the result is empty,
         not a phantom ``(0, None)`` entry.
         """
         changes: List[Tuple[int, Optional[bytes]]] = []
+        last: Optional[bytes] = None
         for height in range(len(self._blocks)):
-            value = self.tree_at(height).get(key)
-            if changes:
-                if value != changes[-1][1]:
-                    changes.append((height, value))
-            elif value is not None:
-                changes.append((height, value))
+            digest = self.tree_at(height).value_digest(key)
+            if digest != last:
+                changes.append(
+                    (height, None if digest is None else self.chunks.get(digest))
+                )
+                last = digest
         return changes
 
     # -- audit ---------------------------------------------------------------
@@ -300,12 +303,6 @@ class SpitzLedger:
                 return False
             running = block.chain_digest
         return running == self._chain.head
-
-    def __setstate__(self, state: dict) -> None:
-        # Snapshots and checkpoints written by earlier versions carry
-        # ``_trees``, one index handle per block; block roots replace it.
-        state.pop("_trees", None)
-        self.__dict__.update(state)
 
     def storage_report(self) -> Dict[str, float]:
         stats = self.chunks.stats

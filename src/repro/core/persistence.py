@@ -11,7 +11,9 @@ Caveats (documented, deliberate):
   crash consistency *between* saves, layer the WAL on top
   (:mod:`repro.durability` — it reuses this format for checkpoints);
 - the format is Python-pickle based and not cross-version stable —
-  it is a convenience layer, not an interchange format.
+  it is a convenience layer, not an interchange format.  The magic's
+  digit is the POS-tree node format (``siri.encode_node``) the chunks
+  were written in; a file of another format is refused by name.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from pathlib import Path
 from typing import Union
 
 from repro.crypto.hashing import hash_bytes
-from repro.errors import StorageError, TamperDetectedError
+from repro.errors import (
+    FormatVersionError,
+    StorageError,
+    TamperDetectedError,
+)
 from repro.core.database import SpitzDatabase
 
-_MAGIC = b"SPITZDB1"
+_MAGIC = b"SPITZDB2"
 
 
 def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
@@ -73,6 +79,12 @@ def load_database(path: Union[str, Path]) -> SpitzDatabase:
     """
     blob = Path(path).read_bytes()
     if not blob.startswith(_MAGIC):
+        if blob.startswith(_MAGIC[:-1]) and blob[7:8].isdigit():
+            raise FormatVersionError(
+                f"{path} holds POS-tree nodes in format {blob[7:8].decode()}"
+                f"; this build reads and writes node format "
+                f"{_MAGIC[7:].decode()} only, and there is no migration"
+            )
         raise StorageError(f"{path} is not a Spitz snapshot")
     digest, payload = blob[8:40], blob[40:]
     if bytes(hash_bytes(payload)) != digest:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.crypto.hashing import Digest, hash_bytes
+from repro.crypto.hashing import Digest
 
 _SEP = b"\x00"
 _ESCAPED_SEP = b"\x00\xff"
@@ -72,18 +72,6 @@ class UniversalKey:
         timestamp = int.from_bytes(tail[:8], "big")
         value_hash = Digest(tail[8:16] + b"\x00" * 24)
         return cls(column, primary_key, timestamp, value_hash)
-
-    @classmethod
-    def for_cell(
-        cls, column: str, primary_key: bytes, timestamp: int, value: bytes
-    ) -> "UniversalKey":
-        """Build the key for a concrete cell value."""
-        return cls(
-            column=column,
-            primary_key=primary_key,
-            timestamp=timestamp,
-            value_hash=hash_bytes(value),
-        )
 
     @staticmethod
     def prefix(column: str, primary_key: bytes) -> Tuple[bytes, bytes]:

@@ -17,6 +17,10 @@ class StorageError(SpitzError):
     """A failure inside the storage layer (ForkBase, chunk store)."""
 
 
+class FormatVersionError(StorageError):
+    """A snapshot or checkpoint was written in another node format."""
+
+
 class ChunkNotFoundError(StorageError):
     """A content address was dereferenced but no chunk exists for it."""
 

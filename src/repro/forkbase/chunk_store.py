@@ -84,14 +84,11 @@ class ChunkStore:
         ]
         self._stats_lock = threading.Lock()
         self.stats = StoreStats()
-        # Side caches for index layers built on top of the store.
-        # Content addressing makes both sound: a digest's decoded form
-        # never changes.  ``decode_cache`` holds deserialized index
-        # nodes; ``boundary_cache`` holds content-defined-split
-        # decisions keyed by entry bytes.  Both trade memory for the
-        # hashing/pickling that would otherwise dominate hot paths.
+        # Side cache for index layers built on top of the store:
+        # deserialized index nodes by address.  Content addressing makes
+        # it sound (a digest's decoded form never changes); it trades
+        # memory for the decoding that would otherwise dominate reads.
         self.decode_cache: Dict[Digest, object] = {}
-        self.boundary_cache: Dict[bytes, bool] = {}
 
     def _stripe(self, address: Digest) -> threading.Lock:
         return self._stripes[address[0] % STRIPE_COUNT]
@@ -240,11 +237,9 @@ class ChunkStore:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        # The side caches are derived from the chunks; a snapshot that
-        # carried them would store every index node twice.
-        for transient in (
-            "_stripes", "_stats_lock", "decode_cache", "boundary_cache"
-        ):
+        # The decode cache is derived from the chunks; a snapshot that
+        # carried it would store every index node twice.
+        for transient in ("_stripes", "_stats_lock", "decode_cache"):
             del state[transient]
         return state
 
@@ -253,7 +248,6 @@ class ChunkStore:
         self._stripes = [threading.Lock() for _ in range(STRIPE_COUNT)]
         self._stats_lock = threading.Lock()
         self.decode_cache = {}
-        self.boundary_cache = {}
 
 
 class _MultiLock:

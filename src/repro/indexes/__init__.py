@@ -18,7 +18,7 @@ from repro.indexes.mbt import MerkleBucketTree
 from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
 from repro.indexes.radix import RadixTree
-from repro.indexes.siri import SiriIndex, SiriProof, verify_siri_proof
+from repro.indexes.siri import SiriIndex, SiriProof
 from repro.indexes.skiplist import SkipList
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "SiriIndex",
     "SiriProof",
     "SkipList",
-    "verify_siri_proof",
 ]

@@ -21,13 +21,8 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ProofError
 from repro.forkbase.chunk_store import ChunkStore
-from repro.indexes.siri import (
-    DELETE,
-    SiriIndex,
-    SiriProof,
-    decode_node,
-    encode_node,
-)
+from repro.indexes.pickled_nodes import decode_node, encode_node
+from repro.indexes.siri import DELETE, SiriIndex, SiriProof
 
 DEFAULT_BUCKETS = 256
 

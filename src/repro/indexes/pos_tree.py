@@ -15,18 +15,22 @@ appears in its hash.  Consequences:
   roughly one extra hash walk while the baseline pays a separate
   per-record journal search.
 
-Layout: leaf nodes are ``("L", ((key, value), ...))``; branch nodes are
-``("B", ((first_key, child_digest_bytes), ...))``.  Nodes live in a
-:class:`~repro.forkbase.chunk_store.ChunkStore` under the SHA-256 of
-their serialized bytes; the root address is the digest clients pin.
+Layout: every node is one shape, ``(tag, ((key, digest), ...))`` —
+a leaf ``"L"`` pairs each key with ``H(value)``, a branch ``"B"`` pairs
+each child's first key with the child's address.  Nodes *and values*
+live in a :class:`~repro.forkbase.chunk_store.ChunkStore` under the
+SHA-256 of their bytes, so a leaf's digest is the address of its value;
+the root address is the digest clients pin.  A verifier accepts a value
+only under the digest its replayed path ends on.
 """
 
 from __future__ import annotations
 
 import bisect
-import pickle
 from dataclasses import dataclass
+from functools import partial
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -37,7 +41,6 @@ from typing import (
 )
 
 from repro.crypto.hashing import Digest, hash_bytes
-from repro.errors import ProofError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.siri import (
     DELETE,
@@ -46,26 +49,22 @@ from repro.indexes.siri import (
     cache_node,
     decode_node,
     encode_node,
-    verify_siri_proof,
 )
 
 #: Default split pattern width: expected node size is ``2**MASK_BITS``.
 DEFAULT_MASK_BITS = 5
 
 #: Everything a tampered proof can raise during verification — node
-#: bytes that fail to unpickle, malformed node shapes, and broken
-#: path walks.  Proof ``verify`` methods turn all of these into
-#: ``False``: tampering is *detected*, never an exception.
-_VERIFY_ERRORS = (
-    KeyError,
-    ProofError,
-    ValueError,
-    IndexError,
-    TypeError,
-    EOFError,
-    AttributeError,
-    pickle.UnpicklingError,
-)
+#: bytes the strict codec refuses (``ValueError``), nodes the proof did
+#: not supply (``KeyError``), broken path walks, nodes nested deeper than
+#: any tree (``RecursionError``).  Proof ``verify`` methods turn all of
+#: these into ``False``: tampering is *detected*, never an exception.
+_VERIFY_ERRORS = (KeyError, ValueError, IndexError, TypeError, RecursionError)
+
+
+def _claimed(value: Optional[bytes]) -> Optional[Digest]:
+    """The leaf digest a claimed value must sit under (None: absence)."""
+    return None if value is None else hash_bytes(value)
 
 
 @dataclass(frozen=True)
@@ -112,35 +111,14 @@ class PosRangeProof:
         if root != self.root:
             return False
         try:
-            decoded = _decode_proof_nodes(self.nodes, cache)
-            replayed = _replay_range(decoded, root, self.low, self.high)
+            replayed = _pairs_between(
+                _supplied(self.nodes, cache), root, self.low, self.high
+            )
+            return replayed == [
+                (key, hash_bytes(value)) for key, value in self.entries
+            ]
         except _VERIFY_ERRORS:
             return False
-        return tuple(replayed) == self.entries
-
-
-def _replay_range(
-    by_address: Dict[Digest, tuple],
-    address: Digest,
-    low: bytes,
-    high: bytes,
-) -> List[Tuple[bytes, bytes]]:
-    """Re-run the range scan using only proof-supplied nodes."""
-    node = by_address[address]
-    results: List[Tuple[bytes, bytes]] = []
-    if node[0] == "L":
-        for key, value in node[1]:
-            if low <= key <= high:
-                results.append((key, value))
-        return results
-    children = node[1]
-    for index in range(_child_index(children, low), len(children)):
-        if children[index][0] > high:
-            break
-        results.extend(
-            _replay_range(by_address, Digest(children[index][1]), low, high)
-        )
-    return results
 
 
 @dataclass(frozen=True)
@@ -195,53 +173,40 @@ class PosMultiProof:
         if root != self.root:
             return False
         try:
-            decoded = _decode_proof_nodes(self.nodes, cache)
-            for key, claimed in self.entries:
-                if _replay_lookup(decoded, root, key) != claimed:
-                    return False
+            supplied = _supplied(self.nodes, cache)
+            return all(
+                _digest_at(supplied, root, key) == _claimed(value)
+                for key, value in self.entries
+            )
         except _VERIFY_ERRORS:
             return False
-        return True
 
 
-def _decode_proof_nodes(
+def _supplied(
     nodes: Tuple[bytes, ...], cache: Optional[dict]
-) -> Dict[Digest, tuple]:
-    """Hash and decode proof-supplied nodes, keyed by address.
+) -> Callable[[Digest], tuple]:
+    """A proof's nodes by address, decoded when the replay reaches them.
 
-    ``cache`` (digest → decoded node) memoizes decoding across proofs;
-    replay still only sees nodes *this* proof supplied, so a cached
-    node can never stand in for one a tampered proof dropped.
+    Every supplied blob is hashed (its key), but only what the walk from
+    the pinned root visits is parsed and memoized in ``cache`` (digest →
+    decoded node, shared across proofs): junk or unreachable blobs cannot
+    grow a verifier's cache.  Replay sees nodes *this* proof supplied and
+    no others (``KeyError``): a cached node never stands in for a dropped one.
     """
-    decoded: Dict[Digest, tuple] = {}
-    for raw in nodes:
-        digest = hash_bytes(raw)
-        node = cache.get(digest) if cache is not None else None
+    raw = {hash_bytes(blob): blob for blob in nodes}
+    reached: Dict[Digest, tuple] = {}
+
+    def node_at(address: Digest) -> tuple:
+        node = reached.get(address)
         if node is None:
-            node = cache_node(cache, digest, raw)
-        decoded[digest] = node
-    return decoded
+            blob = raw[address]
+            node = cache.get(address) if cache is not None else None
+            if node is None:
+                node = cache_node(cache, address, blob)
+            reached[address] = node
+        return node
 
-
-def _replay_lookup(
-    by_address: Dict[Digest, tuple], address: Digest, key: bytes
-) -> Optional[bytes]:
-    """Re-run one point lookup using only proof-supplied nodes."""
-    while True:
-        node = by_address[address]
-        if node[0] == "L":
-            for entry_key, value in node[1]:
-                if entry_key == key:
-                    return value
-            return None
-        children = node[1]
-        address = Digest(children[_child_index(children, key)][1])
-
-
-class _Ref:
-    """Unpickling target for the per-level node references of handles
-    written before a handle was just a root; only ``address`` is read
-    (:meth:`PosTree.__setstate__`)."""
+    return node_at
 
 
 def _position(pairs: Sequence[tuple], key: bytes, lo: int = 0) -> int:
@@ -266,29 +231,43 @@ def _child_index(children: Sequence[tuple], key: bytes) -> int:
     return max(_position_after(children, key) - 1, 0)
 
 
-def _entry_is_boundary(
-    key: bytes,
-    value: bytes,
-    mask: int,
-    cache: Optional[dict] = None,
-) -> bool:
-    # The cache key is a tuple: bytes objects memoize their own hash in
-    # CPython, so repeated lookups for unchanged entries cost one dict
-    # probe instead of a SHA-256.
-    cache_key = (mask, key, value)
-    if cache is not None:
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
-    digest = hash_bytes(len(key).to_bytes(4, "big") + key + value)
-    result = int.from_bytes(digest[:4], "big") & mask == 0
-    if cache is not None:
-        cache[cache_key] = result
-    return result
+def _paired(pairs: Sequence[tuple], key: bytes) -> Optional[bytes]:
+    """The digest a node pairs with exactly ``key``, or None."""
+    index = _position(pairs, key)
+    if index < len(pairs) and pairs[index][0] == key:
+        return pairs[index][1]
+    return None
 
 
-def _ref_boundary(address: bytes, mask: int) -> bool:
-    return int.from_bytes(address[:4], "big") & mask == 0
+#: The two walks below are the query *and* its verification: a server
+#: runs them over its store (the nodes touched become the proof), a
+#: verifier over the nodes a proof supplied; ``node_at`` decodes either.
+
+
+def _digest_at(
+    node_at: Callable[[Digest], tuple], address: Digest, key: bytes
+) -> Optional[bytes]:
+    """Walk ``key``'s path down from ``address``; the value digest its
+    leaf pairs it with, or None."""
+    tag, pairs = node_at(address)
+    while tag == "B":
+        tag, pairs = node_at(Digest(pairs[_child_index(pairs, key)][1]))
+    return _paired(pairs, key)
+
+
+def _pairs_between(
+    node_at: Callable[[Digest], tuple], address: Digest, low: bytes, high: bytes
+) -> List[Tuple[bytes, bytes]]:
+    """The leaf pairs keyed ``low..high`` under ``address``, in order."""
+    tag, pairs = node_at(address)
+    if tag == "L":
+        return list(pairs[_position(pairs, low):_position_after(pairs, high)])
+    found: List[Tuple[bytes, bytes]] = []
+    for index in range(_child_index(pairs, low), len(pairs)):
+        if pairs[index][0] > high:
+            break
+        found += _pairs_between(node_at, Digest(pairs[index][1]), low, high)
+    return found
 
 
 class _Run:
@@ -303,12 +282,11 @@ class _Run:
         self.cuts: List[int] = []
 
     def _ends_node(self, pair: tuple) -> bool:
-        """The content-defined split rule: does a node end after ``pair``?"""
-        if self.tag == "L":
-            return _entry_is_boundary(
-                pair[0], pair[1], self.mask, self.store.boundary_cache
-            )
-        return _ref_boundary(pair[1], self.mask)
+        """The content-defined split rule, one hash over the pair as
+        stored: does a node end after ``pair``?  The key is part of it
+        so that a run of equal values does not split alike everywhere."""
+        digest = hash_bytes(pair[0] + pair[1])
+        return int.from_bytes(digest[:4], "big") & self.mask == 0
 
     def add(self, pairs: Sequence[tuple]) -> None:
         """Append new pairs, testing each against the split rule."""
@@ -376,16 +354,6 @@ class PosTree(SiriIndex):
         self.mask_bits = mask_bits
         self._root = root
 
-    def __setstate__(self, state: dict) -> None:
-        # Snapshots and checkpoints written by earlier versions carry
-        # ``_levels`` (per-level ``_Ref`` lists, root last), not ``_root``.
-        levels = state.pop("_levels", None)
-        for derived in ("_first_keys_cache", "_mask"):
-            state.pop(derived, None)
-        if levels is not None:
-            state["_root"] = levels[-1][0].address
-        self.__dict__.update(state)
-
     # -- construction ----------------------------------------------------
 
     @classmethod
@@ -403,7 +371,9 @@ class PosTree(SiriIndex):
     ) -> "PosTree":
         """Bulk-build from (key, value) pairs (later duplicates win)."""
         leaves = _Run(store, mask_bits, "L")
-        leaves.add(sorted(dict(items).items()))
+        leaves.add(
+            [(key, store.put(value)) for key, value in sorted(dict(items).items())]
+        )
         return cls._from_top(store, mask_bits, leaves.write())
 
     @classmethod
@@ -461,20 +431,19 @@ class PosTree(SiriIndex):
             self.store.decode_cache[address] = node
         return node
 
-    def _lookup(
+    def value_digest(
         self, key: bytes, collected: Optional[Dict[Digest, bytes]] = None
     ) -> Optional[bytes]:
-        """Walk ``key``'s path from the root; its value or None."""
-        node = self._node(self.root, collected)
-        while node[0] == "B":
-            children = node[1]
-            child = children[_child_index(children, key)][1]
-            node = self._node(Digest(child), collected)
-        pairs = node[1]
-        index = _position(pairs, key)
-        if index < len(pairs) and pairs[index][0] == key:
-            return pairs[index][1]
-        return None
+        """The digest ``key``'s leaf pairs it with — ``H(value)``, the
+        value's chunk address — or None, by its path from the root."""
+        return _digest_at(
+            partial(self._node, collected=collected), self.root, key
+        )
+
+    def _value(self, digest: Optional[bytes]) -> Optional[bytes]:
+        """The value chunk a leaf pair's digest addresses (None: None); the
+        stored bytes equal, and hash like, the ``Digest`` it was put under."""
+        return None if digest is None else self.store.get(digest)
 
     def _descend(
         self, key: bytes, depth: int
@@ -523,7 +492,7 @@ class PosTree(SiriIndex):
         return self.count
 
     def get(self, key: bytes) -> Optional[bytes]:
-        return self._lookup(key)
+        return self._value(self.value_digest(key))
 
     def get_with_proof(self, key: bytes) -> Tuple[Optional[bytes], SiriProof]:
         """Lookup plus authentication path in a single traversal.
@@ -533,7 +502,7 @@ class PosTree(SiriIndex):
         bytes the lookup touched anyway.
         """
         path: Dict[Digest, bytes] = {}
-        value = self._lookup(key, path)
+        value = self._value(self.value_digest(key, path))
         proof = SiriProof(key=key, value=value, nodes=tuple(path.values()))
         return value, proof
 
@@ -548,7 +517,10 @@ class PosTree(SiriIndex):
         Values come back in request order (None for absent keys).
         """
         collected: Dict[Digest, bytes] = {}
-        values = [self._lookup(key, collected) for key in keys]
+        node_at = partial(self._node, collected=collected)
+        values = [
+            self._value(_digest_at(node_at, self.root, key)) for key in keys
+        ]
         proof = PosMultiProof(
             entries=tuple(zip(keys, values)),
             nodes=tuple(collected.values()),
@@ -557,38 +529,47 @@ class PosTree(SiriIndex):
         return values, proof
 
     @staticmethod
-    def _find_child(node: tuple, key: bytes):
-        if node[0] == "B":
-            children = node[1]
-            return Digest(children[_child_index(children, key)][1])
-        for entry_key, entry_value in node[1]:
-            if entry_key == key:
-                return entry_value
-        return None
-
-    @classmethod
     def verify_proof(
-        cls,
         proof: SiriProof,
         root: Digest,
         cache: Optional[dict] = None,
     ) -> bool:
-        """True iff ``proof`` authenticates its claim under ``root``.
+        """True iff ``proof`` authenticates its claim under ``root``:
+        each node hashes to the address its parent (or ``root``) names,
+        and the claimed value hashes to the digest the path ends on.
+        Returns False (never raises) on any mismatch.
 
-        ``cache`` memoizes already-verified nodes across proofs (see
-        :func:`~repro.indexes.siri.verify_siri_proof`).
+        ``cache`` (digest → decoded node) memoizes nodes already hashed
+        to their address — sound, because a digest match is a property
+        of the bytes alone — which is what makes consecutive proofs
+        cheap: they share the index's upper levels.
         """
-        return verify_siri_proof(proof, root, cls._find_child, cache)
+        try:
+            expected = root
+            for raw in proof.nodes:
+                node = cache.get(expected) if cache is not None else None
+                if node is None:
+                    if hash_bytes(raw) != expected:
+                        return False
+                    node = cache_node(cache, expected, raw)
+                tag, pairs = node
+                if tag == "L":
+                    return _paired(pairs, proof.key) == _claimed(proof.value)
+                expected = Digest(pairs[_child_index(pairs, proof.key)][1])
+            return False  # the path stops short of a leaf
+        except _VERIFY_ERRORS:
+            return False
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         for pairs in self._leaves(self.root):
-            yield from pairs
+            for key, digest in pairs:
+                yield key, self.store.get(digest)
 
     def scan(
         self, low: bytes, high: bytes
     ) -> List[Tuple[bytes, bytes]]:
         """Entries with ``low <= key <= high`` in key order."""
-        return self._collect_range(self.root, low, high, None)
+        return self._collect_range(low, high, None)
 
     def scan_with_proof(
         self, low: bytes, high: bytes
@@ -601,9 +582,7 @@ class PosTree(SiriIndex):
         baseline's per-record proof searches.
         """
         collected: Dict[Digest, bytes] = {}
-        entries = self._collect_range(
-            self.root, low, high, collected
-        )
+        entries = self._collect_range(low, high, collected)
         proof = PosRangeProof(
             low=low,
             high=high,
@@ -614,28 +593,13 @@ class PosTree(SiriIndex):
         return entries, proof
 
     def _collect_range(
-        self,
-        address: Digest,
-        low: bytes,
-        high: bytes,
-        collected: Optional[Dict[Digest, bytes]],
+        self, low: bytes, high: bytes, collected: Optional[Dict[Digest, bytes]]
     ) -> List[Tuple[bytes, bytes]]:
-        node = self._node(address, collected)
-        pairs = node[1]
-        if node[0] == "L":
-            return list(
-                pairs[_position(pairs, low):_position_after(pairs, high)]
-            )
-        results: List[Tuple[bytes, bytes]] = []
-        for index in range(_child_index(pairs, low), len(pairs)):
-            if pairs[index][0] > high:
-                break
-            results.extend(
-                self._collect_range(
-                    Digest(pairs[index][1]), low, high, collected
-                )
-            )
-        return results
+        pairs = _pairs_between(
+            partial(self._node, collected=collected), self.root, low, high
+        )
+        value_at = self.store.get
+        return [(key, value_at(digest)) for key, digest in pairs]
 
     # -- updates -------------------------------------------------------------
 
@@ -656,9 +620,12 @@ class PosTree(SiriIndex):
         changes: List[_Change] = []
         for key in sorted(updates):
             value = updates[key]
-            changes.append(
-                (key, key, () if value is DELETE else ((key, value),))
-            )
+            # A dedup hit where ``CellStore.put`` wrote the chunk (KV and
+            # table cells); for a tree with no cell store, its only put.
+            changes.append((
+                key, key,
+                () if value is DELETE else ((key, self.store.put(value)),),
+            ))
         tag = "L"
         for depth in reversed(range(self.height)):
             changes = self._rewrite_level(depth, tag, changes)

@@ -19,41 +19,78 @@ node sharing across versions is automatic.
 
 from __future__ import annotations
 
-import pickle
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import ge
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.crypto.hashing import Digest, hash_bytes
-from repro.errors import ProofError
+from repro.crypto.hashing import Digest
 from repro.forkbase.chunk_store import ChunkStore
 
 #: Sentinel marking a key for deletion in a batch update.
 DELETE = object()
 
 
+#: Node layout v2, leaves and branches alike:
+#: ``tag(1) ‖ count(u32) ‖ count × key length(u32) ‖ keys ‖ count × digest(32)``.
+_HEAD = struct.Struct(">cI")
+_TAGS = {b"L": "L", b"B": "B"}
+_DIGEST = "32s"  # struct field of one digest
+_PAIR_BYTES = 4 + 32  # what a pair takes beside its key
+
+
 def encode_node(node: tuple) -> bytes:
-    """Serialize an index node deterministically.
-
-    Plain ``pickle.dumps`` memoizes repeated object references, so the
-    byte output depends on object *identity* (two equal values that
-    happen to be one object serialize differently from two equal
-    copies) — fatal for content addressing.  ``fast`` mode disables
-    the memo; nodes are acyclic trees of bytes/str/int/None, so no
-    cycle risk exists.
-    """
-    import io
-
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=4)
-    pickler.fast = True
-    pickler.dump(node)
-    return buffer.getvalue()
+    """Serialize a node ``(tag, ((key, digest), ...))``: tag ``"L"``
+    (a leaf — each digest is ``H(value)``, the value's chunk address) or
+    ``"B"`` (a branch — each digest is a child node's address under the
+    child's first key).  Raises ``ValueError`` for a digest that is not
+    32 bytes; key order is the caller's to keep (:func:`decode_node`
+    rejects bytes that break it)."""
+    tag, pairs = node
+    keys, digests = zip(*pairs) if pairs else ((), ())
+    lengths = tuple(map(len, keys))
+    data = b"".join((
+        _HEAD.pack(tag.encode(), len(pairs)),
+        struct.pack(">%dI" % len(pairs), *lengths),
+        *keys,
+        *digests,
+    ))
+    if len(data) - sum(lengths) != _HEAD.size + _PAIR_BYTES * len(pairs):
+        raise ValueError("node digests must be 32 bytes each")
+    return data
 
 
 def decode_node(data: bytes) -> tuple:
-    """Inverse of :func:`encode_node`."""
-    return pickle.loads(data)
+    """Strict inverse of :func:`encode_node`.
+
+    Total over arbitrary bytes — a verifier runs it on what an
+    untrusted server sent: a bad tag, a count the bytes cannot hold,
+    missing or trailing bytes, and keys not strictly increasing all
+    raise ``ValueError``, and nothing else is raised.
+    """
+    if len(data) < _HEAD.size:
+        raise ValueError("node shorter than its header")
+    raw_tag, count = _HEAD.unpack_from(data)
+    tag = _TAGS.get(raw_tag)
+    if tag is None:
+        raise ValueError(f"unknown node tag {raw_tag!r}")
+    if count > (len(data) - _HEAD.size) // _PAIR_BYTES:
+        raise ValueError("node count exceeds its bytes")
+    lengths = struct.unpack_from(">%dI" % count, data, _HEAD.size)
+    stop = _HEAD.size + 4 * count
+    digests = len(data) - 32 * count
+    if stop + sum(lengths) != digests:
+        raise ValueError("node has missing or trailing bytes")
+    keys = []
+    for length in lengths:
+        start, stop = stop, stop + length
+        keys.append(data[start:stop])
+    if any(map(ge, keys, keys[1:])):
+        raise ValueError("node keys are not strictly increasing")
+    return tag, tuple(
+        zip(keys, struct.unpack_from(_DIGEST * count, data, digests))
+    )
 
 
 class NodeCache(dict):
@@ -91,8 +128,9 @@ class SiriProof:
     (and including) the node that answers the query, in root-first
     order.  ``key`` and ``value`` state the claim: ``value is None``
     claims absence.  Verification recomputes each node's digest and
-    checks parent-to-child linkage, so any tampering with the value,
-    the key, or any node on the path is detected.
+    checks parent-to-child linkage, and accepts the value only under
+    the digest the path ends on, so any tampering with the value, the
+    key, or any node on the path is detected.
     """
 
     key: bytes
@@ -102,7 +140,7 @@ class SiriProof:
     @property
     def size_bytes(self) -> int:
         """Approximate wire size, for cost accounting."""
-        return len(self.key) + sum(len(n) for n in self.nodes) + 16
+        return sum(map(len, (self.key, self.value or b"", *self.nodes))) + 16
 
     @property
     def keys(self) -> Tuple[bytes, ...]:
@@ -162,63 +200,3 @@ class SiriIndex(ABC):
 
     def delete(self, key: bytes) -> "SiriIndex":
         return self.apply({key: DELETE})
-
-
-def check_linkage(parent_bytes: bytes, child_address: Digest) -> None:
-    """Raise :class:`ProofError` unless ``parent_bytes`` references
-    ``child_address``.
-
-    Works for any node layout produced by :func:`encode_node` because
-    node references are stored as raw digest bytes inside the pickle.
-    """
-    if bytes(child_address) not in parent_bytes:
-        raise ProofError(
-            f"proof node does not link to child {child_address.hex()[:12]}"
-        )
-
-
-def verify_siri_proof(
-    proof: SiriProof,
-    root: Digest,
-    find_child: "callable",
-    cache: Optional[dict] = None,
-) -> bool:
-    """Generic skeleton for SIRI proof verification.
-
-    ``find_child(node, key)`` returns the digest of the next node on
-    the path, or the proven value / None at the terminal node.  Each
-    concrete index wraps this with its own ``find_child``; the shared
-    part — recomputing digests root-down and checking linkage — lives
-    here.  Returns False (never raises) on any mismatch, so callers can
-    treat the result as a pure predicate.
-
-    ``cache`` (digest → decoded node) memoizes nodes whose bytes were
-    already hashed to their address.  Content addressing makes this
-    sound: a digest match is a property of the bytes alone, so a node
-    verified under one proof never needs re-hashing under another.
-    This is what makes Spitz's deferred/batched verification cheap —
-    consecutive proofs share the ledger index's upper levels.
-    """
-    if not proof.nodes:
-        return False
-    try:
-        expected = root
-        outcome: Optional[bytes] = None
-        for raw in proof.nodes:
-            node = cache.get(expected) if cache is not None else None
-            if node is None:
-                if hash_bytes(raw) != expected:
-                    return False
-                node = cache_node(cache, expected, raw)
-            step = find_child(node, proof.key)
-            if isinstance(step, Digest):
-                expected = step
-            else:
-                outcome = step
-                break
-        else:
-            # Path ended exactly at a terminal node; outcome set in loop.
-            return False
-        return outcome == proof.value
-    except (ProofError, ValueError, KeyError, IndexError, TypeError):
-        return False

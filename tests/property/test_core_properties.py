@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.schema import decode_value, encode_value
 from repro.core.sql import Select, parse
 from repro.core.universal_key import UniversalKey
+from repro.crypto.hashing import hash_bytes
 from repro.txn.hlc import HybridLogicalClock
 from repro.txn.mvcc import MVCCStore
 
@@ -27,7 +28,7 @@ columns = st.text(
 )
 @settings(max_examples=150, deadline=None)
 def test_universal_key_round_trip(column, pk, timestamp, value):
-    ukey = UniversalKey.for_cell(column, pk, timestamp, value)
+    ukey = UniversalKey(column, pk, timestamp, hash_bytes(value))
     decoded = UniversalKey.decode(ukey.encode())
     assert decoded.column == column
     assert decoded.primary_key == pk
@@ -43,7 +44,9 @@ def test_universal_key_round_trip(column, pk, timestamp, value):
 def test_universal_key_prefix_encloses_versions(column, pk, stamps):
     low, high = UniversalKey.prefix(column, pk)
     for timestamp in stamps:
-        encoded = UniversalKey.for_cell(column, pk, timestamp, b"v").encode()
+        encoded = UniversalKey(
+            column, pk, timestamp, hash_bytes(b"v")
+        ).encode()
         assert low <= encoded <= high
 
 

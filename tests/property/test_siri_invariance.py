@@ -81,12 +81,15 @@ deep_scripts = st.lists(
 
 
 def _reachable(store, address):
-    """Addresses of every node under (and including) ``address``."""
+    """Addresses of every node under (and including) ``address``, and
+    of the value chunks their leaves name."""
     tag, pairs = decode_node(store.get(address))
     found = {address}
-    if tag == "B":
-        for _first_key, child in pairs:
-            found |= _reachable(store, Digest(child))
+    for _key, digest in pairs:
+        if tag == "B":
+            found |= _reachable(store, Digest(digest))
+        else:
+            found.add(Digest(digest))
     return found
 
 

@@ -13,7 +13,9 @@ from repro.core.audit import (
 )
 from repro.core.database import SpitzDatabase
 from repro.core.ledger import SpitzLedger
-from repro.errors import VerificationError
+from repro.crypto.hashing import Digest, hash_bytes
+from repro.errors import ChunkNotFoundError, VerificationError
+from repro.indexes.siri import decode_node
 
 
 def _ledger(writes):
@@ -82,9 +84,73 @@ class TestAuditLedger:
         del ledger.chunks._entries[ledger.block(2).tree_root]
         ledger.chunks.decode_cache.clear()  # as after a reload
         findings = audit_ledger(ledger)
-        assert [f for f in findings if "index unreadable" in f] and all(
-            "#2" in finding for finding in findings
+        assert [f for f in findings if "index node" in f and "missing" in f]
+        assert all("#2" in finding for finding in findings)
+
+    def _deep_ledger(self):
+        """Three-level trees, one block per key after a bulk first."""
+        ledger = SpitzLedger(mask_bits=2)
+        ledger.append_block({b"k%03d" % i: b"v%d" % i for i in range(200)})
+        for i in (7, 90, 150):
+            ledger.append_block({b"k%03d" % i: b"changed-%d" % i})
+        assert ledger.tree.height >= 3 and audit_ledger(ledger) == []
+        return ledger
+
+    def _node_written_by(self, ledger, height, tag):
+        """A node of that kind under block ``height``'s root that the
+        block before does not reach, and that is not the root."""
+        def reach(address, found):
+            found.add(address)
+            kind, pairs = decode_node(ledger.chunks.get(address))
+            for _key, digest in pairs if kind == "B" else ():
+                reach(Digest(digest), found)
+            return found
+
+        new = reach(ledger.block(height).tree_root, set()) - reach(
+            ledger.block(height - 1).tree_root, set()
+        ) - {ledger.block(height).tree_root}
+        return next(
+            address for address in sorted(new)
+            if decode_node(ledger.chunks.get(address))[0] == tag
         )
+
+    @pytest.mark.parametrize("tag", ["B", "L"])
+    def test_detects_a_dropped_node_below_the_root(self, tag):
+        """``tree_at(h).get(b"")`` walked one path; the audit walks what
+        the block wrote."""
+        ledger = self._deep_ledger()
+        del ledger.chunks._entries[self._node_written_by(ledger, 2, tag)]
+        findings = audit_ledger(ledger)
+        assert len(findings) == 1
+        assert "block #2: index node" in findings[0]
+        assert "missing" in findings[0]
+
+    def test_detects_a_corrupted_node(self):
+        ledger = self._deep_ledger()
+        entry = ledger.chunks._entries[self._node_written_by(ledger, 3, "L")]
+        entry.data = entry.data[:-1] + bytes([entry.data[-1] ^ 1])
+        findings = audit_ledger(ledger)
+        assert len(findings) == 1 and "block #3: index node" in findings[0]
+        assert "does not hash to its address" in findings[0]
+
+    def test_detects_a_dropped_value_chunk(self):
+        ledger = self._deep_ledger()
+        del ledger.chunks._entries[hash_bytes(b"changed-90")]
+        findings = audit_ledger(ledger)
+        assert len(findings) == 1
+        assert "block #2: value chunk" in findings[0]
+        assert "missing" in findings[0]
+        # ... which is exactly the value no read can serve any more.
+        with pytest.raises(ChunkNotFoundError):
+            ledger.get(b"k090")
+
+    def test_detects_a_corrupted_value_chunk(self):
+        ledger = self._deep_ledger()
+        ledger.chunks._entries[hash_bytes(b"v33")].data = b"v34"
+        findings = audit_ledger(ledger)
+        assert len(findings) == 1
+        assert "block #0: value chunk" in findings[0]
+        assert "does not hash to its address" in findings[0]
 
 
 class TestProofBundles:

@@ -1,6 +1,7 @@
 """Unit tests for the virtual cell store."""
 
 from repro.core.cell_store import CellStore
+from repro.crypto.hashing import hash_bytes
 from repro.forkbase.chunk_store import ChunkStore
 
 
@@ -13,6 +14,25 @@ class TestCellStore:
         cells = _cells()
         cells.put("col", b"pk", 1, b"v1")
         assert cells.latest("col", b"pk").value == b"v1"
+
+    def test_a_cell_is_keyed_by_its_chunk_address_hashed_once(
+        self, monkeypatch
+    ):
+        """The universal key carries "the hash of its value": the very
+        address ``ChunkStore.put`` computed, not a second hash."""
+        from repro.forkbase import chunk_store
+
+        calls = []
+        plain = chunk_store.hash_bytes
+        monkeypatch.setattr(
+            chunk_store, "hash_bytes",
+            lambda data: calls.append(data) or plain(data),
+        )
+        chunks = ChunkStore()
+        ukey = CellStore(chunks).put("col", b"pk", 5, b"value")
+        assert calls == [b"value"]
+        assert ukey.value_hash == hash_bytes(b"value")
+        assert chunks.get(ukey.value_hash) == b"value"
 
     def test_get_exact_version(self):
         cells = _cells()

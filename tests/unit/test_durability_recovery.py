@@ -19,7 +19,11 @@ from repro.durability.crashsim import (
     wal_stream_length,
 )
 from repro.durability.wal import list_segments
-from repro.errors import SpitzError, TamperDetectedError
+from repro.errors import (
+    FormatVersionError,
+    SpitzError,
+    TamperDetectedError,
+)
 
 
 def _populate(ddb):
@@ -136,6 +140,19 @@ class TestCheckpoints:
         assert report.db.get(b"b") == b"2"
         assert report.db.get(b"c") == b"3"
         assert report.db.verify_chain()
+
+    def test_a_node_format_1_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Not damage, so no fallback: an older checkpoint is in the
+        same format, and replaying the truncated log over nothing would
+        lose what the checkpoint held."""
+        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB1" + newest.read_bytes()[8:])
+        with pytest.raises(FormatVersionError, match="nodes in format 1"):
+            recover(tmp_path)
 
     def test_keep_retains_older_checkpoints(self, tmp_path):
         with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:

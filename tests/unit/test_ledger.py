@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import pickle
 import random
 import tracemalloc
 
@@ -206,7 +205,7 @@ class TestVersionCost:
         ledger.append_block({b"k%04d" % i: b"v%d" % i for i in range(2000)})
         verifier = ClientVerifier()
         paths = []
-        for value in (b"one", b"two"):
+        for value in (b"first", b"second"):
             ledger.append_block({b"k1000": value})
             verifier.observe(ledger.digest())
             _value, proof = ledger.get_with_proof(b"k1000")
@@ -220,25 +219,3 @@ class TestVersionCost:
             was = {entry: entry for entry in old[1]}
             kept = [entry for entry in new[1] if entry in was]
             assert kept and all(entry is was[entry] for entry in kept)
-
-
-class TestLegacyState:
-    def test_ledger_pickled_with_per_block_trees_opens_on_block_roots(self):
-        """State as written before temporal reads went through block
-        roots: a ``_trees`` list with one handle per block."""
-        ledger = SpitzLedger()
-        ledger.append_block({b"k": b"v1", b"other": b"x"})
-        ledger.append_block({b"k": b"v2"})
-        state = dict(vars(ledger))
-        state["_trees"] = [ledger.tree_at(0), ledger.tree_at(1)]
-        legacy = SpitzLedger.__new__(SpitzLedger)
-        legacy.__setstate__(state)
-        assert "_trees" not in vars(legacy)
-        reopened = pickle.loads(pickle.dumps(legacy))
-        assert reopened.digest() == ledger.digest()
-        assert reopened.get_at(b"k", 0) == b"v1"
-        assert reopened.key_history(b"k") == [(0, b"v1"), (1, b"v2")]
-        verifier = ClientVerifier()
-        verifier.trust(reopened.digest())
-        _value, proof = reopened.get_with_proof(b"k")
-        assert verifier.verify(proof)

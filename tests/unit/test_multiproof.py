@@ -7,6 +7,8 @@ at *verification* (``verify`` returns False), never by decoding —
 and every honest proof must keep verifying after the attack attempts.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from repro.crypto.hashing import hash_bytes
 from repro.errors import TamperDetectedError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pos_tree import PosMultiProof, PosTree
+from repro.indexes.siri import NodeCache
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,65 @@ def _verifier_for(db: SpitzDatabase) -> ClientVerifier:
 
 
 KEYS = [b"key0003", b"key0017", b"key0042", b"key0099", b"absent"]
+
+
+class TestDecodeOnReach:
+    """A server chooses what a proof carries, but not what a verifier
+    parses and keeps: only the blobs the replay walk from the pinned
+    root reaches are decoded and cached."""
+
+    @staticmethod
+    def _proofs():
+        tree = _tree(n=400)
+        other = PosTree.from_items(
+            tree.store, [(b"other%03d" % i, b"x%d" % i) for i in range(200)], 3
+        )
+        keys = [b"key0007", b"key0211", b"absent"]
+        _values, multi = tree.get_many_with_proof(keys)
+        _entries, ranged = tree.scan_with_proof(b"key0100", b"key0140")
+        # Well-formed nodes of another tree: nothing under this root
+        # names them.
+        _entries, unreachable = other.scan_with_proof(b"", b"z")
+        junk = (b"", b"\x00garbage", b"L\xff\xff\xff\xff", b"B" * 500)
+        return tree.root, (multi, ranged), junk, unreachable.nodes
+
+    def test_junk_and_unreachable_blobs_change_nothing(self):
+        root, proofs, junk, unreachable = self._proofs()
+        assert len(unreachable) > 20
+        for honest in proofs:
+            baseline = NodeCache()
+            assert honest.verify(root, baseline)
+            assert len(baseline) == len(honest.nodes)
+            for extra in (junk, unreachable, junk + unreachable):
+                padded = dataclasses.replace(
+                    honest, nodes=extra + honest.nodes + extra
+                )
+                cache = NodeCache()
+                assert padded.verify(root, cache)
+                assert padded.verify(root, cache)  # warm: the same
+                assert set(cache) == set(baseline)
+                assert len(cache.entries) == len(baseline.entries)
+                assert padded.verify(root)  # and with no cache at all
+
+    def test_the_client_verifier_cache_grows_by_the_honest_nodes_only(self):
+        db = _loaded_db()
+        _values, honest = db.get_many_verified(KEYS)
+        _entries, unreachable = PosTree.from_items(
+            ChunkStore(), [(b"o%03d" % i, b"x") for i in range(300)], 3
+        ).scan_with_proof(b"", b"z")
+        padded = dataclasses.replace(
+            honest,
+            multi=dataclasses.replace(
+                honest.multi,
+                nodes=honest.multi.nodes + unreachable.nodes + (b"junk",),
+            ),
+        )
+        sizes = []
+        for proof in (honest, padded):
+            verifier = _verifier_for(db)
+            assert verifier.verify(proof)
+            sizes.append(len(verifier._node_cache))
+        assert sizes[0] == sizes[1] == len(honest.multi.nodes)
 
 
 class TestTamperMatrix:

@@ -5,7 +5,11 @@ import pytest
 from repro.core.database import SpitzDatabase
 from repro.core.persistence import load_database, save_database
 from repro.core.verifier import ClientVerifier
-from repro.errors import StorageError, TamperDetectedError
+from repro.errors import (
+    FormatVersionError,
+    StorageError,
+    TamperDetectedError,
+)
 from repro import cli
 
 
@@ -78,6 +82,24 @@ class TestPersistence:
         snapshot_path.write_bytes(b"NOTSPITZ" + b"x" * 64)
         with pytest.raises(StorageError):
             load_database(snapshot_path)
+
+    def test_a_node_format_1_file_is_refused_by_name_not_unpickled(
+        self, snapshot_path, monkeypatch
+    ):
+        """A file stamped with the previous node format holds pickled
+        nodes this build cannot decode: it is refused before its
+        payload is looked at."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        assert blob.startswith(b"SPITZDB2")
+        snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(FormatVersionError, match="node format 2 only"):
+            load_database(snapshot_path)
+        assert issubclass(FormatVersionError, StorageError)
+        assert cli.main(["get", str(snapshot_path), "k01"]) == 1  # operational, not tamper
 
 
 class TestCli:

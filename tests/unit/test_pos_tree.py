@@ -1,13 +1,12 @@
 """Unit tests for the POS-tree (SIRI member Spitz's ledger uses)."""
 
-import pickle
 import random
 import tracemalloc
 
 import pytest
 
 from repro.crypto.hashing import Digest
-from repro.indexes.pos_tree import PosTree, _Ref
+from repro.indexes.pos_tree import PosTree
 from repro.indexes.siri import DELETE, SiriProof
 
 
@@ -155,36 +154,6 @@ class TestVersionSharing:
         finally:
             tracemalloc.stop()
         assert peak - before < 64 * 1024, f"apply peak {peak - before} bytes"
-
-
-class TestLegacyState:
-    def test_handle_pickled_with_level_lists_opens_on_its_root(self, store):
-        """State as written before handles were roots: ``_levels`` of
-        ``_Ref`` objects (root level last) and a first-keys cache."""
-        tree = PosTree.from_items(store, _items(300), mask_bits=3)
-
-        def ref(address):
-            legacy = _Ref()
-            vars(legacy).update(
-                first_key=b"", address=address, count=1, boundary=False
-            )
-            return legacy
-
-        legacy = PosTree.__new__(PosTree)
-        legacy.__setstate__(
-            {
-                "store": store,
-                "mask_bits": 3,
-                "_mask": 7,
-                "_levels": [[ref(tree.root), ref(tree.root)], [ref(tree.root)]],
-                "_first_keys_cache": [b""],
-            }
-        )
-        assert vars(legacy) == vars(tree)
-        reloaded = pickle.loads(pickle.dumps(legacy))
-        assert reloaded.root == tree.root
-        assert reloaded.get(b"k000123") == b"v123"
-        assert reloaded.apply({b"a": b"b"}).root == tree.apply({b"a": b"b"}).root
 
 
 class TestReads:

@@ -1,10 +1,12 @@
 """The wire format as data: golden frames, a mutation sweep, extension.
 
-- **golden frames** — the JSON each proof/digest kind encodes to was
-  captured at the commit before the codec became one frame table;
-  single-ledger frames must stay byte-identical, sharded frames keep
-  their keys and shapes (their digests moved because the shard leaf
-  now commits to the fleet size);
+- **golden frames** — the JSON each proof/digest kind encodes to:
+  single-ledger frames must stay byte-identical, sharded frames
+  (stamped from a clock) keep their keys and shapes.  Node format v2
+  moved the node blobs and every digest, so the file was regenerated
+  (``python -m tests.wire_samples``) — and is held to the keys, leaf
+  types and field order of the frames it replaced, captured from the
+  v1 file as ``golden_wire_frame_skeletons.json``;
 - **mutation sweep** — every path of every frame kind × a fixed junk
   set, every key of every object dropped and every object given a
   stray key: ``decode_value`` raises nothing but :class:`WireCodecError`,
@@ -34,6 +36,11 @@ from tests.wire_samples import sharded_samples, single_ledger_samples
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_wire_frames.json").read_text()
 )
+#: Per frame kind, what the v1 golden frame looked like with its bytes
+#: taken out (:func:`_skeleton`).
+SKELETONS = json.loads(
+    (Path(__file__).parent / "golden_wire_frame_skeletons.json").read_text()
+)
 
 #: What a mutated frame gets in place of each node, container or leaf.
 JUNK = (None, -1, 1.5, 2**70, "", "zz", [], {}, True, {"$bytes": "AAAA"})
@@ -55,9 +62,33 @@ def _shape(node):
     return type(node).__name__
 
 
+def _skeleton(node):
+    """A frame with its bytes taken out: objects as their ``[key,
+    skeleton]`` rows *in order*, lists as the distinct skeletons of
+    their items (a path may grow or lose a node), leaves as ``digest``
+    (64 hex characters) or their type."""
+    if isinstance(node, dict):
+        return [[key, _skeleton(item)] for key, item in node.items()]
+    if isinstance(node, list):
+        kinds = []
+        for item in map(_skeleton, node):
+            if item not in kinds:
+                kinds.append(item)
+        return sorted(kinds, key=json.dumps)
+    if isinstance(node, str) and len(node) == 64 and (
+        set(node) <= set("0123456789abcdef")
+    ):
+        return "digest"
+    return type(node).__name__
+
+
 class TestGoldenFrames:
     def test_every_kind_has_a_golden_frame(self, samples):
-        assert set(samples) == set(GOLDEN)
+        assert set(samples) == set(GOLDEN) == set(SKELETONS)
+
+    def test_regenerated_frames_keep_v1_keys_types_and_field_order(self):
+        for name, frame in GOLDEN.items():
+            assert _skeleton(json.loads(frame)) == SKELETONS[name], name
 
     def test_single_ledger_frames_are_byte_identical(self):
         for name, (value, *_) in single_ledger_samples().items():

@@ -1,8 +1,11 @@
 """Deterministic served objects, one per wire frame kind.
 
-Shared by the golden-frame test (the JSON each object encodes to was
-captured at the commit before the codec became table-driven) and the
-wire mutation sweep.  Nothing here depends on the clock: the
+Shared by the golden-frame test, the wire mutation sweep and the node
+fuzz.  ``python -m tests.wire_samples`` rewrites
+``tests/unit/golden_wire_frames.json`` from them — for a change that
+means to move the bytes (a node format bump); the golden test then
+still holds the new frames to the keys, types and field order of the
+old.  Nothing here depends on the clock: the
 single-ledger database stamps commits from a logical counter, and the
 sharded samples are compared by shape only.
 
@@ -123,3 +126,20 @@ def sharded_samples() -> dict:
             ),
         ),
     }
+
+
+if __name__ == "__main__":
+    import json
+    from pathlib import Path
+
+    from repro.serve.codec import encode_value
+
+    golden = {
+        name: json.dumps(encode_value(sample.value))
+        for name, sample in sorted(
+            {**single_ledger_samples(), **sharded_samples()}.items()
+        )
+    }
+    path = Path(__file__).parent / "unit" / "golden_wire_frames.json"
+    path.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
+    print(f"wrote {len(golden)} frames to {path}")
