@@ -10,6 +10,7 @@ immediately) and deferred (batch) modes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.errors import TamperDetectedError, VerificationError
@@ -27,10 +28,12 @@ class ClientVerifier:
     latency for throughput (measured in ``bench_ablation_deferred``).
 
     Counters (``checks``/``detections``/``cache_hits``/``cache_misses``)
-    are kept accurate in *both* modes: deferred checks — whether run by
-    an explicit :meth:`flush` or a batch-full auto-flush inside
-    :meth:`verify` — are accounted from the queue's own totals, so a
-    batch that fails mid-flush still registers its detection.
+    are kept accurate in *both* modes: either mode runs the same
+    :meth:`_check` per proof (verify, then cache accounting), and
+    deferred checks — whether run by an explicit :meth:`flush` or a
+    batch-full auto-flush inside :meth:`verify` — are counted from the
+    queue's own totals, so a batch that fails mid-flush still registers
+    its detection.
 
     Fork detection: :meth:`observe` rejects not only digests *behind*
     the trusted height but also **same-height digests whose chain
@@ -200,27 +203,33 @@ class ClientVerifier:
             raise VerificationError(
                 "no trusted digest: call trust()/observe() first"
             )
-        trusted_chain = self._trusted.chain_digest
+        check = partial(self._check, proof, self._trusted.chain_digest)
         if self._queue is not None:
             self._run_deferred(
-                lambda: self._queue.submit(
-                    label=proof.label,
-                    check=lambda: proof.verify(
-                        trusted_chain, self._node_cache, self._block_cache
-                    ),
-                )
+                lambda: self._queue.submit(label=proof.label, check=check)
             )
             return True
         self.checks += 1
         self._c_checks.inc()
+        ok = check()
+        if not ok:
+            self._record_detection()
+        return ok
+
+    def _check(self, proof, trusted_chain) -> bool:
+        """What either mode runs for one proof: verify it, and attribute
+        its nodes to cache hits vs misses."""
         nodes_before = len(self._node_cache)
         with self.metrics.tracer.stage_in_trace("verifier.verify"):
             ok = proof.verify(
                 trusted_chain, self._node_cache, self._block_cache
             )
-        self._account_cache(proof, nodes_before)
-        if not ok:
-            self._record_detection()
+        misses = len(self._node_cache) - nodes_before
+        hits = max(len(proof.cacheable_nodes) - misses, 0)
+        self.cache_hits += hits
+        self.cache_misses += misses
+        self._c_cache_hits.inc(hits)
+        self._c_cache_misses.inc(misses)
         return ok
 
     def verify_or_raise(self, proof) -> None:
@@ -270,15 +279,6 @@ class ClientVerifier:
             self._c_checks.inc(verified + failures)
             if failures:
                 self._record_detection(failures)
-
-    def _account_cache(self, proof, nodes_before: int) -> None:
-        """Attribute one proof's nodes to cache hits vs misses."""
-        misses = len(self._node_cache) - nodes_before
-        hits = max(len(proof.cacheable_nodes) - misses, 0)
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self._c_cache_hits.inc(hits)
-        self._c_cache_misses.inc(misses)
 
 
 class VerifiedWriter:

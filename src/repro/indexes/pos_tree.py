@@ -54,17 +54,13 @@ from repro.indexes.siri import (
 #: Default split pattern width: expected node size is ``2**MASK_BITS``.
 DEFAULT_MASK_BITS = 5
 
-#: Everything a tampered proof can raise during verification — node
-#: bytes the strict codec refuses (``ValueError``), nodes the proof did
-#: not supply (``KeyError``), broken path walks, nodes nested deeper than
-#: any tree (``RecursionError``).  Proof ``verify`` methods turn all of
-#: these into ``False``: tampering is *detected*, never an exception.
-_VERIFY_ERRORS = (KeyError, ValueError, IndexError, TypeError, RecursionError)
-
-
-def _claimed(value: Optional[bytes]) -> Optional[Digest]:
-    """The leaf digest a claimed value must sit under (None: absence)."""
-    return None if value is None else hash_bytes(value)
+#: Everything a tampered proof can raise during verification — a blob
+#: that does not hash to the address the walk expects or that the strict
+#: codec refuses (``ValueError``), a walk past the proof's last blob or
+#: into an empty branch (``IndexError``), nodes nested deeper than any
+#: tree (``RecursionError``).  Proof ``verify`` methods turn all of these
+#: into ``False``: tampering is *detected*, never an exception.
+_VERIFY_ERRORS = (ValueError, IndexError, TypeError, RecursionError)
 
 
 @dataclass(frozen=True)
@@ -72,11 +68,11 @@ class PosRangeProof:
     """One proof covering every entry of a range scan.
 
     ``nodes`` holds the raw bytes of all nodes on the root-to-leaf
-    paths of every leaf overlapping ``[low, high]``; shared interior
-    nodes appear once.  :meth:`verify` re-executes the scan over the
-    proof nodes alone and checks both the recomputed digests and the
-    claimed entries, so adding, dropping or altering any result row is
-    detected.
+    paths of every leaf overlapping ``[low, high]``, each once, in the
+    order the scan first visited them — that order is part of the proof.
+    :meth:`verify` re-executes the scan from ``root`` over them
+    (:func:`_first_visits`) and compares what it finds with the claimed
+    entries, so adding, dropping or altering any result row is detected.
     """
 
     low: bytes
@@ -112,7 +108,7 @@ class PosRangeProof:
             return False
         try:
             replayed = _pairs_between(
-                _supplied(self.nodes, cache), root, self.low, self.high
+                _first_visits(self.nodes, cache), root, self.low, self.high
             )
             return replayed == [
                 (key, hash_bytes(value)) for key, value in self.entries
@@ -130,15 +126,16 @@ class PosMultiProof:
     point proof).  ``nodes`` holds the raw bytes of every node on any
     queried key's root-to-leaf path — **deduplicated by address**, so
     the root and shared upper levels appear once no matter how many
-    keys traverse them.  That dedup is the whole point: K point proofs
-    ship the root K times; one multiproof ships it once.
+    keys traverse them — in the order the K walks first visited them;
+    that order is part of the proof.  The dedup is the whole point: K
+    point proofs ship the root K times; one multiproof ships it once.
 
-    :meth:`verify` hashes every supplied node, then re-walks each
-    key's path from ``root`` using only proof-supplied nodes.  A
-    mutated node hashes to a different address and breaks its path
-    (missing node); a truncated node set breaks the walk the same way;
-    a swapped or forged claim fails the leaf comparison.  All failures
-    return False — nothing raises.
+    :meth:`verify` re-walks each key's path from ``root`` over the
+    nodes (:func:`_first_visits`).  A mutated node does not hash to the
+    address the walk expects; a dropped or misplaced one puts another
+    blob at its position, which fails the same check; a swapped or
+    forged claim fails the leaf comparison.  All failures return
+    False — nothing raises.
     """
 
     entries: Tuple[Tuple[bytes, Optional[bytes]], ...]
@@ -173,35 +170,40 @@ class PosMultiProof:
         if root != self.root:
             return False
         try:
-            supplied = _supplied(self.nodes, cache)
+            node_at = _first_visits(self.nodes, cache)
             return all(
-                _digest_at(supplied, root, key) == _claimed(value)
+                _digest_at(node_at, root, key)
+                == (None if value is None else hash_bytes(value))
                 for key, value in self.entries
             )
         except _VERIFY_ERRORS:
             return False
 
 
-def _supplied(
-    nodes: Tuple[bytes, ...], cache: Optional[dict]
+def _first_visits(
+    nodes: Sequence[bytes], cache: Optional[dict]
 ) -> Callable[[Digest], tuple]:
-    """A proof's nodes by address, decoded when the replay reaches them.
+    """A proof's nodes, read by the walk that wrote them.
 
-    Every supplied blob is hashed (its key), but only what the walk from
-    the pinned root visits is parsed and memoized in ``cache`` (digest →
-    decoded node, shared across proofs): junk or unreachable blobs cannot
-    grow a verifier's cache.  Replay sees nodes *this* proof supplied and
-    no others (``KeyError``): a cached node never stands in for a dropped one.
+    ``nodes`` are the blobs the server's walk touched, each once, in the
+    order it first reached them, and a verifier runs that same walk from
+    the pinned root: the n-th address it first reaches is the n-th
+    blob's.  A node that ``cache`` (digest → decoded node, shared across
+    proofs) holds was hashed to its address on the way in, so its
+    position is skipped unread; any other blob must hash to the address
+    the walk expects before it is parsed and cached.  Blobs past the last
+    position read are never touched: ``len(nodes)`` bounds the work.
     """
-    raw = {hash_bytes(blob): blob for blob in nodes}
     reached: Dict[Digest, tuple] = {}
 
     def node_at(address: Digest) -> tuple:
         node = reached.get(address)
         if node is None:
-            blob = raw[address]
             node = cache.get(address) if cache is not None else None
             if node is None:
+                blob = nodes[len(reached)]
+                if hash_bytes(blob) != address:
+                    raise ValueError("node does not hash to its address")
                 node = cache_node(cache, address, blob)
             reached[address] = node
         return node
@@ -240,8 +242,9 @@ def _paired(pairs: Sequence[tuple], key: bytes) -> Optional[bytes]:
 
 
 #: The two walks below are the query *and* its verification: a server
-#: runs them over its store (the nodes touched become the proof), a
-#: verifier over the nodes a proof supplied; ``node_at`` decodes either.
+#: runs them over its store (the nodes touched become the proof, in the
+#: order first touched), a verifier over those nodes in that order
+#: (:func:`_first_visits`); ``node_at`` decodes either.
 
 
 def _digest_at(
@@ -537,28 +540,17 @@ class PosTree(SiriIndex):
         """True iff ``proof`` authenticates its claim under ``root``:
         each node hashes to the address its parent (or ``root``) names,
         and the claimed value hashes to the digest the path ends on.
-        Returns False (never raises) on any mismatch.
+        Returns False (never raises) on any mismatch.  A point proof is
+        the one-key multiproof.
 
         ``cache`` (digest → decoded node) memoizes nodes already hashed
         to their address — sound, because a digest match is a property
         of the bytes alone — which is what makes consecutive proofs
         cheap: they share the index's upper levels.
         """
-        try:
-            expected = root
-            for raw in proof.nodes:
-                node = cache.get(expected) if cache is not None else None
-                if node is None:
-                    if hash_bytes(raw) != expected:
-                        return False
-                    node = cache_node(cache, expected, raw)
-                tag, pairs = node
-                if tag == "L":
-                    return _paired(pairs, proof.key) == _claimed(proof.value)
-                expected = Digest(pairs[_child_index(pairs, proof.key)][1])
-            return False  # the path stops short of a leaf
-        except _VERIFY_ERRORS:
-            return False
+        return PosMultiProof(
+            ((proof.key, proof.value),), proof.nodes, root
+        ).verify(root, cache)
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         for pairs in self._leaves(self.root):

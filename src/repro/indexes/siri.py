@@ -125,12 +125,14 @@ class SiriProof:
     """An authentication path for one key.
 
     ``nodes`` holds the raw bytes of every node from the root down to
-    (and including) the node that answers the query, in root-first
-    order.  ``key`` and ``value`` state the claim: ``value is None``
-    claims absence.  Verification recomputes each node's digest and
-    checks parent-to-child linkage, and accepts the value only under
-    the digest the path ends on, so any tampering with the value, the
-    key, or any node on the path is detected.
+    (and including) the node that answers the query, in the order the
+    answering walk visited them (root first); that order is part of the
+    proof.  ``key`` and ``value`` state the claim: ``value is None``
+    claims absence.  Verification re-walks the path, requires each node
+    it does not already hold to hash to the address its parent names,
+    and accepts the value only under the digest the path ends on, so
+    any tampering with the value, the key, or any node on the path is
+    detected.
     """
 
     key: bytes

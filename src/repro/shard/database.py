@@ -214,7 +214,8 @@ class ShardedDatabase:
         return self.shards[self.shard_of(key)].get(key)
 
     def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        self._c_reads.inc(len(list(keys)) or 1)
+        keys = list(keys)
+        self._c_reads.inc(len(keys) or 1)
         return [self.shards[self.shard_of(key)].get(key) for key in keys]
 
     def history(self, key: bytes) -> List[Tuple[int, bytes]]:

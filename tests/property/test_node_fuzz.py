@@ -13,6 +13,14 @@ bytes, and every proof kind under node- and value-level damage.
   a cold verifier's walk — is rejected outright; blobs it never reaches
   (appended junk, or, for a warm verifier, a node it already holds)
   change nothing;
+- **one replay** — for random trees, key sets, ranges and a verifier
+  that already holds *any subset* of a proof's nodes: honest point,
+  multi and range proofs verify; SHA-256 runs over a node blob exactly
+  once per cache miss and never on a hit, and so does the node decoder;
+  a point proof is the one-key multiproof under every mutation above; a
+  dropped blob, two swapped, or a path cut short is ``False`` cold, and
+  no damage makes a warm verifier accept a false claim.  The hit-costs-
+  no-hash count is repeated through ``ClientVerifier`` for every sample;
 - **no pickle** — with ``pickle.loads``, ``pickle.load`` and
   ``pickle.Unpickler`` made to raise, every proof kind still decodes
   from its wire frame and verifies.
@@ -22,8 +30,12 @@ Runs under one fixed Hypothesis profile: same examples every run.
 
 import base64
 import copy
+import dataclasses
 import json
 import pickle
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +43,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.audit import ProofBundle, make_bundle, verify_bundle
 from repro.core.database import SpitzDatabase
 from repro.core.verifier import ClientVerifier
+from repro.crypto import hashing
 from repro.crypto.hashing import hash_bytes
-from repro.indexes.pos_tree import PosRangeProof
-from repro.indexes.siri import decode_node, encode_node
+from repro.forkbase.chunk_store import ChunkStore
+from repro.indexes import siri
+from repro.indexes.pos_tree import PosRangeProof, PosTree
+from repro.indexes.siri import NodeCache, cache_node, decode_node, encode_node
 from repro.serve.codec import decode_value, encode_value
 from tests.wire_samples import sharded_samples, single_ledger_samples
 
@@ -306,9 +321,200 @@ def test_a_chain_of_nodes_deeper_than_any_tree_is_rejected_not_raised():
     root = hash_bytes(blob)
     proof = PosRangeProof(
         low=b"a", high=b"z", entries=((b"k", value),),
-        nodes=tuple(chain), root=root,
+        nodes=tuple(reversed(chain)), root=root,  # root first: walk order
     )
     assert proof.verify(root) is False
+
+
+# ---------------------------------------------------------------------------
+# one replay
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _counted(blobs):
+    """Per blob of ``blobs``: the SHA-256 runs over it, whoever asks
+    :mod:`repro.crypto.hashing`, and the verifier's decodes of it."""
+    blobs = frozenset(blobs)
+    hashed, decoded = Counter(), Counter()
+    real = hashing.hashlib
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data=b""):
+            if data in blobs:
+                hashed[data] += 1
+            return real.sha256(data)
+
+    def decode(data):
+        if data in blobs:
+            decoded[data] += 1
+        return decode_node(data)
+
+    with mock.patch.object(hashing, "hashlib", CountingHashlib):
+        with mock.patch.object(siri, "decode_node", decode):
+            yield hashed, decoded
+
+
+def _holding(blobs):
+    """A node cache that has hash-checked exactly ``blobs``."""
+    cache = NodeCache()
+    for blob in blobs:
+        cache_node(cache, hash_bytes(blob), blob)
+    return cache
+
+
+def _damaged(blobs):
+    """Every node-list mutation the sample fuzz above applies, by name."""
+    for index, blob in enumerate(blobs):
+        before, after = blobs[:index], blobs[index + 1:]
+        for at in {0, len(blob) // 2, len(blob) - 1}:
+            data = bytearray(blob)
+            data[at] ^= 1 << (at % 8)
+            yield "flipped", before + (bytes(data),) + after
+        for keep in {0, 5, len(blob) - 1}:
+            yield "cut", before + (blob[:keep],) + after
+        yield "dropped", before + after
+        for second in range(index + 1, len(blobs)):
+            swapped = list(blobs)
+            swapped[index], swapped[second] = blobs[second], blobs[index]
+            yield "swapped", tuple(swapped)
+    yield "appended", blobs + (b"", b"\x00junk", blobs[0])
+
+
+small_keys = st.text(alphabet="abcd", min_size=1, max_size=4).map(str.encode)
+trees = st.dictionaries(
+    small_keys, st.binary(max_size=6), min_size=1, max_size=90
+).map(lambda items: PosTree.from_items(ChunkStore(), list(items.items()), 2))
+key_sets = st.lists(small_keys, min_size=1, max_size=6)
+REPLAY = settings(FIXED, max_examples=60)
+
+
+def _forged(value):
+    """A claim about a key that ``value`` (None: absent) makes false."""
+    return None if value is not None else b"forged!"
+
+
+def _honest(tree, keys, bounds):
+    """A point, a multi and a range proof as the server builds them, each
+    with a copy that makes one false claim over the same nodes."""
+    low, high = sorted(bounds)
+    point = tree.get_with_proof(keys[0])[1]
+    multi = tree.get_many_with_proof(keys)[1]
+    ranged = tree.scan_with_proof(low, high)[1]
+    (key, value), rest = multi.entries[0], multi.entries[1:]
+    return (
+        (point, dataclasses.replace(point, value=_forged(point.value))),
+        (multi, dataclasses.replace(
+            multi, entries=((key, _forged(value)),) + rest
+        )),
+        (ranged, dataclasses.replace(
+            ranged, entries=ranged.entries[1:] or ((low, b"forged!"),)
+        )),
+    )
+
+
+def _subset(data, blobs):
+    return data.draw(st.sets(st.sampled_from(blobs)), label="nodes held")
+
+
+class TestOneReplay:
+    @REPLAY
+    @given(trees, key_sets, st.tuples(small_keys, small_keys), st.data())
+    def test_honest_proofs_verify_and_a_hit_costs_no_hash(
+        self, tree, keys, bounds, data
+    ):
+        for proof, _lie in _honest(tree, keys, bounds):
+            held = _subset(data, proof.nodes)
+            cache = _holding(held)
+            missed = Counter(set(proof.nodes) - held)
+            with _counted(proof.nodes) as (hashed, decoded):
+                assert proof.verify(tree.root, cache)
+                assert hashed == missed  # once per miss, never on a hit
+                assert decoded == missed
+                assert proof.verify(tree.root, cache)  # now all hits
+                assert hashed == missed and decoded == missed
+            assert len(cache) == len(proof.nodes)
+            assert sum(decoded.values()) <= sum(missed.values()) <= len(
+                proof.nodes
+            )
+
+    @REPLAY
+    @given(trees, small_keys, st.data())
+    def test_a_point_proof_is_the_one_key_multiproof(self, tree, key, data):
+        value, point = tree.get_with_proof(key)
+        multi = tree.get_many_with_proof([key])[1]
+        assert multi.nodes == point.nodes
+        held = _subset(data, point.nodes)
+        claims = (value, _forged(value))
+        cases = [("honest", point.nodes), *_damaged(point.nodes)]
+        for claimed in claims:
+            for name, nodes in cases:
+                as_point = dataclasses.replace(
+                    point, value=claimed, nodes=nodes
+                )
+                as_multi = dataclasses.replace(
+                    multi, entries=((key, claimed),), nodes=nodes
+                )
+                for warm in (False, True):
+                    caches = [_holding(held if warm else ()) for _ in "pm"]
+                    verdicts = [
+                        PosTree.verify_proof(as_point, tree.root, caches[0]),
+                        as_multi.verify(tree.root, caches[1]),
+                    ]
+                    assert verdicts[0] is verdicts[1], (name, warm)
+                    assert set(caches[0]) == set(caches[1]), (name, warm)
+                    assert verdicts[0] is False or claimed == value
+                assert PosTree.verify_proof(
+                    as_point, tree.root
+                ) is as_multi.verify(tree.root)
+
+    @REPLAY
+    @given(trees, key_sets, st.tuples(small_keys, small_keys), st.data())
+    def test_dropped_or_swapped_fails_cold_and_warm_accepts_no_lie(
+        self, tree, keys, bounds, data
+    ):
+        for proof, lie in _honest(tree, keys, bounds):
+            held = _subset(data, proof.nodes)
+            assert not lie.verify(tree.root, _holding(proof.nodes))
+            for name, nodes in _damaged(proof.nodes):
+                if name in ("dropped", "swapped"):
+                    damaged = dataclasses.replace(proof, nodes=nodes)
+                    assert damaged.verify(tree.root) is False, name
+                    assert damaged.verify(tree.root, NodeCache()) is False
+                for cache in (_holding(held), _holding(proof.nodes)):
+                    damaged = dataclasses.replace(lie, nodes=nodes)
+                    assert damaged.verify(tree.root, cache) is False, name
+
+    @REPLAY
+    @given(trees, small_keys)
+    def test_a_path_that_stops_short_of_a_leaf_is_false_not_an_error(
+        self, tree, key
+    ):
+        point = tree.get_with_proof(key)[1]
+        for proof in (point, tree.get_many_with_proof([key])[1]):
+            for kept in range(len(point.nodes)):
+                short = dataclasses.replace(proof, nodes=point.nodes[:kept])
+                assert short.verify(tree.root) is False
+                # Holding what it was sent, it needs the next blob still.
+                cache = _holding(short.nodes)
+                assert short.verify(tree.root, cache) is False
+                assert len(cache) == kept
+
+    def test_a_hit_costs_no_hash_through_the_client_verifier(self, checked):
+        """Search evidence and every sharded part replay the same way."""
+        proof = decode_value(checked.frame)
+        blobs = list(dict.fromkeys(proof.cacheable_nodes))
+        for held in ((), blobs[::2], blobs[1::2], blobs):
+            verifier = checked.cold()
+            for blob in held:
+                cache_node(verifier._node_cache, hash_bytes(blob), blob)
+            missed = Counter(set(blobs) - set(held))
+            with _counted(blobs) as (hashed, decoded):
+                assert verifier.verify(proof)
+            assert hashed == missed and decoded == missed, checked.name
+            assert verifier.cache_misses == len(missed)
+            assert len(verifier._node_cache) == len(blobs)
 
 
 class TestNoPickleOnTheProofPath:

@@ -102,8 +102,9 @@ KEYS = [b"key0003", b"key0017", b"key0042", b"key0099", b"absent"]
 
 class TestDecodeOnReach:
     """A server chooses what a proof carries, but not what a verifier
-    parses and keeps: only the blobs the replay walk from the pinned
-    root reaches are decoded and cached."""
+    parses and keeps: a blob is read only at the position the replay
+    walk from the pinned root is at, and parsed and cached only once it
+    hashes to the address the walk expects there."""
 
     @staticmethod
     def _proofs():
@@ -121,6 +122,8 @@ class TestDecodeOnReach:
         return tree.root, (multi, ranged), junk, unreachable.nodes
 
     def test_junk_and_unreachable_blobs_change_nothing(self):
+        """Appended, they are never read; in front of the walk's nodes
+        they are what a cold verifier reads first, and rejects."""
         root, proofs, junk, unreachable = self._proofs()
         assert len(unreachable) > 20
         for honest in proofs:
@@ -129,7 +132,7 @@ class TestDecodeOnReach:
             assert len(baseline) == len(honest.nodes)
             for extra in (junk, unreachable, junk + unreachable):
                 padded = dataclasses.replace(
-                    honest, nodes=extra + honest.nodes + extra
+                    honest, nodes=honest.nodes + extra
                 )
                 cache = NodeCache()
                 assert padded.verify(root, cache)
@@ -137,6 +140,18 @@ class TestDecodeOnReach:
                 assert set(cache) == set(baseline)
                 assert len(cache.entries) == len(baseline.entries)
                 assert padded.verify(root)  # and with no cache at all
+
+                fronted = dataclasses.replace(
+                    honest, nodes=extra + honest.nodes
+                )
+                cache = NodeCache()
+                assert not fronted.verify(root, cache)
+                assert not cache and not cache.entries
+                assert not fronted.verify(root)
+                # A verifier holding every node reads no position at all.
+                held = len(baseline), len(baseline.entries)
+                assert fronted.verify(root, baseline)
+                assert (len(baseline), len(baseline.entries)) == held
 
     def test_the_client_verifier_cache_grows_by_the_honest_nodes_only(self):
         db = _loaded_db()

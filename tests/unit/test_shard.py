@@ -153,6 +153,13 @@ class TestShardedFacade:
         # versions, not the tombstone.
         assert [v for _, v in db.history(b"k07")] == [b"v07"]
 
+    def test_get_many_reads_a_one_shot_iterator_like_the_single_ledger(self):
+        for db in (SpitzDatabase(), ShardedDatabase(num_shards=2)):
+            db.put(b"a", b"1")
+            db.put(b"b", b"2")
+            keys = (key for key in (b"a", b"b", b"nope"))
+            assert db.get_many(keys) == [b"1", b"2", None]
+
     def test_single_shard_batch_stays_direct(self):
         db = ShardedDatabase(num_shards=4)
         key = b"solo"

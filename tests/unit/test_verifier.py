@@ -251,6 +251,29 @@ class TestDeferredMode:
         assert verifier.cache_misses == first_misses
         assert verifier.cache_hits >= len(proof.siri.nodes)
 
+    def test_both_modes_account_the_same_cache_hits_and_misses(
+        self, loaded_db
+    ):
+        proofs = [
+            loaded_db.get_verified(f"key{i:04d}".encode())[1]
+            for i in (1, 2, 90, 199)
+        ]
+        proofs.append(loaded_db.get_many_verified([b"key0001", b"nope"])[1])
+        proofs.append(loaded_db.scan_verified(b"key0040", b"key0060")[1])
+        totals = []
+        for deferred in (False, True):
+            verifier = ClientVerifier(deferred=deferred, batch_size=4)
+            verifier.trust(loaded_db.digest())
+            for proof in proofs:
+                assert verifier.verify(proof)
+            verifier.flush()
+            totals.append(
+                (verifier.checks, verifier.cache_hits, verifier.cache_misses)
+            )
+        assert totals[0] == totals[1]
+        assert totals[0][0] == len(proofs)
+        assert totals[0][1] > 0 and totals[0][2] > 0
+
 
 class TestVerifiedWriter:
     def test_batched_write_verification(self):
