@@ -1,21 +1,55 @@
-"""Virtual cell store.
+"""Virtual cell store: a view, not a store.
 
-"Built on top of ForkBase is a virtual cell store, as opposed to row
-or column store in traditional databases" (Section 5).  Every write
-creates a new immutable cell version addressed by its universal key;
-values are deduplicated in the shared chunk store; a B+-tree over the
-encoded universal keys provides ordered access, so a prefix range walk
-enumerates a cell's version history.
+"Built on top of ForkBase is a virtual cell store" (Section 5), and
+"the system maps each cell to a universal key consisting of the column
+id, primary key, timestamp, and the hash of its value".  A committed
+write is kept once, as a :class:`~repro.txn.mvcc.Version` in the MVCC
+store; a cell is that version seen under its universal key, derived on
+demand (one hash), so a write stores no key and no index entry here.
+Tombstones (logical deletes) are not cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional, Tuple
 
-from repro.forkbase.chunk_store import ChunkStore
-from repro.indexes.bplus import BPlusTree
+from repro.crypto.hashing import hash_bytes
+from repro.errors import QueryError
+from repro.core.schema import DOC_PREFIX, KV_PREFIX, TABLE_PREFIX
 from repro.core.universal_key import UniversalKey
+from repro.txn.mvcc import MVCCStore, Version
+
+
+def parse_logical_key(logical_key: bytes) -> Tuple[str, bytes]:
+    """Split a logical key into (cell-store column, primary key)."""
+    if logical_key.startswith(KV_PREFIX):
+        return "default", logical_key[len(KV_PREFIX):]
+    if logical_key.startswith(TABLE_PREFIX):
+        body = logical_key[len(TABLE_PREFIX):]
+        table, column, pk = body.split(b"\x00", 2)
+        return f"{table.decode('utf-8')}.{column.decode('utf-8')}", pk
+    if logical_key.startswith(DOC_PREFIX):
+        body = logical_key[len(DOC_PREFIX):]
+        collection, doc_id = body.split(b"\x00", 1)
+        return f"{collection.decode('utf-8')}#doc", doc_id
+    raise QueryError(f"malformed logical key {logical_key!r}")
+
+
+def live_value(versions: Optional[List[Version]]) -> Optional[bytes]:
+    """The newest version's value (None if none, or it is a delete)."""
+    if not versions or versions[-1].is_tombstone:
+        return None
+    return versions[-1].value
+
+
+def put_history(store: MVCCStore, key: bytes) -> List[Tuple[int, bytes]]:
+    """(timestamp, value) of every version of ``key`` but deletes."""
+    return [
+        (version.commit_ts, version.value)
+        for version in store.history(key)
+        if not version.is_tombstone
+    ]
 
 
 @dataclass(frozen=True)
@@ -27,76 +61,33 @@ class Cell:
 
 
 class CellStore:
-    """Universal-key-addressed immutable cells over a chunk store."""
+    """Cells over the MVCC store's version lists, by logical key."""
 
-    def __init__(self, chunks: ChunkStore):
-        self._chunks = chunks
-        # encoded universal key -> value content address; the B+-tree
-        # serves ordered access (version enumeration, scans) and the
-        # hash sidecar serves exact-match lookups.
-        self._index = BPlusTree()
-        self._by_encoded: dict = {}
-        self.writes = 0
+    def __init__(self, store: MVCCStore):
+        self._store = store
 
-    def put(
-        self, column: str, primary_key: bytes, timestamp: int, value: bytes
-    ) -> UniversalKey:
-        """Store a new cell version; returns its universal key."""
-        # The chunk address *is* the value hash the key carries.
-        address = self._chunks.put(value)
-        ukey = UniversalKey(column, primary_key, timestamp, address)
-        encoded = ukey.encode()
-        self._index.insert(encoded, (ukey, address))
-        self._by_encoded[encoded] = (ukey, address)
-        self.writes += 1
-        return ukey
+    def latest(self, logical_key: bytes) -> Optional[Cell]:
+        """The live version (None if never written, or deleted)."""
+        return _cell(logical_key, self._store.read_latest(logical_key))
 
-    def get(self, ukey: UniversalKey) -> Optional[bytes]:
-        """Value of an exact cell version (None if unknown)."""
-        entry = self._index.get_optional(ukey.encode())
-        if entry is None:
-            return None
-        _ukey, address = entry
-        return self._chunks.get(address)
+    def at_time(self, logical_key: bytes, timestamp: int) -> Optional[Cell]:
+        """The version live at ``timestamp`` (None if absent then)."""
+        return _cell(logical_key, self._store.read(logical_key, timestamp))
 
-    def get_by_encoded(self, encoded: bytes) -> Optional[Cell]:
-        entry = self._by_encoded.get(encoded)
-        if entry is None:
-            return None
-        ukey, address = entry
-        return Cell(ukey=ukey, value=self._chunks.get(address))
+    def versions(self, logical_key: bytes) -> List[Cell]:
+        """Every version ever written, oldest first (deletes skipped)."""
+        return [
+            _cell(logical_key, version)
+            for version in self._store.history(logical_key)
+            if not version.is_tombstone
+        ]
 
-    def latest(
-        self, column: str, primary_key: bytes
-    ) -> Optional[Cell]:
-        """Most recent version of a cell (None if never written)."""
-        versions = self.versions(column, primary_key)
-        return versions[-1] if versions else None
 
-    def versions(self, column: str, primary_key: bytes) -> List[Cell]:
-        """All versions of a cell, oldest first."""
-        low, high = UniversalKey.prefix(column, primary_key)
-        cells: List[Cell] = []
-        for _encoded, (ukey, address) in self._index.range(low, high):
-            cells.append(Cell(ukey=ukey, value=self._chunks.get(address)))
-        return cells
-
-    def at_time(
-        self, column: str, primary_key: bytes, timestamp: int
-    ) -> Optional[Cell]:
-        """Latest version with ``ukey.timestamp <= timestamp``."""
-        chosen: Optional[Cell] = None
-        for cell in self.versions(column, primary_key):
-            if cell.ukey.timestamp <= timestamp:
-                chosen = cell
-            else:
-                break
-        return chosen
-
-    def scan(self, low: bytes, high: bytes) -> Iterator[Cell]:
-        """Cells whose encoded universal key lies in ``[low, high]``."""
-        for _encoded, (ukey, address) in self._index.range(low, high):
-            yield Cell(ukey=ukey, value=self._chunks.get(address))
-
-    def __len__(self) -> int:
-        return len(self._index)
+def _cell(logical_key: bytes, version: Optional[Version]) -> Optional[Cell]:
+    if version is None or version.is_tombstone:
+        return None
+    column, primary_key = parse_logical_key(logical_key)
+    ukey = UniversalKey(
+        column, primary_key, version.commit_ts, hash_bytes(version.value)
+    )
+    return Cell(ukey, version.value)

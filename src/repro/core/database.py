@@ -3,9 +3,11 @@
 Wires the paper's two layers together (Section 5, Figure 5):
 
 - **storage layer** — one shared chunk store holding the deduplicated
-  cell values *and* the ledger's POS-tree nodes; the virtual cell
-  store; the B+-tree primary access path; inverted indexes for
-  analytics;
+  cell values *and* the ledger's POS-tree nodes; the version store
+  (the transaction manager's MVCC store, the only record of a
+  committed write, seen as cells by the virtual cell store); the
+  B+-tree primary access path from a live key to its version list;
+  inverted indexes for analytics;
 - **control layer** — a transaction manager (MVCC + pluggable
   certifier) whose committed write sets are folded into the storage
   layer and sealed into ledger blocks (the auditor's job).
@@ -38,7 +40,7 @@ from typing import (
     Union,
 )
 
-from repro.crypto.hashing import Digest
+from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import QueryError, SchemaError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.obs.metrics import MetricsRegistry
@@ -51,7 +53,12 @@ from repro.txn.manager import (
     TransactionManager,
 )
 from repro.txn.mvcc import Version
-from repro.core.cell_store import Cell, CellStore
+from repro.core.cell_store import (
+    CellStore,
+    live_value,
+    parse_logical_key,
+    put_history,
+)
 from repro.core.ledger import Block, LedgerDigest, SpitzLedger
 from repro.core.proofs import (
     LedgerMultiProof,
@@ -67,10 +74,8 @@ from repro.core.query import (
     range_bounds,
 )
 from repro.core.schema import (
-    DOC_PREFIX,
     KV_PREFIX,
     ROW_COLUMN,
-    TABLE_PREFIX,
     TableSchema,
     decode_value,
     encode_pk,
@@ -85,8 +90,6 @@ from repro.search.proofs import (
     build_search_proof,
     evaluate_on_inverted,
 )
-
-_KV_COLUMN = "default"
 
 
 class SpitzDatabase:
@@ -115,14 +118,18 @@ class SpitzDatabase:
             self.chunks, mask_bits, metrics=self.metrics
         )
         self.ledger_only = ledger_only
-        self.cells = CellStore(self.chunks)
-        self.primary = BPlusTree()
-        self.inverted = InvertedIndex()
         # ``oracle`` lets a shard allocate from its own HLC (see
         # repro.shard) instead of the default central TimestampOracle.
         self.txn_manager = TransactionManager(
             oracle=oracle, certifier=certifier
         )
+        # The manager's MVCC store is the one record of a committed
+        # write (DESIGN.md §5 item 9): ``primary`` maps a live logical
+        # key to its version list there (the same list object), and
+        # ``cells`` is a view.
+        self.cells = CellStore(self.txn_manager.store)
+        self.primary = BPlusTree()
+        self.inverted = InvertedIndex()
         self.oracle = self.txn_manager.oracle
         self.txn_manager.add_commit_listener(self._on_txn_commit)
         self._tables: Dict[str, TableSchema] = {}
@@ -233,27 +240,25 @@ class SpitzDatabase:
         self._c_commits.inc()
         self._c_writes_folded.inc(len(writes))
         if not self.ledger_only:
-            for logical_key, value in writes.items():
-                column, primary_key = _parse_logical_key(logical_key)
-                if value is DELETE:
-                    self._unindex(logical_key, column, primary_key)
-                    if logical_key in self.primary:
-                        self.primary.delete(logical_key)
-                    continue
-                self._unindex(logical_key, column, primary_key)
-                ukey = self.cells.put(
-                    column, primary_key, timestamp, value
-                )
-                self.primary.insert(logical_key, ukey.encode())
-                self._index(column, value, ukey)
+            store = self.txn_manager.store
             if install_mvcc:
-                mvcc_writes = {
+                store.install({
                     key: (Version.TOMBSTONE if value is DELETE else value)
                     for key, value in writes.items()
-                }
-                self.txn_manager.store.install(
-                    mvcc_writes, timestamp, txn_id=0
-                )
+                }, timestamp, txn_id=0)
+            for logical_key, value in writes.items():
+                column, primary_key = parse_logical_key(logical_key)
+                if "." in column:  # typed table cells are value-indexed
+                    self._repost(
+                        logical_key, column, primary_key, timestamp, value
+                    )
+                if value is DELETE:
+                    if logical_key in self.primary:
+                        self.primary.delete(logical_key)
+                elif logical_key not in self.primary:
+                    self.primary.insert(
+                        logical_key, store.versions_of(logical_key)
+                    )
         if self.block_batch == 1 and not self._pending_writes:
             block = self._append_ledger_block(writes, statements)
         else:
@@ -322,33 +327,36 @@ class SpitzDatabase:
             install_mvcc=False,  # the manager already installed them
         )
 
-    def _index(self, column: str, value: bytes, ukey: UniversalKey) -> None:
-        """Maintain the inverted index for typed table cells."""
-        if "." not in column:
-            return  # KV cells are not value-indexed
-        decoded = _try_decode(value)
-        if isinstance(decoded, (int, float, str)) and not isinstance(
-            decoded, bool
-        ):
-            self.inverted.add(column, decoded, ukey.encode())
-            if self._search is not None:
-                self._search.note_change(column, decoded)
-
-    def _unindex(
-        self, logical_key: bytes, column: str, primary_key: bytes
+    def _repost(
+        self,
+        logical_key: bytes,
+        column: str,
+        primary_key: bytes,
+        timestamp: int,
+        value: object,
     ) -> None:
-        if "." not in column:
-            return
-        previous = self.cells.latest(column, primary_key)
-        if previous is None:
-            return
-        decoded = _try_decode(previous.value)
-        if isinstance(decoded, (int, float, str)) and not isinstance(
-            decoded, bool
-        ):
-            self.inverted.remove(column, decoded, previous.ukey.encode())
-            if self._search is not None:
-                self._search.note_change(column, decoded)
+        """Move a typed cell's inverted-index posting from the version
+        live *before* ``timestamp`` — not the latest: on the
+        transactional and 2PC paths the manager has already installed
+        this one — to ``value`` (none for DELETE).  The only place a
+        write builds universal keys."""
+        moves = []
+        previous = self.txn_manager.store.read(logical_key, timestamp - 1)
+        if previous is not None and not previous.is_tombstone:
+            moves.append(
+                (self.inverted.remove, previous.commit_ts, previous.value)
+            )
+        if value is not DELETE:
+            moves.append((self.inverted.add, timestamp, value))
+        for change, stamp, cell_value in moves:
+            decoded = _indexable(cell_value)
+            if decoded is not None:
+                ukey = UniversalKey(
+                    column, primary_key, stamp, hash_bytes(cell_value)
+                )
+                change(column, decoded, ukey.encode())
+                if self._search is not None:
+                    self._search.note_change(column, decoded)
 
     # ------------------------------------------------------------------
     # key-value API (column "default"; the paper's Section 6 workloads)
@@ -375,11 +383,7 @@ class SpitzDatabase:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Unverified read via the B+-tree access path."""
-        encoded = self.primary.get_optional(KV_PREFIX + key)
-        if encoded is None:
-            return None
-        cell = self.cells.get_by_encoded(encoded)
-        return cell.value if cell is not None else None
+        return live_value(self.primary.get_optional(KV_PREFIX + key))
 
     def get_verified(
         self, key: bytes
@@ -415,12 +419,12 @@ class SpitzDatabase:
     ) -> List[Tuple[bytes, bytes]]:
         """Unverified range scan via the B+-tree."""
         results: List[Tuple[bytes, bytes]] = []
-        for logical_key, encoded in self.primary.range(
+        for logical_key, versions in self.primary.range(
             KV_PREFIX + low, KV_PREFIX + high
         ):
-            cell = self.cells.get_by_encoded(encoded)
-            if cell is not None:
-                results.append((logical_key[len(KV_PREFIX):], cell.value))
+            value = live_value(versions)
+            if value is not None:
+                results.append((logical_key[len(KV_PREFIX):], value))
         return results
 
     def scan_verified(
@@ -438,10 +442,7 @@ class SpitzDatabase:
 
     def history(self, key: bytes) -> List[Tuple[int, bytes]]:
         """(timestamp, value) for every version ever written."""
-        return [
-            (cell.ukey.timestamp, cell.value)
-            for cell in self.cells.versions(_KV_COLUMN, key)
-        ]
+        return put_history(self.txn_manager.store, KV_PREFIX + key)
 
     def get_at_block(self, key: bytes, height: int) -> Optional[bytes]:
         """Historical read from block ``height``'s index instance."""
@@ -741,7 +742,7 @@ class SpitzDatabase:
             prefix_len = len(schema.logical_key(ROW_COLUMN, b""))
             return [
                 logical_key[prefix_len:]
-                for logical_key, _enc in self.primary.range(
+                for logical_key, _versions in self.primary.range(
                     low_key, high_key
                 )
             ]
@@ -775,7 +776,7 @@ class SpitzDatabase:
         prefix = schema.logical_key(ROW_COLUMN, b"")
         return [
             logical_key[len(prefix):]
-            for logical_key, _enc in self.primary.range(
+            for logical_key, _versions in self.primary.range(
                 prefix, prefix + b"\xff" * 40
             )
         ]
@@ -790,10 +791,12 @@ class SpitzDatabase:
             return None
         row: Dict[str, Any] = {}
         for column in schema.columns:
-            cell = self.cells.latest(schema.cell_column(column.name), pk)
-            if cell is None:
+            value = live_value(
+                self.primary.get_optional(schema.logical_key(column.name, pk))
+            )
+            if value is None:
                 return None
-            row[column.name] = decode_value(cell.value)
+            row[column.name] = decode_value(value)
         return row
 
     def _select_as_of(
@@ -1048,24 +1051,15 @@ class _Sentinel:
 _SENTINEL = _Sentinel()
 
 
-def _parse_logical_key(logical_key: bytes) -> Tuple[str, bytes]:
-    """Split a logical key into (cell-store column, primary key)."""
-    if logical_key.startswith(KV_PREFIX):
-        return _KV_COLUMN, logical_key[len(KV_PREFIX):]
-    if logical_key.startswith(TABLE_PREFIX):
-        body = logical_key[len(TABLE_PREFIX):]
-        table, column, pk = body.split(b"\x00", 2)
-        return f"{table.decode('utf-8')}.{column.decode('utf-8')}", pk
-    if logical_key.startswith(DOC_PREFIX):
-        body = logical_key[len(DOC_PREFIX):]
-        collection, doc_id = body.split(b"\x00", 1)
-        return f"{collection.decode('utf-8')}#doc", doc_id
-    raise QueryError(f"malformed logical key {logical_key!r}")
-
-
-def _try_decode(value: bytes):
-    """Best-effort typed decode (None when the value is raw KV bytes)."""
+def _indexable(value: bytes):
+    """The typed scalar a cell is posted under in the inverted index;
+    None for raw bytes, bools and JSON."""
     try:
-        return decode_value(value)
+        decoded = decode_value(value)
     except Exception:
         return None
+    if isinstance(decoded, (int, float, str)) and not isinstance(
+        decoded, bool
+    ):
+        return decoded
+    return None

@@ -12,8 +12,9 @@ Caveats (documented, deliberate):
   (:mod:`repro.durability` — it reuses this format for checkpoints);
 - the format is Python-pickle based and not cross-version stable —
   it is a convenience layer, not an interchange format.  The magic's
-  digit is the POS-tree node format (``siri.encode_node``) the chunks
-  were written in; a file of another format is refused by name.
+  digit is the snapshot layout — the object graph pickled (3: one
+  version store) and the node format of its chunks (v2 since 2); a
+  file of another layout is refused by name.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.errors import (
 )
 from repro.core.database import SpitzDatabase
 
-_MAGIC = b"SPITZDB2"
+_MAGIC = b"SPITZDB3"
 
 
 def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
@@ -53,20 +54,21 @@ def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
         payload = pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         sys.setrecursionlimit(limit)
-    digest = hash_bytes(payload)
-    blob = _MAGIC + bytes(digest) + payload
+    # Written apart: a joined blob would be a second copy of the payload.
+    header = _MAGIC + bytes(hash_bytes(payload))
     path = Path(path)
     temp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with open(temp, "wb") as handle:
-            handle.write(blob)
+            handle.write(header)
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
     finally:
         if temp.exists():
             temp.unlink()
-    return len(blob)
+    return len(header) + len(payload)
 
 
 def load_database(path: Union[str, Path]) -> SpitzDatabase:
@@ -77,17 +79,18 @@ def load_database(path: Union[str, Path]) -> SpitzDatabase:
     chain audit — a snapshot modified at rest is detected, not
     silently loaded.
     """
-    blob = Path(path).read_bytes()
-    if not blob.startswith(_MAGIC):
-        if blob.startswith(_MAGIC[:-1]) and blob[7:8].isdigit():
-            raise FormatVersionError(
-                f"{path} holds POS-tree nodes in format {blob[7:8].decode()}"
-                f"; this build reads and writes node format "
-                f"{_MAGIC[7:].decode()} only, and there is no migration"
-            )
-        raise StorageError(f"{path} is not a Spitz snapshot")
-    digest, payload = blob[8:40], blob[40:]
-    if bytes(hash_bytes(payload)) != digest:
+    with open(path, "rb") as handle:  # payload read apart, not sliced
+        header = handle.read(len(_MAGIC) + 32)
+        if not header.startswith(_MAGIC):
+            if header.startswith(_MAGIC[:-1]) and header[7:8].isdigit():
+                raise FormatVersionError(
+                    f"{path} holds a snapshot in layout {header[7:8].decode()}"
+                    f"; this build reads and writes snapshot layout "
+                    f"{_MAGIC[7:].decode()} only, and there is no migration"
+                )
+            raise StorageError(f"{path} is not a Spitz snapshot")
+        payload = handle.read()
+    if bytes(hash_bytes(payload)) != header[len(_MAGIC):]:
         raise TamperDetectedError(
             f"snapshot {path} does not match its recorded digest"
         )

@@ -18,7 +18,7 @@ class StorageError(SpitzError):
 
 
 class FormatVersionError(StorageError):
-    """A snapshot or checkpoint was written in another node format."""
+    """A snapshot or checkpoint was written in another snapshot layout."""
 
 
 class ChunkNotFoundError(StorageError):

@@ -612,8 +612,8 @@ class PosTree(SiriIndex):
         changes: List[_Change] = []
         for key in sorted(updates):
             value = updates[key]
-            # A dedup hit where ``CellStore.put`` wrote the chunk (KV and
-            # table cells); for a tree with no cell store, its only put.
+            # The value's only chunk put: nothing writes it before the
+            # block that commits it is sealed.
             changes.append((
                 key, key,
                 () if value is DELETE else ((key, self.store.put(value)),),

@@ -17,6 +17,7 @@ from repro.core.database import SpitzDatabase
 from repro.core.ledger import LedgerDigest
 from repro.core.proofs import LedgerProof
 from repro.kvstore.kvs import ImmutableKVS
+from repro.txn.mvcc import Version
 
 
 def migrate_kvs_to_spitz(
@@ -27,44 +28,43 @@ def migrate_kvs_to_spitz(
 ) -> SpitzDatabase:
     """Move an existing KVS into a fresh (or provided) Spitz instance.
 
-    Versions are replayed oldest-first in batches (one ledger block
-    each) so the migrated Spitz ledger reflects the original update
-    order; with ``include_history=False`` only the current state moves
-    (cheaper, but pre-migration provenance is lost — the trade-off
-    Section 4 asks deployers to weigh).
+    Versions of every key ever written — deleted ones included — are
+    replayed oldest-first in batches (one ledger block each) so the
+    migrated Spitz ledger reflects the original update order; a delete
+    is replayed as a delete, in a block of its own.  With
+    ``include_history=False`` only the current state moves (cheaper,
+    but pre-migration provenance is lost — the trade-off Section 4 asks
+    deployers to weigh).
     """
     spitz = spitz if spitz is not None else SpitzDatabase()
     if include_history:
-        versions: List[Tuple[int, bytes, bytes]] = []
-        for key, _encoded in kvs.primary.items():
-            for timestamp, value in kvs.history(key):
-                versions.append((timestamp, key, value))
-        versions.sort()
-        batch = {}
-        for _timestamp, key, value in versions:
-            if key in batch:
-                # Two versions of one key must land in different
-                # blocks or the earlier one would be lost.
-                spitz.put_batch(batch)
-                batch = {}
-            batch[key] = value
-            if len(batch) >= batch_size:
-                spitz.put_batch(batch)
-                batch = {}
-        if batch:
-            spitz.put_batch(batch)
+        versions: List[Tuple[int, bytes, Version]] = sorted(
+            (version.commit_ts, key, version)
+            for key in kvs.versions.keys()
+            for version in kvs.versions.history(key)
+        )
     else:
-        batch = {}
-        for key, encoded in kvs.primary.items():
-            cell = kvs.cells.get_by_encoded(encoded)
-            if cell is None:
-                continue
-            batch[key] = cell.value
-            if len(batch) >= batch_size:
+        versions = [
+            (0, key, key_versions[-1])
+            for key, key_versions in kvs.primary.items()
+        ]
+    batch = {}
+    for _timestamp, key, version in versions:
+        if key in batch or version.is_tombstone:
+            # A key's second version, or a delete, starts a new block:
+            # what came before it must land first, not be overwritten.
+            if batch:
                 spitz.put_batch(batch)
-                batch = {}
-        if batch:
+            batch = {}
+        if version.is_tombstone:
+            spitz.delete(key)
+            continue
+        batch[key] = version.value
+        if len(batch) >= batch_size:
             spitz.put_batch(batch)
+            batch = {}
+    if batch:
+        spitz.put_batch(batch)
     return spitz
 
 

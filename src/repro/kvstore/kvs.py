@@ -6,9 +6,10 @@ except that it does not maintain a ledger or provide verifiability.
 Therefore, by comparing the two systems, we can focus on the
 maintenance and verification cost of the ledger storage" (Section 6.1).
 
-Accordingly this class reuses Spitz's exact storage components — the
-deduplicating chunk store, the virtual cell store, the B+-tree access
-path — and omits only the ledger.
+Accordingly this class reuses Spitz's exact storage parts — the
+deduplicating chunk store, the version store (one MVCC version per
+write, the only record of it), the B+-tree access path from a live key
+to its version list — and omits only the ledger.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.bplus import BPlusTree
-from repro.core.cell_store import CellStore
+from repro.core.cell_store import live_value, put_history
+from repro.txn.mvcc import MVCCStore, Version
 from repro.txn.oracle import TimestampOracle
-
-_COLUMN = "default"
 
 
 class ImmutableKVS:
@@ -28,44 +28,40 @@ class ImmutableKVS:
 
     def __init__(self) -> None:
         self.chunks = ChunkStore()
-        self.cells = CellStore(self.chunks)
+        self.versions = MVCCStore()
         self.primary = BPlusTree()
         self.oracle = TimestampOracle()
 
+    def _install(self, key: bytes, value: object) -> None:
+        self.versions.install({key: value}, self.oracle.next_timestamp(), 0)
+
     def put(self, key: bytes, value: bytes) -> None:
         """Append a new immutable version of ``key``."""
-        timestamp = self.oracle.next_timestamp()
-        ukey = self.cells.put(_COLUMN, key, timestamp, value)
-        self.primary.insert(key, ukey.encode())
+        self.chunks.put(value)
+        self._install(key, value)
+        if key not in self.primary:
+            self.primary.insert(key, self.versions.versions_of(key))
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Latest version of ``key`` (None if absent)."""
-        encoded = self.primary.get_optional(key)
-        if encoded is None:
-            return None
-        cell = self.cells.get_by_encoded(encoded)
-        return cell.value if cell is not None else None
+        return live_value(self.primary.get_optional(key))
 
     def delete(self, key: bytes) -> None:
         """Remove ``key`` from the current state (history remains)."""
         if key in self.primary:
+            self._install(key, Version.TOMBSTONE)
             self.primary.delete(key)
 
     def scan(self, low: bytes, high: bytes) -> List[Tuple[bytes, bytes]]:
         """Entries with ``low <= key <= high`` from current state."""
-        results: List[Tuple[bytes, bytes]] = []
-        for key, encoded in self.primary.range(low, high):
-            cell = self.cells.get_by_encoded(encoded)
-            if cell is not None:
-                results.append((key, cell.value))
-        return results
+        return [
+            (key, versions[-1].value)
+            for key, versions in self.primary.range(low, high)
+        ]
 
     def history(self, key: bytes) -> List[Tuple[int, bytes]]:
         """Every stored version of ``key``: (timestamp, value)."""
-        return [
-            (cell.ukey.timestamp, cell.value)
-            for cell in self.cells.versions(_COLUMN, key)
-        ]
+        return put_history(self.versions, key)
 
     def __len__(self) -> int:
         return len(self.primary)

@@ -5,18 +5,22 @@ serializability guarantee, concurrency control mechanisms based on
 MVCC ... are more suitable" (Section 5.2).  This store keeps every
 committed version of every key, serves snapshot reads at any
 timestamp, and never overwrites — matching the immutability
-requirement of Section 1.
+requirement of Section 1.  It is the database's only record of a
+committed write (DESIGN.md §5 item 9).
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
+_COMMIT_TS = attrgetter("commit_ts")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Version:
     """One committed version of a key."""
 
@@ -59,14 +63,9 @@ class MVCCStore:
         version itself (callers decide how to surface deletes).
         """
         with self._lock:
-            versions = self._versions.get(key)
-            if not versions:
-                return None
-            stamps = [version.commit_ts for version in versions]
-            index = bisect.bisect_right(stamps, snapshot_ts) - 1
-            if index < 0:
-                return None
-            return versions[index]
+            versions = self._versions.get(key, ())
+            index = bisect_right(versions, snapshot_ts, key=_COMMIT_TS)
+            return versions[index - 1] if index else None
 
     def read_latest(self, key: Any) -> Optional[Version]:
         """Most recent committed version regardless of snapshot."""
@@ -83,6 +82,11 @@ class MVCCStore:
         """All committed versions of ``key``, oldest first."""
         with self._lock:
             return list(self._versions.get(key, ()))
+
+    def versions_of(self, key: Any) -> Optional[List[Version]]:
+        """``key``'s version list itself (installs append to it in
+        place; never mutate it), or None if never written."""
+        return self._versions.get(key)
 
     def keys(self) -> Iterator[Any]:
         with self._lock:

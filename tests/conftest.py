@@ -1,4 +1,5 @@
-"""Shared fixtures, plus the ``stress`` marker's per-test timeout.
+"""Shared fixtures, the ``stress`` marker's per-test timeout, and the
+``--model-examples`` option the version-store model reads.
 
 Threaded hammer tests are marked ``@pytest.mark.stress``; a deadlock
 in one must fail CI, not hang it.  There is no pytest-timeout in the
@@ -18,6 +19,14 @@ from repro.forkbase.chunk_store import ChunkStore
 #: the hammer tests finish in a few seconds; only a real deadlock or
 #: livelock gets anywhere near it.
 STRESS_TIMEOUT_SECONDS = 60
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--model-examples", type=int, default=50,
+        help="examples for tests/property/test_version_model.py "
+        "(same fixed profile; CI's own step runs more)",
+    )
 
 
 @pytest.hookimpl(wrapper=True)

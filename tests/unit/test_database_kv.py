@@ -123,6 +123,45 @@ class TestBlockBatching:
             SpitzDatabase(block_batch=0)
 
 
+class TestOneVersionStore:
+    """A committed write is kept once: one ``Version`` in the manager's
+    MVCC store, which ``primary`` points into for live keys."""
+
+    def test_a_committed_write_is_kept_once(self, db):
+        store = db.txn_manager.store
+        db.put(b"a", b"1")
+        db.put_batch({b"a": b"2", b"b": b"x"})
+        with db.transaction() as txn:
+            txn.put(b"a", b"3")
+        db.delete(b"b")
+        versions = store.versions_of(b"k\x00a")
+        assert [v.value for v in versions] == [b"1", b"2", b"3"]
+        assert db.primary.get_optional(b"k\x00a") is versions
+        assert b"k\x00b" not in db.primary
+        assert store.read_latest(b"k\x00b").is_tombstone
+        assert store.version_count() == 5
+
+    def test_writes_retain_nothing_in_cell_store_or_universal_keys(self):
+        import tracemalloc
+
+        db = SpitzDatabase()
+        tracemalloc.start()
+        try:
+            for block in range(10):
+                db.put_batch({
+                    b"key%05d" % (block * 1000 + i): b"value%d" % i
+                    for i in range(1000)
+                })
+            retained = tracemalloc.take_snapshot().filter_traces([
+                tracemalloc.Filter(True, "*/core/cell_store.py"),
+                tracemalloc.Filter(True, "*/core/universal_key.py"),
+            ])
+        finally:
+            tracemalloc.stop()
+        assert db.txn_manager.store.version_count() == 10_000
+        assert sum(stat.size for stat in retained.statistics("filename")) == 0
+
+
 class TestKvTransactions:
     def test_commit_reaches_ledger(self, db):
         with db.transaction() as txn:

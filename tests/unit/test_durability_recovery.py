@@ -151,7 +151,19 @@ class TestCheckpoints:
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
         newest.write_bytes(b"SPITZDB1" + newest.read_bytes()[8:])
-        with pytest.raises(FormatVersionError, match="nodes in format 1"):
+        with pytest.raises(FormatVersionError, match="snapshot in layout 1"):
+            recover(tmp_path)
+
+    def test_a_layout_2_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """The same rule for the layout before the one version store:
+        re-raised, never a fallback to an older checkpoint."""
+        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB2" + newest.read_bytes()[8:])
+        with pytest.raises(FormatVersionError, match="snapshot in layout 2"):
             recover(tmp_path)
 
     def test_keep_retains_older_checkpoints(self, tmp_path):

@@ -56,8 +56,11 @@ class TestLedgerOnlyMode:
         db.put(b"k", b"v")
         # The ledger has the entry...
         assert db.ledger.get(KV_PREFIX + b"k") == b"v"
-        # ...but the storage layer (cells, primary index) was skipped.
-        assert len(db.cells) == 0
+        # ...but the storage layer (version store, primary index) was
+        # skipped.
+        assert len(db.txn_manager.store) == 0
+        assert len(db.primary) == 0
+        assert db.cells.latest(KV_PREFIX + b"k") is None
         assert db.get(b"k") is None
 
     def test_proofs_still_issued(self):

@@ -223,3 +223,30 @@ class TestMigration:
         value, proof = spitz.get_verified(b"k15")
         assert value == b"v15"
         assert verifier.verify(proof)
+
+    def test_a_deleted_keys_history_migrates(self):
+        """Regression: ``delete`` used to drop the key from the only
+        structure migration walked, so its history never moved."""
+        kvs = ImmutableKVS()
+        kvs.put(b"a", b"1")
+        kvs.delete(b"a")
+        assert kvs.history(b"a") == [(1, b"1")]
+        spitz = migrate_kvs_to_spitz(kvs)
+        assert [value for _height, value in spitz.ledger.key_history(
+            b"k\x00a"
+        )] == [b"1", None]
+        assert spitz.get(b"a") is None
+        assert [v for _, v in spitz.history(b"a")] == [b"1"]
+
+    def test_a_delete_between_versions_migrates_as_a_delete(self):
+        """Regression: put 1, delete, put 2 used to migrate as 1 → 2
+        with no deletion block between them."""
+        kvs = ImmutableKVS()
+        kvs.put(b"a", b"1")
+        kvs.delete(b"a")
+        kvs.put(b"a", b"2")
+        spitz = migrate_kvs_to_spitz(kvs)
+        changes = spitz.ledger.key_history(b"k\x00a")
+        assert [value for _height, value in changes] == [b"1", None, b"2"]
+        assert len({height for height, _value in changes}) == 3
+        assert spitz.get(b"a") == b"2"

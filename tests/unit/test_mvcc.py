@@ -66,6 +66,34 @@ class TestMvccStore:
         assert list(store.snapshot_items(1)) == [("a", 1), ("b", 2)]
         assert list(store.snapshot_items(2)) == [("b", 2)]
 
+    def test_a_read_allocates_no_list_of_stamps(self):
+        """A snapshot read bisects the version list in place: no
+        O(versions) list per call, however hot the key."""
+        import tracemalloc
+
+        store = MVCCStore()
+        for ts in range(1, 10_001):
+            store.install({"hot": ts}, ts, ts)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            found = [store.read("hot", ts) for ts in (0, 1, 4_321, 10_000)]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [v and v.value for v in found] == [None, 1, 4_321, 10_000]
+        assert peak < 1_000  # a list of 10 000 stamps is ~80 kB
+
+    def test_versions_of_is_the_live_list(self):
+        store = MVCCStore()
+        assert store.versions_of("k") is None
+        store.install({"k": "a"}, 1, 1)
+        held = store.versions_of("k")
+        store.install({"k": "b"}, 2, 2)
+        assert [v.value for v in held] == ["a", "b"]
+        assert store.history("k") is not held  # history is a copy
+
     def test_version_count(self):
         store = MVCCStore()
         store.install({"a": 1}, 1, 1)

@@ -86,20 +86,90 @@ class TestPersistence:
     def test_a_node_format_1_file_is_refused_by_name_not_unpickled(
         self, snapshot_path, monkeypatch
     ):
-        """A file stamped with the previous node format holds pickled
-        nodes this build cannot decode: it is refused before its
+        """A file stamped with an older snapshot layout (here layout 1:
+        pickled nodes this build cannot decode) is refused before its
         payload is looked at."""
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB2")
+        assert blob.startswith(b"SPITZDB3")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
         )
-        with pytest.raises(FormatVersionError, match="node format 2 only"):
+        with pytest.raises(
+            FormatVersionError, match="snapshot layout 3 only"
+        ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
         assert cli.main(["get", str(snapshot_path), "k01"]) == 1  # operational, not tamper
+
+    def test_a_layout_2_file_is_refused_by_name(
+        self, snapshot_path, monkeypatch
+    ):
+        """Layout 2 pickled the cell store's indexes and universal keys
+        beside the version store; this build keeps versions once."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB2" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(
+            FormatVersionError, match="snapshot in layout 2"
+        ):
+            load_database(snapshot_path)
+
+    def test_save_and_load_hold_one_copy_of_the_payload(
+        self, snapshot_path, monkeypatch
+    ):
+        """Header and payload are written, hashed and unpickled as they
+        are — no ``magic + digest + payload`` join on save, no
+        ``blob[40:]`` slice on load — so each holds one copy of the
+        payload, not two."""
+        import gc
+        import pickle
+        import tracemalloc
+
+        db = SpitzDatabase()
+        db.put_batch({b"k%05d" % i: bytes(200) + b"%d" % i
+                      for i in range(3000)})
+        dumped = {}
+        plain_dumps = pickle.dumps
+
+        def dumps(*args, **kwargs):
+            payload = plain_dumps(*args, **kwargs)
+            tracemalloc.reset_peak()
+            dumped["at"] = tracemalloc.get_traced_memory()[0]
+            return payload
+
+        def growth(work):
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = work()
+            return tracemalloc.get_traced_memory()[1] - base, result
+
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        tracemalloc.start()
+        try:
+            payload = save_database(db, snapshot_path) - 40
+            writing = tracemalloc.get_traced_memory()[1] - dumped["at"]
+            data = snapshot_path.read_bytes()[40:]
+            unpickling, _db = growth(lambda: pickle.loads(data))
+            del data, _db
+            loading, restored = growth(
+                lambda: load_database(snapshot_path)
+            )
+        finally:
+            tracemalloc.stop()
+        assert payload > 1_000_000
+        # Past the pickle, saving holds nothing payload-sized (a joined
+        # blob would be a whole second copy)...
+        assert writing < 0.25 * payload
+        # ...and loading holds the file's payload once on top of what
+        # unpickling that payload costs anyway (a slice would be twice).
+        assert loading - unpickling < 1.5 * payload
+        assert restored.get(b"k00007") == bytes(200) + b"7"
 
 
 class TestCli:
