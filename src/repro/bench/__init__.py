@@ -1,27 +1,13 @@
 """Benchmark harness regenerating the paper's figures.
 
-:mod:`repro.bench.harness` holds one runner per figure plus the
-ablations DESIGN.md calls out; :mod:`repro.bench.metrics` holds the
-measurement/reporting plumbing.  ``python -m repro.bench.harness --figure all``
-prints every series; the ``benchmarks/`` pytest suite wraps the same
-runners for ``pytest --benchmark-only``.
+:mod:`repro.bench.harness` holds the figure table and its one timing
+loop; :mod:`repro.bench.metrics` holds the result types.  Run
+``python -m repro.bench.harness --figure all`` to print every series.
+
+The package does not import the harness, so ``python -m`` executes
+that module once, as ``__main__`` only.
 """
 
-from repro.bench.harness import (
-    fig1_storage,
-    fig6_read,
-    fig6_write,
-    fig7_range,
-    fig8_nonintrusive,
-)
 from repro.bench.metrics import FigureResult, Series
 
-__all__ = [
-    "FigureResult",
-    "Series",
-    "fig1_storage",
-    "fig6_read",
-    "fig6_write",
-    "fig7_range",
-    "fig8_nonintrusive",
-]
+__all__ = ["FigureResult", "Series"]

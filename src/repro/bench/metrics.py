@@ -1,19 +1,9 @@
-"""Measurement and reporting plumbing for the figure runners."""
+"""Result types for the figure harness."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
-
-
-def measure_ops(operation: Callable[[], None], count: int) -> float:
-    """Run ``operation`` ``count`` times; return throughput (ops/s)."""
-    start = time.perf_counter()
-    for _ in range(count):
-        operation()
-    elapsed = time.perf_counter() - start
-    return count / elapsed if elapsed > 0 else float("inf")
+from typing import Dict, List
 
 
 @dataclass
@@ -74,21 +64,6 @@ class FigureResult:
                 )
             lines.append(row)
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (x keys become strings for JSON objects)."""
-        return {
-            "figure": self.figure,
-            "title": self.title,
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-            "series": {
-                series.name: {
-                    str(x): y for x, y in sorted(series.points.items())
-                }
-                for series in self.series
-            },
-        }
 
     def ratio(self, numerator: str, denominator: str, x: int) -> float:
         """Convenience for shape assertions in tests/EXPERIMENTS.md."""

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional
 from repro.core.node import SpitzCluster
 from repro.core.request_handler import Request, RequestKind, Response
 from repro.errors import ClusterOverloadedError, SpitzError
-from repro.obs.metrics import snapshot_delta
 
 
 @dataclass
@@ -181,13 +180,23 @@ class ClusterClient:
 
 @dataclass
 class SaturationReport:
-    """Outcome of one offered-load level against a bounded cluster."""
+    """Outcome of one offered-load level against a bounded cluster.
+
+    Client side, every offered op ends in exactly one of ``completed``,
+    ``rejected_overload``, ``timeouts`` and ``errors``; server side,
+    every accepted envelope in exactly one of ``node.processed``,
+    ``queue.shed`` and ``cluster.failed_on_stop`` (``counters``).
+    """
 
     clients: int
     ops_per_client: int
     offered: int = 0
     completed: int = 0
     rejected_overload: int = 0
+    #: Ops whose deadline passed before the client saw them served:
+    #: its wait ran out (a node may still process the envelope, or shed
+    #: it), or a node shed the envelope and said so in time.
+    timeouts: int = 0
     shed: int = 0
     failed_on_stop: int = 0
     errors: int = 0
@@ -202,6 +211,7 @@ class SaturationReport:
             "offered": self.offered,
             "completed": self.completed,
             "rejected_overload": self.rejected_overload,
+            "timeouts": self.timeouts,
             "shed": self.shed,
             "failed_on_stop": self.failed_on_stop,
             "errors": self.errors,
@@ -219,7 +229,6 @@ def run_saturation(
     deadline: float = 0.25,
     attempts: int = 1,
     service_delay: float = 0.0,
-    metrics=None,
 ) -> SaturationReport:
     """Drive offered load (possibly past node capacity) at one cluster.
 
@@ -230,20 +239,12 @@ def run_saturation(
     it to push a small machine past saturation deterministically).
     With ``attempts=1`` the report measures raw admission behaviour;
     higher values measure how far retry-with-backoff recovers goodput.
-
-    ``metrics`` lets the caller share a registry with the cluster (the
-    benchmark harness passes its per-run registry so saturation traces
-    land in its flight recorder); the report's counters are computed
-    as a before/after delta, so a reused registry does not leak prior
-    activity into the accounting.
     """
     cluster = SpitzCluster(
         nodes=nodes,
         queue_capacity=capacity,
         overload_window=overload_window,
-        metrics=metrics,
     )
-    before = cluster.stats()
     if service_delay > 0:
         for node in cluster.nodes:
             node.handler = _SlowHandler(node.handler, service_delay)
@@ -257,7 +258,7 @@ def run_saturation(
             cluster, attempts=attempts, backoff=overload_window,
             timeout=deadline,
         )
-        completed = errors = rejected = 0
+        completed = errors = rejected = timeouts = 0
         for i in range(ops_per_client):
             key = f"sat:{worker_id}:{i}".encode()
             try:
@@ -266,16 +267,20 @@ def run_saturation(
                 rejected += 1
                 continue
             except TimeoutError:
-                # The envelope outlived our wait; a node will shed it
-                # (counted by the queue) or stop() will fail it.
+                # The envelope outlived our wait; a node will process
+                # or shed it, or stop() will fail it.
+                timeouts += 1
                 continue
-            if not response.ok and not response.retryable:
-                errors += 1
-            elif response.ok:
+            if response.ok:
                 completed += 1
+            elif response.retryable:
+                timeouts += 1
+            else:
+                errors += 1
         with lock:
             report.completed += completed
             report.errors += errors
+            report.timeouts += timeouts
             # Admission rejections that survived the client's retries.
             report.rejected_overload += rejected
 
@@ -290,8 +295,7 @@ def run_saturation(
     report.elapsed_seconds = time.perf_counter() - start
     cluster.stop()
     snap = cluster.stats()
-    delta = snapshot_delta(before, snap)
-    counters = delta["counters"]
+    counters = snap["counters"]
     report.offered = clients * ops_per_client
     report.shed = counters.get("queue.shed", 0)
     report.failed_on_stop = counters.get("cluster.failed_on_stop", 0)

@@ -6,22 +6,16 @@
   workload (keys 5–12 bytes, values 20 bytes; read-only / write-only /
   mixed / range);
 - :mod:`~repro.workloads.wiki` — the Figure 1 wiki-page versioning
-  workload (10 pages × 16 KB, localized edits);
-- :mod:`~repro.workloads.search` — the verified-search row stream
-  (O(1)-memory zipf keyword mix + quantized numeric column, 1M+ keys).
+  workload (10 pages × 16 KB, localized edits).
 """
 
 from repro.workloads.distributions import UniformChooser, ZipfChooser
 from repro.workloads.generator import Operation, OpKind, WorkloadGenerator
-from repro.workloads.search import SearchRow, SearchWorkload, StreamingZipf
 from repro.workloads.wiki import WikiWorkload
 
 __all__ = [
     "Operation",
     "OpKind",
-    "SearchRow",
-    "SearchWorkload",
-    "StreamingZipf",
     "UniformChooser",
     "WikiWorkload",
     "WorkloadGenerator",

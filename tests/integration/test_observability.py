@@ -1,9 +1,9 @@
-"""Cross-layer observability: one registry, three surfaces.
+"""Cross-layer observability: one registry, two surfaces.
 
 The same :class:`~repro.obs.metrics.MetricsRegistry` snapshot must be
-reachable through a ``RequestKind.STATS`` request, the ``spitz stats``
-CLI subcommand, and the benchmark harness's ``--json`` output — and
-its totals must survive concurrent load exactly (no lost increments).
+reachable through a ``RequestKind.STATS`` request and the ``spitz
+stats`` CLI subcommand — and its totals must survive concurrent load
+exactly (no lost increments).
 
 Tracing follows the same rule: every envelope a queue accepts must
 finalize exactly one trace — a parented span tree from the client's
@@ -19,7 +19,6 @@ import time
 from repro.cli import main as cli_main
 from repro.core.node import SpitzCluster
 from repro.core.request_handler import Request, RequestKind
-from repro.bench.harness import main as bench_main
 
 
 class TestClusterConcurrencyTotals:
@@ -397,46 +396,3 @@ class TestCliStats:
         # before saving is still visible after loading.
         assert snap["counters"]["db.commits"] == 1
 
-
-class TestBenchJson:
-    def test_harness_writes_figures_and_metrics(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert (
-            bench_main(
-                [
-                    "--figure", "6a",
-                    "--scale", "30",
-                    "--ladder", "1,2",
-                    "--json", str(out),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(out.read_text())
-        assert report["sizes"] == [30, 60]
-        figure = report["figures"][0]
-        assert figure["figure"] == "Figure 6(a)"
-        assert set(figure["series"]) >= {"Spitz", "Spitz-verify", "Baseline"}
-        assert figure["series"]["Spitz"]["30"] > 0
-        # The run's registry delta rides along with the figure...
-        assert figure["metrics_delta"]["counters"]["db.commits"] > 0
-        # ...with its per-stage breakdown (the load phase commits
-        # through the traced txn.commit stage)...
-        breakdown = figure["stage_breakdown"]
-        assert breakdown["txn.commit"]["count"] > 0
-        assert breakdown["txn.commit"]["total_seconds"] > 0
-        assert sum(
-            cell["fraction"] for cell in breakdown.values()
-        ) <= 1.0 + 1e-9
-        # ...and the full shared snapshot is the same shape the STATS
-        # request and `spitz stats` emit.
-        snap = report["metrics"]
-        assert set(snap) == {"counters", "gauges", "histograms"}
-        assert snap["counters"]["verifier.checks"] > 0
-        assert snap["counters"]["verifier.detections"] == 0
-        # The flight-recorder surface rides along too (figure 6a has
-        # no cluster requests, so it may be empty — but the key and
-        # shape must be there).
-        assert set(report["traces"]) == {
-            "attribution", "slowest", "failures",
-        }

@@ -1,6 +1,6 @@
 """Unit tests for benchmark metrics plumbing."""
 
-from repro.bench.metrics import FigureResult, Series, measure_ops
+from repro.bench.metrics import FigureResult, Series
 
 
 class TestSeries:
@@ -36,11 +36,3 @@ class TestFigureResult:
 
     def test_ratio(self):
         assert self._figure().ratio("A", "B", 10) == 10.0
-
-
-class TestMeasureOps:
-    def test_returns_positive_throughput(self):
-        calls = []
-        throughput = measure_ops(lambda: calls.append(1), count=50)
-        assert len(calls) == 50
-        assert throughput > 0
