@@ -4,8 +4,8 @@ The claims measured here (the durability PR's acceptance bar):
 
 1. **WAL commit cost is O(delta), snapshot commit is O(database)** —
    at 10k resident keys a durable ``put`` through the WAL is ≥ 10×
-   faster than the legacy "rewrite the whole snapshot per mutation"
-   path the CLI used to take.
+   faster than rewriting the whole snapshot (the checkpoint format)
+   per mutation.
 2. **Group commit wins** — batching ≥ 8 records per fsync yields
    higher commit throughput than an fsync per record.
 3. **Checkpoints bound recovery** — recovery replays only the
@@ -26,8 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.database import SpitzDatabase
-from repro.core.persistence import save_database
 from repro.durability import DurableDatabase, recover
+from repro.durability.checkpoint import save_database
 from repro.durability.wal import WriteAheadLog
 
 N_KEYS = int(os.environ.get("SPITZ_DURABILITY_N", "10000"))

@@ -12,7 +12,8 @@ extension surface:
   :func:`verify_bundle`) a party can hand to an arbitrator;
 - replica comparison (:func:`compare_replicas`) catching a partner
   that forked its copy of the ledger;
-- snapshot persistence (save/load with integrity checking).
+- durability: the store lives in a database directory (write-ahead
+  log + checkpoints) and reopens to the same chain digest.
 
 Run:  python examples/supply_chain_documents.py
 """
@@ -23,16 +24,17 @@ from pathlib import Path
 from repro import (
     DocumentStore,
     compare_replicas,
-    load_database,
     make_bundle,
-    save_database,
     verify_bundle,
 )
 from repro.core.audit import ProofBundle
+from repro.durability import DurableDatabase
 
 
 def main() -> None:
-    store = DocumentStore()
+    path = Path(tempfile.mkdtemp()) / "supply-chain.d"
+    durable = DurableDatabase.open(path)
+    store = DocumentStore(durable.db)
     shipments = store.collection(
         "shipments",
         schema={
@@ -107,14 +109,15 @@ def main() -> None:
     print(f"  {report.detail}")
     assert not report.consistent
 
-    # -- snapshot persistence ---------------------------------------------------------
-    print("\n== snapshot persistence ==")
-    path = Path(tempfile.mkdtemp()) / "supply-chain.spitz"
-    size = save_database(store.db, path)
-    reloaded = load_database(path)
-    assert reloaded.digest() == store.db.digest()
-    print(f"  saved {size} bytes; reload digest matches; "
-          "tampered snapshots raise TamperDetectedError")
+    # -- durability ---------------------------------------------------------------------
+    print("\n== reopen from disk ==")
+    digest = store.db.digest()
+    durable.close()
+    with DurableDatabase.open(path) as reopened:
+        assert reopened.db.digest() == digest
+        report = reopened.last_recovery
+        print(f"  replayed {report.replayed} logged commits; reopened digest "
+              "matches; a tampered log raises TamperDetectedError")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ Quick start::
 from repro.core.audit import compare_replicas, make_bundle, verify_bundle
 from repro.core.database import SpitzDatabase
 from repro.core.documents import DocumentStore
-from repro.core.persistence import load_database, save_database
 from repro.core.ledger import Block, LedgerDigest, SpitzLedger
 from repro.core.proofs import (
     LedgerMultiProof,
@@ -49,9 +48,7 @@ __all__ = [
     "BaselineLedgerDB",
     "DocumentStore",
     "compare_replicas",
-    "load_database",
     "make_bundle",
-    "save_database",
     "verify_bundle",
     "Block",
     "ClientVerifier",

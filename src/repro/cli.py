@@ -1,22 +1,23 @@
 """Command-line interface.
 
-A small operational surface over a persisted Spitz database.  Two
-on-disk layouts are supported, chosen by what ``DB`` points at:
-
-- **snapshot file** (legacy): every mutating command rewrites the
-  whole snapshot — ``python -m repro.cli init mydb.spitz``;
-- **durable directory** (WAL + checkpoints): mutations append one
-  fsynced record to a write-ahead log; opening runs crash recovery
-  (latest checkpoint + log replay + full chain audit) —
-  ``python -m repro.cli init mydb.d --durable``.
+A small operational surface over a Spitz database directory: a
+write-ahead log plus checkpoints.  Opening runs crash recovery (latest
+checkpoint + log replay + full chain audit); a mutation appends one
+fsynced record to the log.  Every data subcommand is one
+:class:`~repro.core.request_handler.Request` answered by the
+:class:`~repro.core.request_handler.RequestHandler` a server's
+processor nodes run — ``search --port`` asks a running ``spitz serve``
+for the same answer instead.
 
 ::
 
-    python -m repro.cli init mydb.d --durable
+    python -m repro.cli init mydb.d
     python -m repro.cli put mydb.d account:alice 100
     python -m repro.cli get mydb.d account:alice --verify
     python -m repro.cli sql mydb.d "CREATE TABLE t (id INT, PRIMARY KEY (id))"
     python -m repro.cli history mydb.d account:alice
+    python -m repro.cli init shop.d --index items.price
+    python -m repro.cli search shop.d items.price '>= 10' --verify
     python -m repro.cli checkpoint mydb.d
     python -m repro.cli recover mydb.d
     python -m repro.cli audit mydb.d
@@ -46,187 +47,172 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.audit import audit_ledger
 from repro.core.client import run_saturation
-from repro.core.database import SpitzDatabase
-from repro.core.persistence import load_database, save_database
+from repro.core.request_handler import (
+    Request,
+    RequestHandler,
+    RequestKind,
+    Response,
+)
 from repro.core.verifier import ClientVerifier
-from repro.durability import DurableDatabase, recover
+from repro.durability import DurableDatabase, list_checkpoints, recover
+from repro.durability.wal import list_segments
 from repro.errors import SpitzError, TamperDetectedError
 
 #: Exit code for detected tampering (vs. 1 for operational errors).
 EXIT_TAMPERED = 3
 
 
-class _Session:
-    """One opened database: durable directory or legacy snapshot file."""
+def _existing(path: str) -> str:
+    """``path`` if it holds a database ``init`` made, else refuse.
 
-    def __init__(self, path: str):
-        self._path = path
-        target = Path(path)
-        if target.is_dir():
-            self.durable: Optional[DurableDatabase] = DurableDatabase.open(
-                path
-            )
-            self.db = self.durable.db
-        elif target.exists():
-            self.durable = None
-            self.db = load_database(path)
-        else:
-            raise SpitzError(
-                f"no database at {path}; run 'init {path}' first"
-            )
-
-    def commit(self) -> None:
-        """Make preceding mutations durable.
-
-        Durable mode already logged them (WAL, fsync-on-commit); the
-        legacy mode pays the snapshot rewrite here.
-        """
-        if self.durable is None:
-            save_database(self.db, self._path)
-
-    def close(self) -> None:
-        if self.durable is not None:
-            self.durable.close()
-
-    def __enter__(self) -> "_Session":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    Checked before any open: opening a directory starts a log in it.
+    """
+    root = Path(path)
+    if root.is_dir() and (list_segments(root) or list_checkpoints(root)):
+        return path
+    raise SpitzError(f"no database at {path}; run 'init {path}' first")
 
 
-def cmd_init(args: argparse.Namespace) -> int:
-    target = Path(args.db)
-    if args.durable:
-        if args.index:
-            print(
-                "error: --index requires a snapshot database; durable "
-                "directories rebuild indexes on recovery (enable search "
-                "on the serving side with 'serve --index')",
-                file=sys.stderr,
-            )
-            return 1
-        if target.exists() and not target.is_dir():
-            print(f"{args.db} exists and is not a directory")
-            return 1
-        if target.is_dir() and any(target.iterdir()) and not args.force:
-            print(f"refusing to reuse non-empty {args.db} (use --force)")
-            return 1
-        with DurableDatabase.open(args.db):
-            pass  # creates the directory and the first WAL segment
-        print(f"initialized durable database at {args.db}")
-        return 0
-    if target.exists() and not args.force:
-        print(f"refusing to overwrite {args.db} (use --force)")
-        return 1
-    db = SpitzDatabase(indexed_columns=args.index or None)
-    size = save_database(db, args.db)
-    indexed = (
-        f", search over {', '.join(args.index)}" if args.index else ""
-    )
-    print(f"initialized {args.db} ({size} bytes{indexed})")
-    return 0
+def _answer(args: argparse.Namespace, request: Request) -> Response:
+    """Answer ``request`` the way a server does; an error raises.
+
+    Locally the opened directory's database sits behind a
+    :class:`RequestHandler`; with ``--port`` (``search`` only) a
+    running ``spitz serve`` answers over HTTP.
+    """
+    if getattr(args, "port", None) is not None:
+        from repro.serve.client import HttpClusterClient
+
+        with HttpClusterClient(
+            args.host, args.port, token=args.token
+        ) as client:
+            response = client.call(request)
+    else:
+        with DurableDatabase.open(_existing(args.db)) as durable:
+            response = RequestHandler(durable.db).handle(request)
+    if not response.ok:
+        raise SpitzError(response.error)
+    return response
 
 
-def cmd_put(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        block = session.db.put(args.key.encode(), args.value.encode())
-        session.commit()
-        print(f"ok: sealed block #{block.height}")
-    return 0
-
-
-def _check(proof, digest) -> Tuple[bool, str]:
-    """Verify ``proof`` the way a client holding ``digest`` would."""
+def _check(response: Response, summary: str, prefix: str = "") -> int:
+    """Verify the answer the way a client holding only its digest
+    would; print the verdict; return the exit code."""
     verifier = ClientVerifier()
-    verifier.trust(digest)
-    ok = verifier.verify(proof)
-    return ok, "VERIFIED" if ok else "VERIFICATION FAILED"
+    verifier.trust(response.digest)
+    ok = verifier.verify(response.proof)
+    state = "VERIFIED" if ok else "VERIFICATION FAILED"
+    print(f"{prefix}[{state}; {summary}]")
+    return 0 if ok else 2
 
 
 def _render(value: Optional[bytes]) -> str:
     return value.decode(errors="replace") if value else "(absent)"
 
 
-def cmd_get(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        db = session.db
-        if args.verify:
-            value, proof = db.get_verified(args.key.encode())
-            ok, state = _check(proof, db.digest())
-            print(
-                f"{_render(value)}  "
-                f"[{state}; {len(proof.cacheable_nodes)} proof nodes]"
-            )
-            return 0 if ok else 2
-        print(_render(db.get(args.key.encode())))
+def cmd_init(args: argparse.Namespace) -> int:
+    target = Path(args.db)
+    if target.exists() and not (
+        target.is_dir() and not any(target.iterdir())
+    ):
+        raise SpitzError(
+            f"refusing to reuse {args.db}: init only creates a database"
+        )
+    with DurableDatabase.open(args.db) as durable:  # the first WAL segment
+        if args.index:
+            durable.db.enable_search(args.index)  # logged, so it persists
+    indexed = (
+        f", search over {', '.join(args.index)}" if args.index else ""
+    )
+    print(f"initialized {args.db}{indexed}")
     return 0
+
+
+def cmd_put(args: argparse.Namespace) -> int:
+    response = _answer(args, Request(
+        RequestKind.PUT,
+        {"key": args.key.encode(), "value": args.value.encode()},
+    ))
+    print(f"ok: sealed block #{response.result}")
+    return 0
+
+
+def cmd_get(args: argparse.Namespace) -> int:
+    response = _answer(args, Request(
+        RequestKind.GET, {"key": args.key.encode()}, args.verify
+    ))
+    if not args.verify:
+        print(_render(response.result))
+        return 0
+    return _check(
+        response,
+        f"{len(response.proof.cacheable_nodes)} proof nodes",
+        prefix=f"{_render(response.result)}  ",
+    )
 
 
 def cmd_mget(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        db = session.db
-        keys = [key.encode() for key in args.keys]
-        if args.verify:
-            values, proof = db.get_many_verified(keys)
-        else:
-            values, proof = db.get_many(keys), None
-        for key, value in zip(args.keys, values):
-            print(f"{key}\t{_render(value)}")
-        if proof is not None:
-            ok, state = _check(proof, db.digest())
-            print(
-                f"[{state}; one multiproof, {len(proof.cacheable_nodes)} "
-                f"deduped nodes, {proof.size_bytes} bytes for "
-                f"{len(keys)} keys]"
-            )
-            return 0 if ok else 2
-    return 0
+    response = _answer(args, Request(
+        RequestKind.MULTI_GET,
+        {"keys": [key.encode() for key in args.keys]},
+        args.verify,
+    ))
+    for key, value in zip(args.keys, response.result):
+        print(f"{key}\t{_render(value)}")
+    if not args.verify:
+        return 0
+    proof = response.proof
+    return _check(
+        response,
+        f"one multiproof, {len(proof.cacheable_nodes)} deduped nodes, "
+        f"{proof.size_bytes} bytes for {len(args.keys)} keys",
+    )
 
 
 def cmd_delete(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        block = session.db.delete(args.key.encode())
-        session.commit()
-        print(f"ok: sealed block #{block.height}")
+    response = _answer(
+        args, Request(RequestKind.DELETE, {"key": args.key.encode()})
+    )
+    print(f"ok: sealed block #{response.result}")
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        for key, value in session.db.scan(
-            args.low.encode(), args.high.encode()
-        ):
-            print(f"{key.decode(errors='replace')}\t"
-                  f"{value.decode(errors='replace')}")
+    response = _answer(args, Request(
+        RequestKind.SCAN,
+        {"low": args.low.encode(), "high": args.high.encode()},
+    ))
+    for key, value in response.result:
+        print(f"{key.decode(errors='replace')}\t"
+              f"{value.decode(errors='replace')}")
     return 0
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        for timestamp, value in session.db.history(args.key.encode()):
-            print(f"ts {timestamp}: {value.decode(errors='replace')}")
+    response = _answer(
+        args, Request(RequestKind.HISTORY, {"key": args.key.encode()})
+    )
+    for timestamp, value in response.result:
+        print(f"ts {timestamp}: {value.decode(errors='replace')}")
     return 0
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        result = session.db.sql(args.statement)
-        if isinstance(result, list):
-            for row in result:
-                print(row)
-            print(f"({len(result)} rows)")
-        elif isinstance(result, int):
-            print(f"({result} rows affected)")
-            session.commit()
-        else:
-            height = getattr(result, "height", "?")
-            print(f"ok: sealed block #{height}")
-            session.commit()
+    result = _answer(
+        args, Request(RequestKind.SQL, {"text": args.statement})
+    ).result
+    if isinstance(result, list):
+        for row in result:
+            print(row)
+        print(f"({len(result)} rows)")
+    elif isinstance(result, int):
+        print(f"({result} rows affected)")
+    else:
+        print(f"ok: sealed block #{getattr(result, 'height', '?')}")
     return 0
 
 
@@ -250,81 +236,62 @@ def _print_search_matches(ukeys) -> None:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    """Secondary-index search, local session or remote server.
+    """Secondary-index search, local directory or remote server.
 
     ``spitz search DB users.age '>= 10' --verify`` answers from an
     opened database; ``spitz search users.age '>= 10' --port 7421
-    --verify`` asks a running ``spitz serve`` over HTTP and verifies
-    the returned proof client-side against the served digest.
+    --verify`` asks a running ``spitz serve`` over HTTP.  Either way
+    the proof is verified client-side against the answer's digest.
     """
     from repro.search.proofs import SearchPredicate
 
     predicate = SearchPredicate.parse(args.predicate)
-    if args.port is not None:
-        if args.db is not None:
-            raise SpitzError(
-                "give either a DB path or --port, not both "
-                "(remote mode takes COLUMN PREDICATE only)"
-            )
-        from repro.serve.client import HttpClusterClient
-
-        with HttpClusterClient(
-            args.host, args.port, token=args.token
-        ) as client:
-            response = client.search(
-                args.column, predicate, verify=args.verify
-            )
-        if not response.ok:
-            print(f"error: {response.error}", file=sys.stderr)
-            return 1
-        _print_search_matches(response.result)
-        if args.verify:
-            ok, state = _check(response.proof, response.digest)
-            print(
-                f"[{state}; {len(response.result)} matches, "
-                f"{response.proof.size_bytes} proof bytes over the wire]"
-            )
-            return 0 if ok else 2
-        print(f"({len(response.result)} matches)")
-        return 0
-    if args.db is None:
+    if args.port is not None and args.db is not None:
+        raise SpitzError(
+            "give either a DB path or --port, not both "
+            "(remote mode takes COLUMN PREDICATE only)"
+        )
+    if args.port is None and args.db is None:
         raise SpitzError(
             "search needs a DB path (or --port for a running server)"
         )
-    with _Session(args.db) as session:
-        db = session.db
-        if args.verify:
-            ukeys, proof = db.search_verified(args.column, predicate)
-            ok, state = _check(proof, db.digest())
-            _print_search_matches(ukeys)
-            print(
-                f"[{state}; {len(ukeys)} matches, {proof.size_bytes} "
-                f"proof bytes incl. completeness evidence]"
-            )
-            return 0 if ok else 2
-        ukeys = db.search(args.column, predicate)
-        _print_search_matches(ukeys)
-        print(f"({len(ukeys)} matches)")
-    return 0
+    response = _answer(args, Request(
+        RequestKind.SEARCH,
+        {"column": args.column, "predicate": predicate.to_payload()},
+        args.verify,
+    ))
+    matches = len(response.result)
+    _print_search_matches(response.result)
+    if not args.verify:
+        print(f"({matches} matches)")
+        return 0
+    carried = (
+        "over the wire" if args.port is not None
+        else "incl. completeness evidence"
+    )
+    return _check(
+        response,
+        f"{matches} matches, {response.proof.size_bytes} proof bytes "
+        f"{carried}",
+    )
 
 
 def cmd_digest(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        digest = session.db.digest()
-        print(f"height: {digest.height}")
-        print(f"chain:  {digest.chain_digest.hex()}")
-        print(f"root:   {digest.tree_root.hex()}")
+    digest = _answer(args, Request(RequestKind.DIGEST)).result
+    print(f"height: {digest.height}")
+    print(f"chain:  {digest.chain_digest.hex()}")
+    print(f"root:   {digest.tree_root.hex()}")
     return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        findings = audit_ledger(session.db.ledger)
+    with DurableDatabase.open(_existing(args.db)) as durable:
+        findings = audit_ledger(durable.db.ledger)
         if findings:
             for finding in findings:
                 print(f"FINDING: {finding}")
             return 2
-        print(f"clean: {session.db.ledger.height} blocks audited")
+        print(f"clean: {durable.db.ledger.height} blocks audited")
     return 0
 
 
@@ -350,16 +317,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     is what an operator inspecting a database at rest cares about.
     ``--json`` emits the machine frame; ``--prom`` the Prometheus
     text rendering (what a running server serves at ``/metrics``);
-    the default is a readable table.
+    the default is a readable table.  A direct read, not a request:
+    the handler's own request counters would show up in the answer.
     """
-    with _Session(args.db) as session:
-        snapshot = session.db.metrics_snapshot()
-        if getattr(args, "prom", False):
+    with DurableDatabase.open(_existing(args.db)) as durable:
+        snapshot = durable.db.metrics_snapshot()
+        if args.prom:
             from repro.obs.exposition import render_prometheus
 
             print(
                 render_prometheus(
-                    session.db.metrics.exposition_snapshot()
+                    durable.db.metrics.exposition_snapshot()
                 ),
                 end="",
             )
@@ -417,9 +385,8 @@ def _drive_traced_cluster(args: argparse.Namespace):
     kinds.  Returns the cluster's metrics registry (cluster already
     stopped).
     """
-    # Imported here: only these subcommands need the control layer.
+    # Imported here: only these subcommands need the cluster.
     from repro.core.node import SpitzCluster
-    from repro.core.request_handler import Request, RequestKind
 
     cluster = SpitzCluster(nodes=args.nodes, indexed_columns=["t.score"])
     cluster.start()
@@ -742,23 +709,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    with _Session(args.db) as session:
-        if session.durable is None:
-            raise SpitzError(
-                f"{args.db} is a snapshot file; 'checkpoint' needs a "
-                "durable directory (init --durable)"
-            )
-        lsn, path = session.durable.checkpoint()
+    with DurableDatabase.open(_existing(args.db)) as durable:
+        lsn, path = durable.checkpoint()
         print(f"checkpoint at lsn {lsn}: {path.name}")
     return 0
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    if not Path(args.db).is_dir():
-        raise SpitzError(
-            f"{args.db} is not a durable directory; nothing to recover"
-        )
-    report = recover(args.db)
+    report = recover(_existing(args.db))
     print(f"recovered: {report.describe()}")
     print(f"height: {report.db.ledger.height}")
     return 0
@@ -771,17 +729,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("init", help="create an empty database")
-    p.add_argument("db")
-    p.add_argument("--force", action="store_true")
-    p.add_argument(
-        "--durable", action="store_true",
-        help="create a WAL+checkpoint directory instead of a snapshot file",
+    p = sub.add_parser(
+        "init", help="create an empty database directory (WAL + checkpoints)"
     )
+    p.add_argument("db")
     p.add_argument(
         "--index", action="append", default=[], metavar="TABLE.COLUMN",
         help="enable the verified search plane over this column "
-             "(repeatable; snapshot databases only)",
+             "(repeatable)",
     )
     p.set_defaults(func=cmd_init)
 

@@ -1,9 +1,9 @@
 """Spitz core: the paper's primary contribution (Section 5).
 
-The control layer (request handler, auditor, transaction manager — one
-set per processor node) sits on a storage layer made of a virtual cell
-store over ForkBase, a SIRI-indexed ledger, a B+-tree access path and
-inverted indexes.  :class:`~repro.core.database.SpitzDatabase` is the
+The control layer (processor nodes, each a request handler over the
+database's commit pipeline and transaction manager) sits on a storage
+layer made of a virtual cell store over ForkBase, a SIRI-indexed
+ledger, a B+-tree access path and inverted indexes.  :class:`~repro.core.database.SpitzDatabase` is the
 public facade; :class:`~repro.core.verifier.ClientVerifier` is the
 client-side trust anchor.
 """
@@ -21,7 +21,6 @@ from repro.core.client import ClusterClient, run_saturation
 from repro.core.database import SpitzDatabase
 from repro.core.documents import Collection, DocumentStore
 from repro.core.node import MessageQueue, ProcessorNode, SpitzCluster
-from repro.core.persistence import load_database, save_database
 from repro.core.ledger import Block, LedgerDigest, SpitzLedger
 from repro.core.proofs import (
     LedgerMultiProof,
@@ -40,9 +39,7 @@ __all__ = [
     "ProofBundle",
     "audit_ledger",
     "compare_replicas",
-    "load_database",
     "make_bundle",
-    "save_database",
     "verify_bundle",
     "Cell",
     "CellStore",

@@ -175,9 +175,11 @@ class SpitzDatabase:
 
         Kinds: ``"commit"`` with ``{"writes", "statements",
         "timestamp"}`` (writes map logical keys to value bytes or the
-        ``DELETE`` sentinel) and ``"create_table"`` with ``{"name",
-        "columns", "primary_key"}``.  Hooks run inside the commit lock,
-        after the operation is fully applied.
+        ``DELETE`` sentinel), ``"create_table"`` with ``{"name",
+        "columns", "primary_key"}``, ``"enable_search"`` with
+        ``{"columns"}`` and ``"search_seal"`` with ``{}`` (a block
+        carrying only the search manifest).  Hooks run inside the
+        commit lock, after the operation is fully applied.
         """
         self._commit_hooks.append(hook)
 
@@ -521,6 +523,9 @@ class SpitzDatabase:
             index = CommittedSearchIndex(self.chunks, columns)
             index.rebuild_from(self.inverted)
             self._search = index
+            self._notify_commit_hooks(
+                "enable_search", {"columns": list(columns)}
+            )
 
     def search(
         self, column: str, predicate: Union[str, SearchPredicate]
@@ -590,6 +595,7 @@ class SpitzDatabase:
                     {SEARCH_ROOT_KEY: manifest},
                     statements=("SEARCH INDEX SEAL",),
                 )
+                self._notify_commit_hooks("search_seal", {})
 
     # ------------------------------------------------------------------
     # table API

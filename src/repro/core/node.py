@@ -3,9 +3,14 @@
 "The control layer consists of multiple processor nodes that accept
 and process requests from a global message queue.  Each node has three
 main components: a request handler, an auditor, and a transaction
-manager" (Section 5).  A master node coordinates (footnote 1); here
-the master is :class:`SpitzCluster`, which owns the shared storage
-layer and the queue and runs each processor in a thread.
+manager" (Section 5).  Here a node is its request handler: the
+auditor's role — check a write set and seal it into the ledger, fetch
+the proofs a read returns — is the shared database's commit pipeline
+(``SpitzDatabase._commit_locked``) and the ledger's ``*_with_proof``
+reads, and the transaction manager is the shared database's too.  A
+master node coordinates (footnote 1); here the master is
+:class:`SpitzCluster`, which owns the shared storage layer and the
+queue and runs each processor in a thread.
 
 Request-loss discipline: every envelope that enters the queue is
 *always* completed — with a real response, an error response, a
@@ -38,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.core.auditor import Auditor
 from repro.core.database import SpitzDatabase
 from repro.core.request_handler import Request, RequestHandler, Response
 from repro.errors import ClusterOverloadedError, ClusterStoppedError
@@ -316,23 +320,15 @@ class MessageQueue:
 
 
 class ProcessorNode:
-    """One control-layer node: request handler + auditor + TM.
-
-    The transaction manager is the shared database's manager (the
-    storage layer is common to all nodes; Section 5's consistency
-    across nodes is the 2PC layer's job, exercised in
+    """One control-layer node: a request handler over the shared
+    database (the storage layer is common to all nodes; Section 5's
+    consistency across nodes is the 2PC layer's job, exercised in
     :mod:`repro.txn.two_pc`).
     """
 
     def __init__(self, name: str, db: SpitzDatabase, mq: MessageQueue):
         self.name = name
         self.handler = RequestHandler(db)
-        # A sharded facade has one ledger and one transaction manager
-        # *per shard* rather than a single pair to mediate; its own
-        # coordinator plays the auditor's role for cross-shard writes.
-        ledger = getattr(db, "ledger", None)
-        self.auditor = Auditor(ledger) if ledger is not None else None
-        self.txn_manager = getattr(db, "txn_manager", None)
         self._mq = mq
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -505,9 +501,9 @@ class SpitzCluster:
             )
             self.db = self.durable.db
             if indexed_columns:
-                # Recovery replays the WAL through the normal commit
-                # path, so the inverted index is already rebuilt;
-                # enable_search folds it into committed trees.
+                # Logged like a commit, so replay re-enables it where it
+                # happened; on a reopen it is already on and this is a
+                # no-op.
                 self.db.enable_search(indexed_columns)
         else:
             self.durable = None

@@ -1,14 +1,14 @@
 """Durability subsystem: write-ahead log, checkpoints, crash recovery.
 
-The paper's Spitz prototype is in-memory; the reproduction's only
-persistence used to be whole-database snapshots (rewritten per
-mutation).  This package adds the log-plus-checkpoint design ForkBase
-implies for a *durable* tamper-evident store:
+The paper's Spitz prototype is in-memory; this package is the
+reproduction's one on-disk layout, the log-plus-checkpoint design
+ForkBase implies for a *durable* tamper-evident store:
 
 - :mod:`repro.durability.wal` — segmented, append-only write-ahead log
   with CRC-framed records and optional group commit;
-- :mod:`repro.durability.checkpoint` — periodic snapshots (the existing
-  integrity-checked format) that let sealed WAL segments be truncated;
+- :mod:`repro.durability.checkpoint` — periodic integrity-checked
+  snapshots (``save_database`` / ``load_database``) that let sealed
+  WAL segments be truncated;
 - :mod:`repro.durability.recovery` — open-time recovery: latest valid
   checkpoint + WAL replay (torn tails tolerated) + full chain audit,
   so a recovered database is *verified*, not just restored;

@@ -1,11 +1,12 @@
-"""Checkpoints: periodic snapshots that bound WAL replay.
+"""Checkpoints: integrity-checked snapshots that bound WAL replay.
 
-A checkpoint is the existing integrity-checked snapshot format
-(:mod:`repro.core.persistence` — magic, digest header, chain-audited
-on load) written as ``checkpoint-<lsn>.spitz``, where ``<lsn>`` is the
-last WAL record folded into the snapshotted state.  Recovery loads the
-highest-LSN checkpoint that passes its integrity check (falling back
-to retained older ones) and replays only records with a larger LSN;
+A checkpoint is the whole database object graph behind a header —
+magic, then the payload's digest — written as
+``checkpoint-<lsn>.spitz``, where ``<lsn>`` is the last WAL record
+folded into the snapshotted state.  :func:`load_database` checks the
+digest and runs the chain audit, so a checkpoint modified at rest is
+detected, not silently loaded.  Recovery loads the highest-LSN
+checkpoint that passes and replays only records with a larger LSN;
 sealed WAL segments entirely at or below the *oldest retained*
 checkpoint's LSN are deleted, so every retained checkpoint can still
 replay to the log's end.
@@ -17,21 +18,108 @@ Policy: checkpoints are explicit (CLI ``checkpoint`` subcommand,
 (temp file + ``os.replace``) a crash mid-checkpoint leaves the
 previous checkpoint intact and the WAL un-truncated, which recovery
 handles as the ordinary case.
+
+The format is Python-pickle based and not cross-version stable.  The
+magic's digit is the snapshot layout — the object graph pickled (3:
+one version store) and the node format of its chunks (v2 since 2); a
+file of another layout is refused by name, and there is no migration.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
+import sys
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.core.persistence import save_database
+from repro.core.database import SpitzDatabase
+from repro.crypto.hashing import hash_bytes
+from repro.errors import (
+    FormatVersionError,
+    StorageError,
+    TamperDetectedError,
+)
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
+_MAGIC = b"SPITZDB3"
+
+
+def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
+    """Write a snapshot of ``db``; returns the snapshot size in bytes.
+
+    Pending ledger writes are flushed first so the snapshot is a
+    sealed, verifiable state.  The write is atomic: the blob lands in
+    a temp file that is fsynced and then renamed over ``path``, so a
+    crash mid-save leaves the previous snapshot untouched rather than
+    a half-written one.
+    """
+    db.flush_ledger()
+    # Deep object graphs (B+-tree leaf chains) need headroom beyond
+    # the default recursion limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100_000))
+    try:
+        payload = pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        sys.setrecursionlimit(limit)
+    # Written apart: a joined blob would be a second copy of the payload.
+    header = _MAGIC + bytes(hash_bytes(payload))
+    path = Path(path)
+    temp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(header)
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        if temp.exists():
+            temp.unlink()
+    return len(header) + len(payload)
+
+
+def load_database(path: Union[str, Path]) -> SpitzDatabase:
+    """Load a snapshot, checking the header digest and the chain.
+
+    Raises :class:`TamperDetectedError` when the file bytes do not
+    match their recorded digest or the restored ledger fails its
+    chain audit.
+    """
+    with open(path, "rb") as handle:  # payload read apart, not sliced
+        header = handle.read(len(_MAGIC) + 32)
+        if not header.startswith(_MAGIC):
+            if header.startswith(_MAGIC[:-1]) and header[7:8].isdigit():
+                raise FormatVersionError(
+                    f"{path} holds a snapshot in layout {header[7:8].decode()}"
+                    f"; this build reads and writes snapshot layout "
+                    f"{_MAGIC[7:].decode()} only, and there is no migration"
+                )
+            raise StorageError(f"{path} is not a Spitz snapshot")
+        payload = handle.read()
+    if bytes(hash_bytes(payload)) != header[len(_MAGIC):]:
+        raise TamperDetectedError(
+            f"snapshot {path} does not match its recorded digest"
+        )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100_000))
+    try:
+        db = pickle.loads(payload)
+    finally:
+        sys.setrecursionlimit(limit)
+    if not isinstance(db, SpitzDatabase):
+        raise StorageError(f"snapshot {path} does not contain a database")
+    if not db.verify_chain():
+        raise TamperDetectedError(
+            f"snapshot {path} restored a ledger that fails its audit"
+        )
+    return db
 
 
 def checkpoint_path(root: Union[str, Path], lsn: int) -> Path:

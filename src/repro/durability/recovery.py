@@ -1,12 +1,14 @@
 """Open-time crash recovery: checkpoint + WAL replay + chain audit.
 
-Recovery is the inverse of the logging path.  The WAL records each
-committed operation compactly (kind ``commit``: the write set, the
-statements, the commit timestamp; kind ``create_table``: the schema),
-so replay re-runs the exact commit pipeline the original operations
-took — ledger blocks, cell-store versions and MVCC installs land in
-the same order with the same timestamps, and the recovered chain
-digest equals the pre-crash one for every durable prefix.
+Recovery is the inverse of the logging path.  The WAL records every
+operation that changes what the next block seals (kind ``commit``: the
+write set, the statements, the commit timestamp; ``create_table``: the
+schema; ``enable_search``: the indexed columns; ``search_seal``: a
+block carrying only the search manifest), so replay re-runs the exact
+pipeline the original operations took — ledger blocks, search
+manifests and MVCC installs land in the same order with the same
+timestamps, and the recovered chain digest equals the pre-crash one
+for every durable prefix.
 
 A recovered database is *verified*, not just restored: after replay
 the full ledger chain audit runs, and a failure raises
@@ -21,7 +23,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.database import SpitzDatabase
-from repro.core.persistence import load_database
 from repro.core.schema import TableSchema
 from repro.errors import (
     FormatVersionError,
@@ -29,12 +30,18 @@ from repro.errors import (
     TamperDetectedError,
 )
 from repro.indexes.siri import DELETE
-from repro.durability.checkpoint import list_checkpoints, write_checkpoint
+from repro.durability.checkpoint import (
+    list_checkpoints,
+    load_database,
+    write_checkpoint,
+)
 from repro.durability.wal import WalIO, WalRecord, WriteAheadLog, scan_wal
 
 #: WAL record kinds understood by replay.
 KIND_COMMIT = "commit"
 KIND_CREATE_TABLE = "create_table"
+KIND_ENABLE_SEARCH = "enable_search"
+KIND_SEARCH_SEAL = "search_seal"
 
 
 @dataclass
@@ -84,6 +91,15 @@ def replay_record(db: SpitzDatabase, record: WalRecord) -> None:
     elif record.kind == KIND_CREATE_TABLE:
         name, columns, primary_key = record.data
         db.create_table(TableSchema.make(name, list(columns), primary_key))
+    elif record.kind == KIND_ENABLE_SEARCH:
+        db.enable_search(record.data)
+    elif record.kind == KIND_SEARCH_SEAL:
+        if not db.search_columns:
+            raise TamperDetectedError(
+                f"WAL record {record.lsn} seals a search index that was "
+                "never enabled"
+            )
+        db._ensure_search_sealed()
     else:
         raise TamperDetectedError(
             f"WAL record {record.lsn} has unknown kind {record.kind!r}"
@@ -173,8 +189,7 @@ class DurableDatabase:
     :meth:`sync` and :meth:`close`.  Commit durability follows the
     WAL's group-commit policy (``sync_every``).
 
-    Single-writer: one process appends to a given directory at a time
-    (the same discipline the snapshot CLI already had).
+    Single-writer: one process appends to a given directory at a time.
     """
 
     def __init__(
@@ -254,6 +269,10 @@ class DurableDatabase:
                     payload["primary_key"],
                 ),
             )
+        elif kind == "enable_search":
+            self.wal.append(KIND_ENABLE_SEARCH, tuple(payload["columns"]))
+        elif kind == "search_seal":
+            self.wal.append(KIND_SEARCH_SEAL, None)
         else:  # pragma: no cover - future hook kinds
             return
         self._commits_since_checkpoint += 1

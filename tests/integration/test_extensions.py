@@ -1,5 +1,5 @@
 """Integration tests for the extension surfaces working together:
-documents + persistence + audit + extension proofs + cluster."""
+documents + durability + audit + extension proofs + cluster."""
 
 import threading
 
@@ -8,9 +8,7 @@ import pytest
 from repro import (
     DocumentStore,
     compare_replicas,
-    load_database,
     make_bundle,
-    save_database,
     verify_bundle,
 )
 from repro.core.database import SpitzDatabase
@@ -18,23 +16,25 @@ from repro.core.node import SpitzCluster
 from repro.core.provenance import key_provenance, verify_statements
 from repro.core.request_handler import Request, RequestKind
 from repro.core.verifier import ClientVerifier
+from repro.durability import DurableDatabase
 from repro.errors import TamperDetectedError
 
 
 class TestDocumentLifecycle:
     def test_documents_survive_persistence(self, tmp_path):
-        store = DocumentStore()
-        orders = store.collection("orders")
-        orders.put("o1", {"sku": "widget", "qty": 3})
-        orders.put("o1", {"sku": "widget", "qty": 5})
-        path = tmp_path / "docs.spitz"
-        save_database(store.db, path)
+        path = tmp_path / "docs.d"
+        with DurableDatabase.open(path) as durable:
+            orders = DocumentStore(durable.db).collection("orders")
+            orders.put("o1", {"sku": "widget", "qty": 3})
+            orders.put("o1", {"sku": "widget", "qty": 5})
+            digest = durable.db.digest()
 
-        restored = DocumentStore(load_database(path))
-        restored_orders = restored.collection("orders")
-        assert restored_orders.get("o1") == {"sku": "widget", "qty": 5}
-        states = [s for _, s in restored_orders.history("o1")]
-        assert [s["qty"] if s else None for s in states] == [3, 5]
+        with DurableDatabase.open(path) as reopened:
+            assert reopened.db.digest() == digest
+            restored_orders = DocumentStore(reopened.db).collection("orders")
+            assert restored_orders.get("o1") == {"sku": "widget", "qty": 5}
+            states = [s for _, s in restored_orders.history("o1")]
+            assert [s["qty"] if s else None for s in states] == [3, 5]
 
     def test_document_proof_bundle_round_trip(self):
         store = DocumentStore()

@@ -372,7 +372,7 @@ class TestCliTraceSubcommands:
 class TestCliStats:
     def test_stats_subcommand_prints_snapshot_json(self, tmp_path, capsys):
         root = str(tmp_path / "db.d")
-        assert cli_main(["init", root, "--durable"]) == 0
+        assert cli_main(["init", root]) == 0
         assert cli_main(["put", root, "alice", "100"]) == 0
         capsys.readouterr()
         assert cli_main(["stats", root, "--json"]) == 0
@@ -384,15 +384,12 @@ class TestCliStats:
         # The WAL reports into the same registry.
         assert "wal.fsyncs" in snap["counters"]
         assert "chunks.dedup_hit_rate" in snap["gauges"]
+        # A direct read: no request handler answered it.
+        assert not any(name.startswith("requests.") for name in snap["counters"])
 
     def test_stats_on_snapshot_file(self, tmp_path, capsys):
-        path = str(tmp_path / "db.spitz")
-        assert cli_main(["init", path]) == 0
-        assert cli_main(["put", path, "k", "v"]) == 0
-        capsys.readouterr()
-        assert cli_main(["stats", path, "--json"]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        # A pickled snapshot carries its registry: the put recorded
-        # before saving is still visible after loading.
-        assert snap["counters"]["db.commits"] == 1
-
+        """A database is a directory; a lone snapshot file is refused."""
+        path = tmp_path / "db.spitz"
+        path.write_bytes(b"SPITZDB3")
+        assert cli_main(["stats", str(path), "--json"]) == 1
+        assert "no database at" in capsys.readouterr().err

@@ -289,6 +289,81 @@ class TestClusterSearch:
             SpitzCluster(nodes=1, shards=2, indexed_columns=["t.v"])
 
 
+def _chain(db):
+    return [db.ledger.block(h).tree_root for h in range(db.ledger.height)]
+
+
+class TestDurableSearchChain:
+    """A durable database whose blocks commit a search manifest
+    recovers the chain a client pinned before the restart: enabling
+    search and a manifest-only seal block go through the log and are
+    replayed where they happened, not re-derived after replay."""
+
+    def _assert_recovers(self, db, reopen):
+        pinned = db.digest()
+        roots = _chain(db)
+        verifier = ClientVerifier()
+        verifier.trust(pinned)
+        reopened = reopen()
+        try:
+            assert reopened.db.digest() == pinned
+            assert _chain(reopened.db) == roots
+            _value, proof = reopened.db.get_verified(b"k")
+            assert verifier.verify(proof)
+            _ukeys, proof = reopened.db.search_verified("t.v", ">= 0")
+            assert reopened.db.digest() == pinned  # no new seal block
+            assert verifier.verify(proof)
+        finally:
+            reopened.stop()
+
+    def test_search_enabled_at_creation_then_writes(self, tmp_path):
+        root = str(tmp_path / "db.d")
+
+        def cluster():
+            return SpitzCluster(
+                nodes=1, durable_root=root, indexed_columns=["t.v"]
+            )
+
+        first = cluster()
+        first.db.sql("CREATE TABLE t (a INT, v INT, PRIMARY KEY (a))")
+        first.db.sql("INSERT INTO t (a, v) VALUES (1, 42)")
+        first.db.sql("INSERT INTO t (a, v) VALUES (2, 7)")
+        first.stop()
+        self._assert_recovers(first.db, cluster)
+
+    def test_cold_seal_on_an_empty_indexed_database_then_put(
+        self, tmp_path
+    ):
+        root = str(tmp_path / "db.d")
+
+        def cluster():
+            return SpitzCluster(
+                nodes=1, durable_root=root, indexed_columns=["t.v"]
+            )
+
+        first = cluster()
+        ukeys, _proof = first.db.search_verified("t.v", ">= 0")
+        assert ukeys == [] and first.db.ledger.height == 1  # the seal
+        first.db.put(b"k", b"v")
+        first.stop()
+        self._assert_recovers(first.db, cluster)
+
+    def test_enable_on_rows_then_verified_search_then_put(self, tmp_path):
+        root = tmp_path / "db.d"
+        first = SpitzCluster(nodes=1, durable_root=str(root))
+        first.db.sql("CREATE TABLE t (a INT, v INT, PRIMARY KEY (a))")
+        first.db.sql("INSERT INTO t (a, v) VALUES (1, 42)")
+        first.db.enable_search(["t.v"])
+        ukeys, _proof = first.db.search_verified("t.v", "== 42")
+        assert len(ukeys) == 1
+        first.db.put(b"k", b"v")
+        first.stop()
+        # Reopened without naming the column: the log remembers it.
+        self._assert_recovers(
+            first.db, lambda: SpitzCluster(nodes=1, durable_root=str(root))
+        )
+
+
 class TestHttpSearch:
     def test_verified_search_over_the_wire(self):
         service = serve_cluster(

@@ -1,8 +1,7 @@
-"""Unit tests for the control layer: auditor, request handler, nodes."""
+"""Unit tests for the control layer: request handler, nodes."""
 
 import pytest
 
-from repro.core.auditor import Auditor
 from repro.core.database import SpitzDatabase
 from repro.core.node import MessageQueue, ProcessorNode, SpitzCluster
 from repro.core.request_handler import (
@@ -12,50 +11,7 @@ from repro.core.request_handler import (
     Response,
 )
 from repro.core.verifier import ClientVerifier
-from repro.errors import ClusterStoppedError, VerificationError
-from repro.indexes.siri import DELETE
-
-
-class TestAuditor:
-    def test_record_returns_block_and_proof(self, db):
-        auditor = Auditor(db.ledger)
-        block, proof = auditor.record({b"k": b"v"}, statements=("PUT",))
-        assert block.height == 0
-        assert proof.verify(db.ledger.digest().chain_digest)
-        assert auditor.writes_recorded == 1
-
-    def test_rejects_invalid_keys(self, db):
-        auditor = Auditor(db.ledger)
-        with pytest.raises(VerificationError):
-            auditor.record({b"": b"v"})
-        with pytest.raises(VerificationError):
-            auditor.record({"not-bytes": b"v"})
-
-    def test_prove(self, db):
-        auditor = Auditor(db.ledger)
-        auditor.record({b"k": b"v"})
-        value, proof = auditor.prove(b"k")
-        assert value == b"v"
-        assert auditor.proofs_issued == 2
-
-    def test_prove_range(self, db):
-        auditor = Auditor(db.ledger)
-        auditor.record({b"a": b"1", b"b": b"2", b"c": b"3"})
-        entries, proof = auditor.prove_range(b"a", b"b")
-        assert len(entries) == 2
-        assert proof.verify(auditor.digest().chain_digest)
-
-    def test_audit_chain(self, db):
-        auditor = Auditor(db.ledger)
-        for i in range(5):
-            auditor.record({f"k{i}".encode(): b"v"})
-        assert auditor.audit_chain()
-
-    def test_record_delete(self, db):
-        auditor = Auditor(db.ledger)
-        auditor.record({b"k": b"v"})
-        auditor.record({b"k": DELETE})
-        assert db.ledger.get(b"k") is None
+from repro.errors import ClusterStoppedError
 
 
 class TestRequestHandler:

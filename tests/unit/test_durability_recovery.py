@@ -258,8 +258,7 @@ class TestCrashInjection:
             recover(tmp_path)
 
     def test_untruncated_wal_below_checkpoint_tolerated(self, tmp_path):
-        from repro.core.persistence import save_database
-        from repro.durability.checkpoint import checkpoint_path
+        from repro.durability.checkpoint import checkpoint_path, save_database
 
         # Simulate a crash between writing a checkpoint and truncating
         # the WAL: the checkpoint exists, the full log remains.
@@ -298,7 +297,7 @@ class TestCrashInjection:
 class TestDurableCli:
     def test_init_put_get_checkpoint_recover(self, tmp_path, capsys):
         root = str(tmp_path / "db.d")
-        assert cli.main(["init", root, "--durable"]) == 0
+        assert cli.main(["init", root]) == 0
         assert cli.main(["put", root, "account:alice", "100"]) == 0
         assert cli.main(["get", root, "account:alice", "--verify"]) == 0
         assert "VERIFIED" in capsys.readouterr().out
@@ -312,7 +311,7 @@ class TestDurableCli:
 
     def test_durable_sql_and_history(self, tmp_path, capsys):
         root = str(tmp_path / "db.d")
-        cli.main(["init", root, "--durable"])
+        cli.main(["init", root])
         assert cli.main([
             "sql", root, "CREATE TABLE t (id INT, PRIMARY KEY (id))"
         ]) == 0
@@ -321,19 +320,39 @@ class TestDurableCli:
         assert "{'id': 7}" in capsys.readouterr().out
 
     def test_init_refuses_nonempty_dir(self, tmp_path, capsys):
+        """``init`` never reuses a directory: it refuses, and the data
+        already there survives the refusal unchanged."""
         root = str(tmp_path / "db.d")
-        cli.main(["init", root, "--durable"])
-        assert cli.main(["init", root, "--durable"]) == 1
-        assert cli.main(["init", root, "--durable", "--force"]) == 0
+        assert cli.main(["init", root]) == 0
+        assert cli.main(["put", root, "k", "v1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["digest", root]) == 0
+        before = capsys.readouterr().out
+        assert cli.main(["init", root]) == 1
+        assert "refusing" in capsys.readouterr().err
+        assert cli.main(["get", root, "k"]) == 0
+        assert capsys.readouterr().out.strip() == "v1"
+        assert cli.main(["digest", root]) == 0
+        assert capsys.readouterr().out == before
+        # A directory holding anything at all is refused too.
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "notes.txt").write_text("keep")
+        assert cli.main(["init", str(other)]) == 1
+        assert [p.name for p in other.iterdir()] == ["notes.txt"]
 
     def test_checkpoint_requires_durable(self, tmp_path, capsys):
-        snap = str(tmp_path / "db.spitz")
-        cli.main(["init", snap])
-        assert cli.main(["checkpoint", snap]) == 1
+        """Only a database directory checkpoints: a plain file (such
+        as a whole-database snapshot) is refused, not opened."""
+        snap = tmp_path / "db.spitz"
+        snap.write_bytes(b"SPITZDB3")
+        assert cli.main(["checkpoint", str(snap)]) == 1
+        assert "no database at" in capsys.readouterr().err
+        assert snap.read_bytes() == b"SPITZDB3"
 
     def test_tampered_wal_exits_3(self, tmp_path, capsys):
         root = tmp_path / "db.d"
-        cli.main(["init", str(root), "--durable"])
+        cli.main(["init", str(root)])
         for i in range(10):
             cli.main(["put", str(root), f"k{i}", "v"])
         index, path = list_segments(root)[0]
