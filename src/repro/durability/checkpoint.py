@@ -20,9 +20,11 @@ previous checkpoint intact and the WAL un-truncated, which recovery
 handles as the ordinary case.
 
 The format is Python-pickle based and not cross-version stable.  The
-magic's digit is the snapshot layout — the object graph pickled (3:
-one version store) and the node format of its chunks (v2 since 2); a
-file of another layout is refused by name, and there is no migration.
+magic's digit is the snapshot layout — the object graph pickled (one
+version store since 3) and the node format of its chunks (v3 since 4:
+a common key prefix stored once, varint lengths); a file of another
+layout is refused by name before its payload is unpickled, and there is
+no migration.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
-_MAGIC = b"SPITZDB3"
+_MAGIC = b"SPITZDB4"
 
 
 def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:

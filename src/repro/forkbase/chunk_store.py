@@ -54,7 +54,7 @@ class StoreStats:
         return self.logical_bytes / self.physical_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     data: bytes
     refcount: int = 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from operator import ge
+from operator import ge, itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import Digest
@@ -32,12 +32,55 @@ from repro.forkbase.chunk_store import ChunkStore
 DELETE = object()
 
 
-#: Node layout v2, leaves and branches alike:
-#: ``tag(1) ‖ count(u32) ‖ count × key length(u32) ‖ keys ‖ count × digest(32)``.
+#: Node layout v3, leaves and branches alike:
+#: ``tag(1) ‖ count(u32) ‖ prefix length(varint) ‖ prefix ‖
+#: count × suffix length(varint) ‖ suffixes ‖ count × digest(32)``.
+#: The prefix is the longest common prefix of the first and last key —
+#: of every key, since keys are sorted — and a varint is unsigned
+#: LEB128, minimally encoded.
 _HEAD = struct.Struct(">cI")
 _TAGS = {b"L": "L", b"B": "B"}
 _DIGEST = "32s"  # struct field of one digest
-_PAIR_BYTES = 4 + 32  # what a pair takes beside its key
+_PAIR_BYTES = 1 + 32  # the least a pair takes: a one-byte length, a digest
+
+
+def _common_prefix(first: bytes, last: bytes) -> int:
+    """Length of the longest common prefix of ``first`` and ``last``."""
+    size = min(len(first), len(last))
+    differ = int.from_bytes(first[:size], "big") ^ int.from_bytes(
+        last[:size], "big"
+    )
+    return size - (differ.bit_length() + 7) // 8
+
+
+def _varint(number: int) -> bytes:
+    """``number`` as an unsigned LEB128 varint, minimally encoded."""
+    out = bytearray()
+    while number > 0x7F:
+        out.append(number & 0x7F | 0x80)
+        number >>= 7
+    out.append(number)
+    return bytes(out)
+
+
+def _varint_at(data: bytes, at: int) -> Tuple[int, int]:
+    """The varint at ``data[at:]`` and the offset just past it;
+    ``ValueError`` if it is cut short or not minimal, or grows past
+    ``len(data)`` (no length in a node can, and the bound keeps a long
+    run of continuation bytes linear)."""
+    number = shift = 0
+    while at < len(data):
+        byte = data[at]
+        at += 1
+        number |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0 and shift:
+                raise ValueError("node varint is not minimal")
+            return number, at
+        if number > len(data):
+            raise ValueError("node varint exceeds its node")
+        shift += 7
+    raise ValueError("node varint is cut short")
 
 
 def encode_node(node: tuple) -> bytes:
@@ -45,29 +88,41 @@ def encode_node(node: tuple) -> bytes:
     (a leaf — each digest is ``H(value)``, the value's chunk address) or
     ``"B"`` (a branch — each digest is a child node's address under the
     child's first key).  Raises ``ValueError`` for a digest that is not
-    32 bytes; key order is the caller's to keep (:func:`decode_node`
-    rejects bytes that break it)."""
+    32 bytes or keys that are not strictly increasing: the prefix is
+    stored once, so bytes from unsorted keys could decode to another
+    node."""
     tag, pairs = node
-    keys, digests = zip(*pairs) if pairs else ((), ())
-    lengths = tuple(map(len, keys))
-    data = b"".join((
-        _HEAD.pack(tag.encode(), len(pairs)),
-        struct.pack(">%dI" % len(pairs), *lengths),
-        *keys,
+    head = _HEAD.pack(tag.encode(), len(pairs))
+    if not pairs:
+        return head + b"\x00"
+    keys, digests = zip(*pairs)
+    if set(map(len, digests)) != {32}:
+        raise ValueError("node digests must be 32 bytes each")
+    if any(map(ge, keys, keys[1:])):
+        raise ValueError("node keys must be strictly increasing")
+    cut = _common_prefix(keys[0], keys[-1])
+    suffixes = tuple(map(itemgetter(slice(cut, None)), keys))
+    lengths = tuple(map(len, suffixes))
+    return b"".join((
+        head,
+        _varint(cut),
+        keys[0][:cut],
+        bytes(lengths) if max(lengths) < 0x80
+        else b"".join(map(_varint, lengths)),
+        *suffixes,
         *digests,
     ))
-    if len(data) - sum(lengths) != _HEAD.size + _PAIR_BYTES * len(pairs):
-        raise ValueError("node digests must be 32 bytes each")
-    return data
 
 
 def decode_node(data: bytes) -> tuple:
     """Strict inverse of :func:`encode_node`.
 
     Total over arbitrary bytes — a verifier runs it on what an
-    untrusted server sent: a bad tag, a count the bytes cannot hold,
-    missing or trailing bytes, and keys not strictly increasing all
-    raise ``ValueError``, and nothing else is raised.
+    untrusted server sent: a bad tag, a count the bytes cannot hold, a
+    varint cut short or not minimal, missing or trailing bytes, keys not
+    strictly increasing and a prefix other than the first and last key's
+    longest common one all raise ``ValueError``, and nothing else is
+    raised.  What it accepts re-encodes to ``data``.
     """
     if len(data) < _HEAD.size:
         raise ValueError("node shorter than its header")
@@ -77,17 +132,27 @@ def decode_node(data: bytes) -> tuple:
         raise ValueError(f"unknown node tag {raw_tag!r}")
     if count > (len(data) - _HEAD.size) // _PAIR_BYTES:
         raise ValueError("node count exceeds its bytes")
-    lengths = struct.unpack_from(">%dI" % count, data, _HEAD.size)
-    stop = _HEAD.size + 4 * count
+    cut, at = _varint_at(data, _HEAD.size)
+    prefix, at = data[at:at + cut], at + cut
+    lengths = data[at:at + count]
+    if len(lengths) == count and lengths.isascii():  # each below 128
+        at += count
+    else:
+        lengths = []
+        for _ in range(count):
+            length, at = _varint_at(data, at)
+            lengths.append(length)
     digests = len(data) - 32 * count
-    if stop + sum(lengths) != digests:
+    if at + sum(lengths) != digests:
         raise ValueError("node has missing or trailing bytes")
     keys = []
     for length in lengths:
-        start, stop = stop, stop + length
-        keys.append(data[start:stop])
+        start, at = at, at + length
+        keys.append(prefix + data[start:at])
     if any(map(ge, keys, keys[1:])):
         raise ValueError("node keys are not strictly increasing")
+    if cut != (_common_prefix(keys[0], keys[-1]) if keys else 0):
+        raise ValueError("node prefix is not its keys' common prefix")
     return tag, tuple(
         zip(keys, struct.unpack_from(_DIGEST * count, data, digests))
     )

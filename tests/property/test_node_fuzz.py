@@ -57,13 +57,21 @@ settings.register_profile(
 )
 FIXED = settings.get_profile("node-fuzz")
 
+#: Short keys of mixed lengths (the empty key among them), and keys on
+#: shared stems — one 142 bytes long, so a prefix or a suffix of 128
+#: bytes or more takes a multi-byte varint.
+keys = st.one_of(
+    st.binary(max_size=12),
+    st.builds(
+        bytes.__add__,
+        st.sampled_from([b"k\x00", b"k\x00" + b"ab" * 70]),
+        st.binary(max_size=160),
+    ),
+)
 nodes = st.builds(
     lambda tag, pairs: (tag, tuple(sorted(pairs.items()))),
     st.sampled_from("LB"),
-    st.dictionaries(
-        st.binary(max_size=12), st.binary(min_size=32, max_size=32),
-        max_size=12,
-    ),
+    st.dictionaries(keys, st.binary(min_size=32, max_size=32), max_size=12),
 )
 #: One edit to a byte string: (position share, bytes dropped, inserted).
 edits = st.lists(
@@ -110,11 +118,38 @@ class TestNodeCodec:
         assert decode_node(data) == node
         assert encode_node(decode_node(data)) == data
 
+    def test_the_layout_stores_the_prefix_once_and_lengths_as_varints(self):
+        """Empty and one-pair nodes, an empty key, mixed key lengths, and
+        a prefix and a suffix long enough for two-byte varints."""
+        digest = bytes(range(32))
+        stem = b"k\x00" + b"x" * 200
+        long_pairs = ((stem, digest), (stem + b"\x00" * 130, digest),
+                      (stem + b"\x01", digest))
+        for pairs in (
+            (),
+            ((b"", digest),),
+            ((stem, digest),),
+            ((b"", digest), (b"a", digest), (b"ab" * 100, digest)),
+            long_pairs,
+        ):
+            for tag in "LB":
+                data = encode_node((tag, pairs))
+                assert decode_node(data) == (tag, pairs)
+                assert encode_node(decode_node(data)) == data
+        data = encode_node(("L", long_pairs))
+        # 202 = 0xCA, 130 = 0x82: seven bits a byte, low bits first.
+        assert data[5:7] == b"\xca\x01" and data[7:209] == stem
+        assert data[209:213] == b"\x00\x82\x01\x01"
+        assert len(data) == 213 + 131 + 3 * 32
+        assert encode_node(("L", ())) == b"L\x00\x00\x00\x00\x00"
+
     def test_every_way_to_be_malformed_is_a_value_error(self):
         digest = b"\x07" * 32
-        good = encode_node(("L", ((b"a", digest), (b"b", digest))))
+        good = encode_node(("L", ((b"ka", digest), (b"kb", digest))))
         head = good[:1] + (2).to_bytes(4, "big")
-        lengths = (1).to_bytes(4, "big") * 2
+        assert good == head + b"\x01k" + b"\x01\x01" + b"ab" + digest * 2
+        # Keys with no common prefix, minimally encoded, decode.
+        assert decode_node(head + b"\x00\x01\x01ab" + digest * 2)
         for data in (
             b"",
             good[:4],  # shorter than a header
@@ -122,9 +157,19 @@ class TestNodeCodec:
             good + b"\x00",  # trailing byte
             good[:-1],  # missing byte
             b"L" + (2**32 - 1).to_bytes(4, "big") + good[5:],  # oversize count
-            head + lengths + b"ba" + digest * 2,  # unsorted keys
-            head + lengths + b"aa" + digest * 2,  # duplicate key
-            head + (2**31).to_bytes(4, "big") * 2 + b"ab" + digest * 2,
+            head + b"\x01k\x01\x01" + b"ba" + digest * 2,  # unsorted keys
+            head + b"\x01k\x01\x01" + b"aa" + digest * 2,  # duplicate key
+            head + b"\x80\x00\x01\x01ab" + digest * 2,  # non-minimal prefix length
+            head + b"\x00\x81\x00\x01ab" + digest * 2,  # non-minimal key length
+            b"L" + bytes(4) + b"\x80",  # varint cut short
+            b"L" + bytes(4) + b"\xff" * 9 + b"\x01",  # varint past the node
+            head + b"\x00\x02\x02kakb" + digest * 2,  # prefix one shorter
+            head + b"\x02" + good[6:],  # prefix length one longer
+            b"L" + bytes(4) + b"\x01k",  # an empty node has no prefix
+            # A one-pair node's prefix is its whole key.
+            b"L" + (1).to_bytes(4, "big") + b"\x01k\x01a" + digest,
+            head + b"\x01k\x01\x7f" + b"ab" + digest * 2,  # into the digests
+            head + b"\x01k\x01\xff\x01" + b"ab" + digest * 2,  # and past them
         ):
             with pytest.raises(ValueError):
                 decode_node(data)
@@ -132,6 +177,21 @@ class TestNodeCodec:
     def test_encoding_refuses_a_digest_of_the_wrong_size(self):
         with pytest.raises(ValueError):
             encode_node(("L", ((b"k", b"short"),)))
+
+    def test_encoding_checks_each_digest_not_their_sum(self):
+        """31 + 33 bytes are two digests' worth, and those bytes would
+        decode to another node: one byte of the second digest in the
+        first."""
+        with pytest.raises(ValueError):
+            encode_node(("L", ((b"a", b"x" * 31), (b"b", b"y" * 33))))
+
+    def test_encoding_refuses_keys_out_of_order(self):
+        """The prefix of the first and last key is stored once, so the
+        bytes of these keys would decode to ``a1, a2, a3``."""
+        digest = b"\x07" * 32
+        with pytest.raises(ValueError):
+            encode_node(("L", ((b"a1", digest), (b"b2", digest),
+                               (b"a3", digest))))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,23 @@ class TestChunkStorePickling:
         update = {b"k0500": b"later", b"k1500": b"later"}
         assert again.apply(update).root == tree.apply(update).root
 
+    def test_slotted_entries_round_trip_with_their_refcounts(self, store):
+        """An entry has no per-instance dict (48 bytes, not 88, a
+        chunk), and checkpoints still pickle it: bytes and reference
+        counts survive every protocol."""
+        kept, released = store.put(b"kept"), store.put(b"released")
+        store.put(b"kept")
+        store.release(released)
+        assert not hasattr(store._entries[kept], "__dict__")
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            reloaded = pickle.loads(pickle.dumps(store, protocol=protocol))
+            assert reloaded.stats == store.stats
+            assert (reloaded.refcount(kept), reloaded.refcount(released)) == (
+                2, 0
+            )
+            assert reloaded.get(kept) == b"kept"
+            assert reloaded.reclaimable_bytes() == len(b"released")
+
 
 class TestChunkStoreThreadSafety:
     """Regression: put() was a lockless check-then-act on the entry

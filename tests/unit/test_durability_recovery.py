@@ -166,6 +166,27 @@ class TestCheckpoints:
         with pytest.raises(FormatVersionError, match="snapshot in layout 2"):
             recover(tmp_path)
 
+    def test_a_layout_3_checkpoint_stops_recovery_by_name(
+        self, tmp_path, monkeypatch
+    ):
+        """Layout 3 holds nodes in layout v2, which this build's node
+        codec refuses: re-raised before the payload is unpickled."""
+        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        assert newest.read_bytes().startswith(b"SPITZDB4")
+        newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
+        monkeypatch.setattr(
+            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 3; .* snapshot layout 4 only",
+        ):
+            recover(tmp_path)
+
     def test_keep_retains_older_checkpoints(self, tmp_path):
         with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
             for i in range(5):
@@ -345,10 +366,10 @@ class TestDurableCli:
         """Only a database directory checkpoints: a plain file (such
         as a whole-database snapshot) is refused, not opened."""
         snap = tmp_path / "db.spitz"
-        snap.write_bytes(b"SPITZDB3")
+        snap.write_bytes(b"SPITZDB4")
         assert cli.main(["checkpoint", str(snap)]) == 1
         assert "no database at" in capsys.readouterr().err
-        assert snap.read_bytes() == b"SPITZDB3"
+        assert snap.read_bytes() == b"SPITZDB4"
 
     def test_tampered_wal_exits_3(self, tmp_path, capsys):
         root = tmp_path / "db.d"

@@ -102,13 +102,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB3")
+        assert blob.startswith(b"SPITZDB4")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 3 only"
+            FormatVersionError, match="snapshot layout 4 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -128,6 +128,20 @@ class TestPersistence:
         with pytest.raises(
             FormatVersionError, match="snapshot in layout 2"
         ):
+            load_database(snapshot_path)
+
+    def test_a_layout_3_file_is_refused_by_name(
+        self, snapshot_path, monkeypatch
+    ):
+        """Layout 3 holds its index nodes in node layout v2 (u32 key
+        lengths, no shared prefix); this build decodes v3 only."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB3" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(FormatVersionError, match="snapshot in layout 3"):
             load_database(snapshot_path)
 
     def test_save_and_load_hold_one_copy_of_the_payload(

@@ -2,9 +2,10 @@
 
 - **golden frames** — the JSON each proof/digest kind encodes to:
   single-ledger frames must stay byte-identical, sharded frames
-  (stamped from a clock) keep their keys and shapes.  Node format v2
-  moved the node blobs and every digest, so the file was regenerated
-  (``python -m tests.wire_samples``) — and is held to the keys, leaf
+  (stamped from a clock) keep their keys and shapes.  Node layouts v2
+  and v3 moved the node blobs and every digest, so the file was
+  regenerated each time (``python -m tests.wire_samples``; CI fails
+  when the file is not what the samples produce) — and is held to the keys, leaf
   types and field order of the frames it replaced, captured from the
   v1 file as ``golden_wire_frame_skeletons.json``;
 - **mutation sweep** — every path of every frame kind × a fixed junk
