@@ -145,7 +145,7 @@ class SpitzDatabase:
         # it is applied — the durability layer's WAL attaches here.
         # Deliberately excluded from pickling (see __getstate__): a
         # snapshot captures state, not live observers.
-        self._commit_hooks: List[Callable[[str, Dict[str, object]], None]] = []
+        self._commit_hooks: List[Callable[[str, object], None]] = []
         # Verifiable search plane (DESIGN.md §6i): with indexed columns
         # configured, every sealed block also commits the per-column
         # search manifest under a reserved ledger key, making secondary-
@@ -168,32 +168,27 @@ class SpitzDatabase:
     # commit hooks (durability / replication observers)
     # ------------------------------------------------------------------
 
-    def add_commit_hook(
-        self, hook: Callable[[str, Dict[str, object]], None]
-    ) -> None:
-        """Register ``hook(kind, payload)`` to run after each commit.
+    def add_commit_hook(self, hook: Callable[[str, object], None]) -> None:
+        """Register ``hook(kind, data)`` to run after each commit.
 
-        Kinds: ``"commit"`` with ``{"writes", "statements",
-        "timestamp"}`` (writes map logical keys to value bytes or the
-        ``DELETE`` sentinel), ``"create_table"`` with ``{"name",
-        "columns", "primary_key"}``, ``"enable_search"`` with
-        ``{"columns"}`` and ``"search_seal"`` with ``{}`` (a block
+        ``(kind, data)`` is the write-ahead log's record shape, which
+        ``repro.durability.recovery.replay_record`` reads back:
+        ``"commit"`` with ``([(key, value or None for a delete), ...],
+        statements, timestamp)``, ``"create_table"`` with ``(name,
+        [(column, type), ...], primary_key)``, ``"enable_search"`` with
+        the column tuple and ``"search_seal"`` with ``None`` (a block
         carrying only the search manifest).  Hooks run inside the
         commit lock, after the operation is fully applied.
         """
         self._commit_hooks.append(hook)
 
-    def remove_commit_hook(
-        self, hook: Callable[[str, Dict[str, object]], None]
-    ) -> None:
+    def remove_commit_hook(self, hook: Callable[[str, object], None]) -> None:
         if hook in self._commit_hooks:
             self._commit_hooks.remove(hook)
 
-    def _notify_commit_hooks(
-        self, kind: str, payload: Dict[str, object]
-    ) -> None:
+    def _notify_commit_hooks(self, kind: str, data: object) -> None:
         for hook in list(self._commit_hooks):
-            hook(kind, payload)
+            hook(kind, data)
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -270,14 +265,15 @@ class SpitzDatabase:
                 block = self.flush_ledger()
             else:
                 block = self.ledger.latest_block()
-        self._notify_commit_hooks(
-            "commit",
-            {
-                "writes": dict(writes),
-                "statements": tuple(statements),
-                "timestamp": timestamp,
-            },
-        )
+        if self._commit_hooks:
+            self._notify_commit_hooks("commit", (
+                [
+                    (key, None if value is DELETE else value)
+                    for key, value in writes.items()
+                ],
+                tuple(statements),
+                timestamp,
+            ))
         return block
 
     def flush_ledger(self) -> Block:
@@ -523,9 +519,7 @@ class SpitzDatabase:
             index = CommittedSearchIndex(self.chunks, columns)
             index.rebuild_from(self.inverted)
             self._search = index
-            self._notify_commit_hooks(
-                "enable_search", {"columns": list(columns)}
-            )
+            self._notify_commit_hooks("enable_search", tuple(columns))
 
     def search(
         self, column: str, predicate: Union[str, SearchPredicate]
@@ -595,7 +589,7 @@ class SpitzDatabase:
                     {SEARCH_ROOT_KEY: manifest},
                     statements=("SEARCH INDEX SEAL",),
                 )
-                self._notify_commit_hooks("search_seal", {})
+                self._notify_commit_hooks("search_seal", None)
 
     # ------------------------------------------------------------------
     # table API
@@ -613,14 +607,11 @@ class SpitzDatabase:
                 f", PRIMARY KEY ({schema.primary_key}))",
             ),
         )
-        self._notify_commit_hooks(
-            "create_table",
-            {
-                "name": schema.name,
-                "columns": [(c.name, c.type) for c in schema.columns],
-                "primary_key": schema.primary_key,
-            },
-        )
+        self._notify_commit_hooks("create_table", (
+            schema.name,
+            [(c.name, c.type) for c in schema.columns],
+            schema.primary_key,
+        ))
 
     def table(self, name: str) -> TableSchema:
         schema = self._tables.get(name)

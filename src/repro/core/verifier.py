@@ -4,36 +4,26 @@
 locally ... recalculate the digest with the received proof and compare
 it with the previous digest saved locally" (Section 5.3).  The
 verifier below is that client: it pins the most recent trusted ledger
-digest, checks proofs against it, and supports both online (check
-immediately) and deferred (batch) modes.
+digest and checks each proof against it as it arrives; the deferred
+(batched) write verification of the same section is
+:class:`VerifiedWriter`.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional
 
 from repro.errors import TamperDetectedError, VerificationError
 from repro.core.ledger import LedgerDigest
 from repro.indexes.siri import NodeCache
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.txn.batch import DeferredVerifier
 
 
 class ClientVerifier:
     """A client's local trust anchor.
 
-    ``deferred`` switches Section 5.3's deferred scheme on: proofs are
-    queued and checked in batches of ``batch_size``, trading detection
-    latency for throughput (measured in ``bench_ablation_deferred``).
-
     Counters (``checks``/``detections``/``cache_hits``/``cache_misses``)
-    are kept accurate in *both* modes: either mode runs the same
-    :meth:`_check` per proof (verify, then cache accounting), and
-    deferred checks — whether run by an explicit :meth:`flush` or a
-    batch-full auto-flush inside :meth:`verify` — are counted from the
-    queue's own totals, so a batch that fails mid-flush still registers
-    its detection.
+    count every proof :meth:`verify` checks.
 
     Fork detection: :meth:`observe` rejects not only digests *behind*
     the trusted height but also **same-height digests whose chain
@@ -44,14 +34,8 @@ class ClientVerifier:
     comparison entirely).
     """
 
-    def __init__(
-        self,
-        deferred: bool = False,
-        batch_size: int = 32,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self._trusted: Optional[LedgerDigest] = None
-        self._queue = DeferredVerifier(batch_size) if deferred else None
         # Content-addressed memoization across proofs: a node whose
         # bytes hashed to its address once never needs re-hashing, and
         # a block header whose chain link was recomputed once stays
@@ -194,35 +178,20 @@ class ClientVerifier:
         ``proof`` is anything answering the proof protocol
         (:mod:`repro.core.proofs`): ``verify(trusted, node_cache,
         block_cache)``, ``cacheable_nodes``, ``label``, ``size_bytes``.
-
-        In deferred mode the check is queued and True is returned
-        optimistically; :meth:`flush` (or queue auto-flush) performs
-        the work and raises :class:`TamperDetectedError` on failure.
+        Each of the proof's nodes counts as a cache hit or a miss.
         """
         if self._trusted is None:
             raise VerificationError(
                 "no trusted digest: call trust()/observe() first"
             )
-        check = partial(self._check, proof, self._trusted.chain_digest)
-        if self._queue is not None:
-            self._run_deferred(
-                lambda: self._queue.submit(label=proof.label, check=check)
-            )
-            return True
         self.checks += 1
         self._c_checks.inc()
-        ok = check()
-        if not ok:
-            self._record_detection()
-        return ok
-
-    def _check(self, proof, trusted_chain) -> bool:
-        """What either mode runs for one proof: verify it, and attribute
-        its nodes to cache hits vs misses."""
         nodes_before = len(self._node_cache)
         with self.metrics.tracer.stage_in_trace("verifier.verify"):
             ok = proof.verify(
-                trusted_chain, self._node_cache, self._block_cache
+                self._trusted.chain_digest,
+                self._node_cache,
+                self._block_cache,
             )
         misses = len(self._node_cache) - nodes_before
         hits = max(len(proof.cacheable_nodes) - misses, 0)
@@ -230,55 +199,22 @@ class ClientVerifier:
         self.cache_misses += misses
         self._c_cache_hits.inc(hits)
         self._c_cache_misses.inc(misses)
+        if not ok:
+            self._record_detection()
         return ok
 
     def verify_or_raise(self, proof) -> None:
-        """Like :meth:`verify` but raises on failure (online mode)."""
+        """Like :meth:`verify` but raises on failure."""
         if not self.verify(proof):
             raise TamperDetectedError(
                 f"proof failed verification: {proof.label}"
             )
 
-    def flush(self) -> None:
-        """Run queued deferred checks (no-op in online mode)."""
-        if self._queue is not None:
-            self._run_deferred(self._queue.flush)
-
-    @property
-    def pending(self) -> int:
-        return self._queue.pending if self._queue is not None else 0
-
     # -- counter plumbing -----------------------------------------------------
 
-    def _record_detection(self, n: int = 1) -> None:
-        self.detections += n
-        self._c_detections.inc(n)
-
-    def _run_deferred(self, operation):
-        """Run a queue operation, syncing counters from its totals.
-
-        Both :meth:`flush` and a batch-full auto-flush inside
-        ``submit`` funnel through here, so ``checks``/``detections``
-        stay accurate no matter which path executed the batch — and
-        stay accurate even when the batch raises
-        :class:`TamperDetectedError` mid-flush (the bug this replaced:
-        ``detections`` was never incremented on a failed deferred
-        flush).  In raise mode the failing check stays queued (not
-        counted in ``verified``) but it *did* run, so the recorded
-        failure counts toward ``checks`` as well.
-        """
-        assert self._queue is not None
-        before_verified = self._queue.verified
-        before_failures = len(self._queue.failures)
-        try:
-            return operation()
-        finally:
-            verified = self._queue.verified - before_verified
-            failures = len(self._queue.failures) - before_failures
-            self.checks += verified + failures
-            self._c_checks.inc(verified + failures)
-            if failures:
-                self._record_detection(failures)
+    def _record_detection(self) -> None:
+        self.detections += 1
+        self._c_detections.inc()
 
 
 class VerifiedWriter:

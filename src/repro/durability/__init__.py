@@ -16,11 +16,7 @@ ForkBase implies for a *durable* tamper-evident store:
   crash-recovery test suite.
 """
 
-from repro.durability.checkpoint import (
-    latest_checkpoint,
-    list_checkpoints,
-    write_checkpoint,
-)
+from repro.durability.checkpoint import list_checkpoints, write_checkpoint
 from repro.durability.recovery import (
     DurableDatabase,
     RecoveryReport,
@@ -34,7 +30,6 @@ __all__ = [
     "WalIO",
     "WalRecord",
     "WriteAheadLog",
-    "latest_checkpoint",
     "list_checkpoints",
     "recover",
     "write_checkpoint",

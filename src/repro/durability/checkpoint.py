@@ -12,12 +12,11 @@ checkpoint's LSN are deleted, so every retained checkpoint can still
 replay to the log's end.
 
 Policy: checkpoints are explicit (CLI ``checkpoint`` subcommand,
-:meth:`DurableDatabase.checkpoint`) or interval-driven via
-``checkpoint_every`` on :class:`~repro.durability.recovery.DurableDatabase`
-— every N commits.  Because the snapshot write is atomic
-(temp file + ``os.replace``) a crash mid-checkpoint leaves the
-previous checkpoint intact and the WAL un-truncated, which recovery
-handles as the ordinary case.
+:meth:`DurableDatabase.checkpoint`), and the newest plus
+:data:`KEEP_OLDER` older ones are retained.  Because the snapshot
+write is atomic (temp file + ``os.replace``) a crash mid-checkpoint
+leaves the previous checkpoint intact and the WAL un-truncated, which
+recovery handles as the ordinary case.
 
 The format is Python-pickle based and not cross-version stable.  The
 magic's digit is the snapshot layout — the object graph pickled (one
@@ -34,7 +33,7 @@ import pickle
 import re
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.core.database import SpitzDatabase
 from repro.crypto.hashing import hash_bytes
@@ -50,6 +49,9 @@ _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
 _MAGIC = b"SPITZDB4"
+#: Older checkpoints retained beside the newest, as fallbacks for one
+#: that fails its integrity check.
+KEEP_OLDER = 2
 
 
 def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
@@ -140,22 +142,15 @@ def list_checkpoints(root: Union[str, Path]) -> List[Tuple[int, Path]]:
     return out
 
 
-def latest_checkpoint(
-    root: Union[str, Path]
-) -> Optional[Tuple[int, Path]]:
-    checkpoints = list_checkpoints(root)
-    return checkpoints[-1] if checkpoints else None
-
-
-def write_checkpoint(db, wal, keep: int = 2) -> Tuple[int, Path]:
+def write_checkpoint(db, wal) -> Tuple[int, Path]:
     """Snapshot ``db`` and truncate the WAL behind the retained set.
 
     ``wal`` is the live :class:`~repro.durability.wal.WriteAheadLog`
     for the same directory.  The WAL is synced first so the snapshot
     never runs ahead of the durable log.  The new checkpoint plus up
-    to ``keep`` older ones are retained — recovery falls back to an
-    older checkpoint when a newer one fails its integrity check — so
-    the WAL is truncated only through the *oldest* retained
+    to :data:`KEEP_OLDER` older ones are retained — recovery falls back
+    to an older checkpoint when a newer one fails its integrity check —
+    so the WAL is truncated only through the *oldest* retained
     checkpoint's LSN: every surviving checkpoint keeps the log suffix
     it needs for replay.
 
@@ -166,7 +161,7 @@ def write_checkpoint(db, wal, keep: int = 2) -> Tuple[int, Path]:
     path = checkpoint_path(wal.root, lsn)
     save_database(db, path)
     checkpoints = list_checkpoints(wal.root)
-    for _old_lsn, old_path in checkpoints[:-(max(keep, 0) + 1)]:
+    for _old_lsn, old_path in checkpoints[:-(KEEP_OLDER + 1)]:
         old_path.unlink()
     retained = list_checkpoints(wal.root)
     wal.truncate_through(retained[0][0])

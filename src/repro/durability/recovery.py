@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.database import SpitzDatabase
 from repro.core.schema import TableSchema
@@ -35,9 +35,16 @@ from repro.durability.checkpoint import (
     load_database,
     write_checkpoint,
 )
-from repro.durability.wal import WalIO, WalRecord, WriteAheadLog, scan_wal
+from repro.durability.wal import (
+    WalIO,
+    WalRecord,
+    WalScan,
+    WriteAheadLog,
+    scan_wal,
+)
 
-#: WAL record kinds understood by replay.
+#: WAL record kinds understood by replay — the kinds
+#: :meth:`SpitzDatabase.add_commit_hook` hands over, with their data.
 KIND_COMMIT = "commit"
 KIND_CREATE_TABLE = "create_table"
 KIND_ENABLE_SEARCH = "enable_search"
@@ -77,8 +84,12 @@ class RecoveryReport:
         )
 
 
-def replay_record(db: SpitzDatabase, record: WalRecord) -> None:
-    """Apply one WAL record through the normal commit pipeline."""
+def replay_record(db: SpitzDatabase, record: WalRecord) -> int:
+    """Apply one WAL record through the normal commit pipeline.
+
+    The one reader of what a commit hook handed the log.  Returns the
+    timestamp a ``commit`` record was sealed at (0 for other kinds).
+    """
     if record.kind == KIND_COMMIT:
         writes_list, statements, timestamp = record.data
         writes = {
@@ -88,7 +99,8 @@ def replay_record(db: SpitzDatabase, record: WalRecord) -> None:
         db._commit(
             writes, statements=tuple(statements), timestamp=timestamp
         )
-    elif record.kind == KIND_CREATE_TABLE:
+        return timestamp
+    if record.kind == KIND_CREATE_TABLE:
         name, columns, primary_key = record.data
         db.create_table(TableSchema.make(name, list(columns), primary_key))
     elif record.kind == KIND_ENABLE_SEARCH:
@@ -104,6 +116,7 @@ def replay_record(db: SpitzDatabase, record: WalRecord) -> None:
         raise TamperDetectedError(
             f"WAL record {record.lsn} has unknown kind {record.kind!r}"
         )
+    return 0
 
 
 def recover(
@@ -122,6 +135,14 @@ def recover(
     :class:`SpitzDatabase` when no checkpoint exists yet; a checkpoint
     carries its own configuration.
     """
+    return _recover(root, db_kwargs)[0]
+
+
+def _recover(
+    root: Union[str, Path], db_kwargs
+) -> Tuple[RecoveryReport, WalScan]:
+    """:func:`recover`, plus the scan it read the log with (what the
+    appender of :meth:`DurableDatabase.open` positions itself from)."""
     root = Path(root)
     if not root.is_dir():
         raise StorageError(f"no durable database directory at {root}")
@@ -156,28 +177,26 @@ def recover(
     for record in scan.records:
         if record.lsn <= checkpoint_lsn:
             continue
-        replay_record(db, record)
-        if record.kind == KIND_COMMIT:
-            max_timestamp = max(max_timestamp, record.data[2])
+        max_timestamp = max(max_timestamp, replay_record(db, record))
         replayed += 1
-    advance = getattr(db.oracle, "advance_to", None)
-    if max_timestamp and advance is not None:
-        advance(max_timestamp)
+    if max_timestamp:
+        db.oracle.advance_to(max_timestamp)
     # The chain audit only: what the blocks *wrote* is covered by the
     # checkpoint's own digest and the log's checksums, and re-hashing
     # every chunk (``audit_ledger``, ``spitz audit``) costs time in the
     # size of the store, not of the replayed suffix.
     if not db.verify_chain():
         raise TamperDetectedError("recovered database fails its chain audit")
-    return RecoveryReport(
+    report = RecoveryReport(
         db=db,
         checkpoint_lsn=checkpoint_lsn,
         checkpoint_path=checkpoint_file,
         replayed=replayed,
         torn_tail_dropped=scan.torn_tail,
-        last_lsn=max(scan.last_lsn, checkpoint_lsn),
+        last_lsn=scan.last_lsn,
         skipped_checkpoints=skipped,
     )
+    return report, scan
 
 
 class DurableDatabase:
@@ -187,7 +206,8 @@ class DurableDatabase:
     like a :class:`SpitzDatabase` — every method not defined here
     delegates to the wrapped instance — plus :meth:`checkpoint`,
     :meth:`sync` and :meth:`close`.  Commit durability follows the
-    WAL's group-commit policy (``sync_every``).
+    WAL's group-commit policy (``sync_every``).  Each record a commit
+    hook hands over is appended to the log as it is.
 
     Single-writer: one process appends to a given directory at a time.
     """
@@ -197,100 +217,56 @@ class DurableDatabase:
         root: Union[str, Path],
         db: SpitzDatabase,
         wal: WriteAheadLog,
-        checkpoint_every: int = 0,
-        checkpoint_keep: int = 2,
         recovery: Optional[RecoveryReport] = None,
     ):
         self.root = Path(root)
         self.db = db
         self.wal = wal
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_keep = checkpoint_keep
         self.last_recovery = recovery
-        self._commits_since_checkpoint = 0
         self._closed = False
-        self.db.add_commit_hook(self._log_commit)
+        self.db.add_commit_hook(self._append)
 
     @classmethod
     def open(
         cls,
         root: Union[str, Path],
         sync_every: int = 1,
-        checkpoint_every: int = 0,
-        checkpoint_keep: int = 2,
         segment_bytes: Optional[int] = None,
         io: Optional[WalIO] = None,
         **db_kwargs,
     ) -> "DurableDatabase":
         """Recover (or create) the database at ``root`` and attach a WAL."""
         Path(root).mkdir(parents=True, exist_ok=True)
-        report = recover(root, **db_kwargs)
-        # Seed appends past everything already durable (checkpoint or
-        # log, whichever is ahead) so LSNs never restart or collide.
+        report, scan = _recover(root, db_kwargs)
         wal_kwargs = {
             "sync_every": sync_every,
-            "expected_first_lsn": report.checkpoint_lsn + 1,
             # The WAL reports fsync counts/latency into the database's
             # registry so one snapshot covers both layers.
             "metrics": report.db.metrics,
+            # Appends continue where recovery's own read of the log
+            # ended: the log is read once per open.
+            "scan": scan,
         }
         if segment_bytes is not None:
             wal_kwargs["segment_bytes"] = segment_bytes
         if io is not None:
             wal_kwargs["io"] = io
         wal = WriteAheadLog(root, **wal_kwargs)
-        return cls(
-            root,
-            report.db,
-            wal,
-            checkpoint_every=checkpoint_every,
-            checkpoint_keep=checkpoint_keep,
-            recovery=report,
-        )
+        return cls(root, report.db, wal, recovery=report)
 
     # -- logging hook ------------------------------------------------------
 
-    def _log_commit(self, kind: str, payload: Dict[str, object]) -> None:
-        if kind == "commit":
-            writes: List[Tuple[bytes, Optional[bytes]]] = [
-                (key, None if value is DELETE else value)
-                for key, value in payload["writes"].items()
-            ]
-            self.wal.append(
-                KIND_COMMIT,
-                (writes, tuple(payload["statements"]), payload["timestamp"]),
-            )
-        elif kind == "create_table":
-            self.wal.append(
-                KIND_CREATE_TABLE,
-                (
-                    payload["name"],
-                    list(payload["columns"]),
-                    payload["primary_key"],
-                ),
-            )
-        elif kind == "enable_search":
-            self.wal.append(KIND_ENABLE_SEARCH, tuple(payload["columns"]))
-        elif kind == "search_seal":
-            self.wal.append(KIND_SEARCH_SEAL, None)
-        else:  # pragma: no cover - future hook kinds
-            return
-        self._commits_since_checkpoint += 1
-        if (
-            self.checkpoint_every
-            and self._commits_since_checkpoint >= self.checkpoint_every
-        ):
-            self.checkpoint()
+    def _append(self, kind: str, data: object) -> None:
+        # Looked up per call rather than registering the bound method,
+        # so a wrapper installed on WriteAheadLog.append later sees
+        # every record.
+        self.wal.append(kind, data)
 
     # -- durability controls ----------------------------------------------
 
     def checkpoint(self) -> Tuple[int, Path]:
         """Snapshot current state and truncate the covered WAL."""
-        result = write_checkpoint(
-            self.db, self.wal, keep=self.checkpoint_keep
-        )
-        self._commits_since_checkpoint = 0
-        return result
+        return write_checkpoint(self.db, self.wal)
 
     def sync(self) -> None:
         """Force the group-commit window closed (fsync pending records)."""
@@ -299,7 +275,7 @@ class DurableDatabase:
     def close(self) -> None:
         if self._closed:
             return
-        self.db.remove_commit_hook(self._log_commit)
+        self.db.remove_commit_hook(self._append)
         self.wal.close()
         self._closed = True
 

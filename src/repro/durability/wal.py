@@ -6,8 +6,9 @@ Layout on disk (one directory per database)::
     wal-00000001.log
     ...
 
-Each segment starts with a 12-byte header (``SPITZWAL`` magic plus the
-big-endian segment index) followed by framed records::
+Each segment starts with a 20-byte header (``SPITZWAL`` magic, the
+big-endian segment index and the segment's base LSN) followed by
+framed records::
 
     +----------------+----------------+------------------+
     | length (4, BE) | crc32 (4, BE)  | payload (length) |
@@ -15,7 +16,9 @@ big-endian segment index) followed by framed records::
 
 The payload is a pickled ``(lsn, kind, data)`` triple; LSNs are
 strictly increasing across segments, so a deleted or reordered segment
-is detected as tampering, not silently skipped.
+is detected as tampering, not silently skipped.  Because the scan
+enforces that continuity, the headers are the only LSN bookkeeping: a
+sealed segment ``i`` holds exactly LSNs ``[base(i), base(i+1) - 1]``.
 
 Durability policy: ``sync_every=1`` fsyncs after every record (classic
 commit-per-fsync); ``sync_every=N`` is *group commit* — records are
@@ -105,14 +108,13 @@ class WalScan:
     last_valid_offset: int = SEGMENT_HEADER_SIZE
     #: LSN the next appended record must carry (1 for an empty log).
     next_lsn: int = 1
-    #: LSN span of the valid records in the last segment (both None
-    #: when the last segment holds no records).
-    last_segment_first_lsn: Optional[int] = None
-    last_segment_last_lsn: Optional[int] = None
+    #: Segment index -> the base LSN its header carries (a segment
+    #: whose header was torn away has none).
+    bases: Dict[int, int] = field(default_factory=dict)
 
     @property
     def last_lsn(self) -> int:
-        return self.records[-1].lsn if self.records else self.next_lsn - 1
+        return self.next_lsn - 1
 
 
 def segment_path(root: Union[str, Path], index: int) -> Path:
@@ -177,8 +179,6 @@ def _scan_segments(
         previous_index = index
         scan.last_segment = index
         scan.last_valid_offset = SEGMENT_HEADER_SIZE
-        scan.last_segment_first_lsn = None
-        scan.last_segment_last_lsn = None
         blob = path.read_bytes()
         if len(blob) < SEGMENT_HEADER_SIZE:
             if is_last:
@@ -215,6 +215,7 @@ def _scan_segments(
                 f"(expected {next_lsn})"
             )
         scan.next_lsn = next_lsn
+        scan.bases[index] = base_lsn
         offset = SEGMENT_HEADER_SIZE
         while offset < len(blob):
             remaining = len(blob) - offset
@@ -254,9 +255,6 @@ def _scan_segments(
             next_lsn = lsn + 1
             scan.next_lsn = next_lsn
             scan.records.append(WalRecord(lsn, kind, data))
-            if scan.last_segment_first_lsn is None:
-                scan.last_segment_first_lsn = lsn
-            scan.last_segment_last_lsn = lsn
             offset = record_end
             scan.last_valid_offset = offset
     return scan
@@ -267,7 +265,10 @@ class WriteAheadLog:
 
     Opening positions the log after the last valid record — torn tail
     bytes left by a crash are trimmed so fresh appends never follow
-    garbage.  ``sync_every`` sets the group-commit window; ``sync()``
+    garbage.  The position comes from ``scan``, the :class:`WalScan`
+    of this directory the caller just made (recovery hands over its
+    own, anchored to the checkpoint); without one the log is scanned
+    here.  ``sync_every`` sets the group-commit window; ``sync()``
     forces the window closed (used by checkpoints and clean shutdown).
     """
 
@@ -277,8 +278,8 @@ class WriteAheadLog:
         sync_every: int = 1,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         io: Optional[WalIO] = None,
-        expected_first_lsn: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
+        scan: Optional[WalScan] = None,
     ):
         if sync_every < 1:
             raise ValueError("sync_every must be positive")
@@ -295,12 +296,11 @@ class WriteAheadLog:
         self.fsync_count = 0
         self._unsynced = 0
         self._handle: Optional[BinaryIO] = None
-        #: index -> (first_lsn, last_lsn) for sealed segments.
-        self._sealed: Dict[int, Tuple[int, int]] = {}
-        scan = scan_wal(self.root, expected_first_lsn=expected_first_lsn)
-        # Never hand out an LSN a checkpoint already covers — a fresh
-        # log under an old checkpoint must continue, not restart at 1.
-        self._next_lsn = max(scan.next_lsn, expected_first_lsn or 1)
+        if scan is None:
+            scan = scan_wal(self.root)
+        self._next_lsn = scan.next_lsn
+        #: Segment index -> base LSN, as written in each live header.
+        self._bases = dict(scan.bases)
         self._segment_index = max(scan.last_segment, 0)
         if scan.last_segment >= 0:
             path = segment_path(self.root, scan.last_segment)
@@ -315,10 +315,6 @@ class WriteAheadLog:
             self._open_segment(self._segment_index, create=trim_to == 0)
         else:
             self._open_segment(0, create=True)
-        # The active (last) segment's LSN span, for truncation
-        # bookkeeping; sealed segments' spans are recomputed on demand.
-        self._segment_first_lsn = scan.last_segment_first_lsn
-        self._segment_last_lsn = scan.last_segment_last_lsn
 
     # -- appending ---------------------------------------------------------
 
@@ -346,15 +342,12 @@ class WriteAheadLog:
         frame = record.encode()
         if (
             self._bytes_written + len(frame) > self.segment_bytes
-            and self._segment_first_lsn is not None
+            and self._active_has_records()
         ):
             self.rotate()
         self._handle.write(frame)
         self._bytes_written += len(frame)
         self._next_lsn += 1
-        if self._segment_first_lsn is None:
-            self._segment_first_lsn = record.lsn
-        self._segment_last_lsn = record.lsn
         self._unsynced += 1
         self._c_appends.inc()
         if self._unsynced >= self.sync_every:
@@ -381,43 +374,27 @@ class WriteAheadLog:
         self.sync()
         if self._handle is not None:
             self._handle.close()
-        if self._segment_first_lsn is not None:
-            self._sealed[self._segment_index] = (
-                self._segment_first_lsn,
-                self._segment_last_lsn or self._segment_first_lsn,
-            )
         self._segment_index += 1
         self._open_segment(self._segment_index, create=True)
-        self._segment_first_lsn = None
-        self._segment_last_lsn = None
 
     def truncate_through(self, lsn: int) -> List[Path]:
         """Delete sealed segments fully covered by a checkpoint at ``lsn``.
 
         The active segment is rotated first, so every record ≤ ``lsn``
-        lives in a sealed segment; segments whose last LSN exceeds
-        ``lsn`` are kept.  Returns the deleted paths.
+        lives in a sealed segment.  Sealed segment ``i`` ends at
+        ``base(i+1) - 1``; it is deleted when that is ≤ ``lsn`` and kept
+        otherwise.  Returns the deleted paths.
         """
-        if self._segment_last_lsn is not None:
+        if self._active_has_records():
             self.rotate()
         removed: List[Path] = []
-        for index, path in list_segments(self.root):
-            if index == self._segment_index:
-                continue
-            span = self._sealed.get(index)
-            if span is None:
-                # Sealed before this process opened the log; recover
-                # its span from the bytes.
-                segment_scan = scan_wal_segment(path, index)
-                if not segment_scan:
-                    span = (0, 0)
-                else:
-                    span = (segment_scan[0].lsn, segment_scan[-1].lsn)
-                self._sealed[index] = span
-            if span[1] <= lsn:
-                path.unlink()
-                self._sealed.pop(index, None)
-                removed.append(path)
+        for index in sorted(self._bases)[:-1]:  # all but the active one
+            if self._bases[index + 1] - 1 > lsn:
+                break
+            path = segment_path(self.root, index)
+            path.unlink()
+            del self._bases[index]
+            removed.append(path)
         return removed
 
     def close(self) -> None:
@@ -427,6 +404,9 @@ class WriteAheadLog:
             self._handle = None
 
     # -- internals ---------------------------------------------------------
+
+    def _active_has_records(self) -> bool:
+        return self._next_lsn > self._bases[self._segment_index]
 
     def _open_segment(self, index: int, create: bool) -> None:
         path = segment_path(self.root, index)
@@ -439,27 +419,6 @@ class WriteAheadLog:
                 + self._next_lsn.to_bytes(8, "big")
             )
             self.io.fsync(self._handle)
+            self._bases[index] = self._next_lsn
             size = SEGMENT_HEADER_SIZE
         self._bytes_written = size
-
-
-def scan_wal_segment(path: Path, index: int) -> List[WalRecord]:
-    """Records of one sealed segment (strict: no torn tail allowed)."""
-    blob = path.read_bytes()
-    if (
-        len(blob) < SEGMENT_HEADER_SIZE
-        or blob[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC
-    ):
-        raise TamperDetectedError(f"{path} is not a WAL segment")
-    records: List[WalRecord] = []
-    offset = SEGMENT_HEADER_SIZE
-    while offset < len(blob):
-        length = int.from_bytes(blob[offset:offset + 4], "big")
-        checksum = int.from_bytes(blob[offset + 4:offset + 8], "big")
-        payload = blob[offset + 8:offset + 8 + length]
-        if len(payload) < length or zlib.crc32(payload) != checksum:
-            raise TamperDetectedError(f"sealed WAL segment {path} damaged")
-        lsn, kind, data = pickle.loads(payload)
-        records.append(WalRecord(lsn, kind, data))
-        offset += RECORD_HEADER_SIZE + length
-    return records

@@ -13,11 +13,9 @@ of the same MVCC version store:
   MVCC+T/O certification;
 - :mod:`~repro.txn.manager` — the transaction manager gluing the
   above;
-- :mod:`~repro.txn.two_pc` — two-phase commit across processor nodes;
-- :mod:`~repro.txn.batch` — deferred (batched) verification.
+- :mod:`~repro.txn.two_pc` — two-phase commit across processor nodes.
 """
 
-from repro.txn.batch import DeferredVerifier
 from repro.txn.hlc import HLCTimestamp, HlcOracle, HybridLogicalClock
 from repro.txn.manager import (
     IsolationLevel,
@@ -36,7 +34,6 @@ from repro.txn.two_pc import (
 from repro.txn.two_pl import LockManager, TwoPhaseLockingCertifier
 
 __all__ = [
-    "DeferredVerifier",
     "HLCTimestamp",
     "HlcOracle",
     "HybridLogicalClock",

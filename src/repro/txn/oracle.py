@@ -3,9 +3,8 @@
 "One approach to achieving serializability is to rely on a global
 timestamp service, like Timestamp Oracle [Percolator], to allocate the
 timestamps upon a transaction starts and commits" (Section 5.2).  The
-paper also notes the oracle can become a bottleneck; the batched lease
-below is Percolator's mitigation, and :mod:`repro.txn.hlc` is the
-decentralized alternative.
+paper also notes the oracle can become a bottleneck;
+:mod:`repro.txn.hlc` is the decentralized alternative.
 """
 
 from __future__ import annotations
@@ -14,29 +13,16 @@ import threading
 
 
 class TimestampOracle:
-    """Strictly monotonic timestamp allocation.
+    """Strictly monotonic timestamp allocation under one lock."""
 
-    ``lease_size`` timestamps are reserved per internal refill, so the
-    lock is touched once per batch rather than once per request — the
-    trick Percolator uses to serve millions of allocations per second.
-    """
-
-    def __init__(self, lease_size: int = 1024):
-        if lease_size < 1:
-            raise ValueError("lease_size must be positive")
-        self._lease_size = lease_size
+    def __init__(self):
         self._lock = threading.Lock()
         self._next = 1
-        self._lease_end = 1  # exclusive
         self.allocated = 0
-        self.lease_refills = 0
 
     def next_timestamp(self) -> int:
         """Allocate one timestamp, unique and strictly increasing."""
         with self._lock:
-            if self._next >= self._lease_end:
-                self._lease_end = self._next + self._lease_size
-                self.lease_refills += 1
             timestamp = self._next
             self._next += 1
             self.allocated += 1
@@ -56,7 +42,6 @@ class TimestampOracle:
         with self._lock:
             if timestamp >= self._next:
                 self._next = timestamp + 1
-                self._lease_end = max(self._lease_end, self._next)
 
     def __getstate__(self):
         state = dict(self.__dict__)

@@ -141,22 +141,3 @@ class TestTamperDetection:
         )
         forged = dataclasses.replace(proof, range_proof=forged_range)
         assert not client.verify(forged)
-
-
-class TestDeferredDetection:
-    def test_deferred_batch_detects_eventually(self, loaded_db):
-        client = ClientVerifier(deferred=True, batch_size=4)
-        client.trust(loaded_db.digest())
-        for i in range(3):
-            _value, proof = loaded_db.get_verified(f"key{i:04d}".encode())
-            client.verify(proof)
-        _value, proof = loaded_db.get_verified(b"key0004")
-        forged = LedgerProof(
-            siri=SiriProof(
-                key=proof.siri.key, value=b"evil", nodes=proof.siri.nodes
-            ),
-            block=proof.block,
-        )
-        # The 4th submission fills the batch and triggers the flush.
-        with pytest.raises(TamperDetectedError):
-            client.verify(forged)

@@ -111,10 +111,11 @@ class Subject:
         self.marks = []
         self.snapshot = None
 
-    def _stamp(self, kind, payload):
+    def _stamp(self, kind, data):
         if kind == "commit":
-            for logical_key in payload["writes"]:
-                self.stamps[logical_key].append(payload["timestamp"])
+            writes, _statements, timestamp = data
+            for logical_key, _value in writes:
+                self.stamps[logical_key].append(timestamp)
 
     def verified(self, answer, proof):
         self.verifier.observe(self.db.digest())

@@ -1,17 +1,16 @@
 """Crash-recovery suite: checkpoint + replay + audit, fault injection,
-the durable CLI surface and the durable cluster mode."""
+the log's bytes, the durable CLI surface and the durable cluster mode."""
+
+import hashlib
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro import cli
 from repro.core.node import SpitzCluster
 from repro.core.request_handler import Request, RequestKind
-from repro.durability import (
-    DurableDatabase,
-    latest_checkpoint,
-    list_checkpoints,
-    recover,
-)
+from repro.durability import DurableDatabase, list_checkpoints, recover
 from repro.durability.crashsim import (
     CrashyIO,
     flip_byte,
@@ -97,17 +96,8 @@ class TestCheckpoints:
         assert report.db.get(b"after") == b"ckpt"
         assert report.db.get(b"k7") == b"v7"
 
-    def test_checkpoint_every_commits(self, tmp_path):
-        with DurableDatabase.open(tmp_path, checkpoint_every=5) as ddb:
-            for i in range(12):
-                ddb.put(b"c%d" % i, b"x")
-            assert len(list_checkpoints(tmp_path)) >= 2
-        report = recover(tmp_path)
-        assert report.checkpoint_lsn > 0
-        assert report.replayed <= 5
-
     def test_old_checkpoints_pruned(self, tmp_path):
-        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+        with DurableDatabase.open(tmp_path) as ddb:
             for i in range(4):
                 ddb.put(b"k%d" % i, b"v")
                 ddb.checkpoint()
@@ -117,13 +107,13 @@ class TestCheckpoints:
         with DurableDatabase.open(tmp_path) as ddb:
             _populate(ddb)
             ddb.checkpoint()
-        lsn, path = latest_checkpoint(tmp_path)
+        lsn, path = list_checkpoints(tmp_path)[-1]
         flip_byte(path, path.stat().st_size // 2)
         with pytest.raises(TamperDetectedError):
             recover(tmp_path)
 
     def test_corrupt_newest_checkpoint_falls_back_to_older(self, tmp_path):
-        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+        with DurableDatabase.open(tmp_path) as ddb:
             ddb.put(b"a", b"1")
             lsn1, _path1 = ddb.checkpoint()
             ddb.put(b"b", b"2")
@@ -145,7 +135,7 @@ class TestCheckpoints:
         """Not damage, so no fallback: an older checkpoint is in the
         same format, and replaying the truncated log over nothing would
         lose what the checkpoint held."""
-        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+        with DurableDatabase.open(tmp_path) as ddb:
             ddb.put(b"a", b"1")
             ddb.checkpoint()
             ddb.put(b"b", b"2")
@@ -157,7 +147,7 @@ class TestCheckpoints:
     def test_a_layout_2_checkpoint_stops_recovery_by_name(self, tmp_path):
         """The same rule for the layout before the one version store:
         re-raised, never a fallback to an older checkpoint."""
-        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+        with DurableDatabase.open(tmp_path) as ddb:
             ddb.put(b"a", b"1")
             ddb.checkpoint()
             ddb.put(b"b", b"2")
@@ -171,7 +161,7 @@ class TestCheckpoints:
     ):
         """Layout 3 holds nodes in layout v2, which this build's node
         codec refuses: re-raised before the payload is unpickled."""
-        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+        with DurableDatabase.open(tmp_path) as ddb:
             ddb.put(b"a", b"1")
             ddb.checkpoint()
             ddb.put(b"b", b"2")
@@ -188,12 +178,99 @@ class TestCheckpoints:
             recover(tmp_path)
 
     def test_keep_retains_older_checkpoints(self, tmp_path):
-        with DurableDatabase.open(tmp_path, checkpoint_keep=2) as ddb:
+        with DurableDatabase.open(tmp_path) as ddb:
             for i in range(5):
                 ddb.put(b"k%d" % i, b"v")
                 ddb.checkpoint()
-            # The newest plus `keep` older fallbacks survive pruning.
+            # The newest plus KEEP_OLDER (2) older fallbacks survive pruning.
             assert len(list_checkpoints(tmp_path)) == 3
+
+
+class TestOneReadOfTheLog:
+    def test_open_reads_each_segment_once_and_checkpoint_none(
+        self, tmp_path
+    ):
+        with DurableDatabase.open(tmp_path, segment_bytes=1024) as ddb:
+            i = 0
+            while len(list_segments(tmp_path)) < 8:
+                ddb.put(b"k%04d" % i, b"v" * 20)
+                i += 1
+        segments = [path.name for _index, path in list_segments(tmp_path)]
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        with mock.patch.object(Path, "read_bytes", counted):
+            ddb = DurableDatabase.open(tmp_path, segment_bytes=1024)
+            opened = sorted(reads)
+            reads.clear()
+            ddb.checkpoint()
+            ddb.close()
+        assert len(segments) == 8 and opened == segments
+        # Truncation learns each sealed segment's span from the headers
+        # the open already read: no segment is read again.
+        assert reads == []
+        assert len(list_segments(tmp_path)) == 1
+
+
+#: SHA-256 of every WAL segment :func:`_golden_script` leaves, before
+#: its checkpoint and after it, and the recovered chain digest — the
+#: log's bytes are a format, so a refactor of the logging path must
+#: reproduce them exactly.
+GOLDEN_BEFORE_CHECKPOINT = {
+    "wal-00000000.log":
+        "0ddd5dd1340fcc3a3f54756b77d0394be07409a1e8f7add11693b0e565d17612",
+    "wal-00000001.log":
+        "41b1be7d132bb3151679ad5ed41604ba6e724d7daad6a2d414a3fdbe4dd0ceeb",
+}
+GOLDEN_AFTER_CHECKPOINT = {
+    "wal-00000002.log":
+        "abe229e563f03ba3d5a6f46c9ab48405d6e8265983a5dd9779e5333184415acd",
+    "wal-00000003.log":
+        "ef672a0f00502206b7c8b5a4fe518e08f31a4abf32407d6511b262331bea06b7",
+}
+GOLDEN_CHAIN_DIGEST = (
+    "b524a2a2fa776b0cbed1c7cd894f9b9b765b3cd2f96b87b3517259b2cf197a9b"
+)
+
+
+def _segment_hashes(root):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for _index, path in list_segments(root)
+    }
+
+
+def _golden_script(root):
+    """Every record kind, a checkpoint, then more puts; the segment
+    hashes before and after the checkpoint."""
+    with DurableDatabase.open(root, segment_bytes=512) as ddb:
+        ddb.put(b"alpha", b"1")
+        ddb.put(b"beta", b"2")
+        ddb.delete(b"beta")
+        ddb.sql("CREATE TABLE items (id INT, price INT, PRIMARY KEY (id))")
+        ddb.enable_search(["items.price"])
+        ddb.search_verified("items.price", ">= 10")  # a search_seal
+        ddb.sql("INSERT INTO items (id, price) VALUES (1, 15)")
+        with ddb.transaction() as txn:
+            txn.put(b"gamma", b"3")
+        before = _segment_hashes(root)
+        ddb.checkpoint()
+        for i in range(12):
+            ddb.put(b"k%02d" % i, b"v%d" % i)
+    return before, _segment_hashes(root)
+
+
+class TestLogBytes:
+    def test_a_fixed_script_writes_the_golden_segments(self, tmp_path):
+        before, after = _golden_script(tmp_path)
+        assert before == GOLDEN_BEFORE_CHECKPOINT
+        assert after == GOLDEN_AFTER_CHECKPOINT
+        digest = recover(tmp_path).db.digest()
+        assert digest.chain_digest.hex() == GOLDEN_CHAIN_DIGEST
 
 
 class TestCrashInjection:

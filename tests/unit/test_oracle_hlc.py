@@ -21,19 +21,8 @@ class TestTimestampOracle:
         last = [oracle.next_timestamp() for _ in range(5)][-1]
         assert oracle.current() == last
 
-    def test_lease_refills_are_batched(self):
-        oracle = TimestampOracle(lease_size=100)
-        for _ in range(250):
-            oracle.next_timestamp()
-        assert oracle.lease_refills == 3
-        assert oracle.allocated == 250
-
-    def test_invalid_lease_size(self):
-        with pytest.raises(ValueError):
-            TimestampOracle(lease_size=0)
-
     def test_thread_safety_uniqueness(self):
-        oracle = TimestampOracle(lease_size=16)
+        oracle = TimestampOracle()
         seen = []
         lock = threading.Lock()
 

@@ -145,82 +145,6 @@ class TestClientVerifier:
 
 
 class TestDeferredMode:
-    def test_deferred_queues_then_flushes(self, loaded_db):
-        verifier = ClientVerifier(deferred=True, batch_size=100)
-        verifier.trust(loaded_db.digest())
-        for i in range(5):
-            _value, proof = loaded_db.get_verified(f"key{i:04d}".encode())
-            assert verifier.verify(proof)  # optimistic True
-        assert verifier.pending == 5
-        verifier.flush()
-        assert verifier.pending == 0
-
-    def test_deferred_detects_on_flush(self, loaded_db):
-        verifier = ClientVerifier(deferred=True, batch_size=100)
-        verifier.trust(loaded_db.digest())
-        _value, proof = loaded_db.get_verified(b"key0001")
-        forged = LedgerProof(
-            siri=SiriProof(
-                key=proof.siri.key, value=b"evil", nodes=proof.siri.nodes
-            ),
-            block=proof.block,
-        )
-        assert verifier.verify(forged)  # deferred: optimistic
-        with pytest.raises(TamperDetectedError):
-            verifier.flush()
-
-    def test_deferred_flush_failure_counts_detection(self, loaded_db):
-        """Regression: ``detections`` was never incremented when a
-        deferred batch failed inside flush()."""
-        verifier = ClientVerifier(deferred=True, batch_size=100)
-        verifier.trust(loaded_db.digest())
-        for i in range(3):
-            _value, proof = loaded_db.get_verified(f"key{i:04d}".encode())
-            verifier.verify(proof)
-        _value, proof = loaded_db.get_verified(b"key0005")
-        forged = LedgerProof(
-            siri=SiriProof(
-                key=proof.siri.key, value=b"evil", nodes=proof.siri.nodes
-            ),
-            block=proof.block,
-        )
-        verifier.verify(forged)
-        assert verifier.detections == 0  # nothing has actually run yet
-        with pytest.raises(TamperDetectedError):
-            verifier.flush()
-        assert verifier.detections == 1
-        # 3 honest checks passed + 1 forged check ran and failed.
-        assert verifier.checks == 4
-
-    def test_deferred_autoflush_failure_counts_detection(self, loaded_db):
-        """The batch-full auto-flush inside verify() accounts the same
-        way as an explicit flush()."""
-        verifier = ClientVerifier(deferred=True, batch_size=2)
-        verifier.trust(loaded_db.digest())
-        _value, proof = loaded_db.get_verified(b"key0001")
-        verifier.verify(proof)
-        forged = LedgerProof(
-            siri=SiriProof(
-                key=proof.siri.key, value=b"evil", nodes=proof.siri.nodes
-            ),
-            block=proof.block,
-        )
-        with pytest.raises(TamperDetectedError):
-            verifier.verify(forged)  # fills the batch -> auto-flush
-        assert verifier.detections == 1
-        assert verifier.checks == 2
-
-    def test_deferred_clean_flush_counts_checks(self, loaded_db):
-        verifier = ClientVerifier(deferred=True, batch_size=100)
-        verifier.trust(loaded_db.digest())
-        for i in range(5):
-            _value, proof = loaded_db.get_verified(f"key{i:04d}".encode())
-            verifier.verify(proof)
-        assert verifier.checks == 0
-        verifier.flush()
-        assert verifier.checks == 5
-        assert verifier.detections == 0
-
     def test_counters_mirror_into_metrics_registry(self, loaded_db):
         from repro.obs.metrics import MetricsRegistry
 
@@ -260,19 +184,12 @@ class TestDeferredMode:
         ]
         proofs.append(loaded_db.get_many_verified([b"key0001", b"nope"])[1])
         proofs.append(loaded_db.scan_verified(b"key0040", b"key0060")[1])
-        totals = []
-        for deferred in (False, True):
-            verifier = ClientVerifier(deferred=deferred, batch_size=4)
-            verifier.trust(loaded_db.digest())
-            for proof in proofs:
-                assert verifier.verify(proof)
-            verifier.flush()
-            totals.append(
-                (verifier.checks, verifier.cache_hits, verifier.cache_misses)
-            )
-        assert totals[0] == totals[1]
-        assert totals[0][0] == len(proofs)
-        assert totals[0][1] > 0 and totals[0][2] > 0
+        verifier = ClientVerifier()
+        verifier.trust(loaded_db.digest())
+        for proof in proofs:
+            assert verifier.verify(proof)
+        assert verifier.checks == len(proofs)
+        assert verifier.cache_hits > 0 and verifier.cache_misses > 0
 
 
 class TestVerifiedWriter:

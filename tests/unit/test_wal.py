@@ -1,7 +1,12 @@
 """Unit tests for the write-ahead log: framing, group commit,
 torn-tail tolerance, tamper detection, segments and truncation."""
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durability.crashsim import (
     CrashyIO,
@@ -15,7 +20,6 @@ from repro.durability.wal import (
     WriteAheadLog,
     list_segments,
     scan_wal,
-    scan_wal_segment,
     segment_path,
 )
 from repro.errors import TamperDetectedError
@@ -242,22 +246,68 @@ class TestSegmentsAndTruncation:
         _fill(wal, 30)
         wal.close()
         wal = WriteAheadLog(tmp_path, segment_bytes=256)
-        last_index, last_path = list_segments(tmp_path)[-1]
-        records = scan_wal_segment(last_path, last_index)
-        # The span covers the last segment's records only — not every
-        # record in the log.
-        assert wal._segment_first_lsn == records[0].lsn
-        assert wal._segment_last_lsn == records[-1].lsn
+        sealed = [path for _index, path in list_segments(tmp_path)]
         wal.rotate()
-        assert wal._sealed[last_index] == (
-            records[0].lsn, records[-1].lsn,
-        )
-        # A truncation based on those spans deletes exactly the sealed
-        # segments and keeps appends consistent.
-        wal.truncate_through(wal.last_lsn)
+        # Segments sealed before this process opened the log are
+        # deleted from their headers alone; appends stay consistent.
+        assert wal.truncate_through(wal.last_lsn) == sealed
         _fill(wal, 1, start=100)
         wal.close()
         assert [r.lsn for r in scan_wal(tmp_path).records] == [31]
+
+
+#: One step of the truncation property: ("fill", n), ("reopen",),
+#: ("rotate",) or ("truncate", how far below the log's end).
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fill"), st.integers(min_value=1, max_value=12)),
+        st.tuples(st.just("reopen")),
+        st.tuples(st.just("rotate")),
+        st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=15)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _segment_lsns(path):
+    """LSNs of one segment's records, read alone by the one scanner."""
+    with tempfile.TemporaryDirectory() as alone:
+        shutil.copy(path, Path(alone) / path.name)
+        return [record.lsn for record in scan_wal(alone).records]
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=STEPS)
+def test_truncation_keeps_every_record_above_the_checkpoint(steps):
+    """Random fills, reopens, rotations and truncations: the log always
+    scans anchored at the truncation point, every record above it
+    survives in order, and no sealed segment outlives its records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        wal = WriteAheadLog(root, segment_bytes=160)
+        through = 0
+        for step in steps:
+            if step[0] == "fill":
+                _fill(wal, step[1], start=wal.last_lsn)
+            elif step[0] == "reopen":
+                wal.close()
+                wal = WriteAheadLog(root, segment_bytes=160)
+            elif step[0] == "rotate":
+                wal.rotate()
+            else:
+                through = max(through, wal.last_lsn - step[1], 0)
+                wal.truncate_through(through)
+            wal.sync()
+            scan = scan_wal(root, expected_first_lsn=through + 1)
+            lsns = [r.lsn for r in scan.records]
+            assert [n for n in lsns if n > through] == list(
+                range(through + 1, wal.last_lsn + 1)
+            )
+            for _index, path in list_segments(root)[:-1]:
+                held = _segment_lsns(path)
+                assert not held or held[-1] > through, path.name
+        wal.close()
 
 
 class TestCrashyIO:
