@@ -88,15 +88,18 @@ class BlockWitness:
         does not hash to its chain digest.  ``block_cache`` (managed by
         :class:`~repro.core.verifier.ClientVerifier`) memoizes headers
         already recomputed — the cost model behind Section 5.3's
-        deferred scheme.
+        deferred scheme — as the chain digest *with* the index root the
+        recompute vouched for: a witness that carries the trusted chain
+        digest beside another root must seal on its own.
         """
         if self.chain_digest != trusted_chain_digest:
             return None
-        if block_cache is None or self.chain_digest not in block_cache:
+        sealed = (self.chain_digest, self.tree_root)
+        if block_cache is None or sealed not in block_cache:
             if not self.seals():
                 return None
             if block_cache is not None:
-                block_cache.add(self.chain_digest)
+                block_cache.add(sealed)
         return self.tree_root
 
 

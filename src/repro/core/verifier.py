@@ -40,7 +40,8 @@ class ClientVerifier:
         # bytes hashed to its address once never needs re-hashing, and
         # a block header whose chain link was recomputed once stays
         # valid.  This is what makes verification of consecutive reads
-        # cheap (they share the ledger index's upper levels).
+        # cheap (they share the ledger index's upper levels).  Both hold
+        # what the trusted digest reaches (see :meth:`_adopt`).
         self._node_cache = NodeCache()
         self._block_cache: set = set()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -61,6 +62,17 @@ class ClientVerifier:
 
     def trust(self, digest: LedgerDigest) -> None:
         """Adopt a digest as trusted (first contact / out-of-band)."""
+        self._adopt(digest)
+
+    def _adopt(self, digest: LedgerDigest) -> None:
+        """Trust ``digest``.  An anchor matches the trusted digest only,
+        so when it changes no header sealed and no root walked under the
+        old one can be hit again: the block cache empties (a sharded
+        digest recomputes each shard's header once per change) and the
+        node cache starts a new root set."""
+        if digest != self._trusted:
+            self._block_cache.clear()
+            self._node_cache.roots.clear()
         self._trusted = digest
 
     def observe(self, digest: LedgerDigest) -> None:
@@ -108,7 +120,7 @@ class ClientVerifier:
                 f"forked ledger at height {digest.height}: offered "
                 "digest disagrees with the trusted one"
             )
-        self._trusted = digest
+        self._adopt(digest)
 
     def advance(self, digest: LedgerDigest, extension) -> None:
         """Verify that ``digest`` extends the trusted digest, then adopt.
@@ -168,7 +180,7 @@ class ClientVerifier:
                 "offered digest forges the index root at the trusted "
                 "height"
             )
-        self._trusted = digest
+        self._adopt(digest)
 
     # -- verification ---------------------------------------------------------
 
@@ -178,7 +190,8 @@ class ClientVerifier:
         ``proof`` is anything answering the proof protocol
         (:mod:`repro.core.proofs`): ``verify(trusted, node_cache,
         block_cache)``, ``cacheable_nodes``, ``label``, ``size_bytes``.
-        Each of the proof's nodes counts as a cache hit or a miss.
+        Each of the proof's nodes counts as a cache hit or a miss; the
+        node cache is swept after the count.
         """
         if self._trusted is None:
             raise VerificationError(
@@ -199,6 +212,7 @@ class ClientVerifier:
         self.cache_misses += misses
         self._c_cache_hits.inc(hits)
         self._c_cache_misses.inc(misses)
+        self._node_cache.sweep()
         if not ok:
             self._record_detection()
         return ok

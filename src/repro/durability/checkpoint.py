@@ -20,10 +20,10 @@ recovery handles as the ordinary case.
 
 The format is Python-pickle based and not cross-version stable.  The
 magic's digit is the snapshot layout — the object graph pickled (one
-version store since 3) and the node format of its chunks (v3 since 4:
-a common key prefix stored once, varint lengths); a file of another
-layout is refused by name before its payload is unpickled, and there is
-no migration.
+version store since 3, chunks as plain bytes since 5) and the node
+format of its chunks (v3 since 4: a common key prefix stored once,
+varint lengths); a file of another layout is refused by name before
+its payload is unpickled, and there is no migration.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
-_MAGIC = b"SPITZDB4"
+_MAGIC = b"SPITZDB5"
 #: Older checkpoints retained beside the newest, as fallbacks for one
 #: that fails its integrity check.
 KEEP_OLDER = 2

@@ -10,16 +10,13 @@ written (what a naive snapshot store would hold) versus physical bytes
 stored (after deduplication).
 
 Concurrency: every processor node funnels its index and cell writes
-through one shared store, so mutations are guarded by locks *striped
-by address prefix* (first byte of the content digest).  Two nodes
-putting different content proceed in parallel; two nodes racing on the
-same content serialize on the same stripe, so the check-then-act in
-:meth:`put` can never double-insert, double-count
-``unique_chunks``/``physical_bytes``, or lose a refcount.  The stripes
-are the first step toward ROADMAP's chunk-store sharding — a sharded
-store keeps per-stripe dicts behind these same locks.  Stats live
-behind their own single lock (they are touched on every op regardless
-of stripe).
+through one shared store, so inserts are guarded by locks *striped by
+address prefix* (first byte of the content digest).  Two nodes putting
+different content proceed in parallel; two nodes racing on the same
+content serialize on the same stripe, so the check-then-act in
+:meth:`put` can never double-insert or double-count
+``unique_chunks``/``physical_bytes``.  Stats live behind their own
+single lock (they are touched on every op regardless of stripe).
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ChunkNotFoundError
 
-#: Lock stripes. 16 is plenty for thread-count-scale contention and
-#: keeps compact()'s take-all-stripes step cheap.
+#: Lock stripes: plenty for thread-count-scale contention.
 STRIPE_COUNT = 16
 
 
@@ -54,20 +50,11 @@ class StoreStats:
         return self.logical_bytes / self.physical_bytes
 
 
-@dataclass(slots=True)
-class _Entry:
-    data: bytes
-    refcount: int = 1
-
-
 class ChunkStore:
-    """In-memory content-addressed store with reference counts.
+    """In-memory content-addressed store: address → bytes.
 
-    Reference counts exist so the version manager can *report* how much
-    space unreachable versions would free; nothing is ever deleted
-    behind an immutable database's back — release only moves bytes into
-    the reclaimable pool, and :meth:`compact` (an explicit, logged
-    operation) actually drops zero-reference chunks.
+    The database is immutable, so nothing is ever deleted and a chunk
+    is its bytes and nothing else.
     """
 
     def __init__(self, metrics=None) -> None:
@@ -78,7 +65,7 @@ class ChunkStore:
         self._tracer = (
             metrics if metrics is not None else NULL_REGISTRY
         ).tracer
-        self._entries: Dict[Digest, _Entry] = {}
+        self._entries: Dict[Digest, bytes] = {}
         self._stripes: List[threading.Lock] = [
             threading.Lock() for _ in range(STRIPE_COUNT)
         ]
@@ -86,8 +73,9 @@ class ChunkStore:
         self.stats = StoreStats()
         # Side cache for index layers built on top of the store:
         # deserialized index nodes by address.  Content addressing makes
-        # it sound (a digest's decoded form never changes); it trades
-        # memory for the decoding that would otherwise dominate reads.
+        # it sound (a digest's decoded form never changes) and any entry
+        # safe to drop (a miss decodes the chunk); a POS-tree apply
+        # drops the nodes its new version stops sharing.
         self.decode_cache: Dict[Digest, object] = {}
 
     def _stripe(self, address: Digest) -> threading.Lock:
@@ -102,9 +90,9 @@ class ChunkStore:
     def put(self, data: bytes) -> Digest:
         """Store ``data``; return its content address.
 
-        Re-putting existing content bumps the refcount and costs no
-        physical bytes.  Safe under concurrent putters: the address's
-        stripe lock serializes the exists-check with the insert.
+        Re-putting existing content costs no physical bytes.  Safe under
+        concurrent putters: the address's stripe lock serializes the
+        exists-check with the insert.
 
         Tracing: recorded as a ``chunks.put`` child span only inside
         an active trace (``stage_in_trace``) — per-op timing outside a
@@ -117,13 +105,9 @@ class ChunkStore:
     def _put(self, data: bytes) -> Digest:
         address = hash_bytes(data)
         with self._stripe(address):
-            entry = self._entries.get(address)
-            if entry is not None:
-                entry.refcount += 1
-                fresh = False
-            else:
-                self._entries[address] = _Entry(data=data)
-                fresh = True
+            fresh = address not in self._entries
+            if fresh:
+                self._entries[address] = data
         with self._stats_lock:
             self.stats.puts += 1
             self.stats.logical_bytes += len(data)
@@ -139,69 +123,16 @@ class ChunkStore:
         """
         with self._stats_lock:
             self.stats.gets += 1
-        entry = self._entries.get(address)
-        if entry is None:
+        data = self._entries.get(address)
+        if data is None:
             raise ChunkNotFoundError(address.hex())
-        return entry.data
+        return data
 
     def get_optional(self, address: Digest) -> Optional[bytes]:
         """Fetch the chunk at ``address`` or None if absent."""
         with self._stats_lock:
             self.stats.gets += 1
-        entry = self._entries.get(address)
-        return entry.data if entry is not None else None
-
-    def refcount(self, address: Digest) -> int:
-        """Current reference count (0 if the chunk is unknown)."""
-        entry = self._entries.get(address)
-        return entry.refcount if entry is not None else 0
-
-    def release(self, address: Digest) -> int:
-        """Drop one reference; return the remaining count.
-
-        The chunk's bytes stay resident until :meth:`compact`.
-        """
-        with self._stripe(address):
-            entry = self._entries.get(address)
-            if entry is None:
-                raise ChunkNotFoundError(address.hex())
-            if entry.refcount > 0:
-                entry.refcount -= 1
-            return entry.refcount
-
-    def reclaimable_bytes(self) -> int:
-        """Bytes held by zero-reference chunks."""
-        with self._all_stripes():
-            return sum(
-                len(entry.data)
-                for entry in self._entries.values()
-                if entry.refcount == 0
-            )
-
-    def _all_stripes(self):
-        """Acquire every stripe (in index order, so no deadlocks)."""
-        return _MultiLock(self._stripes)
-
-    def compact(self) -> int:
-        """Physically drop zero-reference chunks; return bytes freed.
-
-        Takes every stripe so no putter can resurrect (or re-insert) a
-        chunk while its entry is being dropped.
-        """
-        with self._all_stripes():
-            dead = [
-                address
-                for address, entry in self._entries.items()
-                if entry.refcount == 0
-            ]
-            freed = 0
-            for address in dead:
-                freed += len(self._entries[address].data)
-                del self._entries[address]
-            with self._stats_lock:
-                self.stats.unique_chunks -= len(dead)
-                self.stats.physical_bytes -= freed
-        return freed
+        return self._entries.get(address)
 
     def addresses(self) -> Iterator[Digest]:
         """Iterate over all stored content addresses."""
@@ -248,21 +179,3 @@ class ChunkStore:
         self._stripes = [threading.Lock() for _ in range(STRIPE_COUNT)]
         self._stats_lock = threading.Lock()
         self.decode_cache = {}
-
-
-class _MultiLock:
-    """Context manager acquiring a list of locks in fixed order."""
-
-    __slots__ = ("_locks",)
-
-    def __init__(self, locks: List[threading.Lock]):
-        self._locks = locks
-
-    def __enter__(self) -> "_MultiLock":
-        for lock in self._locks:
-            lock.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        for lock in reversed(self._locks):
-            lock.release()

@@ -44,6 +44,7 @@ from repro.crypto.hashing import Digest, hash_bytes
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.siri import (
     DELETE,
+    NodeCache,
     SiriIndex,
     SiriProof,
     cache_node,
@@ -108,7 +109,8 @@ class PosRangeProof:
             return False
         try:
             replayed = _pairs_between(
-                _first_visits(self.nodes, cache), root, self.low, self.high
+                _first_visits(self.nodes, cache, root),
+                root, self.low, self.high,
             )
             return replayed == [
                 (key, hash_bytes(value)) for key, value in self.entries
@@ -170,7 +172,7 @@ class PosMultiProof:
         if root != self.root:
             return False
         try:
-            node_at = _first_visits(self.nodes, cache)
+            node_at = _first_visits(self.nodes, cache, root)
             return all(
                 _digest_at(node_at, root, key)
                 == (None if value is None else hash_bytes(value))
@@ -181,7 +183,7 @@ class PosMultiProof:
 
 
 def _first_visits(
-    nodes: Sequence[bytes], cache: Optional[dict]
+    nodes: Sequence[bytes], cache: Optional[dict], root: Digest
 ) -> Callable[[Digest], tuple]:
     """A proof's nodes, read by the walk that wrote them.
 
@@ -192,9 +194,12 @@ def _first_visits(
     proofs) holds was hashed to its address on the way in, so its
     position is skipped unread; any other blob must hash to the address
     the walk expects before it is parsed and cached.  Blobs past the last
-    position read are never touched: ``len(nodes)`` bounds the work.
+    position read are never touched: ``len(nodes)`` bounds the work.  The
+    walks start at ``root``, which joins a :class:`NodeCache`'s ``roots``.
     """
     reached: Dict[Digest, tuple] = {}
+    if isinstance(cache, NodeCache):
+        cache.roots.add(root)
 
     def node_at(address: Digest) -> tuple:
         node = reached.get(address)
@@ -342,9 +347,11 @@ class PosTree(SiriIndex):
     Everything else is read from the root down through the store's
     ``decode_cache``, so a handle on any historical root costs nothing
     to make or keep.  :meth:`apply` builds each rewritten node's pairs
-    by slicing its predecessor's decoded tuple: versions of a node
-    share every pair that did not change *by identity*, and a version
-    costs the memory of the path it rewrote.
+    by slicing its predecessor's decoded tuple, so versions of a node
+    share every pair that did not change *by identity*, and drops from
+    the cache the nodes the new version stops sharing: the cache holds
+    the tree an apply last returned, and a read of an older root
+    decodes what it misses from the chunks, as a cold store does.
     """
 
     def __init__(
@@ -363,7 +370,10 @@ class PosTree(SiriIndex):
     def empty(
         cls, store: ChunkStore, mask_bits: int = DEFAULT_MASK_BITS
     ) -> "PosTree":
-        return cls(store, store.put(encode_node(("L", ()))), mask_bits)
+        node = ("L", ())
+        address = store.put(encode_node(node))
+        store.decode_cache[address] = node
+        return cls(store, address, mask_bits)
 
     @classmethod
     def from_items(
@@ -406,6 +416,7 @@ class PosTree(SiriIndex):
         # leave single-child branches above it.
         node = tree._node(tree.root)
         while node[0] == "B" and len(node[1]) == 1:
+            store.decode_cache.pop(tree.root, None)
             tree = cls(store, Digest(node[1][0][1]), mask_bits)
             node = tree._node(tree.root)
         return tree
@@ -679,11 +690,31 @@ class PosTree(SiriIndex):
             top = [pair for *_nodes, run in runs for pair in run.pairs]
             if len(top) <= 1:
                 # The runs are the whole level and list one node: the
-                # level below is down to its root; nothing to write.
+                # level below is down to its root; nothing to write, and
+                # this level and those above it are left behind.
+                self._drop_levels(depth + 1)
                 return [(None, None, top)]
         above: List[_Change] = []
         for first, last, replaced, run in runs:
             written = run.write()
-            if [child for _key, child in written] != replaced:
+            children = [child for _key, child in written]
+            if children != replaced:
                 above.append((first, last, written))
+                # No address occurs twice in one tree, so these are the
+                # nodes the new version stops sharing.
+                for address in set(replaced).difference(children):
+                    self.store.decode_cache.pop(address, None)
         return above
+
+    def _drop_levels(self, levels: int) -> None:
+        """Drop the top ``levels`` levels of this version from the
+        decode cache, walking through the nodes it holds."""
+        cache = self.store.decode_cache
+        level = [self.root]
+        for _ in range(levels):
+            nodes = [cache.pop(address, None) for address in level]
+            level = [
+                child
+                for node in nodes if node is not None
+                for _key, child in node[1]
+            ]

@@ -166,11 +166,42 @@ class NodeCache(dict):
     here share every other entry by identity — as the server's decoded
     nodes do (:meth:`~repro.indexes.pos_tree.PosTree.apply`) — instead
     of each keeping its own copy of every key and value.
+
+    ``roots`` are the roots walked since the verifier last adopted a
+    digest (:func:`~repro.indexes.pos_tree._first_visits` adds each),
+    and only a walk from one of them can hit the cache again.  :meth:`sweep` keeps what they
+    reach; a node it drops is a later miss, hashed before it is parsed.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.entries: Dict[tuple, tuple] = {}
+        self.roots: set = set()
+        #: Nodes the last sweep kept.
+        self.kept = 0
+
+    def sweep(self) -> None:
+        """Once the cache has doubled since the last sweep, keep only
+        the nodes ``roots`` reach through cached nodes and rebuild
+        ``entries`` from them.  Doubling makes the sweeps cost O(1) per
+        node cached; there is no size bound."""
+        if len(self) <= 2 * self.kept:
+            return
+        kept: Dict[bytes, tuple] = {}
+        pending = list(self.roots)
+        while pending:
+            address = pending.pop()
+            node = self.get(address)
+            if node is None or address in kept:
+                continue
+            kept[address] = node
+            if node[0] == "B":
+                pending += [child for _key, child in node[1]]
+        self.clear()
+        self.update(kept)
+        pairs = [pair for node in kept.values() for pair in node[1]]
+        self.entries = dict(zip(pairs, pairs))
+        self.kept = len(kept)
 
 
 def cache_node(cache: Optional[dict], digest: Digest, raw: bytes) -> tuple:

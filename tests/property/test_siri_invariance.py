@@ -6,7 +6,7 @@ batches (including deletes of absent keys), the final root digest
 depends only on the final logical content.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.hashing import Digest
 from repro.forkbase.chunk_store import ChunkStore
@@ -116,6 +116,49 @@ def test_pos_tree_deep_trees_match_bulk_build(script, batch_size):
         earlier.append((tree.root, state))
     for root, state in earlier:
         assert dict(PosTree.load(store, root, mask_bits=1).items()) == state
+
+
+def _nodes_under(store, address):
+    """Addresses of every node under (and including) ``address``."""
+    tag, pairs = decode_node(store.get(address))
+    found = {address}
+    if tag == "B":
+        for _key, child in pairs:
+            found |= _nodes_under(store, Digest(child))
+    return found
+
+
+#: Twenty keys, then all but the first deleted: the root that is left
+#: hangs under seven single-child branches that the apply steps past.
+_COLLAPSING = [(b"k%03d" % n, b"v") for n in range(20)] + [
+    (b"k%03d" % n, DELETE) for n in range(1, 20)
+]
+
+
+@given(script=deep_scripts, batch_size=st.integers(1, 40))
+@example(script=_COLLAPSING, batch_size=20)
+@settings(max_examples=150, deadline=None)
+def test_pos_tree_decode_cache_holds_the_tip(script, batch_size):
+    """After every batch the store's decoded nodes are exactly the new
+    root's — levels that deletes collapse included — and every earlier
+    root still answers and proves its own content, decoding what it
+    misses from the chunks."""
+    store = ChunkStore()
+    tree = PosTree.empty(store, mask_bits=1)
+    earlier = []
+    for start in range(0, len(script), batch_size):
+        tree = tree.apply(dict(script[start:start + batch_size]))
+        assert set(store.decode_cache) == _nodes_under(store, tree.root)
+        earlier.append((tree.root, _final_state(script[:start + batch_size])))
+    for root, state in earlier:
+        old = PosTree.load(store, root, mask_bits=1)
+        entries, ranged = old.scan_with_proof(b"k", b"l")
+        assert entries == sorted(state.items())
+        assert ranged.verify(root)
+        for key in [*sorted(state)[:8], b"k999"]:
+            value, point = old.get_with_proof(key)
+            assert value == old.get(key) == state.get(key)
+            assert point.verify(root)
 
 
 @given(script=scripts, batch_size=st.integers(1, 7))

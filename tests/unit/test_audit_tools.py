@@ -127,8 +127,9 @@ class TestAuditLedger:
 
     def test_detects_a_corrupted_node(self):
         ledger = self._deep_ledger()
-        entry = ledger.chunks._entries[self._node_written_by(ledger, 3, "L")]
-        entry.data = entry.data[:-1] + bytes([entry.data[-1] ^ 1])
+        address = self._node_written_by(ledger, 3, "L")
+        data = ledger.chunks._entries[address]
+        ledger.chunks._entries[address] = data[:-1] + bytes([data[-1] ^ 1])
         findings = audit_ledger(ledger)
         assert len(findings) == 1 and "block #3: index node" in findings[0]
         assert "does not hash to its address" in findings[0]
@@ -146,7 +147,7 @@ class TestAuditLedger:
 
     def test_detects_a_corrupted_value_chunk(self):
         ledger = self._deep_ledger()
-        ledger.chunks._entries[hash_bytes(b"v33")].data = b"v34"
+        ledger.chunks._entries[hash_bytes(b"v33")] = b"v34"
         findings = audit_ledger(ledger)
         assert len(findings) == 1
         assert "block #0: value chunk" in findings[0]

@@ -36,34 +36,6 @@ class TestChunkStore:
 
         assert store.get_optional(hash_bytes(b"nope")) is None
 
-    def test_refcounts(self, store):
-        address = store.put(b"x")
-        store.put(b"x")
-        assert store.refcount(address) == 2
-        assert store.release(address) == 1
-        assert store.release(address) == 0
-
-    def test_release_unknown_raises(self, store):
-        from repro.crypto.hashing import hash_bytes
-
-        with pytest.raises(ChunkNotFoundError):
-            store.release(hash_bytes(b"ghost"))
-
-    def test_release_keeps_data_until_compact(self, store):
-        address = store.put(b"keep me")
-        store.release(address)
-        assert store.get(address) == b"keep me"
-        assert store.reclaimable_bytes() == 7
-
-    def test_compact_frees_zero_ref_chunks(self, store):
-        address = store.put(b"dead")
-        keep = store.put(b"alive")
-        store.release(address)
-        freed = store.compact()
-        assert freed == 4
-        assert address not in store
-        assert store.get(keep) == b"alive"
-
     def test_dedup_ratio(self, store):
         for _ in range(4):
             store.put(b"0123456789")
@@ -106,31 +78,25 @@ class TestChunkStorePickling:
         update = {b"k0500": b"later", b"k1500": b"later"}
         assert again.apply(update).root == tree.apply(update).root
 
-    def test_slotted_entries_round_trip_with_their_refcounts(self, store):
-        """An entry has no per-instance dict (48 bytes, not 88, a
-        chunk), and checkpoints still pickle it: bytes and reference
-        counts survive every protocol."""
-        kept, released = store.put(b"kept"), store.put(b"released")
+    def test_a_chunk_is_its_bytes_and_round_trips(self, store):
+        """An immutable store frees nothing, so a chunk is its bytes —
+        no per-chunk record beside them — and checkpoints still pickle
+        it under every protocol."""
+        kept = store.put(b"kept")
         store.put(b"kept")
-        store.release(released)
-        assert not hasattr(store._entries[kept], "__dict__")
+        assert type(store._entries[kept]) is bytes
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             reloaded = pickle.loads(pickle.dumps(store, protocol=protocol))
             assert reloaded.stats == store.stats
-            assert (reloaded.refcount(kept), reloaded.refcount(released)) == (
-                2, 0
-            )
             assert reloaded.get(kept) == b"kept"
-            assert reloaded.reclaimable_bytes() == len(b"released")
 
 
 class TestChunkStoreThreadSafety:
     """Regression: put() was a lockless check-then-act on the entry
     dict, so two nodes putting the same new content concurrently could
-    double-insert — double-counting unique_chunks/physical_bytes and
-    losing a refcount.  release()/compact() raced the same way.  The
-    store now stripes locks by address prefix; these hammers assert
-    the accounting is *exact*, not merely close."""
+    double-insert — double-counting unique_chunks/physical_bytes.  The
+    store now stripes locks by address prefix; this hammer asserts the
+    accounting is *exact*, not merely close."""
 
     @pytest.mark.stress
     def test_concurrent_puts_of_same_content_count_exactly(self):
@@ -162,43 +128,3 @@ class TestChunkStoreThreadSafety:
         assert store.stats.physical_bytes == expected_bytes
         assert store.stats.puts == threads_n * rounds
         assert store.stats.logical_bytes == threads_n * expected_bytes
-        for payload in payloads:
-            from repro.crypto.hashing import hash_bytes
-
-            assert store.refcount(hash_bytes(payload)) == threads_n
-
-    @pytest.mark.stress
-    def test_concurrent_release_and_compact_keep_refcounts_exact(self):
-        import threading
-
-        store = ChunkStore()
-        payloads = [f"gc-{i:03d}".encode() for i in range(100)]
-        refs_per_chunk = 8
-        addresses = [store.put(p) for p in payloads]
-        for _ in range(refs_per_chunk - 1):
-            for p in payloads:
-                store.put(p)
-
-        barrier = threading.Barrier(refs_per_chunk)
-
-        def releaser():
-            barrier.wait()
-            for address in addresses:
-                store.release(address)
-
-        threads = [
-            threading.Thread(target=releaser)
-            for _ in range(refs_per_chunk)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        # Exactly refs_per_chunk releases hit each chunk: all zero now.
-        assert all(store.refcount(a) == 0 for a in addresses)
-        freed = store.compact()
-        assert freed == sum(len(p) for p in payloads)
-        assert len(store) == 0
-        assert store.stats.unique_chunks == 0
-        assert store.stats.physical_bytes == 0

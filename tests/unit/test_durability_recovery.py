@@ -166,14 +166,34 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZDB4")
+        assert newest.read_bytes().startswith(b"SPITZDB5")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 4 only",
+            match="snapshot in layout 3; .* snapshot layout 5 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_4_checkpoint_stops_recovery_by_name(
+        self, tmp_path, monkeypatch
+    ):
+        """Layout 4 pickled a record per chunk (its bytes and a
+        reference count) where this build keeps the bytes alone."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB4" + newest.read_bytes()[8:])
+        monkeypatch.setattr(
+            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 4; .* snapshot layout 5 only",
         ):
             recover(tmp_path)
 
@@ -443,10 +463,10 @@ class TestDurableCli:
         """Only a database directory checkpoints: a plain file (such
         as a whole-database snapshot) is refused, not opened."""
         snap = tmp_path / "db.spitz"
-        snap.write_bytes(b"SPITZDB4")
+        snap.write_bytes(b"SPITZDB5")
         assert cli.main(["checkpoint", str(snap)]) == 1
         assert "no database at" in capsys.readouterr().err
-        assert snap.read_bytes() == b"SPITZDB4"
+        assert snap.read_bytes() == b"SPITZDB5"
 
     def test_tampered_wal_exits_3(self, tmp_path, capsys):
         root = tmp_path / "db.d"

@@ -177,8 +177,10 @@ class TestLedgerHistory:
 class TestVersionCost:
     def test_a_commit_retains_what_it_rewrote(self):
         """Memory guard: 500 single-key blocks on a 20k-key ledger keep
-        at most twice the bytes they added to the chunk store — the new
-        nodes and their decoded forms, not a tree handle per block."""
+        at most 1.5 times the bytes they added to the chunk store — the
+        new chunks, and decoded forms of the live tree only, not of every
+        version (1.40 measured; 1.72 while the decode cache kept every
+        version; 3.75 with a tree handle per block)."""
         ledger = SpitzLedger(mask_bits=5)
         ledger.append_block(
             {b"k%05d" % i: b"v" * 100 for i in range(20_000)}
@@ -198,7 +200,7 @@ class TestVersionCost:
             stored = ledger.chunks.stats.physical_bytes - stored
         finally:
             tracemalloc.stop()
-        assert retained <= 2 * stored, f"{retained} retained, {stored} stored"
+        assert retained <= 1.5 * stored, f"{retained} retained, {stored} stored"
 
     def test_verifier_cache_shares_entries_between_node_versions(self):
         ledger = SpitzLedger(mask_bits=3)

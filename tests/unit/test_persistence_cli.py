@@ -102,13 +102,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB4")
+        assert blob.startswith(b"SPITZDB5")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 4 only"
+            FormatVersionError, match="snapshot layout 5 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -142,6 +142,20 @@ class TestPersistence:
             "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(FormatVersionError, match="snapshot in layout 3"):
+            load_database(snapshot_path)
+
+    def test_a_layout_4_file_is_refused_by_name(
+        self, snapshot_path, monkeypatch
+    ):
+        """Layout 4 pickled a record per chunk (bytes and a reference
+        count); this build's chunk store maps an address to its bytes."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB4" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(FormatVersionError, match="snapshot in layout 4"):
             load_database(snapshot_path)
 
     def test_save_and_load_hold_one_copy_of_the_payload(

@@ -130,16 +130,19 @@ def _decoded_nodes(tree):
 
 class TestVersionSharing:
     def test_versions_share_unchanged_pairs_by_identity(self, store):
+        """Captured before the apply: the apply drops from the decode
+        cache the old nodes its new version stops sharing."""
         tree = PosTree.from_items(store, _items(3000), mask_bits=3)
         key = b"k001500"
-        changed = tree.apply({key: b"changed"})
         old_path = _decoded_path(tree, key)
-        new_path = _decoded_path(changed, key)
-        assert len(old_path) == len(new_path) == tree.height > 2
         # A level's rewritten node may share nothing with its
         # predecessor (a one-pair branch whose one child changed), so
         # the property is asserted over the whole old tree.
         was = {pair: pair for node in _decoded_nodes(tree) for pair in node[1]}
+        changed = tree.apply({key: b"changed"})
+        assert tree.root not in store.decode_cache
+        new_path = _decoded_path(changed, key)
+        assert len(old_path) == len(new_path) == changed.height > 2
         for old, new in zip(old_path, new_path):
             assert new is not old
             assert all(pair is was[pair] for pair in new[1] if pair in was)

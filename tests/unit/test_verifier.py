@@ -1,5 +1,7 @@
 """Unit tests for the client verifier and the deferred writer."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import TamperDetectedError, VerificationError
@@ -7,6 +9,8 @@ from repro.core.database import SpitzDatabase
 from repro.core.proofs import LedgerProof
 from repro.core.verifier import ClientVerifier, VerifiedWriter
 from repro.indexes.siri import SiriProof
+from repro.search.proofs import SearchPredicate
+from repro.shard.database import ShardedDatabase
 
 
 class TestClientVerifier:
@@ -190,6 +194,107 @@ class TestDeferredMode:
             assert verifier.verify(proof)
         assert verifier.checks == len(proofs)
         assert verifier.cache_hits > 0 and verifier.cache_misses > 0
+
+
+def _flipped(proof):
+    """``proof`` with one byte of its claimed value flipped."""
+    value = proof.siri.value
+    return dataclasses.replace(proof, siri=dataclasses.replace(
+        proof.siri, value=bytes([value[0] ^ 1]) + value[1:]
+    ))
+
+
+class TestCachesFollowTheTrustedDigest:
+    """An anchor matches the trusted digest only, so the block cache and
+    the node cache hold what that digest reaches."""
+
+    def test_the_block_cache_holds_the_trusted_block_only(self):
+        """Regression: every chain digest ever trusted stayed cached."""
+        db = SpitzDatabase()
+        verifier = ClientVerifier()
+        verifier.trust(db.digest())
+        for i in range(500):
+            key = b"k%03d" % (i % 97)
+            db.put(key, b"v%d" % i)
+            if i % 2:
+                verifier.observe(db.digest())
+            else:
+                height = verifier.trusted_digest.height
+                verifier.advance(db.digest(), db.ledger.extension_proof(height))
+            assert verifier.verify(db.get_verified(key)[1])
+            assert len(verifier._block_cache) <= 1
+
+    def test_a_warm_block_cache_still_checks_the_index_root(self):
+        """Regression: the cache held chain digests, so a witness that
+        carried the trusted chain digest skipped the header recompute
+        and lent its own index root to the evidence — here another
+        database's, which proves a value the trusted one never held."""
+        honest, other = SpitzDatabase(), SpitzDatabase()
+        for i in range(50):
+            honest.put(b"k%02d" % i, b"v%d" % i)
+            other.put(b"k%02d" % i, b"evil" if i == 7 else b"v%d" % i)
+        _value, proof = honest.get_verified(b"k07")
+        _value, lie = other.get_verified(b"k07")
+        forged = dataclasses.replace(lie, block=dataclasses.replace(
+            proof.block, tree_root=lie.block.tree_root
+        ))
+        verifier = ClientVerifier()
+        verifier.trust(honest.digest())
+        assert verifier.verify(proof) and verifier._block_cache
+        assert not verifier.verify(forged)
+        assert verifier.verify(proof)
+
+    def test_a_sharded_multiproof_verifies_across_an_advance(self):
+        """One header recompute per shard per new digest, and a proof
+        under the digest left behind no longer anchors."""
+        db = ShardedDatabase(num_shards=3)
+        for i in range(60):
+            db.put(b"s%02d" % i, b"v%d" % i)
+        keys = [b"s%02d" % i for i in range(0, 60, 7)] + [b"absent"]
+        verifier = ClientVerifier()
+        verifier.observe(db.digest())
+        _values, before = db.get_many_verified(keys)
+        assert verifier.verify(before) and len(verifier._block_cache) == 3
+        db.put(b"s07", b"changed")
+        verifier.observe(db.digest())
+        assert not verifier._block_cache
+        values, after = db.get_many_verified(keys)
+        assert values[1] == b"changed"
+        assert verifier.verify(after) and len(verifier._block_cache) == 3
+        assert not verifier.verify(before)
+
+    def test_the_node_cache_stays_within_twice_what_it_last_kept(self):
+        """2 000 puts and gets through one verifier: every honest proof
+        verifies across sweeps — point, search and multi — and a flipped
+        value is refused right after one."""
+        db = SpitzDatabase(indexed_columns=["items.price"])
+        db.sql("CREATE TABLE items (id INT, price INT, PRIMARY KEY (id))")
+        for pk in range(40):
+            db.sql(f"INSERT INTO items (id, price) VALUES ({pk}, {pk % 9})")
+        verifier = ClientVerifier()
+        cache = verifier._node_cache
+        sweeps = refused = 0
+        for i in range(2000):
+            key = b"k%04d" % (i * 7919 % 600)
+            db.put(key, b"v%d" % i)
+            verifier.observe(db.digest())
+            before = len(cache)
+            value, proof = db.get_verified(key)
+            assert value == b"v%d" % i and verifier.verify(proof)
+            assert len(cache) <= 2 * cache.kept
+            if len(cache) < before:
+                sweeps += 1
+                assert not verifier.verify(_flipped(proof))
+                refused += 1
+                _ukeys, found = db.search_verified(
+                    "items.price", SearchPredicate.between(2, 5)
+                )
+                verifier.observe(db.digest())
+                assert verifier.verify(found)
+                _values, multi = db.get_many_verified([key, b"k0001", b"no"])
+                assert verifier.verify(multi)
+        assert sweeps > 5 and refused == sweeps
+        assert verifier.detections == refused
 
 
 class TestVerifiedWriter:
