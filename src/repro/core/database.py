@@ -46,6 +46,7 @@ from repro.forkbase.chunk_store import ChunkStore
 from repro.obs.metrics import MetricsRegistry
 from repro.indexes.bplus import BPlusTree
 from repro.indexes.inverted import InvertedIndex
+from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.indexes.siri import DELETE
 from repro.txn.manager import (
     IsolationLevel,
@@ -97,7 +98,7 @@ class SpitzDatabase:
 
     def __init__(
         self,
-        mask_bits: int = 3,
+        mask_bits: int = DEFAULT_MASK_BITS,
         ledger_only: bool = False,
         certifier: Optional[object] = None,
         block_batch: int = 1,

@@ -22,7 +22,7 @@ from repro.crypto.hashing import Digest, EMPTY_DIGEST, hash_many, hash_value
 from repro.crypto.merkle import HashChain
 from repro.errors import CommitNotFoundError
 from repro.forkbase.chunk_store import ChunkStore
-from repro.indexes.pos_tree import PosTree
+from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
 from repro.indexes.siri import DELETE
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.proofs import (
@@ -67,7 +67,7 @@ class SpitzLedger:
     def __init__(
         self,
         chunks: Optional[ChunkStore] = None,
-        mask_bits: int = 3,
+        mask_bits: int = DEFAULT_MASK_BITS,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.chunks = chunks if chunks is not None else ChunkStore()

@@ -46,6 +46,7 @@ from typing import List, Optional, Sequence, Union
 from repro.core.database import SpitzDatabase
 from repro.core.request_handler import Request, RequestHandler, Response
 from repro.errors import ClusterOverloadedError, ClusterStoppedError
+from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.timeseries import TelemetryPlane
 from repro.obs.tracing import (
@@ -456,7 +457,7 @@ class SpitzCluster:
     def __init__(
         self,
         nodes: int = 2,
-        mask_bits: int = 5,
+        mask_bits: int = DEFAULT_MASK_BITS,
         durable_root: Optional[str] = None,
         sync_every: int = 1,
         metrics: Optional[MetricsRegistry] = None,

@@ -50,7 +50,8 @@ class Digest(bytes):
 
 def hash_bytes(data: bytes) -> Digest:
     """SHA-256 of raw bytes."""
-    return Digest(hashlib.sha256(data).digest())
+    # SHA-256 always gives 32 bytes: skip the length check of __new__.
+    return bytes.__new__(Digest, hashlib.sha256(data).digest())
 
 
 #: Digest of the empty byte string; used as the root of empty trees.

@@ -10,26 +10,26 @@ written (what a naive snapshot store would hold) versus physical bytes
 stored (after deduplication).
 
 Concurrency: every processor node funnels its index and cell writes
-through one shared store, so inserts are guarded by locks *striped by
-address prefix* (first byte of the content digest).  Two nodes putting
-different content proceed in parallel; two nodes racing on the same
-content serialize on the same stripe, so the check-then-act in
-:meth:`put` can never double-insert or double-count
-``unique_chunks``/``physical_bytes``.  Stats live behind their own
-single lock (they are touched on every op regardless of stripe).
+through one shared store, so :meth:`put` hashes outside any lock and
+then takes the store's one lock around the exists-check, the insert
+and the accounting: two nodes racing on the same content can never
+double-insert or double-count ``unique_chunks``/``physical_bytes``.
+The critical section is a dict probe and four additions, so one lock
+costs less than address-striped locks plus a separate stats lock did.
+
+A store is not pickled: a checkpoint writes its chunks as
+``(address, length, bytes)`` records, each accepted on load only if it
+hashes to its address (:mod:`repro.durability.checkpoint`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ChunkNotFoundError
-
-#: Lock stripes: plenty for thread-count-scale contention.
-STRIPE_COUNT = 16
 
 
 @dataclass
@@ -62,14 +62,12 @@ class ChunkStore:
         # being initialized first (and obs never imports forkbase).
         from repro.obs.metrics import NULL_REGISTRY
 
-        self._tracer = (
+        #: Where :meth:`put`'s ``chunks.put`` stage spans go.
+        self.tracer = (
             metrics if metrics is not None else NULL_REGISTRY
         ).tracer
         self._entries: Dict[Digest, bytes] = {}
-        self._stripes: List[threading.Lock] = [
-            threading.Lock() for _ in range(STRIPE_COUNT)
-        ]
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
         self.stats = StoreStats()
         # Side cache for index layers built on top of the store:
         # deserialized index nodes by address.  Content addressing makes
@@ -77,9 +75,6 @@ class ChunkStore:
         # safe to drop (a miss decodes the chunk); a POS-tree apply
         # drops the nodes its new version stops sharing.
         self.decode_cache: Dict[Digest, object] = {}
-
-    def _stripe(self, address: Digest) -> threading.Lock:
-        return self._stripes[address[0] % STRIPE_COUNT]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,37 +86,33 @@ class ChunkStore:
         """Store ``data``; return its content address.
 
         Re-putting existing content costs no physical bytes.  Safe under
-        concurrent putters: the address's stripe lock serializes the
-        exists-check with the insert.
+        concurrent putters: the store's lock serializes the exists-check
+        with the insert.
 
         Tracing: recorded as a ``chunks.put`` child span only inside
         an active trace (``stage_in_trace``) — per-op timing outside a
         trace would make this the single hottest metric site in the
         system (see :meth:`export_metrics`).
         """
-        with self._tracer.stage_in_trace("chunks.put"):
-            return self._put(data)
-
-    def _put(self, data: bytes) -> Digest:
-        address = hash_bytes(data)
-        with self._stripe(address):
-            fresh = address not in self._entries
-            if fresh:
-                self._entries[address] = data
-        with self._stats_lock:
-            self.stats.puts += 1
-            self.stats.logical_bytes += len(data)
-            if fresh:
-                self.stats.unique_chunks += 1
-                self.stats.physical_bytes += len(data)
-        return address
+        with self.tracer.stage_in_trace("chunks.put"):
+            address = hash_bytes(data)
+            size = len(data)
+            with self._lock:
+                stats = self.stats
+                stats.puts += 1
+                stats.logical_bytes += size
+                if address not in self._entries:
+                    self._entries[address] = data
+                    stats.unique_chunks += 1
+                    stats.physical_bytes += size
+            return address
 
     def get(self, address: Digest) -> bytes:
         """Fetch the chunk at ``address``.
 
         Raises :class:`ChunkNotFoundError` if absent.
         """
-        with self._stats_lock:
+        with self._lock:
             self.stats.gets += 1
         data = self._entries.get(address)
         if data is None:
@@ -130,13 +121,19 @@ class ChunkStore:
 
     def get_optional(self, address: Digest) -> Optional[bytes]:
         """Fetch the chunk at ``address`` or None if absent."""
-        with self._stats_lock:
+        with self._lock:
             self.stats.gets += 1
         return self._entries.get(address)
 
     def addresses(self) -> Iterator[Digest]:
         """Iterate over all stored content addresses."""
         return iter(list(self._entries.keys()))
+
+    def items(self) -> Iterator[Tuple[Digest, bytes]]:
+        """Every ``(address, bytes)`` stored, in insertion order; not
+        counted in :attr:`stats` (a checkpoint reads them all)."""
+        entries = self._entries
+        return ((address, entries[address]) for address in list(entries))
 
     def export_metrics(self, registry) -> None:
         """Publish dedup accounting into a metrics registry.
@@ -163,19 +160,3 @@ class ChunkStore:
         registry.gauge("chunks.logical_bytes").set(stats.logical_bytes)
         registry.gauge("chunks.physical_bytes").set(stats.physical_bytes)
         registry.gauge("chunks.dedup_ratio").set(stats.dedup_ratio)
-
-    # -- pickling (snapshots capture state, not live locks) ------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        # The decode cache is derived from the chunks; a snapshot that
-        # carried it would store every index node twice.
-        for transient in ("_stripes", "_stats_lock", "decode_cache"):
-            del state[transient]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._stripes = [threading.Lock() for _ in range(STRIPE_COUNT)]
-        self._stats_lock = threading.Lock()
-        self.decode_cache = {}

@@ -52,8 +52,13 @@ from repro.indexes.siri import (
     encode_node,
 )
 
-#: Default split pattern width: expected node size is ``2**MASK_BITS``.
-DEFAULT_MASK_BITS = 5
+#: The split pattern width every ledger and search column uses: a node
+#: holds ``2**DEFAULT_MASK_BITS`` pairs on average.  Chosen by a sweep
+#: of 3, 4 and 5 under node layout v3 (EXPERIMENTS.md "Nodes half the
+#: size"): 5 stores a quarter more, 3 least but sets up 16–30 % slower
+#: than 4.  A durable directory does not record its width, so there is
+#: one.
+DEFAULT_MASK_BITS = 4
 
 #: Everything a tampered proof can raise during verification — a blob
 #: that does not hash to the address the walk expects or that the strict
@@ -259,7 +264,7 @@ def _digest_at(
     leaf pairs it with, or None."""
     tag, pairs = node_at(address)
     while tag == "B":
-        tag, pairs = node_at(Digest(pairs[_child_index(pairs, key)][1]))
+        tag, pairs = node_at(pairs[_child_index(pairs, key)][1])
     return _paired(pairs, key)
 
 
@@ -274,7 +279,7 @@ def _pairs_between(
     for index in range(_child_index(pairs, low), len(pairs)):
         if pairs[index][0] > high:
             break
-        found += _pairs_between(node_at, Digest(pairs[index][1]), low, high)
+        found += _pairs_between(node_at, pairs[index][1], low, high)
     return found
 
 
@@ -303,13 +308,14 @@ class _Run:
             if self._ends_node(pair):
                 self.cuts.append(len(self.pairs))
 
-    def keep(self, node: tuple, start: int, stop: int) -> None:
+    def keep(self, node: tuple, start: int, stop: int, last: bool) -> None:
         """Append ``node[start:stop]``, pairs of one stored node: only
         its last pair can be a split point, or the node would have
-        ended earlier (the level's last node need not end on one)."""
+        ended earlier, and it is one unless the node is ``last`` on its
+        level (which need not end on one), so only then is it hashed."""
         if start < stop:
             self.pairs += node[start:stop]
-            if stop == len(node) and self._ends_node(node[-1]):
+            if stop == len(node) and (not last or self._ends_node(node[-1])):
                 self.cuts.append(len(self.pairs))
 
     @property
@@ -319,19 +325,23 @@ class _Run:
 
     def write(self) -> List[Tuple[bytes, bytes]]:
         """Store the nodes; returns the pairs the level above lists
-        them under."""
+        them under (each digest the ``Digest`` the store returned: a
+        walk reads a child's address as it is paired)."""
         stops = list(self.cuts)
         if self.pairs and not self.ended:
             stops.append(len(self.pairs))
         listed: List[Tuple[bytes, bytes]] = []
+        put, cache, tag, pairs = (
+            self.store.put, self.store.decode_cache, self.tag, self.pairs
+        )
         start = 0
         for stop in stops:
-            node = (self.tag, tuple(self.pairs[start:stop]))
-            address = self.store.put(encode_node(node))
+            node = (tag, tuple(pairs[start:stop]))
+            address = put(encode_node(node))
             # Freshly written nodes are the likeliest next reads, and
             # the next version's pairs are sliced out of this tuple.
-            self.store.decode_cache[address] = node
-            listed.append((node[1][0][0], bytes(address)))
+            cache[address] = node
+            listed.append((pairs[start][0], address))
             start = stop
         return listed
 
@@ -460,22 +470,30 @@ class PosTree(SiriIndex):
         return None if digest is None else self.store.get(digest)
 
     def _descend(
-        self, key: bytes, depth: int
+        self, key: bytes, depth: int, path: List[tuple]
     ) -> Tuple[Digest, tuple, Optional[bytes], Optional[bytes]]:
         """The node ``depth`` levels below the root on ``key``'s path.
 
         Returns ``(address, pairs, listed, upper)``: ``listed`` is the
         key its parent lists it under, ``upper`` the key its right
         neighbour at that depth is listed under (None: there is none).
+
+        ``path`` holds the previous descent's ``(address, listed,
+        upper)`` per level, root first, and keys come in increasing
+        order, so the levels whose node still spans ``key`` (its
+        ``upper`` is None or above the key) are on its path too: the
+        walk resumes below the deepest of them.
         """
-        address, listed, upper = self.root, None, None
-        for _ in range(depth):
+        while path[-1][2] is not None and key >= path[-1][2]:
+            path.pop()
+        address, listed, upper = path[-1]
+        for _ in range(len(path) - 1, depth):
             children = self._node(address)[1]
             index = _child_index(children, key)
             if index + 1 < len(children):
                 upper = children[index + 1][0]
-            listed, child = children[index]
-            address = Digest(child)
+            listed, address = children[index]
+            path.append((address, listed, upper))
         return address, self._node(address)[1], listed, upper
 
     def _leaves(self, address: Digest) -> Iterator[tuple]:
@@ -485,7 +503,7 @@ class PosTree(SiriIndex):
             yield node[1]
         else:
             for _first_key, child in node[1]:
-                yield from self._leaves(Digest(child))
+                yield from self._leaves(child)
 
     @property
     def height(self) -> int:
@@ -493,7 +511,7 @@ class PosTree(SiriIndex):
         height = 1
         node = self._node(self.root)
         while node[0] == "B":
-            node = self._node(Digest(node[1][0][1]))
+            node = self._node(node[1][0][1])
             height += 1
         return height
 
@@ -657,9 +675,10 @@ class PosTree(SiriIndex):
         edge = self._node(self.root)[1][0][0] if depth else None
         tiled = True
         done = 0
+        path = [(self.root, None, None)]
         while done < len(changes):
             address, node, first, upper = self._descend(
-                changes[done][0], depth
+                changes[done][0], depth, path
             )
             tiled = tiled and first == edge
             last = first
@@ -672,16 +691,18 @@ class PosTree(SiriIndex):
                 ):
                     low, high, new = changes[done]
                     cut = _position(node, low, kept)
-                    run.keep(node, kept, cut)
+                    run.keep(node, kept, cut, upper is None)
                     run.add(new)
                     kept = _position_after(node, high, cut)
                     done += 1
-                run.keep(node, kept, len(node))
+                run.keep(node, kept, len(node), upper is None)
                 if upper is None or (high < upper and run.ended):
                     break
                 # The run does not end on a split point (or its last
                 # change reaches further): the next node joins it.
-                address, node, last, upper = self._descend(upper, depth)
+                address, node, last, upper = self._descend(
+                    upper, depth, path
+                )
                 replaced.append(address)
                 kept = _position_after(node, high)
             runs.append((first, last, replaced, run))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from operator import ge, itemgetter
+from operator import ge
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import Digest
@@ -101,7 +101,7 @@ def encode_node(node: tuple) -> bytes:
     if any(map(ge, keys, keys[1:])):
         raise ValueError("node keys must be strictly increasing")
     cut = _common_prefix(keys[0], keys[-1])
-    suffixes = tuple(map(itemgetter(slice(cut, None)), keys))
+    suffixes = [key[cut:] for key in keys] if cut else keys
     lengths = tuple(map(len, suffixes))
     return b"".join((
         head,

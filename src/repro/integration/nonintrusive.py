@@ -22,6 +22,7 @@ from repro.core.database import SpitzDatabase
 from repro.core.ledger import LedgerDigest
 from repro.core.proofs import LedgerProof, LedgerRangeProof
 from repro.core.schema import KV_PREFIX
+from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.integration.simnet import Channel
 from repro.kvstore.kvs import ImmutableKVS
 
@@ -57,7 +58,7 @@ class _KvsServer:
 class _LedgerServer:
     """Server side of the ledger-database channel (Spitz, auditor only)."""
 
-    def __init__(self, mask_bits: int = 3):
+    def __init__(self, mask_bits: int = DEFAULT_MASK_BITS):
         self.ledger_db = SpitzDatabase(
             mask_bits=mask_bits, ledger_only=True
         )
@@ -94,7 +95,7 @@ class NonIntrusiveVDB:
 
     def __init__(
         self,
-        mask_bits: int = 3,
+        mask_bits: int = DEFAULT_MASK_BITS,
         loss_every: int = 0,
         retry_attempts: int = 3,
     ):

@@ -37,6 +37,7 @@ from repro.core.database import SpitzDatabase
 from repro.core.ledger import LedgerDigest
 from repro.core.schema import KV_PREFIX
 from repro.errors import QueryError
+from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.digest import (
     ShardedDigest,
@@ -91,7 +92,7 @@ class ShardedDatabase:
     def __init__(
         self,
         num_shards: int = 4,
-        mask_bits: int = 5,
+        mask_bits: int = DEFAULT_MASK_BITS,
         block_batch: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         durable_root: Optional[str] = None,

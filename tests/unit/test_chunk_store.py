@@ -4,6 +4,9 @@ import pickle
 
 import pytest
 
+from repro.core.database import SpitzDatabase
+from repro.core.schema import KV_PREFIX
+from repro.durability.checkpoint import load_database, save_database
 from repro.errors import ChunkNotFoundError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pos_tree import PosTree
@@ -50,53 +53,68 @@ class TestChunkStore:
         assert {a, b} == set(store.addresses())
 
 
-class TestChunkStorePickling:
-    def test_snapshot_leaves_the_derived_cache_out(self, store):
-        """The decode cache restates the chunks; a pickled store carries
-        the chunks only and serves the same roots and proofs once
-        reloaded."""
-        items = [(b"k%04d" % i, b"v%d" % i) for i in range(2000)]
-        tree = PosTree.from_items(store, items).apply({b"k1000": b"new"})
-        assert store.decode_cache
-        _value, proof = tree.get_with_proof(b"k1000")
-        _entries, range_proof = tree.scan_with_proof(b"k0990", b"k1010")
+class TestChunkStoreCheckpoint:
+    """A store is not pickled: a checkpoint writes its chunks as
+    records and references the store from the pickled remainder."""
 
-        blob = pickle.dumps(store)
-        assert "decode_cache" not in store.__getstate__()
-        carrying_it = pickle.dumps(
-            dict(vars(store), _stripes=None, _stats_lock=None)
+    def test_a_checkpoint_leaves_the_derived_cache_out(self, tmp_path):
+        """The decode cache restates the chunks; a checkpoint carries
+        the chunks only, and the reloaded store serves the same roots
+        and proofs."""
+        db = SpitzDatabase()
+        db.put_batch({b"k%04d" % i: b"v%d" % i for i in range(2000)})
+        db.put(b"k1000", b"new")
+        store, tree = db.chunks, db.ledger.tree
+        assert store.decode_cache
+        _value, proof = tree.get_with_proof(KV_PREFIX + b"k1000")
+        _entries, range_proof = tree.scan_with_proof(
+            KV_PREFIX + b"k0990", KV_PREFIX + b"k1010"
         )
-        assert len(blob) < len(carrying_it)
-        reloaded = pickle.loads(blob)
+
+        path = tmp_path / "db.spitz"
+        size = save_database(db, path)
+        # Header, the pickled remainder, then each chunk once as a
+        # record: the decode cache went nowhere.
+        remainder = int.from_bytes(path.read_bytes()[40:48], "big")
+        assert size == 48 + remainder + 36 * len(store) + (
+            store.stats.physical_bytes
+        )
+        reloaded = load_database(path).chunks
         assert reloaded.decode_cache == {}
         assert reloaded.stats == store.stats
 
         again = PosTree.load(reloaded, tree.root)
-        assert again.get_with_proof(b"k1000") == (b"new", proof)
-        assert again.scan_with_proof(b"k0990", b"k1010")[1] == range_proof
+        assert again.get_with_proof(KV_PREFIX + b"k1000") == (b"new", proof)
+        assert again.scan_with_proof(
+            KV_PREFIX + b"k0990", KV_PREFIX + b"k1010"
+        )[1] == range_proof
         assert list(again.items()) == list(tree.items())
-        update = {b"k0500": b"later", b"k1500": b"later"}
+        update = {
+            KV_PREFIX + b"k0500": b"later", KV_PREFIX + b"k1500": b"later"
+        }
         assert again.apply(update).root == tree.apply(update).root
 
-    def test_a_chunk_is_its_bytes_and_round_trips(self, store):
+    def test_a_chunk_is_its_bytes_and_is_written_as_a_record(self, store):
         """An immutable store frees nothing, so a chunk is its bytes —
-        no per-chunk record beside them — and checkpoints still pickle
-        it under every protocol."""
+        no per-chunk record beside them.  A checkpoint reads them through
+        ``items()``, uncounted, and the store itself refuses pickling:
+        the only way it reaches a file is as content-addressed records."""
         kept = store.put(b"kept")
         store.put(b"kept")
         assert type(store._entries[kept]) is bytes
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-            reloaded = pickle.loads(pickle.dumps(store, protocol=protocol))
-            assert reloaded.stats == store.stats
-            assert reloaded.get(kept) == b"kept"
+        before = store.stats.gets
+        assert list(store.items()) == [(kept, b"kept")]
+        assert store.stats.gets == before
+        with pytest.raises(TypeError):
+            pickle.dumps(store)
 
 
 class TestChunkStoreThreadSafety:
     """Regression: put() was a lockless check-then-act on the entry
     dict, so two nodes putting the same new content concurrently could
     double-insert — double-counting unique_chunks/physical_bytes.  The
-    store now stripes locks by address prefix; this hammer asserts the
-    accounting is *exact*, not merely close."""
+    store now checks, inserts and counts under one lock; this hammer
+    asserts the accounting is *exact*, not merely close."""
 
     @pytest.mark.stress
     def test_concurrent_puts_of_same_content_count_exactly(self):

@@ -166,14 +166,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZDB5")
+        assert newest.read_bytes().startswith(b"SPITZDB6")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
-            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 5 only",
+            match="snapshot in layout 3; .* snapshot layout 6 only",
         ):
             recover(tmp_path)
 
@@ -189,13 +189,84 @@ class TestCheckpoints:
             _lsn, newest = ddb.checkpoint()
         newest.write_bytes(b"SPITZDB4" + newest.read_bytes()[8:])
         monkeypatch.setattr(
-            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 5 only",
+            match="snapshot in layout 4; .* snapshot layout 6 only",
         ):
             recover(tmp_path)
+
+    def test_a_layout_5_checkpoint_stops_recovery_by_name(
+        self, tmp_path, monkeypatch
+    ):
+        """Layout 5 pickled the chunk store with the rest of the graph;
+        layout 6 writes chunks as records outside the pickle."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB5" + newest.read_bytes()[8:])
+        monkeypatch.setattr(
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 5; .* snapshot layout 6 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_checkpoint_taken_beside_racing_puts_is_whole(self, tmp_path):
+        """A checkpoint holds the commit lock from the LSN it records to
+        its last chunk record, so puts racing it on other threads can
+        neither land a chunk the remainder does not name nor slip a
+        commit between the LSN and the snapshot: every checkpoint loads,
+        and recovery replays to exactly the acknowledged puts."""
+        import sys
+        import threading
+
+        from repro.durability.checkpoint import load_database
+
+        acknowledged = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DurableDatabase.open(tmp_path, sync_every=64) as ddb:
+
+                def writer(worker):
+                    i = 0
+                    while not stop.is_set():
+                        key = b"w%d-%05d" % (worker, i)
+                        ddb.put(key, b"v" * 40)
+                        acknowledged.append(key)
+                        i += 1
+
+                threads = [
+                    threading.Thread(target=writer, args=(n,))
+                    for n in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                try:
+                    paths = [ddb.checkpoint()[1] for _ in range(6)]
+                    loaded = [load_database(path) for path in paths[-3:]]
+                finally:
+                    stop.set()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                digest = ddb.digest()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(db.verify_chain() for db in loaded)
+        assert loaded[-1].ledger.height > 0
+        report = recover(tmp_path)
+        assert report.checkpoint_path == paths[-1]
+        assert report.db.digest() == digest
+        assert report.db.ledger.height == len(acknowledged)
+        assert all(report.db.get(key) == b"v" * 40 for key in acknowledged)
 
     def test_keep_retains_older_checkpoints(self, tmp_path):
         with DurableDatabase.open(tmp_path) as ddb:
@@ -253,7 +324,7 @@ GOLDEN_AFTER_CHECKPOINT = {
         "ef672a0f00502206b7c8b5a4fe518e08f31a4abf32407d6511b262331bea06b7",
 }
 GOLDEN_CHAIN_DIGEST = (
-    "b524a2a2fa776b0cbed1c7cd894f9b9b765b3cd2f96b87b3517259b2cf197a9b"
+    "50a2f6df751310e858cf2fb871f80f046041c3bf9a6764e32bddf859e0b5bd99"
 )
 
 
@@ -463,10 +534,10 @@ class TestDurableCli:
         """Only a database directory checkpoints: a plain file (such
         as a whole-database snapshot) is refused, not opened."""
         snap = tmp_path / "db.spitz"
-        snap.write_bytes(b"SPITZDB5")
+        snap.write_bytes(b"SPITZDB6")
         assert cli.main(["checkpoint", str(snap)]) == 1
         assert "no database at" in capsys.readouterr().err
-        assert snap.read_bytes() == b"SPITZDB5"
+        assert snap.read_bytes() == b"SPITZDB6"
 
     def test_tampered_wal_exits_3(self, tmp_path, capsys):
         root = tmp_path / "db.d"
@@ -525,3 +596,64 @@ class TestDurableCluster:
         with pytest.raises(RuntimeError):
             cluster.checkpoint()
         cluster.close()
+
+    def test_a_served_directory_reopens_as_the_same_chain(self, tmp_path):
+        """Regression: the cluster built its ledger at one split width
+        and ``DurableDatabase.open`` — what ``recover`` and every CLI
+        data command use — at another, so a directory with no
+        checkpoint yet replayed into other trees, and a client pinned
+        to the served digest saw a fork."""
+        from repro.core.verifier import ClientVerifier
+
+        root = str(tmp_path / "served.d")
+        cluster = SpitzCluster(nodes=1, durable_root=root, sync_every=64)
+        try:
+            for i in range(64):
+                cluster.db.put(b"key-%03d" % i, b"value %d" % i)
+            served = cluster.db.digest()
+        finally:
+            cluster.close()
+        assert cluster.db.ledger.tree.height > 1
+        with DurableDatabase.open(root) as reopened:
+            assert reopened.digest() == served
+            verifier = ClientVerifier()
+            verifier.trust(served)
+            value, proof = reopened.get_verified(b"key-007")
+            assert value == b"value 7" and verifier.verify(proof)
+        assert recover(root).db.digest() == served
+
+
+class TestOneWidth:
+    def test_every_ledger_building_constructor_defaults_to_one_width(self):
+        """A durable directory does not record its split width, so every
+        constructor that builds a ledger or a committed index takes the
+        POS-tree's one default."""
+        import inspect
+
+        from repro.core.database import SpitzDatabase
+        from repro.core.ledger import SpitzLedger
+        from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
+        from repro.integration.nonintrusive import (
+            NonIntrusiveVDB,
+            _LedgerServer,
+        )
+        from repro.search.committed import CommittedSearchIndex
+        from repro.shard import ShardedDatabase
+
+        constructors = [
+            SpitzDatabase, SpitzLedger, SpitzCluster, ShardedDatabase,
+            _LedgerServer, NonIntrusiveVDB, CommittedSearchIndex, PosTree,
+            PosTree.empty, PosTree.from_items, PosTree.load,
+        ]
+        defaults = {
+            getattr(fn, "__qualname__", fn):
+                inspect.signature(fn).parameters["mask_bits"].default
+            for fn in constructors
+        }
+        assert set(defaults.values()) == {DEFAULT_MASK_BITS}, defaults
+        assert SpitzDatabase().ledger.tree.mask_bits == DEFAULT_MASK_BITS
+        cluster = SpitzCluster(nodes=1, telemetry=False)
+        try:
+            assert cluster.db.ledger.tree.mask_bits == DEFAULT_MASK_BITS
+        finally:
+            cluster.close()

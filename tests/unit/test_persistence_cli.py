@@ -5,6 +5,7 @@ import pytest
 from repro.core.database import SpitzDatabase
 from repro.durability.checkpoint import load_database, save_database
 from repro.core.verifier import ClientVerifier
+from repro.crypto.hashing import hash_bytes
 from repro.errors import (
     FormatVersionError,
     StorageError,
@@ -102,13 +103,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB5")
+        assert blob.startswith(b"SPITZDB6")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
-            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 5 only"
+            FormatVersionError, match="snapshot layout 6 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -123,7 +124,7 @@ class TestPersistence:
         blob = snapshot_path.read_bytes()
         snapshot_path.write_bytes(b"SPITZDB2" + blob[8:])
         monkeypatch.setattr(
-            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError, match="snapshot in layout 2"
@@ -139,7 +140,7 @@ class TestPersistence:
         blob = snapshot_path.read_bytes()
         snapshot_path.write_bytes(b"SPITZDB3" + blob[8:])
         monkeypatch.setattr(
-            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(FormatVersionError, match="snapshot in layout 3"):
             load_database(snapshot_path)
@@ -153,62 +154,169 @@ class TestPersistence:
         blob = snapshot_path.read_bytes()
         snapshot_path.write_bytes(b"SPITZDB4" + blob[8:])
         monkeypatch.setattr(
-            "pickle.loads", lambda *_: pytest.fail("payload was unpickled")
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(FormatVersionError, match="snapshot in layout 4"):
             load_database(snapshot_path)
 
-    def test_save_and_load_hold_one_copy_of_the_payload(
+    def test_a_layout_5_file_is_refused_by_name(
         self, snapshot_path, monkeypatch
     ):
-        """Header and payload are written, hashed and unpickled as they
-        are — no ``magic + digest + payload`` join on save, no
-        ``blob[40:]`` slice on load — so each holds one copy of the
-        payload, not two."""
+        """Layout 5 pickled the chunk store inside the object graph;
+        this build writes chunks as records each checked by its hash."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB5" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(FormatVersionError, match="snapshot in layout 5"):
+            load_database(snapshot_path)
+
+    def test_save_and_load_hold_one_copy_of_the_payload(self, snapshot_path):
+        """The chunk section is streamed record by record both ways and
+        the remainder is written, hashed and unpickled as it is — no
+        blob of the whole file on save, no slice of it on load — so
+        saving holds the remainder once and none of the section, and
+        loading holds one copy of the chunks: the store's own."""
         import gc
+        import io
         import pickle
         import tracemalloc
+
+        from repro.durability import checkpoint
 
         db = SpitzDatabase()
         db.put_batch({b"k%05d" % i: bytes(200) + b"%d" % i
                       for i in range(3000)})
-        dumped = {}
-        plain_dumps = pickle.dumps
-
-        def dumps(*args, **kwargs):
-            payload = plain_dumps(*args, **kwargs)
-            tracemalloc.reset_peak()
-            dumped["at"] = tracemalloc.get_traced_memory()[0]
-            return payload
+        stats = db.chunks.stats
+        section = 36 * stats.unique_chunks + stats.physical_bytes
 
         def growth(work):
+            """(peak growth, growth kept, result) of ``work()``."""
             gc.collect()
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             result = work()
-            return tracemalloc.get_traced_memory()[1] - base, result
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+            return peak - base, current - base, result
 
-        monkeypatch.setattr(pickle, "dumps", dumps)
+        def unpickle(data):
+            unpickler = pickle.Unpickler(io.BytesIO(data))
+            unpickler.persistent_load = lambda pid: None
+            return unpickler.load()
+
         tracemalloc.start()
         try:
-            payload = save_database(db, snapshot_path) - 40
-            writing = tracemalloc.get_traced_memory()[1] - dumped["at"]
-            data = snapshot_path.read_bytes()[40:]
-            unpickling, _db = growth(lambda: pickle.loads(data))
-            del data, _db
-            loading, restored = growth(
+            size = save_database(db, snapshot_path)
+            remainder = size - 48 - section
+            data = snapshot_path.read_bytes()[48:48 + remainder]
+            pickling, _kept, _view = growth(
+                lambda: checkpoint._pickle_remainder(db)
+            )
+            peak, kept, _db = growth(lambda: unpickle(data))
+            unpickling = peak - kept
+            del data, _view, _db
+            writing, _kept, _size = growth(
+                lambda: save_database(db, snapshot_path)
+            )
+            loading, kept, restored = growth(
                 lambda: load_database(snapshot_path)
             )
         finally:
             tracemalloc.stop()
-        assert payload > 1_000_000
-        # Past the pickle, saving holds nothing payload-sized (a joined
-        # blob would be a whole second copy)...
-        assert writing < 0.25 * payload
-        # ...and loading holds the file's payload once on top of what
-        # unpickling that payload costs anyway (a slice would be twice).
-        assert loading - unpickling < 1.5 * payload
+        assert section > 500_000 and remainder > 500_000
+        # Past pickling the remainder, saving holds nothing section-sized
+        # (a joined blob would be a copy of the whole file)...
+        assert writing - pickling < 0.25 * section
+        # ...and loading, past what the restored database keeps (the
+        # store among it: the one copy of the section) and what
+        # unpickling costs anyway, holds the remainder's bytes once (a
+        # slice would be twice, the whole file more).
+        assert loading - kept - unpickling < 1.5 * remainder
+        assert kept > section
         assert restored.get(b"k00007") == bytes(200) + b"7"
+
+
+def _records(blob):
+    """``(offset, address, length)`` of every chunk record in a layout-6
+    snapshot: ``magic(8) ‖ digest(32) ‖ remainder length(u64) ‖
+    remainder ‖ (address(32) ‖ length(u32) ‖ bytes)*``."""
+    at = 48 + int.from_bytes(blob[40:48], "big")
+    out = []
+    while at < len(blob):
+        length = int.from_bytes(blob[at + 32:at + 36], "big")
+        out.append((at, blob[at:at + 32], length))
+        at += 36 + length
+    assert at == len(blob)
+    return out
+
+
+class TestChunkSection:
+    """Layout 6 writes every chunk as an ``(address, length, bytes)``
+    record outside the pickle; a record is accepted only under its own
+    hash, and the section only whole."""
+
+    @pytest.fixture
+    def saved(self, snapshot_path):
+        db = SpitzDatabase()
+        for i in range(40):
+            db.put(b"k%02d" % i, b"value %d" % i)
+        save_database(db, snapshot_path)
+        return db, snapshot_path.read_bytes()
+
+    def _refused(self, snapshot_path, blob):
+        snapshot_path.write_bytes(blob)
+        with pytest.raises(TamperDetectedError):
+            load_database(snapshot_path)
+
+    def test_a_round_trip_keeps_every_chunk_and_the_chain(
+        self, saved, snapshot_path
+    ):
+        db, blob = saved
+        assert blob.startswith(b"SPITZDB6")
+        records = _records(blob)
+        assert len(records) == db.chunks.stats.unique_chunks
+        restored = load_database(snapshot_path)
+        assert dict(restored.chunks.items()) == dict(db.chunks.items())
+        assert restored.chunks.stats == db.chunks.stats
+        assert restored.chunks.tracer is restored.metrics.tracer
+        assert restored.ledger.chunks is restored.chunks
+        assert restored.digest() == db.digest()
+        assert restored.chunks.decode_cache == {}
+
+    def test_a_flipped_byte_in_any_chunk_record_is_tamper(
+        self, saved, snapshot_path
+    ):
+        _db, blob = saved
+        for at, _address, length in _records(blob):
+            # The address, the length and the bytes of each record.
+            for offset in (0, 31, 32, 35, 36, 36 + length // 2, 35 + length):
+                flipped = bytearray(blob)
+                flipped[at + offset] ^= 0x01
+                self._refused(snapshot_path, bytes(flipped))
+
+    def test_a_record_cut_short_is_tamper(self, saved, snapshot_path):
+        _db, blob = saved
+        last, _address, length = _records(blob)[-1]
+        for cut in (last + 10, last + 36, last + 36 + length - 1, last):
+            self._refused(snapshot_path, blob[:cut])
+
+    def test_a_record_under_another_address_is_tamper(
+        self, saved, snapshot_path
+    ):
+        _db, blob = saved
+        (first, a, _), (second, b, _) = _records(blob)[:2]
+        swapped = bytearray(blob)
+        swapped[first:first + 32], swapped[second:second + 32] = b, a
+        self._refused(snapshot_path, bytes(swapped))
+        # A well-formed record the snapshot does not name.
+        extra = b"not in the snapshot"
+        self._refused(
+            snapshot_path,
+            blob + hash_bytes(extra) + len(extra).to_bytes(4, "big") + extra,
+        )
 
 
 class TestCli:
