@@ -8,13 +8,20 @@ is the last WAL record folded into the snapshotted state, in two parts:
   store's accounting), behind a header of magic, the remainder's
   SHA-256 and its length.  The digest is one the file carries about
   itself: it catches damage, not an editor;
-- **the chunk section** — every chunk as an ``(address(32) ‖
-  length(u32) ‖ bytes)`` record.  A chunk's address is its integrity
-  check (ForkBase's content addressing): :func:`load_database` accepts
-  a record only if its bytes hash to its address, and the section only
-  if it holds exactly the chunk count and bytes the remainder's
-  accounting names, so a flipped byte, a record cut short, a record
-  under another address, or a dropped or added one is a
+- **the chunk section** — every chunk in its stored form, as an
+  ``(address(32) ‖ length(u32) ‖ stored bytes)`` record whose length's
+  top bit marks a reverse delta (``base address ‖ prefix length ‖
+  suffix length ‖ middle``, :class:`~repro.forkbase.chunk_store.Delta`)
+  and is clear for a chunk held whole.  A chunk's address is its
+  integrity check (ForkBase's content addressing): :func:`load_database`
+  accepts a whole record only if its bytes hash to its address and a
+  delta only once its chain — at most
+  :data:`~repro.forkbase.chunk_store.MAX_CHAIN` links, each base in the
+  section — rebuilds to bytes that do, and the section only if it holds
+  exactly the chunk count and bytes the remainder's accounting names.
+  So a flipped byte, a record cut short, a record under another
+  address, a dropped or added one, a delta naming an absent base, a
+  cycle of deltas or a chain too long is a
   :class:`~repro.errors.TamperDetectedError`.
 
 :func:`load_database` then runs the chain audit, which authenticates
@@ -37,8 +44,9 @@ ordinary case.
 The remainder is Python-pickle based and not cross-version stable.
 The magic's digit is the snapshot layout — what is pickled (one
 version store since 3, chunks as plain bytes since 5, chunks as
-records outside the pickle since 6) and the node format of the chunks
-(v3 since 4: a common key prefix stored once, varint lengths); a file
+records outside the pickle since 6, chunks in their stored form, deltas
+among them, since 7) and the node format of the chunks (v3 since 4: a
+common key prefix stored once, varint lengths); a file
 of another layout is refused by name before anything in it is
 unpickled, and there is no migration.
 """
@@ -62,18 +70,20 @@ from repro.errors import (
     StorageError,
     TamperDetectedError,
 )
-from repro.forkbase.chunk_store import ChunkStore
+from repro.forkbase.chunk_store import ChunkStore, Delta
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
-_MAGIC = b"SPITZDB6"
+_MAGIC = b"SPITZDB7"
 #: After the magic: the remainder's digest and length.
 _HEADER = struct.Struct(">32sQ")
-#: Ahead of each chunk's bytes: its address and length.
+#: Ahead of each chunk's stored bytes: its address and length.
 _RECORD = struct.Struct(">32sI")
+#: The length's top bit: the record is a delta.
+_DELTA_BIT = 1 << 31
 #: The persistent id's tag for the database's chunk store.
 _CHUNKS = "chunks"
 #: Older checkpoints retained beside the newest, as fallbacks for one
@@ -104,7 +114,8 @@ def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
                 )
                 handle.write(remainder)
                 for address, data in db.chunks.items():
-                    handle.write(_RECORD.pack(address, len(data)))
+                    flag = _DELTA_BIT if data.__class__ is Delta else 0
+                    handle.write(_RECORD.pack(address, len(data) | flag))
                     handle.write(data)
                 size = handle.tell()
                 handle.flush()
@@ -149,9 +160,9 @@ def load_database(path: Union[str, Path]) -> SpitzDatabase:
     Raises :class:`FormatVersionError` for another snapshot layout
     (before anything is unpickled) and :class:`TamperDetectedError`
     when the remainder does not match its digest, a chunk record does
-    not hash to its address or is cut short, the section does not hold
-    the chunks the remainder names, or the restored ledger fails its
-    chain audit.
+    not rebuild to bytes that hash to its address or is cut short, the
+    section does not hold the chunks the remainder names, or the
+    restored ledger fails its chain audit.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC))
@@ -184,22 +195,32 @@ def load_database(path: Union[str, Path]) -> SpitzDatabase:
 
 
 def _read_chunks(handle: BinaryIO, path) -> ChunkStore:
-    """The chunk section into a new store, each record put (so hashed)
-    and accepted only under the address it was written with."""
+    """The chunk section into a new store: each whole record put (so
+    hashed) and accepted only under the address it was written with,
+    each delta held as written and accepted once all are in and it
+    rebuilds to bytes that hash to its address."""
     store = ChunkStore()
     cut_short = f"snapshot {path}: a chunk record is cut short"
+    unbuilt = (
+        f"snapshot {path}: chunk %s does not rebuild to bytes that hash to "
+        "its address"
+    )
     for head in iter(lambda: handle.read(_RECORD.size), b""):
         if len(head) < _RECORD.size:
             raise TamperDetectedError(cut_short)
         address, length = _RECORD.unpack(head)
+        delta, length = length & _DELTA_BIT, length & ~_DELTA_BIT
         data = handle.read(length)
         if len(data) < length:
             raise TamperDetectedError(cut_short)
-        if store.put(data) != address:
-            raise TamperDetectedError(
-                f"snapshot {path}: chunk {address.hex()[:12]} does not hash "
-                "to its address"
-            )
+        if not (
+            store.put_delta(address, data) if delta
+            else store.put(data) == address
+        ):
+            raise TamperDetectedError(unbuilt % address.hex()[:12])
+    address = store.check_deltas()
+    if address is not None:
+        raise TamperDetectedError(unbuilt % address.hex()[:12])
     return store
 
 

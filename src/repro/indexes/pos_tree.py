@@ -283,6 +283,16 @@ def _pairs_between(
     return found
 
 
+def _successor(written: List[Tuple[bytes, bytes]], key: Optional[bytes]):
+    """The address of the node among ``written`` (a run's new nodes, by
+    first key) whose first key covers ``key``: the last one listed at or
+    before it, else the first (the root is listed under None)."""
+    index = len(written) - 1
+    while index and (key is None or written[index][0] > key):
+        index -= 1
+    return written[index][1]
+
+
 class _Run:
     """The pairs of a stretch of one level (leaves ``"L"`` or branches
     ``"B"``), and where the split rule cuts them into nodes."""
@@ -671,7 +681,9 @@ class PosTree(SiriIndex):
         # is the key the next node right of the runs so far is listed
         # under (every level's first node is listed under the tree's
         # least key), None past the last.
-        runs: List[Tuple[Optional[bytes], Optional[bytes], list, _Run]] = []
+        runs: List[
+            Tuple[Optional[bytes], Optional[bytes], list, list, _Run]
+        ] = []
         edge = self._node(self.root)[1][0][0] if depth else None
         tiled = True
         done = 0
@@ -682,7 +694,9 @@ class PosTree(SiriIndex):
             )
             tiled = tiled and first == edge
             last = first
-            replaced = [address]
+            # The nodes the run replaces, and the keys they are listed
+            # under (the root: None).
+            replaced, listed = [address], [first]
             run = _Run(self.store, self.mask_bits, tag)
             kept = 0
             while True:
@@ -704,8 +718,9 @@ class PosTree(SiriIndex):
                     upper, depth, path
                 )
                 replaced.append(address)
+                listed.append(last)
                 kept = _position_after(node, high)
-            runs.append((first, last, replaced, run))
+            runs.append((first, last, replaced, listed, run))
             edge = upper
         if tag == "B" and tiled and edge is None:
             top = [pair for *_nodes, run in runs for pair in run.pairs]
@@ -716,15 +731,20 @@ class PosTree(SiriIndex):
                 self._drop_levels(depth + 1)
                 return [(None, None, top)]
         above: List[_Change] = []
-        for first, last, replaced, run in runs:
+        store = self.store
+        for first, last, replaced, listed, run in runs:
             written = run.write()
             children = [child for _key, child in written]
             if children != replaced:
                 above.append((first, last, written))
                 # No address occurs twice in one tree, so these are the
-                # nodes the new version stops sharing.
-                for address in set(replaced).difference(children):
-                    self.store.decode_cache.pop(address, None)
+                # nodes the new version stops sharing: each is kept as
+                # a delta against the node that took its place.
+                for key, address in zip(listed, replaced):
+                    if address not in children:
+                        store.decode_cache.pop(address, None)
+                        if written:
+                            store.supersede(address, _successor(written, key))
         return above
 
     def _drop_levels(self, levels: int) -> None:

@@ -390,6 +390,6 @@ class TestCliStats:
     def test_stats_on_snapshot_file(self, tmp_path, capsys):
         """A database is a directory; a lone snapshot file is refused."""
         path = tmp_path / "db.spitz"
-        path.write_bytes(b"SPITZDB6")
+        path.write_bytes(b"SPITZDB7")
         assert cli_main(["stats", str(path), "--json"]) == 1
         assert "no database at" in capsys.readouterr().err

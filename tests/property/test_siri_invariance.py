@@ -8,8 +8,8 @@ depends only on the final logical content.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto.hashing import Digest
-from repro.forkbase.chunk_store import ChunkStore
+from repro.crypto.hashing import Digest, hash_bytes
+from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.indexes.mbt import MerkleBucketTree
 from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
@@ -159,6 +159,51 @@ def test_pos_tree_decode_cache_holds_the_tip(script, batch_size):
             value, point = old.get_with_proof(key)
             assert value == old.get(key) == state.get(key)
             assert point.verify(root)
+
+
+#: Forty keys, then one of them cycled through three values: every
+#: retired version is a delta, its first value is put again twice.
+_TOGGLING = [(b"k%03d" % n, b"v0") for n in range(40)] + [
+    (b"k007", b"v%d" % (n % 3)) for n in range(1, 40)
+]
+
+
+def _links(held, data):
+    """How many deltas a read of ``data`` walks to a whole chunk (past
+    ``MAX_CHAIN``: stops, as a read does)."""
+    count = 0
+    while isinstance(data, Delta) and count <= MAX_CHAIN:
+        data, count = held.get(data[:32]), count + 1
+    return count
+
+
+@given(script=deep_scripts, batch_size=st.integers(1, 40))
+@example(script=_TOGGLING, batch_size=1)
+@example(script=_COLLAPSING, batch_size=1)
+@settings(max_examples=150, deadline=None)
+def test_pos_tree_history_as_reverse_deltas(script, batch_size):
+    """Puts, deletes and re-puts of old values, with splits and
+    collapses: every chunk under every historical root rebuilds to
+    bytes that hash to its address, no chain is longer than
+    ``MAX_CHAIN``, ``physical_bytes`` is what is held, and the tip is
+    the tree ``from_items`` builds for the same content."""
+    store = ChunkStore()
+    tree = PosTree.empty(store, mask_bits=1)
+    roots = [tree.root]
+    for start in range(0, len(script), batch_size):
+        tree = tree.apply(dict(script[start:start + batch_size]))
+        roots.append(tree.root)
+    held = dict(store.items())
+    assert all(_links(held, data) <= MAX_CHAIN for data in held.values())
+    assert store.check_deltas() is None
+    assert store.stats.physical_bytes == sum(map(len, held.values()))
+    for root in roots:
+        for address in _reachable(store, root):
+            assert hash_bytes(store.get(address)) == address
+    state = _final_state(script)
+    assert tree.root == PosTree.from_items(
+        ChunkStore(), list(state.items()), 1
+    ).root
 
 
 @given(script=scripts, batch_size=st.integers(1, 7))

@@ -15,6 +15,7 @@ from repro.core.database import SpitzDatabase
 from repro.core.ledger import SpitzLedger
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ChunkNotFoundError, VerificationError
+from repro.forkbase.chunk_store import Delta
 from repro.indexes.siri import decode_node
 
 
@@ -114,16 +115,40 @@ class TestAuditLedger:
             if decode_node(ledger.chunks.get(address))[0] == tag
         )
 
+    @staticmethod
+    def _stored_against(store, address):
+        """Every chunk held as a delta whose chain runs through
+        ``address``: what losing that chunk loses with it."""
+        stored = dict(store.items())
+
+        def runs_through(data):
+            while isinstance(data, Delta):
+                if data[:32] == address:
+                    return True
+                data = stored.get(data[:32])
+            return False
+
+        return {held for held, data in stored.items() if runs_through(data)}
+
     @pytest.mark.parametrize("tag", ["B", "L"])
     def test_detects_a_dropped_node_below_the_root(self, tag):
         """``tree_at(h).get(b"")`` walked one path; the audit walks what
-        the block wrote."""
+        the block wrote.  A lost chunk takes with it the older versions
+        stored as deltas against it (a declared cost of reverse deltas),
+        and the audit names each of them missing, once."""
         ledger = self._deep_ledger()
-        del ledger.chunks._entries[self._node_written_by(ledger, 2, tag)]
+        dropped = self._node_written_by(ledger, 2, tag)
+        lost = self._stored_against(ledger.chunks, dropped)
+        del ledger.chunks._entries[dropped]
         findings = audit_ledger(ledger)
-        assert len(findings) == 1
-        assert "block #2: index node" in findings[0]
-        assert "missing" in findings[0]
+        assert len(findings) == 1 + len(lost)
+        assert all("index node" in f and "missing" in f for f in findings)
+        assert f"block #2: index node {dropped.hex()[:12]} missing" in findings
+        assert {f.split()[4] for f in findings} == {
+            address.hex()[:12] for address in lost | {dropped}
+        }
+        if tag == "L":  # block #0's version of the leaf k090 is in
+            assert lost and any("block #0" in f for f in findings)
 
     def test_detects_a_corrupted_node(self):
         ledger = self._deep_ledger()

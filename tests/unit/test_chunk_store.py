@@ -8,7 +8,7 @@ from repro.core.database import SpitzDatabase
 from repro.core.schema import KV_PREFIX
 from repro.durability.checkpoint import load_database, save_database
 from repro.errors import ChunkNotFoundError
-from repro.forkbase.chunk_store import ChunkStore
+from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.indexes.pos_tree import PosTree
 
 
@@ -107,6 +107,84 @@ class TestChunkStoreCheckpoint:
         assert store.stats.gets == before
         with pytest.raises(TypeError):
             pickle.dumps(store)
+
+
+class TestReverseDeltas:
+    """A node an apply retires is stored as the bytes it differs by
+    from the node that replaced it; reads rebuild it."""
+
+    OLD, NEW = b"x" * 100 + b"old" + b"y" * 100, b"x" * 100 + b"new" + b"y" * 100
+
+    def _superseded(self, store):
+        old, new = store.put(self.OLD), store.put(self.NEW)
+        before = store.stats.physical_bytes
+        store.supersede(old, new)
+        return old, new, before
+
+    def test_a_superseded_chunk_reads_back_whole(self, store):
+        old, new, before = self._superseded(store)
+        held = dict(store.items())
+        assert isinstance(held[old], Delta) and type(held[new]) is bytes
+        # new address ‖ prefix 100 ‖ suffix 100 ‖ the 3 differing bytes
+        assert held[old] == new + (100).to_bytes(4, "big") * 2 + b"old"
+        assert store.stats.physical_bytes == before - len(self.OLD) + 43
+        assert store.get(old) == store.get_optional(old) == self.OLD
+        assert len(store) == store.stats.unique_chunks == 2
+
+    def test_only_whole_same_length_chunks_that_shrink_are_deltaed(
+        self, store
+    ):
+        old, new, _before = self._superseded(store)
+        longer = store.put(self.NEW + b"!")
+        unlike = store.put(bytes(len(self.OLD)))
+        for pair in ((new, longer), (longer, new), (new, old), (new, unlike)):
+            before = dict(store.items())
+            store.supersede(*pair)
+            assert dict(store.items()) == before
+
+    def test_a_delta_whose_base_is_gone_is_missing(self, store):
+        old, new, _before = self._superseded(store)
+        del store._entries[new]
+        assert store.get_optional(old) is None
+        with pytest.raises(ChunkNotFoundError):
+            store.get(old)
+        assert store.check_deltas() == old
+
+    def test_a_re_put_stores_a_delta_whole_again(self, store):
+        """A value toggled A → B → A: the tree's first version is
+        retired, then written again, so it is held whole and the second
+        version is a delta against it — no chain can close a cycle."""
+        key = KV_PREFIX + b"k0500"
+        items = [(KV_PREFIX + b"k%04d" % i, b"a") for i in range(1000)]
+        first = PosTree.from_items(store, items)
+        second = first.apply({key: b"b"})
+        assert isinstance(dict(store.items())[first.root], Delta)
+        third = second.apply({key: b"a"})
+        assert third.root == first.root
+        held = dict(store.items())
+        assert type(held[first.root]) is bytes
+        assert isinstance(held[second.root], Delta)
+        assert held[second.root][:32] == first.root
+        assert store.check_deltas() is None
+        assert store.stats.physical_bytes == sum(map(len, held.values()))
+        assert second.get(key) == b"b" and third.get(key) == b"a"
+
+    def test_no_chain_grows_past_max_chain(self, store):
+        versions = [store.put(b"v%03d" % n + bytes(200)) for n in range(40)]
+        for old, new in zip(versions, versions[1:]):
+            store.supersede(old, new)
+        held = dict(store.items())
+
+        def links(data):
+            count = 0
+            while isinstance(data, Delta):
+                data, count = held[data[:32]], count + 1
+            return count
+
+        assert max(map(links, held.values())) == MAX_CHAIN
+        assert store.check_deltas() is None
+        for n, address in enumerate(versions):
+            assert store.get(address) == b"v%03d" % n + bytes(200)
 
 
 class TestChunkStoreThreadSafety:

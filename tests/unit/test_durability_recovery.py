@@ -166,14 +166,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZDB6")
+        assert newest.read_bytes().startswith(b"SPITZDB7")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 6 only",
+            match="snapshot in layout 3; .* snapshot layout 7 only",
         ):
             recover(tmp_path)
 
@@ -193,7 +193,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 6 only",
+            match="snapshot in layout 4; .* snapshot layout 7 only",
         ):
             recover(tmp_path)
 
@@ -213,7 +213,27 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 6 only",
+            match="snapshot in layout 5; .* snapshot layout 7 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_6_checkpoint_stops_recovery_by_name(
+        self, tmp_path, monkeypatch
+    ):
+        """Layout 6 wrote every chunk whole; layout 7 writes each in the
+        form it is stored in, reverse deltas among them."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB6" + newest.read_bytes()[8:])
+        monkeypatch.setattr(
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 6; .* snapshot layout 7 only",
         ):
             recover(tmp_path)
 
@@ -534,10 +554,10 @@ class TestDurableCli:
         """Only a database directory checkpoints: a plain file (such
         as a whole-database snapshot) is refused, not opened."""
         snap = tmp_path / "db.spitz"
-        snap.write_bytes(b"SPITZDB6")
+        snap.write_bytes(b"SPITZDB7")
         assert cli.main(["checkpoint", str(snap)]) == 1
         assert "no database at" in capsys.readouterr().err
-        assert snap.read_bytes() == b"SPITZDB6"
+        assert snap.read_bytes() == b"SPITZDB7"
 
     def test_tampered_wal_exits_3(self, tmp_path, capsys):
         root = tmp_path / "db.d"

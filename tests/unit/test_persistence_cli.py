@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.audit import audit_ledger
 from repro.core.database import SpitzDatabase
 from repro.durability.checkpoint import load_database, save_database
 from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import hash_bytes
+from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.errors import (
     FormatVersionError,
     StorageError,
@@ -103,13 +105,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB6")
+        assert blob.startswith(b"SPITZDB7")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 6 only"
+            FormatVersionError, match="snapshot layout 7 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -171,6 +173,20 @@ class TestPersistence:
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(FormatVersionError, match="snapshot in layout 5"):
+            load_database(snapshot_path)
+
+    def test_a_layout_6_file_is_refused_by_name(
+        self, snapshot_path, monkeypatch
+    ):
+        """Layout 6 wrote every chunk whole; this build writes a retired
+        node as the delta it is stored as, with a flag in its length."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB6" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(FormatVersionError, match="snapshot in layout 6"):
             load_database(snapshot_path)
 
     def test_save_and_load_hold_one_copy_of_the_payload(self, snapshot_path):
@@ -239,24 +255,44 @@ class TestPersistence:
         assert restored.get(b"k00007") == bytes(200) + b"7"
 
 
+_DELTA_BIT = 1 << 31
+
+
 def _records(blob):
-    """``(offset, address, length)`` of every chunk record in a layout-6
-    snapshot: ``magic(8) ‖ digest(32) ‖ remainder length(u64) ‖
-    remainder ‖ (address(32) ‖ length(u32) ‖ bytes)*``."""
+    """``(offset, address, length, delta)`` of every chunk record in a
+    layout-7 snapshot: ``magic(8) ‖ digest(32) ‖ remainder length(u64)
+    ‖ remainder ‖ (address(32) ‖ length(u32; top bit: a delta) ‖ stored
+    bytes)*``."""
     at = 48 + int.from_bytes(blob[40:48], "big")
     out = []
     while at < len(blob):
         length = int.from_bytes(blob[at + 32:at + 36], "big")
-        out.append((at, blob[at:at + 32], length))
+        delta = bool(length & _DELTA_BIT)
+        length &= ~_DELTA_BIT
+        out.append((at, blob[at:at + 32], length, delta))
         at += 36 + length
     assert at == len(blob)
     return out
 
 
+def _refused(snapshot_path, blob, match=None):
+    snapshot_path.write_bytes(blob)
+    with pytest.raises(TamperDetectedError, match=match):
+        load_database(snapshot_path)
+
+
+def _restored(blob, at, length, stored, delta=True):
+    """``blob`` with the record at ``at`` holding ``stored`` instead."""
+    flag = _DELTA_BIT if delta else 0
+    head = blob[at:at + 32] + (len(stored) | flag).to_bytes(4, "big")
+    return blob[:at] + head + stored + blob[at + 36 + length:]
+
+
 class TestChunkSection:
-    """Layout 6 writes every chunk as an ``(address, length, bytes)``
-    record outside the pickle; a record is accepted only under its own
-    hash, and the section only whole."""
+    """Layout 7 writes every chunk in its stored form as an ``(address,
+    length, bytes)`` record outside the pickle; a record is accepted
+    only once it rebuilds to bytes of its own hash, and the section
+    only whole."""
 
     @pytest.fixture
     def saved(self, snapshot_path):
@@ -266,16 +302,11 @@ class TestChunkSection:
         save_database(db, snapshot_path)
         return db, snapshot_path.read_bytes()
 
-    def _refused(self, snapshot_path, blob):
-        snapshot_path.write_bytes(blob)
-        with pytest.raises(TamperDetectedError):
-            load_database(snapshot_path)
-
     def test_a_round_trip_keeps_every_chunk_and_the_chain(
         self, saved, snapshot_path
     ):
         db, blob = saved
-        assert blob.startswith(b"SPITZDB6")
+        assert blob.startswith(b"SPITZDB7")
         records = _records(blob)
         assert len(records) == db.chunks.stats.unique_chunks
         restored = load_database(snapshot_path)
@@ -290,33 +321,157 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         _db, blob = saved
-        for at, _address, length in _records(blob):
+        for at, _address, length, _delta in _records(blob):
             # The address, the length and the bytes of each record.
             for offset in (0, 31, 32, 35, 36, 36 + length // 2, 35 + length):
                 flipped = bytearray(blob)
                 flipped[at + offset] ^= 0x01
-                self._refused(snapshot_path, bytes(flipped))
+                _refused(snapshot_path, bytes(flipped))
 
     def test_a_record_cut_short_is_tamper(self, saved, snapshot_path):
         _db, blob = saved
-        last, _address, length = _records(blob)[-1]
+        last, _address, length, _delta = _records(blob)[-1]
         for cut in (last + 10, last + 36, last + 36 + length - 1, last):
-            self._refused(snapshot_path, blob[:cut])
+            _refused(snapshot_path, blob[:cut])
 
     def test_a_record_under_another_address_is_tamper(
         self, saved, snapshot_path
     ):
         _db, blob = saved
-        (first, a, _), (second, b, _) = _records(blob)[:2]
+        (first, a, *_), (second, b, *_) = _records(blob)[:2]
         swapped = bytearray(blob)
         swapped[first:first + 32], swapped[second:second + 32] = b, a
-        self._refused(snapshot_path, bytes(swapped))
+        _refused(snapshot_path, bytes(swapped))
         # A well-formed record the snapshot does not name.
         extra = b"not in the snapshot"
-        self._refused(
+        _refused(
             snapshot_path,
             blob + hash_bytes(extra) + len(extra).to_bytes(4, "big") + extra,
         )
+
+
+class TestDeltaRecords:
+    """Retired nodes are written as the reverse deltas they are stored
+    as; each is accepted only once its chain — every base in the
+    section, at most ``MAX_CHAIN`` links — rebuilds to bytes that hash
+    to its address.  Every forgery below fails that check, before the
+    remainder's accounting is consulted."""
+
+    @pytest.fixture
+    def history(self, snapshot_path):
+        """Thirty overwrites of one key: one of its leaf's versions
+        ends a chain of the full ``MAX_CHAIN`` links."""
+        db = SpitzDatabase()
+        db.put_batch({b"k%02d" % i: b"value %d" % i for i in range(40)})
+        for round_ in range(30):
+            db.put(b"k33", b"round %02d" % round_)
+        save_database(db, snapshot_path)
+        return db, snapshot_path.read_bytes()
+
+    @staticmethod
+    def _deltas(blob):
+        return [record for record in _records(blob) if record[3]]
+
+    def test_a_round_trip_keeps_every_delta_and_the_audit_clean(
+        self, history, snapshot_path
+    ):
+        db, blob = history
+        stored = dict(db.chunks.items())
+        assert len(self._deltas(blob)) == sum(
+            isinstance(data, Delta) for data in stored.values()
+        ) > 16
+        restored = load_database(snapshot_path)
+        assert dict(restored.chunks.items()) == stored
+        assert restored.chunks.stats.physical_bytes == sum(
+            map(len, stored.values())
+        ) == db.chunks.stats.physical_bytes
+        assert restored.digest() == db.digest()
+        assert audit_ledger(restored.ledger) == []
+        # Every block's version of the key, read through the chains.
+        assert [
+            restored.get_at_block(b"k33", height)
+            for height in range(restored.ledger.height)
+        ] == [b"value 33"] + [b"round %02d" % r for r in range(30)]
+
+    def test_a_flipped_byte_in_a_deltas_middle_is_tamper(
+        self, history, snapshot_path
+    ):
+        _db, blob = history
+        for at, _address, length, _delta in self._deltas(blob):
+            flipped = bytearray(blob)
+            flipped[at + 36 + 40 + (length - 40) // 2] ^= 0x01
+            self._refused(snapshot_path, bytes(flipped))
+
+    def _rebased(self, blob, at, length, base):
+        """The delta at ``at`` with its base address replaced."""
+        stored = blob[at + 36:at + 36 + length]
+        return _restored(blob, at, length, base + stored[32:])
+
+    def _refused(self, snapshot_path, blob):
+        _refused(snapshot_path, blob, "does not rebuild")
+
+    def test_a_delta_naming_an_absent_base_is_tamper(
+        self, history, snapshot_path
+    ):
+        _db, blob = history
+        at, _address, length, _delta = self._deltas(blob)[0]
+        self._refused(
+            snapshot_path,
+            self._rebased(blob, at, length, hash_bytes(b"absent")),
+        )
+
+    def test_a_delta_naming_itself_is_tamper(self, history, snapshot_path):
+        _db, blob = history
+        at, address, length, _delta = self._deltas(blob)[0]
+        self._refused(snapshot_path, self._rebased(blob, at, length, address))
+
+    def test_two_deltas_naming_each_other_are_tamper(
+        self, history, snapshot_path
+    ):
+        _db, blob = history
+        _first, (_at, a, _la, _), (at, b, length, _) = self._deltas(blob)[:3]
+        # The later record first: rewriting it leaves the earlier one's
+        # offset where it was.
+        blob = self._rebased(blob, at, length, a)
+        at, _a, length, _delta = self._deltas(blob)[1]
+        self._refused(snapshot_path, self._rebased(blob, at, length, b))
+
+    def test_a_chain_longer_than_max_chain_is_tamper(
+        self, history, snapshot_path
+    ):
+        """The whole chunk a full-length chain ends on, re-written as a
+        correct delta against another chunk: every link rebuilds to the
+        right bytes, and the chain is one too long."""
+        db, blob = history
+        stored = dict(db.chunks.items())
+
+        def end(data, links=0):
+            while isinstance(data, Delta):
+                data, links = stored[data[:32]], links + 1
+            return data, links
+
+        ends = {
+            hash_bytes(whole)
+            for whole, links in map(end, stored.values())
+            if links == MAX_CHAIN
+        }
+        assert ends
+        tip = next(iter(ends))
+        other = next(
+            address for address, data in stored.items()
+            if type(data) is bytes and address != tip
+            and len(data) == len(stored[tip])
+        )
+        scratch = ChunkStore()
+        scratch.put(stored[tip])
+        scratch.put(stored[other])
+        scratch.supersede(tip, other)
+        forged = dict(scratch.items())[tip]
+        assert isinstance(forged, Delta)
+        (at, _address, length, _delta), = [
+            record for record in _records(blob) if record[1] == tip
+        ]
+        self._refused(snapshot_path, _restored(blob, at, length, forged))
 
 
 class TestCli:
