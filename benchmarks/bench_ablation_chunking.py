@@ -2,7 +2,11 @@
 
 Figure 1's dedup gain depends on the chunker resynchronizing after
 localized edits.  This ablation measures the dedup ratio and the
-chunking throughput of both strategies on the wiki workload.
+chunking throughput of both strategies on the wiki workload.  Its edits
+overwrite a slice in place, which shifts no later chunk, so there the
+two strategies dedup within noise of each other; the insertion that
+separates them is asserted in ``tests/integration/test_bench_shapes.py``
+(``test_rolling_chunks_beat_fixed_after_a_mid_page_insertion``).
 """
 
 import pytest
@@ -42,11 +46,8 @@ def test_chunking_throughput(benchmark, label, chunker):
     benchmark(chunk_all)
 
 
-def test_rolling_dedup_beats_fixed():
-    rolling = _dedup_ratio(RollingChunker())
-    fixed = _dedup_ratio(FixedSizeChunker(4096))
-    assert rolling > fixed
-    assert rolling > 1.5
+def test_rolling_dedup_beats_naive():
+    assert _dedup_ratio(RollingChunker()) > 1.5
 
 
 @pytest.mark.parametrize("mask_bits", [8, 11, 14])

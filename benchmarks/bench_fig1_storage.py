@@ -40,8 +40,13 @@ def test_forkbase_versioned_store_fixed_chunks(benchmark):
 
 
 def test_fig1_shape_dedup_beats_naive():
-    """Shape assertion: ForkBase beats the naive snapshot store and
-    content-defined chunking beats fixed-size chunking."""
+    """Shape assertion: ForkBase beats the naive snapshot store.
+
+    Whether content-defined chunking beats fixed-size chunking is
+    asserted on a mid-page insertion in
+    ``tests/integration/test_bench_shapes.py``: these edits overwrite in
+    place, shift nothing, and leave the two chunkers within noise.
+    """
     from repro.workloads.wiki import naive_storage_bytes
 
     wiki = WikiWorkload(seed=7)
@@ -49,6 +54,4 @@ def test_fig1_shape_dedup_beats_naive():
     edits = wiki.edits(30)
     naive = naive_storage_bytes(initial, edits)
     rolling = _load_versions(RollingChunker(), 30)
-    fixed = _load_versions(FixedSizeChunker(4096), 30)
     assert rolling.stats.physical_bytes < naive
-    assert rolling.stats.physical_bytes < fixed.stats.physical_bytes

@@ -7,27 +7,22 @@ PVLDB 2018) that Spitz depends on:
   deduplication;
 - :mod:`~repro.forkbase.chunk_store` — a content-addressed object
   store;
-- :mod:`~repro.forkbase.dag` — Merkle-DAG objects (blobs, lists,
-  maps);
 - :mod:`~repro.forkbase.versions` — git-like commits and branches;
-- :mod:`~repro.forkbase.store` — the user-facing facade.
+- :mod:`~repro.forkbase.store` — the user-facing facade: blobs and a
+  versioned map, both POS-tree nodes in the chunk store.  It sits above
+  :mod:`repro.indexes`, which stores into this package's chunk store,
+  so it is imported from its module (or from :mod:`repro`), not here.
 """
 
 from repro.forkbase.chunk_store import ChunkStore, StoreStats
 from repro.forkbase.chunker import Chunker, FixedSizeChunker, RollingChunker
-from repro.forkbase.dag import Blob, MerkleList, MerkleMap
-from repro.forkbase.store import ForkBase
 from repro.forkbase.versions import Commit, VersionManager
 
 __all__ = [
-    "Blob",
     "Chunker",
     "ChunkStore",
     "Commit",
     "FixedSizeChunker",
-    "ForkBase",
-    "MerkleList",
-    "MerkleMap",
     "RollingChunker",
     "StoreStats",
     "VersionManager",

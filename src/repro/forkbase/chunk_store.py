@@ -25,9 +25,9 @@ rebuilds a delta by walking its chain (at most :data:`MAX_CHAIN` links)
 to a whole chunk; a re-put of content held as a delta stores it whole
 again.
 
-A store is not pickled: a checkpoint writes its chunks in their stored
-form, each accepted on load only once it rebuilds to bytes that hash
-to its address (:mod:`repro.durability.checkpoint`).
+A checkpoint writes a store as its chunks in their stored form, not as
+an object graph, each accepted on load only once it rebuilds to bytes
+that hash to its address (:mod:`repro.durability.checkpoint`).
 """
 
 from __future__ import annotations

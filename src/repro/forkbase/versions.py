@@ -1,10 +1,11 @@
 """Git-like version management over the chunk store.
 
 ForkBase tracks every state of a dataset as a *commit*: a small object
-naming a root address (usually a :class:`~repro.forkbase.dag.MerkleMap`
-root), its parents, and metadata.  Branches are movable names for
-commits.  Because roots are content addresses, checking out any commit
-is O(1) and historical versions cost only their deltas.
+naming a root address (the root of the facade's map, a
+:class:`~repro.indexes.pos_tree.PosTree`), its parents, and metadata.
+Branches are movable names for commits.  Because roots are content
+addresses, a handle on any commit's state is O(1) and historical
+versions cost only their deltas.
 """
 
 from __future__ import annotations

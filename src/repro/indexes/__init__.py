@@ -1,11 +1,14 @@
 """Index structures: the SIRI family and access-path indexes.
 
-SIRI (Structurally Invariant and Reusable Indexes) members — the
-POS-Tree, the Merkle Patricia Trie, and the Merkle Bucket Tree — are
+SIRI (Structurally Invariant and Reusable Indexes) members are
 authenticated indexes whose shape depends only on their *content*, so
 two instances holding the same entries have the same root digest and
 share nodes in the chunk store.  Spitz's ledger stores one SIRI
-instance per block (Section 6.1 of the paper).
+instance per block (Section 6.1 of the paper): the POS-Tree, also the
+map of the ForkBase facade.  The Merkle Patricia Trie
+(:mod:`~repro.indexes.mpt`) and the Merkle Bucket Tree
+(:mod:`~repro.indexes.mbt`) are the SIRI comparison set; nothing in
+the system uses them, so they are imported by module path.
 
 The access-path indexes — B+-tree, skip list, radix tree, and the
 inverted index built from the latter two — serve query processing
@@ -14,8 +17,6 @@ inverted index built from the latter two — serve query processing
 
 from repro.indexes.bplus import BPlusTree
 from repro.indexes.inverted import InvertedIndex
-from repro.indexes.mbt import MerkleBucketTree
-from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
 from repro.indexes.radix import RadixTree
 from repro.indexes.siri import SiriIndex, SiriProof
@@ -24,8 +25,6 @@ from repro.indexes.skiplist import SkipList
 __all__ = [
     "BPlusTree",
     "InvertedIndex",
-    "MerkleBucketTree",
-    "MerklePatriciaTrie",
     "PosTree",
     "RadixTree",
     "SiriIndex",

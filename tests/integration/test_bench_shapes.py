@@ -20,9 +20,12 @@ from repro.bench.harness import (
     _throughput_over,
     run_figure,
 )
+from repro.forkbase.chunker import FixedSizeChunker, RollingChunker
+from repro.forkbase.store import ForkBase
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.timeseries import TelemetryPlane
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.wiki import WikiWorkload
 
 SIZES = [200, 800]
 
@@ -50,6 +53,31 @@ class TestFigure1Shape:
         assert fork[30] < naive[30]
         # ...and grows slower.
         assert (fork[30] - fork[10]) < (naive[30] - naive[10]) * 0.8
+
+    def test_rolling_chunks_beat_fixed_after_a_mid_page_insertion(self):
+        """What content-defined chunking is for: after an insertion a
+        third of the way into a page every fixed-size chunk downstream
+        changes, while rolling boundaries resynchronise within a chunk
+        or two.  Figure 1's edits overwrite a slice in place, which
+        shifts nothing, so they cannot tell the two chunkers apart."""
+        pages = WikiWorkload(seed=7).initial_pages()
+        grown = {}
+        for label, chunker in (
+            ("rolling", RollingChunker()),
+            ("fixed", FixedSizeChunker(4096)),
+        ):
+            store = ForkBase(chunker=chunker)
+            for page, content in pages:
+                store.put(page, content)
+            store.commit("v1")
+            before = store.stats.physical_bytes
+            for version, (page, content) in enumerate(pages, 2):
+                cut = len(content) // 3
+                inserted = content[:cut] + b"an inserted line.\n" + content[cut:]
+                store.put(page, inserted)
+                store.commit(f"v{version}")
+            grown[label] = store.stats.physical_bytes - before
+        assert grown["rolling"] < grown["fixed"] / 2
 
 
 class TestFigure6Shapes:

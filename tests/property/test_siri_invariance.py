@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
+from repro.forkbase.chunker import RollingChunker
+from repro.forkbase.store import ForkBase
 from repro.indexes.mbt import MerkleBucketTree
 from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
@@ -204,6 +206,46 @@ def test_pos_tree_history_as_reverse_deltas(script, batch_size):
     assert tree.root == PosTree.from_items(
         ChunkStore(), list(state.items()), 1
     ).root
+
+
+#: A script of page writes (None: delete the page): enough names for a
+#: map of several nodes, some outside ASCII, and pages long enough to
+#: span several chunks of the small chunker below.
+page_scripts = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(0, 99).map(lambda n: f"wiki/page-{n:02d}"),
+            st.sampled_from(["a", "é", "页"]),
+        ),
+        st.one_of(st.binary(max_size=300), st.none()),
+    ),
+    max_size=80,
+)
+
+
+@given(script=page_scripts, commit_every=st.integers(1, 8), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_forkbase_map_invariance(script, commit_every, data):
+    """ForkBase's map is a POS-tree: the same final pages, reached
+    through any order of puts and deletes and any commit batching, give
+    the same commit root."""
+    chunker = RollingChunker(mask_bits=6, window=16, min_size=16, max_size=256)
+    scripted = ForkBase(chunker)
+    final = {}
+    for step, (page, content) in enumerate(script, 1):
+        if content is None:
+            scripted.delete(page)
+            final.pop(page, None)
+        else:
+            scripted.put(page, content)
+            final[page] = content
+        if step % commit_every == 0:
+            scripted.commit()
+    fresh = ForkBase(chunker)
+    for page in data.draw(st.permutations(sorted(final))):
+        fresh.put(page, final[page])
+    assert scripted.commit().root == fresh.commit().root
+    assert {page: scripted.get(page) for page in scripted.keys()} == final
 
 
 @given(script=scripts, batch_size=st.integers(1, 7))

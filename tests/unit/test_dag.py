@@ -1,10 +1,9 @@
-"""Unit tests for Merkle-DAG objects (Blob, MerkleList, MerkleMap)."""
+"""Unit tests for Blob, a chunked byte string indexed by one POS-tree
+leaf."""
 
-import random
-
-import pytest
-
-from repro.forkbase.dag import Blob, MerkleList, MerkleMap
+from repro.forkbase.chunker import FixedSizeChunker
+from repro.forkbase.store import Blob
+from repro.indexes.siri import decode_node
 
 
 class TestBlob:
@@ -26,91 +25,14 @@ class TestBlob:
         assert blob.read() == b""
         assert len(blob) == 0
 
-
-class TestMerkleList:
-    def test_round_trip(self, store):
-        items = ("a", 1, b"raw", None)
-        mlist = MerkleList.write(store, items)
-        assert mlist.items() == items
-
-    def test_append_is_persistent(self, store):
-        first = MerkleList.write(store, ("a",))
-        second = first.append("b")
-        assert first.items() == ("a",)
-        assert second.items() == ("a", "b")
-
-    def test_equal_content_equal_address(self, store):
-        one = MerkleList.write(store, (1, 2, 3))
-        two = MerkleList.write(store, (1, 2, 3))
-        assert one.address == two.address
-
-
-class TestMerkleMap:
-    def test_empty(self, store):
-        empty = MerkleMap.empty(store)
-        assert len(empty) == 0
-        assert "k" not in empty
-
-    def test_set_get(self, store):
-        m = MerkleMap.empty(store).set("k", "v")
-        assert m.get("k") == "v"
-
-    def test_missing_key_raises(self, store):
-        with pytest.raises(KeyError):
-            MerkleMap.empty(store).get("ghost")
-
-    def test_get_optional_default(self, store):
-        assert MerkleMap.empty(store).get_optional("x", 42) == 42
-
-    def test_persistence(self, store):
-        base = MerkleMap.empty(store).set("a", 1)
-        updated = base.set("a", 2)
-        assert base.get("a") == 1
-        assert updated.get("a") == 2
-
-    def test_delete(self, store):
-        m = MerkleMap.empty(store).set("a", 1).set("b", 2)
-        without = m.delete("a")
-        assert "a" not in without
-        assert without.get("b") == 2
-        assert m.get("a") == 1
-
-    def test_delete_absent_is_noop_with_shared_root(self, store):
-        m = MerkleMap.empty(store).set("a", 1)
-        assert m.delete("zzz").address == m.address
-
-    def test_items_sorted(self, store):
-        keys = [f"k{i:03d}" for i in range(100)]
-        random.Random(0).shuffle(keys)
-        m = MerkleMap.empty(store)
-        for key in keys:
-            m = m.set(key, key.upper())
-        assert [k for k, _ in m.items()] == sorted(keys)
-
-    def test_large_map_splits_and_finds(self, store):
-        m = MerkleMap.empty(store)
-        for i in range(1500):
-            m = m.set(f"key{i:05d}", i)
-        assert len(m) == 1500
-        assert m.get("key00777") == 777
-        assert m.get("key01499") == 1499
-
-    def test_from_items_bulk_build(self, store):
-        pairs = [(f"k{i:04d}", i) for i in range(500)]
-        m = MerkleMap.from_items(store, pairs)
-        assert len(m) == 500
-        assert m.get("k0250") == 250
-
-    def test_from_items_last_write_wins(self, store):
-        m = MerkleMap.from_items(store, [("a", 1), ("a", 2)])
-        assert m.get("a") == 2
-
-    def test_structural_sharing_between_versions(self, store):
-        m = MerkleMap.empty(store)
-        for i in range(400):
-            m = m.set(f"key{i:05d}", i)
-        before = store.stats.unique_chunks
-        m.set("key00010", "changed")
-        added = store.stats.unique_chunks - before
-        # Only the spine to one leaf is rewritten.
-        assert added <= 5
+    def test_index_is_a_leaf_keyed_by_end_offsets(self, store):
+        data = bytes(range(256)) * 10
+        blob = Blob.write(store, data, FixedSizeChunker(1000))
+        tag, pairs = decode_node(store.get(blob.address))
+        assert tag == "L"
+        assert [int.from_bytes(end, "big") for end, _ in pairs] == [
+            1000, 2000, 2560,
+        ]
+        assert [store.get(chunk) for _, chunk in pairs] == [
+            data[:1000], data[1000:2000], data[2000:],
+        ]

@@ -1,8 +1,22 @@
 """Unit tests for the ForkBase facade."""
 
+import pickle
+from pathlib import Path
+
 import pytest
 
+from repro.errors import StorageError
 from repro.forkbase.store import ForkBase
+
+
+class _Payload:
+    """Unpickling it creates the file at ``marker``."""
+
+    def __init__(self, marker: Path):
+        self.marker = marker
+
+    def __reduce__(self):
+        return Path.touch, (self.marker,)
 
 
 class TestForkBase:
@@ -70,10 +84,13 @@ class TestForkBase:
         }
         assert report["physical_bytes"] > 0
 
-    def test_checkout_returns_snapshot_map(self):
+    def test_a_pickle_at_a_blob_address_is_refused_unrun(self, tmp_path):
         fb = ForkBase()
-        fb.put("a", b"1")
-        commit = fb.commit("v1")
-        fb.put("a", b"2")
-        snapshot = fb.checkout(commit)
-        assert "a" in snapshot
+        address = fb.put("doc", b"content")
+        # The store maps an address to its stored form: put a pickle
+        # with a side effect where the blob's index was.
+        marker = tmp_path / "unpickled"
+        fb.chunks._entries[address] = pickle.dumps(_Payload(marker))
+        with pytest.raises((ValueError, StorageError)):
+            fb.get("doc")
+        assert not marker.exists()
