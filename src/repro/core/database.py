@@ -28,10 +28,12 @@ how Spitz serves as the ledger database of the non-intrusive design
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -41,7 +43,7 @@ from typing import (
 )
 
 from repro.crypto.hashing import Digest, hash_bytes
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError, SchemaError, TamperDetectedError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.obs.metrics import MetricsRegistry
 from repro.indexes.bplus import BPlusTree
@@ -144,8 +146,6 @@ class SpitzDatabase:
         self._pending_statements: list = []
         # Commit hooks observe every ledger-affecting operation after
         # it is applied — the durability layer's WAL attaches here.
-        # Deliberately excluded from pickling (see __getstate__): a
-        # snapshot captures state, not live observers.
         self._commit_hooks: List[Callable[[str, object], None]] = []
         # Verifiable search plane (DESIGN.md §6i): with indexed columns
         # configured, every sealed block also commits the per-column
@@ -190,11 +190,6 @@ class SpitzDatabase:
     def _notify_commit_hooks(self, kind: str, data: object) -> None:
         for hook in list(self._commit_hooks):
             hook(kind, data)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_commit_hooks"] = []  # observers are not state
-        return state
 
     # ------------------------------------------------------------------
     # central commit pipeline
@@ -356,6 +351,83 @@ class SpitzDatabase:
                 change(column, decoded, ukey.encode())
                 if self._search is not None:
                     self._search.note_change(column, decoded)
+
+    # ------------------------------------------------------------------
+    # persisted state (what a checkpoint keeps; DESIGN.md §6)
+    # ------------------------------------------------------------------
+
+    def persisted_versions(
+        self,
+    ) -> Iterator[Tuple[bytes, int, Optional[Digest]]]:
+        """Every committed version as ``(logical key, commit timestamp,
+        value digest | None for a tombstone)``, a key's in commit order;
+        a value no block sealed (``block_batch > 1``) is put as a chunk
+        now.  None for a ledger-only database: replaying its log does
+        not rebuild its version store either."""
+        if self.ledger_only:
+            return
+        store = self.txn_manager.store
+        for logical_key in store.keys():
+            for version in store.versions_of(logical_key):
+                digest = None
+                if not version.is_tombstone:
+                    digest = hash_bytes(version.value)
+                    if digest not in self.chunks:
+                        self.chunks.put(version.value)
+                yield logical_key, version.commit_ts, digest
+
+    def restore(
+        self,
+        blocks: Sequence[Tuple[Digest, Digest, int, Sequence[str]]],
+        tables: Sequence[TableSchema],
+        versions: Sequence[Tuple[bytes, int, Optional[Digest]]],
+        high_water: int,
+    ) -> None:
+        """Adopt a checkpoint's state — :meth:`SpitzLedger.link`'s blocks,
+        the schemas, :meth:`persisted_versions`, the oracle's high-water
+        mark — on a database fresh from the constructor, its chunk store
+        holding the checkpoint's chunks; derive ``primary``, the inverted
+        index and the search trees.  :class:`TamperDetectedError` unless
+        the versions' live set is the tip tree's ``(key → value digest)``
+        (empty when ledger-only): unverified reads answer from the
+        versions, a pinned chain digest commits only to the tip."""
+        self.ledger.link(blocks)
+        self._tables.update((schema.name, schema) for schema in tables)
+        self.oracle.advance_to(high_water)
+        by_key: Dict[bytes, List[Version]] = {}
+        latest: Dict[bytes, Optional[Digest]] = {}
+        for logical_key, stamp, digest in versions:
+            value = Version.TOMBSTONE
+            if digest is not None:
+                value = self.chunks.get(digest)
+            by_key.setdefault(logical_key, []).append(Version(stamp, value, 0))
+            latest[logical_key] = digest
+        self.txn_manager.store.restore(by_key)
+        live = [
+            (key, digest) for key, digest in latest.items()
+            if digest is not None
+        ]
+        tip = () if self.ledger_only else (
+            pair for pair in self.ledger.tree.digests()
+            if pair[0] != SEARCH_ROOT_KEY
+        )
+        for ours, theirs in zip_longest(sorted(live), tip):
+            if ours != theirs:
+                raise TamperDetectedError(
+                    "the version table's live set and the tip tree differ "
+                    f"at key {(ours or theirs)[0]!r}"
+                )
+        for logical_key, _digest in live:
+            history = by_key[logical_key]
+            self.primary.insert(logical_key, history)
+            column, primary_key = parse_logical_key(logical_key)
+            if "." in column:  # posted as the commit that wrote it did
+                self._repost(
+                    logical_key, column, primary_key,
+                    history[-1].commit_ts, history[-1].value,
+                )
+        if self._search is not None:
+            self._search.rebuild_from(self.inverted)
 
     # ------------------------------------------------------------------
     # key-value API (column "default"; the paper's Section 6 workloads)

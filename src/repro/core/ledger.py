@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import Digest, EMPTY_DIGEST, hash_many, hash_value
-from repro.crypto.merkle import HashChain
 from repro.errors import CommitNotFoundError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
@@ -30,7 +29,7 @@ from repro.core.proofs import (
     LedgerMultiProof,
     LedgerProof,
     LedgerRangeProof,
-    block_digest_of,
+    chain_digest_of,
 )
 
 
@@ -77,7 +76,6 @@ class SpitzLedger:
         self._c_proofs_served = self.metrics.counter("ledger.proofs_served")
         self._h_proof_bytes = self.metrics.histogram("ledger.proof_bytes")
         self._tree = PosTree.empty(self.chunks, mask_bits)
-        self._chain = HashChain()
         # Each block's ``tree_root`` is all a temporal read needs: the
         # index instance it sealed is a handle on that root.
         self._blocks: List[Block] = []
@@ -106,9 +104,7 @@ class SpitzLedger:
         writes: Mapping[bytes, object],
         statements: Sequence[str] = (),
     ) -> Block:
-        self._tree = self._tree.apply(writes)
-        height = len(self._blocks)
-        previous = self._chain.head
+        tree = self._tree.apply(writes)
         writes_digest = hash_many(
             part
             for key in sorted(writes)
@@ -117,29 +113,39 @@ class SpitzLedger:
                 b"\x00" if writes[key] is DELETE else writes[key],
             )
         )
-        statements_digest = hash_value(tuple(statements))
-        digest = block_digest_of(
-            height=height,
-            previous=previous,
-            tree_root=self._tree.root,
-            writes_digest=writes_digest,
-            statements_digest=statements_digest,
-        )
-        entry = self._chain.append(digest)
-        block = Block(
-            height=height,
-            previous_chain_digest=previous,
-            tree_root=self._tree.root,
-            writes_digest=writes_digest,
-            statements_digest=statements_digest,
-            chain_digest=entry.chain_digest,
-            write_count=len(writes),
-        )
-        self._blocks.append(block)
-        self._statements.append(tuple(statements))
+        self.link([(tree.root, writes_digest, len(writes), statements)])
         self._c_blocks_sealed.inc()
         self._c_writes_sealed.inc(len(writes))
-        return block
+        return self._blocks[-1]
+
+    def link(
+        self, sealed: Sequence[Tuple[Digest, Digest, int, Sequence[str]]]
+    ) -> None:
+        """Link one block onto the chain per ``(tree_root, writes_digest,
+        write_count, statements)`` — all a checkpoint keeps of a block:
+        its height, statement digest and chain link are derived — and
+        take the last root as the tip."""
+        for tree_root, writes_digest, write_count, statements in sealed:
+            height = len(self._blocks)
+            previous = self._blocks[-1].chain_digest if height else EMPTY_DIGEST
+            statements_digest = hash_value(tuple(statements))
+            self._blocks.append(Block(
+                height=height,
+                previous_chain_digest=previous,
+                tree_root=tree_root,
+                writes_digest=writes_digest,
+                statements_digest=statements_digest,
+                chain_digest=chain_digest_of(
+                    height, previous, tree_root, writes_digest,
+                    statements_digest,
+                ),
+                write_count=write_count,
+            ))
+            self._statements.append(tuple(statements))
+        if self._blocks:
+            self._tree = PosTree(
+                self.chunks, self._blocks[-1].tree_root, self._tree.mask_bits
+            )
 
     # -- reads -------------------------------------------------------------
 
@@ -153,9 +159,10 @@ class SpitzLedger:
 
     def digest(self) -> LedgerDigest:
         """Current head digest (what clients save; Section 5.3)."""
+        latest = self.latest_block()
         return LedgerDigest(
             height=len(self._blocks),
-            chain_digest=self._chain.head,
+            chain_digest=latest.chain_digest if latest else EMPTY_DIGEST,
             tree_root=self._tree.root,
         )
 
@@ -302,7 +309,7 @@ class SpitzLedger:
             if block.previous_chain_digest != running or not block.seals():
                 return False
             running = block.chain_digest
-        return running == self._chain.head
+        return True
 
     def storage_report(self) -> Dict[str, float]:
         stats = self.chunks.stats

@@ -31,15 +31,17 @@ from repro.indexes.pos_tree import PosMultiProof, PosRangeProof
 from repro.indexes.siri import SiriProof
 
 
-def block_digest_of(
+def chain_digest_of(
     height: int,
     previous: Digest,
     tree_root: Digest,
     writes_digest: Digest,
     statements_digest: Digest,
 ) -> Digest:
-    """Digest of a block header (the chain links these)."""
-    return hash_value(
+    """The chain digest sealing a block header after ``previous``: the
+    header's digest, linked on as
+    :class:`~repro.crypto.merkle.HashChain` links a payload."""
+    return _node_hash(previous, hash_value(
         (
             "spitz-block",
             height,
@@ -48,7 +50,7 @@ def block_digest_of(
             bytes(writes_digest),
             bytes(statements_digest),
         )
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,12 @@ class BlockWitness:
     def seals(self) -> bool:
         """True iff ``chain_digest`` is what the header fields and the
         previous link hash to."""
-        digest = block_digest_of(
-            height=self.height,
-            previous=self.previous_chain_digest,
-            tree_root=self.tree_root,
-            writes_digest=self.writes_digest,
-            statements_digest=self.statements_digest,
-        )
-        # The chain link function is HashChain's.
-        return self.chain_digest == _node_hash(
-            self.previous_chain_digest, digest
+        return self.chain_digest == chain_digest_of(
+            self.height,
+            self.previous_chain_digest,
+            self.tree_root,
+            self.writes_digest,
+            self.statements_digest,
         )
 
     def anchor(

@@ -1,91 +1,74 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
-A checkpoint is written as ``checkpoint-<lsn>.spitz``, where ``<lsn>``
-is the last WAL record folded into the snapshotted state, in two parts:
+A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
+folded in) is layout 8: ``magic ‖ SHA-256(manifest) ‖ manifest
+length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
+owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
+:meth:`SpitzDatabase.restore` own what they mean.
 
-- **the pickled remainder** — the database object graph with its chunk
-  store replaced by a reference (a pickle persistent id carrying the
-  store's accounting), behind a header of magic, the remainder's
-  SHA-256 and its length.  The digest is one the file carries about
-  itself: it catches damage, not an editor;
-- **the chunk section** — every chunk in its stored form, as an
-  ``(address(32) ‖ length(u32) ‖ stored bytes)`` record whose length's
-  top bit marks a reverse delta (``base address ‖ prefix length ‖
-  suffix length ‖ middle``, :class:`~repro.forkbase.chunk_store.Delta`)
-  and is clear for a chunk held whole.  A chunk's address is its
-  integrity check (ForkBase's content addressing): :func:`load_database`
-  accepts a whole record only if its bytes hash to its address and a
-  delta only once its chain — at most
-  :data:`~repro.forkbase.chunk_store.MAX_CHAIN` links, each base in the
-  section — rebuilds to bytes that do, and the section only if it holds
-  exactly the chunk count and bytes the remainder's accounting names.
-  So a flipped byte, a record cut short, a record under another
-  address, a dropped or added one, a delta naming an absent base, a
-  cycle of deltas or a chain too long is a
-  :class:`~repro.errors.TamperDetectedError`.
+**Persisted** is what cannot be derived.  The manifest holds the
+configuration (``mask_bits``, ``ledger_only``, ``block_batch``, the
+indexed columns), the oracle's high-water mark, the chunk store's
+accounting, the schemas, each block's ``tree_root``, ``writes_digest``,
+``write_count`` and statements, and every version as sorted ``(logical
+key ‖ timestamp(u64), value digest | 0³² for a tombstone)`` pairs in
+:func:`~repro.indexes.siri.encode_node`'s codec.  The chunk section
+holds every chunk as a record, in its stored form.
 
-:func:`load_database` then runs the chain audit, which authenticates
-the blocks and their roots against those chunks.  Recovery loads the
-highest-LSN checkpoint that passes and replays only records with a
-larger LSN; sealed WAL segments entirely at or below the *oldest
-retained* checkpoint's LSN are deleted, so every retained checkpoint
-can still replay to the log's end.
-
-Policy: checkpoints are explicit (CLI ``checkpoint`` subcommand,
-:meth:`DurableDatabase.checkpoint`), and the newest plus
-:data:`KEEP_OLDER` older ones are retained.  A checkpoint is taken
-under the database's commit lock, so no commit lands between the LSN
-it records, the remainder and the section, or while the log is
-truncated behind it.  Because the snapshot write is atomic (temp file
-+ ``os.replace``) a crash mid-checkpoint leaves the previous checkpoint
-intact and the WAL un-truncated, which recovery handles as the
-ordinary case.
-
-The remainder is Python-pickle based and not cross-version stable.
-The magic's digit is the snapshot layout — what is pickled (one
-version store since 3, chunks as plain bytes since 5, chunks as
-records outside the pickle since 6, chunks in their stored form, deltas
-among them, since 7) and the node format of the chunks (v3 since 4: a
-common key prefix stored once, varint lengths); a file
-of another layout is refused by name before anything in it is
-unpickled, and there is no migration.
+**Derived** on load, through the ordinary constructor with the caller's
+metrics, oracle and certifier: each block's statement digest and chain
+link, the tip tree, the versions' values, ``primary``, the inverted
+index and the search trees.  A chunk is accepted once it rebuilds to
+bytes that hash to its address, the section once it is the one the
+manifest names; the manifest's digest catches damage, and an editor is
+caught by the versions' live set having to be the tip tree's.  Any
+failure is a :class:`~repro.errors.TamperDetectedError`.  A file of
+another layout is refused by name before anything past the magic is
+read; there is no migration.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import pickle
 import re
 import struct
-import sys
-from contextlib import contextmanager
+from dataclasses import astuple
 from pathlib import Path
-from typing import BinaryIO, List, Tuple, Union
+from typing import BinaryIO, List, Sequence, Tuple, Union
 
 from repro.core.database import SpitzDatabase
+from repro.core.schema import TableSchema
 from repro.crypto.hashing import hash_bytes
 from repro.errors import (
+    ChunkNotFoundError,
     FormatVersionError,
+    SpitzError,
     StorageError,
     TamperDetectedError,
 )
-from repro.forkbase.chunk_store import ChunkStore, Delta
+from repro.forkbase.chunk_store import ChunkStore, Delta, StoreStats
+from repro.indexes.siri import decode_node, encode_node, varint, varint_at
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
-_MAGIC = b"SPITZDB7"
-#: After the magic: the remainder's digest and length.
+_MAGIC = b"SPITZDB8"
+#: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")
+#: The manifest's fixed head: ``mask_bits``, ``ledger_only``,
+#: ``block_batch``, the oracle's high-water mark, then the chunk
+#: store's accounting (:class:`StoreStats`, field by field).
+_FIXED = struct.Struct(">B?IQQQQQQ")
+#: A block ahead of its statements: tree root, writes digest, writes.
+_BLOCK = struct.Struct(">32s32sQ")
+#: The version table's digest for a tombstone (no value hashes to it).
+_TOMBSTONE = bytes(32)
 #: Ahead of each chunk's stored bytes: its address and length.
 _RECORD = struct.Struct(">32sI")
 #: The length's top bit: the record is a delta.
 _DELTA_BIT = 1 << 31
-#: The persistent id's tag for the database's chunk store.
-_CHUNKS = "chunks"
 #: Older checkpoints retained beside the newest, as fallbacks for one
 #: that fails its integrity check.
 KEEP_OLDER = 2
@@ -99,20 +82,18 @@ def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
     atomic: the file lands in a temp file that is fsynced and then
     renamed over ``path``, so a crash mid-save leaves the previous
     snapshot untouched rather than a half-written one.  The chunks are
-    streamed from the store, never copied into the remainder.
+    streamed from the store, never copied into the manifest.
     """
     path = Path(path)
     temp = path.with_name(path.name + f".tmp.{os.getpid()}")
     with db.txn_manager.commit_lock:
         db.flush_ledger()
-        remainder = _pickle_remainder(db)
+        manifest = _manifest(db)
         try:
             with open(temp, "wb") as handle:
                 handle.write(_MAGIC)
-                handle.write(
-                    _HEADER.pack(hash_bytes(remainder), len(remainder))
-                )
-                handle.write(remainder)
+                handle.write(_HEADER.pack(hash_bytes(manifest), len(manifest)))
+                handle.write(manifest)
                 for address, data in db.chunks.items():
                     flag = _DELTA_BIT if data.__class__ is Delta else 0
                     handle.write(_RECORD.pack(address, len(data) | flag))
@@ -127,42 +108,109 @@ def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
     return size
 
 
-def _pickle_remainder(db: SpitzDatabase) -> memoryview:
-    """``db`` pickled with its chunk store replaced by a persistent id
-    that carries the store's tracer and accounting."""
-    store = db.chunks
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.persistent_id = lambda obj: (
-        (_CHUNKS, store.tracer, store.stats) if obj is store else None
+def _texts(texts: Sequence[str]) -> bytes:
+    """A count, then each text as its UTF-8 length and bytes."""
+    encoded = [text.encode("utf-8") for text in texts]
+    return varint(len(encoded)) + b"".join(
+        varint(len(text)) + text for text in encoded
     )
-    with _deep_graphs():
-        pickler.dump(db)
-    return buffer.getbuffer()
 
 
-@contextmanager
-def _deep_graphs():
-    """Deep object graphs (B+-tree leaf chains) need headroom beyond the
-    default recursion limit to pickle and unpickle."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
+def _manifest(db: SpitzDatabase) -> bytes:
+    """What of ``db`` cannot be derived (see the module docstring)."""
+    # First: putting a value no block sealed moves the chunk accounting.
+    versions = encode_node(("L", tuple(sorted(
+        (key + stamp.to_bytes(8, "big"), digest or _TOMBSTONE)
+        for key, stamp, digest in db.persisted_versions()
+    ))))
+    ledger = db.ledger
+    parts = [
+        _FIXED.pack(
+            ledger.tree.mask_bits, db.ledger_only, db.block_batch,
+            db.oracle.current(), *astuple(db.chunks.stats),
+        ),
+        _texts(db.search_columns),
+        varint(len(db.tables())),
+    ]
+    for schema in map(db.table, db.tables()):
+        parts.append(_texts([schema.name, schema.primary_key, *(
+            part for column in schema.columns
+            for part in (column.name, column.type)
+        )]))
+    parts.append(varint(ledger.height))
+    for block in map(ledger.block, range(ledger.height)):
+        parts.append(_BLOCK.pack(
+            block.tree_root, block.writes_digest, block.write_count
+        ) + _texts(ledger.statements(block.height)))
+    parts.append(versions)
+    return b"".join(parts)
 
 
-def load_database(path: Union[str, Path]) -> SpitzDatabase:
-    """Load a snapshot: check the remainder's digest, accept each chunk
-    only under its own hash, then unpickle and audit the chain.
+class _Manifest:
+    """A parsed manifest: ``ValueError`` or ``struct.error`` for bytes
+    cut short, running on, or not decoding."""
 
-    Raises :class:`FormatVersionError` for another snapshot layout
-    (before anything is unpickled) and :class:`TamperDetectedError`
-    when the remainder does not match its digest, a chunk record does
-    not rebuild to bytes that hash to its address or is cut short, the
-    section does not hold the chunks the remainder names, or the
-    restored ledger fails its chain audit.
+    def __init__(self, data: bytes):
+        self._data, self._at = data, 0
+        mask_bits, ledger_only, block_batch, self.high_water, *stats = (
+            self._fixed(_FIXED)
+        )
+        self.stats = StoreStats(*stats)
+        self.config = dict(
+            mask_bits=mask_bits, ledger_only=ledger_only,
+            block_batch=block_batch, indexed_columns=self._texts() or None,
+        )
+        self.tables = []
+        for _ in range(self._varint()):
+            name, primary_key, *columns = self._texts()
+            self.tables.append(TableSchema.make(
+                name, list(zip(columns[::2], columns[1::2], strict=True)),
+                primary_key,
+            ))
+        self.blocks = [
+            (*self._fixed(_BLOCK), self._texts())
+            for _ in range(self._varint())
+        ]
+        tag, pairs = decode_node(data[self._at:])
+        if tag != "L" or any(len(key) < 8 for key, _ in pairs):
+            raise ValueError("a version table entry has no timestamp")
+        # Sorted, a key's pairs differ only in a fixed-width timestamp:
+        # they come in commit order.
+        self.versions = [
+            (key[:-8], int.from_bytes(key[-8:], "big"),
+             None if digest == _TOMBSTONE else digest)
+            for key, digest in pairs
+        ]
+        del self._data
+
+    def _fixed(self, layout: struct.Struct) -> tuple:
+        fields = layout.unpack_from(self._data, self._at)
+        self._at += layout.size
+        return fields
+
+    def _varint(self) -> int:
+        number, self._at = varint_at(self._data, self._at)
+        return number
+
+    def _texts(self) -> List[str]:
+        texts = []
+        for _ in range(self._varint()):
+            length = self._varint()
+            start, self._at = self._at, self._at + length
+            if self._at > len(self._data):
+                raise ValueError("a text runs past the manifest")
+            texts.append(self._data[start:self._at].decode("utf-8"))
+        return texts
+
+
+def load_database(path: Union[str, Path], **db_kwargs) -> SpitzDatabase:
+    """Load a snapshot (see the module docstring), building the database
+    from ``db_kwargs`` — what :func:`~repro.durability.recovery.recover`
+    passes: metrics, oracle, certifier — and the manifest's
+    configuration, which wins.
+
+    Raises :class:`FormatVersionError` for another snapshot layout and
+    :class:`TamperDetectedError` for any failed check.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC))
@@ -178,28 +226,38 @@ def load_database(path: Union[str, Path]) -> SpitzDatabase:
         if len(header) != _HEADER.size:
             raise TamperDetectedError(f"snapshot {path} is cut short")
         digest, size = _HEADER.unpack(header)
-        remainder = handle.read(size)
-        if len(remainder) != size or hash_bytes(remainder) != digest:
+        data = handle.read(size)
+        if len(data) != size or hash_bytes(data) != digest:
             raise TamperDetectedError(
                 f"snapshot {path} does not match its recorded digest"
             )
-        store = _read_chunks(handle, path)
-    db = _unpickle_remainder(remainder, store, path)
-    if not isinstance(db, SpitzDatabase):
-        raise StorageError(f"snapshot {path} does not contain a database")
-    if not db.verify_chain():
-        raise TamperDetectedError(
-            f"snapshot {path} restored a ledger that fails its audit"
+        try:
+            manifest = _Manifest(data)
+            db = SpitzDatabase(**{**db_kwargs, **manifest.config})
+        except (ValueError, struct.error, SpitzError) as error:
+            raise TamperDetectedError(
+                f"snapshot {path}: the manifest does not parse ({error})"
+            ) from None
+        del data
+        _read_chunks(handle, path, db.chunks, manifest.stats)
+    try:
+        db.restore(
+            manifest.blocks, manifest.tables, manifest.versions,
+            manifest.high_water,
         )
+    except (ChunkNotFoundError, TamperDetectedError) as error:
+        raise TamperDetectedError(f"snapshot {path}: {error}") from None
+    # The store's accounting as saved, not as loading and checking moved it.
+    db.chunks.stats = manifest.stats
     return db
 
 
-def _read_chunks(handle: BinaryIO, path) -> ChunkStore:
-    """The chunk section into a new store: each whole record put (so
-    hashed) and accepted only under the address it was written with,
-    each delta held as written and accepted once all are in and it
-    rebuilds to bytes that hash to its address."""
-    store = ChunkStore()
+def _read_chunks(
+    handle: BinaryIO, path, store: ChunkStore, named: StoreStats
+) -> None:
+    """The chunk section into ``store``: a whole record put (so hashed)
+    under its own address, a delta once it rebuilds to bytes that do,
+    and the section once it holds the chunks and bytes ``named``."""
     cut_short = f"snapshot {path}: a chunk record is cut short"
     unbuilt = (
         f"snapshot {path}: chunk %s does not rebuild to bytes that hash to "
@@ -221,34 +279,13 @@ def _read_chunks(handle: BinaryIO, path) -> ChunkStore:
     address = store.check_deltas()
     if address is not None:
         raise TamperDetectedError(unbuilt % address.hex()[:12])
-    return store
-
-
-def _unpickle_remainder(remainder: bytes, store: ChunkStore, path):
-    """The pickled remainder, its chunk-store reference resolved to
-    ``store`` once the section has been checked against what the
-    reference says the store held."""
-
-    def persistent_load(pid):
-        tag, tracer, stats = pid
-        if tag != _CHUNKS:
-            raise pickle.UnpicklingError(f"unknown persistent id {tag!r}")
-        held = store.stats
-        if (held.unique_chunks, held.physical_bytes) != (
-            stats.unique_chunks, stats.physical_bytes
-        ):
-            raise TamperDetectedError(
-                f"snapshot {path}: the chunk section holds {held.unique_chunks}"
-                f" chunks of {held.physical_bytes} bytes where the snapshot "
-                f"names {stats.unique_chunks} of {stats.physical_bytes}"
-            )
-        store.tracer, store.stats = tracer, stats
-        return store
-
-    unpickler = pickle.Unpickler(io.BytesIO(remainder))
-    unpickler.persistent_load = persistent_load
-    with _deep_graphs():
-        return unpickler.load()
+    held = store.stats
+    if (held.unique_chunks, held.physical_bytes) != (
+        named.unique_chunks, named.physical_bytes
+    ):
+        raise TamperDetectedError(
+            f"snapshot {path}: the chunk section is not the one named"
+        )
 
 
 def checkpoint_path(root: Union[str, Path], lsn: int) -> Path:
@@ -268,21 +305,18 @@ def list_checkpoints(root: Union[str, Path]) -> List[Tuple[int, Path]]:
 
 
 def write_checkpoint(db, wal) -> Tuple[int, Path]:
-    """Snapshot ``db`` and truncate the WAL behind the retained set.
+    """Snapshot ``db`` and truncate ``wal`` (the directory's live
+    :class:`~repro.durability.wal.WriteAheadLog`) behind the retained
+    set; returns ``(lsn, path)`` of the new checkpoint.
 
-    ``wal`` is the live :class:`~repro.durability.wal.WriteAheadLog`
-    for the same directory.  All of it runs under the commit lock,
-    which is what every append to the log holds: the WAL is synced
-    first so the snapshot never runs ahead of the durable log, no
-    commit lands between the LSN read and the snapshot, and none is
-    appended while truncation rotates the active segment.  The new
-    checkpoint plus up to :data:`KEEP_OLDER` older ones are retained —
-    recovery falls back to an older checkpoint when a newer one fails
-    its integrity check — so the WAL is truncated only through the
-    *oldest* retained checkpoint's LSN: every surviving checkpoint
-    keeps the log suffix it needs for replay.
-
-    Returns ``(lsn, path)`` of the new checkpoint.
+    All of it runs under the commit lock, which every append to the log
+    holds: the WAL is synced first so the snapshot never runs ahead of
+    the durable log, no commit lands between the LSN read and the
+    snapshot, and none is appended while truncation rotates the active
+    segment.  The new checkpoint plus up to :data:`KEEP_OLDER` older
+    ones are retained — recovery falls back past one that fails its
+    checks — so the WAL is truncated only through the *oldest*
+    retained one's LSN: each keeps the log suffix it needs for replay.
     """
     with db.txn_manager.commit_lock:
         wal.sync()

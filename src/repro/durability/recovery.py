@@ -131,9 +131,9 @@ def recover(
     recorded on the report, not silent); when *no* checkpoint loads,
     or the WAL does not line up with the checkpoint it must continue
     from (deleted leading segments, a wiped log), recovery raises
-    :class:`TamperDetectedError`.  ``db_kwargs`` configure the fresh
-    :class:`SpitzDatabase` when no checkpoint exists yet; a checkpoint
-    carries its own configuration.
+    :class:`TamperDetectedError`.  ``db_kwargs`` go to the
+    :class:`SpitzDatabase` constructor, checkpoint or not; a
+    checkpoint's own configuration wins over theirs.
     """
     return _recover(root, db_kwargs)[0]
 
@@ -152,7 +152,7 @@ def _recover(
     failures: List[str] = []
     for candidate_lsn, candidate in reversed(list_checkpoints(root)):
         try:
-            db = load_database(candidate)
+            db = load_database(candidate, **db_kwargs)
         except FormatVersionError:
             raise  # not damage: no older checkpoint is any newer
         except (StorageError, TamperDetectedError) as error:
@@ -181,10 +181,9 @@ def _recover(
         replayed += 1
     if max_timestamp:
         db.oracle.advance_to(max_timestamp)
-    # The chain audit only: what the blocks *wrote* is covered by the
-    # checkpoint's own digest and the log's checksums, and re-hashing
-    # every chunk (``audit_ledger``, ``spitz audit``) costs time in the
-    # size of the store, not of the replayed suffix.
+    # The chain audit only: load checked the live versions against the
+    # tip and the log's checksums cover the suffix; re-hashing every
+    # chunk (``spitz audit``) costs time in the size of the store.
     if not db.verify_chain():
         raise TamperDetectedError("recovered database fails its chain audit")
     report = RecoveryReport(

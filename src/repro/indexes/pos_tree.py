@@ -592,9 +592,13 @@ class PosTree(SiriIndex):
         ).verify(root, cache)
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
+        for key, digest in self.digests():
+            yield key, self.store.get(digest)
+
+    def digests(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Every ``(key, value digest)`` in key order, no value read."""
         for pairs in self._leaves(self.root):
-            for key, digest in pairs:
-                yield key, self.store.get(digest)
+            yield from pairs
 
     def scan(
         self, low: bytes, high: bytes

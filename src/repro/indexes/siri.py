@@ -53,7 +53,7 @@ def _common_prefix(first: bytes, last: bytes) -> int:
     return size - (differ.bit_length() + 7) // 8
 
 
-def _varint(number: int) -> bytes:
+def varint(number: int) -> bytes:
     """``number`` as an unsigned LEB128 varint, minimally encoded."""
     out = bytearray()
     while number > 0x7F:
@@ -63,7 +63,7 @@ def _varint(number: int) -> bytes:
     return bytes(out)
 
 
-def _varint_at(data: bytes, at: int) -> Tuple[int, int]:
+def varint_at(data: bytes, at: int) -> Tuple[int, int]:
     """The varint at ``data[at:]`` and the offset just past it;
     ``ValueError`` if it is cut short or not minimal, or grows past
     ``len(data)`` (no length in a node can, and the bound keeps a long
@@ -105,10 +105,10 @@ def encode_node(node: tuple) -> bytes:
     lengths = tuple(map(len, suffixes))
     return b"".join((
         head,
-        _varint(cut),
+        varint(cut),
         keys[0][:cut],
         bytes(lengths) if max(lengths) < 0x80
-        else b"".join(map(_varint, lengths)),
+        else b"".join(map(varint, lengths)),
         *suffixes,
         *digests,
     ))
@@ -132,7 +132,7 @@ def decode_node(data: bytes) -> tuple:
         raise ValueError(f"unknown node tag {raw_tag!r}")
     if count > (len(data) - _HEAD.size) // _PAIR_BYTES:
         raise ValueError("node count exceeds its bytes")
-    cut, at = _varint_at(data, _HEAD.size)
+    cut, at = varint_at(data, _HEAD.size)
     prefix, at = data[at:at + cut], at + cut
     lengths = data[at:at + count]
     if len(lengths) == count and lengths.isascii():  # each below 128
@@ -140,7 +140,7 @@ def decode_node(data: bytes) -> tuple:
     else:
         lengths = []
         for _ in range(count):
-            length, at = _varint_at(data, at)
+            length, at = varint_at(data, at)
             lengths.append(length)
     digests = len(data) - 32 * count
     if at + sum(lengths) != digests:

@@ -2,8 +2,8 @@
 recorder.
 
 The cluster-wide measurement substrate (see DESIGN.md, "Observability
-layer" and "Tracing layer").  Everything here is dependency-free and
-picklable; the same
+layer" and "Tracing layer").  Everything here is dependency-free
+process state, never persisted; the same
 :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` structure is
 served by ``RequestKind.STATS``, the ``spitz stats`` CLI subcommand,
 and the benchmark harness's ``--json`` output.  Traces follow the same

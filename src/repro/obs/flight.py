@@ -20,7 +20,7 @@ request during bulk load) still feed ``span.*`` histograms but would
 drown the rings in single-span noise here.
 
 Like the metrics registry, the recorder is thread-safe, dependency
-free, picklable (locks dropped on pickle), and exposed three ways:
+free, and exposed three ways:
 ``RequestKind.STATS`` with ``payload={"traces": true}``, the
 ``spitz trace`` / ``spitz slowest`` CLI subcommands, and the benchmark
 harness's ``--json`` report.
@@ -195,19 +195,3 @@ class FlightRecorder:
                     f"{cell['seconds'] * 1e3:10.3f}ms  {stage}"
                 )
         return "\n".join(lines)
-
-    # -- pickling -------------------------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        # itertools.count is picklable, but rebuild it anyway so the
-        # restored recorder starts from a clean tiebreak sequence.
-        state["_counter"] = next(self._counter)
-        return state
-
-    def __setstate__(self, state):
-        start = state.pop("_counter")
-        self.__dict__.update(state)
-        self._counter = itertools.count(start)
-        self._lock = threading.Lock()

@@ -20,9 +20,6 @@ Design constraints, in order:
 3. **Deterministic summaries** — histograms use fixed geometric
    buckets (factor ``2**(1/4)``), so p50/p95/p99 are reproducible
    functions of the observed values, never sampled.
-4. **Picklable** — databases are snapshotted with ``pickle``
-   (checkpoints, the legacy snapshot CLI), so the registry drops its
-   lock on ``__getstate__`` and re-creates it on ``__setstate__``.
 """
 
 from __future__ import annotations
@@ -66,15 +63,6 @@ class Counter:
         with self._lock:
             return self._value
 
-    def __getstate__(self):
-        return (self.name, self._value)
-
-    def __setstate__(self, state):
-        self.name, self._value = state
-        # Re-linked to the registry's shared lock by
-        # MetricsRegistry.__setstate__ right after unpickling.
-        self._lock = threading.Lock()
-
 
 class Gauge:
     """A point-in-time value (queue depth, cache size, dedup ratio)."""
@@ -94,13 +82,6 @@ class Gauge:
     def value(self) -> float:
         with self._lock:
             return self._value
-
-    def __getstate__(self):
-        return (self.name, self._value)
-
-    def __setstate__(self, state):
-        self.name, self._value = state
-        self._lock = threading.Lock()
 
 
 class Histogram:
@@ -200,19 +181,6 @@ class Histogram:
             "p95": self._rank_estimate(buckets, count, lo, hi, 0.95),
             "p99": self._rank_estimate(buckets, count, lo, hi, 0.99),
         }
-
-    def __getstate__(self):
-        return (
-            self.name, self._buckets, self.count, self.total,
-            self.min, self.max,
-        )
-
-    def __setstate__(self, state):
-        (
-            self.name, self._buckets, self.count, self.total,
-            self.min, self.max,
-        ) = state
-        self._lock = threading.Lock()
 
 
 class _NullInstrument:
@@ -360,21 +328,6 @@ class MetricsRegistry:
             "gauges": self.gauge_values(),
             "histograms": self.histogram_states(),
         }
-
-    # -- pickling (snapshots/checkpoints pickle whole databases) --------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        lock = threading.Lock()
-        self._lock = lock
-        for table in (self._counters, self._gauges, self._histograms):
-            for instrument in table.values():
-                instrument._lock = lock
 
 
 def snapshot_delta(

@@ -461,16 +461,3 @@ class Tracer:
     def open_trace_count(self) -> int:
         with self._lock:
             return len(self._open)
-
-    # -- pickling -------------------------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        del state["_active"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._active = threading.local()

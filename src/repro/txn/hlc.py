@@ -134,15 +134,6 @@ class HybridLogicalClock:
         with self._lock:
             return HLCTimestamp(self._wall, self._logical)
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
 
 class HlcOracle:
     """A drop-in, per-node replacement for the timestamp oracle.

@@ -196,15 +196,6 @@ class TransactionManager:
         self.aborted = 0
         self._commit_listeners = []
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["commit_lock"]  # recreated on restore
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.commit_lock = threading.RLock()
-
     def begin(
         self, isolation: Optional[IsolationLevel] = None
     ) -> Transaction:

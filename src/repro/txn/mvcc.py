@@ -46,14 +46,6 @@ class MVCCStore:
         # key -> versions sorted by commit_ts ascending
         self._versions: Dict[Any, List[Version]] = {}
 
-    def __getstate__(self):
-        # Locks are not picklable; recreate on restore.
-        return {"_versions": self._versions}
-
-    def __setstate__(self, state):
-        self._versions = state["_versions"]
-        self._lock = threading.RLock()
-
     # -- reads -------------------------------------------------------------
 
     def read(self, key: Any, snapshot_ts: int) -> Optional[Version]:
@@ -122,6 +114,11 @@ class MVCCStore:
                 versions.append(
                     Version(commit_ts=commit_ts, value=value, txn_id=txn_id)
                 )
+
+    def restore(self, versions: Dict[Any, List[Version]]) -> None:
+        """Adopt ``versions`` (key → versions by commit_ts) wholesale."""
+        with self._lock:
+            self._versions = versions
 
     def delete(self, key: Any, commit_ts: int, txn_id: int) -> None:
         """Install a tombstone (logical delete; history is preserved)."""

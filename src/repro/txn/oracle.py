@@ -42,12 +42,3 @@ class TimestampOracle:
         with self._lock:
             if timestamp >= self._next:
                 self._next = timestamp + 1
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]  # recreated on restore
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

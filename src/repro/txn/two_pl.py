@@ -41,15 +41,6 @@ class LockManager:
         self.lock_waits = 0
         self.wait_die_aborts = 0
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_mutex"]  # recreated on restore
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._mutex = threading.Condition()
-
     def acquire_shared(self, txn_id: int, key: Any) -> None:
         with self._mutex:
             while True:

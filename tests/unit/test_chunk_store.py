@@ -10,6 +10,17 @@ from repro.durability.checkpoint import load_database, save_database
 from repro.errors import ChunkNotFoundError
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.indexes.pos_tree import PosTree
+from repro.indexes.siri import decode_node
+
+
+def _nodes_under(store, address):
+    """Addresses of every node under (and including) ``address``."""
+    tag, pairs = decode_node(store.get(address))
+    found = {address}
+    if tag == "B":
+        for _key, child in pairs:
+            found |= _nodes_under(store, child)
+    return found
 
 
 class TestChunkStore:
@@ -55,7 +66,7 @@ class TestChunkStore:
 
 class TestChunkStoreCheckpoint:
     """A store is not pickled: a checkpoint writes its chunks as
-    records and references the store from the pickled remainder."""
+    records after a manifest that names their count and bytes."""
 
     def test_a_checkpoint_leaves_the_derived_cache_out(self, tmp_path):
         """The decode cache restates the chunks; a checkpoint carries
@@ -73,15 +84,19 @@ class TestChunkStoreCheckpoint:
 
         path = tmp_path / "db.spitz"
         size = save_database(db, path)
-        # Header, the pickled remainder, then each chunk once as a
-        # record: the decode cache went nowhere.
-        remainder = int.from_bytes(path.read_bytes()[40:48], "big")
-        assert size == 48 + remainder + 36 * len(store) + (
+        # Header, the manifest, then each chunk once as a record: the
+        # decode cache went nowhere.
+        manifest = int.from_bytes(path.read_bytes()[40:48], "big")
+        assert size == 48 + manifest + 36 * len(store) + (
             store.stats.physical_bytes
         )
         reloaded = load_database(path).chunks
-        assert reloaded.decode_cache == {}
         assert reloaded.stats == store.stats
+        # Load decodes the tip from the chunks (its live-set check walks
+        # it); beside it is only the empty leaf every ledger starts from.
+        tip = _nodes_under(reloaded, tree.root)
+        assert tip <= set(reloaded.decode_cache)
+        assert len(reloaded.decode_cache) == len(tip) + 1
 
         again = PosTree.load(reloaded, tree.root)
         assert again.get_with_proof(KV_PREFIX + b"k1000") == (b"new", proof)

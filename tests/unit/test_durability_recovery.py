@@ -131,6 +131,52 @@ class TestCheckpoints:
         assert report.db.get(b"c") == b"3"
         assert report.db.verify_chain()
 
+    def test_an_edited_live_version_falls_back_to_an_older_checkpoint(
+        self, tmp_path
+    ):
+        """A checkpoint whose chain is intact but whose live version of
+        one key was edited fails its load like a damaged one: recovery
+        skips it and replays the older checkpoint's log suffix."""
+        from repro.core.schema import KV_PREFIX
+        from repro.durability.checkpoint import load_database, save_database
+        from repro.txn.mvcc import Version
+
+        with DurableDatabase.open(tmp_path) as ddb:
+            for i in range(10):
+                ddb.put(b"k%02d" % i, b"v%d" % i)
+            lsn1, _path1 = ddb.checkpoint()
+            ddb.put(b"k07", b"v7 again")
+            _lsn2, path2 = ddb.checkpoint()
+            ddb.put(b"k08", b"after")
+            digest = ddb.digest()
+        edited = load_database(path2)
+        versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
+        versions[-1] = Version(versions[-1].commit_ts, b"EDITED", 0)
+        save_database(edited, path2)
+        report = recover(tmp_path)
+        assert report.checkpoint_lsn == lsn1
+        assert report.skipped_checkpoints == [path2]
+        assert report.db.get(b"k07") == b"v7 again"
+        assert report.db.get(b"k08") == b"after"
+        assert report.db.digest() == digest
+
+    def test_history_across_a_block_batch_survives_a_reopen(self, tmp_path):
+        """With ``block_batch=4`` a key overwritten inside one batch has
+        a version no block sealed; it is history all the same."""
+        with DurableDatabase.open(tmp_path, block_batch=4) as ddb:
+            ddb.put(b"k", b"first-value")
+            ddb.put(b"k", b"second-value")
+            ddb.put(b"j", b"x")
+            assert hashlib.sha256(b"first-value").digest() not in ddb.chunks
+            before = ddb.history(b"k")
+            ddb.checkpoint()
+        with DurableDatabase.open(tmp_path, block_batch=4) as reopened:
+            assert reopened.last_recovery.replayed == 0
+            assert reopened.history(b"k") == before
+        assert [value for _ts, value in before] == [
+            b"first-value", b"second-value"
+        ]
+
     def test_a_node_format_1_checkpoint_stops_recovery_by_name(self, tmp_path):
         """Not damage, so no fallback: an older checkpoint is in the
         same format, and replaying the truncated log over nothing would
@@ -166,14 +212,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZDB7")
+        assert newest.read_bytes().startswith(b"SPITZDB8")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 7 only",
+            match="snapshot in layout 3; .* snapshot layout 8 only",
         ):
             recover(tmp_path)
 
@@ -193,7 +239,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 7 only",
+            match="snapshot in layout 4; .* snapshot layout 8 only",
         ):
             recover(tmp_path)
 
@@ -213,7 +259,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 7 only",
+            match="snapshot in layout 5; .* snapshot layout 8 only",
         ):
             recover(tmp_path)
 
@@ -233,14 +279,34 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 7 only",
+            match="snapshot in layout 6; .* snapshot layout 8 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_7_checkpoint_stops_recovery_by_name(
+        self, tmp_path, monkeypatch
+    ):
+        """Layout 7 pickled the database's object graph; layout 8 writes
+        a manifest of what cannot be derived and derives the rest."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB7" + newest.read_bytes()[8:])
+        monkeypatch.setattr(
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 7; .* snapshot layout 8 only",
         ):
             recover(tmp_path)
 
     def test_a_checkpoint_taken_beside_racing_puts_is_whole(self, tmp_path):
         """A checkpoint holds the commit lock from the LSN it records to
         its last chunk record, so puts racing it on other threads can
-        neither land a chunk the remainder does not name nor slip a
+        neither land a chunk the manifest does not name nor slip a
         commit between the LSN and the snapshot: every checkpoint loads,
         and recovery replays to exactly the acknowledged puts."""
         import sys

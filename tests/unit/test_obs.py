@@ -1,6 +1,5 @@
 """Unit tests for the observability layer (metrics + tracing)."""
 
-import pickle
 import threading
 import time
 
@@ -131,23 +130,6 @@ class TestRegistry:
             thread.join()
         assert counter.value == 8000
         assert hist.count == 8000
-
-    def test_pickle_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(5)
-        registry.gauge("b").set(2.5)
-        registry.histogram("h").observe(0.5)
-        with registry.tracer.span("op"):
-            pass
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.snapshot()["counters"]["a"] == 5
-        assert clone.snapshot()["gauges"]["b"] == 2.5
-        # Instruments stay usable (locks recreated) after unpickling.
-        clone.counter("a").inc()
-        assert clone.counter("a").value == 6
-        with clone.tracer.span("op"):
-            pass
-        assert clone.histogram("span.op").count >= 1
 
 
 class TestTracer:

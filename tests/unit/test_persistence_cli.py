@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.audit import audit_ledger
 from repro.core.database import SpitzDatabase
+from repro.core.schema import KV_PREFIX
 from repro.durability.checkpoint import load_database, save_database
 from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import hash_bytes
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
+from repro.indexes.siri import decode_node
+from repro.txn.mvcc import Version
 from repro.errors import (
     FormatVersionError,
     StorageError,
@@ -24,6 +27,72 @@ def snapshot_path(tmp_path):
 @pytest.fixture
 def db_dir(tmp_path):
     return tmp_path / "db.d"
+
+
+class TestLiveSet:
+    """Unverified reads answer from the version store; a checkpoint's
+    version table is accepted only if its live set is the tip tree's
+    ``(key → value digest)``, which the chain digest commits to."""
+
+    @pytest.fixture
+    def saved(self, snapshot_path):
+        db = SpitzDatabase()
+        for i in range(20):
+            db.put(b"k%02d" % i, b"v%d" % i)
+        db.delete(b"k13")
+        save_database(db, snapshot_path)
+        return db
+
+    def test_an_edited_live_version_is_tamper(self, saved, snapshot_path):
+        """The live version of one key edited, the chain and every chunk
+        untouched: unverified ``get`` would serve the edit."""
+        edited = load_database(snapshot_path)
+        versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
+        versions[-1] = Version(versions[-1].commit_ts, b"EDITED", 0)
+        assert edited.get(b"k07") == b"EDITED"
+        save_database(edited, snapshot_path)
+        assert edited.digest() == saved.digest() and edited.verify_chain()
+        with pytest.raises(TamperDetectedError, match="k07"):
+            load_database(snapshot_path)
+
+    def test_flipping_ledger_only_does_not_skip_the_check(
+        self, saved, snapshot_path, monkeypatch
+    ):
+        """The configuration is not committed to, so an editor can set
+        ``ledger_only``; a ledger-only database persists no versions,
+        so the edit either goes with them or is refused."""
+        edited = load_database(snapshot_path)
+        versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
+        versions[-1] = Version(versions[-1].commit_ts, b"EDITED", 0)
+        forged = list(edited.persisted_versions())
+        edited.ledger_only = True
+        save_database(edited, snapshot_path)
+        flipped = load_database(snapshot_path)
+        assert flipped.ledger_only and flipped.digest() == saved.digest()
+        assert flipped.get(b"k07") is None
+        assert flipped.get_verified(b"k07")[0] == b"v7"
+        # A ledger-only manifest that does carry the versions.
+        monkeypatch.setattr(edited, "persisted_versions", lambda: forged)
+        save_database(edited, snapshot_path)
+        with pytest.raises(TamperDetectedError, match="live set"):
+            load_database(snapshot_path)
+
+    @pytest.mark.parametrize("edit", ["resurrect", "delete", "add"])
+    def test_a_key_the_tip_does_not_hold_as_live_is_tamper(
+        self, saved, snapshot_path, edit
+    ):
+        db = load_database(snapshot_path)
+        store = db.txn_manager.store
+        stamp = db.oracle.next_timestamp()
+        key, value = {
+            "resurrect": (b"k13", b"back"),
+            "delete": (b"k05", Version.TOMBSTONE),
+            "add": (b"k99", b"new"),
+        }[edit]
+        store.install({KV_PREFIX + key: value}, stamp, txn_id=0)
+        save_database(db, snapshot_path)
+        with pytest.raises(TamperDetectedError, match="live set"):
+            load_database(snapshot_path)
 
 
 class TestPersistence:
@@ -105,13 +174,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB7")
+        assert blob.startswith(b"SPITZDB8")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 7 only"
+            FormatVersionError, match="snapshot layout 8 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -189,15 +258,28 @@ class TestPersistence:
         with pytest.raises(FormatVersionError, match="snapshot in layout 6"):
             load_database(snapshot_path)
 
+    def test_a_layout_7_file_is_refused_by_name(
+        self, snapshot_path, monkeypatch
+    ):
+        """Layout 7 pickled the database's object graph ahead of the
+        chunk section; this build writes a manifest of what cannot be
+        derived and checks what it derives against the tip tree."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB7" + blob[8:])
+        monkeypatch.setattr(
+            "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
+        )
+        with pytest.raises(FormatVersionError, match="snapshot in layout 7"):
+            load_database(snapshot_path)
+
     def test_save_and_load_hold_one_copy_of_the_payload(self, snapshot_path):
         """The chunk section is streamed record by record both ways and
-        the remainder is written, hashed and unpickled as it is — no
-        blob of the whole file on save, no slice of it on load — so
-        saving holds the remainder once and none of the section, and
-        loading holds one copy of the chunks: the store's own."""
+        the manifest is built, hashed and parsed as it is — no blob of
+        the whole file on save, no slice of it on load — so saving holds
+        the manifest once and none of the section, and loading holds one
+        copy of the chunks: the store's own."""
         import gc
-        import io
-        import pickle
         import tracemalloc
 
         from repro.durability import checkpoint
@@ -218,22 +300,16 @@ class TestPersistence:
             current, peak = tracemalloc.get_traced_memory()
             return peak - base, current - base, result
 
-        def unpickle(data):
-            unpickler = pickle.Unpickler(io.BytesIO(data))
-            unpickler.persistent_load = lambda pid: None
-            return unpickler.load()
-
         tracemalloc.start()
         try:
             size = save_database(db, snapshot_path)
-            remainder = size - 48 - section
-            data = snapshot_path.read_bytes()[48:48 + remainder]
-            pickling, _kept, _view = growth(
-                lambda: checkpoint._pickle_remainder(db)
+            manifest = size - 48 - section
+            data = snapshot_path.read_bytes()[48:48 + manifest]
+            building, _kept, _bytes = growth(lambda: checkpoint._manifest(db))
+            parsing, _kept, _parsed = growth(
+                lambda: checkpoint._Manifest(data)
             )
-            peak, kept, _db = growth(lambda: unpickle(data))
-            unpickling = peak - kept
-            del data, _view, _db
+            del data, _bytes, _parsed
             writing, _kept, _size = growth(
                 lambda: save_database(db, snapshot_path)
             )
@@ -242,15 +318,15 @@ class TestPersistence:
             )
         finally:
             tracemalloc.stop()
-        assert section > 500_000 and remainder > 500_000
-        # Past pickling the remainder, saving holds nothing section-sized
+        assert section > 500_000 and manifest > 100_000
+        # Past building the manifest, saving holds nothing section-sized
         # (a joined blob would be a copy of the whole file)...
-        assert writing - pickling < 0.25 * section
+        assert writing - building < 0.25 * section
         # ...and loading, past what the restored database keeps (the
-        # store among it: the one copy of the section) and what
-        # unpickling costs anyway, holds the remainder's bytes once (a
-        # slice would be twice, the whole file more).
-        assert loading - kept - unpickling < 1.5 * remainder
+        # store among it: the one copy of the section) and what parsing
+        # the manifest costs anyway, holds the manifest's bytes about
+        # once (a slice would be twice, the whole file more).
+        assert loading - kept - parsing < 1.5 * manifest
         assert kept > section
         assert restored.get(b"k00007") == bytes(200) + b"7"
 
@@ -258,10 +334,20 @@ class TestPersistence:
 _DELTA_BIT = 1 << 31
 
 
+def _nodes_under(store, address):
+    """Addresses of every node under (and including) ``address``."""
+    tag, pairs = decode_node(store.get(address))
+    found = {address}
+    if tag == "B":
+        for _key, child in pairs:
+            found |= _nodes_under(store, child)
+    return found
+
+
 def _records(blob):
     """``(offset, address, length, delta)`` of every chunk record in a
-    layout-7 snapshot: ``magic(8) ‖ digest(32) ‖ remainder length(u64)
-    ‖ remainder ‖ (address(32) ‖ length(u32; top bit: a delta) ‖ stored
+    layout-8 snapshot: ``magic(8) ‖ digest(32) ‖ manifest length(u64)
+    ‖ manifest ‖ (address(32) ‖ length(u32; top bit: a delta) ‖ stored
     bytes)*``."""
     at = 48 + int.from_bytes(blob[40:48], "big")
     out = []
@@ -289,8 +375,8 @@ def _restored(blob, at, length, stored, delta=True):
 
 
 class TestChunkSection:
-    """Layout 7 writes every chunk in its stored form as an ``(address,
-    length, bytes)`` record outside the pickle; a record is accepted
+    """Layout 8 writes every chunk in its stored form as an ``(address,
+    length, bytes)`` record after the manifest; a record is accepted
     only once it rebuilds to bytes of its own hash, and the section
     only whole."""
 
@@ -306,7 +392,7 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         db, blob = saved
-        assert blob.startswith(b"SPITZDB7")
+        assert blob.startswith(b"SPITZDB8")
         records = _records(blob)
         assert len(records) == db.chunks.stats.unique_chunks
         restored = load_database(snapshot_path)
@@ -315,7 +401,16 @@ class TestChunkSection:
         assert restored.chunks.tracer is restored.metrics.tracer
         assert restored.ledger.chunks is restored.chunks
         assert restored.digest() == db.digest()
-        assert restored.chunks.decode_cache == {}
+        # The decode cache is derived: load walks the tip tree to check
+        # the live set, so it holds the tip's nodes and the empty leaf
+        # every ledger starts from, each decoded from its chunk.
+        cache = restored.chunks.decode_cache
+        tip = _nodes_under(restored.chunks, db.ledger.tree.root)
+        assert set(cache) == tip | {SpitzDatabase().ledger.tree.root}
+        assert all(
+            decode_node(restored.chunks.get(address)) == node
+            for address, node in cache.items()
+        )
 
     def test_a_flipped_byte_in_any_chunk_record_is_tamper(
         self, saved, snapshot_path
@@ -355,7 +450,7 @@ class TestDeltaRecords:
     as; each is accepted only once its chain — every base in the
     section, at most ``MAX_CHAIN`` links — rebuilds to bytes that hash
     to its address.  Every forgery below fails that check, before the
-    remainder's accounting is consulted."""
+    manifest's accounting is consulted."""
 
     @pytest.fixture
     def history(self, snapshot_path):

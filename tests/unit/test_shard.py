@@ -396,3 +396,35 @@ class TestDurableShards:
             assert reopened.get(b"post") == b"recovery"
         finally:
             reopened.close()
+
+    def test_a_reopened_shard_counts_into_the_facade_registries(
+        self, tmp_path
+    ):
+        """A shard reopened from its checkpoint runs on the registry the
+        facade made for it (what ``/metrics`` renders under
+        ``shard="NN"``) and on the facade's tracer, not on state the
+        checkpoint carried."""
+        root = str(tmp_path / "fleet")
+        db = ShardedDatabase(num_shards=2, durable_root=root)
+        try:
+            for i in range(20):
+                db.put(b"d%02d" % i, b"v%d" % i)
+            db.checkpoint()
+        finally:
+            db.close()
+        reopened = ShardedDatabase(num_shards=2, durable_root=root)
+        try:
+            registries = reopened.shard_registries
+            for shard, registry in zip(reopened.shards, registries):
+                assert shard.metrics is registry
+                assert shard.metrics.tracer is reopened.metrics.tracer
+                assert shard.chunks.tracer is reopened.metrics.tracer
+            reopened.put(b"a", b"1")
+            reopened.put(b"b", b"2")
+            commits = [
+                registry.counter("db.commits").value for registry in registries
+            ]
+            assert sum(commits) == 2
+            assert reopened.get(b"d07") == b"v7"
+        finally:
+            reopened.close()
