@@ -5,9 +5,10 @@ chosen by ``SPITZ_BENCH_N`` (default 2000 — small enough for CI, big
 enough for index depth to matter).  Loading happens once per module;
 ``pytest-benchmark`` then times the measured operation only.
 
-The full paper-style sweeps (all sizes, all series) live in
+The paper's Figures 6–8 (all sizes, all series) live in
 ``repro.bench.harness``; run ``python -m repro.bench.harness`` for
-those.  This suite feeds ``pytest benchmarks/ --benchmark-only``.
+those.  This suite (Figure 1 and the ablations) feeds ``pytest
+benchmarks/ --benchmark-only``.
 """
 
 import gc
@@ -17,9 +18,6 @@ import pytest
 
 from repro.baseline.ledger_db import BaselineLedgerDB
 from repro.core.database import SpitzDatabase
-from repro.core.verifier import ClientVerifier
-from repro.integration.nonintrusive import NonIntrusiveVDB
-from repro.kvstore.kvs import ImmutableKVS
 from repro.workloads.generator import WorkloadGenerator
 
 BENCH_N = int(os.environ.get("SPITZ_BENCH_N", "2000"))
@@ -29,15 +27,6 @@ SEED = 1
 @pytest.fixture(scope="module")
 def gen():
     return WorkloadGenerator(BENCH_N, seed=SEED)
-
-
-@pytest.fixture(scope="module")
-def kvs(gen):
-    system = ImmutableKVS()
-    for key, value in gen.records():
-        system.put(key, value)
-    gc.collect()
-    return system
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +47,3 @@ def baseline(gen):
     gc.collect()
     return system
 
-
-@pytest.fixture(scope="module")
-def nonintrusive(gen):
-    system = NonIntrusiveVDB()
-    for key, value in gen.records():
-        system.put(key, value)
-    gc.collect()
-    return system
-
-
-@pytest.fixture
-def spitz_verifier(spitz):
-    verifier = ClientVerifier()
-    verifier.trust(spitz.digest())
-    return verifier

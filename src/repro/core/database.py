@@ -20,10 +20,10 @@ Two write paths exist, both funnelling through :meth:`_commit`:
    certified by the concurrency-control layer, sealed as one block at
    commit.
 
-``ledger_only=True`` wakes up only the auditor/ledger half, which is
-how Spitz serves as the ledger database of the non-intrusive design
-(Section 5.1: "the system can be applied into a non-intrusive design
-... by solely waking up the auditor in the processor").
+The non-intrusive design (Section 5.1: "the system can be applied into
+a non-intrusive design ... by solely waking up the auditor in the
+processor") needs none of this facade: its ledger server is a bare
+:class:`~repro.core.ledger.SpitzLedger` (``repro.integration``).
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class SpitzDatabase:
     def __init__(
         self,
         mask_bits: int = DEFAULT_MASK_BITS,
-        ledger_only: bool = False,
         certifier: Optional[object] = None,
         block_batch: int = 1,
         metrics: Optional[MetricsRegistry] = None,
@@ -120,7 +119,6 @@ class SpitzDatabase:
         self.ledger = SpitzLedger(
             self.chunks, mask_bits, metrics=self.metrics
         )
-        self.ledger_only = ledger_only
         # ``oracle`` lets a shard allocate from its own HLC (see
         # repro.shard) instead of the default central TimestampOracle.
         self.txn_manager = TransactionManager(
@@ -232,26 +230,25 @@ class SpitzDatabase:
         )
         self._c_commits.inc()
         self._c_writes_folded.inc(len(writes))
-        if not self.ledger_only:
-            store = self.txn_manager.store
-            if install_mvcc:
-                store.install({
-                    key: (Version.TOMBSTONE if value is DELETE else value)
-                    for key, value in writes.items()
-                }, timestamp, txn_id=0)
-            for logical_key, value in writes.items():
-                column, primary_key = parse_logical_key(logical_key)
-                if "." in column:  # typed table cells are value-indexed
-                    self._repost(
-                        logical_key, column, primary_key, timestamp, value
-                    )
-                if value is DELETE:
-                    if logical_key in self.primary:
-                        self.primary.delete(logical_key)
-                elif logical_key not in self.primary:
-                    self.primary.insert(
-                        logical_key, store.versions_of(logical_key)
-                    )
+        store = self.txn_manager.store
+        if install_mvcc:
+            store.install({
+                key: (Version.TOMBSTONE if value is DELETE else value)
+                for key, value in writes.items()
+            }, timestamp, txn_id=0)
+        for logical_key, value in writes.items():
+            column, primary_key = parse_logical_key(logical_key)
+            if "." in column:  # typed table cells are value-indexed
+                self._repost(
+                    logical_key, column, primary_key, timestamp, value
+                )
+            if value is DELETE:
+                if logical_key in self.primary:
+                    self.primary.delete(logical_key)
+            elif logical_key not in self.primary:
+                self.primary.insert(
+                    logical_key, store.versions_of(logical_key)
+                )
         if self.block_batch == 1 and not self._pending_writes:
             block = self._append_ledger_block(writes, statements)
         else:
@@ -362,10 +359,7 @@ class SpitzDatabase:
         """Every committed version as ``(logical key, commit timestamp,
         value digest | None for a tombstone)``, a key's in commit order;
         a value no block sealed (``block_batch > 1``) is put as a chunk
-        now.  None for a ledger-only database: replaying its log does
-        not rebuild its version store either."""
-        if self.ledger_only:
-            return
+        now."""
         store = self.txn_manager.store
         for logical_key in store.keys():
             for version in store.versions_of(logical_key):
@@ -388,9 +382,9 @@ class SpitzDatabase:
         mark — on a database fresh from the constructor, its chunk store
         holding the checkpoint's chunks; derive ``primary``, the inverted
         index and the search trees.  :class:`TamperDetectedError` unless
-        the versions' live set is the tip tree's ``(key → value digest)``
-        (empty when ledger-only): unverified reads answer from the
-        versions, a pinned chain digest commits only to the tip."""
+        the versions' live set is the tip tree's ``(key → value digest)``:
+        unverified reads answer from the versions, a pinned chain digest
+        commits only to the tip."""
         self.ledger.link(blocks)
         self._tables.update((schema.name, schema) for schema in tables)
         self.oracle.advance_to(high_water)
@@ -407,7 +401,7 @@ class SpitzDatabase:
             (key, digest) for key, digest in latest.items()
             if digest is not None
         ]
-        tip = () if self.ledger_only else (
+        tip = (
             pair for pair in self.ledger.tree.digests()
             if pair[0] != SEARCH_ROOT_KEY
         )

@@ -9,8 +9,9 @@ metadata...").  This module turns that into a query surface:
 
 - :func:`key_provenance` — every state a key went through, each paired
   with the statements of the block that produced it;
-- :func:`blocks_touching` — which blocks wrote a key (via the per-block
-  index instances, so the answer is derived from authenticated state);
+- :func:`blocks_touching` — which blocks changed a key (via the
+  per-block index instances, so the answer is derived from
+  authenticated state);
 - :func:`verify_statements` — check retained statement plaintext
   against the block headers (they commit to its digest).
 """
@@ -36,21 +37,11 @@ class ProvenanceEntry:
 def blocks_touching(ledger: SpitzLedger, key: bytes) -> List[int]:
     """Heights of the blocks that changed ``key``.
 
-    Derived by diffing consecutive per-block index instances, so the
-    answer reflects the authenticated ledger state rather than any
-    side metadata.
+    Derived from the per-block index instances
+    (:meth:`SpitzLedger.key_history`), so the answer reflects the
+    authenticated ledger state rather than any side metadata.
     """
-    heights: List[int] = []
-    previous: Optional[bytes] = None
-    for height in range(ledger.height):
-        value = ledger.tree_at(height).get(key)
-        if height == 0:
-            if value is not None:
-                heights.append(height)
-        elif value != previous:
-            heights.append(height)
-        previous = value
-    return heights
+    return [height for height, _value in ledger.key_history(key)]
 
 
 def key_provenance(
@@ -59,12 +50,8 @@ def key_provenance(
     """The full lineage of ``key``: every state change with the
     statements that produced it."""
     return [
-        ProvenanceEntry(
-            height=height,
-            value=ledger.tree_at(height).get(key),
-            statements=ledger.statements(height),
-        )
-        for height in blocks_touching(ledger, key)
+        ProvenanceEntry(height, value, ledger.statements(height))
+        for height, value in ledger.key_history(key)
     ]
 
 

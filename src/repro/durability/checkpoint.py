@@ -1,17 +1,17 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
 A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
-folded in) is layout 8: ``magic ‖ SHA-256(manifest) ‖ manifest
+folded in) is layout 9: ``magic ‖ SHA-256(manifest) ‖ manifest
 length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
 owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
 :meth:`SpitzDatabase.restore` own what they mean.
 
 **Persisted** is what cannot be derived.  The manifest holds the
-configuration (``mask_bits``, ``ledger_only``, ``block_batch``, the
-indexed columns), the oracle's high-water mark, the chunk store's
-accounting, the schemas, each block's ``tree_root``, ``writes_digest``,
-``write_count`` and statements, and every version as sorted ``(logical
-key ‖ timestamp(u64), value digest | 0³² for a tombstone)`` pairs in
+configuration (``mask_bits``, ``block_batch``, the indexed columns),
+the oracle's high-water mark, the chunk store's accounting, the
+schemas, each block's ``tree_root``, ``writes_digest``, ``write_count``
+and statements, and every version as sorted ``(logical key ‖
+timestamp(u64), value digest | 0³² for a tombstone)`` pairs in
 :func:`~repro.indexes.siri.encode_node`'s codec.  The chunk section
 holds every chunk as a record, in its stored form.
 
@@ -54,13 +54,13 @@ CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
-_MAGIC = b"SPITZDB8"
+_MAGIC = b"SPITZDB9"
 #: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")
-#: The manifest's fixed head: ``mask_bits``, ``ledger_only``,
-#: ``block_batch``, the oracle's high-water mark, then the chunk
-#: store's accounting (:class:`StoreStats`, field by field).
-_FIXED = struct.Struct(">B?IQQQQQQ")
+#: The manifest's fixed head: ``mask_bits``, ``block_batch``, the
+#: oracle's high-water mark, then the chunk store's accounting
+#: (:class:`StoreStats`, field by field).
+_FIXED = struct.Struct(">BIQQQQQQ")
 #: A block ahead of its statements: tree root, writes digest, writes.
 _BLOCK = struct.Struct(">32s32sQ")
 #: The version table's digest for a tombstone (no value hashes to it).
@@ -126,8 +126,8 @@ def _manifest(db: SpitzDatabase) -> bytes:
     ledger = db.ledger
     parts = [
         _FIXED.pack(
-            ledger.tree.mask_bits, db.ledger_only, db.block_batch,
-            db.oracle.current(), *astuple(db.chunks.stats),
+            ledger.tree.mask_bits, db.block_batch, db.oracle.current(),
+            *astuple(db.chunks.stats),
         ),
         _texts(db.search_columns),
         varint(len(db.tables())),
@@ -152,13 +152,13 @@ class _Manifest:
 
     def __init__(self, data: bytes):
         self._data, self._at = data, 0
-        mask_bits, ledger_only, block_batch, self.high_water, *stats = (
+        mask_bits, block_batch, self.high_water, *stats = (
             self._fixed(_FIXED)
         )
         self.stats = StoreStats(*stats)
         self.config = dict(
-            mask_bits=mask_bits, ledger_only=ledger_only,
-            block_batch=block_batch, indexed_columns=self._texts() or None,
+            mask_bits=mask_bits, block_batch=block_batch,
+            indexed_columns=self._texts() or None,
         )
         self.tables = []
         for _ in range(self._varint()):

@@ -18,11 +18,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import IntegrationError
-from repro.core.database import SpitzDatabase
-from repro.core.ledger import LedgerDigest
+from repro.core.ledger import LedgerDigest, SpitzLedger
 from repro.core.proofs import LedgerProof, LedgerRangeProof
 from repro.core.schema import KV_PREFIX
-from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.integration.simnet import Channel
 from repro.kvstore.kvs import ImmutableKVS
 
@@ -56,16 +54,15 @@ class _KvsServer:
 
 
 class _LedgerServer:
-    """Server side of the ledger-database channel (Spitz, auditor only)."""
+    """Server side of the ledger-database channel: Spitz's auditor alone,
+    a :class:`SpitzLedger` with no storage or control layer around it."""
 
-    def __init__(self, mask_bits: int = DEFAULT_MASK_BITS):
-        self.ledger_db = SpitzDatabase(
-            mask_bits=mask_bits, ledger_only=True
-        )
+    def __init__(self) -> None:
+        self.ledger = SpitzLedger()
 
     def handle(self, request: Tuple[str, tuple]) -> Any:
         op, args = request
-        ledger = self.ledger_db.ledger
+        ledger = self.ledger
         if op == "append":
             key, value = args
             ledger.append_block({KV_PREFIX + key: value})
@@ -87,27 +84,20 @@ class NonIntrusiveVDB:
     """Client-side facade over the two remote systems.
 
     Idempotent operations (reads, proofs, digests) retry through
-    :meth:`Channel.call_with_retry` up to ``retry_attempts`` times —
-    a lost message on either leg (request *or* response) of those
-    calls is absorbed.  Writes are not retried: a response-leg loss
+    :meth:`Channel.call_with_retry` (three attempts) — a lost message
+    on either leg (request *or* response) of those calls is absorbed.  Writes are not retried: a response-leg loss
     after the server applied an append must surface, not re-execute.
     """
 
-    def __init__(
-        self,
-        mask_bits: int = DEFAULT_MASK_BITS,
-        loss_every: int = 0,
-        retry_attempts: int = 3,
-    ):
+    def __init__(self, loss_every: int = 0):
         self._kvs_server = _KvsServer()
-        self._ledger_server = _LedgerServer(mask_bits=mask_bits)
+        self._ledger_server = _LedgerServer()
         self.kvs_channel = Channel(
             self._kvs_server.handle, loss_every=loss_every
         )
         self.ledger_channel = Channel(
             self._ledger_server.handle, loss_every=loss_every
         )
-        self.retry_attempts = retry_attempts
 
     # -- writes ------------------------------------------------------------
 
@@ -131,9 +121,7 @@ class NonIntrusiveVDB:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Unverified read: underlying database only (1 round trip)."""
-        return self.kvs_channel.call_with_retry(
-            ("get", (key,)), attempts=self.retry_attempts
-        )
+        return self.kvs_channel.call_with_retry(("get", (key,)))
 
     def get_verified(
         self, key: bytes
@@ -145,11 +133,9 @@ class NonIntrusiveVDB:
         also check that the proven value equals the returned one —
         that cross-check is what catches a tampered underlying DB.
         """
-        value = self.kvs_channel.call_with_retry(
-            ("get", (key,)), attempts=self.retry_attempts
-        )
+        value = self.kvs_channel.call_with_retry(("get", (key,)))
         proven_value, proof, digest = self.ledger_channel.call_with_retry(
-            ("prove", (key,)), attempts=self.retry_attempts
+            ("prove", (key,))
         )
         if proven_value != value:
             raise IntegrationError(
@@ -159,18 +145,14 @@ class NonIntrusiveVDB:
         return value, proof, digest
 
     def scan(self, low: bytes, high: bytes) -> List[Tuple[bytes, bytes]]:
-        return self.kvs_channel.call_with_retry(
-            ("scan", (low, high)), attempts=self.retry_attempts
-        )
+        return self.kvs_channel.call_with_retry(("scan", (low, high)))
 
     def scan_verified(
         self, low: bytes, high: bytes
     ) -> Tuple[List[Tuple[bytes, bytes]], LedgerRangeProof, LedgerDigest]:
-        values = self.kvs_channel.call_with_retry(
-            ("scan", (low, high)), attempts=self.retry_attempts
-        )
+        values = self.kvs_channel.call_with_retry(("scan", (low, high)))
         entries, proof, digest = self.ledger_channel.call_with_retry(
-            ("prove_range", (low, high)), attempts=self.retry_attempts
+            ("prove_range", (low, high))
         )
         stripped = [
             (key[len(KV_PREFIX):], value) for key, value in entries
@@ -183,9 +165,7 @@ class NonIntrusiveVDB:
         return values, proof, digest
 
     def digest(self) -> LedgerDigest:
-        return self.ledger_channel.call_with_retry(
-            ("digest", ()), attempts=self.retry_attempts
-        )
+        return self.ledger_channel.call_with_retry(("digest", ()))
 
     # -- accounting -----------------------------------------------------------
 

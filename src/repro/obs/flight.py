@@ -37,24 +37,24 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.obs.tracing import STATUS_OK, Trace
 
 
+#: Traces each ring retains: the slowest, the failed or shed, the newest.
+SLOWEST_CAPACITY = 32
+FAILURE_CAPACITY = 128
+RECENT_CAPACITY = 256
+
+
 class FlightRecorder:
     """Retains slow/failed/recent traces and per-kind stage totals."""
 
-    def __init__(
-        self,
-        slowest_capacity: int = 32,
-        failure_capacity: int = 128,
-        recent_capacity: int = 256,
-    ):
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._slowest_capacity = slowest_capacity
         #: Min-heap of (duration, tiebreak, trace) — the root of the
         #: heap is the *fastest* of the retained slowest, so a new
         #: trace only displaces it when strictly slower.
         self._slowest: List[Tuple[float, int, Trace]] = []
         self._counter = itertools.count()
-        self._failures: Deque[Trace] = deque(maxlen=failure_capacity)
-        self._recent: Deque[Trace] = deque(maxlen=recent_capacity)
+        self._failures: Deque[Trace] = deque(maxlen=FAILURE_CAPACITY)
+        self._recent: Deque[Trace] = deque(maxlen=RECENT_CAPACITY)
         #: kind -> {"requests", "total_seconds", "statuses", "stages"}
         self._kinds: Dict[str, Dict[str, object]] = {}
 
@@ -70,7 +70,7 @@ class FlightRecorder:
             if trace.status != STATUS_OK:
                 self._failures.append(trace)
             tiebreak = next(self._counter)
-            if len(self._slowest) < self._slowest_capacity:
+            if len(self._slowest) < SLOWEST_CAPACITY:
                 heapq.heappush(
                     self._slowest, (trace.duration, tiebreak, trace)
                 )

@@ -15,7 +15,7 @@ Design constraints, in order:
 2. **Cheap on hot paths** — instruments are pre-bound objects (one
    lock acquire + one arithmetic op per event); the raw storage-layer
    point read is deliberately *not* instrumented per-operation, which
-   is what keeps ``bench_fig6_read`` overhead under the 5% budget
+   is what keeps Figure 6(a)'s read overhead under the 5% budget
    guarded in ``tests/integration/test_bench_shapes.py``.
 3. **Deterministic summaries** — histograms use fixed geometric
    buckets (factor ``2**(1/4)``), so p50/p95/p99 are reproducible

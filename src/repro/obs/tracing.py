@@ -263,25 +263,25 @@ class _HistogramStage:
         return False
 
 
+#: Finished spans :meth:`Tracer.recent` keeps, newest last.
+SPAN_CAPACITY = 512
+#: Traces whose root has not finished, held before the oldest goes.
+MAX_OPEN_TRACES = 1024
+
+
 class Tracer:
     """Allocates, nests and records spans; assembles finished traces.
 
     ``flight`` (a :class:`~repro.obs.flight.FlightRecorder`) receives
-    every finalized trace.  ``max_open_traces`` bounds memory held for
-    traces whose root never finishes (a leaked root is a bug, but it
-    must not become a leak here): the oldest open trace is evicted
+    every finalized trace.  :data:`MAX_OPEN_TRACES` bounds memory held
+    for traces whose root never finishes (a leaked root is a bug, but
+    it must not become a leak here): the oldest open trace is evicted
     once the bound is hit.
     """
 
-    def __init__(
-        self,
-        registry,
-        capacity: int = 512,
-        flight=None,
-        max_open_traces: int = 1024,
-    ):
+    def __init__(self, registry, flight=None):
         self._registry = registry
-        self._spans: Deque[Span] = deque(maxlen=capacity)
+        self._spans: Deque[Span] = deque(maxlen=SPAN_CAPACITY)
         #: name -> pre-bound ``span.<name>`` histogram.  Stage sites on
         #: hot read paths (``ledger.prove``, ``verifier.verify``) go
         #: through here every operation; paying an f-string plus the
@@ -293,7 +293,6 @@ class Tracer:
         self._next_id = 1
         #: trace_id -> finished spans awaiting their root.
         self._open: Dict[int, List[Span]] = {}
-        self._max_open = max_open_traces
         self.flight = flight
 
     @property
@@ -381,7 +380,7 @@ class Tracer:
             bucket.append(span)
             if span.parent_id is None:
                 finished = self._open.pop(span.trace_id)
-            elif len(self._open) > self._max_open:
+            elif len(self._open) > MAX_OPEN_TRACES:
                 # Evict the oldest open trace (insertion order) that is
                 # not the one just touched.
                 for stale in self._open:

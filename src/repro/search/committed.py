@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import QueryError
 from repro.forkbase.chunk_store import ChunkStore
-from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
+from repro.indexes.pos_tree import PosTree
 from repro.indexes.siri import DELETE
 
 #: Reserved logical key the search manifest is sealed under.  The
@@ -222,12 +222,7 @@ class CommittedSearchIndex:
     block-seal time, O(touched × height) via :meth:`PosTree.apply`.
     """
 
-    def __init__(
-        self,
-        store: ChunkStore,
-        columns: Sequence[str],
-        mask_bits: int = DEFAULT_MASK_BITS,
-    ):
+    def __init__(self, store: ChunkStore, columns: Sequence[str]):
         names = list(columns)
         if not names:
             raise QueryError("indexed_columns must name at least one column")
@@ -241,9 +236,8 @@ class CommittedSearchIndex:
                     "value-indexed"
                 )
         self.store = store
-        self.mask_bits = mask_bits
         self._trees: Dict[str, PosTree] = {
-            name: PosTree.empty(store, mask_bits) for name in sorted(names)
+            name: PosTree.empty(store) for name in sorted(names)
         }
         self._dirty: Dict[str, set] = {name: set() for name in self._trees}
         self._manifest: Optional[bytes] = None
@@ -331,9 +325,7 @@ class CommittedSearchIndex:
             for value, ukeys in postings_by_value.items()
             if ukeys
         ]
-        self._trees[column] = PosTree.from_items(
-            self.store, items, self.mask_bits
-        )
+        self._trees[column] = PosTree.from_items(self.store, items)
         self._dirty[column].clear()
         self._manifest = None
 
@@ -352,9 +344,7 @@ class CommittedSearchIndex:
             if postings:
                 self.bulk_load(column, postings)
             else:
-                self._trees[column] = PosTree.empty(
-                    self.store, self.mask_bits
-                )
+                self._trees[column] = PosTree.empty(self.store)
                 self._dirty[column].clear()
                 self._manifest = None
 

@@ -48,6 +48,11 @@ from repro.serve.codec import decode_response, encode_request
 from repro.serve.middleware import AUTH_HEADER
 
 
+#: Seconds to connect, and the headroom a request's reply gets past its
+#: deadline.
+CONNECT_TIMEOUT = 10.0
+
+
 class HttpTransport:
     """A remote cluster behind ``submit()`` (duck-typed SpitzCluster).
 
@@ -61,12 +66,10 @@ class HttpTransport:
         host: str,
         port: int,
         token: Optional[str] = None,
-        connect_timeout: float = 10.0,
     ):
         self.host = host
         self.port = port
         self._token = token
-        self._connect_timeout = connect_timeout
         self._local = threading.local()
 
     # -- connection management -----------------------------------------
@@ -154,7 +157,7 @@ class HttpTransport:
         # Socket timeout needs headroom over the cluster-side deadline:
         # a request shed exactly at ``timeout`` still has to travel back.
         status, headers, data = self._round_trip(
-            "POST", "/v1/request", body, timeout + self._connect_timeout
+            "POST", "/v1/request", body, timeout + CONNECT_TIMEOUT
         )
         reply = self._json_body(data)
         if status == 429:
@@ -186,7 +189,7 @@ class HttpTransport:
 
     def _get_json(self, path: str) -> tuple:
         status, _headers, data = self._round_trip(
-            "GET", path, None, self._connect_timeout
+            "GET", path, None, CONNECT_TIMEOUT
         )
         return status, self._json_body(data)
 

@@ -181,7 +181,6 @@ class TransactionManager:
         store: Optional[MVCCStore] = None,
         oracle: Optional[TimestampOracle] = None,
         certifier: Optional[Certifier] = None,
-        default_isolation: IsolationLevel = IsolationLevel.SERIALIZABLE,
     ):
         from repro.txn.occ import OccCertifier  # default; avoids cycle
 
@@ -190,7 +189,6 @@ class TransactionManager:
         self.certifier = certifier if certifier is not None else OccCertifier(
             self.store
         )
-        self.default_isolation = default_isolation
         self.commit_lock = threading.RLock()
         self.committed = 0
         self.aborted = 0
@@ -205,7 +203,7 @@ class TransactionManager:
             manager=self,
             txn_id=start_ts,
             start_ts=start_ts,
-            isolation=isolation or self.default_isolation,
+            isolation=isolation or IsolationLevel.SERIALIZABLE,
         )
 
     def run(self, work, retries: int = 10, isolation=None):

@@ -30,14 +30,17 @@ class _Lock:
         self.exclusive = False
 
 
+#: Seconds a lock request waits before it gives up.
+WAIT_TIMEOUT = 5.0
+
+
 class LockManager:
     """Shared/exclusive locks with wait-die deadlock prevention."""
 
-    def __init__(self, wait_timeout: float = 5.0):
+    def __init__(self) -> None:
         self._mutex = threading.Condition()
         self._locks: Dict[Any, _Lock] = {}
         self._held: Dict[int, Set[Any]] = {}
-        self._wait_timeout = wait_timeout
         self.lock_waits = 0
         self.wait_die_aborts = 0
 
@@ -68,7 +71,7 @@ class LockManager:
             self.wait_die_aborts += 1
             raise DeadlockError(txn_id)
         self.lock_waits += 1
-        if not self._mutex.wait(timeout=self._wait_timeout):
+        if not self._mutex.wait(timeout=WAIT_TIMEOUT):
             # Defensive: a vanished holder (crashed thread) would
             # otherwise hang the system.
             raise TransactionAborted(txn_id, "lock wait timeout")

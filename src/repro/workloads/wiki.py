@@ -20,6 +20,8 @@ from typing import Dict, List, Tuple
 
 PAGE_COUNT = 10
 PAGE_SIZE = 16 * 1024
+#: Bytes each edit rewrites in place.
+EDIT_SIZE = 512
 
 _TEXT = (string.ascii_letters + string.digits + " .,\n").encode("ascii")
 
@@ -36,18 +38,10 @@ class WikiEdit:
 class WikiWorkload:
     """Deterministic page contents and an edit stream."""
 
-    def __init__(
-        self,
-        pages: int = PAGE_COUNT,
-        page_size: int = PAGE_SIZE,
-        edit_size: int = 512,
-        seed: int = 0,
-    ):
-        self.page_size = page_size
-        self.edit_size = edit_size
+    def __init__(self, pages: int = PAGE_COUNT, seed: int = 0):
         self._rng = random.Random(seed)
         self.pages: Dict[str, bytes] = {
-            f"wiki/page-{i:02d}": self._random_text(page_size)
+            f"wiki/page-{i:02d}": self._random_text(PAGE_SIZE)
             for i in range(pages)
         }
 
@@ -61,7 +55,7 @@ class WikiWorkload:
     def edits(self, versions: int) -> List[WikiEdit]:
         """One edit per version step (versions 2..versions).
 
-        Each edit rewrites a random ``edit_size`` slice of a random
+        Each edit rewrites a random :data:`EDIT_SIZE` slice of a random
         page — the locality assumption behind Figure 1's dedup gains.
         """
         stream: List[WikiEdit] = []
@@ -69,10 +63,8 @@ class WikiWorkload:
         for version in range(2, versions + 1):
             page = names[self._rng.randrange(len(names))]
             content = bytearray(self.pages[page])
-            offset = self._rng.randrange(
-                max(1, self.page_size - self.edit_size)
-            )
-            patch = self._random_text(self.edit_size)
+            offset = self._rng.randrange(PAGE_SIZE - EDIT_SIZE)
+            patch = self._random_text(EDIT_SIZE)
             content[offset:offset + len(patch)] = patch
             self.pages[page] = bytes(content)
             stream.append(

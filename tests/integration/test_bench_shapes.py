@@ -179,7 +179,7 @@ def _best_read_throughputs(telemetry):
 class TestInstrumentationOverhead:
     def test_read_path_overhead_under_five_percent(self):
         """The acceptance budget: instrumenting the registry must not
-        cost the ``bench_fig6_read`` measured path more than 5%.
+        cost Figure 6(a)'s measured read path more than 5%.
 
         The raw point read deliberately has no per-operation
         instrumentation (commits and snapshots do), so the comparison

@@ -212,14 +212,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZDB8")
+        assert newest.read_bytes().startswith(b"SPITZDB9")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 8 only",
+            match="snapshot in layout 3; .* snapshot layout 9 only",
         ):
             recover(tmp_path)
 
@@ -239,7 +239,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 8 only",
+            match="snapshot in layout 4; .* snapshot layout 9 only",
         ):
             recover(tmp_path)
 
@@ -259,7 +259,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 8 only",
+            match="snapshot in layout 5; .* snapshot layout 9 only",
         ):
             recover(tmp_path)
 
@@ -279,7 +279,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 8 only",
+            match="snapshot in layout 6; .* snapshot layout 9 only",
         ):
             recover(tmp_path)
 
@@ -299,7 +299,22 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 7; .* snapshot layout 8 only",
+            match="snapshot in layout 7; .* snapshot layout 9 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_8_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Layout 8 persisted a ``ledger_only`` flag no digest commits
+        to; layout 9 has no such mode. Re-raised, never a fallback."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB8" + newest.read_bytes()[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 8; .* snapshot layout 9 only",
         ):
             recover(tmp_path)
 
@@ -718,6 +733,7 @@ class TestOneWidth:
 
         from repro.core.database import SpitzDatabase
         from repro.core.ledger import SpitzLedger
+        from repro.forkbase.chunk_store import ChunkStore
         from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
         from repro.integration.nonintrusive import (
             NonIntrusiveVDB,
@@ -728,8 +744,7 @@ class TestOneWidth:
 
         constructors = [
             SpitzDatabase, SpitzLedger, SpitzCluster, ShardedDatabase,
-            _LedgerServer, NonIntrusiveVDB, CommittedSearchIndex, PosTree,
-            PosTree.empty, PosTree.from_items, PosTree.load,
+            PosTree, PosTree.empty, PosTree.from_items, PosTree.load,
         ]
         defaults = {
             getattr(fn, "__qualname__", fn):
@@ -738,6 +753,12 @@ class TestOneWidth:
         }
         assert set(defaults.values()) == {DEFAULT_MASK_BITS}, defaults
         assert SpitzDatabase().ledger.tree.mask_bits == DEFAULT_MASK_BITS
+        # The rest take no width at all.
+        for fn in (_LedgerServer, NonIntrusiveVDB, CommittedSearchIndex):
+            assert "mask_bits" not in inspect.signature(fn).parameters
+        assert _LedgerServer().ledger.tree.mask_bits == DEFAULT_MASK_BITS
+        index = CommittedSearchIndex(ChunkStore(), ["t.c"])
+        assert index.tree("t.c").mask_bits == DEFAULT_MASK_BITS
         cluster = SpitzCluster(nodes=1, telemetry=False)
         try:
             assert cluster.db.ledger.tree.mask_bits == DEFAULT_MASK_BITS

@@ -3,9 +3,11 @@
 import pytest
 
 from repro import errors
-from repro.core.database import SpitzDatabase
+from repro.core.audit import audit_ledger
+from repro.core.ledger import SpitzLedger
 from repro.core.verifier import ClientVerifier
 from repro.core.schema import KV_PREFIX
+from repro.integration.nonintrusive import _LedgerServer
 
 
 class TestErrorHierarchy:
@@ -47,36 +49,43 @@ class TestErrorHierarchy:
         assert errors.KeyNotFoundError(b"k").key == b"k"
 
 
-class TestLedgerOnlyMode:
+class TestNonIntrusiveLedgerServer:
     """Section 5.1: Spitz "can be applied into a non-intrusive design
-    ... by solely waking up the auditor" — ledger-only mode."""
+    ... by solely waking up the auditor" — the ledger server of that
+    design is a bare :class:`SpitzLedger`, with no storage layer."""
 
-    def test_ledger_records_without_storage_layer(self):
-        db = SpitzDatabase(ledger_only=True)
-        db.put(b"k", b"v")
-        # The ledger has the entry...
-        assert db.ledger.get(KV_PREFIX + b"k") == b"v"
-        # ...but the storage layer (version store, primary index) was
-        # skipped.
-        assert len(db.txn_manager.store) == 0
-        assert len(db.primary) == 0
-        assert db.cells.latest(KV_PREFIX + b"k") is None
-        assert db.get(b"k") is None
+    def _server(self, keys):
+        server = _LedgerServer()
+        for key in keys:
+            server.handle(("append", (key, b"v-" + key)))
+        return server
 
-    def test_proofs_still_issued(self):
-        db = SpitzDatabase(ledger_only=True)
-        db.put(b"k", b"v")
+    def test_appends_seal_blocks_in_a_bare_ledger(self):
+        server = self._server([b"k"])
+        assert isinstance(server.ledger, SpitzLedger)
+        assert server.ledger.height == 1
+        assert server.ledger.get(KV_PREFIX + b"k") == b"v-k"
+        assert server.handle(("digest", ())) == server.ledger.digest()
+
+    def test_proofs_verify_under_its_digest(self):
+        server = self._server([b"a", b"k", b"z"])
+        value, proof, digest = server.handle(("prove", (b"k",)))
         verifier = ClientVerifier()
-        verifier.trust(db.digest())
-        value, proof = db.ledger.get_with_proof(KV_PREFIX + b"k")
-        assert value == b"v"
+        verifier.trust(digest)
+        assert value == b"v-k"
         assert verifier.verify(proof)
+        entries, range_proof, digest = server.handle(
+            ("prove_range", (b"a", b"k"))
+        )
+        assert entries == [
+            (KV_PREFIX + b"a", b"v-a"), (KV_PREFIX + b"k", b"v-k")
+        ]
+        assert verifier.verify(range_proof)
 
-    def test_chain_audit_works(self):
-        db = SpitzDatabase(ledger_only=True)
-        for i in range(10):
-            db.put(f"k{i}".encode(), b"v")
-        assert db.verify_chain()
+    def test_chain_audits_clean(self):
+        server = self._server([f"k{i}".encode() for i in range(10)])
+        assert server.ledger.verify_chain()
+        assert audit_ledger(server.ledger) == []
 
 
 class TestDatabaseEdgeCases:

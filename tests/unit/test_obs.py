@@ -3,6 +3,7 @@
 import threading
 import time
 
+from repro.obs import flight, tracing
 from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
@@ -252,10 +253,10 @@ class TestTracer:
         tracer.finish(None)  # must not raise
         assert tracer.recent() == []
 
-    def test_open_trace_bound_evicts_oldest(self):
+    def test_open_trace_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_OPEN_TRACES", 4)
         registry = MetricsRegistry()
         tracer = registry.tracer
-        tracer._max_open = 4
         leaked = [tracer.start_span(f"root{i}") for i in range(8)]
         # Finish only child spans, never the roots: the open-trace
         # table must stay bounded instead of growing forever.
@@ -302,9 +303,9 @@ class TestFlightRecorder:
             time.sleep(delay)
         tracer.finish(root, status=status)
 
-    def test_slowest_keeps_n_slowest(self):
+    def test_slowest_keeps_n_slowest(self, monkeypatch):
+        monkeypatch.setattr(flight, "SLOWEST_CAPACITY", 2)
         registry = MetricsRegistry()
-        registry.flight._slowest_capacity = 2
         self._make_trace(registry, delay=0.003)
         self._make_trace(registry, delay=0.0)
         self._make_trace(registry, delay=0.002)

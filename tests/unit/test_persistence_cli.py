@@ -55,28 +55,6 @@ class TestLiveSet:
         with pytest.raises(TamperDetectedError, match="k07"):
             load_database(snapshot_path)
 
-    def test_flipping_ledger_only_does_not_skip_the_check(
-        self, saved, snapshot_path, monkeypatch
-    ):
-        """The configuration is not committed to, so an editor can set
-        ``ledger_only``; a ledger-only database persists no versions,
-        so the edit either goes with them or is refused."""
-        edited = load_database(snapshot_path)
-        versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
-        versions[-1] = Version(versions[-1].commit_ts, b"EDITED", 0)
-        forged = list(edited.persisted_versions())
-        edited.ledger_only = True
-        save_database(edited, snapshot_path)
-        flipped = load_database(snapshot_path)
-        assert flipped.ledger_only and flipped.digest() == saved.digest()
-        assert flipped.get(b"k07") is None
-        assert flipped.get_verified(b"k07")[0] == b"v7"
-        # A ledger-only manifest that does carry the versions.
-        monkeypatch.setattr(edited, "persisted_versions", lambda: forged)
-        save_database(edited, snapshot_path)
-        with pytest.raises(TamperDetectedError, match="live set"):
-            load_database(snapshot_path)
-
     @pytest.mark.parametrize("edit", ["resurrect", "delete", "add"])
     def test_a_key_the_tip_does_not_hold_as_live_is_tamper(
         self, saved, snapshot_path, edit
@@ -174,13 +152,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZDB8")
+        assert blob.startswith(b"SPITZDB9")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 8 only"
+            FormatVersionError, match="snapshot layout 9 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -271,6 +249,18 @@ class TestPersistence:
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(FormatVersionError, match="snapshot in layout 7"):
+            load_database(snapshot_path)
+
+    def test_a_layout_8_file_is_refused_by_name(self, snapshot_path):
+        """Layout 8's manifest carried a ``ledger_only`` byte that no
+        digest commits to; layout 9 has no such mode to persist."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZDB8" + blob[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 8; .* snapshot layout 9 only",
+        ):
             load_database(snapshot_path)
 
     def test_save_and_load_hold_one_copy_of_the_payload(self, snapshot_path):
@@ -392,7 +382,7 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         db, blob = saved
-        assert blob.startswith(b"SPITZDB8")
+        assert blob.startswith(b"SPITZDB9")
         records = _records(blob)
         assert len(records) == db.chunks.stats.unique_chunks
         restored = load_database(snapshot_path)
