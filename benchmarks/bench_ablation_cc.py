@@ -85,11 +85,17 @@ def test_certifier_contended_throughput(benchmark, kind):
 
 
 def test_abort_rates_ordering():
-    """T/O aborts eagerly (start-timestamp order is strict), OCC only
-    at commit, 2PL mostly blocks instead of aborting."""
+    """OCC and T/O abort only when two transactions overlap, which the
+    GIL makes rare here (0–0.08 over five runs of seed 3).  2PL's
+    wait-die aborts a younger requester at once and ``run`` retries it
+    at once, so one overlap with an older lock holder can cost dozens
+    of counted aborts: its rate ranged from 0 to 0.83 over the same
+    five runs.  Before ``run`` aborted a failed attempt, those aborts
+    were never counted and 2PL read 0.0."""
     rates = {}
     for kind in ("occ", "2pl", "to"):
         manager = _contended_run(_make_manager(kind), seed=3)
         rates[kind] = manager.abort_rate
-    assert rates["2pl"] <= rates["occ"] + 0.35
+    assert rates["occ"] < 0.25
+    assert rates["to"] < 0.25
     assert all(0 <= rate < 1 for rate in rates.values())

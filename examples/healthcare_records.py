@@ -17,7 +17,7 @@ Run:  python examples/healthcare_records.py
 """
 
 from repro import ClientVerifier, SpitzDatabase
-from repro.core.query import Condition, Op
+from repro.core.query import SearchPredicate
 
 
 def main() -> None:
@@ -56,7 +56,7 @@ def main() -> None:
         count = db.update(
             "records",
             {"code": new},
-            (Condition("code", Op.EQ, old),),
+            (("code", SearchPredicate.eq(old)),),
         )
         print(f"  migrated {old} -> {new} ({count} rows)")
 

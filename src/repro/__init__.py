@@ -31,7 +31,7 @@ from repro.core.schema import Column, TableSchema
 from repro.core.verifier import ClientVerifier
 from repro.baseline.ledger_db import BaselineLedgerDB
 from repro.forkbase.store import ForkBase
-from repro.integration.intrusive import IntrusiveVDB, migrate_kvs_to_spitz
+from repro.integration.intrusive import migrate_kvs_to_spitz
 from repro.integration.nonintrusive import NonIntrusiveVDB
 from repro.kvstore.kvs import ImmutableKVS
 from repro.errors import (
@@ -56,7 +56,6 @@ __all__ = [
     "Column",
     "ForkBase",
     "ImmutableKVS",
-    "IntrusiveVDB",
     "LedgerDigest",
     "LedgerMultiProof",
     "LedgerProof",

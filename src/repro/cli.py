@@ -243,7 +243,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     --verify`` asks a running ``spitz serve`` over HTTP.  Either way
     the proof is verified client-side against the answer's digest.
     """
-    from repro.search.proofs import SearchPredicate
+    from repro.core.query import SearchPredicate
 
     predicate = SearchPredicate.parse(args.predicate)
     if args.port is not None and args.db is not None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.node import SpitzCluster
+from repro.core.query import SearchPredicate
 from repro.core.request_handler import Request, RequestKind, Response
 from repro.errors import ClusterOverloadedError, SpitzError
 
@@ -159,14 +160,12 @@ class ClusterClient:
         """Secondary-index search on ``column``.
 
         ``predicate`` is a
-        :class:`~repro.search.proofs.SearchPredicate` or a string in
+        :class:`~repro.core.query.SearchPredicate` or a string in
         its CLI grammar (``'>= 10'``, ``'between 3 7'``, a bare
         keyword).  With ``verify`` the response carries a
         :class:`~repro.search.proofs.SearchProof` covering membership
         and completeness.
         """
-        from repro.search.proofs import SearchPredicate
-
         if isinstance(predicate, str):
             predicate = SearchPredicate.parse(predicate)
         return self.call(

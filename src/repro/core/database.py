@@ -33,6 +33,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -47,7 +48,7 @@ from repro.errors import QueryError, SchemaError, TamperDetectedError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.obs.metrics import MetricsRegistry
 from repro.indexes.bplus import BPlusTree
-from repro.indexes.inverted import InvertedIndex
+from repro.indexes.inverted import InvertedIndex, postable
 from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.indexes.siri import DELETE
 from repro.txn.manager import (
@@ -70,29 +71,25 @@ from repro.core.proofs import (
 )
 from repro.core.query import (
     AccessPath,
-    Condition,
-    Op,
     Plan,
+    SearchPredicate,
+    Where,
     plan_query,
-    range_bounds,
 )
 from repro.core.schema import (
     KV_PREFIX,
     ROW_COLUMN,
     TableSchema,
+    check_type,
     decode_value,
     encode_pk,
     encode_value,
+    prefix_end,
 )
 from repro.core import sql as sql_module
 from repro.core.universal_key import UniversalKey
 from repro.search.committed import SEARCH_ROOT_KEY, CommittedSearchIndex
-from repro.search.proofs import (
-    SearchPredicate,
-    SearchProof,
-    build_search_proof,
-    evaluate_on_inverted,
-)
+from repro.search.proofs import SearchProof, build_search_proof
 
 
 class SpitzDatabase:
@@ -340,8 +337,8 @@ class SpitzDatabase:
         if value is not DELETE:
             moves.append((self.inverted.add, timestamp, value))
         for change, stamp, cell_value in moves:
-            decoded = _indexable(cell_value)
-            if decoded is not None:
+            decoded = _scalar(cell_value)
+            if postable(decoded):
                 ukey = UniversalKey(
                     column, primary_key, stamp, hash_bytes(cell_value)
                 )
@@ -598,12 +595,9 @@ class SpitzDatabase:
         ``predicate`` may be a :class:`SearchPredicate` or a string in
         its CLI grammar (``'>= 10'``, ``'between 3 7'``, a keyword).
         """
-        if isinstance(predicate, str):
-            predicate = SearchPredicate.parse(predicate)
+        predicate = _searchable(predicate)
         with self.metrics.tracer.stage_in_trace("search.query"):
-            matches = evaluate_on_inverted(
-                self.inverted, column, predicate
-            )
+            matches = self.inverted.matching(column, predicate)
         self._c_search_queries.inc()
         self._c_search_matches.inc(len(matches))
         return matches
@@ -618,8 +612,7 @@ class SpitzDatabase:
         the boundary evidence that nothing in range was omitted.
         ``predicate`` accepts the same forms as :meth:`search`.
         """
-        if isinstance(predicate, str):
-            predicate = SearchPredicate.parse(predicate)
+        predicate = _searchable(predicate)
         if self._search is None:
             raise QueryError(
                 "verified search requires indexed_columns= (or "
@@ -709,7 +702,7 @@ class SpitzDatabase:
         self,
         table: str,
         assignments: Mapping[str, Any],
-        conditions: Tuple[Condition, ...] = (),
+        where: Where = (),
     ) -> int:
         """Update matching rows; returns the number updated."""
         schema = self.table(table)
@@ -717,7 +710,7 @@ class SpitzDatabase:
             column = schema.column(column_name)
             if column_name == schema.primary_key:
                 raise QueryError("cannot update the primary key")
-        matches = self.select(table, conditions)
+        matches = self.select(table, where)
         for row in matches:
             pk = schema.pk_bytes(row)
             writes = {
@@ -729,12 +722,10 @@ class SpitzDatabase:
             self._commit(writes, statements=(f"UPDATE {table}",))
         return len(matches)
 
-    def delete_rows(
-        self, table: str, conditions: Tuple[Condition, ...] = ()
-    ) -> int:
+    def delete_rows(self, table: str, where: Where = ()) -> int:
         """Delete matching rows; returns the number deleted."""
         schema = self.table(table)
-        matches = self.select(table, conditions)
+        matches = self.select(table, where)
         for row in matches:
             pk = schema.pk_bytes(row)
             writes: Dict[bytes, object] = {
@@ -748,17 +739,36 @@ class SpitzDatabase:
     def select(
         self,
         table: str,
-        conditions: Tuple[Condition, ...] = (),
+        where: Where = (),
         columns: Tuple[str, ...] = ("*",),
         as_of_block: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Execute a query via the planner's chosen access path."""
+        """Rows satisfying every ``(column, predicate)`` of ``where``.
+
+        An operand its column's type rejects, NULL included, is a
+        :class:`SchemaError` naming the column.  The planner's access
+        path only picks which rows get loaded: each is re-filtered by
+        all of ``where``, so every path gives one answer.
+        """
         schema = self.table(table)
+        for column, predicate in where:
+            for operand in predicate.operands:
+                check_type(schema.column(column), operand)
         if as_of_block is not None:
-            rows = self._select_as_of(schema, conditions, as_of_block)
+            candidates = self._rows_as_of(schema, as_of_block)
         else:
-            rows = self._select_current(schema, conditions)
+            plan = plan_query(where, schema.primary_key)
+            candidates = (
+                self._load_row(schema, pk)
+                for pk in self._candidate_pks(schema, plan)
+            )
+        rows = [
+            row for row in candidates
+            if row is not None and all(
+                predicate.matches(row[column]) for column, predicate in where
+            )
+        ]
         if limit is not None:
             rows = rows[:limit]
         if columns == ("*",):
@@ -769,81 +779,32 @@ class SpitzDatabase:
             {name: row[name] for name in columns} for row in rows
         ]
 
-    def _select_current(
-        self, schema: TableSchema, conditions: Tuple[Condition, ...]
-    ) -> List[Dict[str, Any]]:
-        plan = plan_query(conditions, schema.primary_key)
-        pks = self._candidate_pks(schema, plan)
-        rows: List[Dict[str, Any]] = []
-        for pk in pks:
-            row = self._load_row(schema, pk)
-            if row is None:
-                continue
-            if all(c.matches(row.get(c.column)) for c in plan.residual):
-                rows.append(row)
-        return rows
-
     def _candidate_pks(
         self, schema: TableSchema, plan: Plan
-    ) -> List[bytes]:
-        pk_type = schema.column(schema.primary_key).type
+    ) -> Iterable[bytes]:
         if plan.path is AccessPath.PRIMARY_POINT:
-            return [schema.pk_bytes(plan.driver.value)]
-        if plan.path is AccessPath.PRIMARY_RANGE:
-            low_value, high_value = range_bounds(plan.driver)
-            low = (
-                encode_pk(pk_type, low_value)
-                if low_value is not None
-                else b""
+            return [schema.pk_bytes(plan.predicate.value)]
+        if plan.path is AccessPath.INDEX:
+            ukeys = self.inverted.matching(
+                schema.cell_column(plan.column), plan.predicate
             )
-            high = (
-                encode_pk(pk_type, high_value)
-                if high_value is not None
-                else b"\xff" * 40
+            return dict.fromkeys(
+                UniversalKey.decode(ukey).primary_key for ukey in ukeys
             )
-            low_key = schema.logical_key(ROW_COLUMN, low)
-            high_key = schema.logical_key(ROW_COLUMN, high)
-            prefix_len = len(schema.logical_key(ROW_COLUMN, b""))
-            return [
-                logical_key[prefix_len:]
-                for logical_key, _versions in self.primary.range(
-                    low_key, high_key
-                )
-            ]
-        if plan.path in (
-            AccessPath.INVERTED_POINT, AccessPath.INVERTED_RANGE
-        ):
-            column = schema.cell_column(plan.driver.column)
-            if plan.path is AccessPath.INVERTED_POINT:
-                ukeys = self.inverted.lookup(column, plan.driver.value)
-            else:
-                low_value, high_value = range_bounds(plan.driver)
-                sample = plan.driver.value
-                if low_value is None:
-                    low_value = "" if isinstance(sample, str) else (
-                        float("-inf")
-                    )
-                if high_value is None:
-                    high_value = "\U0010ffff" * 4 if isinstance(
-                        sample, str
-                    ) else float("inf")
-                ukeys = self.inverted.range(column, low_value, high_value)
-            pks: List[bytes] = []
-            seen = set()
-            for encoded in ukeys:
-                ukey = UniversalKey.decode(encoded)
-                if ukey.primary_key not in seen:
-                    seen.add(ukey.primary_key)
-                    pks.append(ukey.primary_key)
-            return pks
-        # FULL_SCAN: walk the _row presence column.
+        # A primary-key range, or (no bounds) a full scan: walk the
+        # _row presence column.
+        pk_type = schema.column(schema.primary_key).type
         prefix = schema.logical_key(ROW_COLUMN, b"")
-        return [
-            logical_key[len(prefix):]
-            for logical_key, _versions in self.primary.range(
-                prefix, prefix + b"\xff" * 40
-            )
-        ]
+        low, high = (
+            plan.predicate.span() if plan.predicate else (None, None)
+        )
+        entries = self.primary.range(
+            prefix if low is None else prefix + encode_pk(pk_type, low),
+            prefix_end(prefix) if high is None
+            else prefix + encode_pk(pk_type, high),
+            inclusive=high is not None,
+        )
+        return [logical_key[len(prefix):] for logical_key, _ in entries]
 
     def _load_row(
         self, schema: TableSchema, pk: bytes
@@ -863,32 +824,25 @@ class SpitzDatabase:
             row[column.name] = decode_value(value)
         return row
 
-    def _select_as_of(
-        self,
-        schema: TableSchema,
-        conditions: Tuple[Condition, ...],
-        height: int,
-    ) -> List[Dict[str, Any]]:
-        """Temporal query against block ``height``'s index instance."""
+    def _rows_as_of(
+        self, schema: TableSchema, height: int
+    ) -> Iterator[Dict[str, Any]]:
+        """Every complete row in block ``height``'s index instance."""
         self.flush_ledger()
         tree = self.ledger.tree_at(height)
         prefix = schema.logical_key(ROW_COLUMN, b"")
-        rows: List[Dict[str, Any]] = []
-        for logical_key, _flag in tree.scan(prefix, prefix + b"\xff" * 40):
+        for logical_key, _flag in tree.scan(prefix, prefix_end(prefix)):
+            if not logical_key.startswith(prefix):
+                continue  # the scan's high end is inclusive
             pk = logical_key[len(prefix):]
             row: Dict[str, Any] = {}
-            complete = True
             for column in schema.columns:
                 value = tree.get(schema.logical_key(column.name, pk))
                 if value is None:
-                    complete = False
                     break
                 row[column.name] = decode_value(value)
-            if complete and all(
-                c.matches(row.get(c.column)) for c in conditions
-            ):
-                rows.append(row)
-        return rows
+            else:
+                yield row
 
     def select_verified(
         self,
@@ -1115,15 +1069,19 @@ class _Sentinel:
 _SENTINEL = _Sentinel()
 
 
-def _indexable(value: bytes):
-    """The typed scalar a cell is posted under in the inverted index;
-    None for raw bytes, bools and JSON."""
+def _scalar(cell: bytes) -> Any:
+    """A table cell's typed value; None for a cell that is not one (the
+    ``_row`` presence flag)."""
     try:
-        decoded = decode_value(value)
-    except Exception:
+        return decode_value(cell)
+    except (SchemaError, ValueError):
         return None
-    if isinstance(decoded, (int, float, str)) and not isinstance(
-        decoded, bool
-    ):
-        return decoded
-    return None
+
+
+def _searchable(predicate: Union[str, SearchPredicate]) -> SearchPredicate:
+    """A search entry point's predicate, checked: :meth:`SearchPredicate
+    .parse` for the CLI grammar, :meth:`SearchPredicate.searchable` for
+    an object."""
+    if isinstance(predicate, str):
+        return SearchPredicate.parse(predicate)
+    return predicate.searchable()

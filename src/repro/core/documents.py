@@ -23,7 +23,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import QueryError, SchemaError
 from repro.core.database import SpitzDatabase
 from repro.core.proofs import LedgerProof
+from repro.core.query import SearchPredicate
+from repro.core.schema import DOC_PREFIX, prefix_end
 from repro.core.verifier import ClientVerifier
+from repro.indexes.inverted import postable
 
 _TYPE_CHECKS = {
     "str": str,
@@ -62,8 +65,6 @@ class Collection:
         self._db = db
         self.name = name
         self.schema = schema
-        from repro.core.schema import DOC_PREFIX
-
         self._prefix = (
             DOC_PREFIX + name.encode("utf-8") + b"\x00"
         )
@@ -135,11 +136,10 @@ class Collection:
     def _index(self, doc_id: str, document: Dict[str, Any]) -> None:
         token = doc_id.encode("utf-8")
         for field, value in document.items():
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, str)
-            ):
-                continue
-            self._db.inverted.add(self._index_column(field), value, token)
+            if postable(value):
+                self._db.inverted.add(
+                    self._index_column(field), value, token
+                )
 
     def _unindex(self, doc_id: str) -> None:
         previous = self.get(doc_id)
@@ -147,10 +147,6 @@ class Collection:
             return
         token = doc_id.encode("utf-8")
         for field, value in previous.items():
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, str)
-            ):
-                continue
             self._db.inverted.remove(
                 self._index_column(field), value, token
             )
@@ -174,10 +170,12 @@ class Collection:
         """All document ids, sorted."""
         self._db.flush_ledger()
         entries = self._db.ledger.scan(
-            self._prefix, self._prefix + b"\xff" * 64
+            self._prefix, prefix_end(self._prefix)
         )
         return [
-            key[len(self._prefix):].decode("utf-8") for key, _ in entries
+            key[len(self._prefix):].decode("utf-8")
+            for key, _ in entries
+            if key.startswith(self._prefix)  # the high end is inclusive
         ]
 
     def find(
@@ -189,13 +187,15 @@ class Collection:
     ) -> List[Tuple[str, Dict[str, Any]]]:
         """Documents whose indexed ``field`` equals ``value`` or lies
         in ``[low, high]``.  Returns (id, document) pairs."""
-        column = self._index_column(field)
         if value is not None:
-            tokens = self._db.inverted.lookup(column, value)
+            predicate = SearchPredicate.eq(value)
         elif low is not None and high is not None:
-            tokens = self._db.inverted.range(column, low, high)
+            predicate = SearchPredicate.between(low, high)
         else:
             raise QueryError("find() needs value= or low=/high=")
+        tokens = self._db.inverted.matching(
+            self._index_column(field), predicate
+        )
         results: List[Tuple[str, Dict[str, Any]]] = []
         for token in tokens:
             doc_id = token.decode("utf-8")

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional
 from repro.errors import QueryError, SpitzError
 from repro.core.database import SpitzDatabase
 from repro.core.ledger import LedgerDigest
-from repro.search.proofs import SearchPredicate
+from repro.core.query import SearchPredicate
 
 
 class RequestKind(enum.Enum):
@@ -36,7 +36,7 @@ class RequestKind(enum.Enum):
     STATS = "stats"
     #: Secondary-index search: ``payload["column"]`` names a table
     #: cell column, ``payload["predicate"]`` is a
-    #: :meth:`~repro.search.proofs.SearchPredicate.to_payload` dict;
+    #: :meth:`~repro.core.query.SearchPredicate.to_payload` dict;
     #: with ``verify=True`` the response carries a
     #: :class:`~repro.search.proofs.SearchProof` (membership *and*
     #: completeness, DESIGN.md §6i).

@@ -133,15 +133,18 @@ class TableSchema:
         )
 
     def logical_prefix(self, column_name: str) -> Tuple[bytes, bytes]:
-        """(low, high) ledger-key bounds covering one column."""
-        base = (
-            TABLE_PREFIX
-            + self.name.encode("utf-8")
-            + b"\x00"
-            + column_name.encode("utf-8")
-            + b"\x00"
-        )
-        return base, base + b"\xff" * 40
+        """(low, exclusive high) ledger-key bounds covering one column."""
+        base = self.logical_key(column_name, b"")
+        return base, prefix_end(base)
+
+
+def prefix_end(prefix: bytes) -> bytes:
+    """The least key above every key that starts with ``prefix``: the
+    exact, exclusive upper bound of a prefix scan."""
+    stem = prefix.rstrip(b"\xff")
+    if not stem:
+        raise ValueError("a prefix of 0xff bytes has no upper bound")
+    return stem[:-1] + bytes([stem[-1] + 1])
 
 
 def check_type(column: Column, value: Any) -> None:
@@ -154,8 +157,8 @@ def check_type(column: Column, value: Any) -> None:
         "bytes": bytes,
         "json": (dict, list),
     }[column.type]
-    if column.type == "int" and isinstance(value, bool):
-        raise SchemaError(f"column {column.name!r}: bool is not int")
+    if column.type in ("int", "float") and isinstance(value, bool):
+        raise SchemaError(f"column {column.name!r}: bool is not {column.type}")
     if not isinstance(value, expected):
         raise SchemaError(
             f"column {column.name!r} expects {column.type}, got "

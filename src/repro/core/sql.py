@@ -12,8 +12,9 @@ benchmarks exercise:
 - ``DELETE FROM t [WHERE ...]``
 
 Conditions: ``col op literal`` with ``= != < <= > >=`` and
-``col BETWEEN x AND y``.  Literals: integers, floats, single-quoted
-strings, TRUE/FALSE/NULL.
+``col BETWEEN x AND y``, each parsed to a ``(column,``
+:class:`~repro.core.query.SearchPredicate` ``)`` pair.  Literals:
+integers, floats, single-quoted strings, TRUE/FALSE/NULL.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SqlSyntaxError
-from repro.core.query import Condition, Op
+from repro.core.query import SearchPredicate, Where
 
 _TOKEN_RE = re.compile(
     r"""
@@ -67,6 +68,12 @@ def tokenize(sql: str) -> List[Token]:
     return tokens
 
 
+_SQL_OPS = {
+    "=": "eq", "!=": "ne", "<>": "ne",
+    "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
+}
+
+
 # -- statement objects ------------------------------------------------------
 
 
@@ -92,7 +99,7 @@ AGGREGATES = ("count", "sum", "avg", "min", "max")
 class Select:
     table: str
     columns: Tuple[str, ...]  # ("*",) for all
-    where: Tuple[Condition, ...]
+    where: Where
     as_of_block: Optional[int] = None
     limit: Optional[int] = None
     #: (function, column) — column is "*" only for COUNT
@@ -107,13 +114,13 @@ class Select:
 class Update:
     table: str
     assignments: Tuple[Tuple[str, Any], ...]
-    where: Tuple[Condition, ...]
+    where: Where
 
 
 @dataclass(frozen=True)
 class Delete:
     table: str
-    where: Tuple[Condition, ...]
+    where: Where
 
 
 Statement = object  # union of the five dataclasses above
@@ -374,7 +381,7 @@ class _Parser:
 
     # -- where clauses -----------------------------------------------------
 
-    def _where(self) -> Tuple[Condition, ...]:
+    def _where(self) -> Where:
         if not self.accept_word("where"):
             return ()
         conditions = [self._condition()]
@@ -382,21 +389,16 @@ class _Parser:
             conditions.append(self._condition())
         return tuple(conditions)
 
-    def _condition(self) -> Condition:
+    def _condition(self) -> Tuple[str, SearchPredicate]:
         column = self.identifier()
         if self.accept_word("between"):
             low = self.literal()
             self.expect_word("and")
-            high = self.literal()
-            return Condition(column=column, op=Op.BETWEEN, value=low, high=high)
-        symbol = self.accept_symbol("=", "!=", "<>", "<=", ">=", "<", ">")
+            return column, SearchPredicate.between(low, self.literal())
+        symbol = self.accept_symbol(*_SQL_OPS)
         if symbol is None:
             raise self._error("expected a comparison operator")
-        op = {
-            "=": Op.EQ, "!=": Op.NE, "<>": Op.NE,
-            "<": Op.LT, "<=": Op.LE, ">": Op.GT, ">=": Op.GE,
-        }[symbol]
-        return Condition(column=column, op=op, value=self.literal())
+        return column, SearchPredicate(_SQL_OPS[symbol], self.literal())
 
 
 def parse(sql: str) -> Statement:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.core.schema import prefix_end
 from repro.crypto.hashing import Digest
 
 _SEP = b"\x00"
@@ -75,14 +76,15 @@ class UniversalKey:
 
     @staticmethod
     def prefix(column: str, primary_key: bytes) -> Tuple[bytes, bytes]:
-        """(low, high) bounds enumerating every version of a cell."""
+        """(low, exclusive high) bounds enumerating every version of a
+        cell."""
         base = (
             _escape(column.encode("utf-8"))
             + _SEP + _SEP
             + _escape(primary_key)
             + _SEP + _SEP
         )
-        return base, base + b"\xff" * 16
+        return base, prefix_end(base)
 
 
 def _find_separator(data: bytes) -> int:

@@ -1,4 +1,4 @@
-"""Inverted index over cell values.
+"""Inverted index over cell values, and the values it posts.
 
 Section 5 (*Inverted Index*): "the system uses an inverted index to
 quickly locate the rows ... the value recorded in each cell as index
@@ -9,7 +9,10 @@ consumption."
 
 This module implements exactly that dispatch: one posting structure
 per column, chosen by value type.  A *posting* is the set of universal
-keys whose cells carry the indexed value.
+keys whose cells carry the indexed value.  :func:`postable` is the one
+rule for which values get posted — the write path, the SQL planner and
+search validation all ask it — and :meth:`InvertedIndex.matching` is
+the one walk that answers a predicate over the postings.
 
 Canonical-ordering and aliasing guarantees (the search plane commits
 these postings under a Merkle root, so both matter):
@@ -18,30 +21,99 @@ these postings under a Merkle root, so both matter):
   order** — ascending value order, then ascending universal-key order
   within one value.  Mutating a returned list can never corrupt the
   index (the internal posting sets are never handed out).
-- values are type-checked on **every** ``add`` (not only at column
-  creation), ``NaN`` is rejected (it has no total order, so it would
-  silently corrupt the skip list), and ``remove`` with a wrong-typed
-  or unindexable value is a no-op — such a value can never have been
-  indexed, so there is nothing to remove.
+- values are checked with :func:`postable` on **every** ``add``, and
+  ``remove`` with a value that cannot have been posted is a no-op.
+
+Value encoding (the committed search index's leaf keys, and a range
+predicate's scan bounds):
+
+- numeric (int/float, never bool): tag ``n`` + 8 bytes of the IEEE-754
+  big-endian bit pattern with the usual order-preserving transform
+  (flip all bits when negative, else set the sign bit).
+- string: tag ``s`` + UTF-8 bytes (byte order equals code-point
+  order, which equals Python ``str`` comparison order).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterator, List, Optional, Set
+import struct
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import QueryError
 from repro.indexes.radix import RadixTree
 from repro.indexes.skiplist import SkipList
 
 
-def _check_indexable(value: Any) -> None:
+def postable(value: Any) -> bool:
+    """Whether ``value`` is posted in the inverted index (and so can be
+    committed and searched): an int, float or str — never a bool, and
+    never NaN, which has no total order."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise QueryError(
-            f"cannot index value of type {type(value).__name__}"
-        )
-    if isinstance(value, float) and math.isnan(value):
-        raise QueryError("cannot index NaN: it has no total order")
+        return False
+    return value == value  # NaN is the one value unequal to itself
+
+
+def _unpostable(value: Any) -> QueryError:
+    return QueryError(
+        f"cannot post {value!r}: only int, float (not NaN) and str "
+        "values are indexed"
+    )
+
+
+_NUMERIC_TAG = b"n"
+_STRING_TAG = b"s"
+
+#: Scan bounds bracketing every possible encoded value of one type.
+#: Numeric encodings are exactly 9 bytes, so ``n`` + 8×0xff is an
+#: inclusive upper bound; strings are unbounded in length, so the
+#: upper bound is the next tag byte (``t`` > ``s`` + any suffix).
+NUMERIC_MIN = _NUMERIC_TAG + b"\x00" * 8
+NUMERIC_MAX = _NUMERIC_TAG + b"\xff" * 8
+STRING_MIN = _STRING_TAG
+STRING_MAX = b"t"
+
+
+def encode_search_value(value) -> bytes:
+    """Canonical order-preserving encoding of one postable value."""
+    if not postable(value):
+        raise _unpostable(value)
+    if isinstance(value, str):
+        return _STRING_TAG + value.encode("utf-8")
+    number = float(value)
+    if number == 0.0:
+        number = 0.0  # -0.0 compares equal to 0.0: one encoding for both
+    bits = struct.unpack(">Q", struct.pack(">d", number))[0]
+    if bits & 0x8000_0000_0000_0000:
+        bits ^= 0xFFFF_FFFF_FFFF_FFFF
+    else:
+        bits |= 0x8000_0000_0000_0000
+    return _NUMERIC_TAG + struct.pack(">Q", bits)
+
+
+def decode_search_value(data: bytes):
+    """Inverse of :func:`encode_search_value` (numerics come back as
+    ``float``); raises ``ValueError`` on any malformed input."""
+    if not data:
+        raise ValueError("empty encoded search value")
+    tag, body = data[:1], data[1:]
+    if tag == _STRING_TAG:
+        return body.decode("utf-8")
+    if tag != _NUMERIC_TAG:
+        raise ValueError(f"unknown search value tag {tag!r}")
+    if len(body) != 8:
+        raise ValueError("numeric search value must be 9 bytes")
+    bits = struct.unpack(">Q", body)[0]
+    if bits & 0x8000_0000_0000_0000:
+        bits &= 0x7FFF_FFFF_FFFF_FFFF
+    else:
+        bits ^= 0xFFFF_FFFF_FFFF_FFFF
+    number = struct.unpack(">d", struct.pack(">Q", bits))[0]
+    if number != number:
+        raise ValueError("encoded numeric decodes to NaN")
+    return number
+
+
+Entries = Iterable[Tuple[Any, Set[bytes]]]
 
 
 class _NumericPostings:
@@ -50,34 +122,17 @@ class _NumericPostings:
     def __init__(self) -> None:
         self._list = SkipList()
 
-    def add(self, value: float, ukey: bytes) -> None:
-        posting: Optional[Set[bytes]] = self._list.get_optional(value)
-        if posting is None:
-            self._list.insert(value, {ukey})
-        else:
-            posting.add(ukey)
+    def get(self, value: float) -> Optional[Set[bytes]]:
+        return self._list.get_optional(value)
 
-    def remove(self, value: float, ukey: bytes) -> None:
-        posting: Optional[Set[bytes]] = self._list.get_optional(value)
-        if posting is None:
-            return
-        posting.discard(ukey)
-        if not posting:
-            self._list.delete(value)
+    def insert(self, value: float, posting: Set[bytes]) -> None:
+        self._list.insert(value, posting)
 
-    def lookup(self, value: float) -> List[bytes]:
-        posting = self._list.get_optional(value)
-        return sorted(posting) if posting else []
+    def delete(self, value: float) -> None:
+        self._list.delete(value)
 
-    def range(self, low: float, high: float) -> List[bytes]:
-        results: List[bytes] = []
-        for _value, posting in self._list.range(low, high):
-            results.extend(sorted(posting))
-        return results
-
-    def values(self) -> Iterator[float]:
-        for value, _posting in self._list.items():
-            yield value
+    def walk(self, low: Optional[float], high: Optional[float]) -> Entries:
+        return self._list.range(low, high)
 
 
 class _StringPostings:
@@ -86,45 +141,29 @@ class _StringPostings:
     def __init__(self) -> None:
         self._tree = RadixTree()
 
-    def add(self, value: str, ukey: bytes) -> None:
-        encoded = value.encode("utf-8")
-        posting: Optional[Set[bytes]] = self._tree.get_optional(encoded)
-        if posting is None:
-            self._tree.insert(encoded, {ukey})
-        else:
-            posting.add(ukey)
+    def get(self, value: str) -> Optional[Set[bytes]]:
+        return self._tree.get_optional(value.encode("utf-8"))
 
-    def remove(self, value: str, ukey: bytes) -> None:
-        encoded = value.encode("utf-8")
-        posting: Optional[Set[bytes]] = self._tree.get_optional(encoded)
-        if posting is None:
-            return
-        posting.discard(ukey)
-        if not posting:
-            self._tree.delete(encoded)
+    def insert(self, value: str, posting: Set[bytes]) -> None:
+        self._tree.insert(value.encode("utf-8"), posting)
 
-    def lookup(self, value: str) -> List[bytes]:
-        posting = self._tree.get_optional(value.encode("utf-8"))
-        return sorted(posting) if posting else []
+    def delete(self, value: str) -> None:
+        self._tree.delete(value.encode("utf-8"))
 
-    def prefix(self, prefix: str) -> List[bytes]:
-        results: List[bytes] = []
-        for _key, posting in self._tree.prefix_items(prefix.encode("utf-8")):
-            results.extend(sorted(posting))
-        return results
-
-    def range(self, low: str, high: str) -> List[bytes]:
-        low_encoded = low.encode("utf-8")
-        high_encoded = high.encode("utf-8")
-        results: List[bytes] = []
+    def walk(self, low: Optional[str], high: Optional[str]) -> Entries:
         for key, posting in self._tree.items():
-            if low_encoded <= key <= high_encoded:
-                results.extend(sorted(posting))
-        return results
+            value = key.decode("utf-8")
+            if high is not None and value > high:
+                return
+            if low is None or value >= low:
+                yield value, posting
 
-    def values(self) -> Iterator[str]:
-        for key, _posting in self._tree.items():
-            yield key.decode("utf-8")
+
+def _holds(postings, value: Any) -> bool:
+    """Whether ``postings`` can hold ``value`` at all."""
+    return postable(value) and (
+        isinstance(value, str) == isinstance(postings, _StringPostings)
+    )
 
 
 class InvertedIndex:
@@ -139,8 +178,10 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._columns: Dict[str, object] = {}
 
-    def _postings_for(self, column: str, value: Any):
-        _check_indexable(value)
+    def add(self, column: str, value: Any, ukey: bytes) -> None:
+        """Index ``ukey`` under ``value`` in ``column``'s postings."""
+        if not postable(value):
+            raise _unpostable(value)
         postings = self._columns.get(column)
         if postings is None:
             postings = (
@@ -149,58 +190,66 @@ class InvertedIndex:
                 else _NumericPostings()
             )
             self._columns[column] = postings
-            return postings
-        if isinstance(value, str) != isinstance(postings, _StringPostings):
+        elif not _holds(postings, value):
             raise QueryError(
                 f"column {column!r} mixes string and numeric values"
             )
-        return postings
-
-    def add(self, column: str, value: Any, ukey: bytes) -> None:
-        """Index ``ukey`` under ``value`` in ``column``'s postings."""
-        self._postings_for(column, value).add(value, ukey)
+        posting = postings.get(value)
+        if posting is None:
+            postings.insert(value, {ukey})
+        else:
+            posting.add(ukey)
 
     def remove(self, column: str, value: Any, ukey: bytes) -> None:
         """Drop one posting (no-op if absent).
 
-        A wrong-typed or unindexable ``value`` is also a no-op: such a
-        value can never have been indexed, so there is nothing to
-        remove — it must not raise from deep inside the posting
-        structure.
+        A value the column's postings cannot hold is also a no-op: it
+        can never have been indexed, so there is nothing to remove.
         """
         postings = self._columns.get(column)
-        if postings is None:
+        if postings is None or not _holds(postings, value):
             return
-        try:
-            _check_indexable(value)
-        except QueryError:
+        posting = postings.get(value)
+        if posting is None:
             return
-        if isinstance(value, str) != isinstance(postings, _StringPostings):
-            return
-        postings.remove(value, ukey)
+        posting.discard(ukey)
+        if not posting:
+            postings.delete(value)
 
     def lookup(self, column: str, value: Any) -> List[bytes]:
-        """Universal keys whose ``column`` cell equals ``value``."""
+        """Universal keys posted under exactly ``value`` in ``column``
+        (the committed search index re-reads a touched posting here)."""
         postings = self._columns.get(column)
-        if postings is None:
+        if postings is None or not _holds(postings, value):
             return []
-        return postings.lookup(value)
+        return sorted(postings.get(value) or ())
 
-    def range(self, column: str, low: Any, high: Any) -> List[bytes]:
-        """Universal keys with ``low <= value <= high`` in ``column``."""
-        postings = self._columns.get(column)
-        if postings is None:
-            return []
-        return postings.range(low, high)
+    def matching(self, column: str, predicate) -> List[bytes]:
+        """Universal keys whose ``column`` value satisfies ``predicate``
+        (a :class:`~repro.core.query.SearchPredicate`), in value order.
 
-    def prefix(self, column: str, prefix: str) -> List[bytes]:
-        """String-column prefix search."""
+        One ordered walk over the predicate's span: an equality reads
+        its one posting, an open end walks to the end of the postings,
+        and a strict bound is cut by ``predicate.matches``.  An operand
+        the column's postings cannot hold matches nothing.
+        """
         postings = self._columns.get(column)
-        if postings is None:
+        if postings is None or not all(
+            _holds(postings, operand) for operand in predicate.operands
+        ):
             return []
-        if not isinstance(postings, _StringPostings):
-            raise QueryError(f"column {column!r} is not a string column")
-        return postings.prefix(prefix)
+        low, high = predicate.span()
+        if predicate.op == "eq":
+            posting = postings.get(low)
+            entries: Entries = [(low, posting)] if posting else []
+        else:
+            entries = postings.walk(low, high)
+        return [
+            ukey
+            for value, posting in entries
+            if predicate.matches(value)
+            for ukey in sorted(posting)
+        ]
 
     def values(self, column: str) -> Iterator[Any]:
         """Distinct indexed values of ``column``, in ascending order.
@@ -212,7 +261,7 @@ class InvertedIndex:
         postings = self._columns.get(column)
         if postings is None:
             return iter(())
-        return postings.values()
+        return (value for value, _posting in postings.walk(None, None))
 
     def columns(self) -> List[str]:
         return sorted(self._columns)

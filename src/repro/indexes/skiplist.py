@@ -119,9 +119,12 @@ class SkipList:
     def range(
         self, low: Any, high: Any, inclusive: bool = True
     ) -> Iterator[Tuple[Any, Any]]:
-        """Yield entries with ``low <= key <= high`` (or ``< high``)."""
+        """Yield entries with ``low <= key <= high`` (or ``< high``); a
+        ``None`` bound leaves that end open."""
         node = self._head
         for level in range(self._level - 1, -1, -1):
+            if low is None:
+                break
             while (
                 node.forward[level] is not None
                 and node.forward[level].key < low
@@ -129,7 +132,9 @@ class SkipList:
                 node = node.forward[level]
         node = node.forward[0]
         while node is not None:
-            if node.key > high or (node.key == high and not inclusive):
+            if high is not None and (
+                node.key > high or (node.key == high and not inclusive)
+            ):
                 return
             yield node.key, node.value
             node = node.forward[0]

@@ -10,13 +10,12 @@
   in the database, paid for by a data migration.
 """
 
-from repro.integration.intrusive import IntrusiveVDB, migrate_kvs_to_spitz
+from repro.integration.intrusive import migrate_kvs_to_spitz
 from repro.integration.nonintrusive import NonIntrusiveVDB
 from repro.integration.simnet import Channel, NetworkStats
 
 __all__ = [
     "Channel",
-    "IntrusiveVDB",
     "NetworkStats",
     "NonIntrusiveVDB",
     "migrate_kvs_to_spitz",

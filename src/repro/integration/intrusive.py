@@ -1,9 +1,10 @@
 """The intrusive design (Figure 4).
 
 The ledger is embedded inside the database — which is exactly what
-Spitz is — so the adapter below is thin.  What Section 4 emphasizes is
-the *cost of getting there*: "it incurs significant cost in data
-migration.  In particular, data must be moved to the new system".
+:class:`~repro.core.database.SpitzDatabase` is, so the design needs no
+adapter.  What Section 4 emphasizes is the *cost of getting there*:
+"it incurs significant cost in data migration.  In particular, data
+must be moved to the new system".
 :func:`migrate_kvs_to_spitz` implements that migration (preserving
 version history), and its cost is measured in
 ``bench_ablation_designs``.
@@ -14,8 +15,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.database import SpitzDatabase
-from repro.core.ledger import LedgerDigest
-from repro.core.proofs import LedgerProof
 from repro.kvstore.kvs import ImmutableKVS
 from repro.txn.mvcc import Version
 
@@ -66,38 +65,3 @@ def migrate_kvs_to_spitz(
     if batch:
         spitz.put_batch(batch)
     return spitz
-
-
-class IntrusiveVDB:
-    """Figure 4 as an object: Spitz with the ledger embedded.
-
-    Exists so the examples/benches can express "the intrusive design"
-    symmetrically with :class:`NonIntrusiveVDB`; calls delegate with
-    no channel in between, which is the design's whole advantage.
-    """
-
-    def __init__(self, spitz: Optional[SpitzDatabase] = None):
-        self.db = spitz if spitz is not None else SpitzDatabase()
-
-    def put(self, key: bytes, value: bytes) -> LedgerDigest:
-        self.db.put(key, value)
-        return self.db.digest()
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self.db.get(key)
-
-    def get_verified(
-        self, key: bytes
-    ) -> Tuple[Optional[bytes], LedgerProof, LedgerDigest]:
-        value, proof = self.db.get_verified(key)
-        return value, proof, self.db.digest()
-
-    def scan(self, low: bytes, high: bytes):
-        return self.db.scan(low, high)
-
-    def scan_verified(self, low: bytes, high: bytes):
-        entries, proof = self.db.scan_verified(low, high)
-        return entries, proof, self.db.digest()
-
-    def digest(self) -> LedgerDigest:
-        return self.db.digest()

@@ -19,18 +19,12 @@ from repro.search.committed import (
     CommittedSearchIndex,
     decode_manifest,
     decode_postings,
-    decode_search_value,
     encode_manifest,
     encode_postings,
-    encode_search_value,
     index_root_of,
 )
-from repro.search.proofs import (
-    SearchPredicate,
-    SearchProof,
-    build_search_proof,
-    evaluate_on_inverted,
-)
+from repro.core.query import SearchPredicate
+from repro.search.proofs import SearchProof, build_search_proof
 
 __all__ = [
     "SEARCH_ROOT_KEY",
@@ -40,10 +34,7 @@ __all__ = [
     "build_search_proof",
     "decode_manifest",
     "decode_postings",
-    "decode_search_value",
     "encode_manifest",
     "encode_postings",
-    "encode_search_value",
-    "evaluate_on_inverted",
     "index_root_of",
 ]

@@ -19,15 +19,8 @@ proof anchors itself with an ordinary ledger point proof of the
 reserved key; ``index_root`` (the hash of the manifest bytes) is the
 single-digest form reported in stats and CLI output.
 
-Value encoding:
-
-- numeric (int/float, never bool): tag ``n`` + 8 bytes of the IEEE-754
-  big-endian bit pattern with the usual order-preserving transform
-  (flip all bits when negative, else set the sign bit).  NaN is
-  rejected at indexing time — it has no total order, so it can neither
-  live in the skip list nor be committed canonically.
-- string: tag ``s`` + UTF-8 bytes (byte order equals code-point
-  order, which equals Python ``str`` comparison order).
+Leaf keys are :func:`~repro.indexes.inverted.encode_search_value` of
+the posted value, order-preserving and canonical.
 
 Posting lists are encoded sorted and deduplicated, each universal key
 length-prefixed; decoding *enforces* the canonical form (strictly
@@ -37,13 +30,13 @@ can never round-trip silently.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import QueryError
 from repro.forkbase.chunk_store import ChunkStore
+from repro.indexes.inverted import encode_search_value
 from repro.indexes.pos_tree import PosTree
 from repro.indexes.siri import DELETE
 
@@ -54,63 +47,7 @@ from repro.indexes.siri import DELETE
 SEARCH_PREFIX = b"s\x00"
 SEARCH_ROOT_KEY = SEARCH_PREFIX + b"__index_root__"
 
-_NUMERIC_TAG = b"n"
-_STRING_TAG = b"s"
-
-#: Scan bounds bracketing every possible encoded value of one type.
-#: Numeric encodings are exactly 9 bytes, so ``n`` + 8×0xff is an
-#: inclusive upper bound; strings are unbounded in length, so the
-#: upper bound is the next tag byte (``t`` > ``s`` + any suffix).
-NUMERIC_MIN = _NUMERIC_TAG + b"\x00" * 8
-NUMERIC_MAX = _NUMERIC_TAG + b"\xff" * 8
-STRING_MIN = _STRING_TAG
-STRING_MAX = b"t"
-
 _MANIFEST_MAGIC = b"SIDX1"
-
-
-def encode_search_value(value) -> bytes:
-    """Canonical order-preserving encoding of one indexable value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise QueryError(
-            f"cannot index value of type {type(value).__name__}"
-        )
-    if isinstance(value, str):
-        return _STRING_TAG + value.encode("utf-8")
-    number = float(value)
-    if math.isnan(number):
-        raise QueryError("cannot index NaN: it has no total order")
-    if number == 0.0:
-        number = 0.0  # -0.0 compares equal to 0.0: one encoding for both
-    bits = struct.unpack(">Q", struct.pack(">d", number))[0]
-    if bits & 0x8000_0000_0000_0000:
-        bits ^= 0xFFFF_FFFF_FFFF_FFFF
-    else:
-        bits |= 0x8000_0000_0000_0000
-    return _NUMERIC_TAG + struct.pack(">Q", bits)
-
-
-def decode_search_value(data: bytes):
-    """Inverse of :func:`encode_search_value` (numerics come back as
-    ``float``); raises ``ValueError`` on any malformed input."""
-    if not data:
-        raise ValueError("empty encoded search value")
-    tag, body = data[:1], data[1:]
-    if tag == _STRING_TAG:
-        return body.decode("utf-8")
-    if tag != _NUMERIC_TAG:
-        raise ValueError(f"unknown search value tag {tag!r}")
-    if len(body) != 8:
-        raise ValueError("numeric search value must be 9 bytes")
-    bits = struct.unpack(">Q", body)[0]
-    if bits & 0x8000_0000_0000_0000:
-        bits &= 0x7FFF_FFFF_FFFF_FFFF
-    else:
-        bits ^= 0xFFFF_FFFF_FFFF_FFFF
-    number = struct.unpack(">d", struct.pack(">Q", bits))[0]
-    if math.isnan(number):
-        raise ValueError("encoded numeric decodes to NaN")
-    return number
 
 
 def encode_postings(ukeys: Iterable[bytes]) -> bytes:
@@ -261,10 +198,6 @@ class CommittedSearchIndex:
         dirty = self._dirty.get(column)
         if dirty is None:
             return
-        if isinstance(value, bool) or not isinstance(
-            value, (int, float, str)
-        ):
-            return  # unindexable values never reach the inverted index
         dirty.add(value)
         self._manifest = None
 
@@ -352,16 +285,10 @@ class CommittedSearchIndex:
 __all__ = [
     "SEARCH_PREFIX",
     "SEARCH_ROOT_KEY",
-    "NUMERIC_MIN",
-    "NUMERIC_MAX",
-    "STRING_MIN",
-    "STRING_MAX",
     "CommittedSearchIndex",
     "decode_manifest",
     "decode_postings",
-    "decode_search_value",
     "encode_manifest",
     "encode_postings",
-    "encode_search_value",
     "index_root_of",
 ]

@@ -1,4 +1,4 @@
-"""Search predicates and the verifiable search proof.
+"""The verifiable search proof.
 
 A :class:`SearchProof` binds a predicate's *complete* answer to the
 chain digest a client pins, in three layers:
@@ -33,220 +33,25 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.crypto.hashing import Digest
 from repro.errors import QueryError
 from repro.indexes.pos_tree import _VERIFY_ERRORS, PosRangeProof
 from repro.indexes.siri import SiriProof
 from repro.core.proofs import LedgerProof
+from repro.core.query import SearchPredicate
+from repro.indexes.inverted import decode_search_value, encode_search_value
 from repro.search.committed import (
-    NUMERIC_MAX,
-    NUMERIC_MIN,
     SEARCH_ROOT_KEY,
-    STRING_MAX,
-    STRING_MIN,
     decode_manifest,
     decode_postings,
-    decode_search_value,
-    encode_search_value,
 )
 
 #: Everything a tampered search proof can raise during verification —
 #: the POS-tree set plus the strict binary codecs (struct) and the
 #: predicate/encoding guards (QueryError).
 _SEARCH_VERIFY_ERRORS = _VERIFY_ERRORS + (QueryError, struct.error)
-
-_OPS = ("eq", "ge", "gt", "le", "lt", "between")
-_OP_TOKENS = (
-    ("==", "eq"),
-    (">=", "ge"),
-    ("<=", "le"),
-    (">", "gt"),
-    ("<", "lt"),
-    ("=", "eq"),
-)
-
-
-def _check_operand(value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise QueryError(
-            f"predicate operand of type {type(value).__name__} is not "
-            "searchable (int, float or str required)"
-        )
-
-
-@dataclass(frozen=True)
-class SearchPredicate:
-    """One search predicate: keyword equality or a value range.
-
-    ``op`` is one of ``eq``/``ge``/``gt``/``le``/``lt``/``between``.
-    Single-operand forms use ``value``; ``between`` (inclusive both
-    ends) uses ``low``/``high``.
-    """
-
-    op: str
-    value: Optional[Union[int, float, str]] = None
-    low: Optional[Union[int, float, str]] = None
-    high: Optional[Union[int, float, str]] = None
-
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise QueryError(f"unknown predicate op {self.op!r}")
-        if self.op == "between":
-            if self.value is not None:
-                raise QueryError("between takes low/high, not value")
-            _check_operand(self.low)
-            _check_operand(self.high)
-            if isinstance(self.low, str) != isinstance(self.high, str):
-                raise QueryError("between bounds mix string and numeric")
-            if self.low > self.high:  # type: ignore[operator]
-                raise QueryError("between bounds are inverted")
-        else:
-            if self.low is not None or self.high is not None:
-                raise QueryError(f"{self.op} takes value, not low/high")
-            _check_operand(self.value)
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def eq(cls, value) -> "SearchPredicate":
-        return cls("eq", value=value)
-
-    @classmethod
-    def ge(cls, value) -> "SearchPredicate":
-        return cls("ge", value=value)
-
-    @classmethod
-    def gt(cls, value) -> "SearchPredicate":
-        return cls("gt", value=value)
-
-    @classmethod
-    def le(cls, value) -> "SearchPredicate":
-        return cls("le", value=value)
-
-    @classmethod
-    def lt(cls, value) -> "SearchPredicate":
-        return cls("lt", value=value)
-
-    @classmethod
-    def between(cls, low, high) -> "SearchPredicate":
-        return cls("between", low=low, high=high)
-
-    @classmethod
-    def parse(cls, text: str) -> "SearchPredicate":
-        """Parse the CLI grammar: ``= foo`` (or ``== foo``), ``>= 10``,
-        ``< 2.5``, ``between 3 7``, or a bare literal (equality).
-        Quote a literal (``'10'``) to force a string."""
-        stripped = text.strip()
-        if not stripped:
-            raise QueryError("empty predicate")
-        lowered = stripped.lower()
-        if lowered.startswith("between"):
-            tokens = stripped[len("between"):].split()
-            if len(tokens) != 2:
-                raise QueryError(
-                    "between needs exactly two operands: 'between LOW HIGH'"
-                )
-            return cls.between(_literal(tokens[0]), _literal(tokens[1]))
-        for token, op in _OP_TOKENS:
-            if stripped.startswith(token):
-                operand = stripped[len(token):].strip()
-                if not operand:
-                    raise QueryError(f"missing operand after {token!r}")
-                return cls(op, value=_literal(operand))
-        return cls.eq(_literal(stripped))
-
-    # -- semantics ------------------------------------------------------
-
-    @property
-    def is_string(self) -> bool:
-        sample = self.low if self.op == "between" else self.value
-        return isinstance(sample, str)
-
-    def matches(self, candidate) -> bool:
-        """Whether an *indexed* value satisfies this predicate."""
-        if isinstance(candidate, bool) or not isinstance(
-            candidate, (int, float, str)
-        ):
-            return False
-        if isinstance(candidate, str) != self.is_string:
-            return False
-        if self.op == "eq":
-            return candidate == self.value
-        if self.op == "ge":
-            return candidate >= self.value  # type: ignore[operator]
-        if self.op == "gt":
-            return candidate > self.value  # type: ignore[operator]
-        if self.op == "le":
-            return candidate <= self.value  # type: ignore[operator]
-        if self.op == "lt":
-            return candidate < self.value  # type: ignore[operator]
-        return self.low <= candidate <= self.high  # type: ignore[operator]
-
-    def bounds(self) -> Tuple[bytes, bytes]:
-        """Canonical encoded scan bounds for range-shaped predicates.
-
-        Strict bounds (``gt``/``lt``) scan *inclusively* from/to the
-        operand's encoding — the boundary value's entry rides along in
-        the proof as the omission-detecting neighbor, and both server
-        and verifier re-exclude it via :meth:`matches`.
-        """
-        if self.op == "eq":
-            raise QueryError("equality predicates have no scan bounds")
-        type_min = STRING_MIN if self.is_string else NUMERIC_MIN
-        type_max = STRING_MAX if self.is_string else NUMERIC_MAX
-        if self.op == "between":
-            return (
-                encode_search_value(self.low),
-                encode_search_value(self.high),
-            )
-        pivot = encode_search_value(self.value)
-        if self.op in ("ge", "gt"):
-            return pivot, type_max
-        return type_min, pivot
-
-    def describe(self) -> str:
-        if self.op == "between":
-            return f"between {self.low!r} {self.high!r}"
-        symbol = {"eq": "==", "ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
-        return f"{symbol[self.op]} {self.value!r}"
-
-    def to_payload(self) -> dict:
-        """Wire shape (plain JSON scalars)."""
-        payload: dict = {"op": self.op}
-        if self.op == "between":
-            payload["low"] = self.low
-            payload["high"] = self.high
-        else:
-            payload["value"] = self.value
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SearchPredicate":
-        """Inverse of :meth:`to_payload`; anything else — a non-object,
-        no ``op``, a stray key — is a :class:`QueryError`."""
-        if not isinstance(payload, dict) or not (
-            {"op"} <= payload.keys() <= {"op", "value", "low", "high"}
-        ):
-            raise QueryError(f"malformed predicate payload: {payload!r}")
-        return cls(**payload)
-
-
-def _literal(token: str):
-    """CLI literal: quoted → string; else int, float, string."""
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
-        return token[1:-1]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        return token
-    return value
-
 
 #: Match rows as carried in the proof: ``(encoded value, postings)``
 #: in encoded-value order — the canonical result ordering.
@@ -309,6 +114,7 @@ class SearchProof:
         dropped/fabricated match, narrowed range, stale root,
         undecodable node — returns ``False``; nothing raises."""
         try:
+            self.predicate.searchable()
             if self.anchor.key != SEARCH_ROOT_KEY:
                 return False
             if not self.anchor.verify(
@@ -387,53 +193,8 @@ def build_search_proof(
     return SearchProof(column, predicate, matches, anchor, evidence)
 
 
-def evaluate_on_inverted(
-    inverted, column: str, predicate: SearchPredicate
-) -> List[bytes]:
-    """Unverified evaluation straight off the inverted index.
-
-    Returns universal keys in the index's deterministic order (value
-    order, then ukey order).  A predicate whose type does not match
-    the column's yields no matches, mirroring the verified path.
-    """
-    try:
-        if predicate.op == "eq":
-            return inverted.lookup(column, predicate.value)
-        if predicate.op == "between":
-            return inverted.range(column, predicate.low, predicate.high)
-        if predicate.is_string:
-            type_min: object = ""
-            type_max: object = "\U0010ffff" * 4
-        else:
-            type_min, type_max = float("-inf"), float("inf")
-        if predicate.op in ("ge", "gt"):
-            ukeys = inverted.range(column, predicate.value, type_max)
-        else:
-            ukeys = inverted.range(column, type_min, predicate.value)
-        if predicate.op in ("gt", "lt"):
-            # Results concatenate per-value posting blocks in value
-            # order, so the boundary value's postings are exactly the
-            # leading (gt) or trailing (lt) block — slice it off
-            # positionally.  Subtracting by ukey bytes would also drop
-            # a ukey that legitimately recurs under another value.
-            boundary = len(inverted.lookup(column, predicate.value))
-            if boundary:
-                ukeys = (
-                    ukeys[boundary:]
-                    if predicate.op == "gt"
-                    else ukeys[:-boundary]
-                )
-        return ukeys
-    except TypeError:
-        # Predicate type vs column type mismatch inside the posting
-        # structure (e.g. a string bound against a skip list).
-        return []
-
-
 __all__ = [
     "Matches",
-    "SearchPredicate",
     "SearchProof",
     "build_search_proof",
-    "evaluate_on_inverted",
 ]

@@ -36,7 +36,8 @@ from repro.crypto.merkle import MerkleProof
 from repro.errors import SpitzError
 from repro.indexes.pos_tree import PosMultiProof, PosRangeProof
 from repro.indexes.siri import SiriProof
-from repro.search.proofs import SearchPredicate, SearchProof
+from repro.core.query import SearchPredicate
+from repro.search.proofs import SearchProof
 from repro.shard.digest import ShardMembership, ShardedDigest
 from repro.shard.proofs import (
     ShardedMultiPart,

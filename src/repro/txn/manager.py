@@ -43,6 +43,13 @@ class TxnState(enum.Enum):
 class Certifier(ABC):
     """Pluggable concurrency-control strategy."""
 
+    #: Whether a read sees the latest committed version instead of the
+    #: transaction's start snapshot.  A locking certifier holds what a
+    #: transaction read until it ends, so the latest version is one no
+    #: other transaction can change under it, while the start snapshot
+    #: can predate a commit the reader waited for.
+    reads_latest = False
+
     @abstractmethod
     def on_read(self, txn: "Transaction", key: Any) -> None:
         """Hook before a read; may raise :class:`TransactionAborted`."""
@@ -102,7 +109,10 @@ class Transaction:
             value = self.write_buffer[key]
             return None if value == Version.TOMBSTONE else value
         self._manager.certifier.on_read(self, key)
-        if self.isolation is IsolationLevel.READ_COMMITTED:
+        if (
+            self.isolation is IsolationLevel.READ_COMMITTED
+            or self._manager.certifier.reads_latest
+        ):
             version = self._manager.store.read_latest(key)
         else:
             version = self._manager.store.read(key, self.start_ts)
@@ -210,20 +220,27 @@ class TransactionManager:
         """Execute ``work(txn)`` with automatic retry on aborts.
 
         ``work`` receives an open transaction and returns the result to
-        surface; the transaction commits when ``work`` returns.  After
+        surface; the transaction commits when ``work`` returns.  An
+        attempt that raised :class:`TransactionAborted` is aborted, so
+        its locks are released, and the retry keeps the first attempt's
+        id — wait-die still ranks it by when it first started.  After
         ``retries`` consecutive aborts the last
         :class:`TransactionAborted` propagates.
         """
         last_error: Optional[TransactionAborted] = None
+        txn_id: Optional[int] = None
         for _attempt in range(retries):
             txn = self.begin(isolation)
+            if txn_id is None:
+                txn_id = txn.txn_id
+            txn.txn_id = txn_id
             try:
                 result = work(txn)
                 txn.commit()
                 return result
             except TransactionAborted as error:
+                txn.abort()  # a no-op when commit already aborted it
                 last_error = error
-                continue
         assert last_error is not None
         raise last_error
 

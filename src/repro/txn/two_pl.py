@@ -98,6 +98,8 @@ class LockManager:
 class TwoPhaseLockingCertifier(Certifier):
     """Strict 2PL: lock on access, release on finish, no commit check."""
 
+    reads_latest = True
+
     def __init__(self, lock_manager: LockManager = None):
         self.locks = lock_manager if lock_manager is not None else (
             LockManager()

@@ -177,5 +177,5 @@ def test_select_parse_round_trip(table, column, value, limit):
     assert isinstance(statement, Select)
     assert statement.table == table
     assert statement.columns == (column,)
-    assert statement.where[0].value == value
+    assert statement.where[0][1].value == value
     assert statement.limit == limit

@@ -3,35 +3,38 @@
 The load-bearing properties:
 
 - the order-preserving value codec really preserves order;
-- ``InvertedIndex.range(low, high)`` equals the brute-force filter
-  over everything indexed (the ISSUE's range/boundary property);
+- ``InvertedIndex.matching`` — the one walk — equals the brute-force
+  filter over everything indexed, for every predicate shape;
 - postings returned to callers alias nothing — mutating a result list
   can never corrupt the index;
 - a ``SearchProof`` built over arbitrary data verifies and carries
   exactly the brute-force answer, for every predicate shape;
+- ``search`` and ``search_verified`` give the same universal keys,
+  operands of the wrong type for the column included;
 - committed roots are insertion-order invariant.
 """
 
+import operator
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.forkbase.chunk_store import ChunkStore
+from repro.core.database import SpitzDatabase
 from repro.core.ledger import SpitzLedger
-from repro.indexes.inverted import InvertedIndex
+from repro.core.query import SearchPredicate
+from repro.forkbase.chunk_store import ChunkStore
+from repro.indexes.inverted import (
+    InvertedIndex,
+    decode_search_value,
+    encode_search_value,
+)
 from repro.search.committed import (
     SEARCH_ROOT_KEY,
     CommittedSearchIndex,
     decode_postings,
-    decode_search_value,
     encode_postings,
-    encode_search_value,
 )
-from repro.search.proofs import (
-    SearchPredicate,
-    build_search_proof,
-    evaluate_on_inverted,
-)
+from repro.search.proofs import build_search_proof
 
 #: Indexable numerics: finite floats plus ints in a range that
 #: float64 represents exactly (the codec canonicalizes int → float).
@@ -97,31 +100,61 @@ rows_string = st.lists(
 )
 
 
-@given(rows=rows_numeric, low=st.integers(-2, 32), span=st.integers(0, 12))
+#: Brute-force meaning of each walk-answerable op.
+BRUTE = {
+    "eq": operator.eq,
+    "ge": operator.ge,
+    "gt": operator.gt,
+    "le": operator.le,
+    "lt": operator.lt,
+}
+ops = st.sampled_from(sorted(BRUTE) + ["between"])
+
+
+def _predicate(op, low, high):
+    if op == "between":
+        return SearchPredicate.between(low, high)
+    return SearchPredicate(op, value=low)
+
+
+def _brute(op, low, high, value):
+    if op == "between":
+        return low <= value <= high
+    return BRUTE[op](value, low)
+
+
+@given(
+    rows=rows_numeric,
+    op=ops,
+    low=st.integers(-2, 32),
+    span=st.integers(0, 12),
+)
 @settings(max_examples=150, deadline=None)
-def test_numeric_range_equals_brute_force(rows, low, span):
+def test_numeric_range_equals_brute_force(rows, op, low, span):
     index = InvertedIndex()
     for value, ukey in rows:
         index.add("t.q", value, ukey)
     high = low + span
     expected = sorted(
-        {ukey for value, ukey in rows if low <= value <= high}
+        {ukey for value, ukey in rows if _brute(op, low, high, value)}
     )
-    assert sorted(set(index.range("t.q", low, high))) == expected
+    found = index.matching("t.q", _predicate(op, low, high))
+    assert sorted(set(found)) == expected
 
 
-@given(rows=rows_string, low=strings, high=strings)
+@given(rows=rows_string, op=ops, low=strings, high=strings)
 @settings(max_examples=150, deadline=None)
-def test_string_range_equals_brute_force(rows, low, high):
+def test_string_range_equals_brute_force(rows, op, low, high):
     if low > high:
         low, high = high, low
     index = InvertedIndex()
     for value, ukey in rows:
         index.add("t.s", value, ukey)
     expected = sorted(
-        {ukey for value, ukey in rows if low <= value <= high}
+        {ukey for value, ukey in rows if _brute(op, low, high, value)}
     )
-    assert sorted(set(index.range("t.s", low, high))) == expected
+    found = index.matching("t.s", _predicate(op, low, high))
+    assert sorted(set(found)) == expected
 
 
 @given(rows=rows_numeric)
@@ -131,7 +164,7 @@ def test_range_boundaries_are_inclusive(rows):
     for value, ukey in rows:
         index.add("t.q", value, ukey)
     value, ukey = rows[0]
-    assert ukey in index.range("t.q", value, value)
+    assert ukey in index.matching("t.q", SearchPredicate.between(value, value))
 
 
 @given(rows=rows_numeric)
@@ -145,12 +178,14 @@ def test_mutating_returned_postings_cannot_corrupt_index(rows):
     stolen = index.lookup("t.q", value)
     stolen.clear()
     stolen.append(b"injected")
-    ranged = index.range("t.q", value, value)
-    ranged.reverse()
-    ranged.append(b"also-injected")
+    walked = index.matching("t.q", SearchPredicate.eq(value))
+    walked.reverse()
+    walked.append(b"also-injected")
     assert index.lookup("t.q", value) == before
     assert b"injected" not in index.lookup("t.q", value)
-    assert b"also-injected" not in index.range("t.q", value, value)
+    assert b"also-injected" not in index.matching(
+        "t.q", SearchPredicate.eq(value)
+    )
 
 
 # -- underlying ordered structures vs brute force ---------------------------
@@ -244,9 +279,44 @@ def test_search_proof_carries_exact_brute_force_answer(rows, predicate):
     )
     assert sorted(set(proof.ukeys)) == expected
     # The unverified path answers identically (as a set of ukeys).
-    assert sorted(
-        set(evaluate_on_inverted(inverted, "t.q", predicate))
-    ) == expected
+    assert sorted(set(inverted.matching("t.q", predicate))) == expected
+
+
+def _any_predicate(operands):
+    return st.one_of(
+        st.builds(
+            SearchPredicate,
+            st.sampled_from(sorted(BRUTE)),
+            value=operands,
+        ),
+        st.tuples(operands, operands).map(
+            lambda pair: SearchPredicate.between(*sorted(pair))
+        ),
+    )
+
+
+any_predicates = st.one_of(_any_predicate(numerics), _any_predicate(strings))
+
+
+@given(
+    numbers=st.lists(numerics, min_size=1, max_size=12),
+    words=st.lists(strings, min_size=1, max_size=12),
+    probes=st.lists(
+        st.tuples(st.sampled_from(["t.n", "t.s"]), any_predicates),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_search_and_search_verified_agree(numbers, words, probes):
+    db = SpitzDatabase(indexed_columns=["t.n", "t.s"])
+    db.sql("CREATE TABLE t (id INT, n FLOAT, s STR, PRIMARY KEY (id))")
+    for pk, (number, word) in enumerate(zip(numbers, words)):
+        db.insert("t", {"id": pk, "n": number, "s": word})
+    for column, predicate in probes:
+        ukeys, proof = db.search_verified(column, predicate)
+        assert proof.verify(db.digest().chain_digest)
+        assert db.search(column, predicate) == ukeys
 
 
 @given(rows=rows_string)

@@ -25,13 +25,12 @@ from collections import defaultdict
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.database import SpitzDatabase
-from repro.core.query import Condition, Op
+from repro.core.query import SearchPredicate
 from repro.core.schema import KV_PREFIX, TableSchema, encode_value
 from repro.core.universal_key import UniversalKey
 from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import hash_bytes
 from repro.kvstore.kvs import ImmutableKVS
-from repro.search.proofs import SearchPredicate
 from repro.txn.manager import IsolationLevel
 
 FIXED = settings(
@@ -171,7 +170,7 @@ def _apply(op, model, subjects, kvs):
         model.rows[pk] = price
     elif kind in ("update", "delete_rows"):
         (column, wanted) = op[1]
-        where = (Condition(column, Op.EQ, wanted),)
+        where = ((column, SearchPredicate.eq(wanted)),)
         hit = sorted(
             pk for pk, price in model.rows.items()
             if _matches(op[1], pk, price)
@@ -259,16 +258,15 @@ def _check_db(subject, model):
     assert subject.verified(*db.scan_verified(b"b", b"c")) == middle
     # -- the table and its indexed column -----------------------------------
     assert _by_id(db.select("items")) == _rows(model.rows)
-    for column, op, wanted in (
-        ("id", Op.EQ, 1), ("id", Op.GE, 2),
-        ("price", Op.EQ, 1), ("price", Op.GE, 2),
+    for column, predicate, keep in (
+        ("id", SearchPredicate.eq(1), lambda value: value == 1),
+        ("id", SearchPredicate.ge(2), lambda value: value >= 2),
+        ("price", SearchPredicate.eq(1), lambda value: value == 1),
+        ("price", SearchPredicate.ge(2), lambda value: value >= 2),
     ):
-        condition = Condition(column, op, wanted)
-        assert _by_id(db.select("items", (condition,))) == _rows(
+        assert _by_id(db.select("items", ((column, predicate),))) == _rows(
             model.rows,
-            lambda pk, price, c=condition: c.matches(
-                pk if c.column == "id" else price
-            ),
+            lambda pk, price, c=column, k=keep: k(pk if c == "id" else price),
         )
     for predicate, keep in (
         (SearchPredicate.ge(0), lambda value: True),

@@ -95,6 +95,79 @@ class TestSelect:
         assert items_db.sql("SELECT * FROM items WHERE id = 999") == []
 
 
+class TestOneAnswerPerPath:
+    """The planner's access path picks which rows get loaded, never the
+    answer."""
+
+    @pytest.fixture
+    def flags(self):
+        database = SpitzDatabase()
+        database.sql(
+            "CREATE TABLE t (id INT, name STR, active BOOL, PRIMARY KEY (id))"
+        )
+        database.sql("INSERT INTO t (id, name, active) VALUES (1, 'a', TRUE)")
+        database.sql(
+            "INSERT INTO t (id, name, active) VALUES (2, 'b', FALSE)"
+        )
+        return database
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "active = TRUE",
+            "active = TRUE AND id >= 1",
+            "active = TRUE AND name >= 'a'",
+            "active != FALSE",
+            "active > FALSE",
+        ],
+    )
+    def test_bool_equality_on_every_path(self, flags, where):
+        assert flags.sql(f"SELECT id FROM t WHERE {where}") == [{"id": 1}]
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "name = NULL",
+            "active = NULL",
+            "id BETWEEN NULL AND 3",
+            "name = 5",
+            "active = 1",
+            "id = 'one'",
+            "id = 1.5",
+        ],
+    )
+    def test_operand_the_schema_rejects(self, flags, where):
+        with pytest.raises(QueryError, match="column"):
+            flags.sql(f"SELECT id FROM t WHERE {where}")
+
+    def test_string_open_end_reaches_past_any_sentinel(self, flags):
+        flags.insert(
+            "t", {"id": 3, "name": "\U0010ffff" * 5, "active": False}
+        )
+        rows = flags.sql("SELECT id FROM t WHERE name > 'b'")
+        assert rows == [{"id": 3}]
+
+    def test_search_agrees_with_search_verified(self):
+        database = SpitzDatabase(indexed_columns=["t.name"])
+        database.sql("CREATE TABLE t (id INT, name STR, PRIMARY KEY (id))")
+        database.sql("INSERT INTO t (id, name) VALUES (1, 'a')")
+        for predicate in ["> 5", "between 1 9", "= 'a'", ">= 'a'"]:
+            ukeys, proof = database.search_verified("t.name", predicate)
+            assert proof.verify(database.digest().chain_digest)
+            assert database.search("t.name", predicate) == ukeys
+
+    def test_key_past_the_old_scan_sentinel(self, db):
+        db.sql("CREATE TABLE b (k BYTES, v INT, PRIMARY KEY (k))")
+        long_key = b"\xff" * 41
+        db.insert("b", {"k": long_key, "v": 1})
+        db.insert("b", {"k": b"\x00", "v": 2})
+        everything = db.sql("SELECT * FROM b")
+        assert {row["k"] for row in everything} == {long_key, b"\x00"}
+        assert db.sql("SELECT k FROM b WHERE v = 1") == [{"k": long_key}]
+        as_of = db.select("b", as_of_block=db.ledger.height - 1)
+        assert {row["k"] for row in as_of} == {long_key, b"\x00"}
+
+
 class TestMutations:
     def test_update(self, items_db):
         count = items_db.sql("UPDATE items SET price = 99.0 WHERE id = 3")

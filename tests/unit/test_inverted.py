@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.query import SearchPredicate
 from repro.errors import QueryError
-from repro.indexes.inverted import InvertedIndex
+from repro.indexes.inverted import InvertedIndex, postable
 
 
 class TestInvertedIndex:
@@ -19,7 +20,22 @@ class TestInvertedIndex:
         index = InvertedIndex()
         for value, ukey in [(5, b"a"), (10, b"b"), (15, b"c"), (20, b"d")]:
             index.add("qty", value, ukey)
-        assert index.range("qty", 8, 16) == [b"b", b"c"]
+        assert index.matching("qty", SearchPredicate.between(8, 16)) == [
+            b"b", b"c"
+        ]
+
+    def test_open_and_strict_ends(self):
+        index = InvertedIndex()
+        for value, ukey in [(5, b"a"), (10, b"b"), (15, b"c"), (20, b"d")]:
+            index.add("qty", value, ukey)
+        assert index.matching("qty", SearchPredicate.gt(10)) == [b"c", b"d"]
+        assert index.matching("qty", SearchPredicate.ge(10)) == [
+            b"b", b"c", b"d"
+        ]
+        assert index.matching("qty", SearchPredicate.lt(10)) == [b"a"]
+        assert index.matching("qty", SearchPredicate.le(1e308)) == [
+            b"a", b"b", b"c", b"d"
+        ]
 
     def test_string_lookup(self):
         index = InvertedIndex()
@@ -27,18 +43,19 @@ class TestInvertedIndex:
         index.add("name", "bob", b"u2")
         assert index.lookup("name", "alice") == [b"u1"]
 
-    def test_string_prefix(self):
+    def test_string_open_end_reaches_any_string(self):
         index = InvertedIndex()
         index.add("name", "alice", b"u1")
-        index.add("name", "alicia", b"u2")
-        index.add("name", "bob", b"u3")
-        assert index.prefix("name", "ali") == [b"u1", b"u2"]
+        index.add("name", "\U0010ffff" * 5, b"u2")
+        assert index.matching("name", SearchPredicate.ge("b")) == [b"u2"]
 
     def test_string_range(self):
         index = InvertedIndex()
         for name, ukey in [("ann", b"1"), ("ben", b"2"), ("cat", b"3")]:
             index.add("name", name, ukey)
-        assert index.range("name", "aa", "bz") == [b"1", b"2"]
+        assert index.matching(
+            "name", SearchPredicate.between("aa", "bz")
+        ) == [b"1", b"2"]
 
     def test_remove(self):
         index = InvertedIndex()
@@ -69,17 +86,27 @@ class TestInvertedIndex:
         with pytest.raises(QueryError):
             index.add("col", True, b"u")
 
-    def test_prefix_on_numeric_column_raises(self):
+    def test_operand_the_postings_cannot_hold_matches_nothing(self):
         index = InvertedIndex()
         index.add("qty", 5, b"u")
-        with pytest.raises(QueryError):
-            index.prefix("qty", "5")
+        for predicate in [
+            SearchPredicate.eq("5"),
+            SearchPredicate.gt("a"),
+            SearchPredicate.eq(True),
+            SearchPredicate.le(float("nan")),
+        ]:
+            assert index.matching("qty", predicate) == []
+
+    def test_postable(self):
+        assert all(map(postable, [0, -3, 2.5, "", "x", float("inf")]))
+        assert not any(
+            map(postable, [True, None, float("nan"), b"x", [1], {}])
+        )
 
     def test_unknown_column_empty_results(self):
         index = InvertedIndex()
         assert index.lookup("missing", 1) == []
-        assert index.range("missing", 0, 10) == []
-        assert index.prefix("missing", "x") == []
+        assert index.matching("missing", SearchPredicate.ge(0)) == []
 
     def test_columns_listing(self):
         index = InvertedIndex()
@@ -91,4 +118,6 @@ class TestInvertedIndex:
         index = InvertedIndex()
         index.add("score", 1, b"u1")
         index.add("score", 1.5, b"u2")
-        assert index.range("score", 0, 2) == [b"u1", b"u2"]
+        assert index.matching("score", SearchPredicate.between(0, 2)) == [
+            b"u1", b"u2"
+        ]

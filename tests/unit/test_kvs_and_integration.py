@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.verifier import ClientVerifier
 from repro.errors import IntegrationError, NetworkError
-from repro.integration.intrusive import IntrusiveVDB, migrate_kvs_to_spitz
+from repro.integration.intrusive import migrate_kvs_to_spitz
 from repro.integration.nonintrusive import NonIntrusiveVDB
 from repro.integration.simnet import Channel
 from repro.kvstore.kvs import ImmutableKVS
@@ -171,23 +171,6 @@ class TestNonIntrusive:
         before = vdb.round_trips
         vdb.get(b"k")
         assert vdb.round_trips - before == 1
-
-
-class TestIntrusive:
-    def test_adapter_round_trip(self):
-        vdb = IntrusiveVDB()
-        vdb.put(b"k", b"v")
-        value, proof, digest = vdb.get_verified(b"k")
-        verifier = ClientVerifier()
-        verifier.trust(digest)
-        assert value == b"v"
-        assert verifier.verify(proof)
-
-    def test_scan(self):
-        vdb = IntrusiveVDB()
-        for i in range(5):
-            vdb.put(f"k{i}".encode(), str(i).encode())
-        assert len(vdb.scan(b"k1", b"k3")) == 3
 
 
 class TestMigration:

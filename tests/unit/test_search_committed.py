@@ -1,6 +1,6 @@
 """Unit tests for the Merkle-committed search index (repro.search.committed).
 
-Covers the canonical codecs (search values, posting lists, column
+Covers the canonical codecs (posted values, posting lists, column
 manifests), their strict-decode guarantees, and the
 CommittedSearchIndex lifecycle: two-phase note_change/seal
 maintenance, bulk loading, and rebuild-from-authoritative-state
@@ -12,16 +12,18 @@ import pytest
 from repro.crypto.hashing import Digest
 from repro.errors import QueryError
 from repro.forkbase.chunk_store import ChunkStore
-from repro.indexes.inverted import InvertedIndex
+from repro.indexes.inverted import (
+    InvertedIndex,
+    decode_search_value,
+    encode_search_value,
+)
 from repro.search.committed import (
     SEARCH_ROOT_KEY,
     CommittedSearchIndex,
     decode_manifest,
     decode_postings,
-    decode_search_value,
     encode_manifest,
     encode_postings,
-    encode_search_value,
     index_root_of,
 )
 

@@ -13,18 +13,10 @@ import pytest
 from repro.errors import QueryError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.core.ledger import SpitzLedger
-from repro.indexes.inverted import InvertedIndex
-from repro.search.committed import (
-    SEARCH_ROOT_KEY,
-    CommittedSearchIndex,
-    encode_search_value,
-)
-from repro.search.proofs import (
-    SearchPredicate,
-    SearchProof,
-    build_search_proof,
-    evaluate_on_inverted,
-)
+from repro.core.query import SearchPredicate
+from repro.indexes.inverted import InvertedIndex, encode_search_value
+from repro.search.committed import SEARCH_ROOT_KEY, CommittedSearchIndex
+from repro.search.proofs import build_search_proof
 
 
 # -- predicates -------------------------------------------------------------
@@ -58,13 +50,33 @@ class TestSearchPredicate:
 
     def test_constructor_guards(self):
         with pytest.raises(QueryError):
-            SearchPredicate("eq", value=True)
-        with pytest.raises(QueryError):
-            SearchPredicate("between", low=5, high=2)
-        with pytest.raises(QueryError):
-            SearchPredicate("between", low=1, high="z")
-        with pytest.raises(QueryError):
             SearchPredicate("like", value="x")
+        with pytest.raises(QueryError):
+            SearchPredicate("between", value=1, low=1, high=2)
+        with pytest.raises(QueryError):
+            SearchPredicate("eq", low=1)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            SearchPredicate.eq(True),
+            SearchPredicate.eq(None),
+            SearchPredicate.eq(float("nan")),
+            SearchPredicate.eq(b"bytes"),
+            SearchPredicate.ne(1),
+            SearchPredicate.between(5, 2),
+            SearchPredicate.between(1, "z"),
+        ],
+    )
+    def test_search_refuses_what_no_walk_answers(self, predicate):
+        with pytest.raises(QueryError):
+            predicate.searchable()
+        with pytest.raises(QueryError):
+            SearchPredicate.from_payload(predicate.to_payload())
+
+    def test_parse_refuses_nan(self):
+        with pytest.raises(QueryError):
+            SearchPredicate.parse("= nan")
 
     def test_matches_semantics(self):
         assert SearchPredicate.ge(10).matches(10)
@@ -78,6 +90,9 @@ class TestSearchPredicate:
         assert not SearchPredicate.ge(10).matches("10")
         assert not SearchPredicate.eq("a").matches(97)
         assert not SearchPredicate.eq(1).matches(True)
+        assert SearchPredicate.ne(1).matches(True)
+        assert SearchPredicate.eq(True).matches(True)
+        assert not SearchPredicate.gt(1).matches(True)
 
     def test_payload_round_trip(self):
         for predicate in [
@@ -146,7 +161,7 @@ class TestBuildAndVerify:
         assert proof.verify(ledger.digest().chain_digest)
         assert set(proof.ukeys) == {b"uk-02", b"uk-03", b"uk-04"}
         assert set(proof.ukeys) == set(
-            evaluate_on_inverted(inverted, "t.score", predicate)
+            inverted.matching("t.score", predicate)
         )
 
     def test_strict_bound_excludes_boundary(self, plane):
@@ -156,7 +171,7 @@ class TestBuildAndVerify:
         assert proof.verify(ledger.digest().chain_digest)
         assert set(proof.ukeys) == {b"uk-04", b"uk-05"}
         assert set(proof.ukeys) == set(
-            evaluate_on_inverted(inverted, "t.score", predicate)
+            inverted.matching("t.score", predicate)
         )
 
     def test_verified_empty_result(self, plane):
@@ -315,31 +330,46 @@ class TestTamperMatrix:
         assert not tampered.verify(ledger.digest().chain_digest)
 
 
-# -- unverified evaluation --------------------------------------------------
+# -- unverified evaluation: the one walk answers as the proof does ----------
 
 
 class TestEvaluateOnInverted:
     def test_eq_and_range_match_brute_force(self, plane):
         _, _, inverted = plane
-        assert evaluate_on_inverted(
-            inverted, "t.term", SearchPredicate.eq("beta")
-        ) == [b"uk-03"]
-        assert evaluate_on_inverted(
-            inverted, "t.score", SearchPredicate.le(20)
-        ) == [b"uk-01", b"uk-02", b"uk-03"]
+        assert inverted.matching("t.term", SearchPredicate.eq("beta")) == [
+            b"uk-03"
+        ]
+        assert inverted.matching("t.score", SearchPredicate.le(20)) == [
+            b"uk-01", b"uk-02", b"uk-03"
+        ]
 
     def test_type_mismatch_yields_empty(self, plane):
         _, _, inverted = plane
-        assert (
-            evaluate_on_inverted(
-                inverted, "t.score", SearchPredicate.ge("zz")
-            )
-            == []
-        )
+        assert inverted.matching("t.score", SearchPredicate.ge("zz")) == []
+        assert inverted.matching("t.term", SearchPredicate.gt(5)) == []
 
     def test_unknown_column_yields_empty(self, plane):
         _, _, inverted = plane
-        assert (
-            evaluate_on_inverted(inverted, "t.nope", SearchPredicate.eq(1))
-            == []
-        )
+        assert inverted.matching("t.nope", SearchPredicate.eq(1)) == []
+
+    @pytest.mark.parametrize(
+        "column,predicate",
+        [
+            ("t.term", SearchPredicate.eq("beta")),
+            ("t.term", SearchPredicate.gt("alpha")),
+            ("t.term", SearchPredicate.lt("delta")),
+            ("t.score", SearchPredicate.le(20)),
+            ("t.score", SearchPredicate.gt(20)),
+            ("t.score", SearchPredicate.between(15.0, 35.0)),
+            # An operand the column's postings cannot hold matches
+            # nothing on either path.
+            ("t.score", SearchPredicate.ge("zz")),
+            ("t.term", SearchPredicate.gt(5)),
+            ("t.nope", SearchPredicate.eq(1)),
+        ],
+    )
+    def test_walk_equals_proven_matches(self, plane, column, predicate):
+        ledger, index, inverted = plane
+        proof = build_search_proof(ledger, index, column, predicate)
+        assert proof.verify(ledger.digest().chain_digest)
+        assert inverted.matching(column, predicate) == list(proof.ukeys)

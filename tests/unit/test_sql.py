@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SqlSyntaxError
-from repro.core.query import Op
+from repro.core.query import SearchPredicate
 from repro.core.sql import (
     CreateTable,
     Delete,
@@ -63,7 +63,7 @@ class TestInsert:
 
     def test_negative_float_literal(self):
         stmt = parse("SELECT * FROM t WHERE a > -1.5")
-        assert stmt.where[0].value == -1.5
+        assert stmt.where[0] == ("a", SearchPredicate.gt(-1.5))
 
     def test_count_mismatch(self):
         with pytest.raises(SqlSyntaxError):
@@ -86,10 +86,13 @@ class TestSelect:
             "SELECT * FROM t WHERE a = 1 AND b != 'x' AND c <= 5 "
             "AND d > 2 AND e BETWEEN 1 AND 9"
         )
-        ops = [c.op for c in stmt.where]
-        assert ops == [Op.EQ, Op.NE, Op.LE, Op.GT, Op.BETWEEN]
-        between = stmt.where[-1]
-        assert (between.value, between.high) == (1, 9)
+        assert stmt.where == (
+            ("a", SearchPredicate.eq(1)),
+            ("b", SearchPredicate.ne("x")),
+            ("c", SearchPredicate.le(5)),
+            ("d", SearchPredicate.gt(2)),
+            ("e", SearchPredicate.between(1, 9)),
+        )
 
     def test_as_of_block(self):
         stmt = parse("SELECT * FROM t WHERE id = 1 AS OF BLOCK 42")
@@ -106,7 +109,7 @@ class TestSelect:
 
     def test_ne_synonym(self):
         stmt = parse("SELECT * FROM t WHERE a <> 3")
-        assert stmt.where[0].op == Op.NE
+        assert stmt.where == (("a", SearchPredicate.ne(3)),)
 
 
 class TestUpdateDelete:
@@ -114,7 +117,7 @@ class TestUpdateDelete:
         stmt = parse("UPDATE t SET a = 1, b = 'x' WHERE id = 3")
         assert isinstance(stmt, Update)
         assert stmt.assignments == (("a", 1), ("b", "x"))
-        assert stmt.where[0].value == 3
+        assert stmt.where == (("id", SearchPredicate.eq(3)),)
 
     def test_update_without_where(self):
         stmt = parse("UPDATE t SET a = 1")
@@ -123,7 +126,7 @@ class TestUpdateDelete:
     def test_delete(self):
         stmt = parse("DELETE FROM t WHERE id = 9")
         assert isinstance(stmt, Delete)
-        assert stmt.where[0].value == 9
+        assert stmt.where == (("id", SearchPredicate.eq(9)),)
 
 
 class TestErrors:

@@ -241,6 +241,49 @@ class TestTwoPhaseLocking:
         follow.write("k", 2)
         follow.commit()
 
+    def test_a_read_after_a_later_commit_sees_it(self):
+        """An older transaction that locks a key only after a younger
+        one committed it must read that commit, not its start snapshot:
+        no commit check follows, so a stale read is a lost update."""
+        tm = TransactionManager(
+            MVCCStore(), TimestampOracle(),
+            TwoPhaseLockingCertifier(LockManager()),
+        )
+        tm.run(lambda t: t.write("k", 0))
+        older = tm.begin()
+        younger = tm.begin()
+        younger.write("k", younger.read("k") + 5)
+        younger.commit()
+        older.write("k", older.read("k") + 1)
+        older.commit()
+        assert tm.begin().read("k") == 6
+
+    def test_run_releases_the_locks_of_an_aborted_attempt(self):
+        lm = LockManager()
+        tm = TransactionManager(
+            MVCCStore(), TimestampOracle(), TwoPhaseLockingCertifier(lm)
+        )
+        attempts = []
+
+        def aborts_once(txn):
+            attempts.append(txn)
+            txn.write("k", len(attempts))
+            if len(attempts) == 1:
+                raise TransactionAborted(txn.txn_id, "simulated conflict")
+
+        tm.run(aborts_once)
+        first, retry = attempts
+        assert first.state is TxnState.ABORTED
+        assert lm.held_keys(first.txn_id) == set()
+        # The retry keeps the first attempt's wait-die priority.
+        assert retry.txn_id == first.txn_id
+        # A leaked holder would be older than any later transaction,
+        # so wait-die would kill it on the spot.
+        later = tm.begin()
+        later.write("k", 3)
+        later.commit()
+        assert tm.begin().read("k") == 3
+
 
 class TestTimestampOrdering:
     def test_late_write_after_younger_read_aborts(self):
