@@ -38,9 +38,7 @@ def parse_logical_key(logical_key: bytes) -> Tuple[str, bytes]:
 
 def live_value(versions: Optional[List[Version]]) -> Optional[bytes]:
     """The newest version's value (None if none, or it is a delete)."""
-    if not versions or versions[-1].is_tombstone:
-        return None
-    return versions[-1].value
+    return versions[-1].value if versions else None
 
 
 def put_history(store: MVCCStore, key: bytes) -> List[Tuple[int, bytes]]:
@@ -48,7 +46,7 @@ def put_history(store: MVCCStore, key: bytes) -> List[Tuple[int, bytes]]:
     return [
         (version.commit_ts, version.value)
         for version in store.history(key)
-        if not version.is_tombstone
+        if version.value is not None
     ]
 
 
@@ -79,12 +77,12 @@ class CellStore:
         return [
             _cell(logical_key, version)
             for version in self._store.history(logical_key)
-            if not version.is_tombstone
+            if version.value is not None
         ]
 
 
 def _cell(logical_key: bytes, version: Optional[Version]) -> Optional[Cell]:
-    if version is None or version.is_tombstone:
+    if version is None or version.value is None:
         return None
     column, primary_key = parse_logical_key(logical_key)
     ukey = UniversalKey(

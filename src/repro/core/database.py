@@ -8,17 +8,17 @@ Wires the paper's two layers together (Section 5, Figure 5):
   committed write, seen as cells by the virtual cell store); the
   B+-tree primary access path from a live key to its version list;
   inverted indexes for analytics;
-- **control layer** — a transaction manager (MVCC + pluggable
+- **control layer** — a transaction manager (MVCC + the OCC
   certifier) whose committed write sets are folded into the storage
   layer and sealed into ledger blocks (the auditor's job).
 
-Two write paths exist, both funnelling through :meth:`_commit`:
-
-1. *auto-commit* operations (``put``/``insert``/...) — each call is
-   one block, matching the paper's single-threaded evaluation;
-2. *transactional sessions* (:meth:`transaction`) — buffered writes
-   certified by the concurrency-control layer, sealed as one block at
-   commit.
+One function installs every committed write set, :meth:`_commit_locked`
+(a delete is ``None`` in it): auto-commit operations (``put``/
+``insert``/...) reach it through :meth:`_commit`, one block a call; a
+transaction (:meth:`transaction`, a 2PC branch) once the certifier
+passes it, as the manager's ``apply``; WAL replay with the logged
+timestamp.  An auto-commit write is not certified: under OCC every
+transaction validates, at commit, against the store it installs into.
 
 The non-intrusive design (Section 5.1: "the system can be applied into
 a non-intrusive design ... by solely waking up the auditor in the
@@ -50,7 +50,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.indexes.bplus import BPlusTree
 from repro.indexes.inverted import InvertedIndex, postable
 from repro.indexes.pos_tree import DEFAULT_MASK_BITS
-from repro.indexes.siri import DELETE
 from repro.txn.manager import (
     IsolationLevel,
     Transaction,
@@ -98,7 +97,6 @@ class SpitzDatabase:
     def __init__(
         self,
         mask_bits: int = DEFAULT_MASK_BITS,
-        certifier: Optional[object] = None,
         block_batch: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         oracle: Optional[object] = None,
@@ -119,7 +117,7 @@ class SpitzDatabase:
         # ``oracle`` lets a shard allocate from its own HLC (see
         # repro.shard) instead of the default central TimestampOracle.
         self.txn_manager = TransactionManager(
-            oracle=oracle, certifier=certifier
+            oracle=oracle, apply=self._commit
         )
         # The manager's MVCC store is the one record of a committed
         # write (DESIGN.md §5 item 9): ``primary`` maps a live logical
@@ -129,7 +127,6 @@ class SpitzDatabase:
         self.primary = BPlusTree()
         self.inverted = InvertedIndex()
         self.oracle = self.txn_manager.oracle
-        self.txn_manager.add_commit_listener(self._on_txn_commit)
         self._tables: Dict[str, TableSchema] = {}
         # Section 5.3's deferred scheme on the write side: with
         # ``block_batch > 1``, cells and indexes update immediately but
@@ -182,7 +179,7 @@ class SpitzDatabase:
         if hook in self._commit_hooks:
             self._commit_hooks.remove(hook)
 
-    def _notify_commit_hooks(self, kind: str, data: object) -> None:
+    def _run_commit_hooks(self, kind: str, data: object) -> None:
         for hook in list(self._commit_hooks):
             hook(kind, data)
 
@@ -195,32 +192,32 @@ class SpitzDatabase:
         writes: Mapping[bytes, object],
         statements: Tuple[str, ...] = (),
         timestamp: Optional[int] = None,
-        install_mvcc: bool = True,
     ) -> Block:
         """Fold a write set into cells/indexes and seal a ledger block.
 
-        ``writes`` maps logical keys to value bytes or DELETE.  This is
-        the paper's write path: (2) auditor updates the ledger, (3)
-        processor traverses the index and writes the cell store.
+        ``writes`` maps logical keys to value bytes or ``None`` (a
+        delete).  This is the paper's write path: (2) auditor updates
+        the ledger, (3) processor traverses the index and writes the
+        cell store.
         """
         # Serialize with transactional commits so MVCC installs stay in
-        # timestamp order (the lock is re-entrant: the commit-listener
-        # path already holds it).  The stage includes the lock wait:
+        # timestamp order (the lock is re-entrant: a transaction's
+        # commit already holds it).  The stage includes the lock wait:
         # commit-lock contention *is* part of a traced request's
         # critical path.
         with self.metrics.tracer.stage("txn.commit"):
             with self.txn_manager.commit_lock:
-                return self._commit_locked(
-                    writes, statements, timestamp, install_mvcc
-                )
+                return self._commit_locked(writes, statements, timestamp)
 
     def _commit_locked(
         self,
         writes: Mapping[bytes, object],
         statements: Tuple[str, ...],
         timestamp: Optional[int],
-        install_mvcc: bool,
     ) -> Block:
+        """Install ``writes`` at ``timestamp`` (a fresh one if None):
+        the MVCC versions, the inverted index, ``primary``, the ledger
+        block or batch, then the commit hooks."""
         timestamp = (
             timestamp if timestamp is not None
             else self.oracle.next_timestamp()
@@ -228,18 +225,14 @@ class SpitzDatabase:
         self._c_commits.inc()
         self._c_writes_folded.inc(len(writes))
         store = self.txn_manager.store
-        if install_mvcc:
-            store.install({
-                key: (Version.TOMBSTONE if value is DELETE else value)
-                for key, value in writes.items()
-            }, timestamp, txn_id=0)
+        store.install(writes, timestamp)
         for logical_key, value in writes.items():
             column, primary_key = parse_logical_key(logical_key)
             if "." in column:  # typed table cells are value-indexed
                 self._repost(
                     logical_key, column, primary_key, timestamp, value
                 )
-            if value is DELETE:
+            if value is None:
                 if logical_key in self.primary:
                     self.primary.delete(logical_key)
             elif logical_key not in self.primary:
@@ -256,13 +249,8 @@ class SpitzDatabase:
             else:
                 block = self.ledger.latest_block()
         if self._commit_hooks:
-            self._notify_commit_hooks("commit", (
-                [
-                    (key, None if value is DELETE else value)
-                    for key, value in writes.items()
-                ],
-                tuple(statements),
-                timestamp,
+            self._run_commit_hooks("commit", (
+                list(writes.items()), tuple(statements), timestamp
             ))
         return block
 
@@ -297,24 +285,6 @@ class SpitzDatabase:
         sealed[SEARCH_ROOT_KEY] = manifest
         return self.ledger.append_block(sealed, statements)
 
-    def _on_txn_commit(self, txn: Transaction) -> None:
-        if not txn.write_buffer:
-            return
-        writes = {
-            key: (
-                DELETE
-                if isinstance(value, str) and value == Version.TOMBSTONE
-                else value
-            )
-            for key, value in txn.write_buffer.items()
-        }
-        self._commit(
-            writes,
-            statements=(f"txn:{txn.txn_id}",),
-            timestamp=txn.commit_ts,
-            install_mvcc=False,  # the manager already installed them
-        )
-
     def _repost(
         self,
         logical_key: bytes,
@@ -324,17 +294,16 @@ class SpitzDatabase:
         value: object,
     ) -> None:
         """Move a typed cell's inverted-index posting from the version
-        live *before* ``timestamp`` — not the latest: on the
-        transactional and 2PC paths the manager has already installed
-        this one — to ``value`` (none for DELETE).  The only place a
-        write builds universal keys."""
+        live *before* ``timestamp`` — not the latest: the commit has
+        already installed this one — to ``value`` (none for a delete).
+        The only place a write builds universal keys."""
         moves = []
         previous = self.txn_manager.store.read(logical_key, timestamp - 1)
-        if previous is not None and not previous.is_tombstone:
+        if previous is not None and previous.value is not None:
             moves.append(
                 (self.inverted.remove, previous.commit_ts, previous.value)
             )
-        if value is not DELETE:
+        if value is not None:
             moves.append((self.inverted.add, timestamp, value))
         for change, stamp, cell_value in moves:
             decoded = _scalar(cell_value)
@@ -354,14 +323,14 @@ class SpitzDatabase:
         self,
     ) -> Iterator[Tuple[bytes, int, Optional[Digest]]]:
         """Every committed version as ``(logical key, commit timestamp,
-        value digest | None for a tombstone)``, a key's in commit order;
+        value digest | None for a delete)``, a key's in commit order;
         a value no block sealed (``block_batch > 1``) is put as a chunk
         now."""
         store = self.txn_manager.store
         for logical_key in store.keys():
             for version in store.versions_of(logical_key):
                 digest = None
-                if not version.is_tombstone:
+                if version.value is not None:
                     digest = hash_bytes(version.value)
                     if digest not in self.chunks:
                         self.chunks.put(version.value)
@@ -388,10 +357,8 @@ class SpitzDatabase:
         by_key: Dict[bytes, List[Version]] = {}
         latest: Dict[bytes, Optional[Digest]] = {}
         for logical_key, stamp, digest in versions:
-            value = Version.TOMBSTONE
-            if digest is not None:
-                value = self.chunks.get(digest)
-            by_key.setdefault(logical_key, []).append(Version(stamp, value, 0))
+            value = None if digest is None else self.chunks.get(digest)
+            by_key.setdefault(logical_key, []).append(Version(stamp, value))
             latest[logical_key] = digest
         self.txn_manager.store.restore(by_key)
         live = [
@@ -426,13 +393,14 @@ class SpitzDatabase:
 
     def put(self, key: bytes, value: bytes) -> Block:
         """Auto-commit write of one key (one ledger block)."""
-        return self._commit({KV_PREFIX + key: value})
+        return self._commit({KV_PREFIX + key: put_value(key, value)})
 
     def put_batch(self, items: Mapping[bytes, bytes]) -> Block:
         """Write many keys as a single block (deferred-style batching)."""
-        return self._commit(
-            {KV_PREFIX + key: value for key, value in items.items()}
-        )
+        return self._commit({
+            KV_PREFIX + key: put_value(key, value)
+            for key, value in items.items()
+        })
 
     def put_with_proof(
         self, key: bytes, value: bytes
@@ -474,7 +442,7 @@ class SpitzDatabase:
 
     def delete(self, key: bytes) -> Block:
         """Logical delete; history stays in earlier ledger blocks."""
-        return self._commit({KV_PREFIX + key: DELETE})
+        return self._commit({KV_PREFIX + key: None})
 
     def scan(
         self, low: bytes, high: bytes
@@ -583,7 +551,7 @@ class SpitzDatabase:
             index = CommittedSearchIndex(self.chunks, columns)
             index.rebuild_from(self.inverted)
             self._search = index
-            self._notify_commit_hooks("enable_search", tuple(columns))
+            self._run_commit_hooks("enable_search", tuple(columns))
 
     def search(
         self, column: str, predicate: Union[str, SearchPredicate]
@@ -649,7 +617,7 @@ class SpitzDatabase:
                     {SEARCH_ROOT_KEY: manifest},
                     statements=("SEARCH INDEX SEAL",),
                 )
-                self._notify_commit_hooks("search_seal", None)
+                self._run_commit_hooks("search_seal", None)
 
     # ------------------------------------------------------------------
     # table API
@@ -667,7 +635,7 @@ class SpitzDatabase:
                 f", PRIMARY KEY ({schema.primary_key}))",
             ),
         )
-        self._notify_commit_hooks("create_table", (
+        self._run_commit_hooks("create_table", (
             schema.name,
             [(c.name, c.type) for c in schema.columns],
             schema.primary_key,
@@ -729,10 +697,10 @@ class SpitzDatabase:
         for row in matches:
             pk = schema.pk_bytes(row)
             writes: Dict[bytes, object] = {
-                schema.logical_key(ROW_COLUMN, pk): DELETE
+                schema.logical_key(ROW_COLUMN, pk): None
             }
             for column in schema.columns:
-                writes[schema.logical_key(column.name, pk)] = DELETE
+                writes[schema.logical_key(column.name, pk)] = None
             self._commit(writes, statements=(f"DELETE FROM {table}",))
         return len(matches)
 
@@ -1030,8 +998,8 @@ class KvTransaction:
     """Transactional KV session (reads snapshot, writes buffered).
 
     Thin adapter translating user keys to logical keys; commit routes
-    through the node's certifier and seals one ledger block via the
-    commit listener.
+    through the node's certifier and seals one ledger block through
+    :meth:`SpitzDatabase._commit`.
     """
 
     def __init__(self, db: SpitzDatabase, txn: Transaction):
@@ -1044,7 +1012,7 @@ class KvTransaction:
         return self._txn.read(KV_PREFIX + key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._txn.write(KV_PREFIX + key, value)
+        self._txn.write(KV_PREFIX + key, put_value(key, value))
 
     def delete(self, key: bytes) -> None:
         self._txn.delete(KV_PREFIX + key)
@@ -1067,6 +1035,18 @@ class _Sentinel:
 
 
 _SENTINEL = _Sentinel()
+
+
+def put_value(key: bytes, value: bytes) -> bytes:
+    """``value``, or :class:`QueryError` naming ``key`` unless it is
+    bytes: ``None`` in a write set is a delete, and anything else would
+    be installed as a version no ledger block can seal."""
+    if not isinstance(value, bytes):
+        raise QueryError(
+            f"value for key {key!r} must be bytes, "
+            f"not {type(value).__name__}"
+        )
+    return value
 
 
 def _scalar(cell: bytes) -> Any:

@@ -125,10 +125,8 @@ class Collection:
         if self.get(doc_id) is None:
             return False
         self._unindex(doc_id)
-        from repro.indexes.siri import DELETE
-
         self._db._commit(
-            {self._key(doc_id): DELETE},
+            {self._key(doc_id): None},
             statements=(f"DOC DELETE {self.name}/{doc_id}",),
         )
         return True

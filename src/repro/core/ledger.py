@@ -22,7 +22,6 @@ from repro.crypto.hashing import Digest, EMPTY_DIGEST, hash_many, hash_value
 from repro.errors import CommitNotFoundError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
-from repro.indexes.siri import DELETE
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.proofs import (
     BlockWitness,
@@ -91,7 +90,8 @@ class SpitzLedger:
         writes: Mapping[bytes, object],
         statements: Sequence[str] = (),
     ) -> Block:
-        """Seal ``writes`` (values or DELETE) into a new block.
+        """Seal ``writes`` (values, or ``None`` for a delete) into a new
+        block.
 
         Returns the block; the new index instance shares all unchanged
         nodes with the previous block's instance.
@@ -110,7 +110,7 @@ class SpitzLedger:
             for key in sorted(writes)
             for part in (
                 key,
-                b"\x00" if writes[key] is DELETE else writes[key],
+                b"\x00" if writes[key] is None else writes[key],
             )
         )
         self.link([(tree.root, writes_digest, len(writes), statements)])

@@ -5,9 +5,11 @@ and process requests from a global message queue.  Each node has three
 main components: a request handler, an auditor, and a transaction
 manager" (Section 5).  Here a node is its request handler: the
 auditor's role — check a write set and seal it into the ledger, fetch
-the proofs a read returns — is the shared database's commit pipeline
-(``SpitzDatabase._commit_locked``) and the ledger's ``*_with_proof``
-reads, and the transaction manager is the shared database's too.  A
+the proofs a read returns — is the shared database's one commit
+function (``SpitzDatabase._commit_locked``, which installs every
+committed write set: auto-commit, transaction and WAL replay alike) and
+the ledger's ``*_with_proof`` reads, and the transaction manager is the
+shared database's too.  A
 master node coordinates (footnote 1); here the master is
 :class:`SpitzCluster`, which owns the shared storage layer and the
 queue and runs each processor in a thread.

@@ -11,7 +11,7 @@ configuration (``mask_bits``, ``block_batch``, the indexed columns),
 the oracle's high-water mark, the chunk store's accounting, the
 schemas, each block's ``tree_root``, ``writes_digest``, ``write_count``
 and statements, and every version as sorted ``(logical key ‖
-timestamp(u64), value digest | 0³² for a tombstone)`` pairs in
+timestamp(u64), value digest | 0³² for a delete)`` pairs in
 :func:`~repro.indexes.siri.encode_node`'s codec.  The chunk section
 holds every chunk as a record, in its stored form.
 
@@ -63,8 +63,8 @@ _HEADER = struct.Struct(">32sQ")
 _FIXED = struct.Struct(">BIQQQQQQ")
 #: A block ahead of its statements: tree root, writes digest, writes.
 _BLOCK = struct.Struct(">32s32sQ")
-#: The version table's digest for a tombstone (no value hashes to it).
-_TOMBSTONE = bytes(32)
+#: The version table's digest for a delete (no value hashes to it).
+_DELETED = bytes(32)
 #: Ahead of each chunk's stored bytes: its address and length.
 _RECORD = struct.Struct(">32sI")
 #: The length's top bit: the record is a delta.
@@ -120,7 +120,7 @@ def _manifest(db: SpitzDatabase) -> bytes:
     """What of ``db`` cannot be derived (see the module docstring)."""
     # First: putting a value no block sealed moves the chunk accounting.
     versions = encode_node(("L", tuple(sorted(
-        (key + stamp.to_bytes(8, "big"), digest or _TOMBSTONE)
+        (key + stamp.to_bytes(8, "big"), digest or _DELETED)
         for key, stamp, digest in db.persisted_versions()
     ))))
     ledger = db.ledger
@@ -178,7 +178,7 @@ class _Manifest:
         # they come in commit order.
         self.versions = [
             (key[:-8], int.from_bytes(key[-8:], "big"),
-             None if digest == _TOMBSTONE else digest)
+             None if digest == _DELETED else digest)
             for key, digest in pairs
         ]
         del self._data

@@ -29,7 +29,6 @@ from repro.errors import (
     StorageError,
     TamperDetectedError,
 )
-from repro.indexes.siri import DELETE
 from repro.durability.checkpoint import (
     list_checkpoints,
     load_database,
@@ -91,13 +90,9 @@ def replay_record(db: SpitzDatabase, record: WalRecord) -> int:
     timestamp a ``commit`` record was sealed at (0 for other kinds).
     """
     if record.kind == KIND_COMMIT:
-        writes_list, statements, timestamp = record.data
-        writes = {
-            key: (DELETE if value is None else value)
-            for key, value in writes_list
-        }
+        writes, statements, timestamp = record.data
         db._commit(
-            writes, statements=tuple(statements), timestamp=timestamp
+            dict(writes), statements=tuple(statements), timestamp=timestamp
         )
         return timestamp
     if record.kind == KIND_CREATE_TABLE:

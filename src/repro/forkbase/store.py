@@ -21,7 +21,7 @@ from repro.forkbase.chunk_store import ChunkStore, StoreStats
 from repro.forkbase.chunker import Chunker, RollingChunker
 from repro.forkbase.versions import Commit, VersionManager
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import DELETE, decode_node, encode_node
+from repro.indexes.siri import decode_node, encode_node
 
 
 class Blob:
@@ -156,7 +156,7 @@ class ForkBase:
         that contained it.
         """
         working = self._working_map(branch)
-        self._working[branch] = working.apply({key.encode(): DELETE})
+        self._working[branch] = working.apply({key.encode(): None})
 
     def keys(
         self, branch: str = VersionManager.DEFAULT_BRANCH

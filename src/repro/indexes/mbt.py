@@ -22,7 +22,7 @@ from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ProofError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pickled_nodes import decode_node, encode_node
-from repro.indexes.siri import DELETE, SiriIndex, SiriProof
+from repro.indexes.siri import SiriIndex, SiriProof
 
 DEFAULT_BUCKETS = 256
 
@@ -171,7 +171,7 @@ class MerkleBucketTree(SiriIndex):
         for bucket, bucket_updates in by_bucket.items():
             entries = dict(self._bucket_entries(bucket))
             for key, value in bucket_updates.items():
-                if value is DELETE:
+                if value is None:
                     entries.pop(key, None)
                 else:
                     entries[key] = value

@@ -22,7 +22,7 @@ from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ProofError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.pickled_nodes import decode_node, encode_node
-from repro.indexes.siri import DELETE, SiriIndex, SiriProof
+from repro.indexes.siri import SiriIndex, SiriProof
 
 _EMPTY_NODE = ("NULL",)
 
@@ -202,7 +202,7 @@ class MerklePatriciaTrie(SiriIndex):
             root = None
         for key, value in sorted(updates.items()):
             path = _nibbles(key)
-            if value is DELETE:
+            if value is None:
                 root = self._delete(root, path)
             else:
                 root = self._insert(root, path, value)

@@ -43,7 +43,6 @@ from typing import (
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.siri import (
-    DELETE,
     NodeCache,
     SiriIndex,
     SiriProof,
@@ -641,8 +640,7 @@ class PosTree(SiriIndex):
     def apply(self, updates: Mapping[bytes, object]) -> "PosTree":
         """Batch update; returns a new tree sharing unchanged nodes.
 
-        ``updates`` maps keys to byte values or the
-        :data:`~repro.indexes.siri.DELETE` sentinel.
+        ``updates`` maps keys to byte values or ``None`` (a delete).
 
         One pass per level, leaves first: each run of touched nodes is
         found by descending from the root, its decoded pairs are
@@ -659,7 +657,7 @@ class PosTree(SiriIndex):
             # block that commits it is sealed.
             changes.append((
                 key, key,
-                () if value is DELETE else ((key, self.store.put(value)),),
+                () if value is None else ((key, self.store.put(value)),),
             ))
         tag = "L"
         for depth in reversed(range(self.height)):

@@ -28,10 +28,6 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 from repro.crypto.hashing import Digest
 from repro.forkbase.chunk_store import ChunkStore
 
-#: Sentinel marking a key for deletion in a batch update.
-DELETE = object()
-
-
 #: Node layout v3, leaves and branches alike:
 #: ``tag(1) ‖ count(u32) ‖ prefix length(varint) ‖ prefix ‖
 #: count × suffix length(varint) ‖ suffixes ‖ count × digest(32)``.
@@ -279,7 +275,7 @@ class SiriIndex(ABC):
     def apply(self, updates: Mapping[bytes, object]) -> "SiriIndex":
         """Return a new instance with ``updates`` applied.
 
-        Values are bytes; the :data:`DELETE` sentinel removes a key.
+        Values are bytes; ``None`` removes a key.
         The receiver is unchanged (persistence); the result shares all
         untouched nodes with the receiver (recyclability).
         """
@@ -297,4 +293,4 @@ class SiriIndex(ABC):
         return self.apply({key: value})
 
     def delete(self, key: bytes) -> "SiriIndex":
-        return self.apply({key: DELETE})
+        return self.apply({key: None})

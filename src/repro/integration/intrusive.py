@@ -49,13 +49,13 @@ def migrate_kvs_to_spitz(
         ]
     batch = {}
     for _timestamp, key, version in versions:
-        if key in batch or version.is_tombstone:
+        if key in batch or version.value is None:
             # A key's second version, or a delete, starts a new block:
             # what came before it must land first, not be overwritten.
             if batch:
                 spitz.put_batch(batch)
             batch = {}
-        if version.is_tombstone:
+        if version.value is None:
             spitz.delete(key)
             continue
         batch[key] = version.value

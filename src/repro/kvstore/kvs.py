@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.bplus import BPlusTree
 from repro.core.cell_store import live_value, put_history
-from repro.txn.mvcc import MVCCStore, Version
+from repro.txn.mvcc import MVCCStore
 from repro.txn.oracle import TimestampOracle
 
 
@@ -33,7 +33,7 @@ class ImmutableKVS:
         self.oracle = TimestampOracle()
 
     def _install(self, key: bytes, value: object) -> None:
-        self.versions.install({key: value}, self.oracle.next_timestamp(), 0)
+        self.versions.install({key: value}, self.oracle.next_timestamp())
 
     def put(self, key: bytes, value: bytes) -> None:
         """Append a new immutable version of ``key``."""
@@ -49,7 +49,7 @@ class ImmutableKVS:
     def delete(self, key: bytes) -> None:
         """Remove ``key`` from the current state (history remains)."""
         if key in self.primary:
-            self._install(key, Version.TOMBSTONE)
+            self._install(key, None)
             self.primary.delete(key)
 
     def scan(self, low: bytes, high: bytes) -> List[Tuple[bytes, bytes]]:

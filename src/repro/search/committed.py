@@ -38,7 +38,6 @@ from repro.errors import QueryError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.inverted import encode_search_value
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import DELETE
 
 #: Reserved logical key the search manifest is sealed under.  The
 #: prefix is disjoint from the KV/table/document prefixes, so the key
@@ -221,7 +220,7 @@ class CommittedSearchIndex:
                 postings = inverted.lookup(column, value)
                 key = encode_search_value(value)
                 updates[key] = (
-                    encode_postings(postings) if postings else DELETE
+                    encode_postings(postings) if postings else None
                 )
             self._trees[column] = self._trees[column].apply(updates)
             values.clear()

@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.database import SpitzDatabase
+from repro.core.database import SpitzDatabase, put_value
 from repro.core.ledger import LedgerDigest
 from repro.core.schema import KV_PREFIX
 from repro.errors import QueryError
@@ -181,7 +181,7 @@ class ShardedDatabase:
         The multi-shard path stages one transaction branch per
         involved shard (prepare), then commits them all under one
         logged decision; each branch's commit seals that shard's
-        ledger block through the ordinary commit-listener path.
+        ledger block through the shard's one commit function.
         """
         groups = self.router.split_items(items)
         if not groups:
@@ -192,7 +192,8 @@ class ShardedDatabase:
             return self.shards[shard_id].put_batch(sub)
         writes = {
             self._participant_names[shard_id]: {
-                KV_PREFIX + key: value for key, value in sub.items()
+                KV_PREFIX + key: put_value(key, value)
+                for key, value in sub.items()
             }
             for shard_id, sub in groups.items()
         }

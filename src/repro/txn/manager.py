@@ -13,10 +13,10 @@ from __future__ import annotations
 import enum
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import TransactionAborted, TransactionStateError
-from repro.txn.mvcc import MVCCStore, Version
+from repro.txn.mvcc import MVCCStore
 from repro.txn.oracle import TimestampOracle
 
 
@@ -35,7 +35,6 @@ class IsolationLevel(enum.Enum):
 
 class TxnState(enum.Enum):
     ACTIVE = "active"
-    PREPARED = "prepared"
     COMMITTED = "committed"
     ABORTED = "aborted"
 
@@ -106,8 +105,7 @@ class Transaction:
         """
         self._require_active()
         if key in self.write_buffer:
-            value = self.write_buffer[key]
-            return None if value == Version.TOMBSTONE else value
+            return self.write_buffer[key]
         self._manager.certifier.on_read(self, key)
         if (
             self.isolation is IsolationLevel.READ_COMMITTED
@@ -117,28 +115,28 @@ class Transaction:
         else:
             version = self._manager.store.read(key, self.start_ts)
         self.read_set[key] = version.commit_ts if version else 0
-        if version is None or version.is_tombstone:
-            return None
-        return version.value
+        return version.value if version else None
 
     def write(self, key: Any, value: Any) -> None:
-        """Buffer a write; visible to others only after commit."""
+        """Buffer a write (``None`` deletes); visible to others only
+        after commit."""
         self._require_active()
         self._manager.certifier.on_write(self, key)
         self.write_buffer[key] = value
 
     def delete(self, key: Any) -> None:
-        """Buffer a logical delete (tombstone)."""
-        self.write(key, Version.TOMBSTONE)
+        """Buffer a logical delete."""
+        self.write(key, None)
 
     # -- completion --------------------------------------------------------
 
     def commit(self) -> int:
-        """Certify and install the write set; return the commit timestamp.
+        """Certify the write set and hand it to the manager's
+        :attr:`~TransactionManager.apply`; return the commit timestamp.
 
         Raises :class:`TransactionAborted` when certification fails;
         the transaction is then aborted and must be retried by the
-        caller.
+        caller.  An error from ``apply`` aborts it too, and propagates.
         """
         self._require_active()
         manager = self._manager
@@ -146,20 +144,17 @@ class Transaction:
             commit_ts = manager.oracle.next_timestamp()
             try:
                 manager.certifier.certify(self, commit_ts)
-            except TransactionAborted:
-                self.state = TxnState.ABORTED
-                manager.aborted += 1
-                manager.certifier.on_finish(self)
+                if self.write_buffer:
+                    manager.apply(
+                        self.write_buffer, (f"txn:{self.txn_id}",), commit_ts
+                    )
+            except Exception:
+                self.abort()
                 raise
-            if self.write_buffer:
-                manager.store.install(
-                    self.write_buffer, commit_ts, self.txn_id
-                )
             self.commit_ts = commit_ts
             self.state = TxnState.COMMITTED
             manager.committed += 1
             manager.certifier.on_finish(self)
-            manager.notify_commit(self)
             return commit_ts
 
     def abort(self) -> None:
@@ -183,14 +178,27 @@ class Transaction:
         return False
 
 
+#: Where a certified write set goes: ``apply(writes, statements,
+#: commit_ts)``, called once per committed transaction under the commit
+#: lock, a delete written as ``None``.
+Apply = Callable[[Mapping[Any, Any], Tuple[str, ...], int], object]
+
+
 class TransactionManager:
-    """Factory and coordination point for transactions on one node."""
+    """Factory and coordination point for transactions on one node.
+
+    A committed write set goes to one sink, ``apply``: a database's
+    manager uses the database's commit function, which installs the
+    versions and seals the ledger block; a bare manager installs into
+    its own store.
+    """
 
     def __init__(
         self,
         store: Optional[MVCCStore] = None,
         oracle: Optional[TimestampOracle] = None,
         certifier: Optional[Certifier] = None,
+        apply: Optional[Apply] = None,
     ):
         from repro.txn.occ import OccCertifier  # default; avoids cycle
 
@@ -199,10 +207,13 @@ class TransactionManager:
         self.certifier = certifier if certifier is not None else OccCertifier(
             self.store
         )
+        self.apply: Apply = apply if apply is not None else self._install
         self.commit_lock = threading.RLock()
         self.committed = 0
         self.aborted = 0
-        self._commit_listeners = []
+
+    def _install(self, writes, _statements, commit_ts: int) -> None:
+        self.store.install(writes, commit_ts)
 
     def begin(
         self, isolation: Optional[IsolationLevel] = None
@@ -243,18 +254,6 @@ class TransactionManager:
                 last_error = error
         assert last_error is not None
         raise last_error
-
-    def add_commit_listener(self, listener) -> None:
-        """Register ``listener(txn)`` to run after every commit.
-
-        Spitz's auditor uses this to feed committed write sets into the
-        ledger.
-        """
-        self._commit_listeners.append(listener)
-
-    def notify_commit(self, txn: Transaction) -> None:
-        for listener in self._commit_listeners:
-            listener(txn)
 
     @property
     def abort_rate(self) -> float:

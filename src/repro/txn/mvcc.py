@@ -22,20 +22,10 @@ _COMMIT_TS = attrgetter("commit_ts")
 
 @dataclass(frozen=True, slots=True)
 class Version:
-    """One committed version of a key."""
+    """One committed version of a key; a ``None`` value is a delete."""
 
     commit_ts: int
     value: Any
-    txn_id: int
-
-    #: Sentinel value marking a logical delete (tombstone).
-    TOMBSTONE = "__tombstone__"
-
-    @property
-    def is_tombstone(self) -> bool:
-        return (
-            isinstance(self.value, str) and self.value == Version.TOMBSTONE
-        )
 
 
 class MVCCStore:
@@ -51,7 +41,7 @@ class MVCCStore:
     def read(self, key: Any, snapshot_ts: int) -> Optional[Version]:
         """Latest version with ``commit_ts <= snapshot_ts``.
 
-        Returns None when no such version exists; returns the tombstone
+        Returns None when no such version exists; returns a delete's
         version itself (callers decide how to surface deletes).
         """
         with self._lock:
@@ -90,15 +80,14 @@ class MVCCStore:
             keys = sorted(self._versions.keys())
         for key in keys:
             version = self.read(key, snapshot_ts)
-            if version is not None and not version.is_tombstone:
+            if version is not None and version.value is not None:
                 yield key, version.value
 
     # -- writes ------------------------------------------------------------
 
-    def install(
-        self, writes: Mapping[Any, Any], commit_ts: int, txn_id: int
-    ) -> None:
-        """Atomically install a transaction's write set at ``commit_ts``.
+    def install(self, writes: Mapping[Any, Any], commit_ts: int) -> None:
+        """Atomically install a committed write set at ``commit_ts``
+        (``None`` deletes a key; its history is kept).
 
         Versions must be installed in commit-timestamp order per key;
         violating that indicates a certifier bug, so it raises.
@@ -111,18 +100,12 @@ class MVCCStore:
                         f"out-of-order install at key {key!r}: "
                         f"{commit_ts} <= {versions[-1].commit_ts}"
                     )
-                versions.append(
-                    Version(commit_ts=commit_ts, value=value, txn_id=txn_id)
-                )
+                versions.append(Version(commit_ts, value))
 
     def restore(self, versions: Dict[Any, List[Version]]) -> None:
         """Adopt ``versions`` (key → versions by commit_ts) wholesale."""
         with self._lock:
             self._versions = versions
-
-    def delete(self, key: Any, commit_ts: int, txn_id: int) -> None:
-        """Install a tombstone (logical delete; history is preserved)."""
-        self.install({key: Version.TOMBSTONE}, commit_ts, txn_id)
 
     def __len__(self) -> int:
         with self._lock:

@@ -108,7 +108,7 @@ def test_mvcc_snapshot_is_prefix_state(writes, probe):
     model_at = {}
     state = {}
     for ts, (key, value) in enumerate(writes, start=1):
-        store.install({key: value}, ts, ts)
+        store.install({key: value}, ts)
         state = dict(state)
         state[key] = value
         model_at[ts] = state

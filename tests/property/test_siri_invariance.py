@@ -15,14 +15,14 @@ from repro.forkbase.store import ForkBase
 from repro.indexes.mbt import MerkleBucketTree
 from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import DELETE, decode_node
+from repro.indexes.siri import decode_node
 
 keys = st.binary(min_size=1, max_size=12)
 values = st.binary(min_size=0, max_size=16)
 
 #: A script of (key, value-or-delete) operations.
 scripts = st.lists(
-    st.tuples(keys, st.one_of(values, st.just(DELETE))),
+    st.tuples(keys, st.one_of(values, st.none())),
     min_size=0,
     max_size=60,
 )
@@ -31,7 +31,7 @@ scripts = st.lists(
 def _final_state(script):
     state = {}
     for key, value in script:
-        if value is DELETE:
+        if value is None:
             state.pop(key, None)
         else:
             state[key] = value
@@ -74,7 +74,7 @@ deep_scripts = st.lists(
     st.tuples(
         st.integers(0, 150).map(lambda n: b"k%03d" % n),
         st.one_of(
-            st.integers(0, 3).map(lambda n: b"v%d" % n), st.just(DELETE)
+            st.integers(0, 3).map(lambda n: b"v%d" % n), st.none()
         ),
     ),
     min_size=30,
@@ -133,7 +133,7 @@ def _nodes_under(store, address):
 #: Twenty keys, then all but the first deleted: the root that is left
 #: hangs under seven single-child branches that the apply steps past.
 _COLLAPSING = [(b"k%03d" % n, b"v") for n in range(20)] + [
-    (b"k%03d" % n, DELETE) for n in range(1, 20)
+    (b"k%03d" % n, None) for n in range(1, 20)
 ]
 
 

@@ -3,7 +3,10 @@
 One random script drives three subjects — ``SpitzDatabase`` with
 ``block_batch`` 1 and 4, and ``ImmutableKVS`` — through put,
 put_batch, delete, a KV transaction committed or aborted, and table
-insert / update / delete_rows on an indexed column.  Every read surface
+insert / update / delete_rows on an indexed column.  A ``bad_put``
+hands a database's put, put_batch or transaction a value that is not
+bytes (``None`` among them: inside a write set it means delete); each
+must refuse it and leave the model unchanged.  Every read surface
 is checked against a model that keeps each key's versions in a list:
 ``get``, ``get_many`` (a list and a generator), ``scan``, ``history``,
 ``select`` (current, and as of a block marked mid-script), ``search``
@@ -22,6 +25,7 @@ of the same profile with ``--model-examples``.
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.database import SpitzDatabase
@@ -30,6 +34,7 @@ from repro.core.schema import KV_PREFIX, TableSchema, encode_value
 from repro.core.universal_key import UniversalKey
 from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import hash_bytes
+from repro.errors import QueryError
 from repro.kvstore.kvs import ImmutableKVS
 from repro.txn.manager import IsolationLevel
 
@@ -47,6 +52,7 @@ INDEXED = "items.price"
 
 keys = st.sampled_from(KEYS)
 values = st.binary(max_size=4)
+bad_values = st.none() | st.text(max_size=2) | st.integers()
 ids = st.sampled_from(IDS)
 prices = st.sampled_from(PRICES)
 conditions = st.one_of(
@@ -60,6 +66,12 @@ operations = st.one_of(
         st.just("txn"),
         st.dictionaries(keys, st.none() | values, min_size=1),
         st.booleans(),
+    ),
+    st.tuples(
+        st.just("bad_put"),
+        st.sampled_from(["put", "put_batch", "txn"]),
+        keys,
+        bad_values,
     ),
     st.tuples(st.just("insert"), ids, prices),
     st.tuples(st.just("update"), conditions, prices),
@@ -163,6 +175,20 @@ def _apply(op, model, subjects, kvs):
                 else:
                     kvs.put(key, value)
                 model.kv[key].append(value)
+    elif kind == "bad_put":
+        _, via, key, value = op
+        for db in dbs:
+            with pytest.raises(QueryError):
+                if via == "put":
+                    db.put(key, value)
+                elif via == "put_batch":
+                    db.put_batch({b"e": b"", key: value})
+                else:
+                    txn = db.transaction()
+                    try:
+                        txn.put(key, value)
+                    finally:
+                        txn.abort()
     elif kind == "insert":
         _, pk, price = op
         for db in dbs:

@@ -3,7 +3,7 @@
 from repro.core.cell_store import CellStore, parse_logical_key
 from repro.core.database import SpitzDatabase
 from repro.crypto.hashing import hash_bytes
-from repro.txn.mvcc import MVCCStore, Version
+from repro.txn.mvcc import MVCCStore
 
 KEY = b"t\x00t\x00col\x00pk"  # table "t", column "col", primary key "pk"
 
@@ -16,7 +16,7 @@ class _Cells:
         self.cells = CellStore(self.store)
 
     def put(self, key, timestamp, value):
-        self.store.install({key: value}, timestamp, 0)
+        self.store.install({key: value}, timestamp)
 
 
 class TestCellStore:
@@ -102,10 +102,10 @@ class TestCellStore:
     def test_a_delete_is_not_a_cell(self):
         view = _Cells()
         view.put(KEY, 1, b"v")
-        view.put(KEY, 2, Version.TOMBSTONE)
+        view.put(KEY, 2, None)
         view.put(KEY, 3, b"w")
         assert [c.value for c in view.cells.versions(KEY)] == [b"v", b"w"]
         assert view.cells.at_time(KEY, 2) is None
         assert view.cells.at_time(KEY, 1).value == b"v"
-        view.put(KEY, 4, Version.TOMBSTONE)
+        view.put(KEY, 4, None)
         assert view.cells.latest(KEY) is None

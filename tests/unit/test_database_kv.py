@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.database import SpitzDatabase
 from repro.core.verifier import ClientVerifier
-from repro.errors import TransactionAborted
+from repro.durability.checkpoint import load_database, save_database
+from repro.errors import QueryError, TransactionAborted
 
 
 class TestKvBasics:
@@ -138,7 +139,7 @@ class TestOneVersionStore:
         assert [v.value for v in versions] == [b"1", b"2", b"3"]
         assert db.primary.get_optional(b"k\x00a") is versions
         assert b"k\x00b" not in db.primary
-        assert store.read_latest(b"k\x00b").is_tombstone
+        assert store.read_latest(b"k\x00b").value is None
         assert store.version_count() == 5
 
     def test_writes_retain_nothing_in_cell_store_or_universal_keys(self):
@@ -213,3 +214,43 @@ class TestKvTransactions:
         txn.put(b"k", b"txn")
         with pytest.raises(TransactionAborted):
             txn.commit()
+
+
+class TestValuesAreBytes:
+    """``None`` in a write set is a delete, so a put refuses any value
+    that is not bytes — before it installs anything."""
+
+    BAD = [None, "text", 5]
+
+    def _state(self, db):
+        return (
+            db.get(b"k"), db.history(b"k"), db.ledger.height, db.digest()
+        )
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_put_refuses_and_leaves_no_trace(self, db, bad, tmp_path):
+        db.put(b"k", b"good")
+        before = self._state(db)
+        with pytest.raises(QueryError, match="b'k'"):
+            db.put(b"k", bad)
+        with pytest.raises(QueryError, match="b'k'"):
+            db.put_batch({b"j": b"fine", b"k": bad})
+        assert self._state(db) == before
+        assert db.get(b"j") is None
+        path = tmp_path / "snap.spitz"
+        save_database(db, path)
+        reloaded = load_database(path)
+        assert self._state(reloaded) == before
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_a_transaction_put_refuses(self, db, bad):
+        db.put(b"k", b"good")
+        before = self._state(db)
+        with db.transaction() as txn:
+            with pytest.raises(QueryError, match="b'k'"):
+                txn.put(b"k", bad)
+        assert self._state(db) == before
+
+    def test_the_database_takes_no_certifier(self):
+        with pytest.raises(TypeError):
+            SpitzDatabase(certifier=None)

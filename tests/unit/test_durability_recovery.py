@@ -151,7 +151,7 @@ class TestCheckpoints:
             digest = ddb.digest()
         edited = load_database(path2)
         versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
-        versions[-1] = Version(versions[-1].commit_ts, b"EDITED", 0)
+        versions[-1] = Version(versions[-1].commit_ts, b"EDITED")
         save_database(edited, path2)
         report = recover(tmp_path)
         assert report.checkpoint_lsn == lsn1
@@ -376,6 +376,32 @@ class TestCheckpoints:
                 ddb.checkpoint()
             # The newest plus KEEP_OLDER (2) older fallbacks survive pruning.
             assert len(list_checkpoints(tmp_path)) == 3
+
+
+class TestUntrustedValues:
+    def test_a_null_put_frame_changes_nothing(self, tmp_path):
+        """A PUT frame whose value is JSON ``null`` is refused before it
+        installs a version: ``None`` is a delete inside a write set, so
+        letting it through would delete the key unlogged and unsealed."""
+        from repro.core.request_handler import RequestHandler
+        from repro.serve.codec import decode_request
+
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"k", b"good")
+            handler = RequestHandler(ddb)
+            frame = {
+                "kind": "put",
+                "verify": False,
+                "payload": {"key": {"$bytes": "aw=="}, "value": None},
+            }
+            response = handler.handle(decode_request(frame))
+            assert not response.ok and "b'k'" in response.error
+            got = handler.handle(Request(RequestKind.GET, {"key": b"k"}))
+            assert got.ok and got.result == b"good"
+            assert [value for _ts, value in ddb.history(b"k")] == [b"good"]
+            ddb.checkpoint()
+        with DurableDatabase.open(tmp_path) as reopened:
+            assert reopened.get(b"k") == b"good"
 
 
 class TestOneReadOfTheLog:

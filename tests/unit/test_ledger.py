@@ -9,7 +9,6 @@ import pytest
 
 from repro.crypto.hashing import hash_bytes
 from repro.errors import CommitNotFoundError
-from repro.indexes.siri import DELETE
 from repro.core.ledger import SpitzLedger
 from repro.core.verifier import ClientVerifier
 
@@ -44,7 +43,7 @@ class TestLedgerBlocks:
     def test_delete_in_block(self):
         ledger = SpitzLedger()
         ledger.append_block({b"k": b"v"})
-        ledger.append_block({b"k": DELETE})
+        ledger.append_block({b"k": None})
         assert ledger.get(b"k") is None
         assert ledger.get_at(b"k", 0) == b"v"
 
@@ -121,7 +120,7 @@ class TestLedgerHistory:
         ledger.append_block({b"k": b"v1"})
         ledger.append_block({b"other": b"x"})
         ledger.append_block({b"k": b"v2"})
-        ledger.append_block({b"k": DELETE})
+        ledger.append_block({b"k": None})
         history = ledger.key_history(b"k")
         assert history == [(0, b"v1"), (2, b"v2"), (3, None)]
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.indexes.mbt import MerkleBucketTree
-from repro.indexes.siri import DELETE, SiriProof
+from repro.indexes.siri import SiriProof
 
 
 def _items(n):
@@ -32,7 +32,7 @@ class TestMbtBasics:
 
     def test_delete(self, store):
         tree = MerkleBucketTree.from_items(store, _items(30), buckets=16)
-        dropped = tree.apply({b"item-00005": DELETE})
+        dropped = tree.apply({b"item-00005": None})
         assert dropped.get(b"item-00005") is None
         assert tree.get(b"item-00005") == b"v5"
 
@@ -62,7 +62,7 @@ class TestMbtInvariance:
     def test_delete_matches_fresh_build(self, store):
         items = _items(80)
         full = MerkleBucketTree.from_items(store, items, buckets=32)
-        dropped = full.apply({items[3][0]: DELETE})
+        dropped = full.apply({items[3][0]: None})
         rebuilt = MerkleBucketTree.from_items(
             store, items[:3] + items[4:], buckets=32
         )

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.indexes.mpt import MerklePatriciaTrie
-from repro.indexes.siri import DELETE, SiriProof
+from repro.indexes.siri import SiriProof
 
 
 def _items(n):
@@ -69,7 +69,7 @@ class TestMptInvariance:
     def test_delete_all_restores_empty_root(self, store):
         items = _items(60)
         trie = MerklePatriciaTrie.from_items(store, items)
-        emptied = trie.apply({key: DELETE for key, _ in items})
+        emptied = trie.apply({key: None for key, _ in items})
         assert emptied.root == MerklePatriciaTrie.empty(store).root
 
     def test_delete_absent_key_is_noop(self, store):

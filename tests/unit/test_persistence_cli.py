@@ -48,7 +48,7 @@ class TestLiveSet:
         untouched: unverified ``get`` would serve the edit."""
         edited = load_database(snapshot_path)
         versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
-        versions[-1] = Version(versions[-1].commit_ts, b"EDITED", 0)
+        versions[-1] = Version(versions[-1].commit_ts, b"EDITED")
         assert edited.get(b"k07") == b"EDITED"
         save_database(edited, snapshot_path)
         assert edited.digest() == saved.digest() and edited.verify_chain()
@@ -64,10 +64,10 @@ class TestLiveSet:
         stamp = db.oracle.next_timestamp()
         key, value = {
             "resurrect": (b"k13", b"back"),
-            "delete": (b"k05", Version.TOMBSTONE),
+            "delete": (b"k05", None),
             "add": (b"k99", b"new"),
         }[edit]
-        store.install({KV_PREFIX + key: value}, stamp, txn_id=0)
+        store.install({KV_PREFIX + key: value}, stamp)
         save_database(db, snapshot_path)
         with pytest.raises(TamperDetectedError, match="live set"):
             load_database(snapshot_path)

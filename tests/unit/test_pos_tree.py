@@ -7,7 +7,7 @@ import pytest
 
 from repro.crypto.hashing import Digest
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import DELETE, SiriProof
+from repro.indexes.siri import SiriProof
 
 
 def _items(n, prefix="k"):
@@ -72,7 +72,7 @@ class TestStructuralInvariance:
     def test_delete_matches_fresh_build(self, store):
         items = _items(200)
         tree = PosTree.from_items(store, items)
-        dropped = tree.apply({items[17][0]: DELETE})
+        dropped = tree.apply({items[17][0]: None})
         rebuilt = PosTree.from_items(
             store, items[:17] + items[18:]
         )
@@ -80,7 +80,7 @@ class TestStructuralInvariance:
 
     def test_delete_everything_is_canonical_empty(self, store):
         tree = PosTree.from_items(store, _items(64))
-        emptied = tree.apply({key: DELETE for key, _ in _items(64)})
+        emptied = tree.apply({key: None for key, _ in _items(64)})
         assert emptied.root == PosTree.empty(store).root
 
 

@@ -11,7 +11,6 @@ from repro.core.provenance import (
     verify_statements,
 )
 from repro.errors import CommitNotFoundError
-from repro.indexes.siri import DELETE
 
 
 class TestLedgerStatements:
@@ -45,7 +44,7 @@ class TestProvenance:
         ledger.append_block({b"k": b"v1"}, statements=("INSERT k",))
         ledger.append_block({b"other": b"x"}, statements=("INSERT other",))
         ledger.append_block({b"k": b"v2"}, statements=("UPDATE k",))
-        ledger.append_block({b"k": DELETE}, statements=("DELETE k",))
+        ledger.append_block({b"k": None}, statements=("DELETE k",))
         return ledger
 
     def test_blocks_touching(self):

@@ -12,7 +12,6 @@ import pytest
 from repro.indexes.mbt import MerkleBucketTree
 from repro.indexes.mpt import MerklePatriciaTrie
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import DELETE
 
 
 def _make(kind, store):
@@ -95,5 +94,5 @@ class TestSiriContract:
 
     def test_apply_delete_sentinel(self, store, kind):
         index = _make(kind, store).apply(dict(ITEMS))
-        dropped = index.apply({ITEMS[0][0]: DELETE})
+        dropped = index.apply({ITEMS[0][0]: None})
         assert dropped.get(ITEMS[0][0]) is None
