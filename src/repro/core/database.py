@@ -235,7 +235,7 @@ class SpitzDatabase:
             if value is None:
                 if logical_key in self.primary:
                     self.primary.delete(logical_key)
-            elif logical_key not in self.primary:
+            else:  # an insert overwrites with the same version list
                 self.primary.insert(
                     logical_key, store.versions_of(logical_key)
                 )

@@ -1,7 +1,7 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
 A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
-folded in) is layout 9: ``magic ‖ SHA-256(manifest) ‖ manifest
+folded in) is layout 10: ``magic ‖ SHA-256(manifest) ‖ manifest
 length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
 owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
 :meth:`SpitzDatabase.restore` own what they mean.
@@ -54,7 +54,10 @@ CHECKPOINT_SUFFIX = ".spitz"
 _CHECKPOINT_RE = re.compile(
     re.escape(CHECKPOINT_PREFIX) + r"(\d{12})" + re.escape(CHECKPOINT_SUFFIX)
 )
-_MAGIC = b"SPITZDB9"
+#: Layouts 1–9 were stamped ``SPITZDB`` and one digit; from layout 10
+#: on the stamp is ``SPITZ`` and three digits.
+_MAGIC = b"SPITZ010"
+_LAYOUT = re.compile(rb"SPITZ(?:DB(\d)|(\d{3}))")
 #: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")
 #: The manifest's fixed head: ``mask_bits``, ``block_batch``, the
@@ -215,11 +218,13 @@ def load_database(path: Union[str, Path], **db_kwargs) -> SpitzDatabase:
     with open(path, "rb") as handle:
         magic = handle.read(len(_MAGIC))
         if magic != _MAGIC:
-            if magic.startswith(_MAGIC[:-1]) and magic[7:8].isdigit():
+            layout = _LAYOUT.fullmatch(magic)
+            if layout:
                 raise FormatVersionError(
-                    f"{path} holds a snapshot in layout {magic[7:8].decode()}"
-                    f"; this build reads and writes snapshot layout "
-                    f"{_MAGIC[7:].decode()} only, and there is no migration"
+                    f"{path} holds a snapshot in layout "
+                    f"{int(layout.group(1) or layout.group(2))}; this build "
+                    f"reads and writes snapshot layout {int(_MAGIC[5:])} "
+                    "only, and there is no migration"
                 )
             raise StorageError(f"{path} is not a Spitz snapshot")
         header = handle.read(_HEADER.size)

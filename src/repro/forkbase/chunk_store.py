@@ -19,11 +19,13 @@ costs less than address-striped locks plus a separate stats lock did.
 
 History as reverse deltas: a node an apply retires is re-stored by
 :meth:`ChunkStore.supersede` as a :class:`Delta` — the bytes it differs
-by from the same-length node that replaced it — so the newest version
-of a node is whole and an older one costs about one digest.  :meth:`get`
-rebuilds a delta by walking its chain (at most :data:`MAX_CHAIN` links)
-to a whole chunk; a re-put of content held as a delta stores it whole
-again.
+by from the node that replaced it, whatever the two lengths — so the
+newest version of a node is whole and an older one costs about one row:
+node layout v4 (:mod:`repro.indexes.siri`) makes an insert, a delete or
+an overwrite one contiguous edit, so the shared ends leave the row as
+the middle.  :meth:`get` rebuilds a delta by walking its chain (at most
+:data:`MAX_CHAIN` links) to a whole chunk; a re-put of content held as
+a delta stores it whole again.
 
 A checkpoint writes a store as its chunks in their stored form, not as
 an object graph, each accepted on load only once it rebuilds to bytes
@@ -64,11 +66,22 @@ class Delta(bytes):
 
 
 def _delta(old: bytes, new: bytes, base: Digest) -> Delta:
-    """``old`` as a delta against the same-length ``new`` at ``base``:
-    one XOR of the two as integers finds the shared ends."""
-    diff = int.from_bytes(old, "big") ^ int.from_bytes(new, "big")
-    prefix = len(old) - (diff.bit_length() + 7) // 8
-    suffix = ((diff & -diff).bit_length() - 1) // 8
+    """``old`` as a delta against ``new`` at ``base``.  As big-endian
+    integers the two line up at their last bytes, so one XOR finds the
+    shared suffix, and one more, with the longer shifted down to the
+    shorter's length, the shared prefix; the two ends together are
+    clamped to the shorter length."""
+    first, second = int.from_bytes(old, "big"), int.from_bytes(new, "big")
+    size = min(len(old), len(new))
+    head = (first >> 8 * (len(old) - size)) ^ (
+        second >> 8 * (len(new) - size)
+    )
+    prefix = size - (head.bit_length() + 7) // 8
+    tail = first ^ second
+    suffix = (
+        min(((tail & -tail).bit_length() - 1) // 8, size - prefix)
+        if tail else size - prefix
+    )
     return Delta(
         _DELTA.pack(base, prefix, suffix) + old[prefix:len(old) - suffix]
     )
@@ -174,14 +187,11 @@ class ChunkStore:
     def supersede(self, old: Digest, new: Digest) -> None:
         """Re-store the chunk at ``old`` as a :class:`Delta` against the
         chunk at ``new`` that took its place, if both are held whole,
-        are the same length (tested first, outside the lock: an
-        insert's rewrite pays one length compare), the delta is smaller
-        than the chunk, and no chain through ``old`` grows past
-        :data:`MAX_CHAIN`."""
+        the delta is smaller than the chunk, and no chain through
+        ``old`` grows past :data:`MAX_CHAIN`.  The two may differ in
+        length: a node one pair longer or shorter than its successor
+        differs from it by one row."""
         entries, depths = self._entries, self._depths
-        was, now = entries.get(old), entries.get(new)
-        if was is None or now is None or len(was) != len(now):
-            return
         with self._lock:
             was, now = entries.get(old), entries.get(new)
             if (

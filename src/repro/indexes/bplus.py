@@ -63,17 +63,19 @@ class BPlusTree:
 
     def get(self, key: Any) -> Any:
         """Value for ``key``; raises :class:`KeyNotFoundError` if absent."""
+        value = self.get_optional(key, _MISSING)
+        if value is _MISSING:
+            raise KeyNotFoundError(key)
+        return value
+
+    def get_optional(self, key: Any, default: Any = None) -> Any:
+        """Value for ``key``, or ``default`` if absent (no exception
+        raised and caught on a miss)."""
         leaf = self._find_leaf(key)
         index = bisect.bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             return leaf.values[index]
-        raise KeyNotFoundError(key)
-
-    def get_optional(self, key: Any, default: Any = None) -> Any:
-        try:
-            return self.get(key)
-        except KeyNotFoundError:
-            return default
+        return default
 
     def range(
         self, low: Any, high: Any, inclusive: bool = True

@@ -22,22 +22,32 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from operator import ge
+from functools import lru_cache
+from operator import ge, itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import Digest
 from repro.forkbase.chunk_store import ChunkStore
 
-#: Node layout v3, leaves and branches alike:
-#: ``tag(1) ‖ count(u32) ‖ prefix length(varint) ‖ prefix ‖
-#: count × suffix length(varint) ‖ suffixes ‖ count × digest(32)``.
-#: The prefix is the longest common prefix of the first and last key —
-#: of every key, since keys are sorted — and a varint is unsigned
-#: LEB128, minimally encoded.
-_HEAD = struct.Struct(">cI")
+#: Node layout v4, leaves and branches alike, row-major:
+#: ``tag(1) ‖ prefix length(varint) ‖ prefix`` then, per pair, one row
+#: ``suffix length(varint) ‖ suffix ‖ digest(32)`` to the end of the
+#: node — there is no count.  The prefix is the longest common prefix of
+#: the first and last key — of every key, since keys are sorted — and a
+#: varint is unsigned LEB128, minimally encoded.  Inserting, deleting or
+#: re-pointing a pair edits one run of bytes (the header too only when
+#: the prefix moves), so a retired node differs from its successor by
+#: about one row (:meth:`~repro.forkbase.chunk_store.ChunkStore.supersede`).
 _TAGS = {b"L": "L", b"B": "B"}
-_DIGEST = "32s"  # struct field of one digest
-_PAIR_BYTES = 1 + 32  # the least a pair takes: a one-byte length, a digest
+_DIGEST_BYTES = 32
+#: One-byte varints, by value.
+_SHORT = [bytes((length,)) for length in range(0x80)]
+
+
+@lru_cache(maxsize=None)
+def _rows(length: int) -> struct.Struct:
+    """A row whose suffix is ``length`` (< 128) bytes long."""
+    return struct.Struct(f"x{length}s{_DIGEST_BYTES}s")
 
 
 def _common_prefix(first: bytes, last: bytes) -> int:
@@ -88,70 +98,75 @@ def encode_node(node: tuple) -> bytes:
     stored once, so bytes from unsorted keys could decode to another
     node."""
     tag, pairs = node
-    head = _HEAD.pack(tag.encode(), len(pairs))
     if not pairs:
-        return head + b"\x00"
+        return tag.encode() + b"\x00"
     keys, digests = zip(*pairs)
-    if set(map(len, digests)) != {32}:
+    if set(map(len, digests)) != {_DIGEST_BYTES}:
         raise ValueError("node digests must be 32 bytes each")
     if any(map(ge, keys, keys[1:])):
         raise ValueError("node keys must be strictly increasing")
     cut = _common_prefix(keys[0], keys[-1])
-    suffixes = [key[cut:] for key in keys] if cut else keys
-    lengths = tuple(map(len, suffixes))
-    return b"".join((
-        head,
-        varint(cut),
-        keys[0][:cut],
-        bytes(lengths) if max(lengths) < 0x80
-        else b"".join(map(varint, lengths)),
-        *suffixes,
-        *digests,
-    ))
+    suffixes = list(map(itemgetter(slice(cut, None)), keys)) if cut else keys
+    rows = [b""] * (3 * len(keys))
+    try:
+        rows[0::3] = map(_SHORT.__getitem__, map(len, suffixes))
+    except IndexError:  # a suffix of 128 bytes or more
+        rows[0::3] = map(varint, map(len, suffixes))
+    rows[1::3] = suffixes
+    rows[2::3] = digests
+    return b"".join((tag.encode(), varint(cut), keys[0][:cut], *rows))
 
 
 def decode_node(data: bytes) -> tuple:
     """Strict inverse of :func:`encode_node`.
 
     Total over arbitrary bytes — a verifier runs it on what an
-    untrusted server sent: a bad tag, a count the bytes cannot hold, a
-    varint cut short or not minimal, missing or trailing bytes, keys not
-    strictly increasing and a prefix other than the first and last key's
-    longest common one all raise ``ValueError``, and nothing else is
-    raised.  What it accepts re-encodes to ``data``.
+    untrusted server sent: a bad tag, a prefix or a row cut short, a
+    varint cut short or not minimal, keys not strictly increasing and a
+    prefix other than the first and last key's longest common one all
+    raise ``ValueError``, and nothing else is raised.  What it accepts
+    re-encodes to ``data``.
     """
-    if len(data) < _HEAD.size:
-        raise ValueError("node shorter than its header")
-    raw_tag, count = _HEAD.unpack_from(data)
-    tag = _TAGS.get(raw_tag)
+    tag = _TAGS.get(data[:1])
     if tag is None:
-        raise ValueError(f"unknown node tag {raw_tag!r}")
-    if count > (len(data) - _HEAD.size) // _PAIR_BYTES:
-        raise ValueError("node count exceeds its bytes")
-    cut, at = varint_at(data, _HEAD.size)
+        raise ValueError(f"unknown node tag {data[:1]!r}")
+    cut, at = varint_at(data, 1)
     prefix, at = data[at:at + cut], at + cut
-    lengths = data[at:at + count]
-    if len(lengths) == count and lengths.isascii():  # each below 128
-        at += count
+    end = len(data)
+    if at > end:
+        raise ValueError("node prefix is cut short")
+    length = data[at] if at < end else 0x80
+    row = length + 1 + _DIGEST_BYTES
+    if (
+        length < 0x80 and not (end - at) % row
+        and data[at:end:row] == _SHORT[length] * ((end - at) // row)
+    ):
+        # Every suffix one length (keys of one width): one unpack.
+        pairs = [
+            (prefix + suffix, digest)
+            for suffix, digest in _rows(length).iter_unpack(data[at:])
+        ]
     else:
-        lengths = []
-        for _ in range(count):
-            length, at = varint_at(data, at)
-            lengths.append(length)
-    digests = len(data) - 32 * count
-    if at + sum(lengths) != digests:
-        raise ValueError("node has missing or trailing bytes")
-    keys = []
-    for length in lengths:
-        start, at = at, at + length
-        keys.append(prefix + data[start:at])
+        pairs = []
+        while at < end:
+            length = data[at]
+            if length < 0x80:  # a one-byte varint, read inline
+                at += 1
+            else:
+                length, at = varint_at(data, at)
+            start, at = at, at + length + _DIGEST_BYTES
+            if at > end:
+                raise ValueError("node row is cut short")
+            pairs.append((
+                prefix + data[start:at - _DIGEST_BYTES],
+                data[at - _DIGEST_BYTES:at],
+            ))
+    keys = [key for key, _digest in pairs]
     if any(map(ge, keys, keys[1:])):
         raise ValueError("node keys are not strictly increasing")
     if cut != (_common_prefix(keys[0], keys[-1]) if keys else 0):
         raise ValueError("node prefix is not its keys' common prefix")
-    return tag, tuple(
-        zip(keys, struct.unpack_from(_DIGEST * count, data, digests))
-    )
+    return tag, tuple(pairs)
 
 
 class NodeCache(dict):

@@ -39,8 +39,7 @@ class ImmutableKVS:
         """Append a new immutable version of ``key``."""
         self.chunks.put(value)
         self._install(key, value)
-        if key not in self.primary:
-            self.primary.insert(key, self.versions.versions_of(key))
+        self.primary.insert(key, self.versions.versions_of(key))
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Latest version of ``key`` (None if absent)."""

@@ -119,8 +119,11 @@ class TestNodeCodec:
         assert encode_node(decode_node(data)) == data
 
     def test_the_layout_stores_the_prefix_once_and_lengths_as_varints(self):
-        """Empty and one-pair nodes, an empty key, mixed key lengths, and
-        a prefix and a suffix long enough for two-byte varints."""
+        """Layout v4: ``tag ‖ varint(prefix length) ‖ prefix`` then one
+        ``varint(suffix length) ‖ suffix ‖ digest`` row per pair, no
+        count.  Empty and one-pair nodes, an empty key, mixed key
+        lengths, and a prefix and a suffix long enough for two-byte
+        varints."""
         digest = bytes(range(32))
         stem = b"k\x00" + b"x" * 200
         long_pairs = ((stem, digest), (stem + b"\x00" * 130, digest),
@@ -130,6 +133,7 @@ class TestNodeCodec:
             ((b"", digest),),
             ((stem, digest),),
             ((b"", digest), (b"a", digest), (b"ab" * 100, digest)),
+            ((b"k1", digest), (b"k22", digest), (b"k333", digest)),
             long_pairs,
         ):
             for tag in "LB":
@@ -138,38 +142,70 @@ class TestNodeCodec:
                 assert encode_node(decode_node(data)) == data
         data = encode_node(("L", long_pairs))
         # 202 = 0xCA, 130 = 0x82: seven bits a byte, low bits first.
-        assert data[5:7] == b"\xca\x01" and data[7:209] == stem
-        assert data[209:213] == b"\x00\x82\x01\x01"
-        assert len(data) == 213 + 131 + 3 * 32
-        assert encode_node(("L", ())) == b"L\x00\x00\x00\x00\x00"
+        assert data[:3] == b"L\xca\x01" and data[3:205] == stem
+        rows = data[205:]
+        assert rows == b"".join((
+            b"\x00", digest,
+            b"\x82\x01", b"\x00" * 130, digest,
+            b"\x01\x01", digest,
+        ))
+        assert encode_node(("L", ())) == b"L\x00"
+        assert encode_node(("B", ((b"k1", digest), (b"k22", digest)))) == (
+            b"B\x01k" + b"\x011" + digest + b"\x0222" + digest
+        )
+
+    def test_an_insert_is_one_contiguous_edit(self):
+        """Adding, removing or re-pointing a pair changes one run of
+        bytes: the node without the pair is the node with it minus one
+        row, the header unchanged while the prefix is."""
+        digest = b"\x07" * 32
+        pairs = [(b"k%02d" % n, digest) for n in range(0, 40, 2)]
+        whole = encode_node(("L", tuple(pairs)))
+        for at in range(1, len(pairs) - 1):
+            fewer = encode_node(("L", tuple(pairs[:at] + pairs[at + 1:])))
+            row = b"\x02" + pairs[at][0][1:] + digest
+            start = whole.index(row)
+            assert fewer == whole[:start] + whole[start + len(row):]
+            other = encode_node(("L", tuple(
+                pairs[:at] + [(pairs[at][0], b"\x09" * 32)] + pairs[at + 1:]
+            )))
+            assert len(other) == len(whole)
+            assert other[:start + 3] == whole[:start + 3]
+            assert other[start + len(row):] == whole[start + len(row):]
 
     def test_every_way_to_be_malformed_is_a_value_error(self):
         digest = b"\x07" * 32
         good = encode_node(("L", ((b"ka", digest), (b"kb", digest))))
-        head = good[:1] + (2).to_bytes(4, "big")
-        assert good == head + b"\x01k" + b"\x01\x01" + b"ab" + digest * 2
-        # Keys with no common prefix, minimally encoded, decode.
-        assert decode_node(head + b"\x00\x01\x01ab" + digest * 2)
+        assert good == b"L\x01k" + b"\x01a" + digest + b"\x01b" + digest
+        # Keys with no common prefix, minimally encoded, decode; so do
+        # rows of mixed lengths.
+        assert decode_node(b"L\x00\x01a" + digest + b"\x01b" + digest)
+        assert decode_node(b"L\x01k\x01a" + digest + b"\x02bb" + digest)
         for data in (
             b"",
-            good[:4],  # shorter than a header
+            b"L",  # no prefix length
             b"X" + good[1:],  # bad tag
-            good + b"\x00",  # trailing byte
-            good[:-1],  # missing byte
-            b"L" + (2**32 - 1).to_bytes(4, "big") + good[5:],  # oversize count
-            head + b"\x01k\x01\x01" + b"ba" + digest * 2,  # unsorted keys
-            head + b"\x01k\x01\x01" + b"aa" + digest * 2,  # duplicate key
-            head + b"\x80\x00\x01\x01ab" + digest * 2,  # non-minimal prefix length
-            head + b"\x00\x81\x00\x01ab" + digest * 2,  # non-minimal key length
-            b"L" + bytes(4) + b"\x80",  # varint cut short
-            b"L" + bytes(4) + b"\xff" * 9 + b"\x01",  # varint past the node
-            head + b"\x00\x02\x02kakb" + digest * 2,  # prefix one shorter
-            head + b"\x02" + good[6:],  # prefix length one longer
-            b"L" + bytes(4) + b"\x01k",  # an empty node has no prefix
+            good + b"\x00",  # trailing byte: a row with no digest
+            good[:-1],  # the last row cut short inside its digest
+            good[:-32],  # the last row has no digest at all
+            good[:-33],  # a stray length byte
+            b"L\x01k\x01a" + digest + b"\x02bb" + digest[:-1],  # mixed, short
+            b"L\x01k\x01b" + digest + b"\x01a" + digest,  # unsorted keys
+            b"L\x01k\x01a" + digest + b"\x01a" + digest,  # duplicate key
+            b"L\x01k\x02bb" + digest + b"\x01b" + digest,  # mixed, unsorted
+            b"L\x80\x00\x02ka" + digest + b"\x02kb" + digest,  # prefix varint
+            b"L\x01k\x81\x00a" + digest + b"\x01b" + digest,  # suffix varint
+            b"L\x80",  # varint cut short
+            b"L" + b"\xff" * 9 + b"\x01",  # varint past the node
+            b"L\x00\x02ka" + digest + b"\x02kb" + digest,  # prefix one short
+            b"L\x02ka" + digest + b"\x01b" + digest,  # prefix one long
+            b"L\x05kkk",  # the prefix cut short
+            b"L\x01k",  # an empty node has no prefix
+            b"B\x03abc",  # nor a longer one
             # A one-pair node's prefix is its whole key.
-            b"L" + (1).to_bytes(4, "big") + b"\x01k\x01a" + digest,
-            head + b"\x01k\x01\x7f" + b"ab" + digest * 2,  # into the digests
-            head + b"\x01k\x01\xff\x01" + b"ab" + digest * 2,  # and past them
+            b"L\x01k\x01a" + digest,
+            b"L\x01k\x7fa" + digest + b"\x01b" + digest,  # into the digests
+            b"L\x01k\xff\x01a" + digest + b"\x01b" + digest,  # and past
         ):
             with pytest.raises(ValueError):
                 decode_node(data)

@@ -81,12 +81,21 @@ class TestAuditLedger:
 
 
     def test_detects_a_block_whose_index_root_left_the_store(self):
+        """Each block inserts a key, so a retired root is a delta against
+        the next one (block #0's one-pair root is smaller whole): losing
+        block #2's root loses block #1's too, and the audit names each
+        of them, once."""
         ledger = _ledger([(f"k{i}".encode(), b"v") for i in range(5)])
-        del ledger.chunks._entries[ledger.block(2).tree_root]
+        dropped = ledger.block(2).tree_root
+        lost = self._stored_against(ledger.chunks, dropped)
+        assert lost == {ledger.block(1).tree_root}
+        del ledger.chunks._entries[dropped]
         ledger.chunks.decode_cache.clear()  # as after a reload
         findings = audit_ledger(ledger)
-        assert [f for f in findings if "index node" in f and "missing" in f]
-        assert all("#2" in finding for finding in findings)
+        assert len(findings) == 1 + len(lost)
+        assert all("index node" in f and "missing" in f for f in findings)
+        assert f"block #2: index node {dropped.hex()[:12]} missing" in findings
+        assert {f.split()[1] for f in findings} == {"#1:", "#2:"}
 
     def _deep_ledger(self):
         """Three-level trees, one block per key after a bulk first."""

@@ -146,16 +146,30 @@ class TestReverseDeltas:
         assert store.get(old) == store.get_optional(old) == self.OLD
         assert len(store) == store.stats.unique_chunks == 2
 
-    def test_only_whole_same_length_chunks_that_shrink_are_deltaed(
-        self, store
-    ):
+    def test_only_whole_chunks_that_shrink_are_deltaed(self, store):
+        """Any length: a chunk one byte longer or shorter than the chunk
+        that replaced it (an insert's or a delete's retired node) is a
+        delta against it; a delta is never a base nor deltaed again, and
+        a delta that would not shrink its chunk is not kept."""
         old, new, _before = self._superseded(store)
         longer = store.put(self.NEW + b"!")
+        shorter = store.put(self.NEW[:-1])
         unlike = store.put(bytes(len(self.OLD)))
-        for pair in ((new, longer), (longer, new), (new, old), (new, unlike)):
+        for pair in ((new, old), (old, longer), (new, unlike), (unlike, new)):
             before = dict(store.items())
             store.supersede(*pair)
             assert dict(store.items()) == before
+        store.supersede(longer, new)
+        store.supersede(shorter, new)
+        held = dict(store.items())
+        # new address ‖ prefix 203 ‖ suffix 0 ‖ the one extra byte
+        assert held[longer] == new + (203).to_bytes(4, "big") + bytes(4) + b"!"
+        assert held[shorter] == new + (202).to_bytes(4, "big") + bytes(4)
+        assert type(held[new]) is bytes
+        assert store.get(longer) == self.NEW + b"!"
+        assert store.get(shorter) == self.NEW[:-1]
+        assert store.get(old) == self.OLD
+        assert store.check_deltas() is None
 
     def test_a_delta_whose_base_is_gone_is_missing(self, store):
         old, new, _before = self._superseded(store)

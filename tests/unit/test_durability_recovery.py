@@ -212,14 +212,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZDB9")
+        assert newest.read_bytes().startswith(b"SPITZ010")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 9 only",
+            match="snapshot in layout 3; .* snapshot layout 10 only",
         ):
             recover(tmp_path)
 
@@ -239,7 +239,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 9 only",
+            match="snapshot in layout 4; .* snapshot layout 10 only",
         ):
             recover(tmp_path)
 
@@ -259,7 +259,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 9 only",
+            match="snapshot in layout 5; .* snapshot layout 10 only",
         ):
             recover(tmp_path)
 
@@ -279,7 +279,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 9 only",
+            match="snapshot in layout 6; .* snapshot layout 10 only",
         ):
             recover(tmp_path)
 
@@ -299,7 +299,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 7; .* snapshot layout 9 only",
+            match="snapshot in layout 7; .* snapshot layout 10 only",
         ):
             recover(tmp_path)
 
@@ -314,7 +314,23 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB8" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 9 only",
+            match="snapshot in layout 8; .* snapshot layout 10 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_9_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Layout 9 held nodes in layout v3, which the row-major codec
+        does not read; the WAL it bounds is unchanged, but there is no
+        migration. Re-raised, never a fallback."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZDB9" + newest.read_bytes()[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 9; .* snapshot layout 10 only",
         ):
             recover(tmp_path)
 
@@ -451,7 +467,7 @@ GOLDEN_AFTER_CHECKPOINT = {
         "ef672a0f00502206b7c8b5a4fe518e08f31a4abf32407d6511b262331bea06b7",
 }
 GOLDEN_CHAIN_DIGEST = (
-    "50a2f6df751310e858cf2fb871f80f046041c3bf9a6764e32bddf859e0b5bd99"
+    "9c9ab4a384c6db923e2dc615c1713fe3976d60261a1dde85cc87d34d2ab443c0"
 )
 
 

@@ -5,9 +5,15 @@ import tracemalloc
 
 import pytest
 
-from repro.crypto.hashing import Digest
+from repro.core.database import SpitzDatabase
+from repro.crypto.hashing import Digest, hash_bytes
+from repro.durability.checkpoint import load_database, save_database
+from repro.forkbase.chunk_store import Delta
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import SiriProof
+from repro.indexes.siri import SiriProof, decode_node
+
+#: A delta's head: base address, prefix and suffix lengths (u32 each).
+DELTA_HEAD = 40
 
 
 def _items(n, prefix="k"):
@@ -133,7 +139,9 @@ class TestVersionSharing:
         """Captured before the apply: the apply drops from the decode
         cache the old nodes its new version stops sharing."""
         tree = PosTree.from_items(store, _items(3000), mask_bits=3)
-        key = b"k001500"
+        # A key whose rewrite keeps the height: branch split points hash
+        # their children's addresses, so they move with the node bytes.
+        key = b"k001501"
         old_path = _decoded_path(tree, key)
         # A level's rewritten node may share nothing with its
         # predecessor (a one-pair branch whose one child changed), so
@@ -170,6 +178,79 @@ class TestVersionSharing:
         finally:
             tracemalloc.stop()
         assert peak - before < 64 * 1024, f"apply peak {peak - before} bytes"
+
+
+class TestHistoryAsDeltas:
+    """Node layout v4 makes an insert, a delete or an overwrite one
+    contiguous edit, so every node an apply retires is stored as about
+    the one row it differs by from its successor."""
+
+    def test_an_insert_retires_its_leaf_as_a_delta_of_one_row(self, store):
+        tree = PosTree.from_items(store, _items(1000))
+        key = b"k000500x"  # between k000500 and k000501: a new pair
+        old_leaf = _leaf_address(tree, key)
+        row = 1 + len(key) + 32  # at most: length, whole key, digest
+        newer = tree.apply({key: b"inserted"})
+        stored = dict(store.items())[old_leaf]
+        assert isinstance(stored, Delta)
+        assert len(stored) <= DELTA_HEAD + row
+        assert stored[:32] == _leaf_address(newer, key)
+        assert hash_bytes(store.get(old_leaf)) == old_leaf
+        assert tree.get(b"k000500") == b"v500" and tree.get(key) is None
+
+    def test_every_historical_node_rebuilds_after_a_checkpoint(
+        self, tmp_path
+    ):
+        """Random insert, delete and overwrite batches, then a
+        ``save_database``/``load_database`` round trip: every node under
+        every block's root rebuilds to bytes that hash to its address."""
+        rng = random.Random(35)
+        db = SpitzDatabase()
+        live = set()
+        for _batch in range(12):
+            writes = {}
+            for _ in range(rng.randint(1, 60)):
+                key = b"k%04d" % rng.randrange(400)
+                writes[key] = (
+                    None if key in live and rng.random() < 0.3
+                    else b"v%d" % rng.randrange(10**6)
+                )
+            for key, value in writes.items():
+                if value is None:
+                    db.delete(key)
+                    live.discard(key)
+            db.put_batch({k: v for k, v in writes.items() if v is not None})
+            live.update(k for k, v in writes.items() if v is not None)
+        save_database(db, tmp_path / "snapshot")
+        restored = load_database(tmp_path / "snapshot")
+        chunks = restored.chunks
+        assert sum(isinstance(data, Delta) for _a, data in chunks.items()) > 50
+        seen = set()
+        for height in range(restored.ledger.height):
+            pending = [restored.ledger.block(height).tree_root]
+            while pending:
+                address = pending.pop()
+                if address in seen:
+                    continue
+                seen.add(address)
+                raw = chunks.get(address)
+                assert hash_bytes(raw) == address
+                tag, pairs = decode_node(raw)
+                if tag == "B":
+                    pending += [Digest(child) for _key, child in pairs]
+        assert restored.digest() == db.digest()
+
+
+def _leaf_address(tree, key):
+    """The address of the leaf on ``key``'s path."""
+    address = tree.root
+    node = decode_node(tree.store.get(address))
+    while node[0] == "B":
+        listed = [first_key for first_key, _child in node[1]]
+        index = max(sum(first <= key for first in listed) - 1, 0)
+        address = Digest(node[1][index][1])
+        node = decode_node(tree.store.get(address))
+    return address
 
 
 class TestReads:
