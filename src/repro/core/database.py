@@ -87,7 +87,11 @@ from repro.core.schema import (
 )
 from repro.core import sql as sql_module
 from repro.core.universal_key import UniversalKey
-from repro.search.committed import SEARCH_ROOT_KEY, CommittedSearchIndex
+from repro.search.committed import (
+    encode_postings,
+    posting_key,
+    posting_writes,
+)
 from repro.search.proofs import SearchProof, build_search_proof
 
 
@@ -139,15 +143,12 @@ class SpitzDatabase:
         # Commit hooks observe every ledger-affecting operation after
         # it is applied — the durability layer's WAL attaches here.
         self._commit_hooks: List[Callable[[str, object], None]] = []
-        # Verifiable search plane (DESIGN.md §6i): with indexed columns
-        # configured, every sealed block also commits the per-column
-        # search manifest under a reserved ledger key, making secondary-
-        # index answers provable.  ``None`` = unverified search only.
-        self._search: Optional[CommittedSearchIndex] = None
-        if indexed_columns:
-            self._search = CommittedSearchIndex(
-                self.chunks, indexed_columns
-            )
+        # Verifiable search (DESIGN.md §6i): an indexed column's
+        # postings are ledger keys.  A commit notes each posting key it
+        # touched (key → (column, value)); the block sealing the commit
+        # writes those postings as the inverted index now holds them.
+        self._indexed: frozenset = frozenset()
+        self._dirty_postings: Dict[bytes, Tuple[str, Any]] = {}
         self._c_search_queries = self.metrics.counter("search.queries")
         self._c_search_matches = self.metrics.counter("search.matches")
         self._c_search_proof_bytes = self.metrics.counter(
@@ -156,6 +157,8 @@ class SpitzDatabase:
         self._c_search_maintained = self.metrics.counter(
             "search.maintained_postings"
         )
+        if indexed_columns:
+            self.enable_search(indexed_columns)
 
     # ------------------------------------------------------------------
     # commit hooks (durability / replication observers)
@@ -168,10 +171,9 @@ class SpitzDatabase:
         ``repro.durability.recovery.replay_record`` reads back:
         ``"commit"`` with ``([(key, value or None for a delete), ...],
         statements, timestamp)``, ``"create_table"`` with ``(name,
-        [(column, type), ...], primary_key)``, ``"enable_search"`` with
-        the column tuple and ``"search_seal"`` with ``None`` (a block
-        carrying only the search manifest).  Hooks run inside the
-        commit lock, after the operation is fully applied.
+        [(column, type), ...], primary_key)`` and ``"enable_search"``
+        with the column tuple.  Hooks run inside the commit lock, after
+        the operation is fully applied.
         """
         self._commit_hooks.append(hook)
 
@@ -268,21 +270,23 @@ class SpitzDatabase:
     def _append_ledger_block(
         self, writes: Mapping[bytes, object], statements=()
     ) -> Block:
-        """Seal one block, folding the committed search manifest in.
+        """Seal one block; its write set also holds the current posting
+        (``None`` once emptied) of every posting key its commits touched.
 
-        The reserved search key is injected here — at seal time only —
-        so it never flows through the cell store, the MVCC store or the
-        commit hooks (durability replay re-derives it from the same
-        writes), while the block's tree root (and hence the chain
-        digest clients pin) commits to every indexed column's postings.
+        The postings are folded in here — at seal time only — so they
+        never flow through the MVCC store or the commit hooks
+        (durability replay re-derives them from the same writes), while
+        the block's tree root commits to every indexed posting.
         """
-        if self._search is None:
+        if not self._dirty_postings:
             return self.ledger.append_block(writes, statements)
         with self.metrics.tracer.stage("search.maintain"):
-            self._c_search_maintained.inc(self._search.pending_changes)
-            manifest = self._search.seal(self.inverted)
-        sealed = dict(writes)
-        sealed[SEARCH_ROOT_KEY] = manifest
+            sealed = dict(writes)
+            for key, (column, value) in self._dirty_postings.items():
+                postings = self.inverted.lookup(column, value)
+                sealed[key] = encode_postings(postings) if postings else None
+            self._c_search_maintained.inc(len(self._dirty_postings))
+            self._dirty_postings = {}
         return self.ledger.append_block(sealed, statements)
 
     def _repost(
@@ -312,8 +316,10 @@ class SpitzDatabase:
                     column, primary_key, stamp, hash_bytes(cell_value)
                 )
                 change(column, decoded, ukey.encode())
-                if self._search is not None:
-                    self._search.note_change(column, decoded)
+                if column in self._indexed:
+                    self._dirty_postings[posting_key(column, decoded)] = (
+                        column, decoded,
+                    )
 
     # ------------------------------------------------------------------
     # persisted state (what a checkpoint keeps; DESIGN.md §6)
@@ -342,18 +348,22 @@ class SpitzDatabase:
         tables: Sequence[TableSchema],
         versions: Sequence[Tuple[bytes, int, Optional[Digest]]],
         high_water: int,
+        indexed_columns: Sequence[str] = (),
     ) -> None:
         """Adopt a checkpoint's state — :meth:`SpitzLedger.link`'s blocks,
         the schemas, :meth:`persisted_versions`, the oracle's high-water
-        mark — on a database fresh from the constructor, its chunk store
-        holding the checkpoint's chunks; derive ``primary``, the inverted
-        index and the search trees.  :class:`TamperDetectedError` unless
-        the versions' live set is the tip tree's ``(key → value digest)``:
-        unverified reads answer from the versions, a pinned chain digest
-        commits only to the tip."""
+        mark, the indexed columns — on a database fresh from the
+        constructor, its chunk store holding the checkpoint's chunks;
+        derive ``primary`` and the inverted index.
+        :class:`TamperDetectedError` unless the tip tree's ``(key →
+        value digest)`` is the versions' live set plus the postings
+        derived from it: unverified reads and searches answer from the
+        versions, a pinned chain digest commits only to the tip."""
         self.ledger.link(blocks)
         self._tables.update((schema.name, schema) for schema in tables)
         self.oracle.advance_to(high_water)
+        if indexed_columns:
+            self._indexed = _indexed_columns(indexed_columns)
         by_key: Dict[bytes, List[Version]] = {}
         latest: Dict[bytes, Optional[Digest]] = {}
         for logical_key, stamp, digest in versions:
@@ -365,16 +375,6 @@ class SpitzDatabase:
             (key, digest) for key, digest in latest.items()
             if digest is not None
         ]
-        tip = (
-            pair for pair in self.ledger.tree.digests()
-            if pair[0] != SEARCH_ROOT_KEY
-        )
-        for ours, theirs in zip_longest(sorted(live), tip):
-            if ours != theirs:
-                raise TamperDetectedError(
-                    "the version table's live set and the tip tree differ "
-                    f"at key {(ours or theirs)[0]!r}"
-                )
         for logical_key, _digest in live:
             history = by_key[logical_key]
             self.primary.insert(logical_key, history)
@@ -384,8 +384,21 @@ class SpitzDatabase:
                     logical_key, column, primary_key,
                     history[-1].commit_ts, history[-1].value,
                 )
-        if self._search is not None:
-            self._search.rebuild_from(self.inverted)
+        # Reposting noted every posting the versions support; the tip
+        # must commit exactly those, as they stand.
+        live.extend(
+            (key, hash_bytes(encode_postings(self.inverted.lookup(*posted))))
+            for key, posted in self._dirty_postings.items()
+        )
+        self._dirty_postings = {}
+        for ours, theirs in zip_longest(
+            sorted(live), self.ledger.tree.digests()
+        ):
+            if ours != theirs:
+                raise TamperDetectedError(
+                    "the version table's live set and the tip tree differ "
+                    f"at key {(ours or theirs)[0]!r}"
+                )
 
     # ------------------------------------------------------------------
     # key-value API (column "default"; the paper's Section 6 workloads)
@@ -527,30 +540,29 @@ class SpitzDatabase:
 
     @property
     def search_columns(self) -> Tuple[str, ...]:
-        """Columns covered by the committed search index (sorted)."""
-        if self._search is None:
-            return ()
-        return self._search.columns
+        """Columns whose postings the ledger commits (sorted)."""
+        return tuple(sorted(self._indexed))
 
     def enable_search(self, columns: Sequence[str]) -> None:
-        """Start committing the given columns' postings.
-
-        Existing postings are folded in immediately (a full rebuild
-        from the inverted index), so a database that indexed rows
-        before the search plane was enabled still proves complete
-        answers.  Re-enabling with the same columns is a no-op.
-        """
+        """Start committing the given columns' postings: seal one block
+        that writes every existing posting of them, so a database that
+        indexed rows before search was enabled still proves complete
+        answers.  Re-enabling with the same columns is a no-op."""
+        names = _indexed_columns(columns)
         with self.txn_manager.commit_lock:
-            if self._search is not None:
-                if tuple(sorted(columns)) == self._search.columns:
+            if self._indexed:
+                if names == self._indexed:
                     return
                 raise QueryError(
                     "search index already enabled for columns "
-                    f"{list(self._search.columns)}"
+                    f"{list(self.search_columns)}"
                 )
-            index = CommittedSearchIndex(self.chunks, columns)
-            index.rebuild_from(self.inverted)
-            self._search = index
+            self.flush_ledger()
+            self._indexed = names
+            self.ledger.append_block(
+                posting_writes(self.inverted, sorted(names)),
+                (f"ENABLE SEARCH {', '.join(sorted(names))}",),
+            )
             self._run_commit_hooks("enable_search", tuple(columns))
 
     def search(
@@ -573,51 +585,24 @@ class SpitzDatabase:
     def search_verified(
         self, column: str, predicate: Union[str, SearchPredicate]
     ) -> Tuple[List[bytes], SearchProof]:
-        """Search plus a proof of membership *and* completeness.
-
-        The proof anchors the committed index manifest in the latest
-        sealed block, then carries the matched postings' branches plus
-        the boundary evidence that nothing in range was omitted.
-        ``predicate`` accepts the same forms as :meth:`search`.
+        """Search plus a proof of membership *and* completeness: one
+        ledger range proof over the column's posting keys in the latest
+        sealed block.  ``predicate`` accepts the same forms as
+        :meth:`search`.
         """
         predicate = _searchable(predicate)
-        if self._search is None:
+        if not self._indexed:
             raise QueryError(
                 "verified search requires indexed_columns= (or "
                 "enable_search()); unverified search() still works"
             )
-        self._ensure_search_sealed()
+        self.flush_ledger()
         with self.metrics.tracer.stage_in_trace("search.prove"):
-            proof = build_search_proof(
-                self.ledger, self._search, column, predicate
-            )
+            proof = build_search_proof(self.ledger, column, predicate)
         self._c_search_queries.inc()
         self._c_search_matches.inc(proof.result_count)
         self._c_search_proof_bytes.inc(proof.size_bytes)
         return list(proof.ukeys), proof
-
-    def _ensure_search_sealed(self) -> None:
-        """Guarantee the latest block commits the current manifest.
-
-        Covers the cold-start case (index enabled, nothing written
-        yet) and rebuilds after ``enable_search``: if the chain's
-        anchored manifest is stale, seal a dedicated block carrying
-        only the reserved key.
-        """
-        assert self._search is not None
-        with self.txn_manager.commit_lock:
-            self.flush_ledger()
-            with self.metrics.tracer.stage("search.maintain"):
-                self._c_search_maintained.inc(
-                    self._search.pending_changes
-                )
-                manifest = self._search.seal(self.inverted)
-            if self.ledger.get(SEARCH_ROOT_KEY) != manifest:
-                self.ledger.append_block(
-                    {SEARCH_ROOT_KEY: manifest},
-                    statements=("SEARCH INDEX SEAL",),
-                )
-                self._run_commit_hooks("search_seal", None)
 
     # ------------------------------------------------------------------
     # table API
@@ -627,7 +612,7 @@ class SpitzDatabase:
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
         self._tables[schema.name] = schema
-        self._append_ledger_block(
+        self.ledger.append_block(
             {},
             statements=(
                 f"CREATE TABLE {schema.name} "
@@ -1056,6 +1041,24 @@ def _scalar(cell: bytes) -> Any:
         return decode_value(cell)
     except (SchemaError, ValueError):
         return None
+
+
+def _indexed_columns(columns: Sequence[str]) -> frozenset:
+    """``columns`` as a set of indexed columns, or :class:`QueryError`:
+    at least one, no duplicates, each a table cell column."""
+    names = list(columns)
+    if not names:
+        raise QueryError("indexed_columns must name at least one column")
+    if len(set(names)) != len(names):
+        raise QueryError("indexed_columns contains duplicates")
+    for name in names:
+        if "." not in name or "#" in name or "\x00" in name:
+            raise QueryError(
+                f"indexed column {name!r} must be a table cell "
+                "column (\"table.column\"); KV cells and document "
+                "fields are not value-indexed"
+            )
+    return frozenset(names)
 
 
 def _searchable(predicate: Union[str, SearchPredicate]) -> SearchPredicate:

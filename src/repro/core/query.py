@@ -193,15 +193,17 @@ class SearchPredicate:
         return None, None
 
     def bounds(self) -> Tuple[bytes, bytes]:
-        """Canonical encoded scan bounds for range-shaped predicates.
+        """Canonical encoded, inclusive scan bounds of :meth:`span`: an
+        ``eq`` is the one-value range ``[k, k]``, an open end the first
+        or last encoding of the operand's kind.
 
         Strict bounds (``gt``/``lt``) scan *inclusively* from/to the
         operand's encoding — the boundary value's entry rides along in
         the proof as the omission-detecting neighbor, and both server
         and verifier re-exclude it via :meth:`matches`.
         """
-        if self.op not in _RANGE_OPS:
-            raise QueryError(f"{self.op} predicates have no scan bounds")
+        if self.op == "ne":
+            raise QueryError("ne predicates have no scan bounds")
         if isinstance(self.operands[0], str):
             floor, ceiling = STRING_MIN, STRING_MAX
         else:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import SchemaError
+from repro.indexes.inverted import INT_MAX, INT_MIN
 
 #: Supported column types.
 COLUMN_TYPES = ("int", "float", "str", "bool", "bytes", "json")
@@ -148,7 +149,8 @@ def prefix_end(prefix: bytes) -> bytes:
 
 
 def check_type(column: Column, value: Any) -> None:
-    """Raise :class:`SchemaError` unless ``value`` fits ``column``."""
+    """Raise :class:`SchemaError` unless ``value`` fits ``column``; an
+    ``int`` column holds 64-bit signed ints."""
     expected = {
         "int": int,
         "float": (int, float),
@@ -163,6 +165,11 @@ def check_type(column: Column, value: Any) -> None:
         raise SchemaError(
             f"column {column.name!r} expects {column.type}, got "
             f"{type(value).__name__}"
+        )
+    if column.type == "int" and not INT_MIN <= value <= INT_MAX:
+        raise SchemaError(
+            f"column {column.name!r}: an int outside the 64-bit range "
+            "[-2**63, 2**63 - 1]"
         )
 
 

@@ -1,7 +1,7 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
 A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
-folded in) is layout 10: ``magic ‖ SHA-256(manifest) ‖ manifest
+folded in) is layout 11: ``magic ‖ SHA-256(manifest) ‖ manifest
 length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
 owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
 :meth:`SpitzDatabase.restore` own what they mean.
@@ -18,10 +18,12 @@ holds every chunk as a record, in its stored form.
 **Derived** on load, through the ordinary constructor with the caller's
 metrics, oracle and certifier: each block's statement digest and chain
 link, the tip tree, the versions' values, ``primary``, the inverted
-index and the search trees.  A chunk is accepted once it rebuilds to
-bytes that hash to its address, the section once it is the one the
-manifest names; the manifest's digest catches damage, and an editor is
-caught by the versions' live set having to be the tip tree's.  Any
+index and the postings the tip commits.  A chunk is accepted once it
+rebuilds to bytes that hash to its address, the section once it is the
+one the manifest names; the manifest's digest catches damage, and an
+editor is caught by the tip tree having to be the versions' live set
+plus the postings derived from it (layout 10 committed postings in
+per-column trees beside the ledger and is refused).  Any
 failure is a :class:`~repro.errors.TamperDetectedError`.  A file of
 another layout is refused by name before anything past the magic is
 read; there is no migration.
@@ -40,7 +42,6 @@ from repro.core.database import SpitzDatabase
 from repro.core.schema import TableSchema
 from repro.crypto.hashing import hash_bytes
 from repro.errors import (
-    ChunkNotFoundError,
     FormatVersionError,
     SpitzError,
     StorageError,
@@ -56,7 +57,7 @@ _CHECKPOINT_RE = re.compile(
 )
 #: Layouts 1–9 were stamped ``SPITZDB`` and one digit; from layout 10
 #: on the stamp is ``SPITZ`` and three digits.
-_MAGIC = b"SPITZ010"
+_MAGIC = b"SPITZ011"
 _LAYOUT = re.compile(rb"SPITZ(?:DB(\d)|(\d{3}))")
 #: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")
@@ -159,10 +160,10 @@ class _Manifest:
             self._fixed(_FIXED)
         )
         self.stats = StoreStats(*stats)
-        self.config = dict(
-            mask_bits=mask_bits, block_batch=block_batch,
-            indexed_columns=self._texts() or None,
-        )
+        self.config = dict(mask_bits=mask_bits, block_batch=block_batch)
+        # For ``restore``: the constructor would seal a block of the
+        # indexed columns' postings.
+        self.indexed = self._texts()
         self.tables = []
         for _ in range(self._varint()):
             name, primary_key, *columns = self._texts()
@@ -248,9 +249,9 @@ def load_database(path: Union[str, Path], **db_kwargs) -> SpitzDatabase:
     try:
         db.restore(
             manifest.blocks, manifest.tables, manifest.versions,
-            manifest.high_water,
+            manifest.high_water, manifest.indexed,
         )
-    except (ChunkNotFoundError, TamperDetectedError) as error:
+    except SpitzError as error:
         raise TamperDetectedError(f"snapshot {path}: {error}") from None
     # The store's accounting as saved, not as loading and checking moved it.
     db.chunks.stats = manifest.stats

@@ -3,12 +3,11 @@
 Recovery is the inverse of the logging path.  The WAL records every
 operation that changes what the next block seals (kind ``commit``: the
 write set, the statements, the commit timestamp; ``create_table``: the
-schema; ``enable_search``: the indexed columns; ``search_seal``: a
-block carrying only the search manifest), so replay re-runs the exact
-pipeline the original operations took — ledger blocks, search
-manifests and MVCC installs land in the same order with the same
-timestamps, and the recovered chain digest equals the pre-crash one
-for every durable prefix.
+schema; ``enable_search``: the indexed columns), so replay re-runs the
+exact pipeline the original operations took — ledger blocks, the
+postings they commit and MVCC installs land in the same order with the
+same timestamps, and the recovered chain digest equals the pre-crash
+one for every durable prefix.
 
 A recovered database is *verified*, not just restored: after replay
 the full ledger chain audit runs, and a failure raises
@@ -47,7 +46,6 @@ from repro.durability.wal import (
 KIND_COMMIT = "commit"
 KIND_CREATE_TABLE = "create_table"
 KIND_ENABLE_SEARCH = "enable_search"
-KIND_SEARCH_SEAL = "search_seal"
 
 
 @dataclass
@@ -100,13 +98,6 @@ def replay_record(db: SpitzDatabase, record: WalRecord) -> int:
         db.create_table(TableSchema.make(name, list(columns), primary_key))
     elif record.kind == KIND_ENABLE_SEARCH:
         db.enable_search(record.data)
-    elif record.kind == KIND_SEARCH_SEAL:
-        if not db.search_columns:
-            raise TamperDetectedError(
-                f"WAL record {record.lsn} seals a search index that was "
-                "never enabled"
-            )
-        db._ensure_search_sealed()
     else:
         raise TamperDetectedError(
             f"WAL record {record.lsn} has unknown kind {record.kind!r}"

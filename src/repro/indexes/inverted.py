@@ -14,8 +14,8 @@ rule for which values get posted — the write path, the SQL planner and
 search validation all ask it — and :meth:`InvertedIndex.matching` is
 the one walk that answers a predicate over the postings.
 
-Canonical-ordering and aliasing guarantees (the search plane commits
-these postings under a Merkle root, so both matter):
+Canonical-ordering and aliasing guarantees (the ledger commits these
+postings as keys, so both matter):
 
 - every query method returns a **fresh list** in a **deterministic
   order** — ascending value order, then ascending universal-key order
@@ -24,18 +24,24 @@ these postings under a Merkle root, so both matter):
 - values are checked with :func:`postable` on **every** ``add``, and
   ``remove`` with a value that cannot have been posted is a no-op.
 
-Value encoding (the committed search index's leaf keys, and a range
-predicate's scan bounds):
+Value encoding (a committed posting's ledger key ends in it, and a
+range predicate's scan bounds are made of it):
 
-- numeric (int/float, never bool): tag ``n`` + 8 bytes of the IEEE-754
-  big-endian bit pattern with the usual order-preserving transform
-  (flip all bits when negative, else set the sign bit).
+- numeric (a 64-bit int, or a float that is not NaN; never bool): tag
+  ``n``, then 8 bytes of the IEEE-754 big-endian bit pattern of the
+  largest float not above the value, with the usual order-preserving
+  transform (flip all bits when negative, else set the sign bit), then
+  the exact remainder ``value - that float`` as 2 bytes.  A float's
+  remainder is 0; a 64-bit int's is below the float spacing at 2⁶³,
+  2¹¹.  Equal ints and floats encode identically, and every encoding
+  decodes to its exact value.
 - string: tag ``s`` + UTF-8 bytes (byte order equals code-point
   order, which equals Python ``str`` comparison order).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -44,33 +50,51 @@ from repro.indexes.radix import RadixTree
 from repro.indexes.skiplist import SkipList
 
 
+#: The ints a typed column holds and the index posts: 64-bit signed.
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+
+
 def postable(value: Any) -> bool:
     """Whether ``value`` is posted in the inverted index (and so can be
-    committed and searched): an int, float or str — never a bool, and
-    never NaN, which has no total order."""
+    committed and searched): a 64-bit int, a float or a str — never a
+    bool, and never NaN, which has no total order."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         return False
+    if isinstance(value, int):
+        return INT_MIN <= value <= INT_MAX
     return value == value  # NaN is the one value unequal to itself
 
 
 def _unpostable(value: Any) -> QueryError:
     return QueryError(
-        f"cannot post {value!r}: only int, float (not NaN) and str "
-        "values are indexed"
+        f"cannot post {value!r}: only 64-bit int, float (not NaN) and "
+        "str values are indexed"
     )
 
 
 _NUMERIC_TAG = b"n"
 _STRING_TAG = b"s"
+_REMAINDER_BYTES = 2
 
 #: Scan bounds bracketing every possible encoded value of one type.
-#: Numeric encodings are exactly 9 bytes, so ``n`` + 8×0xff is an
+#: Numeric encodings are exactly 11 bytes, so ``n`` + 10×0xff is an
 #: inclusive upper bound; strings are unbounded in length, so the
 #: upper bound is the next tag byte (``t`` > ``s`` + any suffix).
-NUMERIC_MIN = _NUMERIC_TAG + b"\x00" * 8
-NUMERIC_MAX = _NUMERIC_TAG + b"\xff" * 8
+NUMERIC_MIN = _NUMERIC_TAG + b"\x00" * (8 + _REMAINDER_BYTES)
+NUMERIC_MAX = _NUMERIC_TAG + b"\xff" * (8 + _REMAINDER_BYTES)
 STRING_MIN = _STRING_TAG
 STRING_MAX = b"t"
+
+_SIGN = 0x8000_0000_0000_0000
+_ALL = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _floor_float(value) -> float:
+    """The largest float not above ``value`` (exact comparison)."""
+    number = float(value)
+    if number > value:
+        number = math.nextafter(number, -math.inf)
+    return 0.0 if number == 0.0 else number  # one encoding for ±0.0
 
 
 def encode_search_value(value) -> bytes:
@@ -79,20 +103,20 @@ def encode_search_value(value) -> bytes:
         raise _unpostable(value)
     if isinstance(value, str):
         return _STRING_TAG + value.encode("utf-8")
-    number = float(value)
-    if number == 0.0:
-        number = 0.0  # -0.0 compares equal to 0.0: one encoding for both
+    number = _floor_float(value)
+    remainder = 0 if isinstance(value, float) else value - int(number)
     bits = struct.unpack(">Q", struct.pack(">d", number))[0]
-    if bits & 0x8000_0000_0000_0000:
-        bits ^= 0xFFFF_FFFF_FFFF_FFFF
-    else:
-        bits |= 0x8000_0000_0000_0000
-    return _NUMERIC_TAG + struct.pack(">Q", bits)
+    bits = bits ^ _ALL if bits & _SIGN else bits | _SIGN
+    return (
+        _NUMERIC_TAG + struct.pack(">Q", bits)
+        + remainder.to_bytes(_REMAINDER_BYTES, "big")
+    )
 
 
 def decode_search_value(data: bytes):
-    """Inverse of :func:`encode_search_value` (numerics come back as
-    ``float``); raises ``ValueError`` on any malformed input."""
+    """Inverse of :func:`encode_search_value`: a string, the float, or
+    the exact int no float holds.  ``ValueError`` on anything
+    :func:`encode_search_value` does not produce."""
     if not data:
         raise ValueError("empty encoded search value")
     tag, body = data[:1], data[1:]
@@ -100,19 +124,18 @@ def decode_search_value(data: bytes):
         return body.decode("utf-8")
     if tag != _NUMERIC_TAG:
         raise ValueError(f"unknown search value tag {tag!r}")
-    if len(body) != 8:
-        raise ValueError("numeric search value must be 9 bytes")
-    bits = struct.unpack(">Q", body)[0]
-    if bits & 0x8000_0000_0000_0000:
-        bits &= 0x7FFF_FFFF_FFFF_FFFF
-    else:
-        bits ^= 0xFFFF_FFFF_FFFF_FFFF
+    if len(body) != 8 + _REMAINDER_BYTES:
+        raise ValueError("numeric search value must be 11 bytes")
+    bits = struct.unpack(">Q", body[:8])[0]
+    bits = bits & ~_SIGN if bits & _SIGN else bits ^ _ALL
     number = struct.unpack(">d", struct.pack(">Q", bits))[0]
-    if number != number:
-        raise ValueError("encoded numeric decodes to NaN")
-    return number
-
-
+    remainder = int.from_bytes(body[8:], "big")
+    if number != number or (remainder and not number.is_integer()):
+        raise ValueError("encoded numeric is not a number")
+    value = int(number) + remainder if remainder else number
+    if not postable(value) or encode_search_value(value) != data:
+        raise ValueError("encoded numeric is not canonical")
+    return value
 Entries = Iterable[Tuple[Any, Set[bytes]]]
 
 
@@ -218,7 +241,7 @@ class InvertedIndex:
 
     def lookup(self, column: str, value: Any) -> List[bytes]:
         """Universal keys posted under exactly ``value`` in ``column``
-        (the committed search index re-reads a touched posting here)."""
+        (a sealing block re-reads each touched posting here)."""
         postings = self._columns.get(column)
         if postings is None or not _holds(postings, value):
             return []
@@ -252,12 +275,8 @@ class InvertedIndex:
         ]
 
     def values(self, column: str) -> Iterator[Any]:
-        """Distinct indexed values of ``column``, in ascending order.
-
-        The committed search index rebuilds from this (every value's
-        posting is re-read via :meth:`lookup`), so the iteration order
-        is part of the canonical-ordering contract.
-        """
+        """Distinct indexed values of ``column``, in ascending order
+        (enabling search commits each one's :meth:`lookup`)."""
         postings = self._columns.get(column)
         if postings is None:
             return iter(())

@@ -1,57 +1,50 @@
-"""The verifiable search proof.
+"""The verifiable search proof: a claim over one ledger range proof.
 
-A :class:`SearchProof` binds a predicate's *complete* answer to the
-chain digest a client pins, in three layers:
+A column's postings are ledger keys (:mod:`repro.search.committed`),
+and every predicate — an ``eq`` is the one-value range ``[k, k]`` — is
+the range :meth:`~repro.core.query.SearchPredicate.bounds` under the
+column's prefix.  So the evidence for a search is an ordinary
+:class:`~repro.core.proofs.LedgerRangeProof`, and
+:meth:`SearchProof.verify` has four steps:
 
-1. **anchor** — an ordinary :class:`~repro.core.proofs.LedgerProof`
-   for :data:`~repro.search.committed.SEARCH_ROOT_KEY`, whose value is
-   the search manifest (per-column roots).  The chain digest commits
-   to the block, the block to the ledger tree, the tree to the
-   manifest — so a stale or forged index root breaks here.
-2. **column evidence** — against the column's manifest root: a
-   :class:`~repro.indexes.siri.SiriProof` point proof for equality /
-   keyword predicates (``value=None`` proves *absence*, i.e. a
-   verified empty result), or a
-   :class:`~repro.indexes.pos_tree.PosRangeProof` for range
-   predicates, whose verification *replays the scan* over the proof
-   nodes alone — dropping any leaf (boundary or interior) breaks a
-   hash path, so completeness is structural, not asserted.
-3. **match recomputation** — the verifier re-derives the claimed
-   matches from the proven entries (decoding each value, re-applying
-   the predicate — strict bounds ship their boundary neighbor and the
-   verifier re-excludes it) and requires exact equality.  A dropped or
-   fabricated match therefore fails even though every shipped entry
-   is individually authentic.
+1. the predicate is one a search answers;
+2. the evidence covers exactly the column-prefixed bounds — evidence
+   about another column, a KV range, or an ``eq`` widened past
+   ``[k, k]`` fails here;
+3. the evidence verifies under the trusted chain digest: the block
+   anchor, then the range replay, where dropping any leaf (boundary or
+   interior) breaks a hash path — completeness is structural;
+4. the claimed matches are exactly what the proven entries support,
+   recomputed by the one recipe the server used (decoding each value,
+   re-applying the predicate — a strict bound's boundary entry rides
+   along and is re-excluded).
 
-Tamper semantics match :class:`~repro.indexes.pos_tree.PosMultiProof`:
-anything undecodable or inconsistent returns ``False`` from
-:meth:`SearchProof.verify` — tampering is detected at verification,
-never raised at decoding.
+A column with no keys proves only the empty answer.  Anything
+undecodable or inconsistent returns ``False`` — tampering is detected
+at verification, never raised at decoding.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.crypto.hashing import Digest
 from repro.errors import QueryError
-from repro.indexes.pos_tree import _VERIFY_ERRORS, PosRangeProof
-from repro.indexes.siri import SiriProof
-from repro.core.proofs import LedgerProof
+from repro.indexes.pos_tree import _VERIFY_ERRORS
+from repro.core.proofs import LedgerRangeProof
 from repro.core.query import SearchPredicate
-from repro.indexes.inverted import decode_search_value, encode_search_value
-from repro.search.committed import (
-    SEARCH_ROOT_KEY,
-    decode_manifest,
-    decode_postings,
-)
+from repro.indexes.inverted import decode_search_value
+from repro.search.committed import column_prefix, decode_postings
 
 #: Everything a tampered search proof can raise during verification —
-#: the POS-tree set plus the strict binary codecs (struct) and the
-#: predicate/encoding guards (QueryError).
-_SEARCH_VERIFY_ERRORS = _VERIFY_ERRORS + (QueryError, struct.error)
+#: the POS-tree set, the strict binary codecs (struct), the
+#: predicate/encoding guards (QueryError) and evidence of another shape
+#: (AttributeError).
+_SEARCH_VERIFY_ERRORS = _VERIFY_ERRORS + (
+    QueryError, struct.error, AttributeError,
+)
 
 #: Match rows as carried in the proof: ``(encoded value, postings)``
 #: in encoded-value order — the canonical result ordering.
@@ -65,8 +58,7 @@ class SearchProof:
     column: str
     predicate: SearchPredicate
     matches: Matches
-    anchor: LedgerProof
-    evidence: Optional[Union[SiriProof, PosRangeProof]]
+    evidence: LedgerRangeProof
 
     @property
     def ukeys(self) -> Tuple[bytes, ...]:
@@ -81,27 +73,22 @@ class SearchProof:
 
     @property
     def size_bytes(self) -> int:
-        total = self.anchor.size_bytes + len(self.column)
-        if self.evidence is not None:
-            total += self.evidence.size_bytes
-        for value, postings in self.matches:
-            total += len(value) + sum(len(ukey) for ukey in postings)
-        return total
+        return self.evidence.size_bytes + len(self.column) + sum(
+            len(value) + sum(map(len, postings))
+            for value, postings in self.matches
+        )
 
     @property
     def label(self) -> str:
         return (
             f"search:{self.column}:{self.predicate.describe()}"
-            f"@block{self.anchor.block.height}"
+            f"@block{self.evidence.block.height}"
         )
 
     @property
     def cacheable_nodes(self) -> Tuple[bytes, ...]:
         """Index nodes eligible for the verifier's node cache."""
-        nodes = self.anchor.cacheable_nodes
-        if self.evidence is not None:
-            nodes += self.evidence.nodes
-        return nodes
+        return self.evidence.cacheable_nodes
 
     def verify(
         self,
@@ -111,86 +98,54 @@ class SearchProof:
     ) -> bool:
         """True iff the claimed matches are the complete, authentic
         answer under the trusted chain digest.  Every tamper shape —
-        dropped/fabricated match, narrowed range, stale root,
-        undecodable node — returns ``False``; nothing raises."""
+        dropped/fabricated match, narrowed range, another column's or
+        block's evidence, undecodable node — returns ``False``; nothing
+        raises."""
         try:
-            self.predicate.searchable()
-            if self.anchor.key != SEARCH_ROOT_KEY:
-                return False
-            if not self.anchor.verify(
-                trusted_chain_digest, node_cache, block_cache
-            ):
-                return False
-            raw_manifest = self.anchor.value
-            if raw_manifest is None:
-                # Proven absence of the manifest: the ledger has no
-                # search plane, so no claim can be supported.
-                return False
-            manifest = decode_manifest(raw_manifest)
-            root = manifest.get(self.column)
-            if root is None:
-                # The manifest is exhaustive and hash-bound, so a
-                # missing column *proves* it is unindexed — the only
-                # supportable claim is the empty result.
-                return self.matches == () and self.evidence is None
-            evidence = self.evidence
-            if self.predicate.op == "eq":
-                bound = isinstance(evidence, SiriProof) and (
-                    evidence.key == encode_search_value(self.predicate.value)
+            prefix = column_prefix(self.column)
+            low, high = self.predicate.searchable().bounds()
+            scan = self.evidence.range_proof
+            return (
+                (scan.low, scan.high) == (prefix + low, prefix + high)
+                and self.evidence.verify(
+                    trusted_chain_digest, node_cache, block_cache
                 )
-            else:
-                bound = isinstance(evidence, PosRangeProof) and (
-                    (evidence.low, evidence.high) == self.predicate.bounds()
+                and self.matches == _supported_matches(
+                    prefix, self.predicate, scan.entries
                 )
-            supported = bound and evidence.verify(root, node_cache)
-            return supported and self.matches == _supported_matches(
-                self.predicate, evidence
             )
         except _SEARCH_VERIFY_ERRORS:
             return False
 
 
-def _supported_matches(predicate: SearchPredicate, evidence) -> Matches:
-    """The matches ``evidence`` supports for ``predicate`` — what the
-    server claims and what the verifier recomputes, from one recipe."""
-    if predicate.op == "eq":
-        if evidence.value is None:
-            return ()
-        return ((evidence.key, decode_postings(evidence.value)),)
-    return tuple(
-        (key, decode_postings(raw))
-        for key, raw in evidence.entries
-        if predicate.matches(decode_search_value(key))
-    )
+def _supported_matches(
+    prefix: bytes, predicate: SearchPredicate, entries
+) -> Matches:
+    """The matches the posting entries ``entries`` (ledger keys under
+    ``prefix``) support for ``predicate`` — what the server claims and
+    what the verifier recomputes, from one recipe."""
+    matches = []
+    for key, raw in entries:
+        value = key[len(prefix):]
+        if predicate.matches(decode_search_value(value)):
+            matches.append((value, decode_postings(raw)))
+    return tuple(matches)
 
 
 def build_search_proof(
-    ledger, index, column: str, predicate: SearchPredicate
+    ledger, column: str, predicate: SearchPredicate
 ) -> SearchProof:
-    """Build one search proof against the current sealed state.
-
-    ``ledger`` must already hold the manifest under the reserved key
-    (:meth:`SpitzDatabase.search_verified` seals it first); ``index``
-    is the :class:`~repro.search.committed.CommittedSearchIndex`.
-    Shared by the database facade and the benchmark's bulk-built path.
-    """
-    manifest, anchor = ledger.get_with_proof(SEARCH_ROOT_KEY)
-    if manifest is None:
-        raise QueryError(
-            "search index root is not sealed in the ledger; commit (or "
-            "flush) at least once with search enabled"
-        )
-    tree = index.tree(column)
-    if tree is None:
-        return SearchProof(column, predicate, (), anchor, None)
-    if predicate.op == "eq":
-        _raw, evidence = tree.get_with_proof(
-            encode_search_value(predicate.value)
-        )
-    else:
-        _entries, evidence = tree.scan_with_proof(*predicate.bounds())
-    matches = _supported_matches(predicate, evidence)
-    return SearchProof(column, predicate, matches, anchor, evidence)
+    """Prove ``predicate`` over ``column`` against ``ledger``'s tip: one
+    range scan of the column's posting keys.  The tip must commit the
+    current postings (:meth:`SpitzDatabase.search_verified` flushes
+    first)."""
+    prefix = column_prefix(column)
+    low, high = predicate.bounds()
+    _entries, evidence = ledger.scan_with_proof(prefix + low, prefix + high)
+    return SearchProof(
+        column, predicate,
+        _supported_matches(prefix, predicate, evidence.entries), evidence,
+    )
 
 
 __all__ = [

@@ -190,26 +190,6 @@ class Struct:
             raise WireCodecError(f"{where}: {error}") from None
 
 
-def union(discriminator: str, **variants: Struct) -> Field:
-    """One of several structs: a ``discriminator`` key leads the frame
-    and names the variant; encoding picks it by the value's type."""
-
-    def encode(value: Any) -> Dict[str, Any]:
-        for name, variant in variants.items():
-            if type(value) is variant.cls:
-                return {discriminator: name, **variant.encode(value)}
-        return _refuse(value)
-
-    def decode(frame: Any) -> Any:
-        body = dict(_object(frame))
-        name = body.pop(discriminator, None)
-        if type(name) is not str or name not in variants:
-            raise WireCodecError(f"unknown {discriminator} {name!r}")
-        return variants[name].decode(body)
-
-    return Field(encode, decode)
-
-
 _DECODE_TAG: Dict[str, Callable[[Any], Any]] = {"$bytes": _unb64}
 _ENCODE_TYPE: Dict[type, Tuple[Optional[str], Callable[[Any], Any]]] = {}
 
@@ -302,7 +282,7 @@ RANGE = Struct(
 )
 # Evidence anchored in a block.
 PROOF = tagged("$proof", LedgerProof, ("siri", POINT), ("block", BLOCK))
-tagged(
+RANGE_PROOF = tagged(
     "$range_proof", LedgerRangeProof,
     ("range_proof", spliced(RANGE)), ("block", BLOCK),
 )
@@ -313,8 +293,7 @@ MULTI_PROOF = tagged(
 tagged(
     "$search_proof", SearchProof,
     ("column", TEXT), ("predicate", PREDICATE),
-    ("matches", tuple_of(pair(BYTES, BLOBS))), ("anchor", PROOF),
-    ("evidence", optional(union("kind", point=POINT, range=RANGE))),
+    ("matches", tuple_of(pair(BYTES, BLOBS))), ("evidence", RANGE_PROOF),
 )
 # A block-anchored proof anchored again in one shard of the fleet.
 SHARDED_DIGEST = tagged(

@@ -16,9 +16,11 @@ from repro.core.database import SpitzDatabase
 from repro.core.node import SpitzCluster
 from repro.core.request_handler import Request, RequestKind
 from repro.core.verifier import ClientVerifier
-from repro.errors import QueryError, TamperDetectedError
+from repro.durability.checkpoint import load_database, save_database
+from repro.errors import QueryError, SchemaError, TamperDetectedError
 from repro.obs.exposition import parse_prometheus, render_prometheus
 from repro.obs.metrics import MetricsRegistry
+from repro.search.committed import encode_postings, posting_key
 from repro.search.proofs import SearchPredicate, SearchProof
 from repro.serve.client import HttpClusterClient
 from repro.serve.codec import (
@@ -125,6 +127,66 @@ class TestDatabaseSearch:
         verifier = ClientVerifier()
         verifier.trust(db.digest())
         assert verifier.verify(proof)
+
+    def test_ints_past_two_to_the_53_are_distinct_postings(self):
+        db = SpitzDatabase(indexed_columns=["t.v"])
+        db.sql("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        db.insert("t", {"id": 1, "v": 2**53})
+        db.insert("t", {"id": 2, "v": 2**53 + 1})
+        for predicate in [">= 0", f"= {2**53 + 1}", f"< {2**53 + 1}"]:
+            ukeys, proof = db.search_verified("t.v", predicate)
+            assert ukeys == db.search("t.v", predicate)
+            assert proof.verify(db.digest().chain_digest)
+        assert len(db.search_verified("t.v", ">= 0")[0]) == 2
+
+    def test_an_int_past_64_bits_is_refused_before_install(self):
+        db = SpitzDatabase(indexed_columns=["t.v"])
+        db.sql("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        height = db.ledger.height
+        with pytest.raises(SchemaError, match="'v'"):
+            db.insert("t", {"id": 1, "v": 10**400})
+        assert db.ledger.height == height
+        assert db.sql("SELECT * FROM t") == []
+        db.insert("t", {"id": 2, "v": 2**63 - 1})
+        ukeys, proof = db.search_verified("t.v", ">= 0")
+        assert len(ukeys) == 1
+        assert proof.verify(db.digest().chain_digest)
+
+    def test_a_tip_committing_unsupported_postings_fails_to_load(
+        self, tmp_path
+    ):
+        for forged in [
+            {posting_key("t.v", 99): encode_postings([b"forged"])},
+            {posting_key("t.v", 7): None},
+        ]:
+            db = SpitzDatabase(indexed_columns=["t.v"])
+            db.sql("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+            db.insert("t", {"id": 1, "v": 7})
+            path = tmp_path / "forged.spitz"
+            save_database(db, path)
+            assert load_database(path).digest() == db.digest()
+            db.ledger.append_block(forged)
+            save_database(db, path)
+            with pytest.raises(TamperDetectedError, match="tip tree"):
+                load_database(path)
+
+    def test_an_emptied_posting_leaves_the_tree(self):
+        db = SpitzDatabase(indexed_columns=["t.v"])
+        empty_root = db.ledger.tree.root
+        db.sql("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        db.insert("t", {"id": 1, "v": 7})
+        assert db.ledger.get(posting_key("t.v", 7)) is not None
+        db.sql("DELETE FROM t WHERE id = 1")
+        assert db.ledger.get(posting_key("t.v", 7)) is None
+        assert db.ledger.tree.root == empty_root
+
+    def test_indexed_columns_are_validated(self):
+        bad = [[], ["t.a", "t.a"], ["a"], ["c#doc.f"], ["t.a\x00b"]]
+        for columns in bad:
+            with pytest.raises(QueryError):
+                SpitzDatabase().enable_search(columns)
+        with pytest.raises(QueryError):
+            SpitzDatabase(indexed_columns=["t.a", "t.a"])
 
     def test_search_without_index_raises(self):
         db = SpitzDatabase()
@@ -241,7 +303,7 @@ class TestClusterSearch:
             }))
             response = client.search("t.v", "== 7", verify=True)
             frame = encode_response(response)
-            del frame["proof"]["$search_proof"]["anchor"]
+            del frame["proof"]["$search_proof"]["evidence"]
             with pytest.raises(WireCodecError):
                 decode_response(frame)
         finally:
@@ -294,10 +356,10 @@ def _chain(db):
 
 
 class TestDurableSearchChain:
-    """A durable database whose blocks commit a search manifest
-    recovers the chain a client pinned before the restart: enabling
-    search and a manifest-only seal block go through the log and are
-    replayed where they happened, not re-derived after replay."""
+    """A durable database whose blocks commit postings recovers the
+    chain a client pinned before the restart: enabling search goes
+    through the log and is replayed where it happened, and a verified
+    search seals nothing."""
 
     def _assert_recovers(self, db, reopen):
         pinned = db.digest()
@@ -343,7 +405,7 @@ class TestDurableSearchChain:
 
         first = cluster()
         ukeys, _proof = first.db.search_verified("t.v", ">= 0")
-        assert ukeys == [] and first.db.ledger.height == 1  # the seal
+        assert ukeys == [] and first.db.ledger.height == 1  # the enable
         first.db.put(b"k", b"v")
         first.stop()
         self._assert_recovers(first.db, cluster)

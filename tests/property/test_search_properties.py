@@ -10,8 +10,9 @@ The load-bearing properties:
 - a ``SearchProof`` built over arbitrary data verifies and carries
   exactly the brute-force answer, for every predicate shape;
 - ``search`` and ``search_verified`` give the same universal keys,
-  operands of the wrong type for the column included;
-- committed roots are insertion-order invariant.
+  operands of the wrong type for the column included, ints past ±2⁵³
+  included;
+- the ledger root committing the postings is insertion-order invariant.
 """
 
 import operator
@@ -29,18 +30,24 @@ from repro.indexes.inverted import (
     encode_search_value,
 )
 from repro.search.committed import (
-    SEARCH_ROOT_KEY,
-    CommittedSearchIndex,
     decode_postings,
     encode_postings,
+    posting_key,
+    posting_writes,
 )
 from repro.search.proofs import build_search_proof
 
-#: Indexable numerics: finite floats plus ints in a range that
-#: float64 represents exactly (the codec canonicalizes int → float).
+#: Indexable numerics: every int an INT column holds (64-bit signed,
+#: its edges included) and finite floats.
+ints = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([
+        -(2**63), -(2**63) + 1, -(2**53) - 1, 2**53, 2**53 + 1,
+        2**63 - 2, 2**63 - 1,
+    ]),
+)
 numerics = st.one_of(
-    st.integers(-(2**52), 2**52),
-    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    ints, st.floats(allow_nan=False, allow_infinity=False, width=64),
 )
 strings = st.text(max_size=12)
 ukeys = st.binary(min_size=1, max_size=12)
@@ -51,11 +58,13 @@ ukeys = st.binary(min_size=1, max_size=12)
 
 @given(a=numerics, b=numerics)
 @example(a=0.0, b=-0.0)
+@example(a=2**53, b=2**53 + 1)
+@example(a=2**53 + 1, b=float(2**53))
 @settings(max_examples=200, deadline=None)
 def test_numeric_encoding_preserves_order(a, b):
     ea, eb = encode_search_value(a), encode_search_value(b)
-    assert (ea < eb) == (float(a) < float(b))
-    assert (ea == eb) == (float(a) == float(b))
+    assert (ea < eb) == (a < b)
+    assert (ea == eb) == (a == b)
 
 
 @given(a=strings, b=strings)
@@ -69,11 +78,7 @@ def test_string_encoding_preserves_order(a, b):
 @given(value=st.one_of(numerics, strings))
 @settings(max_examples=200, deadline=None)
 def test_value_codec_round_trips(value):
-    decoded = decode_search_value(encode_search_value(value))
-    if isinstance(value, str):
-        assert decoded == value
-    else:
-        assert decoded == float(value)
+    assert decode_search_value(encode_search_value(value)) == value
 
 
 @given(entries=st.lists(ukeys, max_size=20))
@@ -264,15 +269,12 @@ predicates = st.one_of(
 @given(rows=rows_numeric, predicate=predicates)
 @settings(max_examples=60, deadline=None)
 def test_search_proof_carries_exact_brute_force_answer(rows, predicate):
-    chunks = ChunkStore()
-    ledger = SpitzLedger(chunks)
+    ledger = SpitzLedger(ChunkStore())
     inverted = InvertedIndex()
-    index = CommittedSearchIndex(chunks, ["t.q"])
     for value, ukey in rows:
         inverted.add("t.q", value, ukey)
-        index.note_change("t.q", value)
-    ledger.append_block({SEARCH_ROOT_KEY: index.seal(inverted)})
-    proof = build_search_proof(ledger, index, "t.q", predicate)
+    ledger.append_block(posting_writes(inverted, ["t.q"]))
+    proof = build_search_proof(ledger, "t.q", predicate)
     assert proof.verify(ledger.digest().chain_digest)
     expected = sorted(
         {ukey for value, ukey in rows if predicate.matches(value)}
@@ -300,19 +302,26 @@ any_predicates = st.one_of(_any_predicate(numerics), _any_predicate(strings))
 
 @given(
     numbers=st.lists(numerics, min_size=1, max_size=12),
+    whole=st.lists(ints, min_size=1, max_size=12),
     words=st.lists(strings, min_size=1, max_size=12),
     probes=st.lists(
-        st.tuples(st.sampled_from(["t.n", "t.s"]), any_predicates),
+        st.tuples(st.sampled_from(["t.n", "t.i", "t.s"]), any_predicates),
         min_size=1,
         max_size=6,
     ),
 )
+@example(
+    numbers=[0, 1], whole=[2**53, 2**53 + 1], words=["a", "b"],
+    probes=[("t.i", SearchPredicate.ge(0))],
+)
 @settings(max_examples=40, deadline=None)
-def test_search_and_search_verified_agree(numbers, words, probes):
-    db = SpitzDatabase(indexed_columns=["t.n", "t.s"])
-    db.sql("CREATE TABLE t (id INT, n FLOAT, s STR, PRIMARY KEY (id))")
-    for pk, (number, word) in enumerate(zip(numbers, words)):
-        db.insert("t", {"id": pk, "n": number, "s": word})
+def test_search_and_search_verified_agree(numbers, whole, words, probes):
+    db = SpitzDatabase(indexed_columns=["t.n", "t.i", "t.s"])
+    db.sql(
+        "CREATE TABLE t (id INT, n FLOAT, i INT, s STR, PRIMARY KEY (id))"
+    )
+    for pk, (number, integer, word) in enumerate(zip(numbers, whole, words)):
+        db.insert("t", {"id": pk, "n": number, "i": integer, "s": word})
     for column, predicate in probes:
         ukeys, proof = db.search_verified(column, predicate)
         assert proof.verify(db.digest().chain_digest)
@@ -323,14 +332,16 @@ def test_search_and_search_verified_agree(numbers, words, probes):
 @settings(max_examples=60, deadline=None)
 def test_committed_root_is_insertion_order_invariant(rows):
     def build(ordering):
-        chunks = ChunkStore()
+        ledger = SpitzLedger(ChunkStore())
         inverted = InvertedIndex()
-        index = CommittedSearchIndex(chunks, ["t.s"])
         for value, ukey in ordering:
             inverted.add("t.s", value, ukey)
-            index.note_change("t.s", value)
-        index.seal(inverted)
-        return index.manifest_bytes()
+            ledger.append_block({
+                posting_key("t.s", value): encode_postings(
+                    inverted.lookup("t.s", value)
+                ),
+            })
+        return ledger.tree.root
 
     shuffled = list(rows)
     random.Random(7).shuffle(shuffled)

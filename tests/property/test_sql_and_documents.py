@@ -72,7 +72,7 @@ def test_order_by_is_a_permutation_of_where(values, low, span):
 #: might use for an open end.
 OPERANDS = {
     "id": st.integers(-2, 14),
-    "i": st.one_of(st.integers(-3, 3), st.integers()),
+    "i": st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
     "f": st.one_of(st.integers(-3, 3), st.floats()),
     "s": st.one_of(
         st.text("ab", max_size=2),

@@ -212,14 +212,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZ010")
+        assert newest.read_bytes().startswith(b"SPITZ011")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 10 only",
+            match="snapshot in layout 3; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -239,7 +239,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 10 only",
+            match="snapshot in layout 4; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -259,7 +259,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 10 only",
+            match="snapshot in layout 5; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -279,7 +279,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 10 only",
+            match="snapshot in layout 6; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -299,7 +299,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 7; .* snapshot layout 10 only",
+            match="snapshot in layout 7; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -314,7 +314,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB8" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 10 only",
+            match="snapshot in layout 8; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -330,7 +330,23 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB9" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 10 only",
+            match="snapshot in layout 9; .* snapshot layout 11 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_10_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Layout 10 committed search postings in per-column trees beside
+        the ledger, under a manifest key the tip tree of layout 11 does
+        not hold. Re-raised, never a fallback."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZ010" + newest.read_bytes()[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 10; .* snapshot layout 11 only",
         ):
             recover(tmp_path)
 
@@ -456,18 +472,18 @@ class TestOneReadOfTheLog:
 #: reproduce them exactly.
 GOLDEN_BEFORE_CHECKPOINT = {
     "wal-00000000.log":
-        "0ddd5dd1340fcc3a3f54756b77d0394be07409a1e8f7add11693b0e565d17612",
+        "b0888976f06cf6813b1c1fb6e20d2407691083fcc010dc8211849e7744cbd714",
     "wal-00000001.log":
-        "41b1be7d132bb3151679ad5ed41604ba6e724d7daad6a2d414a3fdbe4dd0ceeb",
+        "0edd1f069c8944655d755af1eb13604a3fed491b55f4e9d41127c3abfb4ec07b",
 }
 GOLDEN_AFTER_CHECKPOINT = {
     "wal-00000002.log":
-        "abe229e563f03ba3d5a6f46c9ab48405d6e8265983a5dd9779e5333184415acd",
+        "4448d885838b0bab74696223607b38a0e14c6144b26273a87fddc692a01393b6",
     "wal-00000003.log":
-        "ef672a0f00502206b7c8b5a4fe518e08f31a4abf32407d6511b262331bea06b7",
+        "b83958cb4c0a4784efbec1d7aa719c669351200f97efa2760ba05ead80c36c52",
 }
 GOLDEN_CHAIN_DIGEST = (
-    "9c9ab4a384c6db923e2dc615c1713fe3976d60261a1dde85cc87d34d2ab443c0"
+    "7701a9434893dc823e217db3fafe165fb46a7632ba5865be2d43075f11e145f8"
 )
 
 
@@ -487,7 +503,7 @@ def _golden_script(root):
         ddb.delete(b"beta")
         ddb.sql("CREATE TABLE items (id INT, price INT, PRIMARY KEY (id))")
         ddb.enable_search(["items.price"])
-        ddb.search_verified("items.price", ">= 10")  # a search_seal
+        ddb.search_verified("items.price", ">= 10")  # logs nothing
         ddb.sql("INSERT INTO items (id, price) VALUES (1, 15)")
         with ddb.transaction() as txn:
             txn.put(b"gamma", b"3")
@@ -769,19 +785,17 @@ class TestDurableCluster:
 class TestOneWidth:
     def test_every_ledger_building_constructor_defaults_to_one_width(self):
         """A durable directory does not record its split width, so every
-        constructor that builds a ledger or a committed index takes the
-        POS-tree's one default."""
+        constructor that builds a ledger takes the POS-tree's one
+        default."""
         import inspect
 
         from repro.core.database import SpitzDatabase
         from repro.core.ledger import SpitzLedger
-        from repro.forkbase.chunk_store import ChunkStore
         from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
         from repro.integration.nonintrusive import (
             NonIntrusiveVDB,
             _LedgerServer,
         )
-        from repro.search.committed import CommittedSearchIndex
         from repro.shard import ShardedDatabase
 
         constructors = [
@@ -796,11 +810,9 @@ class TestOneWidth:
         assert set(defaults.values()) == {DEFAULT_MASK_BITS}, defaults
         assert SpitzDatabase().ledger.tree.mask_bits == DEFAULT_MASK_BITS
         # The rest take no width at all.
-        for fn in (_LedgerServer, NonIntrusiveVDB, CommittedSearchIndex):
+        for fn in (_LedgerServer, NonIntrusiveVDB):
             assert "mask_bits" not in inspect.signature(fn).parameters
         assert _LedgerServer().ledger.tree.mask_bits == DEFAULT_MASK_BITS
-        index = CommittedSearchIndex(ChunkStore(), ["t.c"])
-        assert index.tree("t.c").mask_bits == DEFAULT_MASK_BITS
         cluster = SpitzCluster(nodes=1, telemetry=False)
         try:
             assert cluster.db.ledger.tree.mask_bits == DEFAULT_MASK_BITS

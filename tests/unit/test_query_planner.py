@@ -143,6 +143,8 @@ class TestRangeBounds:
         assert SearchPredicate.ne(5).span() == (None, None)
 
     def test_non_range_raises(self):
-        for predicate in [SearchPredicate.eq(5), SearchPredicate.ne(5)]:
-            with pytest.raises(QueryError):
-                predicate.bounds()
+        # An eq is the one-value range [k, k]; only ne has no bounds.
+        low, high = SearchPredicate.eq(5).bounds()
+        assert low == high
+        with pytest.raises(QueryError):
+            SearchPredicate.ne(5).bounds()

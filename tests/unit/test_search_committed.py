@@ -1,30 +1,21 @@
-"""Unit tests for the Merkle-committed search index (repro.search.committed).
+"""Unit tests for the committed-postings codecs (repro.search.committed).
 
-Covers the canonical codecs (posted values, posting lists, column
-manifests), their strict-decode guarantees, and the
-CommittedSearchIndex lifecycle: two-phase note_change/seal
-maintenance, bulk loading, and rebuild-from-authoritative-state
-equivalence.
+Covers the canonical codecs a committed posting is made of — the posted
+value (the tail of its ledger key), the posting list (its value) — their
+strict-decode guarantees, and the posting key's layout.
 """
 
 import pytest
 
-from repro.crypto.hashing import Digest
+from repro.core.schema import DOC_PREFIX, KV_PREFIX, TABLE_PREFIX
 from repro.errors import QueryError
-from repro.forkbase.chunk_store import ChunkStore
-from repro.indexes.inverted import (
-    InvertedIndex,
-    decode_search_value,
-    encode_search_value,
-)
+from repro.indexes.inverted import decode_search_value, encode_search_value
 from repro.search.committed import (
-    SEARCH_ROOT_KEY,
-    CommittedSearchIndex,
-    decode_manifest,
+    SEARCH_PREFIX,
+    column_prefix,
     decode_postings,
-    encode_manifest,
     encode_postings,
-    index_root_of,
+    posting_key,
 )
 
 
@@ -39,7 +30,34 @@ class TestSearchValueCodec:
     def test_round_trip_numbers(self):
         for num in [0, 1, -1, 10.5, -273.15, 2**52, float("inf")]:
             encoded = encode_search_value(num)
-            assert decode_search_value(encoded) == float(num)
+            assert decode_search_value(encoded) == num
+
+    def test_ints_past_two_to_the_53_stay_exact(self):
+        edges = [2**53, 2**53 + 1, 2**63 - 1, -(2**63), -(2**63) + 1]
+        for num in edges:
+            assert decode_search_value(encode_search_value(num)) == num
+        assert encode_search_value(2**53) < encode_search_value(2**53 + 1)
+        assert encode_search_value(2**53 + 1) < encode_search_value(
+            float(2**53 + 2)
+        )
+
+    def test_ints_past_64_bits_are_refused(self):
+        for num in [2**63, -(2**63) - 1, 10**400]:
+            with pytest.raises(QueryError):
+                encode_search_value(num)
+
+    def test_non_canonical_numerics_do_not_decode(self):
+        negative_zero = encode_search_value(0.5)[:1] + bytes(
+            [0x7F] + [0xFF] * 7
+        ) + b"\x00\x00"
+        for blob in [
+            encode_search_value(1.5)[:-1] + b"\x01",  # remainder on 1.5
+            encode_search_value(2**53)[:-2] + b"\x00\x02",  # past the ulp
+            negative_zero,
+            encode_search_value(7)[:-1],  # cut short
+        ]:
+            with pytest.raises(ValueError):
+                decode_search_value(blob)
 
     def test_numeric_encoding_preserves_order(self):
         values = [float("-inf"), -1e9, -2.5, -1, 0, 0.5, 3, 1e18, float("inf")]
@@ -116,111 +134,20 @@ class TestPostingsCodec:
             decode_postings(blob)
 
 
-# -- manifest codec ---------------------------------------------------------
+# -- posting keys -----------------------------------------------------------
 
 
-class TestManifestCodec:
-    def test_round_trip_and_canonical_order(self):
-        roots = {
-            "b.col": Digest(b"\x02" * 32),
-            "a.col": Digest(b"\x01" * 32),
-        }
-        blob = encode_manifest(roots)
-        assert decode_manifest(blob) == roots
-        # Same mapping in a different insertion order is byte-identical.
-        assert blob == encode_manifest(dict(reversed(list(roots.items()))))
+class TestPostingKey:
+    def test_posting_keys_sit_outside_every_data_keyspace(self):
+        key = posting_key("t.v", 7)
+        assert key.startswith(SEARCH_PREFIX)
+        for prefix in (KV_PREFIX, TABLE_PREFIX, DOC_PREFIX):
+            assert not key.startswith(prefix)
 
-    def test_index_root_is_deterministic(self):
-        one = encode_manifest({"c": Digest(b"\x07" * 32)})
-        other = encode_manifest({"c": Digest(b"\x08" * 32)})
-        assert index_root_of(one) == index_root_of(bytes(one))
-        assert index_root_of(one) != index_root_of(other)
+    def test_a_column_prefix_is_no_prefix_of_a_neighbour(self):
+        assert not column_prefix("t.ab").startswith(column_prefix("t.a"))
+        assert not posting_key("t.ab", "x").startswith(column_prefix("t.a"))
 
-    def test_decode_garbage_raises(self):
-        for blob in [b"not-a-manifest", b"", b"SIDX1"]:
-            with pytest.raises(ValueError):
-                decode_manifest(blob)
-        blob = encode_manifest({"a.b": Digest(b"\x01" * 32)})
-        with pytest.raises(ValueError):
-            decode_manifest(blob + b"\x00")
-
-
-# -- committed index lifecycle ----------------------------------------------
-
-
-def _populated_inverted():
-    inverted = InvertedIndex()
-    inverted.add("t.term", "alpha", b"u1")
-    inverted.add("t.term", "alpha", b"u2")
-    inverted.add("t.term", "beta", b"u3")
-    inverted.add("t.score", 10, b"u1")
-    inverted.add("t.score", 20, b"u2")
-    return inverted
-
-
-class TestCommittedSearchIndex:
-    def test_seal_commits_noted_changes(self):
-        index = CommittedSearchIndex(ChunkStore(), ["t.term", "t.score"])
-        inverted = _populated_inverted()
-        for column, value in [
-            ("t.term", "alpha"), ("t.term", "beta"),
-            ("t.score", 10), ("t.score", 20),
-        ]:
-            index.note_change(column, value)
-        manifest = index.seal(inverted)
-        assert index.pending_changes == 0
-        roots = decode_manifest(manifest)
-        assert set(roots) == {"t.term", "t.score"}
-        assert index.index_root == index_root_of(manifest)
-
-    def test_unindexed_column_notes_are_ignored(self):
-        index = CommittedSearchIndex(ChunkStore(), ["t.term"])
-        index.note_change("t.other", "x")
-        assert index.pending_changes == 0
-
-    def test_seal_reflects_removal(self):
-        index = CommittedSearchIndex(ChunkStore(), ["t.term"])
-        inverted = InvertedIndex()
-        inverted.add("t.term", "alpha", b"u1")
-        index.note_change("t.term", "alpha")
-        first = index.seal(inverted)
-        inverted.remove("t.term", "alpha", b"u1")
-        index.note_change("t.term", "alpha")
-        second = index.seal(inverted)
-        assert first != second
-        # Empty postings delete the leaf: resealing an empty index
-        # equals a never-populated one.
-        fresh = CommittedSearchIndex(ChunkStore(), ["t.term"])
-        assert second == fresh.seal(InvertedIndex())
-
-    def test_bulk_load_equals_incremental(self):
-        inverted = _populated_inverted()
-        incremental = CommittedSearchIndex(
-            ChunkStore(), ["t.score", "t.term"]
-        )
-        incremental.rebuild_from(inverted)
-        bulk = CommittedSearchIndex(ChunkStore(), ["t.term", "t.score"])
-        bulk.bulk_load("t.term", {"alpha": [b"u2", b"u1"], "beta": [b"u3"]})
-        bulk.bulk_load("t.score", {10: [b"u1"], 20: [b"u2"]})
-        assert incremental.manifest_bytes() == bulk.manifest_bytes()
-        assert incremental.index_root == bulk.index_root
-
-    def test_manifest_cached_until_next_seal(self):
-        index = CommittedSearchIndex(ChunkStore(), ["t.term"])
-        index.seal(InvertedIndex())
-        assert index.manifest_bytes() is index.manifest_bytes()
-
-    def test_columns_sorted_and_covers(self):
-        index = CommittedSearchIndex(ChunkStore(), ["z.b", "a.a"])
-        assert index.columns == ("a.a", "z.b")
-        assert index.covers("z.b")
-        assert not index.covers("nope")
-
-    def test_duplicate_columns_rejected(self):
+    def test_a_nul_in_the_column_is_refused(self):
         with pytest.raises(QueryError):
-            CommittedSearchIndex(ChunkStore(), ["a", "a"])
-
-    def test_search_root_key_never_parses_as_cell(self):
-        # The manifest anchor must stay outside the logical keyspace:
-        # prefix byte "s" + NUL cannot collide with table cells.
-        assert SEARCH_ROOT_KEY.startswith(b"s\x00")
+            column_prefix("t.a\x00b")

@@ -1,21 +1,29 @@
 """Unit tests for search predicates and the SearchProof tamper matrix.
 
-The tamper matrix is the ISSUE's acceptance bar: dropped match,
-fabricated match, boundary omission, stale index root, and undecodable
-proof nodes must all verify ``False`` (never raise) for both keyword
-and numeric-range predicates.
+A search proof is a claim over one ledger range proof of a column's
+posting keys.  The tamper matrix: a dropped, fabricated or reordered
+match, a boundary omission, a narrowed range, evidence about a
+neighbouring column, a KV range handed over as evidence, ``eq``
+evidence wider than ``[k, k]``, evidence from an older block, and
+undecodable proof nodes must all verify ``False`` (never raise) for
+both keyword and numeric-range predicates.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import CommitNotFoundError, QueryError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.core.ledger import SpitzLedger
 from repro.core.query import SearchPredicate
 from repro.indexes.inverted import InvertedIndex, encode_search_value
-from repro.search.committed import SEARCH_ROOT_KEY, CommittedSearchIndex
+from repro.search.committed import (
+    column_prefix,
+    encode_postings,
+    posting_key,
+    posting_writes,
+)
 from repro.search.proofs import build_search_proof
 
 
@@ -111,20 +119,23 @@ class TestSearchPredicate:
         ge_low, _ = SearchPredicate.ge(10).bounds()
         assert low == ge_low  # boundary rides along, re-excluded later
 
-    def test_eq_has_no_bounds(self):
+    def test_eq_bounds_are_one_value(self):
+        key = encode_search_value(1)
+        assert SearchPredicate.eq(1).bounds() == (key, key)
         with pytest.raises(QueryError):
-            SearchPredicate.eq(1).bounds()
+            SearchPredicate.ne(1).bounds()
 
 
-# -- fixture: a sealed ledger + committed index -----------------------------
+# -- fixture: a ledger whose tip commits the postings ------------------------
+
+
+COLUMNS = ["t.term", "t.score", "t.a", "t.ab"]
 
 
 @pytest.fixture()
 def plane():
-    chunks = ChunkStore()
-    ledger = SpitzLedger(chunks)
+    ledger = SpitzLedger(ChunkStore())
     inverted = InvertedIndex()
-    index = CommittedSearchIndex(chunks, ["t.term", "t.score"])
     rows = [
         ("alpha", 10.0, b"uk-01"),
         ("alpha", 20.0, b"uk-02"),
@@ -135,18 +146,19 @@ def plane():
     for term, score, ukey in rows:
         inverted.add("t.term", term, ukey)
         inverted.add("t.score", score, ukey)
-        index.note_change("t.term", term)
-        index.note_change("t.score", score)
-    manifest = index.seal(inverted)
-    ledger.append_block({SEARCH_ROOT_KEY: manifest})
-    return ledger, index, inverted
+    inverted.add("t.a", 1, b"uk-a")
+    inverted.add("t.ab", 1, b"uk-ab")
+    writes = posting_writes(inverted, COLUMNS)
+    writes[b"k\x00kv"] = b"a key-value row"
+    ledger.append_block(writes)
+    return ledger, inverted
 
 
 class TestBuildAndVerify:
     def test_keyword_proof_verifies(self, plane):
-        ledger, index, _ = plane
+        ledger, _ = plane
         proof = build_search_proof(
-            ledger, index, "t.term", SearchPredicate.eq("alpha")
+            ledger, "t.term", SearchPredicate.eq("alpha")
         )
         assert proof.verify(ledger.digest().chain_digest)
         assert proof.ukeys == (b"uk-01", b"uk-02")
@@ -155,9 +167,9 @@ class TestBuildAndVerify:
         assert proof.label.startswith("search:t.term:")
 
     def test_range_proof_verifies(self, plane):
-        ledger, index, inverted = plane
+        ledger, inverted = plane
         predicate = SearchPredicate.between(15.0, 35.0)
-        proof = build_search_proof(ledger, index, "t.score", predicate)
+        proof = build_search_proof(ledger, "t.score", predicate)
         assert proof.verify(ledger.digest().chain_digest)
         assert set(proof.ukeys) == {b"uk-02", b"uk-03", b"uk-04"}
         assert set(proof.ukeys) == set(
@@ -165,9 +177,9 @@ class TestBuildAndVerify:
         )
 
     def test_strict_bound_excludes_boundary(self, plane):
-        ledger, index, inverted = plane
+        ledger, inverted = plane
         predicate = SearchPredicate.gt(20)
-        proof = build_search_proof(ledger, index, "t.score", predicate)
+        proof = build_search_proof(ledger, "t.score", predicate)
         assert proof.verify(ledger.digest().chain_digest)
         assert set(proof.ukeys) == {b"uk-04", b"uk-05"}
         assert set(proof.ukeys) == set(
@@ -175,19 +187,19 @@ class TestBuildAndVerify:
         )
 
     def test_verified_empty_result(self, plane):
-        ledger, index, _ = plane
+        ledger, _ = plane
         proof = build_search_proof(
-            ledger, index, "t.term", SearchPredicate.eq("nope")
+            ledger, "t.term", SearchPredicate.eq("nope")
         )
         assert proof.matches == ()
         assert proof.verify(ledger.digest().chain_digest)
 
     def test_unindexed_column_supports_only_empty_claim(self, plane):
-        ledger, index, _ = plane
+        ledger, _ = plane
         proof = build_search_proof(
-            ledger, index, "t.other", SearchPredicate.eq("x")
+            ledger, "t.other", SearchPredicate.eq("x")
         )
-        assert proof.evidence is None
+        assert proof.evidence.entries == ()
         assert proof.verify(ledger.digest().chain_digest)
         forged = replace(
             proof, matches=((b"sx", (b"uk-99",)),)
@@ -195,13 +207,9 @@ class TestBuildAndVerify:
         assert not forged.verify(ledger.digest().chain_digest)
 
     def test_unsealed_ledger_refuses_to_prove(self):
-        chunks = ChunkStore()
-        ledger = SpitzLedger(chunks)
-        ledger.append_block({b"k\x00x": b"v"})
-        index = CommittedSearchIndex(chunks, ["t.term"])
-        with pytest.raises(QueryError):
+        with pytest.raises(CommitNotFoundError):
             build_search_proof(
-                ledger, index, "t.term", SearchPredicate.eq("a")
+                SpitzLedger(), "t.term", SearchPredicate.eq("a")
             )
 
 
@@ -209,16 +217,16 @@ class TestBuildAndVerify:
 
 
 def _keyword_proof(plane):
-    ledger, index, _ = plane
+    ledger, _ = plane
     return ledger, build_search_proof(
-        ledger, index, "t.term", SearchPredicate.eq("alpha")
+        ledger, "t.term", SearchPredicate.eq("alpha")
     )
 
 
 def _range_proof(plane):
-    ledger, index, _ = plane
+    ledger, _ = plane
     return ledger, build_search_proof(
-        ledger, index, "t.score", SearchPredicate.between(15.0, 35.0)
+        ledger, "t.score", SearchPredicate.between(15.0, 35.0)
     )
 
 
@@ -251,10 +259,13 @@ class TestTamperMatrix:
 
     def test_boundary_omission(self, plane):
         ledger, proof = _range_proof(plane)
-        evidence = proof.evidence
+        scan = proof.evidence.range_proof
         # Drop the first proven entry — on an inclusive range this is a
         # boundary leaf; the replayed scan no longer hashes to the root.
-        tampered_evidence = replace(evidence, entries=evidence.entries[1:])
+        tampered_evidence = replace(
+            proof.evidence,
+            range_proof=replace(scan, entries=scan.entries[1:]),
+        )
         tampered = replace(
             proof,
             matches=proof.matches[1:],
@@ -263,9 +274,9 @@ class TestTamperMatrix:
         assert not tampered.verify(ledger.digest().chain_digest)
 
     def test_narrowed_range(self, plane):
-        ledger, index, _ = plane
+        ledger, _ = plane
         narrow = build_search_proof(
-            ledger, index, "t.score", SearchPredicate.between(15.0, 25.0)
+            ledger, "t.score", SearchPredicate.between(15.0, 25.0)
         )
         # Re-label a narrower (complete, authentic) scan as the wider
         # query: bounds mismatch must be detected.
@@ -276,37 +287,66 @@ class TestTamperMatrix:
 
     @pytest.mark.parametrize("build", [_keyword_proof, _range_proof])
     def test_stale_index_root(self, plane, build):
-        ledger, index, inverted = plane
+        """Evidence from an older block: the chain moved on."""
+        ledger, inverted = plane
         _, proof = build(plane)
-        # Advance the chain with new postings: the old anchor no longer
-        # matches the pinned digest.
+        older = ledger.digest().chain_digest
         inverted.add("t.term", "alpha", b"uk-06")
-        index.note_change("t.term", "alpha")
-        ledger.append_block({SEARCH_ROOT_KEY: index.seal(inverted)})
+        ledger.append_block({
+            posting_key("t.term", "alpha"): encode_postings(
+                inverted.lookup("t.term", "alpha")
+            ),
+        })
         assert not proof.verify(ledger.digest().chain_digest)
+        assert proof.verify(older)
         # A fresh proof against the new state verifies again.
         _, fresh = build(plane)
         assert fresh.verify(ledger.digest().chain_digest)
 
+    def test_neighbouring_column_evidence(self, plane):
+        ledger, _ = plane
+        trusted = ledger.digest().chain_digest
+        for asked, proven in [("t.a", "t.ab"), ("t.ab", "t.a")]:
+            proof = build_search_proof(
+                ledger, proven, SearchPredicate.eq(1)
+            )
+            assert proof.verify(trusted)
+            assert not replace(proof, column=asked).verify(trusted)
+
+    def test_kv_range_as_evidence(self, plane):
+        ledger, _ = plane
+        trusted = ledger.digest().chain_digest
+        _entries, kv = ledger.scan_with_proof(b"k\x00", b"k\x00\xff")
+        assert kv.entries and kv.verify(trusted)
+        proof = build_search_proof(
+            ledger, "t.term", SearchPredicate.eq("nope")
+        )
+        assert not replace(proof, evidence=kv).verify(trusted)
+
+    def test_eq_evidence_wider_than_one_value(self, plane):
+        ledger, _ = plane
+        trusted = ledger.digest().chain_digest
+        prefix = column_prefix("t.score")
+        _entries, wide = ledger.scan_with_proof(
+            prefix + encode_search_value(10.0),
+            prefix + encode_search_value(30.0),
+        )
+        assert wide.verify(trusted)
+        proof = build_search_proof(
+            ledger, "t.score", SearchPredicate.eq(20.0)
+        )
+        assert proof.verify(trusted)
+        assert not replace(proof, evidence=wide).verify(trusted)
+
     @pytest.mark.parametrize("build", [_keyword_proof, _range_proof])
     def test_undecodable_evidence_nodes(self, plane, build):
         ledger, proof = build(plane)
-        evidence = proof.evidence
-        garbage = tuple(b"\xff garbage node" for _ in evidence.nodes)
-        tampered = replace(
-            proof, evidence=replace(evidence, nodes=garbage)
-        )
+        scan = proof.evidence.range_proof
+        garbage = tuple(b"\xff garbage node" for _ in scan.nodes)
+        tampered = replace(proof, evidence=replace(
+            proof.evidence, range_proof=replace(scan, nodes=garbage),
+        ))
         assert tampered.verify(ledger.digest().chain_digest) is False  # not an exception
-
-    @pytest.mark.parametrize("build", [_keyword_proof, _range_proof])
-    def test_undecodable_anchor_nodes(self, plane, build):
-        ledger, proof = build(plane)
-        siri = replace(
-            proof.anchor.siri,
-            nodes=tuple(b"junk" for _ in proof.anchor.siri.nodes),
-        )
-        tampered = replace(proof, anchor=replace(proof.anchor, siri=siri))
-        assert tampered.verify(ledger.digest().chain_digest) is False
 
     def test_non_canonical_postings_detected(self, plane):
         ledger, proof = _keyword_proof(plane)
@@ -318,16 +358,11 @@ class TestTamperMatrix:
         )
         assert not tampered.verify(ledger.digest().chain_digest)
 
-    def test_wrong_anchor_key_rejected(self, plane):
+    def test_evidence_of_another_shape(self, plane):
         ledger, proof = _keyword_proof(plane)
-        tampered = replace(
-            proof,
-            anchor=replace(
-                proof.anchor,
-                siri=replace(proof.anchor.siri, key=b"k\x00other"),
-            ),
-        )
-        assert not tampered.verify(ledger.digest().chain_digest)
+        _value, point = ledger.get_with_proof(b"k\x00kv")
+        tampered = replace(proof, evidence=point)
+        assert tampered.verify(ledger.digest().chain_digest) is False
 
 
 # -- unverified evaluation: the one walk answers as the proof does ----------
@@ -335,7 +370,7 @@ class TestTamperMatrix:
 
 class TestEvaluateOnInverted:
     def test_eq_and_range_match_brute_force(self, plane):
-        _, _, inverted = plane
+        _, inverted = plane
         assert inverted.matching("t.term", SearchPredicate.eq("beta")) == [
             b"uk-03"
         ]
@@ -344,12 +379,12 @@ class TestEvaluateOnInverted:
         ]
 
     def test_type_mismatch_yields_empty(self, plane):
-        _, _, inverted = plane
+        _, inverted = plane
         assert inverted.matching("t.score", SearchPredicate.ge("zz")) == []
         assert inverted.matching("t.term", SearchPredicate.gt(5)) == []
 
     def test_unknown_column_yields_empty(self, plane):
-        _, _, inverted = plane
+        _, inverted = plane
         assert inverted.matching("t.nope", SearchPredicate.eq(1)) == []
 
     @pytest.mark.parametrize(
@@ -369,7 +404,7 @@ class TestEvaluateOnInverted:
         ],
     )
     def test_walk_equals_proven_matches(self, plane, column, predicate):
-        ledger, index, inverted = plane
-        proof = build_search_proof(ledger, index, column, predicate)
+        ledger, inverted = plane
+        proof = build_search_proof(ledger, column, predicate)
         assert proof.verify(ledger.digest().chain_digest)
         assert inverted.matching(column, predicate) == list(proof.ukeys)
