@@ -384,13 +384,14 @@ class SpitzDatabase:
                     logical_key, column, primary_key,
                     history[-1].commit_ts, history[-1].value,
                 )
-        # Reposting noted every posting the versions support; the tip
-        # must commit exactly those, as they stand.
-        live.extend(
-            (key, hash_bytes(encode_postings(self.inverted.lookup(*posted))))
-            for key, posted in self._dirty_postings.items()
-        )
+        # The tip must commit exactly the postings the versions support,
+        # as enabling search commits them.
         self._dirty_postings = {}
+        live.extend(
+            (key, hash_bytes(postings)) for key, postings in posting_writes(
+                self.inverted, sorted(self._indexed)
+            ).items()
+        )
         for ours, theirs in zip_longest(
             sorted(live), self.ledger.tree.digests()
         ):

@@ -39,12 +39,9 @@ from repro.indexes.inverted import decode_search_value
 from repro.search.committed import column_prefix, decode_postings
 
 #: Everything a tampered search proof can raise during verification —
-#: the POS-tree set, the strict binary codecs (struct), the
-#: predicate/encoding guards (QueryError) and evidence of another shape
-#: (AttributeError).
-_SEARCH_VERIFY_ERRORS = _VERIFY_ERRORS + (
-    QueryError, struct.error, AttributeError,
-)
+#: the POS-tree set, the strict binary codecs (struct) and the
+#: predicate/encoding guards (QueryError).
+_SEARCH_VERIFY_ERRORS = _VERIFY_ERRORS + (QueryError, struct.error)
 
 #: Match rows as carried in the proof: ``(encoded value, postings)``
 #: in encoded-value order — the canonical result ordering.
@@ -101,6 +98,10 @@ class SearchProof:
         dropped/fabricated match, narrowed range, another column's or
         block's evidence, undecodable node — returns ``False``; nothing
         raises."""
+        if not isinstance(self.evidence, LedgerRangeProof) or not (
+            isinstance(self.predicate, SearchPredicate)
+        ):
+            return False
         try:
             prefix = column_prefix(self.column)
             low, high = self.predicate.searchable().bounds()

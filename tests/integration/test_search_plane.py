@@ -170,6 +170,23 @@ class TestDatabaseSearch:
             with pytest.raises(TamperDetectedError, match="tip tree"):
                 load_database(path)
 
+    def test_an_updated_indexed_cell_reloads_cleanly(self, tmp_path):
+        db = SpitzDatabase(indexed_columns=["t.v"])
+        db.sql("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        db.insert("t", {"id": 1, "v": 7})
+        db.sql("UPDATE t SET v = 8 WHERE id = 1")
+        db.insert("t", {"id": 2, "v": 9})
+        db.sql("DELETE FROM t WHERE id = 2")
+        path = tmp_path / "updated.spitz"
+        save_database(db, path)
+        loaded = load_database(path)
+        assert loaded.digest() == db.digest()
+        assert loaded.search("t.v", ">= 0") == db.search("t.v", ">= 0")
+        ukeys, proof = loaded.search_verified("t.v", "= 8")
+        assert len(ukeys) == 1
+        assert loaded.ledger.height == db.ledger.height
+        assert proof.verify(db.digest().chain_digest)
+
     def test_an_emptied_posting_leaves_the_tree(self):
         db = SpitzDatabase(indexed_columns=["t.v"])
         empty_root = db.ledger.tree.root
