@@ -1,7 +1,7 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
 A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
-folded in) is layout 11: ``magic ‖ SHA-256(manifest) ‖ manifest
+folded in) is layout 12: ``magic ‖ SHA-256(manifest) ‖ manifest
 length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
 owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
 :meth:`SpitzDatabase.restore` own what they mean.
@@ -23,10 +23,13 @@ rebuilds to bytes that hash to its address, the section once it is the
 one the manifest names; the manifest's digest catches damage, and an
 editor is caught by the tip tree having to be the versions' live set
 plus the postings derived from it (layout 10 committed postings in
-per-column trees beside the ledger and is refused).  Any
-failure is a :class:`~repro.errors.TamperDetectedError`.  A file of
-another layout is refused by name before anything past the magic is
-read; there is no migration.
+per-column trees beside the ledger and is refused).  A delta record may
+cut its middle into several hunks (layout 11 held one-hunk deltas only
+and is refused too: an older build could not read this layout's
+records).  Any failure is a
+:class:`~repro.errors.TamperDetectedError`.  A file of another layout
+is refused by name before anything past the magic is read; there is no
+migration.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _CHECKPOINT_RE = re.compile(
 )
 #: Layouts 1–9 were stamped ``SPITZDB`` and one digit; from layout 10
 #: on the stamp is ``SPITZ`` and three digits.
-_MAGIC = b"SPITZ011"
+_MAGIC = b"SPITZ012"
 _LAYOUT = re.compile(rb"SPITZ(?:DB(\d)|(\d{3}))")
 #: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")

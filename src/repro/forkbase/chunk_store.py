@@ -20,12 +20,17 @@ costs less than address-striped locks plus a separate stats lock did.
 History as reverse deltas: a node an apply retires is re-stored by
 :meth:`ChunkStore.supersede` as a :class:`Delta` — the bytes it differs
 by from the node that replaced it, whatever the two lengths — so the
-newest version of a node is whole and an older one costs about one row:
-node layout v4 (:mod:`repro.indexes.siri`) makes an insert, a delete or
-an overwrite one contiguous edit, so the shared ends leave the row as
-the middle.  :meth:`get` rebuilds a delta by walking its chain (at most
-:data:`MAX_CHAIN` links) to a whole chunk; a re-put of content held as
-a delta stores it whole again.
+newest version of a node is whole and an older one costs about its
+edits: node layout v4 (:mod:`repro.indexes.siri`) makes an insert, a
+delete or an overwrite one contiguous edit, so the shared ends leave
+one edit's row as the middle, and where a batch edited a node in
+several places the middle is cut at the rows between the edits, which
+the delta copies from its base.  The store finds the ends itself; the
+rows come from the index (:func:`~repro.indexes.siri.shared_rows`), and
+each is checked byte for byte before it is copied.  :meth:`get`
+rebuilds a delta by walking its chain (at most :data:`MAX_CHAIN` links)
+to a whole chunk; a re-put of content held as a delta stores it whole
+again.
 
 A checkpoint writes a store as its chunks in their stored form, not as
 an object graph, each accepted on load only once it rebuilds to bytes
@@ -37,7 +42,10 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ChunkNotFoundError
@@ -50,27 +58,66 @@ MAX_CHAIN = 16
 #: A delta's head: the address of the chunk it is stored against, and
 #: how many leading and trailing bytes it shares with that chunk.
 _DELTA = struct.Struct(">32sII")
+#: The prefix word's top bit: the middle is cut into hunks.
+_HUNKS = 1 << 31
+#: A multi-hunk delta's head: the one-hunk head, then how many copies.
+_HUNKED = struct.Struct(">32sIIH")
+#: A multi-hunk delta's offsets and lengths are u16s: a chunk longer
+#: than this keeps its one-hunk delta.
+_HUNK_MAX = 0xFFFF
+
+
+@lru_cache(maxsize=None)
+def _copies(count: int) -> struct.Struct:
+    """``count`` copies, each ``literal length ‖ base offset ‖ length``."""
+    return struct.Struct(f">{3 * count}H")
 
 
 class Delta(bytes):
-    """A chunk held as ``base address ‖ prefix length(u32) ‖ suffix
-    length(u32) ‖ middle``: the chunk is the base's first ``prefix``
-    bytes, the middle, then the base's last ``suffix`` bytes."""
+    """A chunk held as the bytes it differs by from a base, in one of
+    two shapes, told apart by the prefix word's top bit:
+
+    - one hunk, ``base address ‖ prefix(u32) ‖ suffix(u32) ‖ middle``:
+      the base's first ``prefix`` bytes, the middle, then the base's
+      last ``suffix`` bytes;
+    - several, ``base address ‖ prefix | 2³¹ ‖ suffix ‖ count(u16) ‖
+      count × (literal length, base offset, length)(u16 each) ‖
+      literals``: between the same two ends, each copy's literal run
+      from the literals in turn then ``length`` bytes of the base from
+      ``offset``, and what is left of the literals last.
+    """
 
     __slots__ = ()
 
     def patch(self, base: bytes) -> bytes:
-        """The chunk this delta stands for, given its base's bytes."""
+        """The chunk this delta stands for, given its base's bytes;
+        ``ValueError`` if the copies run past the record.  (Anything
+        else malformed rebuilds to bytes of another hash.)"""
         _address, prefix, suffix = _DELTA.unpack_from(self)
-        return base[:prefix] + self[_DELTA.size:] + base[len(base) - suffix:]
+        end = len(base) - suffix
+        if prefix < _HUNKS:
+            return base[:prefix] + self[_DELTA.size:] + base[end:]
+        if len(self) < _HUNKED.size:
+            raise ValueError("a delta's copy count is cut short")
+        count = _HUNKED.unpack_from(self)[3]
+        at = _HUNKED.size + 6 * count
+        if at > len(self):
+            raise ValueError("a delta's copies run past its record")
+        pieces = [base[:prefix ^ _HUNKS]]
+        table = iter(_copies(count).unpack_from(self, _HUNKED.size))
+        for literal, offset, length in zip(table, table, table):
+            pieces += (self[at:at + literal], base[offset:offset + length])
+            at += literal
+        pieces += (self[at:], base[end:])
+        return b"".join(pieces)
 
 
-def _delta(old: bytes, new: bytes, base: Digest) -> Delta:
-    """``old`` as a delta against ``new`` at ``base``.  As big-endian
-    integers the two line up at their last bytes, so one XOR finds the
-    shared suffix, and one more, with the longer shifted down to the
-    shorter's length, the shared prefix; the two ends together are
-    clamped to the shorter length."""
+def _ends(old: bytes, new: bytes) -> Tuple[int, int]:
+    """How many leading and trailing bytes ``old`` shares with ``new``.
+    As big-endian integers the two line up at their last bytes, so one
+    XOR finds the shared suffix, and one more, with the longer shifted
+    down to the shorter's length, the shared prefix; the two ends
+    together are clamped to the shorter length."""
     first, second = int.from_bytes(old, "big"), int.from_bytes(new, "big")
     size = min(len(old), len(new))
     head = (first >> 8 * (len(old) - size)) ^ (
@@ -82,9 +129,44 @@ def _delta(old: bytes, new: bytes, base: Digest) -> Delta:
         min(((tail & -tail).bit_length() - 1) // 8, size - prefix)
         if tail else size - prefix
     )
-    return Delta(
-        _DELTA.pack(base, prefix, suffix) + old[prefix:len(old) - suffix]
-    )
+    return prefix, suffix
+
+
+def _hunked(
+    old: bytes, new: bytes, base: Digest, prefix: int, suffix: int,
+    shared: Sequence[Sequence[int]],
+) -> Optional[Delta]:
+    """``old`` as a multi-hunk delta against ``new`` at ``base``, its
+    middle cut at the ``shared`` spans ``(offset in old, offset in new,
+    length)``, in order: each clipped to the middle, dropped where a
+    copy would cost more than it saves, and checked byte for byte.
+    None if no span is left or one does not match."""
+    stop = len(old) - suffix
+    table: List[int] = []
+    literals: List[bytes] = []
+    at = prefix
+    for start, source, length in shared:
+        if start < at:  # clipped to the middle
+            source, length, start = (
+                source + at - start, length + start - at, at
+            )
+        if start + length > stop:
+            length = stop - start
+        if length > 6:  # else the copy would cost what it saves
+            if old[start:start + length] != new[source:source + length]:
+                return None
+            table += (start - at, source, length)
+            literals.append(old[at:start])
+            at = start + length
+    if not table:
+        return None
+    literals.append(old[at:stop])
+    count = len(table) // 3
+    return Delta(b"".join((
+        _HUNKED.pack(base, prefix | _HUNKS, suffix, count),
+        _copies(count).pack(*table),
+        *literals,
+    )))
 
 
 @dataclass
@@ -184,13 +266,24 @@ class ChunkStore:
         self._entries[address] = data
         self.stats.physical_bytes += len(data) - len(delta)
 
-    def supersede(self, old: Digest, new: Digest) -> None:
+    def supersede(
+        self, old: Digest, new: Digest, shared: Optional[Callable[
+            [bytes, bytes, int, int], Sequence[Tuple[int, int, int]]
+        ]] = None,
+    ) -> None:
         """Re-store the chunk at ``old`` as a :class:`Delta` against the
         chunk at ``new`` that took its place, if both are held whole,
         the delta is smaller than the chunk, and no chain through
         ``old`` grows past :data:`MAX_CHAIN`.  The two may differ in
         length: a node one pair longer or shorter than its successor
-        differs from it by one row."""
+        differs from it by one row.
+
+        ``shared(old bytes, new bytes, prefix, suffix)``, if given,
+        names spans ``(offset in old, offset in new, length)`` the two
+        share between the ends a one-hunk delta keeps; the middle is cut
+        at them when that makes the delta smaller.  Without spans the
+        middle is one hunk, so the store needs no knowledge of what its
+        chunks encode."""
         entries, depths = self._entries, self._depths
         with self._lock:
             was, now = entries.get(old), entries.get(new)
@@ -203,9 +296,25 @@ class ChunkStore:
             depth = depths.get(old, 0) + 1
             if depth > MAX_CHAIN:
                 return
-            delta = _delta(was, now, new)
-            if len(delta) >= len(was):
+            prefix, suffix = _ends(was, now)
+            stop = len(was) - suffix
+            size = _DELTA.size + stop - prefix
+            delta = None
+            if shared is not None and max(len(was), len(now)) <= _HUNK_MAX:
+                spans = shared(was, now, prefix, suffix)
+                delta = spans and _hunked(
+                    was, now, new, prefix, suffix, spans
+                )
+                if delta and len(delta) < size:
+                    size = len(delta)
+                else:
+                    delta = None
+            if size >= len(was):
                 return
+            if delta is None:
+                delta = Delta(
+                    _DELTA.pack(new, prefix, suffix) + was[prefix:stop]
+                )
             entries[old] = delta
             self.stats.physical_bytes += len(delta) - len(was)
             depths.pop(old, None)
@@ -288,24 +397,49 @@ class ChunkStore:
             return True
 
     def check_deltas(self) -> Optional[Digest]:
-        """Rebuild every delta and record how long each whole chunk's
-        longest chain is; returns the first address whose chain has a
-        missing link, is longer than :data:`MAX_CHAIN` (a cycle is) or
-        rebuilds to bytes of another hash, None when every one holds."""
-        depths = self._depths
+        """Rebuild every delta once and record how long each whole
+        chunk's longest chain is; returns the first address found whose
+        chain has a missing link, is longer than :data:`MAX_CHAIN` or
+        rebuilds to bytes of another hash, None when every one holds.
+
+        Deltas are rebuilt outward from each whole base, one chain at a
+        time, each from the bytes of the link it is stored against, so
+        each is patched and hashed once.  A delta no whole base reaches
+        has lost a link or sits on a cycle."""
+        depths, entries = self._depths, self._entries
         depths.clear()
+        stored_against: Dict[Digest, List[Digest]] = {}
+        unbuilt = 0
         for address, data in self.items():
-            if data.__class__ is not Delta:
+            if data.__class__ is Delta:
+                stored_against.setdefault(data[:32], []).append(address)
+                unbuilt += 1
+        for base, first in stored_against.items():
+            whole = entries.get(base)
+            if whole is None or whole.__class__ is Delta:
                 continue
-            chain, base, whole = self._walk(data)
-            if whole is None:
-                return address
-            for link in reversed(chain):
-                whole = link.patch(whole)
-            if hash_bytes(whole) != address:
-                return address
-            if len(chain) > depths.get(base, 0):
-                depths[base] = len(chain)
+            pending = [(address, whole, 1) for address in first]
+            while pending:
+                address, source, depth = pending.pop()
+                if depth > MAX_CHAIN:
+                    return address
+                try:
+                    data = entries[address].patch(source)
+                except ValueError:
+                    return address
+                if hash_bytes(data) != address:
+                    return address
+                unbuilt -= 1
+                if depth > depths.get(base, 0):
+                    depths[base] = depth
+                pending += [
+                    (later, data, depth + 1)
+                    for later in stored_against.get(address, ())
+                ]
+        if unbuilt:
+            for address, data in self.items():
+                if data.__class__ is Delta and self._walk(data)[2] is None:
+                    return address
         return None
 
     def export_metrics(self, registry) -> None:

@@ -49,6 +49,7 @@ from repro.indexes.siri import (
     cache_node,
     decode_node,
     encode_node,
+    shared_rows,
 )
 
 #: The split pattern width every ledger and search column uses: a node
@@ -733,7 +734,7 @@ class PosTree(SiriIndex):
                 self._drop_levels(depth + 1)
                 return [(None, None, top)]
         above: List[_Change] = []
-        store = self.store
+        store, cache = self.store, self.store.decode_cache
         for first, last, replaced, listed, run in runs:
             written = run.write()
             children = [child for _key, child in written]
@@ -741,12 +742,17 @@ class PosTree(SiriIndex):
                 above.append((first, last, written))
                 # No address occurs twice in one tree, so these are the
                 # nodes the new version stops sharing: each is kept as
-                # a delta against the node that took its place.
+                # a delta against the node that took its place, cut at
+                # the rows the two still share.
                 for key, address in zip(listed, replaced):
                     if address not in children:
-                        store.decode_cache.pop(address, None)
+                        retired = cache.pop(address, None)
                         if written:
-                            store.supersede(address, _successor(written, key))
+                            successor = _successor(written, key)
+                            rows = retired and partial(
+                                shared_rows, retired[1], cache[successor][1]
+                            )
+                            store.supersede(address, successor, rows)
         return above
 
     def _drop_levels(self, levels: int) -> None:

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge, itemgetter
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from itertools import accumulate, compress, count, repeat
+from operator import add, ge, is_not, itemgetter
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import Digest
 from repro.forkbase.chunk_store import ChunkStore
@@ -167,6 +169,107 @@ def decode_node(data: bytes) -> tuple:
     if cut != (_common_prefix(keys[0], keys[-1]) if keys else 0):
         raise ValueError("node prefix is not its keys' common prefix")
     return tag, tuple(pairs)
+
+
+def _row_starts(data: bytes, pairs: Sequence[tuple], head: int, cut: int):
+    """Where each row of node ``data`` (``pairs`` encoded, its header
+    ``head`` bytes and its prefix ``cut`` long) starts, then where the
+    node ends.  A range when the rows add up to ``len(pairs)`` rows as
+    wide as the first — every row one width, but for a coincidence that
+    costs only the cut: the store checks each span it copies — else the
+    row lengths summed, which is right only while every suffix is
+    shorter than 128 bytes, a one-byte varint: the caller checks the
+    end."""
+    length = data[head] if head < len(data) else 0x80
+    row = length + 1 + _DIGEST_BYTES
+    if length < 0x80 and len(data) - head == row * len(pairs):
+        return range(head, len(data) + 1, row)
+    return list(accumulate(
+        map(add, map(len, map(itemgetter(0), pairs)),
+            repeat(1 + _DIGEST_BYTES - cut)),
+        initial=head,
+    ))
+
+
+def shared_rows(
+    old_pairs: Sequence[tuple], new_pairs: Sequence[tuple],
+    was: bytes, now: bytes, prefix: int, suffix: int,
+) -> List[List[int]]:
+    """The rows node ``was`` (``old_pairs`` encoded) shares with node
+    ``now`` (``new_pairs`` encoded) between the first ``prefix`` and
+    last ``suffix`` bytes they share, as spans ``[offset in was, offset
+    in now, length]`` for :meth:`ChunkStore.supersede
+    <repro.forkbase.chunk_store.ChunkStore.supersede>` to cut a delta's
+    middle at: a pair both hold is one row, an overwritten pair its
+    ``length ‖ suffix``, and rows that follow each other in both are
+    one span.  ``was``'s rows are walked in order from the first one
+    the middle touches, each found in ``now`` by key, and a run of pairs
+    both nodes hold (:meth:`PosTree.apply
+    <repro.indexes.pos_tree.PosTree.apply>` keeps them as the same
+    objects) is compared whole.  A shared row is the same bytes only
+    under the same header, so there are no spans unless the two headers
+    are equal; nor when the middle is no wider than its first row."""
+    cut = was[1]
+    head = 2 + cut
+    if (
+        cut >= 0x80 or head >= len(was)
+        or len(was) - suffix - prefix <= was[head] + 1 + _DIGEST_BYTES
+        or was[:head] != now[:head]
+    ):
+        return []
+    old_starts = _row_starts(was, old_pairs, head, cut)
+    new_starts = _row_starts(now, new_pairs, head, cut)
+    if old_starts[-1] != len(was) or new_starts[-1] != len(now):
+        return []  # a suffix of 128 bytes or more: a wider varint
+    spans: List[List[int]] = []
+    end = None
+    # The rows the middle touches: from the one holding byte ``prefix``
+    # to the last one starting before the shared suffix.
+    if type(old_starts) is range and type(new_starts) is range:
+        at = to = (prefix - head) // old_starts.step
+        old_stop = len(old_pairs) - suffix // old_starts.step
+        new_stop = len(new_pairs) - suffix // new_starts.step
+    else:
+        at = to = bisect_right(old_starts, prefix) - 1
+        old_stop = bisect_left(old_starts, len(was) - suffix, at)
+        new_stop = bisect_left(new_starts, len(now) - suffix, to)
+    while at < old_stop:
+        old = old_pairs[at]
+        if to + 1 < new_stop and new_pairs[to + 1] is old:
+            to += 1  # one pair inserted before it
+        elif to >= new_stop or new_pairs[to] is not old:
+            # (key,) sorts just before (key, digest): old's key in new.
+            to = bisect_left(new_pairs, (old[0],), to, new_stop)
+            if to == new_stop:
+                break
+        new = new_pairs[to]
+        if old[0] != new[0]:  # gone from new
+            at += 1
+            continue
+        if old is new:
+            # A run of pairs both kept: most often the rest of the
+            # middle, checked in one comparison, else to its end.
+            same = min(old_stop - at, new_stop - to)
+            if old_pairs[at:at + same] != new_pairs[to:to + same]:
+                same = next(compress(count(1), map(
+                    is_not, old_pairs[at + 1:at + same],
+                    new_pairs[to + 1:to + same],
+                )), same)
+            size = old_starts[at + same] - old_starts[at]
+        else:
+            same = 1
+            size = old_starts[at + 1] - old_starts[at] - (
+                0 if old[1] == new[1] else _DIGEST_BYTES
+            )
+        start, source = old_starts[at], new_starts[to]
+        if start == end and spans[-1][1] + spans[-1][2] == source:
+            spans[-1][2] += size
+        else:
+            spans.append([start, source, size])
+        end = start + size
+        at += same
+        to += same
+    return spans
 
 
 class NodeCache(dict):

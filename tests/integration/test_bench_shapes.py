@@ -20,6 +20,8 @@ from repro.bench import harness
 from repro.bench.harness import (
     LOADERS,
     OPS_BASELINE_VERIFY,
+    OPS_DEFAULT,
+    OPS_SCAN,
     SEED,
     _baseline_verified_read,
     _load_spitz,
@@ -141,13 +143,35 @@ class TestFigure6Shapes:
 
 
 class TestFigure7Shapes:
-    def test_range_queries_slower_than_point(self, figures):
-        read, _w, ranged, _f8r, _f8w = figures
-        for system in ("Spitz", "Immutable KVS"):
+    def test_range_queries_slower_than_point(self):
+        """A range scan walks every leaf its range touches, so it is
+        slower than a point read of the same system.  Timed on its own
+        rather than read from the shared fixture, whose point and scan
+        series are single windows timed apart: per system and size,
+        point reads and the fixture's 1 % scans alternate over best-of-N
+        CPU time of this thread, so time the scheduler gives other
+        processes counts against neither."""
+        for system in ("spitz", "kvs"):
             for n in SIZES:
-                point = read.series_named(system).points[n]
-                scan = ranged.series_named(system).points[n]
-                assert scan < point
+                gen = WorkloadGenerator(n, seed=SEED)
+                db = LOADERS[system](gen)
+                kinds = {
+                    "point": (
+                        list(gen.reads(OPS_DEFAULT)),
+                        lambda op: db.get(op.key),
+                    ),
+                    "scan": (
+                        list(gen.range_scans(OPS_SCAN, 0.01)),
+                        lambda op: db.scan(op.key, op.high),
+                    ),
+                }
+                _settle_gc()
+                best = dict.fromkeys(kinds, 0.0)
+                for i in range(6):
+                    for kind in ("point", "scan")[::1 if i % 2 else -1]:
+                        ops, action = kinds[kind]
+                        best[kind] = max(best[kind], _cpu_rate(ops, action))
+                assert best["scan"] < best["point"], (system, n, best)
 
     def test_spitz_verified_ranges_beat_baseline(self, figures):
         _r, _w, ranged, _f8r, _f8w = figures

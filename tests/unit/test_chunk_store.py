@@ -1,6 +1,7 @@
 """Unit tests for the content-addressed chunk store."""
 
 import pickle
+import struct
 
 import pytest
 
@@ -170,6 +171,29 @@ class TestReverseDeltas:
         assert store.get(shorter) == self.NEW[:-1]
         assert store.get(old) == self.OLD
         assert store.check_deltas() is None
+
+    def test_a_middle_is_cut_at_the_spans_named_shared(self):
+        """Two edits 100 bytes apart: a one-hunk delta holds the 100
+        bytes between them.  Named as shared, they are one copy from
+        the base, and the delta holds the two edits; a span that does
+        not match, or a cut that would not shrink the delta, leaves the
+        one-hunk delta."""
+        old = b"a" * 50 + b"X" + bytes(range(100)) + b"Y" + b"z" * 50
+        new = b"a" * 50 + b"P" + bytes(range(100)) + b"Q" + b"z" * 50
+        one_hunk = (50).to_bytes(4, "big") * 2 + old[50:152]
+        for spans, tail in (
+            ([(51, 51, 100)], (50 | 1 << 31).to_bytes(4, "big")
+             + (50).to_bytes(4, "big") + struct.pack(">H3H", 1, 1, 51, 100)
+             + b"XY"),
+            ([(51, 52, 100)], one_hunk),
+            ([(60, 60, 3)], one_hunk),
+        ):
+            store = ChunkStore()
+            a, b = store.put(old), store.put(new)
+            store.supersede(a, b, lambda *_chunks: spans)
+            assert dict(store.items())[a] == b + tail
+            assert store.get(a) == old
+            assert store.check_deltas() is None
 
     def test_a_delta_whose_base_is_gone_is_missing(self, store):
         old, new, _before = self._superseded(store)

@@ -212,14 +212,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZ011")
+        assert newest.read_bytes().startswith(b"SPITZ012")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 11 only",
+            match="snapshot in layout 3; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
@@ -239,7 +239,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 11 only",
+            match="snapshot in layout 4; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
@@ -259,7 +259,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 11 only",
+            match="snapshot in layout 5; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
@@ -279,7 +279,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 11 only",
+            match="snapshot in layout 6; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
@@ -299,7 +299,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 7; .* snapshot layout 11 only",
+            match="snapshot in layout 7; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
@@ -314,7 +314,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB8" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 11 only",
+            match="snapshot in layout 8; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
@@ -330,13 +330,13 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB9" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 11 only",
+            match="snapshot in layout 9; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 
     def test_a_layout_10_checkpoint_stops_recovery_by_name(self, tmp_path):
         """Layout 10 committed search postings in per-column trees beside
-        the ledger, under a manifest key the tip tree of layout 11 does
+        the ledger, under a manifest key the tip tree of later layouts does
         not hold. Re-raised, never a fallback."""
         with DurableDatabase.open(tmp_path) as ddb:
             ddb.put(b"a", b"1")
@@ -346,7 +346,22 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZ010" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 10; .* snapshot layout 11 only",
+            match="snapshot in layout 10; .* snapshot layout 12 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_11_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Layout 11 held every delta as one hunk. Re-raised, never a
+        fallback."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZ011" + newest.read_bytes()[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 11; .* snapshot layout 12 only",
         ):
             recover(tmp_path)
 

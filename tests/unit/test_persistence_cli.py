@@ -152,13 +152,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZ011")
+        assert blob.startswith(b"SPITZ012")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 11 only"
+            FormatVersionError, match="snapshot layout 12 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -259,7 +259,7 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZDB8" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 11 only",
+            match="snapshot in layout 8; .* snapshot layout 12 only",
         ):
             load_database(snapshot_path)
 
@@ -269,26 +269,38 @@ class TestPersistence:
         with a three-digit stamp, so the name check reads both kinds."""
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZ011")
+        assert blob.startswith(b"SPITZ012")
         snapshot_path.write_bytes(b"SPITZDB9" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 11 only",
+            match="snapshot in layout 9; .* snapshot layout 12 only",
         ):
             load_database(snapshot_path)
-        snapshot_path.write_bytes(b"SPITZ012" + blob[8:])
-        with pytest.raises(FormatVersionError, match="snapshot in layout 12"):
+        snapshot_path.write_bytes(b"SPITZ013" + blob[8:])
+        with pytest.raises(FormatVersionError, match="snapshot in layout 13"):
             load_database(snapshot_path)
 
     def test_a_layout_10_file_is_refused_by_name(self, snapshot_path):
         """Layout 10 committed search postings in per-column trees
-        beside the ledger; layout 11 commits them as ledger keys."""
+        beside the ledger; later layouts commit them as ledger keys."""
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
         snapshot_path.write_bytes(b"SPITZ010" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 10; .* snapshot layout 11 only",
+            match="snapshot in layout 10; .* snapshot layout 12 only",
+        ):
+            load_database(snapshot_path)
+
+    def test_a_layout_11_file_is_refused_by_name(self, snapshot_path):
+        """Layout 11 held every delta as one hunk; layout 12 may cut a
+        delta's middle into several."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZ011" + blob[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 11; .* snapshot layout 12 only",
         ):
             load_database(snapshot_path)
 
@@ -411,7 +423,7 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         db, blob = saved
-        assert blob.startswith(b"SPITZ011")
+        assert blob.startswith(b"SPITZ012")
         records = _records(blob)
         assert len(records) == db.chunks.stats.unique_chunks
         restored = load_database(snapshot_path)

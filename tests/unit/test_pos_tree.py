@@ -14,6 +14,9 @@ from repro.indexes.siri import SiriProof, decode_node
 
 #: A delta's head: base address, prefix and suffix lengths (u32 each).
 DELTA_HEAD = 40
+#: A multi-hunk delta's head: the same, then a copy count (u16); each
+#: copy is three u16s.
+MULTI_HUNK_HEAD = 42
 
 
 def _items(n, prefix="k"):
@@ -197,6 +200,30 @@ class TestHistoryAsDeltas:
         assert stored[:32] == _leaf_address(newer, key)
         assert hash_bytes(store.get(old_leaf)) == old_leaf
         assert tree.get(b"k000500") == b"v500" and tree.get(key) is None
+
+    def test_a_batch_that_edits_a_leaf_twice_stores_its_edits(self, store):
+        """Two inserts near the two ends of one leaf, in one batch: a
+        one-hunk delta would hold every row between them, but the
+        retired leaf's delta copies those rows from its successor — its
+        multi-hunk head, one copy, and no row at all."""
+        tree = PosTree.from_items(store, [
+            (b"k%06d" % i, b"v%d" % i) for i in range(0, 2000, 2)
+        ])
+        old_leaf = _leaf_address(tree, b"k001000")
+        keys = [key for key, _digest in decode_node(store.get(old_leaf))[1]]
+        low, high = (
+            b"k%06d" % (int(key[1:]) + 1) for key in (keys[0], keys[-2])
+        )
+        newer = tree.apply({low: b"a", high: b"b"})
+        assert _leaf_address(newer, low) == _leaf_address(newer, high)
+        stored = dict(store.items())[old_leaf]
+        assert isinstance(stored, Delta) and stored[32] & 0x80
+        # The rows strictly between the two edits, each at least a
+        # length byte and a digest.
+        between = (len(keys) - 3) * (1 + 32)
+        assert len(stored) == MULTI_HUNK_HEAD + 6 < DELTA_HEAD + between
+        assert hash_bytes(store.get(old_leaf)) == old_leaf
+        assert tree.get(low) is None and newer.get(low) == b"a"
 
     def test_every_historical_node_rebuilds_after_a_checkpoint(
         self, tmp_path
