@@ -5,11 +5,11 @@ Reads the paired perfbench runs each PR commits,
 ``BENCH_TRAJECTORY.json`` at the repository root: for every PR, every
 workload it ran and every end-to-end metric ``BENCHMARK.json`` bounds,
 the parent's and the change's median over that PR's runs and the
-change between them as a share of the parent's median; from the run
-set numbered ``DRIFT_FROM`` on, also the change's median as a share of
-that set's change median (``since_pr30``), the drift the changes since
-then add up to.  Traced runs
-(``*_layers.jsonl``) carry no end-to-end metrics and are not read.
+change between them as a share of the parent's median; after the run
+set numbered ``DRIFT_FROM``, also the change's median as a share of
+that set's change median (``since_prNN``, NN that number), the drift
+the changes since then add up to.  Traced runs (``*_layers.jsonl``)
+carry no end-to-end metrics and are not read.
 
     python benchmarks/trajectory.py
 
@@ -29,8 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
 OUTPUT = ROOT / "BENCH_TRAJECTORY.json"
 _RUNS = re.compile(r"pr(\d+)_(parent|change)\.jsonl")
-#: The run set (``pr30_*.jsonl``) whose change medians ``since_pr30``
-#: is measured against.
+#: The run set (``prNN_*.jsonl``, NN this number) that the later run
+#: sets' ``since_prNN`` is measured against.
 DRIFT_FROM = 30
 
 
@@ -89,20 +89,21 @@ def trajectory() -> Dict[str, object]:
 
 
 def _add_drift(prs: Dict[str, dict]) -> None:
-    """From the run set numbered :data:`DRIFT_FROM` on, give each row
-    ``since_pr30``: its change median as a share of that set's change
-    median for the same workload and metric — the drift that a series
-    of changes each inside its bound adds up to, which no single
-    ``change_share`` shows."""
+    """After the run set numbered :data:`DRIFT_FROM`, give each row
+    ``since_prNN`` (NN that number): its change median as a share of
+    that set's change median for the same workload and metric — the
+    drift that a series of changes each inside its bound adds up to,
+    which no single ``change_share`` shows."""
     anchor = prs.get(f"pr{DRIFT_FROM}", {})
+    key = f"since_pr{DRIFT_FROM}"
     for name, rows in prs.items():
-        if int(name[2:]) < DRIFT_FROM:
+        if int(name[2:]) <= DRIFT_FROM:
             continue
         for workload, row in rows.items():
             for metric, cell in row.items():
                 base = anchor.get(workload, {}).get(metric)
                 if base:
-                    cell["since_pr30"] = round(
+                    cell[key] = round(
                         cell["change"] / base["change"] - 1, 4
                     )
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -65,12 +64,6 @@ _HUNKED = struct.Struct(">32sIIH")
 #: A multi-hunk delta's offsets and lengths are u16s: a chunk longer
 #: than this keeps its one-hunk delta.
 _HUNK_MAX = 0xFFFF
-
-
-@lru_cache(maxsize=None)
-def _copies(count: int) -> struct.Struct:
-    """``count`` copies, each ``literal length ‖ base offset ‖ length``."""
-    return struct.Struct(f">{3 * count}H")
 
 
 class Delta(bytes):
@@ -104,7 +97,9 @@ class Delta(bytes):
         if at > len(self):
             raise ValueError("a delta's copies run past its record")
         pieces = [base[:prefix ^ _HUNKS]]
-        table = iter(_copies(count).unpack_from(self, _HUNKED.size))
+        table = iter(
+            struct.unpack_from(f">{3 * count}H", self, _HUNKED.size)
+        )
         for literal, offset, length in zip(table, table, table):
             pieces += (self[at:at + literal], base[offset:offset + length])
             at += literal
@@ -164,7 +159,7 @@ def _hunked(
     count = len(table) // 3
     return Delta(b"".join((
         _HUNKED.pack(base, prefix | _HUNKS, suffix, count),
-        _copies(count).pack(*table),
+        struct.pack(f">{len(table)}H", *table),
         *literals,
     )))
 

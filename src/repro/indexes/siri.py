@@ -137,17 +137,10 @@ def decode_node(data: bytes) -> tuple:
     end = len(data)
     if at > end:
         raise ValueError("node prefix is cut short")
-    length = data[at] if at < end else 0x80
-    row = length + 1 + _DIGEST_BYTES
-    if (
-        length < 0x80 and not (end - at) % row
-        and data[at:end:row] == _SHORT[length] * ((end - at) // row)
-    ):
-        # Every suffix one length (keys of one width): one unpack.
-        pairs = [
-            (prefix + suffix, digest)
-            for suffix, digest in _rows(length).iter_unpack(data[at:])
-        ]
+    row = _one_width(data, at)
+    if row:  # every suffix one length (keys of one width): one unpack
+        rows = _rows(row - 1 - _DIGEST_BYTES).iter_unpack(data[at:])
+        pairs = [(prefix + suffix, digest) for suffix, digest in rows]
     else:
         pairs = []
         while at < end:
@@ -171,18 +164,31 @@ def decode_node(data: bytes) -> tuple:
     return tag, tuple(pairs)
 
 
-def _row_starts(data: bytes, pairs: Sequence[tuple], head: int, cut: int):
+def _one_width(data: bytes, at: int) -> int:
+    """The width of every row of node ``data`` from byte ``at`` on
+    when they are all one width — the rows fill ``data`` exactly and
+    each starts with the first one's one-byte suffix length — else 0."""
+    end = len(data)
+    length = data[at] if at < end else 0x80
+    row = length + 1 + _DIGEST_BYTES
+    if (
+        length < 0x80 and not (end - at) % row
+        and data[at:end:row] == _SHORT[length] * ((end - at) // row)
+    ):
+        return row
+    return 0
+
+
+def _row_starts(
+    data: bytes, pairs: Sequence[tuple], head: int, cut: int,
+) -> Sequence[int]:
     """Where each row of node ``data`` (``pairs`` encoded, its header
     ``head`` bytes and its prefix ``cut`` long) starts, then where the
-    node ends.  A range when the rows add up to ``len(pairs)`` rows as
-    wide as the first — every row one width, but for a coincidence that
-    costs only the cut: the store checks each span it copies — else the
-    row lengths summed, which is right only while every suffix is
-    shorter than 128 bytes, a one-byte varint: the caller checks the
-    end."""
-    length = data[head] if head < len(data) else 0x80
-    row = length + 1 + _DIGEST_BYTES
-    if length < 0x80 and len(data) - head == row * len(pairs):
+    node ends: a range when every row is one width, else the row
+    lengths summed, which is right only while every suffix is shorter
+    than 128 bytes, a one-byte varint: the caller checks the end."""
+    row = _one_width(data, head)
+    if row:
         return range(head, len(data) + 1, row)
     return list(accumulate(
         map(add, map(len, map(itemgetter(0), pairs)),
@@ -206,9 +212,10 @@ def shared_rows(
     the middle touches, each found in ``now`` by key, and a run of pairs
     both nodes hold (:meth:`PosTree.apply
     <repro.indexes.pos_tree.PosTree.apply>` keeps them as the same
-    objects) is compared whole.  A shared row is the same bytes only
-    under the same header, so there are no spans unless the two headers
-    are equal; nor when the middle is no wider than its first row."""
+    objects) is taken whole, walked by identity to its end.  A shared
+    row is the same bytes only under the same header, so there are no
+    spans unless the two headers are equal; nor when the middle is no
+    wider than its first row."""
     cut = was[1]
     head = 2 + cut
     if (
@@ -225,19 +232,12 @@ def shared_rows(
     end = None
     # The rows the middle touches: from the one holding byte ``prefix``
     # to the last one starting before the shared suffix.
-    if type(old_starts) is range and type(new_starts) is range:
-        at = to = (prefix - head) // old_starts.step
-        old_stop = len(old_pairs) - suffix // old_starts.step
-        new_stop = len(new_pairs) - suffix // new_starts.step
-    else:
-        at = to = bisect_right(old_starts, prefix) - 1
-        old_stop = bisect_left(old_starts, len(was) - suffix, at)
-        new_stop = bisect_left(new_starts, len(now) - suffix, to)
+    at = to = bisect_right(old_starts, prefix) - 1
+    old_stop = bisect_left(old_starts, len(was) - suffix, at)
+    new_stop = bisect_left(new_starts, len(now) - suffix, to)
     while at < old_stop:
         old = old_pairs[at]
-        if to + 1 < new_stop and new_pairs[to + 1] is old:
-            to += 1  # one pair inserted before it
-        elif to >= new_stop or new_pairs[to] is not old:
+        if to >= new_stop or new_pairs[to] is not old:
             # (key,) sorts just before (key, digest): old's key in new.
             to = bisect_left(new_pairs, (old[0],), to, new_stop)
             if to == new_stop:
@@ -246,15 +246,11 @@ def shared_rows(
         if old[0] != new[0]:  # gone from new
             at += 1
             continue
-        if old is new:
-            # A run of pairs both kept: most often the rest of the
-            # middle, checked in one comparison, else to its end.
-            same = min(old_stop - at, new_stop - to)
-            if old_pairs[at:at + same] != new_pairs[to:to + same]:
-                same = next(compress(count(1), map(
-                    is_not, old_pairs[at + 1:at + same],
-                    new_pairs[to + 1:to + same],
-                )), same)
+        if old is new:  # a run of pairs both kept, to its end
+            same = next(compress(count(1), map(
+                is_not, old_pairs[at + 1:old_stop],
+                new_pairs[to + 1:new_stop],
+            )), min(old_stop - at, new_stop - to))
             size = old_starts[at + same] - old_starts[at]
         else:
             same = 1
