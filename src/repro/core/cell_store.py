@@ -36,9 +36,9 @@ def parse_logical_key(logical_key: bytes) -> Tuple[str, bytes]:
     raise QueryError(f"malformed logical key {logical_key!r}")
 
 
-def live_value(versions: Optional[List[Version]]) -> Optional[bytes]:
-    """The newest version's value (None if none, or it is a delete)."""
-    return versions[-1].value if versions else None
+def live_value(version: Optional[Version]) -> Optional[bytes]:
+    """A newest version's value (None if none, or it is a delete)."""
+    return version.value if version is not None else None
 
 
 def put_history(store: MVCCStore, key: bytes) -> List[Tuple[int, bytes]]:
@@ -59,7 +59,7 @@ class Cell:
 
 
 class CellStore:
-    """Cells over the MVCC store's version lists, by logical key."""
+    """Cells over the MVCC store's versions, by logical key."""
 
     def __init__(self, store: MVCCStore):
         self._store = store

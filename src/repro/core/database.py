@@ -4,10 +4,10 @@ Wires the paper's two layers together (Section 5, Figure 5):
 
 - **storage layer** — one shared chunk store holding the deduplicated
   cell values *and* the ledger's POS-tree nodes; the version store
-  (the transaction manager's MVCC store, the only record of a
-  committed write, seen as cells by the virtual cell store); the
-  B+-tree primary access path from a live key to its version list;
-  inverted indexes for analytics;
+  (the transaction manager's MVCC store: the only record of a
+  committed write and, as a B+-tree from each key to its newest
+  version, the access path for point and range reads; seen as cells
+  by the virtual cell store); inverted indexes for analytics;
 - **control layer** — a transaction manager (MVCC + the OCC
   certifier) whose committed write sets are folded into the storage
   layer and sealed into ledger blocks (the auditor's job).
@@ -47,7 +47,6 @@ from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import QueryError, SchemaError, TamperDetectedError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.obs.metrics import MetricsRegistry
-from repro.indexes.bplus import BPlusTree
 from repro.indexes.inverted import InvertedIndex, postable
 from repro.indexes.pos_tree import DEFAULT_MASK_BITS
 from repro.txn.manager import (
@@ -124,11 +123,10 @@ class SpitzDatabase:
             oracle=oracle, apply=self._commit
         )
         # The manager's MVCC store is the one record of a committed
-        # write (DESIGN.md §5 item 9): ``primary`` maps a live logical
-        # key to its version list there (the same list object), and
-        # ``cells`` is a view.
-        self.cells = CellStore(self.txn_manager.store)
-        self.primary = BPlusTree()
+        # write and the access path for unverified reads (DESIGN.md §5
+        # item 9); ``cells`` is a view of it.
+        self.versions = self.txn_manager.store
+        self.cells = CellStore(self.versions)
         self.inverted = InvertedIndex()
         self.oracle = self.txn_manager.oracle
         self._tables: Dict[str, TableSchema] = {}
@@ -218,28 +216,20 @@ class SpitzDatabase:
         timestamp: Optional[int],
     ) -> Block:
         """Install ``writes`` at ``timestamp`` (a fresh one if None):
-        the MVCC versions, the inverted index, ``primary``, the ledger
-        block or batch, then the commit hooks."""
+        the MVCC versions, the inverted index, the ledger block or
+        batch, then the commit hooks."""
         timestamp = (
             timestamp if timestamp is not None
             else self.oracle.next_timestamp()
         )
         self._c_commits.inc()
         self._c_writes_folded.inc(len(writes))
-        store = self.txn_manager.store
-        store.install(writes, timestamp)
+        self.versions.install(writes, timestamp)
         for logical_key, value in writes.items():
             column, primary_key = parse_logical_key(logical_key)
             if "." in column:  # typed table cells are value-indexed
                 self._repost(
                     logical_key, column, primary_key, timestamp, value
-                )
-            if value is None:
-                if logical_key in self.primary:
-                    self.primary.delete(logical_key)
-            else:  # an insert overwrites with the same version list
-                self.primary.insert(
-                    logical_key, store.versions_of(logical_key)
                 )
         if self.block_batch == 1 and not self._pending_writes:
             block = self._append_ledger_block(writes, statements)
@@ -302,7 +292,7 @@ class SpitzDatabase:
         already installed this one — to ``value`` (none for a delete).
         The only place a write builds universal keys."""
         moves = []
-        previous = self.txn_manager.store.read(logical_key, timestamp - 1)
+        previous = self.versions.read(logical_key, timestamp - 1)
         if previous is not None and previous.value is not None:
             moves.append(
                 (self.inverted.remove, previous.commit_ts, previous.value)
@@ -332,15 +322,13 @@ class SpitzDatabase:
         value digest | None for a delete)``, a key's in commit order;
         a value no block sealed (``block_batch > 1``) is put as a chunk
         now."""
-        store = self.txn_manager.store
-        for logical_key in store.keys():
-            for version in store.versions_of(logical_key):
-                digest = None
-                if version.value is not None:
-                    digest = hash_bytes(version.value)
-                    if digest not in self.chunks:
-                        self.chunks.put(version.value)
-                yield logical_key, version.commit_ts, digest
+        for logical_key, version in self.versions.all_versions():
+            digest = None
+            if version.value is not None:
+                digest = hash_bytes(version.value)
+                if digest not in self.chunks:
+                    self.chunks.put(version.value)
+            yield logical_key, version.commit_ts, digest
 
     def restore(
         self,
@@ -354,7 +342,7 @@ class SpitzDatabase:
         the schemas, :meth:`persisted_versions`, the oracle's high-water
         mark, the indexed columns — on a database fresh from the
         constructor, its chunk store holding the checkpoint's chunks;
-        derive ``primary`` and the inverted index.
+        derive the version map and the inverted index.
         :class:`TamperDetectedError` unless the tip tree's ``(key →
         value digest)`` is the versions' live set plus the postings
         derived from it: unverified reads and searches answer from the
@@ -364,25 +352,25 @@ class SpitzDatabase:
         self.oracle.advance_to(high_water)
         if indexed_columns:
             self._indexed = _indexed_columns(indexed_columns)
-        by_key: Dict[bytes, List[Version]] = {}
-        latest: Dict[bytes, Optional[Digest]] = {}
-        for logical_key, stamp, digest in versions:
-            value = None if digest is None else self.chunks.get(digest)
-            by_key.setdefault(logical_key, []).append(Version(stamp, value))
-            latest[logical_key] = digest
-        self.txn_manager.store.restore(by_key)
+        self.versions.restore(
+            (logical_key, Version(
+                stamp, None if digest is None else self.chunks.get(digest)
+            ))
+            for logical_key, stamp, digest in versions
+        )
+        # A key's pairs come in commit order: the last is its newest.
+        latest = {key: digest for key, _stamp, digest in versions}
         live = [
             (key, digest) for key, digest in latest.items()
             if digest is not None
         ]
         for logical_key, _digest in live:
-            history = by_key[logical_key]
-            self.primary.insert(logical_key, history)
             column, primary_key = parse_logical_key(logical_key)
             if "." in column:  # posted as the commit that wrote it did
+                newest = self.versions.read_latest(logical_key)
                 self._repost(
                     logical_key, column, primary_key,
-                    history[-1].commit_ts, history[-1].value,
+                    newest.commit_ts, newest.value,
                 )
         # The tip must commit exactly the postings the versions support,
         # as enabling search commits them.
@@ -426,8 +414,8 @@ class SpitzDatabase:
         return block, proof
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Unverified read via the B+-tree access path."""
-        return live_value(self.primary.get_optional(KV_PREFIX + key))
+        """Unverified read via the version map."""
+        return live_value(self.versions.read_latest(KV_PREFIX + key))
 
     def get_verified(
         self, key: bytes
@@ -437,7 +425,7 @@ class SpitzDatabase:
         return self.ledger.get_with_proof(KV_PREFIX + key)
 
     def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Unverified batch read via the B+-tree access path."""
+        """Unverified batch read via the version map."""
         return [self.get(key) for key in keys]
 
     def get_many_verified(
@@ -461,15 +449,13 @@ class SpitzDatabase:
     def scan(
         self, low: bytes, high: bytes
     ) -> List[Tuple[bytes, bytes]]:
-        """Unverified range scan via the B+-tree."""
-        results: List[Tuple[bytes, bytes]] = []
-        for logical_key, versions in self.primary.range(
-            KV_PREFIX + low, KV_PREFIX + high
-        ):
-            value = live_value(versions)
-            if value is not None:
-                results.append((logical_key[len(KV_PREFIX):], value))
-        return results
+        """Unverified range scan via the version map."""
+        return [
+            (logical_key[len(KV_PREFIX):], value)
+            for logical_key, value in self.versions.range(
+                KV_PREFIX + low, KV_PREFIX + high
+            )
+        ]
 
     def scan_verified(
         self, low: bytes, high: bytes
@@ -486,7 +472,7 @@ class SpitzDatabase:
 
     def history(self, key: bytes) -> List[Tuple[int, bytes]]:
         """(timestamp, value) for every version ever written."""
-        return put_history(self.txn_manager.store, KV_PREFIX + key)
+        return put_history(self.versions, KV_PREFIX + key)
 
     def get_at_block(self, key: bytes, height: int) -> Optional[bytes]:
         """Historical read from block ``height``'s index instance."""
@@ -752,7 +738,7 @@ class SpitzDatabase:
         low, high = (
             plan.predicate.span() if plan.predicate else (None, None)
         )
-        entries = self.primary.range(
+        entries = self.versions.range(
             prefix if low is None else prefix + encode_pk(pk_type, low),
             prefix_end(prefix) if high is None
             else prefix + encode_pk(pk_type, high),
@@ -763,15 +749,15 @@ class SpitzDatabase:
     def _load_row(
         self, schema: TableSchema, pk: bytes
     ) -> Optional[Dict[str, Any]]:
-        presence = self.primary.get_optional(
+        presence = self.versions.read_latest(
             schema.logical_key(ROW_COLUMN, pk)
         )
-        if presence is None:
+        if live_value(presence) is None:
             return None
         row: Dict[str, Any] = {}
         for column in schema.columns:
             value = live_value(
-                self.primary.get_optional(schema.logical_key(column.name, pk))
+                self.versions.read_latest(schema.logical_key(column.name, pk))
             )
             if value is None:
                 return None

@@ -32,7 +32,12 @@ from repro.core.proofs import (
 )
 
 
-@dataclass(frozen=True)
+#: What a block sealing no statements commits to (most blocks): one
+#: digest shared by all of them.
+_NO_STATEMENTS = hash_value(())
+
+
+@dataclass(frozen=True, slots=True)
 class Block(BlockWitness):
     """One sealed ledger block: the header a proof witnesses plus the
     number of writes it sealed."""
@@ -128,7 +133,10 @@ class SpitzLedger:
         for tree_root, writes_digest, write_count, statements in sealed:
             height = len(self._blocks)
             previous = self._blocks[-1].chain_digest if height else EMPTY_DIGEST
-            statements_digest = hash_value(tuple(statements))
+            statements_digest = (
+                hash_value(tuple(statements)) if statements
+                else _NO_STATEMENTS
+            )
             self._blocks.append(Block(
                 height=height,
                 previous_chain_digest=previous,

@@ -53,7 +53,7 @@ def chain_digest_of(
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockWitness:
     """The block-header fields a proof needs to re-derive the block
     digest, plus the chain digest the block was sealed under."""

@@ -17,8 +17,9 @@ holds every chunk as a record, in its stored form.
 
 **Derived** on load, through the ordinary constructor with the caller's
 metrics, oracle and certifier: each block's statement digest and chain
-link, the tip tree, the versions' values, ``primary``, the inverted
-index and the postings the tip commits.  A chunk is accepted once it
+link, the tip tree, the version map (each key's newest version in
+the MVCC store's B+-tree), the versions' values, the inverted index
+and the postings the tip commits.  A chunk is accepted once it
 rebuilds to bytes that hash to its address, the section once it is the
 one the manifest names; the manifest's digest catches damage, and an
 editor is caught by the tip tree having to be the versions' live set

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from repro.core.database import SpitzDatabase
 from repro.kvstore.kvs import ImmutableKVS
-from repro.txn.mvcc import Version
 
 
 def migrate_kvs_to_spitz(
@@ -37,28 +36,27 @@ def migrate_kvs_to_spitz(
     """
     spitz = spitz if spitz is not None else SpitzDatabase()
     if include_history:
-        versions: List[Tuple[int, bytes, Version]] = sorted(
-            (version.commit_ts, key, version)
-            for key in kvs.versions.keys()
-            for version in kvs.versions.history(key)
-        )
-    else:
-        versions = [
-            (0, key, key_versions[-1])
-            for key, key_versions in kvs.primary.items()
+        # A stable sort: one timestamp's keys stay in key order.
+        writes: List[Tuple[bytes, Optional[bytes]]] = [
+            (key, version.value) for key, version in sorted(
+                kvs.versions.all_versions(),
+                key=lambda pair: pair[1].commit_ts,
+            )
         ]
+    else:
+        writes = list(kvs.versions.snapshot_items(kvs.oracle.current()))
     batch = {}
-    for _timestamp, key, version in versions:
-        if key in batch or version.value is None:
+    for key, value in writes:
+        if key in batch or value is None:
             # A key's second version, or a delete, starts a new block:
             # what came before it must land first, not be overwritten.
             if batch:
                 spitz.put_batch(batch)
             batch = {}
-        if version.value is None:
+        if value is None:
             spitz.delete(key)
             continue
-        batch[key] = version.value
+        batch[key] = value
         if len(batch) >= batch_size:
             spitz.put_batch(batch)
             batch = {}

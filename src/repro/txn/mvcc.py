@@ -6,7 +6,10 @@ MVCC ... are more suitable" (Section 5.2).  This store keeps every
 committed version of every key, serves snapshot reads at any
 timestamp, and never overwrites — matching the immutability
 requirement of Section 1.  It is the database's only record of a
-committed write (DESIGN.md §5 item 9).
+committed write and its one access path for point and range reads
+(DESIGN.md §5 item 9): a B+-tree from each key to its newest version,
+beside a table of the earlier versions of the keys written more than
+once.  A key written once costs its tree slot and its version, no list.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
+
+from repro.indexes.bplus import BPlusTree
 
 _COMMIT_TS = attrgetter("commit_ts")
 
@@ -33,8 +40,11 @@ class MVCCStore:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        # key -> versions sorted by commit_ts ascending
-        self._versions: Dict[Any, List[Version]] = {}
+        # key -> newest version, in key order
+        self._latest = BPlusTree()
+        # key -> its earlier versions by commit_ts ascending; only the
+        # keys written more than once are here
+        self._older: Dict[Any, List[Version]] = {}
 
     # -- reads -------------------------------------------------------------
 
@@ -45,15 +55,17 @@ class MVCCStore:
         version itself (callers decide how to surface deletes).
         """
         with self._lock:
-            versions = self._versions.get(key, ())
-            index = bisect_right(versions, snapshot_ts, key=_COMMIT_TS)
-            return versions[index - 1] if index else None
+            newest = self._latest.get_optional(key)
+            if newest is None or newest.commit_ts <= snapshot_ts:
+                return newest
+            older = self._older.get(key, ())
+            index = bisect_right(older, snapshot_ts, key=_COMMIT_TS)
+            return older[index - 1] if index else None
 
     def read_latest(self, key: Any) -> Optional[Version]:
         """Most recent committed version regardless of snapshot."""
         with self._lock:
-            versions = self._versions.get(key)
-            return versions[-1] if versions else None
+            return self._latest.get_optional(key)
 
     def latest_commit_ts(self, key: Any) -> int:
         """Commit timestamp of the newest version (0 if none)."""
@@ -63,25 +75,44 @@ class MVCCStore:
     def history(self, key: Any) -> List[Version]:
         """All committed versions of ``key``, oldest first."""
         with self._lock:
-            return list(self._versions.get(key, ()))
-
-    def versions_of(self, key: Any) -> Optional[List[Version]]:
-        """``key``'s version list itself (installs append to it in
-        place; never mutate it), or None if never written."""
-        return self._versions.get(key)
+            newest = self._latest.get_optional(key)
+            if newest is None:
+                return []
+            return [*self._older.get(key, ()), newest]
 
     def keys(self) -> Iterator[Any]:
         with self._lock:
-            return iter(sorted(self._versions.keys()))
+            return iter(list(self._latest.keys()))
+
+    def range(
+        self, low: Any, high: Any, inclusive: bool = True
+    ) -> List[Tuple[Any, Any]]:
+        """Live ``(key, value)`` pairs with ``low <= key <= high`` (or
+        ``< high``) in key order; a key whose newest version is a
+        delete is skipped."""
+        with self._lock:
+            return [
+                (key, version.value)
+                for key, version in self._latest.range(low, high, inclusive)
+                if version.value is not None
+            ]
 
     def snapshot_items(self, snapshot_ts: int) -> Iterator[Tuple[Any, Any]]:
         """Live (key, value) pairs visible at ``snapshot_ts``."""
-        with self._lock:
-            keys = sorted(self._versions.keys())
-        for key in keys:
+        for key in self.keys():
             version = self.read(key, snapshot_ts)
             if version is not None and version.value is not None:
                 yield key, version.value
+
+    def all_versions(self) -> Iterator[Tuple[Any, Version]]:
+        """``(key, version)`` for every stored version, in key order and
+        a key's in commit order."""
+        with self._lock:
+            latest = list(self._latest.items())
+        for key, newest in latest:
+            for version in self._older.get(key, ()):
+                yield key, version
+            yield key, newest
 
     # -- writes ------------------------------------------------------------
 
@@ -94,24 +125,32 @@ class MVCCStore:
         """
         with self._lock:
             for key, value in writes.items():
-                versions = self._versions.setdefault(key, [])
-                if versions and versions[-1].commit_ts >= commit_ts:
-                    raise ValueError(
-                        f"out-of-order install at key {key!r}: "
-                        f"{commit_ts} <= {versions[-1].commit_ts}"
-                    )
-                versions.append(Version(commit_ts, value))
+                self._push(key, Version(commit_ts, value))
 
-    def restore(self, versions: Dict[Any, List[Version]]) -> None:
-        """Adopt ``versions`` (key → versions by commit_ts) wholesale."""
+    def restore(self, versions: Iterable[Tuple[Any, Version]]) -> None:
+        """Adopt ``versions`` wholesale: ``(key, version)`` pairs, each
+        key's in commit order, as :meth:`all_versions` yields them."""
         with self._lock:
-            self._versions = versions
+            self._latest, self._older = BPlusTree(), {}
+            for key, version in versions:
+                self._push(key, version)
+
+    def _push(self, key: Any, version: Version) -> None:
+        newest = self._latest.get_optional(key)
+        if newest is not None:
+            if newest.commit_ts >= version.commit_ts:
+                raise ValueError(
+                    f"out-of-order install at key {key!r}: "
+                    f"{version.commit_ts} <= {newest.commit_ts}"
+                )
+            self._older.setdefault(key, []).append(newest)
+        self._latest.insert(key, version)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._versions)
+            return len(self._latest)
 
     def version_count(self) -> int:
         """Total number of stored versions across all keys."""
         with self._lock:
-            return sum(len(v) for v in self._versions.values())
+            return len(self._latest) + sum(map(len, self._older.values()))

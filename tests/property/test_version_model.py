@@ -12,7 +12,11 @@ is checked against a model that keeps each key's versions in a list:
 ``select`` (current, and as of a block marked mid-script), ``search``
 on the indexed column, snapshot reads from a transaction begun
 mid-script, and every verified read through one ``ClientVerifier``
-pinned per database for the whole run.
+pinned per database for the whole run.  A ``reopen`` saves each
+database as a checkpoint and loads it back: the loaded database is the
+subject from then on, so every later check reads the version map
+``restore`` rebuilt (an open snapshot is then read at its timestamp
+from the loaded store; its transaction stays with the saved database).
 
 Commit timestamps are the one thing the model does not choose: a
 commit hook reports them, and the model checks each key's only ever
@@ -23,17 +27,21 @@ under a fixed, derandomized Hypothesis profile; CI runs more examples
 of the same profile with ``--model-examples``.
 """
 
+import tempfile
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.cell_store import live_value
 from repro.core.database import SpitzDatabase
 from repro.core.query import SearchPredicate
 from repro.core.schema import KV_PREFIX, TableSchema, encode_value
 from repro.core.universal_key import UniversalKey
 from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import hash_bytes
+from repro.durability.checkpoint import load_database, save_database
 from repro.errors import QueryError
 from repro.kvstore.kvs import ImmutableKVS
 from repro.txn.manager import IsolationLevel
@@ -78,6 +86,7 @@ operations = st.one_of(
     st.tuples(st.just("delete_rows"), conditions),
     st.tuples(st.just("mark")),
     st.tuples(st.just("snapshot")),
+    st.tuples(st.just("reopen")),
     st.tuples(st.just("check")),
 )
 scripts = st.lists(operations, min_size=8, max_size=30)
@@ -109,7 +118,9 @@ class Model:
 
 class Subject:
     """One database under test, its pinned verifier and what the script
-    recorded against it (marked blocks, an open snapshot)."""
+    recorded against it (marked blocks, an open snapshot: its
+    transaction — None once the database was reopened — its timestamp
+    and the live state it must see)."""
 
     def __init__(self, block_batch):
         self.db = SpitzDatabase(
@@ -127,6 +138,17 @@ class Subject:
             writes, _statements, timestamp = data
             for logical_key, _value in writes:
                 self.stamps[logical_key].append(timestamp)
+
+    def reopen(self):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "checkpoint"
+            save_database(self.db, path)
+            self.db = load_database(path)
+        self.db.add_commit_hook(self._stamp)
+        if self.snapshot is not None and self.snapshot[0] is not None:
+            txn, start_ts, kv_then = self.snapshot
+            txn.abort()
+            self.snapshot = (None, start_ts, kv_then)
 
     def verified(self, answer, proof):
         self.verifier.observe(self.db.digest())
@@ -218,10 +240,11 @@ def _apply(op, model, subjects, kvs):
     elif kind == "snapshot":
         for subject in subjects:
             if subject.snapshot is None:
-                subject.snapshot = (
-                    subject.db.transaction(IsolationLevel.SNAPSHOT),
-                    model.live(),
-                )
+                txn = subject.db.transaction(IsolationLevel.SNAPSHOT)
+                subject.snapshot = (txn, txn._txn.start_ts, model.live())
+    elif kind == "reopen":
+        for subject in subjects:
+            subject.reopen()
     else:
         _check(model, subjects, kvs)
 
@@ -315,9 +338,12 @@ def _check_db(subject, model):
         for key in KEYS:
             assert db.get_at_block(key, height) == kv_then.get(key)
     if subject.snapshot is not None:
-        txn, kv_then = subject.snapshot
+        txn, start_ts, kv_then = subject.snapshot
         for key in KEYS:
-            assert txn.get(key) == kv_then.get(key)
+            version = db.versions.read(KV_PREFIX + key, start_ts)
+            assert live_value(version) == kv_then.get(key)
+            if txn is not None:
+                assert txn.get(key) == kv_then.get(key)
 
 
 def _check_kvs(kvs, model):
@@ -351,7 +377,7 @@ def _run(script):
         _apply(op, model, subjects, kvs)
     _check(model, subjects, kvs)
     for subject in subjects:
-        if subject.snapshot is not None:
+        if subject.snapshot is not None and subject.snapshot[0] is not None:
             subject.snapshot[0].abort()
 
 

@@ -126,19 +126,20 @@ class TestBlockBatching:
 
 class TestOneVersionStore:
     """A committed write is kept once: one ``Version`` in the manager's
-    MVCC store, which ``primary`` points into for live keys."""
+    MVCC store, which is also the access path unverified reads use."""
 
     def test_a_committed_write_is_kept_once(self, db):
         store = db.txn_manager.store
+        assert db.versions is store
         db.put(b"a", b"1")
         db.put_batch({b"a": b"2", b"b": b"x"})
         with db.transaction() as txn:
             txn.put(b"a", b"3")
         db.delete(b"b")
-        versions = store.versions_of(b"k\x00a")
+        versions = store.history(b"k\x00a")
         assert [v.value for v in versions] == [b"1", b"2", b"3"]
-        assert db.primary.get_optional(b"k\x00a") is versions
-        assert b"k\x00b" not in db.primary
+        assert store.read_latest(b"k\x00a") is versions[-1]
+        assert db.get(b"b") is None and db.scan(b"a", b"b") == [(b"a", b"3")]
         assert store.read_latest(b"k\x00b").value is None
         assert store.version_count() == 5
 

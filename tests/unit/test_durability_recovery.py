@@ -150,8 +150,11 @@ class TestCheckpoints:
             ddb.put(b"k08", b"after")
             digest = ddb.digest()
         edited = load_database(path2)
-        versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
-        versions[-1] = Version(versions[-1].commit_ts, b"EDITED")
+        store = edited.txn_manager.store
+        live = store.read_latest(KV_PREFIX + b"k07")
+        store._latest.insert(
+            KV_PREFIX + b"k07", Version(live.commit_ts, b"EDITED")
+        )
         save_database(edited, path2)
         report = recover(tmp_path)
         assert report.checkpoint_lsn == lsn1

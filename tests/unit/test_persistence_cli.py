@@ -47,8 +47,11 @@ class TestLiveSet:
         """The live version of one key edited, the chain and every chunk
         untouched: unverified ``get`` would serve the edit."""
         edited = load_database(snapshot_path)
-        versions = edited.txn_manager.store.versions_of(KV_PREFIX + b"k07")
-        versions[-1] = Version(versions[-1].commit_ts, b"EDITED")
+        store = edited.txn_manager.store
+        live = store.read_latest(KV_PREFIX + b"k07")
+        store._latest.insert(
+            KV_PREFIX + b"k07", Version(live.commit_ts, b"EDITED")
+        )
         assert edited.get(b"k07") == b"EDITED"
         save_database(edited, snapshot_path)
         assert edited.digest() == saved.digest() and edited.verify_chain()
