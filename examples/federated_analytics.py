@@ -14,6 +14,7 @@ Run:  python examples/federated_analytics.py
 """
 
 from repro import ClientVerifier, SpitzDatabase, TamperDetectedError
+from repro.crypto.hashing import short
 
 HOSPITALS = ("st-marys", "city-general", "lakeside")
 
@@ -53,7 +54,7 @@ def main() -> None:
         total += sum(values)
         count += len(values)
         digest = db.digest()
-        citations[name] = digest.chain_digest.short
+        citations[name] = short(digest.chain_digest)
         print(
             f"  {name}: n={len(values)}, "
             f"mean={sum(values) / len(values):.1f} .. VERIFIED"

@@ -13,6 +13,7 @@ Run:  python examples/quickstart.py
 
 from repro import ClientVerifier, SpitzDatabase, TamperDetectedError
 from repro.core.proofs import LedgerProof
+from repro.crypto.hashing import short
 from repro.indexes.siri import SiriProof
 
 
@@ -31,7 +32,7 @@ def main() -> None:
     client = ClientVerifier()
     client.trust(db.digest())
     print(f"  trusted digest: height={client.trusted_digest.height}, "
-          f"chain={client.trusted_digest.chain_digest.short}")
+          f"chain={short(client.trusted_digest.chain_digest)}")
 
     # -- 2 & 3. verified read ------------------------------------------------
     print("\n== verified read ==")

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.crypto.hashing import EMPTY_DIGEST, Digest, hash_bytes
+from repro.crypto.hashing import EMPTY_DIGEST, Digest, hash_bytes, short
 from repro.errors import SpitzError, VerificationError
 from repro.forkbase.chunk_store import ChunkStore
 from repro.indexes.siri import decode_node
@@ -55,8 +55,8 @@ def compare_replicas(a: SpitzLedger, b: SpitzLedger) -> ForkReport:
                 common_prefix=height,
                 detail=(
                     f"fork at block #{height}: "
-                    f"{a.block(height).chain_digest.short} vs "
-                    f"{b.block(height).chain_digest.short}"
+                    f"{short(a.block(height).chain_digest)} vs "
+                    f"{short(b.block(height).chain_digest)}"
                 ),
             )
     behind = "equal" if a.height == b.height else (
@@ -197,8 +197,8 @@ def verify_bundle(
     ):
         return False, (
             "bundle digest does not match the trusted digest "
-            f"({bundle.digest.chain_digest.short} vs "
-            f"{trusted.chain_digest.short})"
+            f"({short(bundle.digest.chain_digest)} vs "
+            f"{short(trusted.chain_digest)})"
         )
     verify = getattr(bundle.proof, "verify", None)
     if verify is None:

@@ -71,7 +71,7 @@ class UniversalKey:
         primary_key = _unescape(rest[:second])
         tail = rest[second + 2:]
         timestamp = int.from_bytes(tail[:8], "big")
-        value_hash = Digest(tail[8:16] + b"\x00" * 24)
+        value_hash = tail[8:16] + b"\x00" * 24
         return cls(column, primary_key, timestamp, value_hash)
 
     @staticmethod

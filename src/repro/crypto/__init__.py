@@ -1,8 +1,8 @@
 """Cryptographic primitives: canonical hashing and Merkle trees.
 
 Everything authenticated in the library reduces to the helpers in this
-package: :mod:`repro.crypto.hashing` provides a canonical encoding and a
-:class:`~repro.crypto.hashing.Digest` type, and
+package: :mod:`repro.crypto.hashing` provides a canonical encoding and SHA-256
+digests (plain ``bytes``), and
 :mod:`repro.crypto.merkle` provides a classic binary Merkle tree with
 inclusion proofs plus an append-only hash chain.
 """

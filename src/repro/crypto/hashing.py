@@ -19,39 +19,30 @@ Encodable = Union[
 ]
 
 
-class Digest(bytes):
-    """A 32-byte SHA-256 digest.
-
-    Subclassing :class:`bytes` keeps digests hashable, comparable and
-    directly usable as dict keys while giving them a distinct type for
-    readability and a short hex ``repr``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, data: bytes) -> "Digest":
-        if len(data) != 32:
-            raise ValueError(f"digest must be 32 bytes, got {len(data)}")
-        return super().__new__(cls, data)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Digest({self.hex()[:12]}..)"
-
-    @property
-    def short(self) -> str:
-        """First 12 hex characters, for logs and error messages."""
-        return self.hex()[:12]
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest":
-        """Parse a 64-character hex string into a digest."""
-        return cls(bytes.fromhex(text))
+#: A 32-byte SHA-256 digest.  Plain :class:`bytes`, as ``hashlib``
+#: returns it: an instance of a ``bytes`` subclass carries a GC header
+#: and is tracked by the cyclic collector, and so is every tuple that
+#: holds one (DESIGN.md §5 item 10).
+Digest = bytes
 
 
 def hash_bytes(data: bytes) -> Digest:
     """SHA-256 of raw bytes."""
-    # SHA-256 always gives 32 bytes: skip the length check of __new__.
-    return bytes.__new__(Digest, hashlib.sha256(data).digest())
+    return hashlib.sha256(data).digest()
+
+
+def short(digest: Digest) -> str:
+    """First 12 hex characters of ``digest``, for logs and messages."""
+    return digest.hex()[:12]
+
+
+def digest_from_hex(text: str) -> Digest:
+    """The digest whose canonical text is ``text``: exactly 64
+    lower-case hex digits, else :class:`ValueError`."""
+    digest = bytes.fromhex(text)
+    if len(digest) != 32 or digest.hex() != text:
+        raise ValueError(f"not 64 lower-case hex digits: {text!r:.72}")
+    return digest
 
 
 #: Digest of the empty byte string; used as the root of empty trees.
@@ -62,9 +53,8 @@ def canonical_encode(value: Encodable) -> bytes:
     """Encode ``value`` into unambiguous, self-delimiting bytes.
 
     Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``,
-    ``bytes`` (and subclasses such as :class:`Digest`), ``tuple``,
-    ``list``, ``dict`` (keys sorted by their own encoding) and
-    ``frozenset`` (elements sorted by encoding).  Raises
+    ``bytes``, ``tuple``, ``list``, ``dict`` (keys sorted by their own
+    encoding) and ``frozenset`` (elements sorted by encoding).  Raises
     :class:`TypeError` for anything else.
     """
     out = bytearray()
@@ -144,4 +134,4 @@ def hash_many(parts: Iterable[bytes]) -> Digest:
     for part in parts:
         hasher.update(len(part).to_bytes(4, "big"))
         hasher.update(part)
-    return Digest(hasher.digest())
+    return hasher.digest()

@@ -25,11 +25,11 @@ _NODE_PREFIX = b"\x01"
 
 
 def _leaf_hash(data: bytes) -> Digest:
-    return Digest(hashlib.sha256(_LEAF_PREFIX + data).digest())
+    return hashlib.sha256(_LEAF_PREFIX + data).digest()
 
 
 def _node_hash(left: bytes, right: bytes) -> Digest:
-    return Digest(hashlib.sha256(_NODE_PREFIX + left + right).digest())
+    return hashlib.sha256(_NODE_PREFIX + left + right).digest()
 
 
 @dataclass(frozen=True)

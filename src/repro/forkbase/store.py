@@ -131,7 +131,7 @@ class ForkBase:
         address = tree.value_digest(key.encode())
         if address is None:
             raise KeyError(key)
-        return self.get_value(Digest(address))
+        return self.get_value(address)
 
     def get(
         self,

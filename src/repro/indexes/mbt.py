@@ -73,11 +73,7 @@ class MerkleBucketTree(SiriIndex):
     @staticmethod
     def _pair_level(store: ChunkStore, level: List[Digest]) -> List[Digest]:
         return [
-            store.put(
-                encode_node(
-                    ("I", bytes(level[i]), bytes(level[i + 1]))
-                )
-            )
+            store.put(encode_node(("I", level[i], level[i + 1])))
             for i in range(0, len(level), 2)
         ]
 
@@ -133,7 +129,7 @@ class MerkleBucketTree(SiriIndex):
                 if node[0] != "I":
                     return False
                 bit = (bucket >> (depth - 1 - step)) & 1
-                expected = Digest(node[2] if bit else node[1])
+                expected = node[2] if bit else node[1]
             raw = nodes[-1]
             if hash_bytes(raw) != expected:
                 return False
@@ -184,6 +180,6 @@ class MerkleBucketTree(SiriIndex):
                 left = new_levels[level_index - 1][2 * position]
                 right = new_levels[level_index - 1][2 * position + 1]
                 new_levels[level_index][position] = self.store.put(
-                    encode_node(("I", bytes(left), bytes(right)))
+                    encode_node(("I", left, right))
                 )
         return MerkleBucketTree(self.store, new_levels, self.buckets)

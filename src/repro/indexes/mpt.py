@@ -112,7 +112,7 @@ class MerklePatriciaTrie(SiriIndex):
                 if path[:len(shared)] != tuple(shared):
                     return None, nodes
                 path = path[len(shared):]
-                address = Digest(child)
+                address = child
                 continue
             # branch
             _kind, children, value = node
@@ -122,7 +122,7 @@ class MerklePatriciaTrie(SiriIndex):
             if child is None:
                 return None, nodes
             path = path[1:]
-            address = Digest(child)
+            address = child
 
     @classmethod
     def verify_proof(cls, proof: SiriProof, root: Digest) -> bool:
@@ -155,7 +155,7 @@ class MerklePatriciaTrie(SiriIndex):
                     if path[:len(shared)] != tuple(shared):
                         return proof.value is None
                     path = path[len(shared):]
-                    expected = Digest(child)
+                    expected = child
                     continue
                 _kind, children, value = node
                 if not path:
@@ -164,7 +164,7 @@ class MerklePatriciaTrie(SiriIndex):
                 if child is None:
                     return proof.value is None
                 path = path[1:]
-                expected = Digest(child)
+                expected = child
         except (ProofError, ValueError, KeyError, TypeError):
             return False
 
@@ -183,16 +183,14 @@ class MerklePatriciaTrie(SiriIndex):
             yield _nibbles_to_bytes(prefix + tuple(suffix)), value
         elif kind == "EX":
             _kind, shared, child = node
-            yield from self._iter_node(Digest(child), prefix + tuple(shared))
+            yield from self._iter_node(child, prefix + tuple(shared))
         else:
             _kind, children, value = node
             if value is not None:
                 yield _nibbles_to_bytes(prefix), value
             for nibble, child in enumerate(children):
                 if child is not None:
-                    yield from self._iter_node(
-                        Digest(child), prefix + (nibble,)
-                    )
+                    yield from self._iter_node(child, prefix + (nibble,))
 
     # -- updates -----------------------------------------------------------
 
@@ -231,10 +229,8 @@ class MerklePatriciaTrie(SiriIndex):
             shared = tuple(shared)
             cp = _common_prefix(shared, path)
             if cp == len(shared):
-                new_child = self._insert(
-                    Digest(child), path[cp:], value
-                )
-                return self._save(("EX", shared, bytes(new_child)))
+                new_child = self._insert(child, path[cp:], value)
+                return self._save(("EX", shared, new_child))
             # Diverge inside the extension: build a branch at cp.
             children: List[Optional[bytes]] = [None] * 16
             branch_value: Optional[bytes] = None
@@ -243,28 +239,25 @@ class MerklePatriciaTrie(SiriIndex):
                 children[ext_rest[0]] = child
             else:
                 inner = self._save(("EX", ext_rest[1:], child))
-                children[ext_rest[0]] = bytes(inner)
+                children[ext_rest[0]] = inner
             path_rest = path[cp:]
             if not path_rest:
                 branch_value = value
             else:
                 leaf = self._save(("LF", path_rest[1:], value))
-                children[path_rest[0]] = bytes(leaf)
+                children[path_rest[0]] = leaf
             branch = self._save(("BR", tuple(children), branch_value))
             if cp:
-                return self._save(("EX", shared[:cp], bytes(branch)))
+                return self._save(("EX", shared[:cp], branch))
             return branch
         # branch
         _kind, children, branch_value = node
         if not path:
             return self._save(("BR", tuple(children), value))
         slot = path[0]
-        child_address = (
-            Digest(children[slot]) if children[slot] is not None else None
-        )
-        new_child = self._insert(child_address, path[1:], value)
+        new_child = self._insert(children[slot], path[1:], value)
         new_children = list(children)
-        new_children[slot] = bytes(new_child)
+        new_children[slot] = new_child
         return self._save(("BR", tuple(new_children), branch_value))
 
     def _split_leaf(
@@ -283,10 +276,10 @@ class MerklePatriciaTrie(SiriIndex):
                 branch_value = value
             else:
                 leaf = self._save(("LF", rest[1:], value))
-                children[rest[0]] = bytes(leaf)
+                children[rest[0]] = leaf
         branch = self._save(("BR", tuple(children), branch_value))
         if cp:
-            return self._save(("EX", old_path[:cp], bytes(branch)))
+            return self._save(("EX", old_path[:cp], branch))
         return branch
 
     def _delete(
@@ -304,10 +297,10 @@ class MerklePatriciaTrie(SiriIndex):
             shared = tuple(shared)
             if path[:len(shared)] != shared:
                 return address
-            new_child = self._delete(Digest(child), path[len(shared):])
+            new_child = self._delete(child, path[len(shared):])
             if new_child is None:
                 return None
-            if new_child == Digest(child):
+            if new_child == child:
                 return address
             return self._normalize_extension(shared, new_child)
         _kind, children, branch_value = node
@@ -320,13 +313,13 @@ class MerklePatriciaTrie(SiriIndex):
             slot = path[0]
             if children[slot] is None:
                 return address
-            new_child = self._delete(Digest(children[slot]), path[1:])
+            new_child = self._delete(children[slot], path[1:])
             if new_child is None:
                 new_children[slot] = None
-            elif new_child == Digest(children[slot]):
+            elif new_child == children[slot]:
                 return address
             else:
-                new_children[slot] = bytes(new_child)
+                new_children[slot] = new_child
         return self._normalize_branch(new_children, branch_value)
 
     def _normalize_extension(
@@ -335,7 +328,7 @@ class MerklePatriciaTrie(SiriIndex):
         child = self._load(child_address)
         kind = child[0]
         if kind == "BR":
-            return self._save(("EX", shared, bytes(child_address)))
+            return self._save(("EX", shared, child_address))
         if kind == "LF":
             _kind, suffix, value = child
             return self._save(("LF", shared + tuple(suffix), value))
@@ -359,5 +352,5 @@ class MerklePatriciaTrie(SiriIndex):
             return self._save(("LF", (), branch_value))
         if len(live) == 1 and branch_value is None:
             slot, child = live[0]
-            return self._normalize_extension((slot,), Digest(child))
+            return self._normalize_extension((slot,), child)
         return self._save(("BR", tuple(children), branch_value))

@@ -335,8 +335,7 @@ class _Run:
 
     def write(self) -> List[Tuple[bytes, bytes]]:
         """Store the nodes; returns the pairs the level above lists
-        them under (each digest the ``Digest`` the store returned: a
-        walk reads a child's address as it is paired)."""
+        them under (each digest the one the store returned)."""
         stops = list(self.cuts)
         if self.pairs and not self.ended:
             stops.append(len(self.pairs))
@@ -431,13 +430,13 @@ class PosTree(SiriIndex):
             top = level.write()
         if not top:
             return cls.empty(store, mask_bits)
-        tree = cls(store, Digest(top[0][1]), mask_bits)
+        tree = cls(store, top[0][1], mask_bits)
         # The root is the lowest level with a single node; deletes can
         # leave single-child branches above it.
         node = tree._node(tree.root)
         while node[0] == "B" and len(node[1]) == 1:
             store.decode_cache.pop(tree.root, None)
-            tree = cls(store, Digest(node[1][0][1]), mask_bits)
+            tree = cls(store, node[1][0][1], mask_bits)
             node = tree._node(tree.root)
         return tree
 
@@ -475,8 +474,7 @@ class PosTree(SiriIndex):
         )
 
     def _value(self, digest: Optional[bytes]) -> Optional[bytes]:
-        """The value chunk a leaf pair's digest addresses (None: None); the
-        stored bytes equal, and hash like, the ``Digest`` it was put under."""
+        """The value chunk a leaf pair's digest addresses (None: None)."""
         return None if digest is None else self.store.get(digest)
 
     def _descend(

@@ -12,9 +12,10 @@ field codec)`` row per field in frame-key order; the frame key *is*
 the field name.  That table is the whole wire format (DESIGN.md §5b).
 
 Decoding is strict everywhere: integers are non-negative ``int`` by
-exact type, bytes and digests are strings, a frame has exactly its
-table's keys, a tag has no sibling keys, and whatever is wrong only
-:class:`WireCodecError` escapes.  A frame can only build the
+exact type, bytes and digests are strings in their one canonical form
+(base64 with no unused bit set, 64 lower-case hex digits), a frame has
+exactly its table's keys, a tag has no sibling keys, and whatever is
+wrong only :class:`WireCodecError` escapes.  A frame can only build the
 dataclasses named here — no pickle at this layer.
 """
 
@@ -31,7 +32,7 @@ from repro.core.proofs import (
     LedgerRangeProof,
 )
 from repro.core.request_handler import Request, RequestKind, Response
-from repro.crypto.hashing import Digest
+from repro.crypto.hashing import Digest, digest_from_hex
 from repro.crypto.merkle import MerkleProof
 from repro.errors import SpitzError
 from repro.indexes.pos_tree import PosMultiProof, PosRangeProof
@@ -77,18 +78,30 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
+#: The base64 alphabet: a digit's index is the six bits it carries.
+_B64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
 def _unb64(text: Any) -> bytes:
     if type(text) is str:
         try:
-            return base64.b64decode(text, validate=True)
+            data = base64.b64decode(text, validate=True)
         except ValueError:
             pass
+        else:
+            # One text per value: "=" or "==" leaves the last digit's
+            # low 2 or 4 bits unused, and they must be zero.
+            padding = -len(data) % 3
+            if not padding or not (
+                _B64_DIGITS.index(text[-1 - padding]) & ((1 << 2 * padding) - 1)
+            ):
+                return data
     raise WireCodecError(f"expected base64 text, not {text!r:.40}")
 
 
 def _digest(text: Any) -> Digest:
     try:
-        return Digest.from_hex(_text(text))
+        return digest_from_hex(_text(text))
     except ValueError as error:
         raise WireCodecError(f"invalid digest: {error}") from None
 
@@ -100,7 +113,7 @@ def _uint(value: Any) -> int:
 
 
 BYTES = Field(_b64, _unb64)
-DIGEST = Field(Digest.hex, _digest)
+DIGEST = Field(bytes.hex, _digest)
 UINT = Field(int, _uint)
 BOOL = Field(bool, _typed(bool, "a boolean"))
 TEXT = Field(str, _text)

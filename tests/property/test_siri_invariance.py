@@ -8,7 +8,7 @@ depends only on the final logical content.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto.hashing import Digest, hash_bytes
+from repro.crypto.hashing import hash_bytes
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.forkbase.chunker import RollingChunker
 from repro.forkbase.store import ForkBase
@@ -89,9 +89,9 @@ def _reachable(store, address):
     found = {address}
     for _key, digest in pairs:
         if tag == "B":
-            found |= _reachable(store, Digest(digest))
+            found |= _reachable(store, digest)
         else:
-            found.add(Digest(digest))
+            found.add(digest)
     return found
 
 
@@ -126,7 +126,7 @@ def _nodes_under(store, address):
     found = {address}
     if tag == "B":
         for _key, child in pairs:
-            found |= _nodes_under(store, Digest(child))
+            found |= _nodes_under(store, child)
     return found
 
 

@@ -13,7 +13,7 @@ from repro.core.audit import (
 )
 from repro.core.database import SpitzDatabase
 from repro.core.ledger import SpitzLedger
-from repro.crypto.hashing import Digest, hash_bytes
+from repro.crypto.hashing import hash_bytes
 from repro.errors import ChunkNotFoundError, VerificationError
 from repro.forkbase.chunk_store import Delta
 from repro.indexes.siri import decode_node
@@ -113,7 +113,7 @@ class TestAuditLedger:
             found.add(address)
             kind, pairs = decode_node(ledger.chunks.get(address))
             for _key, digest in pairs if kind == "B" else ():
-                reach(Digest(digest), found)
+                reach(digest, found)
             return found
 
         new = reach(ledger.block(height).tree_root, set()) - reach(

@@ -1,25 +1,30 @@
 """Unit tests for canonical encoding and digests."""
 
+import gc
+
 import pytest
 
+from repro import SpitzDatabase
 from repro.crypto.hashing import (
-    Digest,
     EMPTY_DIGEST,
     canonical_encode,
+    digest_from_hex,
     hash_bytes,
     hash_many,
     hash_value,
+    short,
 )
+from repro.crypto.merkle import HashChain, MerkleTree
 
 
 class TestDigest:
     def test_requires_32_bytes(self):
         with pytest.raises(ValueError):
-            Digest(b"short")
+            digest_from_hex(b"short".hex())
 
     def test_round_trips_hex(self):
         digest = hash_bytes(b"abc")
-        assert Digest.from_hex(digest.hex()) == digest
+        assert digest_from_hex(digest.hex()) == digest
 
     def test_is_usable_as_dict_key(self):
         mapping = {hash_bytes(b"a"): 1, hash_bytes(b"b"): 2}
@@ -27,10 +32,46 @@ class TestDigest:
 
     def test_short_is_prefix_of_hex(self):
         digest = hash_bytes(b"xyz")
-        assert digest.hex().startswith(digest.short)
+        assert len(short(digest)) == 12
+        assert digest.hex().startswith(short(digest))
 
     def test_empty_digest_matches_sha256_of_empty(self):
         assert EMPTY_DIGEST == hash_bytes(b"")
+
+
+class TestDigestsAreBytes:
+    """A digest is the ``bytes`` hashlib returns: no instance of a
+    subclass, so neither it nor a tuple holding it is tracked by the
+    cyclic collector."""
+
+    def test_every_hasher_returns_plain_bytes(self):
+        tree = MerkleTree([b"a", b"b", b"c"])
+        chain = HashChain()
+        digests = [
+            hash_bytes(b"a"),
+            hash_value(("a", 1)),
+            hash_many([b"a", b"b"]),
+            EMPTY_DIGEST,
+            tree.root,
+            tree.prove(1).root_from(b"b"),
+            chain.append(hash_bytes(b"a")).chain_digest,
+        ]
+        for digest in digests:
+            assert type(digest) is bytes and len(digest) == 32
+            assert not gc.is_tracked(digest)
+
+    def test_the_decode_cache_holds_no_tracked_pair(self):
+        db = SpitzDatabase()
+        db.put_batch({
+            b"k%05d" % n: b"value %d" % n for n in range(2000)
+        })
+        gc.collect()
+        nodes = list(db.chunks.decode_cache.values())
+        assert len(nodes) > 10
+        tracked = [
+            pair for node in nodes for pair in node[1] if gc.is_tracked(pair)
+        ]
+        assert tracked == []
 
 
 class TestCanonicalEncode:

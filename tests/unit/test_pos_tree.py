@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.core.database import SpitzDatabase
-from repro.crypto.hashing import Digest, hash_bytes
+from repro.crypto.hashing import hash_bytes
 from repro.durability.checkpoint import load_database, save_database
 from repro.forkbase.chunk_store import Delta
 from repro.indexes.pos_tree import PosTree
@@ -124,7 +124,7 @@ def _decoded_path(tree, key):
         index = max(
             sum(first_key <= key for first_key in listed) - 1, 0
         )
-        address = Digest(node[1][index][1])
+        address = node[1][index][1]
 
 
 def _decoded_nodes(tree):
@@ -134,7 +134,7 @@ def _decoded_nodes(tree):
         node = tree.store.decode_cache[pending.pop()]
         yield node
         if node[0] == "B":
-            pending += [Digest(child) for _first_key, child in node[1]]
+            pending += [child for _first_key, child in node[1]]
 
 
 class TestVersionSharing:
@@ -264,7 +264,7 @@ class TestHistoryAsDeltas:
                 assert hash_bytes(raw) == address
                 tag, pairs = decode_node(raw)
                 if tag == "B":
-                    pending += [Digest(child) for _key, child in pairs]
+                    pending += [child for _key, child in pairs]
         assert restored.digest() == db.digest()
 
 
@@ -275,7 +275,7 @@ def _leaf_address(tree, key):
     while node[0] == "B":
         listed = [first_key for first_key, _child in node[1]]
         index = max(sum(first <= key for first in listed) - 1, 0)
-        address = Digest(node[1][index][1])
+        address = node[1][index][1]
         node = decode_node(tree.store.get(address))
     return address
 

@@ -23,7 +23,6 @@ from repro.core.ledger import LedgerDigest
 from repro.core.proofs import LedgerMultiProof, LedgerProof
 from repro.core.request_handler import Request, RequestKind, Response
 from repro.core.verifier import ClientVerifier
-from repro.crypto.hashing import Digest
 from repro.serve.codec import (
     WireCodecError,
     decode_request,
@@ -71,7 +70,7 @@ class TestValueFraming:
         back = _roundtrip_value(digest)
         assert isinstance(back, LedgerDigest)
         assert back == digest
-        assert isinstance(back.chain_digest, Digest)
+        assert type(back.chain_digest) is bytes
 
     def test_unencodable_object_raises(self):
         with pytest.raises(WireCodecError):
@@ -84,6 +83,48 @@ class TestValueFraming:
     def test_bad_base64_raises_codec_error(self):
         with pytest.raises(WireCodecError):
             decode_value({"$bytes": "!!! not base64 !!!"})
+
+    @pytest.mark.parametrize("text", ["QR==", "QUF="])
+    def test_base64_with_nonzero_unused_bits_raises(self, text):
+        # "QQ==" and "QUE=" are the canonical texts of b"A" and b"AA".
+        with pytest.raises(WireCodecError):
+            decode_value({"$bytes": text})
+
+
+class TestCanonicalDigests:
+    """A digest field is exactly 64 lower-case hex digits: one text
+    per digest, as the encoder writes it."""
+
+    @staticmethod
+    def _frame_with_chain_digest(edit):
+        frame = encode_value(_loaded_db().digest())
+        fields = frame["$ledger_digest"]
+        fields["chain_digest"] = edit(fields["chain_digest"])
+        return frame
+
+    def test_the_encoded_text_decodes(self):
+        frame = self._frame_with_chain_digest(lambda text: text)
+        assert decode_value(frame) == _loaded_db().digest()
+
+    def test_upper_case_hex_raises(self):
+        frame = self._frame_with_chain_digest(str.upper)
+        with pytest.raises(WireCodecError):
+            decode_value(frame)
+
+    def test_space_separated_hex_raises(self):
+        frame = self._frame_with_chain_digest(
+            lambda text: " ".join(
+                text[i:i + 2] for i in range(0, len(text), 2)
+            )
+        )
+        with pytest.raises(WireCodecError):
+            decode_value(frame)
+
+    def test_trailing_space_raises(self):
+        frame = self._frame_with_chain_digest(lambda text: text + " ")
+        with pytest.raises(WireCodecError):
+            decode_value(frame)
+
 
 class TestProofFraming:
     def test_tampered_multi_proof_fails_verification_not_decoding(self):
