@@ -118,6 +118,12 @@ def main() -> None:
         report = reopened.last_recovery
         print(f"  replayed {report.replayed} logged commits; reopened digest "
               "matches; a tampered log raises TamperDetectedError")
+        still_warm = DocumentStore(reopened.db).collection("shipments").find(
+            "temperature_c", low=8.0, high=100.0
+        )
+        print("  shipments above 8°C after the reopen:",
+              [doc_id for doc_id, _ in still_warm])
+        assert still_warm == warm
 
 
 if __name__ == "__main__":

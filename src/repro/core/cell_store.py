@@ -81,11 +81,19 @@ class CellStore:
         ]
 
 
+def universal_key(
+    logical_key: bytes, timestamp: int, value: bytes
+) -> UniversalKey:
+    """The universal key of ``value`` written under ``logical_key`` at
+    ``timestamp``: the one recipe for a cell's address."""
+    column, primary_key = parse_logical_key(logical_key)
+    return UniversalKey(column, primary_key, timestamp, hash_bytes(value))
+
+
 def _cell(logical_key: bytes, version: Optional[Version]) -> Optional[Cell]:
     if version is None or version.value is None:
         return None
-    column, primary_key = parse_logical_key(logical_key)
-    ukey = UniversalKey(
-        column, primary_key, version.commit_ts, hash_bytes(version.value)
+    return Cell(
+        universal_key(logical_key, version.commit_ts, version.value),
+        version.value,
     )
-    return Cell(ukey, version.value)

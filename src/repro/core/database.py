@@ -60,6 +60,7 @@ from repro.core.cell_store import (
     live_value,
     parse_logical_key,
     put_history,
+    universal_key,
 )
 from repro.core.ledger import Block, LedgerDigest, SpitzLedger
 from repro.core.proofs import (
@@ -75,10 +76,12 @@ from repro.core.query import (
     plan_query,
 )
 from repro.core.schema import (
+    DOC_PREFIX,
     KV_PREFIX,
     ROW_COLUMN,
     TableSchema,
     check_type,
+    decode_document,
     decode_value,
     encode_pk,
     encode_value,
@@ -226,11 +229,8 @@ class SpitzDatabase:
         self._c_writes_folded.inc(len(writes))
         self.versions.install(writes, timestamp)
         for logical_key, value in writes.items():
-            column, primary_key = parse_logical_key(logical_key)
-            if "." in column:  # typed table cells are value-indexed
-                self._repost(
-                    logical_key, column, primary_key, timestamp, value
-                )
+            if not logical_key.startswith(KV_PREFIX):
+                self._repost(logical_key, timestamp, value)
         if self.block_batch == 1 and not self._pending_writes:
             block = self._append_ledger_block(writes, statements)
         else:
@@ -280,17 +280,13 @@ class SpitzDatabase:
         return self.ledger.append_block(sealed, statements)
 
     def _repost(
-        self,
-        logical_key: bytes,
-        column: str,
-        primary_key: bytes,
-        timestamp: int,
-        value: object,
+        self, logical_key: bytes, timestamp: int, value: object
     ) -> None:
-        """Move a typed cell's inverted-index posting from the version
-        live *before* ``timestamp`` — not the latest: the commit has
-        already installed this one — to ``value`` (none for a delete).
-        The only place a write builds universal keys."""
+        """Move a table cell's or a document's inverted-index postings
+        from the version live *before* ``timestamp`` — not the latest:
+        the commit has already installed this one — to ``value`` (none
+        for a delete).  The only code that posts, and the only place a
+        write builds universal keys."""
         moves = []
         previous = self.versions.read(logical_key, timestamp - 1)
         if previous is not None and previous.value is not None:
@@ -299,16 +295,12 @@ class SpitzDatabase:
             )
         if value is not None:
             moves.append((self.inverted.add, timestamp, value))
-        for change, stamp, cell_value in moves:
-            decoded = _scalar(cell_value)
-            if postable(decoded):
-                ukey = UniversalKey(
-                    column, primary_key, stamp, hash_bytes(cell_value)
-                )
-                change(column, decoded, ukey.encode())
+        for change, stamp, cell in moves:
+            for column, posted, token in _postings(logical_key, stamp, cell):
+                change(column, posted, token)
                 if column in self._indexed:
-                    self._dirty_postings[posting_key(column, decoded)] = (
-                        column, decoded,
+                    self._dirty_postings[posting_key(column, posted)] = (
+                        column, posted,
                     )
 
     # ------------------------------------------------------------------
@@ -365,13 +357,10 @@ class SpitzDatabase:
             if digest is not None
         ]
         for logical_key, _digest in live:
-            column, primary_key = parse_logical_key(logical_key)
-            if "." in column:  # posted as the commit that wrote it did
+            if not logical_key.startswith(KV_PREFIX):
+                # posted as the commit that wrote it did
                 newest = self.versions.read_latest(logical_key)
-                self._repost(
-                    logical_key, column, primary_key,
-                    newest.commit_ts, newest.value,
-                )
+                self._repost(logical_key, newest.commit_ts, newest.value)
         # The tip must commit exactly the postings the versions support,
         # as enabling search commits them.
         self._dirty_postings = {}
@@ -413,9 +402,14 @@ class SpitzDatabase:
         _value, proof = self.ledger.get_with_proof(KV_PREFIX + key)
         return block, proof
 
+    def _live(self, logical_key: bytes) -> Optional[bytes]:
+        """The live value of ``logical_key`` in the version map: what
+        every unverified read answers from."""
+        return live_value(self.versions.read_latest(logical_key))
+
     def get(self, key: bytes) -> Optional[bytes]:
         """Unverified read via the version map."""
-        return live_value(self.versions.read_latest(KV_PREFIX + key))
+        return self._live(KV_PREFIX + key)
 
     def get_verified(
         self, key: bytes
@@ -700,7 +694,7 @@ class SpitzDatabase:
         else:
             plan = plan_query(where, schema.primary_key)
             candidates = (
-                self._load_row(schema, pk)
+                _row(schema, pk, self._live)
                 for pk in self._candidate_pks(schema, plan)
             )
         rows = [
@@ -746,43 +740,17 @@ class SpitzDatabase:
         )
         return [logical_key[len(prefix):] for logical_key, _ in entries]
 
-    def _load_row(
-        self, schema: TableSchema, pk: bytes
-    ) -> Optional[Dict[str, Any]]:
-        presence = self.versions.read_latest(
-            schema.logical_key(ROW_COLUMN, pk)
-        )
-        if live_value(presence) is None:
-            return None
-        row: Dict[str, Any] = {}
-        for column in schema.columns:
-            value = live_value(
-                self.versions.read_latest(schema.logical_key(column.name, pk))
-            )
-            if value is None:
-                return None
-            row[column.name] = decode_value(value)
-        return row
-
     def _rows_as_of(
         self, schema: TableSchema, height: int
-    ) -> Iterator[Dict[str, Any]]:
-        """Every complete row in block ``height``'s index instance."""
+    ) -> Iterator[Optional[Dict[str, Any]]]:
+        """Every row in block ``height``'s index instance (None for one
+        that is not complete there)."""
         self.flush_ledger()
         tree = self.ledger.tree_at(height)
         prefix = schema.logical_key(ROW_COLUMN, b"")
         for logical_key, _flag in tree.scan(prefix, prefix_end(prefix)):
-            if not logical_key.startswith(prefix):
-                continue  # the scan's high end is inclusive
-            pk = logical_key[len(prefix):]
-            row: Dict[str, Any] = {}
-            for column in schema.columns:
-                value = tree.get(schema.logical_key(column.name, pk))
-                if value is None:
-                    break
-                row[column.name] = decode_value(value)
-            else:
-                yield row
+            if logical_key.startswith(prefix):  # the high end is inclusive
+                yield _row(schema, logical_key[len(prefix):], tree.get)
 
     def select_verified(
         self,
@@ -831,23 +799,12 @@ class SpitzDatabase:
         """(block height, row dict or None) whenever the row changed."""
         schema = self.table(table)
         pk = schema.pk_bytes(pk_value)
-        presence_key = schema.logical_key(ROW_COLUMN, pk)
         self.flush_ledger()
         out: List[Tuple[int, Optional[Dict[str, Any]]]] = []
-        previous: object = _SENTINEL
         for height in range(self.ledger.height):
-            tree = self.ledger.tree_at(height)
-            if tree.get(presence_key) is None:
-                row: Optional[Dict[str, Any]] = None
-            else:
-                row = {}
-                for column in schema.columns:
-                    value = tree.get(schema.logical_key(column.name, pk))
-                    if value is not None:
-                        row[column.name] = decode_value(value)
-            if row != previous:
+            row = _row(schema, pk, self.ledger.tree_at(height).get)
+            if not out or row != out[-1][1]:
                 out.append((height, row))
-                previous = row
         return out
 
     # ------------------------------------------------------------------
@@ -1002,13 +959,6 @@ class KvTransaction:
         return self._txn.__exit__(exc_type, exc, tb)
 
 
-class _Sentinel:
-    __slots__ = ()
-
-
-_SENTINEL = _Sentinel()
-
-
 def put_value(key: bytes, value: bytes) -> bytes:
     """``value``, or :class:`QueryError` naming ``key`` unless it is
     bytes: ``None`` in a write set is a delete, and anything else would
@@ -1021,13 +971,51 @@ def put_value(key: bytes, value: bytes) -> bytes:
     return value
 
 
-def _scalar(cell: bytes) -> Any:
-    """A table cell's typed value; None for a cell that is not one (the
-    ``_row`` presence flag)."""
-    try:
-        return decode_value(cell)
-    except (SchemaError, ValueError):
+def _row(
+    schema: TableSchema,
+    pk: bytes,
+    read: Callable[[bytes], Optional[bytes]],
+) -> Optional[Dict[str, Any]]:
+    """Row ``pk`` as ``read`` (logical key → cell bytes, or None) sees
+    it: None unless its ``_row`` flag and every column are there."""
+    if read(schema.logical_key(ROW_COLUMN, pk)) is None:
         return None
+    row: Dict[str, Any] = {}
+    for column in schema.columns:
+        value = read(schema.logical_key(column.name, pk))
+        if value is None:
+            return None
+        row[column.name] = decode_value(value)
+    return row
+
+
+def _postings(
+    logical_key: bytes, timestamp: int, cell: bytes
+) -> List[Tuple[str, Any, bytes]]:
+    """``(column, value, token)`` for each inverted-index posting of the
+    version ``cell`` written under ``logical_key`` (a table cell or a
+    document, never a KV key) at ``timestamp``.
+
+    A table cell posts its typed value under its universal key, and a
+    document each postable top-level field under ``"<name>#doc.<field>"``
+    with its id as token; a ``_row`` flag, which decodes to no value,
+    and an unpostable value post nothing.
+    """
+    if logical_key.startswith(DOC_PREFIX):
+        column, doc_id = parse_logical_key(logical_key)
+        return [
+            (f"{column}.{field}", value, doc_id)
+            for field, value in decode_document(cell).items()
+            if postable(value)
+        ]
+    try:
+        value = decode_value(cell)
+    except (SchemaError, ValueError):
+        return []
+    if not postable(value):
+        return []
+    ukey = universal_key(logical_key, timestamp, cell)
+    return [(ukey.column, value, ukey.encode())]
 
 
 def _indexed_columns(columns: Sequence[str]) -> frozenset:
@@ -1043,7 +1031,7 @@ def _indexed_columns(columns: Sequence[str]) -> frozenset:
             raise QueryError(
                 f"indexed column {name!r} must be a table cell "
                 "column (\"table.column\"); KV cells and document "
-                "fields are not value-indexed"
+                "fields are not committed"
             )
     return frozenset(names)
 

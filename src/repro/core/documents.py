@@ -2,10 +2,13 @@
 
 "Spitz supports both SQL and a self-defined JSON schema."  This module
 is the JSON side: schemaless *collections* of documents, each document
-a JSON object addressed by a string id.  Documents are stored as
-ledger entries (so reads are verifiable and history is free) and their
-top-level scalar fields are indexed in the inverted index for
-`find()` queries.
+a JSON object addressed by a string id.  A document is one version
+under its ``DOC_PREFIX`` key, committed like any table cell (so reads
+are verifiable and history is free), and the database posts its
+top-level scalar fields in the inverted index for `find()` queries
+(:meth:`SpitzDatabase._repost`), so WAL replay and checkpoint load
+rebuild them too.  This module is a codec plus validation over the
+database's own write and read paths.
 
 A *schema* in the "self-defined" sense is an optional, per-collection
 validator document::
@@ -17,14 +20,13 @@ enforced at insert/replace time.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import QueryError, SchemaError
 from repro.core.database import SpitzDatabase
 from repro.core.proofs import LedgerProof
 from repro.core.query import SearchPredicate
-from repro.core.schema import DOC_PREFIX, prefix_end
+from repro.core.schema import DOC_PREFIX, decode_document, encode_document, prefix_end
 from repro.core.verifier import ClientVerifier
 from repro.indexes.inverted import postable
 
@@ -36,16 +38,6 @@ _TYPE_CHECKS = {
     "list": list,
     "object": dict,
 }
-
-
-def _encode(document: Dict[str, Any]) -> bytes:
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def _decode(data: bytes) -> Dict[str, Any]:
-    return json.loads(data.decode("utf-8"))
 
 
 class Collection:
@@ -111,50 +103,37 @@ class Collection:
     # -- writes --------------------------------------------------------------------
 
     def put(self, doc_id: str, document: Dict[str, Any]) -> None:
-        """Insert or replace one document (one ledger block)."""
+        """Insert or replace one document (one ledger block).  A field
+        whose kind (string or number) is not the one its column's
+        postings hold is refused before anything is written."""
         self._validate(document)
-        self._unindex(doc_id)
-        self._db._commit(
-            {self._key(doc_id): _encode(document)},
-            statements=(f"DOC PUT {self.name}/{doc_id}",),
-        )
-        self._index(doc_id, document)
+        key = self._key(doc_id)
+        with self._db.txn_manager.commit_lock:
+            for field, value in document.items():
+                if postable(value):
+                    self._db.inverted.check(self._index_column(field), value)
+            self._db._commit(
+                {key: encode_document(document)},
+                statements=(f"DOC PUT {self.name}/{doc_id}",),
+            )
 
     def delete(self, doc_id: str) -> bool:
         """Remove a document (history stays in older blocks)."""
-        if self.get(doc_id) is None:
+        key = self._key(doc_id)
+        if self._db._live(key) is None:
             return False
-        self._unindex(doc_id)
         self._db._commit(
-            {self._key(doc_id): None},
+            {key: None},
             statements=(f"DOC DELETE {self.name}/{doc_id}",),
         )
         return True
 
-    def _index(self, doc_id: str, document: Dict[str, Any]) -> None:
-        token = doc_id.encode("utf-8")
-        for field, value in document.items():
-            if postable(value):
-                self._db.inverted.add(
-                    self._index_column(field), value, token
-                )
-
-    def _unindex(self, doc_id: str) -> None:
-        previous = self.get(doc_id)
-        if previous is None:
-            return
-        token = doc_id.encode("utf-8")
-        for field, value in previous.items():
-            self._db.inverted.remove(
-                self._index_column(field), value, token
-            )
-
     # -- reads ----------------------------------------------------------------------
 
     def get(self, doc_id: str) -> Optional[Dict[str, Any]]:
-        """Unverified read of one document."""
-        raw = self._db.ledger.get(self._key(doc_id))
-        return _decode(raw) if raw is not None else None
+        """Unverified read of one document via the version map."""
+        raw = self._db._live(self._key(doc_id))
+        return decode_document(raw) if raw is not None else None
 
     def get_verified(
         self, doc_id: str
@@ -162,18 +141,15 @@ class Collection:
         """Document plus its ledger proof."""
         self._db.flush_ledger()
         raw, proof = self._db.ledger.get_with_proof(self._key(doc_id))
-        return (_decode(raw) if raw is not None else None), proof
+        return (decode_document(raw) if raw is not None else None), proof
 
     def ids(self) -> List[str]:
         """All document ids, sorted."""
-        self._db.flush_ledger()
-        entries = self._db.ledger.scan(
-            self._prefix, prefix_end(self._prefix)
+        entries = self._db.versions.range(
+            self._prefix, prefix_end(self._prefix), inclusive=False
         )
         return [
-            key[len(self._prefix):].decode("utf-8")
-            for key, _ in entries
-            if key.startswith(self._prefix)  # the high end is inclusive
+            key[len(self._prefix):].decode("utf-8") for key, _ in entries
         ]
 
     def find(
@@ -209,7 +185,7 @@ class Collection:
         self._db.flush_ledger()
         changes = self._db.ledger.key_history(self._key(doc_id))
         return [
-            (height, _decode(raw) if raw is not None else None)
+            (height, decode_document(raw) if raw is not None else None)
             for height, raw in changes
         ]
 
@@ -217,8 +193,9 @@ class Collection:
         self, doc_id: str, height: int
     ) -> Optional[Dict[str, Any]]:
         """Historical document state as of block ``height``."""
+        self._db.flush_ledger()
         raw = self._db.ledger.get_at(self._key(doc_id), height)
-        return _decode(raw) if raw is not None else None
+        return decode_document(raw) if raw is not None else None
 
 
 class DocumentStore:

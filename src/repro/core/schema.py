@@ -29,6 +29,19 @@ DOC_PREFIX = b"d\x00"
 ROW_COLUMN = "_row"
 
 
+def encode_document(document: Dict[str, Any]) -> bytes:
+    """A JSON document's stored bytes (canonical: sorted keys, no
+    spaces), the value of its ``DOC_PREFIX`` key."""
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
+def decode_document(data: bytes) -> Dict[str, Any]:
+    """Inverse of :func:`encode_document`."""
+    return json.loads(data.decode("utf-8"))
+
+
 @dataclass(frozen=True)
 class Column:
     """One typed column."""

@@ -201,10 +201,21 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._columns: Dict[str, object] = {}
 
-    def add(self, column: str, value: Any, ukey: bytes) -> None:
-        """Index ``ukey`` under ``value`` in ``column``'s postings."""
+    def check(self, column: str, value: Any) -> None:
+        """Raise :class:`QueryError` unless :meth:`add` can post
+        ``value`` in ``column``: it is postable, and of the kind (string
+        or number) the column's postings already hold."""
         if not postable(value):
             raise _unpostable(value)
+        postings = self._columns.get(column)
+        if postings is not None and not _holds(postings, value):
+            raise QueryError(
+                f"column {column!r} mixes string and numeric values"
+            )
+
+    def add(self, column: str, value: Any, ukey: bytes) -> None:
+        """Index ``ukey`` under ``value`` in ``column``'s postings."""
+        self.check(column, value)
         postings = self._columns.get(column)
         if postings is None:
             postings = (
@@ -213,10 +224,6 @@ class InvertedIndex:
                 else _NumericPostings()
             )
             self._columns[column] = postings
-        elif not _holds(postings, value):
-            raise QueryError(
-                f"column {column!r} mixes string and numeric values"
-            )
         posting = postings.get(value)
         if posting is None:
             postings.insert(value, {ukey})

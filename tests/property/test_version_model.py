@@ -3,14 +3,17 @@
 One random script drives three subjects — ``SpitzDatabase`` with
 ``block_batch`` 1 and 4, and ``ImmutableKVS`` — through put,
 put_batch, delete, a KV transaction committed or aborted, and table
-insert / update / delete_rows on an indexed column.  A ``bad_put``
+insert / update / delete_rows on an indexed column, and (the databases
+only) ``doc_put`` / ``doc_delete`` on one document collection.  A
+``bad_put``
 hands a database's put, put_batch or transaction a value that is not
 bytes (``None`` among them: inside a write set it means delete); each
 must refuse it and leave the model unchanged.  Every read surface
 is checked against a model that keeps each key's versions in a list:
 ``get``, ``get_many`` (a list and a generator), ``scan``, ``history``,
 ``select`` (current, and as of a block marked mid-script), ``search``
-on the indexed column, snapshot reads from a transaction begun
+on the indexed column, the collection's ``get``, ``ids`` and ``find``
+on one field, snapshot reads from a transaction begun
 mid-script, and every verified read through one ``ClientVerifier``
 pinned per database for the whole run.  A ``reopen`` saves each
 database as a checkpoint and loads it back: the loaded database is the
@@ -36,6 +39,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cell_store import live_value
 from repro.core.database import SpitzDatabase
+from repro.core.documents import Collection
 from repro.core.query import SearchPredicate
 from repro.core.schema import KV_PREFIX, TableSchema, encode_value
 from repro.core.universal_key import UniversalKey
@@ -57,6 +61,8 @@ IDS = range(4)
 PRICES = range(4)
 TABLE = TableSchema.make("items", [("id", "int"), ("price", "int")], "id")
 INDEXED = "items.price"
+COLLECTION = "orders"
+DOC_IDS = ["o1", "o2", "o3"]
 
 keys = st.sampled_from(KEYS)
 values = st.binary(max_size=4)
@@ -84,6 +90,14 @@ operations = st.one_of(
     st.tuples(st.just("insert"), ids, prices),
     st.tuples(st.just("update"), conditions, prices),
     st.tuples(st.just("delete_rows"), conditions),
+    st.tuples(
+        st.just("doc_put"),
+        st.sampled_from(DOC_IDS),
+        st.fixed_dictionaries(
+            {"qty": prices}, optional={"tag": st.sampled_from(["a", "b"])}
+        ),
+    ),
+    st.tuples(st.just("doc_delete"), st.sampled_from(DOC_IDS)),
     st.tuples(st.just("mark")),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("reopen")),
@@ -98,11 +112,13 @@ def _matches(condition, pk, price):
 
 
 class Model:
-    """Every key's versions (None = deleted), plus the table's live rows."""
+    """Every key's versions (None = deleted), plus the table's live rows
+    and the collection's live documents."""
 
     def __init__(self):
         self.kv = defaultdict(list)
         self.rows = {}
+        self.docs = {}
 
     def current(self, key):
         versions = self.kv.get(key)
@@ -233,6 +249,18 @@ def _apply(op, model, subjects, kvs):
                 model.rows[pk] = op[2]
             else:
                 del model.rows[pk]
+    elif kind == "doc_put":
+        _, doc_id, document = op
+        for db in dbs:
+            Collection(db, COLLECTION).put(doc_id, document)
+        model.docs[doc_id] = document
+    elif kind == "doc_delete":
+        _, doc_id = op
+        for db in dbs:
+            assert Collection(db, COLLECTION).delete(doc_id) == (
+                doc_id in model.docs
+            )
+        model.docs.pop(doc_id, None)
     elif kind == "mark":
         for subject in subjects:
             height = subject.db.flush_ledger().height
@@ -330,6 +358,23 @@ def _check_db(subject, model):
     assert db.search("items.id", SearchPredicate.ge(0)) == _postings(
         subject, model, "id", lambda value: True
     )
+    # -- the document collection -------------------------------------------
+    orders = Collection(db, COLLECTION)
+    for doc_id in DOC_IDS:
+        assert orders.get(doc_id) == model.docs.get(doc_id)
+    assert orders.ids() == sorted(model.docs)
+    for found, keep in (
+        (orders.find("qty", 1), lambda qty: qty == 1),
+        (orders.find("qty", low=1, high=2), lambda qty: 1 <= qty <= 2),
+    ):
+        assert found == sorted(
+            (
+                (doc_id, document)
+                for doc_id, document in model.docs.items()
+                if keep(document["qty"])
+            ),
+            key=lambda pair: (pair[1]["qty"], pair[0]),
+        )
     # -- what the script pinned earlier -------------------------------------
     for height, kv_then, rows_then in subject.marks:
         assert _by_id(db.select("items", as_of_block=height)) == _rows(

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core.database import SpitzDatabase
 from repro.core.documents import Collection, DocumentStore
+from repro.core.query import SearchPredicate
+from repro.durability import DurableDatabase
+from repro.durability.checkpoint import load_database, save_database
 from repro.errors import QueryError, SchemaError
 
 
@@ -148,3 +152,70 @@ class TestVerificationAndHistory:
         height = docs.db.ledger.height - 1
         patients.put("p1", {"name": "alice", "age": 99})
         assert patients.get_at_block("p1", height)["age"] == 34
+
+
+def _ids(found):
+    return [doc_id for doc_id, _ in found]
+
+
+class TestOneStorageModel:
+    """A document is a version like any cell: the database posts it, so
+    every database shape answers ``get``, ``ids`` and ``find`` alike."""
+
+    def test_find_after_durable_reopen(self, tmp_path):
+        with DurableDatabase.open(tmp_path / "db") as durable:
+            orders = DocumentStore(durable.db).collection("orders")
+            orders.put("o1", {"qty": 3})
+            orders.put("o2", {"qty": 5})
+        with DurableDatabase.open(tmp_path / "db") as reopened:
+            orders = DocumentStore(reopened.db).collection("orders")
+            assert orders.get("o1") == {"qty": 3}
+            assert orders.find("qty", 3) == [("o1", {"qty": 3})]
+            assert _ids(orders.find("qty", low=0, high=9)) == ["o1", "o2"]
+
+    def test_find_after_checkpoint_load(self, tmp_path):
+        store = DocumentStore()
+        orders = store.collection("orders")
+        orders.put("o1", {"qty": 3, "sku": "a"})
+        orders.put("o1", {"qty": 4, "sku": "a"})
+        save_database(store.db, tmp_path / "checkpoint")
+        loaded = DocumentStore(load_database(tmp_path / "checkpoint"))
+        orders = loaded.collection("orders")
+        assert orders.find("qty", 4) == [("o1", {"qty": 4, "sku": "a"})]
+        assert orders.find("qty", 3) == []
+        assert _ids(orders.find("sku", "a")) == ["o1"]
+
+    def test_batched_get_after_put(self):
+        orders = DocumentStore(SpitzDatabase(block_batch=4)).collection("o")
+        orders.put("o1", {"qty": 3})
+        assert orders.get("o1") == {"qty": 3}
+        assert orders.ids() == ["o1"]
+        assert orders.find("qty", 3) == [("o1", {"qty": 3})]
+
+    def test_batched_replace_moves_the_posting(self):
+        store = DocumentStore(SpitzDatabase(block_batch=4))
+        orders = store.collection("o")
+        orders.put("o1", {"qty": 3})
+        orders.put("o1", {"qty": 5})
+        store.digest()
+        assert orders.find("qty", 3) == []
+        assert orders.find("qty", 5) == [("o1", {"qty": 5})]
+
+    def test_batched_delete_leaves_no_posting(self):
+        store = DocumentStore(SpitzDatabase(block_batch=4))
+        orders = store.collection("o")
+        orders.put("o1", {"qty": 3})
+        assert orders.delete("o1")
+        store.digest()
+        everything = SearchPredicate.ge(0)
+        assert store.db.inverted.matching("o#doc.qty", everything) == []
+        assert orders.ids() == []
+
+    def test_mixed_kinds_refused_before_the_write(self, docs):
+        orders = docs.collection("o")
+        orders.put("o1", {"qty": 3})
+        height = docs.db.ledger.height
+        with pytest.raises(QueryError, match="mixes"):
+            orders.put("o2", {"qty": "three"})
+        assert orders.get("o2") is None
+        assert docs.db.ledger.height == height
