@@ -93,7 +93,5 @@ def universal_key(
 def _cell(logical_key: bytes, version: Optional[Version]) -> Optional[Cell]:
     if version is None or version.value is None:
         return None
-    return Cell(
-        universal_key(logical_key, version.commit_ts, version.value),
-        version.value,
-    )
+    ukey = universal_key(logical_key, version.commit_ts, version.value)
+    return Cell(ukey, version.value)

@@ -195,13 +195,17 @@ class SpitzDatabase:
         writes: Mapping[bytes, object],
         statements: Tuple[str, ...] = (),
         timestamp: Optional[int] = None,
+        replayed: bool = False,
     ) -> Block:
         """Fold a write set into cells/indexes and seal a ledger block.
 
         ``writes`` maps logical keys to value bytes or ``None`` (a
         delete).  This is the paper's write path: (2) auditor updates
         the ledger, (3) processor traverses the index and writes the
-        cell store.
+        cell store.  A posting its column cannot hold, as the index
+        stands before the write, is a :class:`QueryError` before anything
+        is written, unless the write set is ``replayed`` from the log
+        (accepted when written): then that posting is left out.
         """
         # Serialize with transactional commits so MVCC installs stay in
         # timestamp order (the lock is re-entrant: a transaction's
@@ -210,13 +214,16 @@ class SpitzDatabase:
         # critical path.
         with self.metrics.tracer.stage("txn.commit"):
             with self.txn_manager.commit_lock:
-                return self._commit_locked(writes, statements, timestamp)
+                return self._commit_locked(
+                    writes, statements, timestamp, replayed
+                )
 
     def _commit_locked(
         self,
         writes: Mapping[bytes, object],
         statements: Tuple[str, ...],
         timestamp: Optional[int],
+        replayed: bool,
     ) -> Block:
         """Install ``writes`` at ``timestamp`` (a fresh one if None):
         the MVCC versions, the inverted index, the ledger block or
@@ -225,12 +232,22 @@ class SpitzDatabase:
             timestamp if timestamp is not None
             else self.oracle.next_timestamp()
         )
+        reposts = [
+            (key, () if value is None else _postings(key, timestamp, value))
+            for key, value in writes.items()
+            if not key.startswith(KV_PREFIX)
+        ]
+        for _key, postings in reposts:
+            for column, value, _token in postings:
+                if not (replayed or self.inverted.holds(column, value)):
+                    raise QueryError(
+                        f"column {column!r} mixes string and numeric values"
+                    )
         self._c_commits.inc()
         self._c_writes_folded.inc(len(writes))
         self.versions.install(writes, timestamp)
-        for logical_key, value in writes.items():
-            if not logical_key.startswith(KV_PREFIX):
-                self._repost(logical_key, timestamp, value)
+        for logical_key, postings in reposts:
+            self._repost(logical_key, timestamp, postings)
         if self.block_batch == 1 and not self._pending_writes:
             block = self._append_ledger_block(writes, statements)
         else:
@@ -280,28 +297,31 @@ class SpitzDatabase:
         return self.ledger.append_block(sealed, statements)
 
     def _repost(
-        self, logical_key: bytes, timestamp: int, value: object
+        self, logical_key: bytes, timestamp: int, postings: Sequence[Posting]
     ) -> None:
         """Move a table cell's or a document's inverted-index postings
         from the version live *before* ``timestamp`` — not the latest:
-        the commit has already installed this one — to ``value`` (none
-        for a delete).  The only code that posts, and the only place a
-        write builds universal keys."""
-        moves = []
+        the commit has already installed this one — to ``postings``, the
+        new version's :func:`_postings` (none for a delete), leaving out
+        one its column cannot hold (see :meth:`_commit`).  The only code
+        that posts, and the only place a write builds universal keys."""
+        touched = []
         previous = self.versions.read(logical_key, timestamp - 1)
         if previous is not None and previous.value is not None:
-            moves.append(
-                (self.inverted.remove, previous.commit_ts, previous.value)
-            )
-        if value is not None:
-            moves.append((self.inverted.add, timestamp, value))
-        for change, stamp, cell in moves:
-            for column, posted, token in _postings(logical_key, stamp, cell):
-                change(column, posted, token)
-                if column in self._indexed:
-                    self._dirty_postings[posting_key(column, posted)] = (
-                        column, posted,
-                    )
+            for column, value, token in _postings(
+                logical_key, previous.commit_ts, previous.value
+            ):
+                self.inverted.remove(column, value, token)
+                touched.append((column, value))
+        for column, value, token in postings:
+            if self.inverted.holds(column, value):
+                self.inverted.add(column, value, token)
+                touched.append((column, value))
+        for column, value in touched:
+            if column in self._indexed:
+                self._dirty_postings[posting_key(column, value)] = (
+                    column, value,
+                )
 
     # ------------------------------------------------------------------
     # persisted state (what a checkpoint keeps; DESIGN.md §6)
@@ -360,7 +380,9 @@ class SpitzDatabase:
             if not logical_key.startswith(KV_PREFIX):
                 # posted as the commit that wrote it did
                 newest = self.versions.read_latest(logical_key)
-                self._repost(logical_key, newest.commit_ts, newest.value)
+                self._repost(logical_key, newest.commit_ts, _postings(
+                    logical_key, newest.commit_ts, newest.value
+                ))
         # The tip must commit exactly the postings the versions support,
         # as enabling search commits them.
         self._dirty_postings = {}
@@ -989,9 +1011,13 @@ def _row(
     return row
 
 
+#: One inverted-index posting: ``(column, value, token)``.
+Posting = Tuple[str, Any, bytes]
+
+
 def _postings(
     logical_key: bytes, timestamp: int, cell: bytes
-) -> List[Tuple[str, Any, bytes]]:
+) -> List[Posting]:
     """``(column, value, token)`` for each inverted-index posting of the
     version ``cell`` written under ``logical_key`` (a table cell or a
     document, never a KV key) at ``timestamp``.

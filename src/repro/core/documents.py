@@ -26,9 +26,13 @@ from repro.errors import QueryError, SchemaError
 from repro.core.database import SpitzDatabase
 from repro.core.proofs import LedgerProof
 from repro.core.query import SearchPredicate
-from repro.core.schema import DOC_PREFIX, decode_document, encode_document, prefix_end
+from repro.core.schema import (
+    DOC_PREFIX,
+    decode_document,
+    encode_document,
+    prefix_end,
+)
 from repro.core.verifier import ClientVerifier
-from repro.indexes.inverted import postable
 
 _TYPE_CHECKS = {
     "str": str,
@@ -107,15 +111,10 @@ class Collection:
         whose kind (string or number) is not the one its column's
         postings hold is refused before anything is written."""
         self._validate(document)
-        key = self._key(doc_id)
-        with self._db.txn_manager.commit_lock:
-            for field, value in document.items():
-                if postable(value):
-                    self._db.inverted.check(self._index_column(field), value)
-            self._db._commit(
-                {key: encode_document(document)},
-                statements=(f"DOC PUT {self.name}/{doc_id}",),
-            )
+        self._db._commit(
+            {self._key(doc_id): encode_document(document)},
+            statements=(f"DOC PUT {self.name}/{doc_id}",),
+        )
 
     def delete(self, doc_id: str) -> bool:
         """Remove a document (history stays in older blocks)."""
@@ -132,8 +131,7 @@ class Collection:
 
     def get(self, doc_id: str) -> Optional[Dict[str, Any]]:
         """Unverified read of one document via the version map."""
-        raw = self._db._live(self._key(doc_id))
-        return decode_document(raw) if raw is not None else None
+        return decode_document(self._db._live(self._key(doc_id)))
 
     def get_verified(
         self, doc_id: str
@@ -141,7 +139,7 @@ class Collection:
         """Document plus its ledger proof."""
         self._db.flush_ledger()
         raw, proof = self._db.ledger.get_with_proof(self._key(doc_id))
-        return (decode_document(raw) if raw is not None else None), proof
+        return decode_document(raw), proof
 
     def ids(self) -> List[str]:
         """All document ids, sorted."""
@@ -170,13 +168,9 @@ class Collection:
         tokens = self._db.inverted.matching(
             self._index_column(field), predicate
         )
-        results: List[Tuple[str, Dict[str, Any]]] = []
-        for token in tokens:
-            doc_id = token.decode("utf-8")
-            document = self.get(doc_id)
-            if document is not None:
-                results.append((doc_id, document))
-        return results
+        # The postings follow the live documents: every token is one.
+        doc_ids = [token.decode("utf-8") for token in tokens]
+        return [(doc_id, self.get(doc_id)) for doc_id in doc_ids]
 
     def history(
         self, doc_id: str
@@ -184,18 +178,16 @@ class Collection:
         """(block height, document state) at every change."""
         self._db.flush_ledger()
         changes = self._db.ledger.key_history(self._key(doc_id))
-        return [
-            (height, decode_document(raw) if raw is not None else None)
-            for height, raw in changes
-        ]
+        return [(height, decode_document(raw)) for height, raw in changes]
 
     def get_at_block(
         self, doc_id: str, height: int
     ) -> Optional[Dict[str, Any]]:
         """Historical document state as of block ``height``."""
         self._db.flush_ledger()
-        raw = self._db.ledger.get_at(self._key(doc_id), height)
-        return decode_document(raw) if raw is not None else None
+        return decode_document(
+            self._db.ledger.get_at(self._key(doc_id), height)
+        )
 
 
 class DocumentStore:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.indexes.inverted import INT_MAX, INT_MIN
@@ -37,9 +37,10 @@ def encode_document(document: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
-def decode_document(data: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_document`."""
-    return json.loads(data.decode("utf-8"))
+def decode_document(data: Optional[bytes]) -> Optional[Dict[str, Any]]:
+    """Inverse of :func:`encode_document` (None, no document, for
+    None)."""
+    return None if data is None else json.loads(data.decode("utf-8"))
 
 
 @dataclass(frozen=True)

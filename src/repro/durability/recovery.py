@@ -90,7 +90,8 @@ def replay_record(db: SpitzDatabase, record: WalRecord) -> int:
     if record.kind == KIND_COMMIT:
         writes, statements, timestamp = record.data
         db._commit(
-            dict(writes), statements=tuple(statements), timestamp=timestamp
+            dict(writes), statements=tuple(statements),
+            timestamp=timestamp, replayed=True,
         )
         return timestamp
     if record.kind == KIND_CREATE_TABLE:

@@ -154,6 +154,9 @@ class _NumericPostings:
     def delete(self, value: float) -> None:
         self._list.delete(value)
 
+    def __len__(self) -> int:
+        return len(self._list)
+
     def walk(self, low: Optional[float], high: Optional[float]) -> Entries:
         return self._list.range(low, high)
 
@@ -172,6 +175,9 @@ class _StringPostings:
 
     def delete(self, value: str) -> None:
         self._tree.delete(value.encode("utf-8"))
+
+    def __len__(self) -> int:
+        return len(self._tree)
 
     def walk(self, low: Optional[str], high: Optional[str]) -> Entries:
         for key, posting in self._tree.items():
@@ -201,21 +207,19 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._columns: Dict[str, object] = {}
 
-    def check(self, column: str, value: Any) -> None:
-        """Raise :class:`QueryError` unless :meth:`add` can post
-        ``value`` in ``column``: it is postable, and of the kind (string
-        or number) the column's postings already hold."""
-        if not postable(value):
-            raise _unpostable(value)
+    def holds(self, column: str, value: Any) -> bool:
+        """Whether :meth:`add` can post ``value`` in ``column``: it is
+        postable, and of the kind (string or number) the column's
+        postings hold, if it has any."""
         postings = self._columns.get(column)
-        if postings is not None and not _holds(postings, value):
-            raise QueryError(
-                f"column {column!r} mixes string and numeric values"
-            )
+        if postings is None:
+            return postable(value)
+        return _holds(postings, value)
 
     def add(self, column: str, value: Any, ukey: bytes) -> None:
         """Index ``ukey`` under ``value`` in ``column``'s postings."""
-        self.check(column, value)
+        if not postable(value):
+            raise _unpostable(value)
         postings = self._columns.get(column)
         if postings is None:
             postings = (
@@ -224,6 +228,10 @@ class InvertedIndex:
                 else _NumericPostings()
             )
             self._columns[column] = postings
+        elif not _holds(postings, value):
+            raise QueryError(
+                f"column {column!r} mixes string and numeric values"
+            )
         posting = postings.get(value)
         if posting is None:
             postings.insert(value, {ukey})
@@ -245,6 +253,10 @@ class InvertedIndex:
         posting.discard(ukey)
         if not posting:
             postings.delete(value)
+            if not len(postings):
+                # An emptied column holds no kind: which kind it takes
+                # next follows the live values alone, as after a reload.
+                del self._columns[column]
 
     def lookup(self, column: str, value: Any) -> List[bytes]:
         """Universal keys posted under exactly ``value`` in ``column``

@@ -5,17 +5,18 @@ One random script drives three subjects — ``SpitzDatabase`` with
 put_batch, delete, a KV transaction committed or aborted, and table
 insert / update / delete_rows on an indexed column, and (the databases
 only) ``doc_put`` / ``doc_delete`` on one document collection.  A
-``bad_put``
-hands a database's put, put_batch or transaction a value that is not
-bytes (``None`` among them: inside a write set it means delete); each
-must refuse it and leave the model unchanged.  Every read surface
-is checked against a model that keeps each key's versions in a list:
-``get``, ``get_many`` (a list and a generator), ``scan``, ``history``,
-``select`` (current, and as of a block marked mid-script), ``search``
-on the indexed column, the collection's ``get``, ``ids`` and ``find``
-on one field, snapshot reads from a transaction begun
-mid-script, and every verified read through one ``ClientVerifier``
-pinned per database for the whole run.  A ``reopen`` saves each
+``bad_put`` hands a database's put, put_batch or transaction a value
+that is not bytes (``None`` among them: inside a write set it means
+delete); each must refuse it and leave the model unchanged.  Every
+read surface is checked against a model that keeps each key's
+versions in a list: ``get``, ``get_many`` (a list and a generator),
+``scan``, ``history``, ``select`` (current, and as of a block marked
+mid-script), ``search`` on the indexed column, the collection's
+``get``, ``ids`` and ``find`` on two fields (one takes a number or a
+string; a put of the other kind than a live document's is refused),
+snapshot reads from a transaction begun mid-script, and every verified
+read through one ``ClientVerifier`` pinned per database for the whole
+run.  A ``reopen`` saves each
 database as a checkpoint and loads it back: the loaded database is the
 subject from then on, so every later check reads the version map
 ``restore`` rebuilt (an open snapshot is then read at its timestamp
@@ -94,7 +95,11 @@ operations = st.one_of(
         st.just("doc_put"),
         st.sampled_from(DOC_IDS),
         st.fixed_dictionaries(
-            {"qty": prices}, optional={"tag": st.sampled_from(["a", "b"])}
+            {"qty": prices},
+            optional={
+                "tag": st.sampled_from(["a", "b"]),
+                "code": st.sampled_from([1, "x"]),
+            },
         ),
     ),
     st.tuples(st.just("doc_delete"), st.sampled_from(DOC_IDS)),
@@ -251,9 +256,21 @@ def _apply(op, model, subjects, kvs):
                 del model.rows[pk]
     elif kind == "doc_put":
         _, doc_id, document = op
+        # A code of the other kind than a live document's (this id's
+        # old version too) is refused, whatever shape the database is.
+        refused = "code" in document and any(
+            isinstance(other["code"], str) != isinstance(document["code"], str)
+            for other in model.docs.values()
+            if "code" in other
+        )
         for db in dbs:
-            Collection(db, COLLECTION).put(doc_id, document)
-        model.docs[doc_id] = document
+            if refused:
+                with pytest.raises(QueryError, match="mixes"):
+                    Collection(db, COLLECTION).put(doc_id, document)
+            else:
+                Collection(db, COLLECTION).put(doc_id, document)
+        if not refused:
+            model.docs[doc_id] = document
     elif kind == "doc_delete":
         _, doc_id = op
         for db in dbs:
@@ -374,6 +391,12 @@ def _check_db(subject, model):
                 if keep(document["qty"])
             ),
             key=lambda pair: (pair[1]["qty"], pair[0]),
+        )
+    for code in (1, "x"):
+        assert orders.find("code", code) == sorted(
+            (doc_id, document)
+            for doc_id, document in model.docs.items()
+            if document.get("code") == code
         )
     # -- what the script pinned earlier -------------------------------------
     for height, kv_then, rows_then in subject.marks:

@@ -5,8 +5,10 @@ import pytest
 from repro.core.database import SpitzDatabase
 from repro.core.documents import Collection, DocumentStore
 from repro.core.query import SearchPredicate
-from repro.durability import DurableDatabase
+from repro.core.schema import encode_document
+from repro.durability import DurableDatabase, list_checkpoints
 from repro.durability.checkpoint import load_database, save_database
+from repro.durability.crashsim import flip_byte
 from repro.errors import QueryError, SchemaError
 
 
@@ -219,3 +221,68 @@ class TestOneStorageModel:
             orders.put("o2", {"qty": "three"})
         assert orders.get("o2") is None
         assert docs.db.ledger.height == height
+
+    def test_batched_get_at_block_agrees_with_history(self):
+        store = DocumentStore(SpitzDatabase(block_batch=4))
+        orders = store.collection("o")
+        orders.put("o1", {"qty": 3})
+        height = store.db.ledger.height  # the block the put seals into
+        assert orders.get_at_block("o1", height) == {"qty": 3}
+        assert orders.history("o1") == [(height, {"qty": 3})]
+
+    def test_an_emptied_field_takes_either_kind_in_every_shape(
+        self, tmp_path
+    ):
+        """Put a number, delete it, put a string: accepted in process,
+        after a reopen, and after recovery falls back past a corrupt
+        newest checkpoint and replays the numeric put again."""
+
+        def strings(durable):
+            orders = DocumentStore(durable.db).collection("o")
+            return _ids(orders.find("x", low="a", high="z"))
+
+        with DurableDatabase.open(tmp_path) as durable:
+            orders = DocumentStore(durable.db).collection("o")
+            orders.put("n", {"y": 0})
+            durable.checkpoint()
+            orders.put("a", {"x": 1})
+            orders.delete("a")
+            orders.put("b", {"x": "s"})
+            _lsn, newest = durable.checkpoint()
+            assert strings(durable) == ["b"]
+        with DurableDatabase.open(tmp_path) as reopened:
+            assert strings(reopened) == ["b"]
+            DocumentStore(reopened.db).collection("o").put("c", {"x": "t"})
+            assert strings(reopened) == ["b", "c"]
+        assert list_checkpoints(tmp_path)[-1][1] == newest
+        flip_byte(newest, newest.stat().st_size // 2)
+        with DurableDatabase.open(tmp_path) as fallen_back:
+            assert fallen_back.last_recovery.skipped_checkpoints == [newest]
+            assert strings(fallen_back) == ["b", "c"]
+            orders = DocumentStore(fallen_back.db).collection("o")
+            assert orders.find("x", 1) == []
+            with pytest.raises(QueryError, match="mixes"):
+                orders.put("d", {"x": 2})
+
+    def test_a_logged_mixed_kind_document_still_opens(self, tmp_path):
+        """A log may hold a document whose field its column cannot post
+        (the older format committed it, then refused the posting):
+        replay and checkpoint load install it and leave that field
+        unposted."""
+        with DurableDatabase.open(tmp_path) as durable:
+            orders = DocumentStore(durable.db).collection("o")
+            orders.put("a", {"x": 1, "sku": "p"})
+            durable.db._commit(
+                {orders._key("b"): encode_document({"x": "s", "sku": "q"})},
+                statements=("DOC PUT o/b",), replayed=True,
+            )
+        for _ in ("replay", "checkpoint load"):
+            with DurableDatabase.open(tmp_path) as reopened:
+                orders = DocumentStore(reopened.db).collection("o")
+                assert orders.get("b") == {"x": "s", "sku": "q"}
+                assert orders.find("x", 1) == [("a", {"x": 1, "sku": "p"})]
+                assert orders.find("x", "s") == []
+                assert _ids(orders.find("sku", low="a", high="z")) == [
+                    "a", "b",
+                ]
+                reopened.checkpoint()

@@ -79,6 +79,16 @@ class TestInvertedIndex:
         with pytest.raises(QueryError):
             index.add("col", "text", b"u2")
 
+    def test_an_emptied_column_forgets_its_kind(self):
+        index = InvertedIndex()
+        index.add("col", 1, b"u1")
+        assert not index.holds("col", "text")
+        index.remove("col", 1, b"u1")
+        assert index.columns() == []
+        assert index.holds("col", "text")
+        index.add("col", "text", b"u2")
+        assert index.lookup("col", "text") == [b"u2"]
+
     def test_unindexable_type_raises(self):
         index = InvertedIndex()
         with pytest.raises(QueryError):
