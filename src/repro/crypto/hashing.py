@@ -11,6 +11,7 @@ share an encoding.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Iterable, Union
 
 #: Values the canonical encoder accepts.
@@ -44,6 +45,9 @@ def digest_from_hex(text: str) -> Digest:
         raise ValueError(f"not 64 lower-case hex digits: {text!r:.72}")
     return digest
 
+
+#: A part's length in :func:`hash_many`.
+_LENGTH = struct.Struct(">I")
 
 #: Digest of the empty byte string; used as the root of empty trees.
 EMPTY_DIGEST = hash_bytes(b"")
@@ -125,13 +129,14 @@ def hash_value(value: Encodable) -> Digest:
 
 
 def hash_many(parts: Iterable[bytes]) -> Digest:
-    """SHA-256 over length-prefixed concatenation of ``parts``.
+    """SHA-256 over length-prefixed concatenation of ``parts``: one
+    :func:`hash_bytes` over ``len(part)`` (u32) ``‖ part`` for each.
 
     Length prefixes prevent ambiguity between e.g. ``[b"ab", b"c"]`` and
     ``[b"a", b"bc"]``.
     """
-    hasher = hashlib.sha256()
+    stream = bytearray()
     for part in parts:
-        hasher.update(len(part).to_bytes(4, "big"))
-        hasher.update(part)
-    return hasher.digest()
+        stream += _LENGTH.pack(len(part))
+        stream += part
+    return hash_bytes(stream)

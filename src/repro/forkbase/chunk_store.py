@@ -26,8 +26,9 @@ delete or an overwrite one contiguous edit, so the shared ends leave
 one edit's row as the middle, and where a batch edited a node in
 several places the middle is cut at the rows between the edits, which
 the delta copies from its base.  The store finds the ends itself; the
-rows come from the index (:func:`~repro.indexes.siri.shared_rows`), and
-each is checked byte for byte before it is copied.  :meth:`get`
+rows come from the edit that made the successor, which knows the
+stretches it kept (:func:`~repro.indexes.siri.edit_spans`), and each
+is checked byte for byte before it is copied.  :meth:`get`
 rebuilds a delta by walking its chain (at most :data:`MAX_CHAIN` links)
 to a whole chunk; a re-put of content held as a delta stores it whole
 again.
@@ -367,6 +368,13 @@ class ChunkStore:
         if data.__class__ is Delta:
             return self._whole(data)
         return data
+
+    def whole(self, address: Digest) -> Optional[bytes]:
+        """The chunk at ``address`` if it is held whole, else None; not
+        counted in :attr:`stats` (an apply copies rows from the tip's
+        nodes, which are whole)."""
+        data = self._entries.get(address)
+        return None if data.__class__ is Delta else data
 
     def addresses(self) -> Iterator[Digest]:
         """Iterate over all stored content addresses."""

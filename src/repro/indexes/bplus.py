@@ -10,7 +10,7 @@ for range scans, and deletion rebalances by borrowing or merging.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import KeyNotFoundError
 
@@ -124,40 +124,52 @@ class BPlusTree:
 
     # -- insert ------------------------------------------------------------
 
-    def insert(self, key: Any, value: Any) -> None:
-        """Insert or overwrite ``key``."""
-        split = self._insert_into(self._root, key, value)
+    def insert(
+        self, key: Any, value: Any,
+        check: Optional[Callable[[Any, Any, Any], None]] = None,
+    ) -> Any:
+        """Insert or overwrite ``key`` in one descent; returns the value
+        it replaced (None if there was none).  ``check(key, old, value)``,
+        if given, sees a value about to be replaced before anything
+        changes and may raise to refuse the write."""
+        replaced, split = self._insert_into(self._root, key, value, check)
         if split is not None:
             separator, right = split
             new_root = _Node(leaf=False)
             new_root.keys = [separator]
             new_root.children = [self._root, right]
             self._root = new_root
+        return replaced
 
     def _insert_into(
-        self, node: _Node, key: Any, value: Any
-    ) -> Optional[Tuple[Any, _Node]]:
+        self, node: _Node, key: Any, value: Any, check
+    ) -> Tuple[Any, Optional[Tuple[Any, _Node]]]:
         if node.is_leaf:
             index = bisect.bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
+                old = node.values[index]
+                if check is not None:
+                    check(key, old, value)
                 node.values[index] = value
-                return None
+                return old, None
             node.keys.insert(index, key)
             node.values.insert(index, value)
             self._size += 1
             if len(node.keys) <= self.order:
-                return None
-            return self._split_leaf(node)
+                return None, None
+            return None, self._split_leaf(node)
         index = bisect.bisect_right(node.keys, key)
-        split = self._insert_into(node.children[index], key, value)
+        replaced, split = self._insert_into(
+            node.children[index], key, value, check
+        )
         if split is None:
-            return None
+            return replaced, None
         separator, right = split
         node.keys.insert(index, separator)
         node.children.insert(index + 1, right)
         if len(node.keys) <= self.order:
-            return None
-        return self._split_interior(node)
+            return None, None
+        return None, self._split_interior(node)
 
     def _split_leaf(self, node: _Node) -> Tuple[Any, _Node]:
         middle = len(node.keys) // 2

@@ -48,8 +48,9 @@ from repro.indexes.siri import (
     SiriProof,
     cache_node,
     decode_node,
+    edit_spans,
     encode_node,
-    shared_rows,
+    row_width,
 )
 
 #: The split pattern width every ledger and search column uses: a node
@@ -284,13 +285,21 @@ def _pairs_between(
 
 
 def _successor(written: List[Tuple[bytes, bytes]], key: Optional[bytes]):
-    """The address of the node among ``written`` (a run's new nodes, by
+    """The index of the node among ``written`` (a run's new nodes, by
     first key) whose first key covers ``key``: the last one listed at or
     before it, else the first (the root is listed under None)."""
     index = len(written) - 1
     while index and (key is None or written[index][0] > key):
         index -= 1
-    return written[index][1]
+    return index
+
+
+def _stored(store: ChunkStore, address: Digest) -> tuple:
+    """The node at ``address`` as a run keeps rows of it: ``(data,
+    width)``, its bytes if ``store`` holds them whole (else None) and
+    their :func:`~repro.indexes.siri.row_width`."""
+    data = store.whole(address)
+    return data, row_width(data)
 
 
 class _Run:
@@ -303,6 +312,15 @@ class _Run:
         self.pairs: List[tuple] = []
         #: Lengths of ``pairs`` at which a node ends.
         self.cuts: List[int] = []
+        #: Per node, the stretches of stored nodes it keeps whole,
+        #: ``((data, width), row, at, count)``: its pairs ``at..at +
+        #: count`` are rows ``row..`` of the node stored as ``data``,
+        #: every row ``width`` bytes (:func:`~repro.indexes.siri.row_width`).
+        #: A stored node's only split point is its last pair, so no node
+        #: ends inside a stretch.
+        self.kept: List[list] = [[]]
+        #: Where the node being filled starts in ``pairs``.
+        self._first = 0
 
     def _ends_node(self, pair: tuple) -> bool:
         """The content-defined split rule, one hash over the pair as
@@ -316,17 +334,28 @@ class _Run:
         for pair in pairs:
             self.pairs.append(pair)
             if self._ends_node(pair):
-                self.cuts.append(len(self.pairs))
+                self._first = len(self.pairs)
+                self.cuts.append(self._first)
+                self.kept.append([])
 
-    def keep(self, node: tuple, start: int, stop: int, last: bool) -> None:
-        """Append ``node[start:stop]``, pairs of one stored node: only
-        its last pair can be a split point, or the node would have
-        ended earlier, and it is one unless the node is ``last`` on its
-        level (which need not end on one), so only then is it hashed."""
+    def keep(
+        self, stored: tuple, node: tuple, start: int, stop: int, last: bool
+    ) -> None:
+        """Append ``node[start:stop]``, pairs of the node ``stored``,
+        ``(data, width)``: only its last pair can be a split point, or
+        the node would have ended earlier, and it is one unless the node
+        is ``last`` on its level (which need not end on one), so only
+        then is it hashed."""
         if start < stop:
-            self.pairs += node[start:stop]
+            pairs = self.pairs
+            self.kept[-1].append(
+                (stored, start, len(pairs) - self._first, stop - start)
+            )
+            pairs += node[start:stop]
             if stop == len(node) and (not last or self._ends_node(node[-1])):
-                self.cuts.append(len(self.pairs))
+                self._first = len(pairs)
+                self.cuts.append(self._first)
+                self.kept.append([])
 
     @property
     def ended(self) -> bool:
@@ -334,8 +363,10 @@ class _Run:
         return bool(self.cuts) and self.cuts[-1] == len(self.pairs)
 
     def write(self) -> List[Tuple[bytes, bytes]]:
-        """Store the nodes; returns the pairs the level above lists
-        them under (each digest the one the store returned)."""
+        """Store the nodes, each kept stretch copied from its stored
+        node's bytes (:func:`~repro.indexes.siri.encode_node`); returns
+        the pairs the level above lists them under (each digest the one
+        the store returned)."""
         stops = list(self.cuts)
         if self.pairs and not self.ended:
             stops.append(len(self.pairs))
@@ -344,9 +375,9 @@ class _Run:
             self.store.put, self.store.decode_cache, self.tag, self.pairs
         )
         start = 0
-        for stop in stops:
+        for stop, kept in zip(stops, self.kept):
             node = (tag, tuple(pairs[start:stop]))
-            address = put(encode_node(node))
+            address = put(encode_node(node, kept))
             # Freshly written nodes are the likeliest next reads, and
             # the next version's pairs are sliced out of this tuple.
             cache[address] = node
@@ -646,8 +677,12 @@ class PosTree(SiriIndex):
         edited by slicing and re-split by the content-defined rule
         (taking in right neighbours while the run's last pair is not a
         split point), and the nodes it replaced become the edit to the
-        level above.  Work and memory are O(batch * height * node
-        size) whatever the size of the tree.
+        level above.  The stretches a run keeps are recorded once and
+        used twice: a new node copies their rows from the stored bytes
+        (only the pairs the edit wrote and the header are encoded), and
+        a retired node's delta copies back the rows they name.  Work and
+        memory are O(batch * height * node size) whatever the size of
+        the tree.
         """
         changes: List[_Change] = []
         for key in sorted(updates):
@@ -693,6 +728,7 @@ class PosTree(SiriIndex):
             address, node, first, upper = self._descend(
                 changes[done][0], depth, path
             )
+            source = _stored(self.store, address)
             tiled = tiled and first == edge
             last = first
             # The nodes the run replaces, and the keys they are listed
@@ -706,11 +742,11 @@ class PosTree(SiriIndex):
                 ):
                     low, high, new = changes[done]
                     cut = _position(node, low, kept)
-                    run.keep(node, kept, cut, upper is None)
+                    run.keep(source, node, kept, cut, upper is None)
                     run.add(new)
                     kept = _position_after(node, high, cut)
                     done += 1
-                run.keep(node, kept, len(node), upper is None)
+                run.keep(source, node, kept, len(node), upper is None)
                 if upper is None or (high < upper and run.ended):
                     break
                 # The run does not end on a split point (or its last
@@ -718,6 +754,7 @@ class PosTree(SiriIndex):
                 address, node, last, upper = self._descend(
                     upper, depth, path
                 )
+                source = _stored(self.store, address)
                 replaced.append(address)
                 listed.append(last)
                 kept = _position_after(node, high)
@@ -741,16 +778,21 @@ class PosTree(SiriIndex):
                 # No address occurs twice in one tree, so these are the
                 # nodes the new version stops sharing: each is kept as
                 # a delta against the node that took its place, cut at
-                # the rows the two still share.
+                # the rows the run kept or rewrote.
                 for key, address in zip(listed, replaced):
                     if address not in children:
                         retired = cache.pop(address, None)
                         if written:
-                            successor = _successor(written, key)
+                            index = _successor(written, key)
+                            successor = written[index][1]
                             rows = retired and partial(
-                                shared_rows, retired[1], cache[successor][1]
+                                edit_spans, retired[1], cache[successor][1],
+                                run.kept[index],
                             )
                             store.supersede(address, successor, rows)
+            # Free the bytes of the nodes the run kept from: a retired
+            # node's are garbage once its delta is stored.
+            run.kept = None
         return above
 
     def _drop_levels(self, levels: int) -> None:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat
-from operator import add, ge, is_not, itemgetter
+from itertools import accumulate, repeat
+from operator import add, ge, itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import Digest
@@ -39,7 +39,12 @@ from repro.forkbase.chunk_store import ChunkStore
 #: varint is unsigned LEB128, minimally encoded.  Inserting, deleting or
 #: re-pointing a pair edits one run of bytes (the header too only when
 #: the prefix moves), so a retired node differs from its successor by
-#: about one row (:meth:`~repro.forkbase.chunk_store.ChunkStore.supersede`).
+#: about one row (:meth:`~repro.forkbase.chunk_store.ChunkStore.supersede`),
+#: and a row's bytes depend only on its pair and the prefix length: a
+#: node written under its predecessor's prefix length copies the rows it
+#: keeps as slices of the predecessor's bytes (:func:`encode_node`), and
+#: the same stretches name the rows its delta copies back
+#: (:func:`edit_spans`).
 _TAGS = {b"L": "L", b"B": "B"}
 _DIGEST_BYTES = 32
 #: One-byte varints, by value.
@@ -91,32 +96,59 @@ def varint_at(data: bytes, at: int) -> Tuple[int, int]:
     raise ValueError("node varint is cut short")
 
 
-def encode_node(node: tuple) -> bytes:
+def encode_node(node: tuple, kept: Sequence[tuple] = ()) -> bytes:
     """Serialize a node ``(tag, ((key, digest), ...))``: tag ``"L"``
     (a leaf — each digest is ``H(value)``, the value's chunk address) or
     ``"B"`` (a branch — each digest is a child node's address under the
     child's first key).  Raises ``ValueError`` for a digest that is not
     32 bytes or keys that are not strictly increasing: the prefix is
     stored once, so bytes from unsorted keys could decode to another
-    node."""
+    node.
+
+    ``kept`` names stretches ``((data, width), row, at, count)``, in
+    order: pairs ``at..at + count`` are rows ``row..row + count`` of the
+    encoded node ``data``, whose rows are all ``width`` bytes wide (0:
+    not so; :func:`row_width`) — :meth:`PosTree.apply
+    <repro.indexes.pos_tree.PosTree.apply>` keeps them whole.  A row's
+    bytes depend only on its pair and the prefix length, so where
+    ``data``'s prefix is as long as this node's, the stretch is one slice
+    of ``data``, not encoded again; only the other pairs and the header
+    are."""
     tag, pairs = node
     if not pairs:
         return tag.encode() + b"\x00"
-    keys, digests = zip(*pairs)
-    if set(map(len, digests)) != {_DIGEST_BYTES}:
-        raise ValueError("node digests must be 32 bytes each")
-    if any(map(ge, keys, keys[1:])):
-        raise ValueError("node keys must be strictly increasing")
-    cut = _common_prefix(keys[0], keys[-1])
-    suffixes = list(map(itemgetter(slice(cut, None)), keys)) if cut else keys
-    rows = [b""] * (3 * len(keys))
-    try:
-        rows[0::3] = map(_SHORT.__getitem__, map(len, suffixes))
-    except IndexError:  # a suffix of 128 bytes or more
-        rows[0::3] = map(varint, map(len, suffixes))
-    rows[1::3] = suffixes
-    rows[2::3] = digests
-    return b"".join((tag.encode(), varint(cut), keys[0][:cut], *rows))
+    cut = _common_prefix(pairs[0][0], pairs[-1][0])
+    head = 2 + cut
+    pieces = [tag.encode(), varint(cut), pairs[0][0][:cut]]
+    copies = []
+    for (data, width), row, at, count in kept:
+        if width and data[1] == cut:
+            start = head + row * width
+            copies.append((at, count, data[start:start + count * width]))
+    # Every other pair is encoded and checked against the key before
+    # it, as is each copy's first key (a copy's rows are a stored
+    # node's, in order).
+    before = None
+    done = 0
+    for at, count, rows in (*copies, (len(pairs), 0, b"")):
+        for key, digest in pairs[done:at]:
+            if before is not None and key <= before:
+                raise ValueError("node keys must be strictly increasing")
+            if len(digest) != _DIGEST_BYTES:
+                raise ValueError("node digests must be 32 bytes each")
+            length = len(key) - cut
+            pieces += (
+                _SHORT[length] if length < 0x80 else varint(length),
+                key[cut:], digest,
+            )
+            before = key
+        if count:
+            if before is not None and pairs[at][0] <= before:
+                raise ValueError("node keys must be strictly increasing")
+            pieces.append(rows)
+            before = pairs[at + count - 1][0]
+        done = at + count
+    return b"".join(pieces)
 
 
 def decode_node(data: bytes) -> tuple:
@@ -179,6 +211,13 @@ def _one_width(data: bytes, at: int) -> int:
     return 0
 
 
+def row_width(data: Optional[bytes]) -> int:
+    """The width of every row of the encoded node ``data`` when they
+    are all one width and its prefix is shorter than 128 bytes, else 0
+    (also for None: a node not held whole)."""
+    return _one_width(data, 2 + data[1]) if data and data[1] < 0x80 else 0
+
+
 def _row_starts(
     data: bytes, pairs: Sequence[tuple], head: int, cut: int,
 ) -> Sequence[int]:
@@ -197,25 +236,24 @@ def _row_starts(
     ))
 
 
-def shared_rows(
+def edit_spans(
     old_pairs: Sequence[tuple], new_pairs: Sequence[tuple],
-    was: bytes, now: bytes, prefix: int, suffix: int,
+    kept: Sequence[tuple], was: bytes, now: bytes, prefix: int, suffix: int,
 ) -> List[List[int]]:
     """The rows node ``was`` (``old_pairs`` encoded) shares with node
     ``now`` (``new_pairs`` encoded) between the first ``prefix`` and
     last ``suffix`` bytes they share, as spans ``[offset in was, offset
     in now, length]`` for :meth:`ChunkStore.supersede
     <repro.forkbase.chunk_store.ChunkStore.supersede>` to cut a delta's
-    middle at: a pair both hold is one row, an overwritten pair its
-    ``length ‖ suffix``, and rows that follow each other in both are
-    one span.  ``was``'s rows are walked in order from the first one
-    the middle touches, each found in ``now`` by key, and a run of pairs
-    both nodes hold (:meth:`PosTree.apply
-    <repro.indexes.pos_tree.PosTree.apply>` keeps them as the same
-    objects) is taken whole, walked by identity to its end.  A shared
-    row is the same bytes only under the same header, so there are no
-    spans unless the two headers are equal; nor when the middle is no
-    wider than its first row."""
+    middle at, read off the edit that made ``now`` rather than found by
+    a walk: ``kept`` is ``now``'s stretches ``((data, width), row, at,
+    count)`` as :func:`encode_node` takes them, and a stretch kept from
+    ``was`` is one span; a pair between the stretches, one the edit
+    wrote, shares its ``length ‖ suffix`` with the pair of its key in
+    ``was`` (its whole row if the digest is the same); spans that follow
+    each other in both are one.  A shared row is the same bytes only
+    under the same header, so there are no spans unless the two headers
+    are equal; nor when the middle is no wider than its first row."""
     cut = was[1]
     head = 2 + cut
     if (
@@ -228,43 +266,40 @@ def shared_rows(
     new_starts = _row_starts(now, new_pairs, head, cut)
     if old_starts[-1] != len(was) or new_starts[-1] != len(now):
         return []  # a suffix of 128 bytes or more: a wider varint
+    # A written pair can hold the key only of a row of was's that no
+    # stretch kept: one between the stretches from was around it.
+    shared: List[Tuple[int, int, int, bool]] = []
+    written: List[int] = []
+    done = low = 0
+    for stored, row, at, count in (
+        *kept, (None, len(old_pairs), len(new_pairs), 0)
+    ):
+        written += range(done, at)
+        done = at + count
+        if stored is not None and stored[0] is not was:
+            continue
+        for to in written if low < row else ():
+            key, digest = new_pairs[to]
+            # (key,) sorts just before (key, digest): key's place in was.
+            index = bisect_left(old_pairs, (key,), low, row)
+            if index < row and old_pairs[index][0] == key:
+                shared.append((index, to, 1, old_pairs[index][1] == digest))
+        written = []
+        if stored is not None:
+            shared.append((row, at, count, True))
+            low = row + count
     spans: List[List[int]] = []
     end = None
-    # The rows the middle touches: from the one holding byte ``prefix``
-    # to the last one starting before the shared suffix.
-    at = to = bisect_right(old_starts, prefix) - 1
-    old_stop = bisect_left(old_starts, len(was) - suffix, at)
-    new_stop = bisect_left(new_starts, len(now) - suffix, to)
-    while at < old_stop:
-        old = old_pairs[at]
-        if to >= new_stop or new_pairs[to] is not old:
-            # (key,) sorts just before (key, digest): old's key in new.
-            to = bisect_left(new_pairs, (old[0],), to, new_stop)
-            if to == new_stop:
-                break
-        new = new_pairs[to]
-        if old[0] != new[0]:  # gone from new
-            at += 1
-            continue
-        if old is new:  # a run of pairs both kept, to its end
-            same = next(compress(count(1), map(
-                is_not, old_pairs[at + 1:old_stop],
-                new_pairs[to + 1:new_stop],
-            )), min(old_stop - at, new_stop - to))
-            size = old_starts[at + same] - old_starts[at]
-        else:
-            same = 1
-            size = old_starts[at + 1] - old_starts[at] - (
-                0 if old[1] == new[1] else _DIGEST_BYTES
-            )
-        start, source = old_starts[at], new_starts[to]
-        if start == end and spans[-1][1] + spans[-1][2] == source:
+    for row, to, count, whole in shared:
+        start, at = old_starts[row], new_starts[to]
+        size = old_starts[row + count] - start - (
+            0 if whole else _DIGEST_BYTES
+        )
+        if start == end and spans[-1][1] + spans[-1][2] == at:
             spans[-1][2] += size
         else:
-            spans.append([start, source, size])
+            spans.append([start, at, size])
         end = start + size
-        at += same
-        to += same
     return spans
 
 

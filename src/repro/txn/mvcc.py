@@ -35,6 +35,17 @@ class Version:
     value: Any
 
 
+def _in_order(key: Any, newest: Version, version: Version) -> None:
+    """Refuse to install ``version`` over ``newest`` unless it is newer:
+    versions are installed in commit-timestamp order per key, and one
+    out of that order is a certifier bug."""
+    if newest.commit_ts >= version.commit_ts:
+        raise ValueError(
+            f"out-of-order install at key {key!r}: "
+            f"{version.commit_ts} <= {newest.commit_ts}"
+        )
+
+
 class MVCCStore:
     """Versioned key-value storage with snapshot reads."""
 
@@ -136,15 +147,9 @@ class MVCCStore:
                 self._push(key, version)
 
     def _push(self, key: Any, version: Version) -> None:
-        newest = self._latest.get_optional(key)
+        newest = self._latest.insert(key, version, _in_order)
         if newest is not None:
-            if newest.commit_ts >= version.commit_ts:
-                raise ValueError(
-                    f"out-of-order install at key {key!r}: "
-                    f"{version.commit_ts} <= {newest.commit_ts}"
-                )
             self._older.setdefault(key, []).append(newest)
-        self._latest.insert(key, version)
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,5 +1,13 @@
 """Reverse deltas under random batches, and a strict multi-hunk record.
 
+- **the apply's own spans** — for random trees and batches (inserts,
+  overwrites, deletes, splits and merges, a leaf's prefix moving at its
+  ends, keys of mixed widths and a suffix of 128 bytes or more), every
+  node an apply writes is the bytes ``encode_node`` makes of its pairs
+  with no rows copied, and every node it retires is stored as the
+  delta ``supersede`` makes, on a twin store, from the spans the row
+  walk the apply used to run finds (:func:`_reference_shared_rows`,
+  kept here as the oracle);
 - **round trip** — for random insert, delete and overwrite batches on a
   POS-tree (keys of one width, or of mixed widths), every chunk the
   store holds as a delta rebuilds to bytes that hash to its address,
@@ -16,6 +24,10 @@ Runs under one fixed Hypothesis profile: same examples every run.
 """
 
 import struct
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, count
+from operator import is_not
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +36,10 @@ from repro.core.database import SpitzDatabase
 from repro.crypto.hashing import hash_bytes
 from repro.durability.checkpoint import load_database, save_database
 from repro.errors import TamperDetectedError
-from repro.forkbase.chunk_store import ChunkStore, Delta
+from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
+from repro.indexes import pos_tree
 from repro.indexes.pos_tree import PosTree
+from repro.indexes.siri import decode_node, encode_node
 
 settings.register_profile(
     "reverse-deltas", derandomize=True, deadline=None, max_examples=60
@@ -52,6 +66,137 @@ def _reference_delta(old: bytes, new: bytes) -> int:
 
 def _hunked(delta: bytes) -> bool:
     return delta[32] & 0x80 != 0
+
+
+def _reference_shared_rows(old_pairs, new_pairs, was, now, prefix, suffix):
+    """The row walk that found the spans a retired node shares with its
+    successor before the apply named them itself: ``was``'s rows from
+    the one holding byte ``prefix`` to the last one before the shared
+    suffix, each found in ``now`` by key, a run of pairs both nodes
+    hold as the same objects taken whole, an overwritten pair's
+    ``length ‖ suffix`` shared, and spans that follow each other in
+    both made one; none unless the headers are equal, the middle is
+    wider than the first row and no suffix needs a two-byte varint."""
+    cut = was[1]
+    head = 2 + cut
+    if (
+        cut >= 0x80 or head >= len(was)
+        or len(was) - suffix - prefix <= was[head] + 1 + 32
+        or was[:head] != now[:head]
+    ):
+        return []
+
+    def starts(pairs):
+        return list(accumulate(
+            (len(key) - cut + 1 + 32 for key, _digest in pairs), initial=head
+        ))
+
+    old_starts, new_starts = starts(old_pairs), starts(new_pairs)
+    if old_starts[-1] != len(was) or new_starts[-1] != len(now):
+        return []
+    spans = []
+    end = None
+    at = to = bisect_right(old_starts, prefix) - 1
+    old_stop = bisect_left(old_starts, len(was) - suffix, at)
+    new_stop = bisect_left(new_starts, len(now) - suffix, to)
+    while at < old_stop:
+        old = old_pairs[at]
+        if to >= new_stop or new_pairs[to] is not old:
+            to = bisect_left(new_pairs, (old[0],), to, new_stop)
+            if to == new_stop:
+                break
+        new = new_pairs[to]
+        if old[0] != new[0]:
+            at += 1
+            continue
+        if old is new:
+            same = next(compress(count(1), map(
+                is_not, old_pairs[at + 1:old_stop],
+                new_pairs[to + 1:new_stop],
+            )), min(old_stop - at, new_stop - to))
+            size = old_starts[at + same] - old_starts[at]
+        else:
+            same = 1
+            size = old_starts[at + 1] - old_starts[at] - (
+                0 if old[1] == new[1] else 32
+            )
+        start, source = old_starts[at], new_starts[to]
+        if start == end and spans[-1][1] + spans[-1][2] == source:
+            spans[-1][2] += size
+        else:
+            spans.append([start, source, size])
+        end = start + size
+        at += same
+        to += same
+    return spans
+
+
+def _mixed_key(n: int) -> bytes:
+    """Keys of several widths; every 50th has a 131-byte tail, past
+    what a one-byte varint holds, and the ``k1…``/``kx…`` families move
+    a leaf's common prefix when one is added or dropped at its ends."""
+    if n % 50 == 49:
+        return b"z" + b"x" * 130 + b"%03d" % n
+    return b"k" + b"x" * (n % 3) + b"%d" % n
+
+
+@pytest.mark.parametrize("width", ["one", "mixed"])
+@pytest.mark.parametrize("mask_bits", [2, 4])
+@settings(FIXED)
+@given(first=st.sets(st.integers(0, 299), max_size=250), batches=st.lists(
+    st.dictionaries(st.integers(0, 299),
+                    st.one_of(st.none(), st.integers(0, 9)),
+                    min_size=1, max_size=60),
+    min_size=1, max_size=6,
+))
+def test_the_apply_writes_and_retires_what_the_oracle_does(
+    width, mask_bits, first, batches
+):
+    key = (lambda n: b"k%04d" % n) if width == "one" else _mixed_key
+    store = ChunkStore()
+    tree = PosTree.from_items(
+        store, [(key(n), b"v") for n in first], mask_bits
+    )
+
+    def encode(node, kept=()):
+        data = encode_node(node, kept)
+        assert data == encode_node(node)
+        return data
+
+    supersede = ChunkStore.supersede
+
+    def checked(self, old, new, shared=None):
+        was, now = self._entries.get(old), self._entries.get(new)
+        twin = None
+        if (
+            was.__class__ is bytes and now.__class__ is bytes and old != new
+            and self._depths.get(old, 0) < MAX_CHAIN
+        ):
+            twin = ChunkStore()
+            twin.put(was)
+            twin.put(now)
+            old_pairs, new_pairs = (
+                shared.args[:2] if shared is not None
+                else (decode_node(was)[1], decode_node(now)[1])
+            )
+            supersede(twin, old, new, lambda *ends: _reference_shared_rows(
+                old_pairs, new_pairs, *ends
+            ))
+        supersede(self, old, new, shared)
+        if twin is not None:
+            assert self._entries[old] == twin._entries[old]
+
+    with mock.patch.object(pos_tree, "encode_node", encode), \
+            mock.patch.object(ChunkStore, "supersede", checked):
+        for batch in batches:
+            tree = tree.apply({
+                key(n): None if value is None else b"v%d" % value
+                for n, value in batch.items()
+            })
+    assert dict(tree.digests()) == dict(
+        PosTree.from_items(ChunkStore(), list(tree.items()), mask_bits)
+        .digests()
+    )
 
 
 keys = st.integers(0, 299)

@@ -33,6 +33,28 @@ class TestBPlusBasics:
         assert tree.get(1) == "b"
         assert len(tree) == 1
 
+    def test_insert_returns_what_it_replaced(self):
+        tree = BPlusTree(order=4)
+        assert [tree.insert(n, str(n)) for n in range(50)] == [None] * 50
+        assert tree.insert(17, "x") == "17"
+        assert tree.get(17) == "x" and len(tree) == 50
+
+    def test_a_check_refuses_before_anything_changes(self):
+        tree = BPlusTree(order=4)
+        for n in range(50):
+            tree.insert(n, n)
+        seen = []
+
+        def refuse(key, old, new):
+            seen.append((key, old, new))
+            raise ValueError("refused")
+
+        with pytest.raises(ValueError):
+            tree.insert(30, -1, refuse)
+        assert seen == [(30, 30, -1)] and tree.get(30) == 30
+        assert tree.insert(60, 60, refuse) is None  # nothing replaced
+        assert list(tree.keys()) == [*range(50), 60]
+
     def test_contains(self):
         tree = BPlusTree()
         tree.insert("k", 1)

@@ -38,6 +38,9 @@ class TestMvccStore:
             store.install({"k": "w"}, 10)
         with pytest.raises(ValueError):
             store.install({"k": "w"}, 5)
+        # Refused before anything changed: no version went in.
+        assert [v.commit_ts for v in store.history("k")] == [10]
+        assert store.read_latest("k").value == "v"
 
     def test_atomic_multi_key_install(self):
         store = MVCCStore()

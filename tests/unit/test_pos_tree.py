@@ -268,6 +268,52 @@ class TestHistoryAsDeltas:
         assert restored.digest() == db.digest()
 
 
+class TestPinnedHistory:
+    """One deterministic history — a 5 000-record preload in five
+    blocks, then 500 single puts and 50 deletes — and what it stores:
+    physical bytes, the tip root and the chain digest, pinned.  An apply
+    splices a rewritten node's kept rows from their stored bytes and
+    names a retired node's delta from the same edit; neither may move a
+    byte of what is stored, and a moved byte moves one of these."""
+
+    PHYSICAL_BYTES = 1_285_728
+    TIP_ROOT = (
+        "82da999d1f15d8ab435f8fc571301da04c448de36b92083eea2ebdfb1a01cef5"
+    )
+    CHAIN_DIGEST = (
+        "9a80ce353a3871cd0533c94fdc780192d4d1d5ff1a67e55fdd2176a4d504ef8c"
+    )
+
+    @staticmethod
+    def _history():
+        def key(n):
+            return hash_bytes(b"key %d" % n)[:8].hex().encode()
+
+        def value(n, version=0):
+            return (hash_bytes(b"value %d %d" % (n, version)) * 4)[:100]
+
+        db = SpitzDatabase()
+        for block in range(5):
+            db.put_batch({
+                key(n): value(n)
+                for n in range(block * 1000, block * 1000 + 1000)
+            })
+        for n in range(500):
+            # Overwrites, every fourth a new key beyond the preload.
+            target = 5000 + n if n % 4 == 3 else (n * 7919) % 5000
+            db.put(key(target), value(target, 1))
+        for n in range(50):
+            db.delete(key((n * 104729) % 5000))
+        return db
+
+    def test_the_history_stores_the_pinned_bytes(self):
+        db = self._history()
+        digest = db.digest()
+        assert db.chunks.stats.physical_bytes == self.PHYSICAL_BYTES
+        assert digest.tree_root.hex() == self.TIP_ROOT
+        assert digest.chain_digest.hex() == self.CHAIN_DIGEST
+
+
 def _leaf_address(tree, key):
     """The address of the leaf on ``key``'s path."""
     address = tree.root
