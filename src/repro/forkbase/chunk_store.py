@@ -19,16 +19,18 @@ costs less than address-striped locks plus a separate stats lock did.
 
 History as reverse deltas: a node an apply retires is re-stored by
 :meth:`ChunkStore.supersede` as a :class:`Delta` — the bytes it differs
-by from the node that replaced it, whatever the two lengths — so the
-newest version of a node is whole and an older one costs about its
-edits: node layout v4 (:mod:`repro.indexes.siri`) makes an insert, a
-delete or an overwrite one contiguous edit, so the shared ends leave
-one edit's row as the middle, and where a batch edited a node in
-several places the middle is cut at the rows between the edits, which
-the delta copies from its base.  The store finds the ends itself; the
-rows come from the edit that made the successor, which knows the
-stretches it kept (:func:`~repro.indexes.siri.edit_spans`), and each
-is checked byte for byte before it is copied.  :meth:`get`
+by from the new node holding the most of its rows, whatever the two
+lengths — so the newest version of a node is whole and an older one
+costs about its edits: node layout v4 (:mod:`repro.indexes.siri`)
+makes an insert, a delete or an overwrite one contiguous edit, so the
+shared ends leave one edit's row as the middle, and where a batch
+edited a node in several places, or a split or merge moved its prefix,
+the middle is cut at the rows the two share, which the delta copies
+from its base (under a moved prefix, each row's suffix and digest at
+an offset shifted by the prefix difference).  The store finds the
+ends itself; the rows come from the edit that made the base, which
+knows the stretches it kept (:func:`~repro.indexes.siri.edit_spans`),
+and each is checked byte for byte before it is copied.  :meth:`get`
 rebuilds a delta by walking its chain (at most :data:`MAX_CHAIN` links)
 to a whole chunk; a re-put of content held as a delta stores it whole
 again.

@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import partial
+from operator import sub
 from typing import (
     Callable,
     Dict,
@@ -284,14 +285,20 @@ def _pairs_between(
     return found
 
 
-def _successor(written: List[Tuple[bytes, bytes]], key: Optional[bytes]):
-    """The index of the node among ``written`` (a run's new nodes, by
-    first key) whose first key covers ``key``: the last one listed at or
-    before it, else the first (the root is listed under None)."""
-    index = len(written) - 1
-    while index and (key is None or written[index][0] > key):
-        index -= 1
-    return index
+def _base(firsts: Sequence[bytes], pairs: Sequence[tuple]) -> int:
+    """The index of the node among a run's new nodes, listed by their
+    first keys ``firsts``, that spans the most keys of ``pairs`` (a
+    retired node's) — the one it shares the most rows with — the first
+    such on a tie, a key before every node's first key counting for
+    none: ``pairs`` bisected at the first keys of the nodes between the
+    ones spanning its first and last key."""
+    low = max(bisect.bisect_right(firsts, pairs[0][0]) - 1, 0)
+    high = bisect.bisect_right(firsts, pairs[-1][0], low)
+    if high - low < 2:
+        return low
+    cuts = [_position(pairs, first) for first in firsts[low:high]]
+    counts = list(map(sub, cuts[1:] + [len(pairs)], cuts))
+    return low + counts.index(max(counts))
 
 
 def _stored(store: ChunkStore, address: Digest) -> tuple:
@@ -717,9 +724,7 @@ class PosTree(SiriIndex):
         # is the key the next node right of the runs so far is listed
         # under (every level's first node is listed under the tree's
         # least key), None past the last.
-        runs: List[
-            Tuple[Optional[bytes], Optional[bytes], list, list, _Run]
-        ] = []
+        runs: List[Tuple[Optional[bytes], Optional[bytes], list, _Run]] = []
         edge = self._node(self.root)[1][0][0] if depth else None
         tiled = True
         done = 0
@@ -731,9 +736,7 @@ class PosTree(SiriIndex):
             source = _stored(self.store, address)
             tiled = tiled and first == edge
             last = first
-            # The nodes the run replaces, and the keys they are listed
-            # under (the root: None).
-            replaced, listed = [address], [first]
+            replaced = [address]
             run = _Run(self.store, self.mask_bits, tag)
             kept = 0
             while True:
@@ -756,9 +759,8 @@ class PosTree(SiriIndex):
                 )
                 source = _stored(self.store, address)
                 replaced.append(address)
-                listed.append(last)
                 kept = _position_after(node, high)
-            runs.append((first, last, replaced, listed, run))
+            runs.append((first, last, replaced, run))
             edge = upper
         if tag == "B" and tiled and edge is None:
             top = [pair for *_nodes, run in runs for pair in run.pairs]
@@ -770,26 +772,31 @@ class PosTree(SiriIndex):
                 return [(None, None, top)]
         above: List[_Change] = []
         store, cache = self.store, self.store.decode_cache
-        for first, last, replaced, listed, run in runs:
+        for first, last, replaced, run in runs:
             written = run.write()
             children = [child for _key, child in written]
             if children != replaced:
                 above.append((first, last, written))
+                firsts = [key for key, _child in written]
                 # No address occurs twice in one tree, so these are the
                 # nodes the new version stops sharing: each is kept as
-                # a delta against the node that took its place, cut at
-                # the rows the run kept or rewrote.
-                for key, address in zip(listed, replaced):
+                # a delta against the new node it shares the most rows
+                # with, cut at the rows the run kept or rewrote.
+                for address in replaced:
                     if address not in children:
                         retired = cache.pop(address, None)
                         if written:
-                            index = _successor(written, key)
-                            successor = written[index][1]
+                            index = (
+                                _base(firsts, retired[1])
+                                if len(written) > 1 and retired and retired[1]
+                                else 0
+                            )
+                            base = written[index][1]
                             rows = retired and partial(
-                                edit_spans, retired[1], cache[successor][1],
+                                edit_spans, retired[1], cache[base][1],
                                 run.kept[index],
                             )
-                            store.supersede(address, successor, rows)
+                            store.supersede(address, base, rows)
             # Free the bytes of the nodes the run kept from: a retired
             # node's are garbage once its delta is stored.
             run.kept = None

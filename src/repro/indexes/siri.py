@@ -44,7 +44,9 @@ from repro.forkbase.chunk_store import ChunkStore
 #: node written under its predecessor's prefix length copies the rows it
 #: keeps as slices of the predecessor's bytes (:func:`encode_node`), and
 #: the same stretches name the rows its delta copies back
-#: (:func:`edit_spans`).
+#: (:func:`edit_spans`).  Under another prefix length a row's suffix and
+#: digest are still the same bytes, shifted by the difference, so a split
+#: or merge that moves the prefix still copies them back one row apiece.
 _TAGS = {b"L": "L", b"B": "B"}
 _DIGEST_BYTES = 32
 #: One-byte varints, by value.
@@ -251,19 +253,21 @@ def edit_spans(
     ``was`` is one span; a pair between the stretches, one the edit
     wrote, shares its ``length ‖ suffix`` with the pair of its key in
     ``was`` (its whole row if the digest is the same); spans that follow
-    each other in both are one.  A shared row is the same bytes only
-    under the same header, so there are no spans unless the two headers
-    are equal; nor when the middle is no wider than its first row."""
-    cut = was[1]
+    each other in both are one.  Where the two prefixes differ in length
+    a shared row is a span of its own — the key bytes past the longer
+    prefix, and the digest if it is the same, at offsets shifted by the
+    difference — and its length byte, with any key bytes ``was``'s row
+    holds that ``now``'s prefix does, is left to the literals.  No spans
+    when the middle is no wider than ``was``'s first row."""
+    cut, now_cut = was[1], now[1]
     head = 2 + cut
     if (
-        cut >= 0x80 or head >= len(was)
+        cut >= 0x80 or now_cut >= 0x80 or head >= len(was)
         or len(was) - suffix - prefix <= was[head] + 1 + _DIGEST_BYTES
-        or was[:head] != now[:head]
     ):
         return []
     old_starts = _row_starts(was, old_pairs, head, cut)
-    new_starts = _row_starts(now, new_pairs, head, cut)
+    new_starts = _row_starts(now, new_pairs, 2 + now_cut, now_cut)
     if old_starts[-1] != len(was) or new_starts[-1] != len(now):
         return []  # a suffix of 128 bytes or more: a wider varint
     # A written pair can hold the key only of a row of was's that no
@@ -288,10 +292,17 @@ def edit_spans(
         if stored is not None:
             shared.append((row, at, count, True))
             low = row + count
+    shift = now_cut - cut
+    if shift:  # the length bytes differ: one span a row, past them
+        shared = [
+            (row + i, to + i, 1, whole)
+            for row, to, count, whole in shared for i in range(count)
+        ]
     spans: List[List[int]] = []
     end = None
     for row, to, count, whole in shared:
-        start, at = old_starts[row], new_starts[to]
+        start = old_starts[row] + (shift and 1 + max(shift, 0))
+        at = new_starts[to] + (shift and 1 - min(shift, 0))
         size = old_starts[row + count] - start - (
             0 if whole else _DIGEST_BYTES
         )

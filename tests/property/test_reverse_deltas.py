@@ -4,10 +4,12 @@
   overwrites, deletes, splits and merges, a leaf's prefix moving at its
   ends, keys of mixed widths and a suffix of 128 bytes or more), every
   node an apply writes is the bytes ``encode_node`` makes of its pairs
-  with no rows copied, and every node it retires is stored as the
-  delta ``supersede`` makes, on a twin store, from the spans the row
-  walk the apply used to run finds (:func:`_reference_shared_rows`,
-  kept here as the oracle);
+  with no rows copied, and every node it retires is stored against
+  the node of its run that a lookup of the most of its keys lands in
+  (:func:`_reference_base`), as the delta ``supersede`` makes, on a
+  twin store, from the spans a walk over its rows finds — each shifted
+  by the prefix difference where the prefix moved
+  (:func:`_reference_shared_rows`, the oracle);
 - **round trip** — for random insert, delete and overwrite batches on a
   POS-tree (keys of one width, or of mixed widths), every chunk the
   store holds as a delta rebuilds to bytes that hash to its address,
@@ -75,30 +77,34 @@ def _reference_shared_rows(old_pairs, new_pairs, was, now, prefix, suffix):
     suffix, each found in ``now`` by key, a run of pairs both nodes
     hold as the same objects taken whole, an overwritten pair's
     ``length ‖ suffix`` shared, and spans that follow each other in
-    both made one; none unless the headers are equal, the middle is
-    wider than the first row and no suffix needs a two-byte varint."""
-    cut = was[1]
+    both made one; none unless the middle is wider than the first row
+    and no suffix needs a two-byte varint.  Where the two prefixes
+    differ in length, each shared row is a span of its own: the key
+    bytes past the longer prefix and the digest if it is the same,
+    found in each row past its length byte and the prefix bytes the
+    other node's prefix holds."""
+    cut, now_cut = was[1], now[1]
     head = 2 + cut
     if (
-        cut >= 0x80 or head >= len(was)
+        cut >= 0x80 or now_cut >= 0x80 or head >= len(was)
         or len(was) - suffix - prefix <= was[head] + 1 + 32
-        or was[:head] != now[:head]
     ):
         return []
 
-    def starts(pairs):
+    def starts(pairs, cut):
         return list(accumulate(
-            (len(key) - cut + 1 + 32 for key, _digest in pairs), initial=head
+            (len(key) - cut + 1 + 32 for key, _digest in pairs),
+            initial=2 + cut,
         ))
 
-    old_starts, new_starts = starts(old_pairs), starts(new_pairs)
+    old_starts, new_starts = starts(old_pairs, cut), starts(new_pairs, now_cut)
     if old_starts[-1] != len(was) or new_starts[-1] != len(now):
         return []
     spans = []
     end = None
-    at = to = bisect_right(old_starts, prefix) - 1
+    at, to = max(bisect_right(old_starts, prefix) - 1, 0), 0
     old_stop = bisect_left(old_starts, len(was) - suffix, at)
-    new_stop = bisect_left(new_starts, len(now) - suffix, to)
+    new_stop = bisect_left(new_starts, len(now) - suffix)
     while at < old_stop:
         old = old_pairs[at]
         if to >= new_stop or new_pairs[to] is not old:
@@ -109,7 +115,14 @@ def _reference_shared_rows(old_pairs, new_pairs, was, now, prefix, suffix):
         if old[0] != new[0]:
             at += 1
             continue
-        if old is new:
+        start, source = old_starts[at], new_starts[to]
+        if cut != now_cut:
+            same = 1
+            longer = max(cut, now_cut)
+            start += 1 + longer - cut
+            source += 1 + longer - now_cut
+            size = len(old[0]) - longer + (32 if old[1] == new[1] else 0)
+        elif old is new:
             same = next(compress(count(1), map(
                 is_not, old_pairs[at + 1:old_stop],
                 new_pairs[to + 1:new_stop],
@@ -120,7 +133,6 @@ def _reference_shared_rows(old_pairs, new_pairs, was, now, prefix, suffix):
             size = old_starts[at + 1] - old_starts[at] - (
                 0 if old[1] == new[1] else 32
             )
-        start, source = old_starts[at], new_starts[to]
         if start == end and spans[-1][1] + spans[-1][2] == source:
             spans[-1][2] += size
         else:
@@ -129,6 +141,19 @@ def _reference_shared_rows(old_pairs, new_pairs, was, now, prefix, suffix):
         at += same
         to += same
     return spans
+
+
+def _reference_base(retired: bytes, written) -> int:
+    """The written node a lookup of the most of ``retired``'s keys lands
+    in — the last listed at or before the key; a key before them all is
+    in none — the first such on a tie, by its index in ``written``."""
+    spanned = [0] * len(written)
+    for key, _digest in decode_node(retired)[1]:
+        landed = [i for i, (first, _address) in enumerate(written)
+                  if first <= key]
+        if landed:
+            spanned[landed[-1]] += 1
+    return spanned.index(max(spanned))
 
 
 def _mixed_key(n: int) -> bytes:
@@ -163,10 +188,17 @@ def test_the_apply_writes_and_retires_what_the_oracle_does(
         assert data == encode_node(node)
         return data
 
-    supersede = ChunkStore.supersede
+    write, supersede = pos_tree._Run.write, ChunkStore.supersede
+    written = []
+
+    def recorded(self):
+        written[:] = write(self)
+        return written[:]
 
     def checked(self, old, new, shared=None):
         was, now = self._entries.get(old), self._entries.get(new)
+        # The base is the run's new node spanning the most of its rows.
+        assert written[_reference_base(self.get(old), written)][1] == new
         twin = None
         if (
             was.__class__ is bytes and now.__class__ is bytes and old != new
@@ -187,6 +219,7 @@ def test_the_apply_writes_and_retires_what_the_oracle_does(
             assert self._entries[old] == twin._entries[old]
 
     with mock.patch.object(pos_tree, "encode_node", encode), \
+            mock.patch.object(pos_tree._Run, "write", recorded), \
             mock.patch.object(ChunkStore, "supersede", checked):
         for batch in batches:
             tree = tree.apply({

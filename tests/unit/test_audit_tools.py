@@ -160,13 +160,31 @@ class TestAuditLedger:
             assert lost and any("block #0" in f for f in findings)
 
     def test_detects_a_corrupted_node(self):
+        """A corrupted chunk corrupts the older versions stored as deltas
+        against it that copy the flipped byte (a declared cost of
+        reverse deltas): the audit names it and exactly those, each
+        once, in the order of the blocks that wrote them."""
         ledger = self._deep_ledger()
         address = self._node_written_by(ledger, 3, "L")
+        dependents = self._stored_against(ledger.chunks, address)
         data = ledger.chunks._entries[address]
         ledger.chunks._entries[address] = data[:-1] + bytes([data[-1] ^ 1])
+        damaged = {
+            held for held in dependents
+            if hash_bytes(ledger.chunks.get(held)) != held
+        }
+        assert damaged
         findings = audit_ledger(ledger)
-        assert len(findings) == 1 and "block #3: index node" in findings[0]
-        assert "does not hash to its address" in findings[0]
+        assert len(findings) == 1 + len(damaged)
+        assert all("does not hash to its address" in f for f in findings)
+        assert findings[-1].startswith(
+            f"block #3: index node {address.hex()[:12]}"
+        )
+        assert {f.split()[4] for f in findings} == {
+            held.hex()[:12] for held in damaged | {address}
+        }
+        heights = [int(f.split()[1][1:-1]) for f in findings]
+        assert heights == sorted(heights)
 
     def test_detects_a_dropped_value_chunk(self):
         ledger = self._deep_ledger()

@@ -9,7 +9,7 @@ from repro.core.database import SpitzDatabase
 from repro.crypto.hashing import hash_bytes
 from repro.durability.checkpoint import load_database, save_database
 from repro.forkbase.chunk_store import Delta
-from repro.indexes.pos_tree import PosTree
+from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
 from repro.indexes.siri import SiriProof, decode_node
 
 #: A delta's head: base address, prefix and suffix lengths (u32 each).
@@ -225,6 +225,68 @@ class TestHistoryAsDeltas:
         assert hash_bytes(store.get(old_leaf)) == old_leaf
         assert tree.get(low) is None and newer.get(low) == b"a"
 
+    def test_a_split_stores_its_leaf_against_the_sibling_with_its_rows(
+        self, store
+    ):
+        """An overwrite makes a leaf's first pair a split point: the pair
+        goes off on its own and the leaf's other rows stay together.
+        The retired leaf is stored against the node holding those rows,
+        as the one row it differs by."""
+        tree = PosTree.from_items(store, _items(1000))
+        leaf = _leaf_address(tree, b"k000500")
+        keys = [key for key, _digest in decode_node(store.get(leaf))[1]]
+        first, second = keys[:2]
+        value = next(
+            value for value in (b"s%d" % n for n in range(10_000))
+            if _splits_after(first, value)
+        )
+        newer = tree.apply({first: value})
+        sibling = _leaf_address(newer, second)
+        assert _leaf_address(newer, first) != sibling
+        assert decode_node(store.get(sibling))[1][-1][0] == keys[-1]
+        stored = dict(store.items())[leaf]
+        assert isinstance(stored, Delta) and stored[:32] == sibling
+        row = 1 + len(first) + 32  # at most: length, whole key, digest
+        assert len(stored) <= DELTA_HEAD + row
+        assert hash_bytes(store.get(leaf)) == leaf
+
+    def test_a_merge_that_shortens_the_prefix_copies_each_shared_row(
+        self, store
+    ):
+        """An overwrite takes the split point off a leaf's last pair, so
+        it merges with its right neighbour under a shorter prefix: every
+        row it shares with the merged leaf is a copy shifted by the
+        prefix difference, costing a copy (6 B) and its length byte, and
+        the rewritten row and the header are literal."""
+        tree = PosTree.from_items(store, _items(1000))
+        leaves = _leaves(tree)
+        cut, leaf, pairs = next(
+            (cut, address, pairs)
+            for (address, pairs), (_right, after) in zip(leaves, leaves[1:])
+            if (cut := _prefix(pairs[0][0], pairs[-1][0]))
+            > _prefix(pairs[0][0], after[-1][0])
+        )
+        last = pairs[-1][0]
+        value = next(
+            value for value in (b"m%d" % n for n in range(10_000))
+            if not _splits_after(last, value)
+        )
+        newer = tree.apply({last: value})
+        merged = _leaf_address(newer, last)
+        assert _leaf_address(newer, pairs[0][0]) == merged
+        assert decode_node(store.get(merged))[1][-1][0] > last
+        stored = dict(store.items())[leaf]
+        assert isinstance(stored, Delta) and stored[:32] == merged
+        assert stored[32] & 0x80
+        shared = len(pairs) - 1
+        unshared = 1 + len(last) - cut + 32
+        header = 2 + cut
+        assert len(stored) <= (
+            MULTI_HUNK_HEAD + header + 7 * shared + unshared
+        )
+        assert hash_bytes(store.get(leaf)) == leaf
+        assert newer.get(last) == value and tree.get(last) != value
+
     def test_every_historical_node_rebuilds_after_a_checkpoint(
         self, tmp_path
     ):
@@ -276,7 +338,7 @@ class TestPinnedHistory:
     names a retired node's delta from the same edit; neither may move a
     byte of what is stored, and a moved byte moves one of these."""
 
-    PHYSICAL_BYTES = 1_285_728
+    PHYSICAL_BYTES = 1_196_635
     TIP_ROOT = (
         "82da999d1f15d8ab435f8fc571301da04c448de36b92083eea2ebdfb1a01cef5"
     )
@@ -312,6 +374,38 @@ class TestPinnedHistory:
         assert db.chunks.stats.physical_bytes == self.PHYSICAL_BYTES
         assert digest.tree_root.hex() == self.TIP_ROOT
         assert digest.chain_digest.hex() == self.CHAIN_DIGEST
+
+
+def _splits_after(key, value):
+    """Whether the leaf pair ``key → value`` is a split point at the
+    default width (``pos_tree._Run._ends_node``)."""
+    digest = hash_bytes(key + hash_bytes(value))
+    mask = (1 << DEFAULT_MASK_BITS) - 1
+    return int.from_bytes(digest[:4], "big") & mask == 0
+
+
+def _prefix(first, last):
+    """The length of the longest common prefix of two keys."""
+    return next(
+        (at for at, (a, b) in enumerate(zip(first, last)) if a != b),
+        min(len(first), len(last)),
+    )
+
+
+def _leaves(tree):
+    """Every leaf as ``(address, pairs)``, left to right."""
+    found = []
+
+    def walk(address):
+        tag, pairs = decode_node(tree.store.get(address))
+        if tag == "L":
+            found.append((address, pairs))
+        else:
+            for _key, child in pairs:
+                walk(child)
+
+    walk(tree.root)
+    return found
 
 
 def _leaf_address(tree, key):
