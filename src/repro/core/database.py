@@ -28,7 +28,7 @@ processor") needs none of this facade: its ledger server is a bare
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import (
     Any,
     Callable,
@@ -90,6 +90,7 @@ from repro.core.schema import (
 from repro.core import sql as sql_module
 from repro.core.universal_key import UniversalKey
 from repro.search.committed import (
+    SEARCH_PREFIX,
     encode_postings,
     posting_key,
     posting_writes,
@@ -329,24 +330,35 @@ class SpitzDatabase:
 
     def persisted_versions(
         self,
-    ) -> Iterator[Tuple[bytes, int, Optional[Digest]]]:
-        """Every committed version as ``(logical key, commit timestamp,
-        value digest | None for a delete)``, a key's in commit order;
-        a value no block sealed (``block_batch > 1``) is put as a chunk
-        now."""
-        for logical_key, version in self.versions.all_versions():
-            digest = None
-            if version.value is not None:
-                digest = hash_bytes(version.value)
-                if digest not in self.chunks:
-                    self.chunks.put(version.value)
-            yield logical_key, version.commit_ts, digest
+    ) -> Tuple[List[Tuple[bytes, int, Optional[Digest]]], List[int]]:
+        """What of the versions the tip tree cannot tell: every version
+        but a key's newest live one as ``(logical key, commit timestamp,
+        value digest | None for a delete)``, a key's in commit order, and
+        each newest live version's commit timestamp, in key order (the
+        tip's order of its keys, the postings aside); a value no block
+        sealed (``block_batch > 1``) is put as a chunk now."""
+        rows: List[Tuple[bytes, int, Optional[Digest]]] = []
+        stamps: List[int] = []
+        for logical_key, older, newest in self.versions.histories():
+            for version in older:
+                digest = None
+                if version.value is not None:
+                    digest = hash_bytes(version.value)
+                    if digest not in self.chunks:
+                        self.chunks.put(version.value)
+                rows.append((logical_key, version.commit_ts, digest))
+            if newest.value is None:
+                rows.append((logical_key, newest.commit_ts, None))
+            else:
+                stamps.append(newest.commit_ts)
+        return rows, stamps
 
     def restore(
         self,
         blocks: Sequence[Tuple[Digest, Digest, int, Sequence[str]]],
         tables: Sequence[TableSchema],
         versions: Sequence[Tuple[bytes, int, Optional[Digest]]],
+        stamps: Sequence[int],
         high_water: int,
         indexed_columns: Sequence[str] = (),
     ) -> None:
@@ -354,29 +366,40 @@ class SpitzDatabase:
         the schemas, :meth:`persisted_versions`, the oracle's high-water
         mark, the indexed columns — on a database fresh from the
         constructor, its chunk store holding the checkpoint's chunks;
-        derive the version map and the inverted index.
-        :class:`TamperDetectedError` unless the tip tree's ``(key →
-        value digest)`` is the versions' live set plus the postings
-        derived from it: unverified reads and searches answer from the
+        derive the version map, each tip key's newest version from its
+        leaf pair and its stamp, and the inverted index.
+        :class:`TamperDetectedError` unless the tip's keys are exactly
+        the keys whose newest version is live plus the postings derived
+        from them: unverified reads and searches answer from the
         versions, a pinned chain digest commits only to the tip."""
         self.ledger.link(blocks)
         self._tables.update((schema.name, schema) for schema in tables)
         self.oracle.advance_to(high_water)
         if indexed_columns:
             self._indexed = _indexed_columns(indexed_columns)
-        self.versions.restore(
-            (logical_key, Version(
-                stamp, None if digest is None else self.chunks.get(digest)
-            ))
-            for logical_key, stamp, digest in versions
-        )
-        # A key's pairs come in commit order: the last is its newest.
+        tip = list(self.ledger.tree.digests())
+        held = [pair for pair in tip if not pair[0].startswith(SEARCH_PREFIX)]
         latest = {key: digest for key, _stamp, digest in versions}
-        live = [
-            (key, digest) for key, digest in latest.items()
-            if digest is not None
-        ]
-        for logical_key, _digest in live:
+        latest.update(held)
+        live = sum(digest is not None for digest in latest.values())
+        if (live, len(stamps)) != (len(held), len(held)):
+            raise TamperDetectedError(
+                f"the version table's live set ({live} keys, {len(stamps)} "
+                f"newest stamps) is not the tip tree's {len(held)} keys"
+            )
+        try:
+            self.versions.restore(chain(
+                ((logical_key, Version(
+                    stamp, None if digest is None else self.chunks.get(digest)
+                )) for logical_key, stamp, digest in versions),
+                ((logical_key, Version(stamp, self.chunks.get(digest)))
+                 for (logical_key, digest), stamp in zip(held, stamps)),
+            ))
+        except ValueError as error:  # a row no older than the tip's
+            raise TamperDetectedError(
+                f"the version table and the tip tree differ: {error}"
+            ) from None
+        for logical_key, _digest in held:
             if not logical_key.startswith(KV_PREFIX):
                 # posted as the commit that wrote it did
                 newest = self.versions.read_latest(logical_key)
@@ -386,18 +409,18 @@ class SpitzDatabase:
         # The tip must commit exactly the postings the versions support,
         # as enabling search commits them.
         self._dirty_postings = {}
-        live.extend(
+        postings = sorted(
             (key, hash_bytes(postings)) for key, postings in posting_writes(
                 self.inverted, sorted(self._indexed)
             ).items()
         )
-        for ours, theirs in zip_longest(
-            sorted(live), self.ledger.tree.digests()
-        ):
+        for ours, theirs in zip_longest(postings, (
+            pair for pair in tip if pair[0].startswith(SEARCH_PREFIX)
+        )):
             if ours != theirs:
                 raise TamperDetectedError(
-                    "the version table's live set and the tip tree differ "
-                    f"at key {(ours or theirs)[0]!r}"
+                    "the postings the versions support and the tip tree "
+                    f"differ at key {(ours or theirs)[0]!r}"
                 )
 
     # ------------------------------------------------------------------

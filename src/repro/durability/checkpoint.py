@@ -1,36 +1,42 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
 A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
-folded in) is layout 12: ``magic ‖ SHA-256(manifest) ‖ manifest
+folded in) is layout 13: ``magic ‖ SHA-256(manifest) ‖ manifest
 length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
 owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
 :meth:`SpitzDatabase.restore` own what they mean.
 
 **Persisted** is what cannot be derived.  The manifest holds the
 configuration (``mask_bits``, ``block_batch``, the indexed columns),
-the oracle's high-water mark, the chunk store's accounting, the
-schemas, each block's ``tree_root``, ``writes_digest``, ``write_count``
-and statements, and every version as sorted ``(logical key ‖
+the oracle's high-water mark, the chunk store's accounting and
+``hash_many`` of the section's addresses in record order, the schemas,
+each block's ``tree_root``, ``writes_digest``, ``write_count`` and
+statements, the commit timestamp of each key the tip tree holds live,
+in the tip's key order (its postings aside), and every other version —
+the older ones and a newest delete — as sorted ``(logical key ‖
 timestamp(u64), value digest | 0³² for a delete)`` pairs in
 :func:`~repro.indexes.siri.encode_node`'s codec.  The chunk section
-holds every chunk as a record, in its stored form.
+holds every chunk as a record ``varint(length << 1 | delta) ‖ stored
+bytes``, without its address.
 
 **Derived** on load, through the ordinary constructor with the caller's
-metrics, oracle and certifier: each block's statement digest and chain
-link, the tip tree, the version map (each key's newest version in
-the MVCC store's B+-tree), the versions' values, the inverted index
-and the postings the tip commits.  A chunk is accepted once it
-rebuilds to bytes that hash to its address, the section once it is the
-one the manifest names; the manifest's digest catches damage, and an
-editor is caught by the tip tree having to be the versions' live set
-plus the postings derived from it (layout 10 committed postings in
-per-column trees beside the ledger and is refused).  A delta record may
-cut its middle into several hunks (layout 11 held one-hunk deltas only
-and is refused too: an older build could not read this layout's
-records).  Any failure is a
+metrics, oracle and certifier: each chunk's address (a whole chunk's
+hash, a delta's the hash of what it rebuilds to from its base), each
+block's statement digest and chain link, the tip tree, each live key
+and value digest (the tip's leaf pairs), the version map (each key's
+newest version in the MVCC store's B+-tree), the versions' values, the
+inverted index and the postings the tip commits.  The section is
+accepted once every delta rebuilds and the addresses are the ones the
+manifest names, in its order, so damage to any record is caught,
+history no tip walk reaches included; the manifest's digest catches
+damage to it, and an editor is caught by the tip's keys having to be
+exactly those whose newest version is live, no version of them newer,
+plus the postings derived from them.  Any failure is a
 :class:`~repro.errors.TamperDetectedError`.  A file of another layout
 is refused by name before anything past the magic is read; there is no
-migration.
+migration: layout 12 wrote an address ahead of every record and every
+live version's key and digest, layout 11 held one-hunk deltas only,
+layout 10 committed postings in per-column trees beside the ledger.
 """
 
 from __future__ import annotations
@@ -40,11 +46,13 @@ import re
 import struct
 from dataclasses import astuple
 from pathlib import Path
-from typing import BinaryIO, List, Sequence, Tuple, Union
+from typing import (
+    BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.database import SpitzDatabase
 from repro.core.schema import TableSchema
-from repro.crypto.hashing import hash_bytes
+from repro.crypto.hashing import hash_bytes, hash_many
 from repro.errors import (
     FormatVersionError,
     SpitzError,
@@ -61,22 +69,21 @@ _CHECKPOINT_RE = re.compile(
 )
 #: Layouts 1–9 were stamped ``SPITZDB`` and one digit; from layout 10
 #: on the stamp is ``SPITZ`` and three digits.
-_MAGIC = b"SPITZ012"
+_MAGIC = b"SPITZ013"
 _LAYOUT = re.compile(rb"SPITZ(?:DB(\d)|(\d{3}))")
 #: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")
 #: The manifest's fixed head: ``mask_bits``, ``block_batch``, the
-#: oracle's high-water mark, then the chunk store's accounting
-#: (:class:`StoreStats`, field by field).
-_FIXED = struct.Struct(">BIQQQQQQ")
+#: oracle's high-water mark, the chunk store's accounting
+#: (:class:`StoreStats`, field by field), then ``hash_many`` of the
+#: chunk section's addresses in record order.
+_FIXED = struct.Struct(">BIQQQQQQ32s")
 #: A block ahead of its statements: tree root, writes digest, writes.
 _BLOCK = struct.Struct(">32s32sQ")
 #: The version table's digest for a delete (no value hashes to it).
 _DELETED = bytes(32)
-#: Ahead of each chunk's stored bytes: its address and length.
-_RECORD = struct.Struct(">32sI")
-#: The length's top bit: the record is a delta.
-_DELTA_BIT = 1 << 31
+#: The largest commit timestamp a varint in the manifest may grow to.
+_STAMP_MOST = 1 << 64
 #: Older checkpoints retained beside the newest, as fallbacks for one
 #: that fails its integrity check.
 KEEP_OLDER = 2
@@ -102,9 +109,10 @@ def save_database(db: SpitzDatabase, path: Union[str, Path]) -> int:
                 handle.write(_MAGIC)
                 handle.write(_HEADER.pack(hash_bytes(manifest), len(manifest)))
                 handle.write(manifest)
-                for address, data in db.chunks.items():
-                    flag = _DELTA_BIT if data.__class__ is Delta else 0
-                    handle.write(_RECORD.pack(address, len(data) | flag))
+                for _address, data in db.chunks.items():
+                    handle.write(varint(
+                        len(data) << 1 | (data.__class__ is Delta)
+                    ))
                     handle.write(data)
                 size = handle.tell()
                 handle.flush()
@@ -127,15 +135,12 @@ def _texts(texts: Sequence[str]) -> bytes:
 def _manifest(db: SpitzDatabase) -> bytes:
     """What of ``db`` cannot be derived (see the module docstring)."""
     # First: putting a value no block sealed moves the chunk accounting.
-    versions = encode_node(("L", tuple(sorted(
-        (key + stamp.to_bytes(8, "big"), digest or _DELETED)
-        for key, stamp, digest in db.persisted_versions()
-    ))))
+    rows, stamps = db.persisted_versions()
     ledger = db.ledger
     parts = [
         _FIXED.pack(
             ledger.tree.mask_bits, db.block_batch, db.oracle.current(),
-            *astuple(db.chunks.stats),
+            *astuple(db.chunks.stats), hash_many(db.chunks.addresses()),
         ),
         _texts(db.search_columns),
         varint(len(db.tables())),
@@ -150,7 +155,11 @@ def _manifest(db: SpitzDatabase) -> bytes:
         parts.append(_BLOCK.pack(
             block.tree_root, block.writes_digest, block.write_count
         ) + _texts(ledger.statements(block.height)))
-    parts.append(versions)
+    parts += (varint(len(stamps)), *map(varint, stamps))
+    parts.append(encode_node(("L", tuple(sorted(
+        (key + stamp.to_bytes(8, "big"), digest or _DELETED)
+        for key, stamp, digest in rows
+    )))))
     return b"".join(parts)
 
 
@@ -160,7 +169,7 @@ class _Manifest:
 
     def __init__(self, data: bytes):
         self._data, self._at = data, 0
-        mask_bits, block_batch, self.high_water, *stats = (
+        mask_bits, block_batch, self.high_water, *stats, self.section = (
             self._fixed(_FIXED)
         )
         self.stats = StoreStats(*stats)
@@ -179,6 +188,9 @@ class _Manifest:
             (*self._fixed(_BLOCK), self._texts())
             for _ in range(self._varint())
         ]
+        self.stamps = [
+            self._varint(_STAMP_MOST) for _ in range(self._varint())
+        ]
         tag, pairs = decode_node(data[self._at:])
         if tag != "L" or any(len(key) < 8 for key, _ in pairs):
             raise ValueError("a version table entry has no timestamp")
@@ -196,8 +208,8 @@ class _Manifest:
         self._at += layout.size
         return fields
 
-    def _varint(self) -> int:
-        number, self._at = varint_at(self._data, self._at)
+    def _varint(self, most: Optional[int] = None) -> int:
+        number, self._at = varint_at(self._data, self._at, most)
         return number
 
     def _texts(self) -> List[str]:
@@ -249,11 +261,11 @@ def load_database(path: Union[str, Path], **db_kwargs) -> SpitzDatabase:
                 f"snapshot {path}: the manifest does not parse ({error})"
             ) from None
         del data
-        _read_chunks(handle, path, db.chunks, manifest.stats)
+        _read_chunks(handle, path, db.chunks, manifest)
     try:
         db.restore(
             manifest.blocks, manifest.tables, manifest.versions,
-            manifest.high_water, manifest.indexed,
+            manifest.stamps, manifest.high_water, manifest.indexed,
         )
     except SpitzError as error:
         raise TamperDetectedError(f"snapshot {path}: {error}") from None
@@ -263,39 +275,53 @@ def load_database(path: Union[str, Path], **db_kwargs) -> SpitzDatabase:
 
 
 def _read_chunks(
-    handle: BinaryIO, path, store: ChunkStore, named: StoreStats
+    handle: BinaryIO, path, store: ChunkStore, manifest: _Manifest
 ) -> None:
-    """The chunk section into ``store``: a whole record put (so hashed)
-    under its own address, a delta once it rebuilds to bytes that do,
-    and the section once it holds the chunks and bytes ``named``."""
-    cut_short = f"snapshot {path}: a chunk record is cut short"
-    unbuilt = (
-        f"snapshot {path}: chunk %s does not rebuild to bytes that hash to "
-        "its address"
-    )
-    for head in iter(lambda: handle.read(_RECORD.size), b""):
-        if len(head) < _RECORD.size:
-            raise TamperDetectedError(cut_short)
-        address, length = _RECORD.unpack(head)
-        delta, length = length & _DELTA_BIT, length & ~_DELTA_BIT
-        data = handle.read(length)
-        if len(data) < length:
-            raise TamperDetectedError(cut_short)
-        if not (
-            store.put_delta(address, data) if delta
-            else store.put(data) == address
-        ):
-            raise TamperDetectedError(unbuilt % address.hex()[:12])
-    address = store.check_deltas()
-    if address is not None:
-        raise TamperDetectedError(unbuilt % address.hex()[:12])
-    held = store.stats
+    """The chunk section into ``store``, accepted once every delta
+    rebuilds from a base in the section, the addresses derived are the
+    ones the manifest names, in its order, and the store holds the
+    chunks and bytes it names."""
+    addresses = store.load(_records(handle, path))
+    if None in addresses:
+        raise TamperDetectedError(
+            f"snapshot {path}: chunk record {addresses.index(None)} does "
+            "not rebuild from a base in the section"
+        )
+    if hash_many(addresses) != manifest.section:
+        raise TamperDetectedError(
+            f"snapshot {path}: the chunk section does not rebuild to the "
+            "addresses the manifest names"
+        )
+    held, named = store.stats, manifest.stats
     if (held.unique_chunks, held.physical_bytes) != (
         named.unique_chunks, named.physical_bytes
     ):
         raise TamperDetectedError(
             f"snapshot {path}: the chunk section is not the one named"
         )
+
+
+def _records(handle: BinaryIO, path) -> Iterator[Tuple[bytes, bool]]:
+    """Each chunk record to the file's end as ``(stored bytes, is a
+    delta)``: ``varint(length << 1 | delta) ‖ stored bytes``, the varint
+    minimal and no record running past the file."""
+    at, end = handle.tell(), os.fstat(handle.fileno()).st_size
+    while at < end:
+        head = b""
+        for byte in iter(lambda: handle.read(1), b""):
+            head += byte
+            if byte < b"\x80" or len(head) == 10:
+                break
+        try:
+            word, width = varint_at(head, 0, end)
+            at += width + (word >> 1)
+        except ValueError:  # cut short in the head, or not minimal
+            at = end + 1
+        if at > end:
+            raise TamperDetectedError(
+                f"snapshot {path}: a chunk record is cut short"
+            )
+        yield handle.read(word >> 1), bool(word & 1)
 
 
 def checkpoint_path(root: Union[str, Path], lsn: int) -> Path:

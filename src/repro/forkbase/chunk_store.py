@@ -36,8 +36,9 @@ to a whole chunk; a re-put of content held as a delta stores it whole
 again.
 
 A checkpoint writes a store as its chunks in their stored form, not as
-an object graph, each accepted on load only once it rebuilds to bytes
-that hash to its address (:mod:`repro.durability.checkpoint`).
+an object graph, and without their addresses: :meth:`ChunkStore.load`
+derives each by hashing what its record rebuilds to
+(:mod:`repro.durability.checkpoint`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import struct
 import threading
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.crypto.hashing import Digest, hash_bytes
@@ -67,6 +69,11 @@ _HUNKED = struct.Struct(">32sIIH")
 #: A multi-hunk delta's offsets and lengths are u16s: a chunk longer
 #: than this keeps its one-hunk delta.
 _HUNK_MAX = 0xFFFF
+#: A copy's entry in a multi-hunk delta's table.
+_COPY = struct.Struct(">3H")
+#: The longest middle no cut can shrink: a copy must save more than its
+#: entry and the longer head, and a middle this short holds one copy.
+_UNCUT = _HUNKED.size - _DELTA.size + _COPY.size
 
 
 class Delta(bytes):
@@ -96,7 +103,7 @@ class Delta(bytes):
         if len(self) < _HUNKED.size:
             raise ValueError("a delta's copy count is cut short")
         count = _HUNKED.unpack_from(self)[3]
-        at = _HUNKED.size + 6 * count
+        at = _HUNKED.size + _COPY.size * count
         if at > len(self):
             raise ValueError("a delta's copies run past its record")
         pieces = [base[:prefix ^ _HUNKS]]
@@ -150,7 +157,7 @@ def _hunked(
             )
         if start + length > stop:
             length = stop - start
-        if length > 6:  # else the copy would cost what it saves
+        if length > _COPY.size:  # else it costs what it saves
             if old[start:start + length] != new[source:source + length]:
                 return None
             table += (start - at, source, length)
@@ -298,7 +305,10 @@ class ChunkStore:
             stop = len(was) - suffix
             size = _DELTA.size + stop - prefix
             delta = None
-            if shared is not None and max(len(was), len(now)) <= _HUNK_MAX:
+            if (
+                shared is not None and stop - prefix > _UNCUT
+                and max(len(was), len(now)) <= _HUNK_MAX
+            ):
                 spans = shared(was, now, prefix, suffix)
                 delta = spans and _hunked(
                     was, now, new, prefix, suffix, spans
@@ -388,64 +398,63 @@ class ChunkStore:
         entries = self._entries
         return ((address, entries[address]) for address in list(entries))
 
-    def put_delta(self, address: Digest, delta: bytes) -> bool:
-        """Hold ``delta`` as the stored form of ``address`` (a
-        checkpoint's record), unchecked until :meth:`check_deltas`;
-        False if the address is already held or the record is shorter
-        than a delta's head."""
-        with self._lock:
-            if address in self._entries or len(delta) < _DELTA.size:
-                return False
-            self._entries[address] = Delta(delta)
-            self.stats.unique_chunks += 1
-            self.stats.physical_bytes += len(delta)
-            return True
-
-    def check_deltas(self) -> Optional[Digest]:
-        """Rebuild every delta once and record how long each whole
-        chunk's longest chain is; returns the first address found whose
-        chain has a missing link, is longer than :data:`MAX_CHAIN` or
-        rebuilds to bytes of another hash, None when every one holds.
+    def load(
+        self, records: Iterable[Tuple[bytes, bool]]
+    ) -> List[Optional[Digest]]:
+        """Adopt a checkpoint's chunk section, ``(stored bytes, is a
+        delta)`` records in order, and return each record's address: a
+        whole chunk's is its hash, a delta's the hash of the bytes it
+        rebuilds to, None for a delta that does not rebuild (its base is
+        in no record, it sits on a cycle, it is malformed or its chain is
+        longer than :data:`MAX_CHAIN`).  Chunks are held in record order
+        behind those already held, and a chunk held already keeps its
+        form, so saving the store again writes the same section.
 
         Deltas are rebuilt outward from each whole base, one chain at a
         time, each from the bytes of the link it is stored against, so
-        each is patched and hashed once.  A delta no whole base reaches
-        has lost a link or sits on a cycle."""
-        depths, entries = self._depths, self._entries
-        depths.clear()
-        stored_against: Dict[Digest, List[Digest]] = {}
-        unbuilt = 0
-        for address, data in self.items():
-            if data.__class__ is Delta:
-                stored_against.setdefault(data[:32], []).append(address)
-                unbuilt += 1
-        for base, first in stored_against.items():
-            whole = entries.get(base)
-            if whole is None or whole.__class__ is Delta:
+        each is patched and hashed once, and each whole chunk's longest
+        chain is recorded."""
+        forms: List[Union[bytes, Delta]] = []
+        addresses: List[Optional[Digest]] = []
+        stored_against: Dict[bytes, List[int]] = {}
+        for data, delta in records:
+            address = None
+            if not delta:
+                address = hash_bytes(data)
+            elif len(data) >= _DELTA.size:
+                data = Delta(data)
+                stored_against.setdefault(data[:32], []).append(len(forms))
+            forms.append(data)
+            addresses.append(address)
+        depths = self._depths
+        for base, whole in zip(addresses, forms):
+            if base is None:  # a delta
                 continue
-            pending = [(address, whole, 1) for address in first]
+            pending = [
+                (later, whole, 1) for later in stored_against.pop(base, ())
+            ]
             while pending:
-                address, source, depth = pending.pop()
+                index, source, depth = pending.pop()
                 if depth > MAX_CHAIN:
-                    return address
+                    continue
                 try:
-                    data = entries[address].patch(source)
+                    data = forms[index].patch(source)
                 except ValueError:
-                    return address
-                if hash_bytes(data) != address:
-                    return address
-                unbuilt -= 1
-                if depth > depths.get(base, 0):
-                    depths[base] = depth
+                    continue
+                address = addresses[index] = hash_bytes(data)
+                depths[base] = max(depth, depths.get(base, 0))
                 pending += [
                     (later, data, depth + 1)
-                    for later in stored_against.get(address, ())
+                    for later in stored_against.pop(address, ())
                 ]
-        if unbuilt:
-            for address, data in self.items():
-                if data.__class__ is Delta and self._walk(data)[2] is None:
-                    return address
-        return None
+        entries, stats = self._entries, self.stats
+        with self._lock:
+            for address, data in zip(addresses, forms):
+                if address is not None and address not in entries:
+                    entries[address] = data
+                    stats.unique_chunks += 1
+                    stats.physical_bytes += len(data)
+        return addresses
 
     def export_metrics(self, registry) -> None:
         """Publish dedup accounting into a metrics registry.

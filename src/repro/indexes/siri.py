@@ -78,11 +78,15 @@ def varint(number: int) -> bytes:
     return bytes(out)
 
 
-def varint_at(data: bytes, at: int) -> Tuple[int, int]:
+def varint_at(
+    data: bytes, at: int, most: Optional[int] = None
+) -> Tuple[int, int]:
     """The varint at ``data[at:]`` and the offset just past it;
     ``ValueError`` if it is cut short or not minimal, or grows past
-    ``len(data)`` (no length in a node can, and the bound keeps a long
-    run of continuation bytes linear)."""
+    ``most`` (default ``len(data)``: no length in a node can, and the
+    bound keeps a long run of continuation bytes linear)."""
+    if most is None:
+        most = len(data)
     number = shift = 0
     while at < len(data):
         byte = data[at]
@@ -92,7 +96,7 @@ def varint_at(data: bytes, at: int) -> Tuple[int, int]:
             if byte == 0 and shift:
                 raise ValueError("node varint is not minimal")
             return number, at
-        if number > len(data):
+        if number > most:
             raise ValueError("node varint exceeds its node")
         shift += 7
     raise ValueError("node varint is cut short")

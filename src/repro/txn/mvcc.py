@@ -19,7 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from repro.indexes.bplus import BPlusTree
@@ -118,12 +119,18 @@ class MVCCStore:
     def all_versions(self) -> Iterator[Tuple[Any, Version]]:
         """``(key, version)`` for every stored version, in key order and
         a key's in commit order."""
+        for key, older, newest in self.histories():
+            for version in older:
+                yield key, version
+            yield key, newest
+
+    def histories(self) -> Iterator[Tuple[Any, Sequence[Version], Version]]:
+        """``(key, earlier versions, newest version)`` for every key, in
+        key order, the earlier ones in commit order."""
         with self._lock:
             latest = list(self._latest.items())
         for key, newest in latest:
-            for version in self._older.get(key, ()):
-                yield key, version
-            yield key, newest
+            yield key, self._older.get(key, ()), newest
 
     # -- writes ------------------------------------------------------------
 

@@ -18,9 +18,9 @@
   before a delta's middle could be cut): cutting never grows a delta;
 - **strictness** — a multi-hunk record with a byte flipped, cut short,
   extended, a copy pointed past its base or a literal run past the
-  record's end, loaded through ``put_delta``, is named by
-  ``check_deltas`` (never an ``IndexError`` or a ``struct.error``), and
-  a checkpoint holding it fails to load as tampered.
+  record's end, loaded by ``ChunkStore.load``, rebuilds to no chunk or
+  another (never an ``IndexError`` or a ``struct.error``), and a
+  checkpoint holding it fails to load as tampered.
 
 Runs under one fixed Hypothesis profile: same examples every run.
 """
@@ -41,7 +41,7 @@ from repro.errors import TamperDetectedError
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.indexes import pos_tree
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import decode_node, encode_node
+from repro.indexes.siri import decode_node, encode_node, varint
 
 settings.register_profile(
     "reverse-deltas", derandomize=True, deadline=None, max_examples=60
@@ -325,10 +325,8 @@ def test_a_damaged_multi_hunk_record_is_named(hunked_record):
     base, address, record = hunked_record
     named = 0
     for name, damaged in _mutations(base, record):
-        store = ChunkStore()
-        store.put(base)
-        if store.put_delta(address, damaged):
-            assert store.check_deltas() == address, name
+        loaded = ChunkStore().load([(base, False), (damaged, True)])
+        assert loaded[1] != address, name
         named += 1
     assert named > 2 * len(record)
 
@@ -347,7 +345,7 @@ def test_a_checkpoint_holding_a_damaged_multi_hunk_record_is_tamper(
         (address, bytes(data)) for address, data in stored.items()
         if isinstance(data, Delta) and _hunked(data)
     )
-    at = blob.index(address + (len(record) | 1 << 31).to_bytes(4, "big"))
+    at = blob.index(varint(len(record) << 1 | 1) + record)
     base = db.chunks.get(record[:32])
     damaged = dict(_mutations(base, record))
     for name in (
@@ -356,9 +354,9 @@ def test_a_checkpoint_holding_a_damaged_multi_hunk_record_is_tamper(
         "count past the table",
     ):
         forged = damaged[name]
-        head = address + (len(forged) | 1 << 31).to_bytes(4, "big")
-        path.write_bytes(
-            blob[:at] + head + forged + blob[at + 36 + len(record):]
-        )
+        head = varint(len(forged) << 1 | 1)
+        path.write_bytes(blob[:at] + head + forged + blob[
+            at + len(varint(len(record) << 1)) + len(record):
+        ])
         with pytest.raises(TamperDetectedError, match="does not rebuild"):
             load_database(path)

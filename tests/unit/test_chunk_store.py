@@ -11,7 +11,17 @@ from repro.durability.checkpoint import load_database, save_database
 from repro.errors import ChunkNotFoundError
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import decode_node
+from repro.indexes.siri import decode_node, varint
+
+
+def _reloaded(store):
+    """The addresses a checkpoint's load derives for ``store``'s chunks
+    in their stored forms, in order (None: a delta that does not
+    rebuild); ``store``'s own addresses when every delta rebuilds to
+    bytes that hash to its address."""
+    return ChunkStore().load(
+        (data, isinstance(data, Delta)) for _address, data in store.items()
+    )
 
 
 def _nodes_under(store, address):
@@ -88,8 +98,9 @@ class TestChunkStoreCheckpoint:
         # Header, the manifest, then each chunk once as a record: the
         # decode cache went nowhere.
         manifest = int.from_bytes(path.read_bytes()[40:48], "big")
-        assert size == 48 + manifest + 36 * len(store) + (
-            store.stats.physical_bytes
+        assert size == 48 + manifest + sum(
+            len(varint(len(data) << 1)) + len(data)
+            for _address, data in store.items()
         )
         reloaded = load_database(path).chunks
         assert reloaded.stats == store.stats
@@ -170,7 +181,7 @@ class TestReverseDeltas:
         assert store.get(longer) == self.NEW + b"!"
         assert store.get(shorter) == self.NEW[:-1]
         assert store.get(old) == self.OLD
-        assert store.check_deltas() is None
+        assert _reloaded(store) == list(store.addresses())
 
     def test_a_middle_is_cut_at_the_spans_named_shared(self):
         """Two edits 100 bytes apart: a one-hunk delta holds the 100
@@ -193,7 +204,7 @@ class TestReverseDeltas:
             store.supersede(a, b, lambda *_chunks: spans)
             assert dict(store.items())[a] == b + tail
             assert store.get(a) == old
-            assert store.check_deltas() is None
+            assert _reloaded(store) == list(store.addresses())
 
     def test_a_delta_whose_base_is_gone_is_missing(self, store):
         old, new, _before = self._superseded(store)
@@ -201,7 +212,7 @@ class TestReverseDeltas:
         assert store.get_optional(old) is None
         with pytest.raises(ChunkNotFoundError):
             store.get(old)
-        assert store.check_deltas() == old
+        assert _reloaded(store) == [None]
 
     def test_a_re_put_stores_a_delta_whole_again(self, store):
         """A value toggled A → B → A: the tree's first version is
@@ -218,7 +229,7 @@ class TestReverseDeltas:
         assert type(held[first.root]) is bytes
         assert isinstance(held[second.root], Delta)
         assert held[second.root][:32] == first.root
-        assert store.check_deltas() is None
+        assert _reloaded(store) == list(store.addresses())
         assert store.stats.physical_bytes == sum(map(len, held.values()))
         assert second.get(key) == b"b" and third.get(key) == b"a"
 
@@ -235,7 +246,7 @@ class TestReverseDeltas:
             return count
 
         assert max(map(links, held.values())) == MAX_CHAIN
-        assert store.check_deltas() is None
+        assert _reloaded(store) == list(store.addresses())
         for n, address in enumerate(versions):
             assert store.get(address) == b"v%03d" % n + bytes(200)
 

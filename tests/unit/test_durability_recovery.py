@@ -136,10 +136,11 @@ class TestCheckpoints:
     ):
         """A checkpoint whose chain is intact but whose live version of
         one key was edited fails its load like a damaged one: recovery
-        skips it and replays the older checkpoint's log suffix."""
+        skips it and replays the older checkpoint's log suffix.  The
+        tip gives a live key its value, so the edit is written as a
+        version-table row at the live version's timestamp."""
         from repro.core.schema import KV_PREFIX
         from repro.durability.checkpoint import load_database, save_database
-        from repro.txn.mvcc import Version
 
         with DurableDatabase.open(tmp_path) as ddb:
             for i in range(10):
@@ -150,11 +151,12 @@ class TestCheckpoints:
             ddb.put(b"k08", b"after")
             digest = ddb.digest()
         edited = load_database(path2)
-        store = edited.txn_manager.store
-        live = store.read_latest(KV_PREFIX + b"k07")
-        store._latest.insert(
-            KV_PREFIX + b"k07", Version(live.commit_ts, b"EDITED")
-        )
+        live = edited.versions.read_latest(KV_PREFIX + b"k07")
+        rows, stamps = edited.persisted_versions()
+        rows.append((
+            KV_PREFIX + b"k07", live.commit_ts, edited.chunks.put(b"EDITED")
+        ))
+        edited.persisted_versions = lambda: (rows, stamps)
         save_database(edited, path2)
         report = recover(tmp_path)
         assert report.checkpoint_lsn == lsn1
@@ -215,14 +217,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZ012")
+        assert newest.read_bytes().startswith(b"SPITZ013")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 12 only",
+            match="snapshot in layout 3; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -242,7 +244,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 12 only",
+            match="snapshot in layout 4; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -262,7 +264,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 12 only",
+            match="snapshot in layout 5; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -282,7 +284,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 12 only",
+            match="snapshot in layout 6; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -302,7 +304,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 7; .* snapshot layout 12 only",
+            match="snapshot in layout 7; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -317,7 +319,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB8" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 12 only",
+            match="snapshot in layout 8; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -333,7 +335,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB9" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 12 only",
+            match="snapshot in layout 9; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -349,7 +351,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZ010" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 10; .* snapshot layout 12 only",
+            match="snapshot in layout 10; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 
@@ -364,7 +366,22 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZ011" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 11; .* snapshot layout 12 only",
+            match="snapshot in layout 11; .* snapshot layout 13 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_12_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Layout 12 wrote each chunk record's address and each live
+        version's key and digest. Re-raised, never a fallback."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZ012" + newest.read_bytes()[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 12; .* snapshot layout 13 only",
         ):
             recover(tmp_path)
 

@@ -9,7 +9,7 @@ from repro.durability.checkpoint import load_database, save_database
 from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import hash_bytes
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
-from repro.indexes.siri import decode_node
+from repro.indexes.siri import decode_node, varint, varint_at
 from repro.txn.mvcc import Version
 from repro.errors import (
     FormatVersionError,
@@ -29,10 +29,20 @@ def db_dir(tmp_path):
     return tmp_path / "db.d"
 
 
+def _forge_rows(monkeypatch, db, extra):
+    """Make ``db``'s next checkpoint write the version-table rows
+    ``extra`` beside its own."""
+    rows, stamps = db.persisted_versions()
+    monkeypatch.setattr(
+        db, "persisted_versions", lambda: (rows + extra, stamps)
+    )
+
+
 class TestLiveSet:
     """Unverified reads answer from the version store; a checkpoint's
-    version table is accepted only if its live set is the tip tree's
-    ``(key → value digest)``, which the chain digest commits to."""
+    live versions take their keys and value digests from the tip tree,
+    which the chain digest commits to, and are accepted only if the
+    tip's keys are exactly the keys whose newest version is live."""
 
     @pytest.fixture
     def saved(self, snapshot_path):
@@ -43,9 +53,14 @@ class TestLiveSet:
         save_database(db, snapshot_path)
         return db
 
-    def test_an_edited_live_version_is_tamper(self, saved, snapshot_path):
+    def test_an_edited_live_version_is_tamper(
+        self, saved, snapshot_path, monkeypatch
+    ):
         """The live version of one key edited, the chain and every chunk
-        untouched: unverified ``get`` would serve the edit."""
+        untouched: unverified ``get`` would serve the edit.  A checkpoint
+        takes a live key's value from the tip, so an edit in memory is
+        not written; the one way to write it is a version-table row at
+        the live version's timestamp, and that is refused."""
         edited = load_database(snapshot_path)
         store = edited.txn_manager.store
         live = store.read_latest(KV_PREFIX + b"k07")
@@ -54,8 +69,41 @@ class TestLiveSet:
         )
         assert edited.get(b"k07") == b"EDITED"
         save_database(edited, snapshot_path)
+        assert load_database(snapshot_path).get(b"k07") == b"v7"
         assert edited.digest() == saved.digest() and edited.verify_chain()
+        _forge_rows(monkeypatch, edited, [
+            (KV_PREFIX + b"k07", live.commit_ts, edited.chunks.put(b"EDITED"))
+        ])
+        save_database(edited, snapshot_path)
         with pytest.raises(TamperDetectedError, match="k07"):
+            load_database(snapshot_path)
+
+    def test_a_version_row_newer_than_the_tips_is_tamper(
+        self, saved, snapshot_path, monkeypatch
+    ):
+        """A row for a live key, newer than its tip version and holding
+        another key's value: it would be that key's newest version."""
+        live = saved.versions.read_latest(KV_PREFIX + b"k07")
+        _forge_rows(monkeypatch, saved, [
+            (KV_PREFIX + b"k07", live.commit_ts + 1, hash_bytes(b"v8"))
+        ])
+        save_database(saved, snapshot_path)
+        with pytest.raises(TamperDetectedError, match="k07"):
+            load_database(snapshot_path)
+
+    @pytest.mark.parametrize("edit", ["one too few", "one too many"])
+    def test_an_edited_live_stamp_count_is_tamper(
+        self, saved, snapshot_path, monkeypatch, edit
+    ):
+        """One newest timestamp per key the tip holds live, no more and
+        no fewer."""
+        rows, stamps = saved.persisted_versions()
+        stamps = stamps[:-1] if edit == "one too few" else stamps + [1]
+        monkeypatch.setattr(
+            saved, "persisted_versions", lambda: (rows, stamps)
+        )
+        save_database(saved, snapshot_path)
+        with pytest.raises(TamperDetectedError, match="live set"):
             load_database(snapshot_path)
 
     @pytest.mark.parametrize("edit", ["resurrect", "delete", "add"])
@@ -77,6 +125,12 @@ class TestLiveSet:
 
 
 class TestPersistence:
+    #: ``history``'s checkpoint: its length and SHA-256.
+    PINNED = (
+        43_445,
+        "e167efe6e40e9fe44959343441a9feb33656de447ee21621364a5b09512d2807",
+    )
+
     def _db(self):
         db = SpitzDatabase()
         for i in range(50):
@@ -155,13 +209,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZ012")
+        assert blob.startswith(b"SPITZ013")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 12 only"
+            FormatVersionError, match="snapshot layout 13 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -262,7 +316,7 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZDB8" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 12 only",
+            match="snapshot in layout 8; .* snapshot layout 13 only",
         ):
             load_database(snapshot_path)
 
@@ -272,15 +326,15 @@ class TestPersistence:
         with a three-digit stamp, so the name check reads both kinds."""
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZ012")
+        assert blob.startswith(b"SPITZ013")
         snapshot_path.write_bytes(b"SPITZDB9" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 12 only",
+            match="snapshot in layout 9; .* snapshot layout 13 only",
         ):
             load_database(snapshot_path)
-        snapshot_path.write_bytes(b"SPITZ013" + blob[8:])
-        with pytest.raises(FormatVersionError, match="snapshot in layout 13"):
+        snapshot_path.write_bytes(b"SPITZ014" + blob[8:])
+        with pytest.raises(FormatVersionError, match="snapshot in layout 14"):
             load_database(snapshot_path)
 
     def test_a_layout_10_file_is_refused_by_name(self, snapshot_path):
@@ -291,7 +345,7 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZ010" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 10; .* snapshot layout 12 only",
+            match="snapshot in layout 10; .* snapshot layout 13 only",
         ):
             load_database(snapshot_path)
 
@@ -303,9 +357,52 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZ011" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 11; .* snapshot layout 12 only",
+            match="snapshot in layout 11; .* snapshot layout 13 only",
         ):
             load_database(snapshot_path)
+
+    def test_layout_12_is_refused_by_name(self, snapshot_path):
+        """Layout 12 wrote each chunk record's address and each live
+        version's key and value digest; layout 13 derives them."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZ012" + blob[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 12; .* snapshot layout 13 only",
+        ):
+            load_database(snapshot_path)
+
+    @pytest.fixture
+    def history(self):
+        """400 keys, 60 overwrites and a delete: older versions, a
+        newest delete and retired nodes stored as deltas."""
+        db = SpitzDatabase()
+        db.put_batch({b"k%03d" % i: b"value %d" % i for i in range(400)})
+        for round_ in range(60):
+            db.put(b"k%03d" % (round_ * 7 % 400), b"round %d" % round_)
+        db.delete(b"k005")
+        return db
+
+    def test_save_load_save_writes_the_same_bytes(
+        self, history, snapshot_path, tmp_path
+    ):
+        """Load keeps the records in their order and derives what it
+        does not read, so saving what it loaded writes the same file."""
+        save_database(history, snapshot_path)
+        again = tmp_path / "again.spitz"
+        save_database(load_database(snapshot_path), again)
+        assert again.read_bytes() == snapshot_path.read_bytes()
+
+    def test_the_layout_is_pinned(self, history, snapshot_path):
+        """One fixed history's checkpoint, byte for byte: a change to
+        the layout shows here first."""
+        import hashlib
+
+        size = save_database(history, snapshot_path)
+        assert (size, hashlib.sha256(
+            snapshot_path.read_bytes()
+        ).hexdigest()) == self.PINNED
 
     def test_save_and_load_hold_one_copy_of_the_payload(self, snapshot_path):
         """The chunk section is streamed record by record both ways and
@@ -319,10 +416,14 @@ class TestPersistence:
         from repro.durability import checkpoint
 
         db = SpitzDatabase()
+        # Older versions: the version table holds a row for each.
+        db.put_batch({b"k%05d" % i: b"old %d" % i for i in range(3000)})
         db.put_batch({b"k%05d" % i: bytes(200) + b"%d" % i
                       for i in range(3000)})
-        stats = db.chunks.stats
-        section = 36 * stats.unique_chunks + stats.physical_bytes
+        section = sum(
+            len(varint(len(data) << 1)) + len(data)
+            for _address, data in db.chunks.items()
+        )
 
         def growth(work):
             """(peak growth, growth kept, result) of ``work()``."""
@@ -365,9 +466,6 @@ class TestPersistence:
         assert restored.get(b"k00007") == bytes(200) + b"7"
 
 
-_DELTA_BIT = 1 << 31
-
-
 def _nodes_under(store, address):
     """Addresses of every node under (and including) ``address``."""
     tag, pairs = decode_node(store.get(address))
@@ -379,20 +477,26 @@ def _nodes_under(store, address):
 
 
 def _records(blob):
-    """``(offset, address, length, delta)`` of every chunk record in a
-    layout-8 snapshot: ``magic(8) ‖ digest(32) ‖ manifest length(u64)
-    ‖ manifest ‖ (address(32) ‖ length(u32; top bit: a delta) ‖ stored
-    bytes)*``."""
+    """``(offset, address, head, length, delta)`` of every chunk record
+    in a layout-13 snapshot: ``magic(8) ‖ digest(32) ‖ manifest
+    length(u64) ‖ manifest ‖ (varint(length << 1 | delta) ‖ stored
+    bytes)*``; ``head`` is the varint's width, and the address, written
+    nowhere, the one a load derives."""
     at = 48 + int.from_bytes(blob[40:48], "big")
     out = []
     while at < len(blob):
-        length = int.from_bytes(blob[at + 32:at + 36], "big")
-        delta = bool(length & _DELTA_BIT)
-        length &= ~_DELTA_BIT
-        out.append((at, blob[at:at + 32], length, delta))
-        at += 36 + length
+        word, start = varint_at(blob, at)
+        out.append((at, start - at, word >> 1, bool(word & 1)))
+        at = start + (word >> 1)
     assert at == len(blob)
-    return out
+    addresses = ChunkStore().load(
+        (blob[at + head:at + head + length], delta)
+        for at, head, length, delta in out
+    )
+    return [
+        (at, address, head, length, delta)
+        for (at, head, length, delta), address in zip(out, addresses)
+    ]
 
 
 def _refused(snapshot_path, blob, match=None):
@@ -401,18 +505,21 @@ def _refused(snapshot_path, blob, match=None):
         load_database(snapshot_path)
 
 
-def _restored(blob, at, length, stored, delta=True):
-    """``blob`` with the record at ``at`` holding ``stored`` instead."""
-    flag = _DELTA_BIT if delta else 0
-    head = blob[at:at + 32] + (len(stored) | flag).to_bytes(4, "big")
-    return blob[:at] + head + stored + blob[at + 36 + length:]
+def _restored(blob, record, stored, delta=True):
+    """``blob`` with ``record`` (one of :func:`_records`) holding
+    ``stored`` instead."""
+    at, _address, head, length, _delta = record
+    return b"".join((
+        blob[:at], varint(len(stored) << 1 | delta), stored,
+        blob[at + head + length:],
+    ))
 
 
 class TestChunkSection:
-    """Layout 8 writes every chunk in its stored form as an ``(address,
-    length, bytes)`` record after the manifest; a record is accepted
-    only once it rebuilds to bytes of its own hash, and the section
-    only whole."""
+    """Layout 13 writes every chunk in its stored form as a ``(length,
+    bytes)`` record after the manifest, its address derived on load:
+    the section is accepted only once every record rebuilds and the
+    addresses derived are the ones the manifest names, in its order."""
 
     @pytest.fixture
     def saved(self, snapshot_path):
@@ -426,11 +533,12 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         db, blob = saved
-        assert blob.startswith(b"SPITZ012")
+        assert blob.startswith(b"SPITZ013")
         records = _records(blob)
         assert len(records) == db.chunks.stats.unique_chunks
+        assert [record[1] for record in records] == list(db.chunks.addresses())
         restored = load_database(snapshot_path)
-        assert dict(restored.chunks.items()) == dict(db.chunks.items())
+        assert list(restored.chunks.items()) == list(db.chunks.items())
         assert restored.chunks.stats == db.chunks.stats
         assert restored.chunks.tracer is restored.metrics.tracer
         assert restored.ledger.chunks is restored.chunks
@@ -450,41 +558,72 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         _db, blob = saved
-        for at, _address, length, _delta in _records(blob):
-            # The address, the length and the bytes of each record.
-            for offset in (0, 31, 32, 35, 36, 36 + length // 2, 35 + length):
+        for at, _address, head, length, _delta in _records(blob):
+            # The head (its delta flag and a length bit), then the first,
+            # a middle and the last of the bytes of each record.
+            for offset, bit in (
+                (0, 0x01), (0, 0x02), (head, 0x01),
+                (head + length // 2, 0x01), (head + length - 1, 0x01),
+            ):
                 flipped = bytearray(blob)
-                flipped[at + offset] ^= 0x01
+                flipped[at + offset] ^= bit
                 _refused(snapshot_path, bytes(flipped))
 
     def test_a_record_cut_short_is_tamper(self, saved, snapshot_path):
         _db, blob = saved
-        last, _address, length, _delta = _records(blob)[-1]
-        for cut in (last + 10, last + 36, last + 36 + length - 1, last):
+        last, _address, head, length, _delta = _records(blob)[-1]
+        for cut in (last + 1, last + head, last + head + length - 1, last):
             _refused(snapshot_path, blob[:cut])
 
     def test_a_record_under_another_address_is_tamper(
         self, saved, snapshot_path
     ):
+        """A record's address is its place in the manifest's list: two
+        records swapped, one written twice or one the snapshot does not
+        name all load chunks under addresses it does not name there."""
         _db, blob = saved
-        (first, a, *_), (second, b, *_) = _records(blob)[:2]
-        swapped = bytearray(blob)
-        swapped[first:first + 32], swapped[second:second + 32] = b, a
-        _refused(snapshot_path, bytes(swapped))
-        # A well-formed record the snapshot does not name.
+        first, second = _records(blob)[1:3]
+        one = blob[first[0]:second[0]]
+        two = blob[second[0]:second[0] + second[2] + second[3]]
+        end = second[0] + len(two)
+        _refused(snapshot_path, blob[:first[0]] + two + one + blob[end:])
+        _refused(snapshot_path, blob[:end] + two + blob[end:])
         extra = b"not in the snapshot"
-        _refused(
-            snapshot_path,
-            blob + hash_bytes(extra) + len(extra).to_bytes(4, "big") + extra,
-        )
+        _refused(snapshot_path, blob + varint(len(extra) << 1) + extra)
+
+    def test_a_flipped_byte_in_history_no_tip_walk_reaches_is_tamper(
+        self, snapshot_path
+    ):
+        """Load walks the tip tree and reads each version's value; a
+        retired node is neither, and its damage is caught only by the
+        addresses the section rebuilds to."""
+        db = SpitzDatabase()
+        db.put_batch({b"k%02d" % i: b"value %d" % i for i in range(40)})
+        for round_ in range(30):
+            db.put(b"k33", b"round %02d" % round_)
+        save_database(db, snapshot_path)
+        blob = snapshot_path.read_bytes()
+        reached = _nodes_under(db.chunks, db.ledger.tree.root) | {
+            hash_bytes(version.value)
+            for _key, version in db.versions.all_versions()
+        }
+        history = [
+            record for record in _records(blob) if record[1] not in reached
+        ]
+        assert {record[4] for record in history} == {True, False}
+        for at, _address, head, length, _delta in history:
+            flipped = bytearray(blob)
+            flipped[at + head + length - 1] ^= 0x01
+            _refused(snapshot_path, bytes(flipped))
 
 
 class TestDeltaRecords:
     """Retired nodes are written as the reverse deltas they are stored
     as; each is accepted only once its chain — every base in the
-    section, at most ``MAX_CHAIN`` links — rebuilds to bytes that hash
-    to its address.  Every forgery below fails that check, before the
-    manifest's accounting is consulted."""
+    section, at most ``MAX_CHAIN`` links — rebuilds, and the bytes it
+    rebuilds to hash to the address the manifest names in its place.
+    Every forgery below fails that check, before the manifest's
+    accounting is consulted."""
 
     @pytest.fixture
     def history(self, snapshot_path):
@@ -499,7 +638,7 @@ class TestDeltaRecords:
 
     @staticmethod
     def _deltas(blob):
-        return [record for record in _records(blob) if record[3]]
+        return [record for record in _records(blob) if record[4]]
 
     def test_a_round_trip_keeps_every_delta_and_the_audit_clean(
         self, history, snapshot_path
@@ -526,15 +665,16 @@ class TestDeltaRecords:
         self, history, snapshot_path
     ):
         _db, blob = history
-        for at, _address, length, _delta in self._deltas(blob):
+        for at, _address, head, length, _delta in self._deltas(blob):
             flipped = bytearray(blob)
-            flipped[at + 36 + 40 + (length - 40) // 2] ^= 0x01
+            flipped[at + head + 40 + (length - 40) // 2] ^= 0x01
             self._refused(snapshot_path, bytes(flipped))
 
-    def _rebased(self, blob, at, length, base):
-        """The delta at ``at`` with its base address replaced."""
-        stored = blob[at + 36:at + 36 + length]
-        return _restored(blob, at, length, base + stored[32:])
+    def _rebased(self, blob, record, base):
+        """The delta ``record`` with its base address replaced."""
+        at, _address, head, length, _delta = record
+        stored = blob[at + head:at + head + length]
+        return _restored(blob, record, base + stored[32:])
 
     def _refused(self, snapshot_path, blob):
         _refused(snapshot_path, blob, "does not rebuild")
@@ -543,27 +683,26 @@ class TestDeltaRecords:
         self, history, snapshot_path
     ):
         _db, blob = history
-        at, _address, length, _delta = self._deltas(blob)[0]
-        self._refused(
-            snapshot_path,
-            self._rebased(blob, at, length, hash_bytes(b"absent")),
-        )
+        self._refused(snapshot_path, self._rebased(
+            blob, self._deltas(blob)[0], hash_bytes(b"absent")
+        ))
 
     def test_a_delta_naming_itself_is_tamper(self, history, snapshot_path):
         _db, blob = history
-        at, address, length, _delta = self._deltas(blob)[0]
-        self._refused(snapshot_path, self._rebased(blob, at, length, address))
+        record = self._deltas(blob)[0]
+        self._refused(snapshot_path, self._rebased(blob, record, record[1]))
 
     def test_two_deltas_naming_each_other_are_tamper(
         self, history, snapshot_path
     ):
         _db, blob = history
-        _first, (_at, a, _la, _), (at, b, length, _) = self._deltas(blob)[:3]
+        _first, second, third = self._deltas(blob)[:3]
         # The later record first: rewriting it leaves the earlier one's
         # offset where it was.
-        blob = self._rebased(blob, at, length, a)
-        at, _a, length, _delta = self._deltas(blob)[1]
-        self._refused(snapshot_path, self._rebased(blob, at, length, b))
+        blob = self._rebased(blob, third, second[1])
+        self._refused(
+            snapshot_path, self._rebased(blob, second, third[1])
+        )
 
     def test_a_chain_longer_than_max_chain_is_tamper(
         self, history, snapshot_path
@@ -597,10 +736,10 @@ class TestDeltaRecords:
         scratch.supersede(tip, other)
         forged = dict(scratch.items())[tip]
         assert isinstance(forged, Delta)
-        (at, _address, length, _delta), = [
+        (record,) = [
             record for record in _records(blob) if record[1] == tip
         ]
-        self._refused(snapshot_path, _restored(blob, at, length, forged))
+        self._refused(snapshot_path, _restored(blob, record, forged))
 
 
 class TestCli:
