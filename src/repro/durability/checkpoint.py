@@ -1,7 +1,7 @@
 """Checkpoints: integrity-checked snapshots that bound WAL replay.
 
 A checkpoint ``checkpoint-<lsn>.spitz`` (``<lsn>``: the last WAL record
-folded in) is layout 13: ``magic ‖ SHA-256(manifest) ‖ manifest
+folded in) is layout 14: ``magic ‖ SHA-256(manifest) ‖ manifest
 length(u64) ‖ manifest ‖ chunk section`` (DESIGN.md §6).  This module
 owns the bytes; :meth:`SpitzDatabase.persisted_versions` and
 :meth:`SpitzDatabase.restore` own what they mean.
@@ -17,7 +17,9 @@ the older ones and a newest delete — as sorted ``(logical key ‖
 timestamp(u64), value digest | 0³² for a delete)`` pairs in
 :func:`~repro.indexes.siri.encode_node`'s codec.  The chunk section
 holds every chunk as a record ``varint(length << 1 | delta) ‖ stored
-bytes``, without its address.
+bytes``, without its address, in the store's order: record *i* is the
+chunk at position *i*, so a delta, which names its base by position,
+is written as it is held.
 
 **Derived** on load, through the ordinary constructor with the caller's
 metrics, oracle and certifier: each chunk's address (a whole chunk's
@@ -34,9 +36,10 @@ exactly those whose newest version is live, no version of them newer,
 plus the postings derived from them.  Any failure is a
 :class:`~repro.errors.TamperDetectedError`.  A file of another layout
 is refused by name before anything past the magic is read; there is no
-migration: layout 12 wrote an address ahead of every record and every
-live version's key and digest, layout 11 held one-hunk deltas only,
-layout 10 committed postings in per-column trees beside the ledger.
+migration: layout 13 named each delta's base by its 32-byte address,
+layout 12 wrote an address ahead of every record and every live
+version's key and digest, layout 11 held one-hunk deltas only, layout
+10 committed postings in per-column trees beside the ledger.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ _CHECKPOINT_RE = re.compile(
 )
 #: Layouts 1–9 were stamped ``SPITZDB`` and one digit; from layout 10
 #: on the stamp is ``SPITZ`` and three digits.
-_MAGIC = b"SPITZ013"
+_MAGIC = b"SPITZ014"
 _LAYOUT = re.compile(rb"SPITZ(?:DB(\d)|(\d{3}))")
 #: After the magic: the manifest's digest and length.
 _HEADER = struct.Struct(">32sQ")

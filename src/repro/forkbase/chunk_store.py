@@ -35,16 +35,19 @@ rebuilds a delta by walking its chain (at most :data:`MAX_CHAIN` links)
 to a whole chunk; a re-put of content held as a delta stores it whole
 again.
 
-A checkpoint writes a store as its chunks in their stored form, not as
-an object graph, and without their addresses: :meth:`ChunkStore.load`
-derives each by hashing what its record rebuilds to
-(:mod:`repro.durability.checkpoint`).
+A delta names its base by its position in the order chunks were first
+held, a varint of a few bytes (layout 13 named it by its 32-byte
+address).  A checkpoint writes the chunks in that order, in their
+stored form and without their addresses, so record *i* is position
+*i*: :meth:`ChunkStore.load` derives each address by hashing what its
+record rebuilds to (:mod:`repro.durability.checkpoint`).
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -55,61 +58,108 @@ from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import ChunkNotFoundError
 
 
+def varint(number: int) -> bytes:
+    """``number`` as an unsigned LEB128 varint, minimally encoded (a
+    node's lengths, :mod:`repro.indexes.siri`, and a delta's head;
+    three bytes or fewer spelled out: a retirement writes three)."""
+    if number < 0x80:
+        return bytes((number,))
+    if number < 0x4000:
+        return bytes((number & 0x7F | 0x80, number >> 7))
+    if number < 0x200000:
+        return bytes((
+            number & 0x7F | 0x80, number >> 7 & 0x7F | 0x80, number >> 14
+        ))
+    out = bytearray()
+    while number > 0x7F:
+        out.append(number & 0x7F | 0x80)
+        number >>= 7
+    out.append(number)
+    return bytes(out)
+
+
 #: The most deltas a read walks to reach a whole chunk.  Chosen by a
 #: sweep (EXPERIMENTS.md, "History as deltas"): 4 stores 18 % more, 64
 #: saves 1.6 % more and reads every chunk 25 % slower.
 MAX_CHAIN = 16
-#: A delta's head: the address of the chunk it is stored against, and
-#: how many leading and trailing bytes it shares with that chunk.
-_DELTA = struct.Struct(">32sII")
-#: The prefix word's top bit: the middle is cut into hunks.
-_HUNKS = 1 << 31
-#: A multi-hunk delta's head: the one-hunk head, then how many copies.
-_HUNKED = struct.Struct(">32sIIH")
+#: How many positions of bases found far from the end (a revert's) a
+#: store remembers.
+_FAR_MOST = 1024
+#: After a multi-hunk delta's head: how many copies.
+_COUNT = struct.Struct(">H")
 #: A multi-hunk delta's offsets and lengths are u16s: a chunk longer
 #: than this keeps its one-hunk delta.
 _HUNK_MAX = 0xFFFF
 #: A copy's entry in a multi-hunk delta's table.
 _COPY = struct.Struct(">3H")
 #: The longest middle no cut can shrink: a copy must save more than its
-#: entry and the longer head, and a middle this short holds one copy.
-_UNCUT = _HUNKED.size - _DELTA.size + _COPY.size
+#: entry and the copy count, and a middle this short holds one copy.
+_UNCUT = _COUNT.size + _COPY.size
 
 
 class Delta(bytes):
-    """A chunk held as the bytes it differs by from a base, in one of
-    two shapes, told apart by the prefix word's top bit:
+    """A chunk held as the bytes it differs by from a base, behind a
+    head ``varint(base position) ‖ varint(prefix << 1 | cut) ‖
+    varint(suffix)``, in one of two shapes, told apart by the cut bit:
 
-    - one hunk, ``base address ‖ prefix(u32) ‖ suffix(u32) ‖ middle``:
-      the base's first ``prefix`` bytes, the middle, then the base's
-      last ``suffix`` bytes;
-    - several, ``base address ‖ prefix | 2³¹ ‖ suffix ‖ count(u16) ‖
-      count × (literal length, base offset, length)(u16 each) ‖
-      literals``: between the same two ends, each copy's literal run
-      from the literals in turn then ``length`` bytes of the base from
-      ``offset``, and what is left of the literals last.
+    - one hunk, ``head ‖ middle``: the base's first ``prefix`` bytes,
+      the middle, then the base's last ``suffix`` bytes;
+    - several, ``head ‖ count(u16) ‖ count × (literal length, base
+      offset, length)(u16 each) ‖ literals``: between the same two
+      ends, each copy's literal run from the literals in turn then
+      ``length`` bytes of the base from ``offset``, and what is left of
+      the literals last.
     """
 
     __slots__ = ()
 
-    def patch(self, base: bytes) -> bytes:
-        """The chunk this delta stands for, given its base's bytes;
-        ``ValueError`` if the copies run past the record.  (Anything
-        else malformed rebuilds to bytes of another hash.)"""
-        _address, prefix, suffix = _DELTA.unpack_from(self)
-        end = len(base) - suffix
-        if prefix < _HUNKS:
-            return base[:prefix] + self[_DELTA.size:] + base[end:]
-        if len(self) < _HUNKED.size:
+    def head(self) -> Tuple[int, int, int, int]:
+        """``(base position, prefix << 1 | cut, suffix, where the body
+        starts)``; ``ValueError`` if a varint is cut short, not minimal
+        or longer than 64 bits.  (Read inline: a rebuild reads one head
+        a link, and three ``siri.varint_at`` calls doubled reading
+        every chunk.)"""
+        fields, at = [], 0
+        try:
+            for _ in range(3):
+                number = self[at]
+                at += 1
+                if number > 0x7F:
+                    number, shift, byte = number & 0x7F, 7, 0x80
+                    while byte > 0x7F:
+                        if shift > 63:
+                            raise ValueError("a delta's head runs on")
+                        byte = self[at]
+                        at += 1
+                        number |= (byte & 0x7F) << shift
+                        shift += 7
+                    if not byte:
+                        raise ValueError("a delta's head is not minimal")
+                fields.append(number)
+        except IndexError:
+            raise ValueError("a delta's head is cut short") from None
+        return fields[0], fields[1], fields[2], at
+
+    def patch(
+        self, base: bytes, head: Optional[Tuple[int, int, int, int]] = None
+    ) -> bytes:
+        """The chunk this delta stands for, given its base's bytes (and
+        its :meth:`head`, if read already); ``ValueError`` if its head or
+        copies run past the record.  (Anything else malformed rebuilds to
+        bytes of another hash.)"""
+        _position, word, suffix, at = head or self.head()
+        prefix, end = word >> 1, len(base) - suffix
+        if not word & 1:
+            return base[:prefix] + self[at:] + base[end:]
+        if len(self) < at + _COUNT.size:
             raise ValueError("a delta's copy count is cut short")
-        count = _HUNKED.unpack_from(self)[3]
-        at = _HUNKED.size + _COPY.size * count
+        count = _COUNT.unpack_from(self, at)[0]
+        table_at = at + _COUNT.size
+        at = table_at + _COPY.size * count
         if at > len(self):
             raise ValueError("a delta's copies run past its record")
-        pieces = [base[:prefix ^ _HUNKS]]
-        table = iter(
-            struct.unpack_from(f">{3 * count}H", self, _HUNKED.size)
-        )
+        pieces = [base[:prefix]]
+        table = iter(struct.unpack_from(f">{3 * count}H", self, table_at))
         for literal, offset, length in zip(table, table, table):
             pieces += (self[at:at + literal], base[offset:offset + length])
             at += literal
@@ -138,13 +188,13 @@ def _ends(old: bytes, new: bytes) -> Tuple[int, int]:
 
 
 def _hunked(
-    old: bytes, new: bytes, base: Digest, prefix: int, suffix: int,
+    old: bytes, new: bytes, head: bytes, prefix: int, suffix: int,
     shared: Sequence[Sequence[int]],
 ) -> Optional[Delta]:
-    """``old`` as a multi-hunk delta against ``new`` at ``base``, its
-    middle cut at the ``shared`` spans ``(offset in old, offset in new,
-    length)``, in order: each clipped to the middle, dropped where a
-    copy would cost more than it saves, and checked byte for byte.
+    """``old`` as a multi-hunk delta against ``new`` behind ``head``,
+    its middle cut at the ``shared`` spans ``(offset in old, offset in
+    new, length)``, in order: each clipped to the middle, dropped where
+    a copy would cost more than it saves, and checked byte for byte.
     None if no span is left or one does not match."""
     stop = len(old) - suffix
     table: List[int] = []
@@ -166,9 +216,8 @@ def _hunked(
     if not table:
         return None
     literals.append(old[at:stop])
-    count = len(table) // 3
     return Delta(b"".join((
-        _HUNKED.pack(base, prefix | _HUNKS, suffix, count),
+        head, _COUNT.pack(len(table) // 3),
         struct.pack(f">{len(table)}H", *table),
         *literals,
     )))
@@ -209,6 +258,11 @@ class ChunkStore:
             metrics if metrics is not None else NULL_REGISTRY
         ).tracer
         self._entries: Dict[Digest, Union[bytes, Delta]] = {}
+        #: The entry dict's keys in the order first held: a delta names
+        #: its base by its index here.
+        self._order: List[Digest] = []
+        #: Positions of bases found far from the end (see _position).
+        self._far: Dict[Digest, int] = {}
         #: Whole chunks that deltas are stored against → an upper bound
         #: on the longest chain ending at each (absent: 0).
         self._depths: Dict[Digest, int] = {}
@@ -251,6 +305,7 @@ class ChunkStore:
                 stats.logical_bytes += size
                 if address not in self._entries:
                     self._entries[address] = data
+                    self._order.append(address)
                     stats.unique_chunks += 1
                     stats.physical_bytes += size
                 elif self._entries[address].__class__ is Delta:
@@ -303,7 +358,9 @@ class ChunkStore:
                 return
             prefix, suffix = _ends(was, now)
             stop = len(was) - suffix
-            size = _DELTA.size + stop - prefix
+            position, ends = varint(self._position(new)), varint(suffix)
+            head = position + varint(prefix << 1) + ends
+            size = len(head) + stop - prefix
             delta = None
             if (
                 shared is not None and stop - prefix > _UNCUT
@@ -311,7 +368,8 @@ class ChunkStore:
             ):
                 spans = shared(was, now, prefix, suffix)
                 delta = spans and _hunked(
-                    was, now, new, prefix, suffix, spans
+                    was, now, position + varint(prefix << 1 | 1) + ends,
+                    prefix, suffix, spans,
                 )
                 if delta and len(delta) < size:
                     size = len(delta)
@@ -320,29 +378,54 @@ class ChunkStore:
             if size >= len(was):
                 return
             if delta is None:
-                delta = Delta(
-                    _DELTA.pack(new, prefix, suffix) + was[prefix:stop]
-                )
+                delta = Delta(head + was[prefix:stop])
             entries[old] = delta
             self.stats.physical_bytes += len(delta) - len(was)
             depths.pop(old, None)
             if depth > depths.get(new, 0):
                 depths[new] = depth
 
+    def _position(self, address: Digest) -> int:
+        """Where the held ``address`` sits in the order, searched back
+        from the end in windows growing fourfold: a delta's base is
+        nearly always a node its run has just written, among the last
+        few.  One found further back (a revert's) is remembered."""
+        order, far = self._order, self._far
+        if address in far:
+            return far[address]
+        stop, width = len(order), 16
+        while True:
+            start = max(stop - width, 0)
+            try:
+                position = order.index(address, start, stop)
+                break
+            except ValueError:
+                stop, width = start, width * 4
+        if stop < len(order):
+            if len(far) == _FAR_MOST:
+                far.clear()
+            far[address] = position
+        return position
+
     def _walk(
         self, data: Union[bytes, Delta, None]
-    ) -> Tuple[List[Delta], Optional[bytes], Optional[bytes]]:
+    ) -> Tuple[list, Optional[bytes], Optional[bytes]]:
         """The deltas from ``data`` to the whole chunk its chain ends
-        on, and that chunk's address and bytes — bytes None if a link is
-        missing or the chain is longer than :data:`MAX_CHAIN` (only a
-        damaged store holds either)."""
-        chain: List[Delta] = []
+        on, each with its head, and that chunk's address and bytes —
+        bytes None if a link is missing or malformed or the chain is
+        longer than :data:`MAX_CHAIN` (only a damaged store holds
+        any of these)."""
+        chain = []
         base = None
         while data.__class__ is Delta:
             if len(chain) == MAX_CHAIN:
                 return chain, base, None
-            chain.append(data)
-            base = data[:32]
+            try:
+                head = data.head()
+                base = self._order[head[0]]
+            except (ValueError, IndexError):  # no base at its position
+                return chain, None, None
+            chain.append((data, head))
             data = self._entries.get(base)
         return chain, base, data
 
@@ -350,9 +433,11 @@ class ChunkStore:
         """The chunk ``delta`` stands for, or None if its chain is
         broken."""
         chain, _base, data = self._walk(delta)
-        if data is not None:
-            for link in reversed(chain):
-                data = link.patch(data)
+        try:
+            for link, head in reversed(chain if data is not None else ()):
+                data = link.patch(data, head)
+        except ValueError:  # copies past the record
+            return None
         return data
 
     def get(self, address: Digest) -> bytes:
@@ -404,11 +489,13 @@ class ChunkStore:
         """Adopt a checkpoint's chunk section, ``(stored bytes, is a
         delta)`` records in order, and return each record's address: a
         whole chunk's is its hash, a delta's the hash of the bytes it
-        rebuilds to, None for a delta that does not rebuild (its base is
-        in no record, it sits on a cycle, it is malformed or its chain is
-        longer than :data:`MAX_CHAIN`).  Chunks are held in record order
-        behind those already held, and a chunk held already keeps its
-        form, so saving the store again writes the same section.
+        rebuilds to, None for a delta that does not rebuild (its base's
+        position is past the section, it sits on a cycle, it is
+        malformed or its chain is longer than :data:`MAX_CHAIN`).
+        Record *i* is position *i*: the store holds no chunk but the
+        section's first (a new database's empty root), and a chunk held
+        already keeps its form, so saving the store again writes the
+        same section.
 
         Deltas are rebuilt outward from each whole base, one chain at a
         time, each from the bytes of the link it is stored against, so
@@ -416,22 +503,26 @@ class ChunkStore:
         chain is recorded."""
         forms: List[Union[bytes, Delta]] = []
         addresses: List[Optional[Digest]] = []
-        stored_against: Dict[bytes, List[int]] = {}
+        stored_against: Dict[int, List[int]] = {}
         for data, delta in records:
             address = None
             if not delta:
                 address = hash_bytes(data)
-            elif len(data) >= _DELTA.size:
+            else:
                 data = Delta(data)
-                stored_against.setdefault(data[:32], []).append(len(forms))
+                with suppress(ValueError):  # else it names no base
+                    stored_against.setdefault(
+                        data.head()[0], []
+                    ).append(len(forms))
             forms.append(data)
             addresses.append(address)
         depths = self._depths
-        for base, whole in zip(addresses, forms):
+        for position, base in enumerate(addresses):
             if base is None:  # a delta
                 continue
             pending = [
-                (later, whole, 1) for later in stored_against.pop(base, ())
+                (later, forms[position], 1)
+                for later in stored_against.pop(position, ())
             ]
             while pending:
                 index, source, depth = pending.pop()
@@ -441,17 +532,18 @@ class ChunkStore:
                     data = forms[index].patch(source)
                 except ValueError:
                     continue
-                address = addresses[index] = hash_bytes(data)
+                addresses[index] = hash_bytes(data)
                 depths[base] = max(depth, depths.get(base, 0))
                 pending += [
                     (later, data, depth + 1)
-                    for later in stored_against.pop(address, ())
+                    for later in stored_against.pop(index, ())
                 ]
         entries, stats = self._entries, self.stats
         with self._lock:
             for address, data in zip(addresses, forms):
                 if address is not None and address not in entries:
                     entries[address] = data
+                    self._order.append(address)
                     stats.unique_chunks += 1
                     stats.physical_bytes += len(data)
         return addresses

@@ -29,7 +29,7 @@ from operator import add, ge, itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import Digest
-from repro.forkbase.chunk_store import ChunkStore
+from repro.forkbase.chunk_store import ChunkStore, varint
 
 #: Node layout v4, leaves and branches alike, row-major:
 #: ``tag(1) ‖ prefix length(varint) ‖ prefix`` then, per pair, one row
@@ -66,16 +66,6 @@ def _common_prefix(first: bytes, last: bytes) -> int:
         last[:size], "big"
     )
     return size - (differ.bit_length() + 7) // 8
-
-
-def varint(number: int) -> bytes:
-    """``number`` as an unsigned LEB128 varint, minimally encoded."""
-    out = bytearray()
-    while number > 0x7F:
-        out.append(number & 0x7F | 0x80)
-        number >>= 7
-    out.append(number)
-    return bytes(out)
 
 
 def varint_at(

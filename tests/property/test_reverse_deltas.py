@@ -48,13 +48,10 @@ settings.register_profile(
 )
 FIXED = settings.get_profile("reverse-deltas")
 
-#: A multi-hunk delta's head: base, prefix | 2³¹, suffix, copy count.
-HUNKED_HEAD = 42
-
-
-def _reference_delta(old: bytes, new: bytes) -> int:
-    """The length of ``old`` as a one-hunk delta against ``new``: the
-    40-byte head plus what lies between their shared ends, the two ends
+def _reference_delta(old: bytes, new: bytes, position: int) -> int:
+    """The length of ``old`` as a one-hunk delta against ``new`` held at
+    ``position``: the head, varints of ``position``, ``prefix << 1`` and
+    ``suffix``, plus what lies between their shared ends, the two ends
     clamped to the shorter chunk."""
     size = min(len(old), len(new))
     prefix = 0
@@ -63,11 +60,17 @@ def _reference_delta(old: bytes, new: bytes) -> int:
     suffix = 0
     while suffix < size - prefix and old[-1 - suffix] == new[-1 - suffix]:
         suffix += 1
-    return 40 + len(old) - prefix - suffix
+    head = varint(position) + varint(prefix << 1) + varint(suffix)
+    return len(head) + len(old) - prefix - suffix
 
 
-def _hunked(delta: bytes) -> bool:
-    return delta[32] & 0x80 != 0
+def _hunked(delta: Delta) -> bool:
+    return delta.head()[1] & 1 == 1
+
+
+def _count_at(delta: Delta) -> int:
+    """Where a multi-hunk delta's copy count is: just past its head."""
+    return delta.head()[3]
 
 
 def _reference_shared_rows(old_pairs, new_pairs, was, now, prefix, suffix):
@@ -207,6 +210,9 @@ def test_the_apply_writes_and_retires_what_the_oracle_does(
             twin = ChunkStore()
             twin.put(was)
             twin.put(now)
+            # The twin names the base where the store holds it.
+            position = list(self.addresses()).index(new)
+            twin._position = lambda _address: position
             old_pairs, new_pairs = (
                 shared.args[:2] if shared is not None
                 else (decode_node(was)[1], decode_node(now)[1])
@@ -258,36 +264,44 @@ def test_every_delta_rebuilds_and_none_outgrows_one_hunk(
             for n, value in batch.items()
         })
     held = dict(store.items())
+    order = list(held)
     for address, data in held.items():
         if not isinstance(data, Delta):
             continue
-        old, base = store.get(address), store.get(data[:32])
+        position = data.head()[0]
+        old, base = store.get(address), store.get(order[position])
         assert hash_bytes(old) == address
         assert data.patch(base) == old
-        assert len(data) <= _reference_delta(old, base)
+        assert len(data) <= _reference_delta(old, base, position)
 
 
 @pytest.fixture(scope="module")
 def hunked_record():
     """``(base bytes, address, stored form)`` of one multi-hunk delta
     with at least two copies, from a batch that re-points every third
-    pair of one stretch of keys."""
+    pair of one stretch of keys; the stored form names position 0,
+    where a load of ``[base, record]`` holds the base."""
     store = ChunkStore()
     tree = PosTree.from_items(
         store, [(b"k%04d" % n, b"v") for n in range(400)]
     )
     tree.apply({b"k%04d" % n: b"w" for n in range(100, 200, 3)})
+    order = list(store.addresses())
     for address, data in store.items():
         if isinstance(data, Delta) and _hunked(data):
-            if struct.unpack_from(">H", data, 40)[0] >= 2:
-                return store.get(data[:32]), address, bytes(data)
+            if struct.unpack_from(">H", data, _count_at(data))[0] >= 2:
+                position, word, suffix, at = data.head()
+                return store.get(order[position]), address, b"".join((
+                    varint(0), varint(word), varint(suffix), data[at:]
+                ))
     raise AssertionError("no multi-hunk delta with two copies")
 
 
 def _mutations(base: bytes, record: bytes):
     """Every way the sweep damages ``record``, by name."""
-    count = struct.unpack_from(">H", record, 40)[0]
-    table = HUNKED_HEAD + 6 * count
+    start = _count_at(Delta(record))
+    count = struct.unpack_from(">H", record, start)[0]
+    table = start + 2 + 6 * count
     for at in range(len(record)):
         for bit in (0x01, 0x80):
             flipped = bytearray(record)
@@ -298,7 +312,7 @@ def _mutations(base: bytes, record: bytes):
     for extra in (b"\x00", b"junk", record[-6:]):
         yield f"extended by {extra!r}", record + extra
     for copy in range(count):
-        at = HUNKED_HEAD + 6 * copy
+        at = start + 2 + 6 * copy
         literal, offset, length = struct.unpack_from(">3H", record, at)
         for offset_, length_ in (
             (len(base) - length + 1, length), (len(base), length),
@@ -313,10 +327,10 @@ def _mutations(base: bytes, record: bytes):
             + record[at + 6:]
         )
     yield "count past the table", (
-        record[:40] + struct.pack(">H", 0xFFFF) + record[42:]
+        record[:start] + struct.pack(">H", 0xFFFF) + record[start + 2:]
     )
     yield "count short of the table", (
-        record[:40] + struct.pack(">H", count - 1) + record[42:]
+        record[:start] + struct.pack(">H", count - 1) + record[start + 2:]
     )
     assert table <= len(record)
 
@@ -346,10 +360,10 @@ def test_a_checkpoint_holding_a_damaged_multi_hunk_record_is_tamper(
         if isinstance(data, Delta) and _hunked(data)
     )
     at = blob.index(varint(len(record) << 1 | 1) + record)
-    base = db.chunks.get(record[:32])
+    base = db.chunks.get(list(stored)[Delta(record).head()[0]])
     damaged = dict(_mutations(base, record))
     for name in (
-        "flip 41:0x1", f"cut to {len(record) - 1}", "extended by b'junk'",
+        f"flip {_count_at(Delta(record)) + 1}:0x1", f"cut to {len(record) - 1}", "extended by b'junk'",
         "copy 0 past its base", "literal 0 past the record",
         "count past the table",
     ):

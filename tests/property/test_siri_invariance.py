@@ -170,12 +170,13 @@ _TOGGLING = [(b"k%03d" % n, b"v0") for n in range(40)] + [
 ]
 
 
-def _links(held, data):
+def _links(held, order, data):
     """How many deltas a read of ``data`` walks to a whole chunk (past
-    ``MAX_CHAIN``: stops, as a read does)."""
+    ``MAX_CHAIN``: stops, as a read does); a delta names its base by
+    its position in ``order``."""
     count = 0
     while isinstance(data, Delta) and count <= MAX_CHAIN:
-        data, count = held.get(data[:32]), count + 1
+        data, count = held.get(order[data.head()[0]]), count + 1
     return count
 
 
@@ -196,7 +197,10 @@ def test_pos_tree_history_as_reverse_deltas(script, batch_size):
         tree = tree.apply(dict(script[start:start + batch_size]))
         roots.append(tree.root)
     held = dict(store.items())
-    assert all(_links(held, data) <= MAX_CHAIN for data in held.values())
+    order = list(held)
+    assert all(
+        _links(held, order, data) <= MAX_CHAIN for data in held.values()
+    )
     assert ChunkStore().load(
         (data, isinstance(data, Delta)) for data in held.values()
     ) == list(held)

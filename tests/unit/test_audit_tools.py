@@ -82,20 +82,20 @@ class TestAuditLedger:
 
     def test_detects_a_block_whose_index_root_left_the_store(self):
         """Each block inserts a key, so a retired root is a delta against
-        the next one (block #0's one-pair root is smaller whole): losing
-        block #2's root loses block #1's too, and the audit names each
-        of them, once."""
+        the next one (block #0's one-pair root too, since a delta names
+        its base in a byte): losing block #2's root loses blocks #0 and
+        #1's, and the audit names each of them, once."""
         ledger = _ledger([(f"k{i}".encode(), b"v") for i in range(5)])
         dropped = ledger.block(2).tree_root
         lost = self._stored_against(ledger.chunks, dropped)
-        assert lost == {ledger.block(1).tree_root}
+        assert lost == {ledger.block(0).tree_root, ledger.block(1).tree_root}
         del ledger.chunks._entries[dropped]
         ledger.chunks.decode_cache.clear()  # as after a reload
         findings = audit_ledger(ledger)
         assert len(findings) == 1 + len(lost)
         assert all("index node" in f and "missing" in f for f in findings)
         assert f"block #2: index node {dropped.hex()[:12]} missing" in findings
-        assert {f.split()[1] for f in findings} == {"#1:", "#2:"}
+        assert {f.split()[1] for f in findings} == {"#0:", "#1:", "#2:"}
 
     def _deep_ledger(self):
         """Three-level trees, one block per key after a bulk first."""
@@ -129,12 +129,14 @@ class TestAuditLedger:
         """Every chunk held as a delta whose chain runs through
         ``address``: what losing that chunk loses with it."""
         stored = dict(store.items())
+        order = list(stored)
 
         def runs_through(data):
             while isinstance(data, Delta):
-                if data[:32] == address:
+                base = order[data.head()[0]]
+                if base == address:
                     return True
-                data = stored.get(data[:32])
+                data = stored.get(base)
             return False
 
         return {held for held, data in stored.items() if runs_through(data)}

@@ -11,7 +11,7 @@ from repro.durability.checkpoint import load_database, save_database
 from repro.errors import ChunkNotFoundError
 from repro.forkbase.chunk_store import MAX_CHAIN, ChunkStore, Delta
 from repro.indexes.pos_tree import PosTree
-from repro.indexes.siri import decode_node, varint
+from repro.indexes.siri import decode_node, varint, varint_at
 
 
 def _reloaded(store):
@@ -152,9 +152,10 @@ class TestReverseDeltas:
         old, new, before = self._superseded(store)
         held = dict(store.items())
         assert isinstance(held[old], Delta) and type(held[new]) is bytes
-        # new address ‖ prefix 100 ‖ suffix 100 ‖ the 3 differing bytes
-        assert held[old] == new + (100).to_bytes(4, "big") * 2 + b"old"
-        assert store.stats.physical_bytes == before - len(self.OLD) + 43
+        # new's position 1 ‖ prefix 100 << 1 ‖ suffix 100 ‖ the 3
+        # differing bytes
+        assert held[old] == varint(1) + varint(200) + varint(100) + b"old"
+        assert store.stats.physical_bytes == before - len(self.OLD) + 7
         assert store.get(old) == store.get_optional(old) == self.OLD
         assert len(store) == store.stats.unique_chunks == 2
 
@@ -174,9 +175,10 @@ class TestReverseDeltas:
         store.supersede(longer, new)
         store.supersede(shorter, new)
         held = dict(store.items())
-        # new address ‖ prefix 203 ‖ suffix 0 ‖ the one extra byte
-        assert held[longer] == new + (203).to_bytes(4, "big") + bytes(4) + b"!"
-        assert held[shorter] == new + (202).to_bytes(4, "big") + bytes(4)
+        # new's position 1 ‖ prefix 203 << 1 ‖ suffix 0 ‖ the one extra
+        # byte
+        assert held[longer] == varint(1) + varint(406) + b"\0!"
+        assert held[shorter] == varint(1) + varint(404) + b"\0"
         assert type(held[new]) is bytes
         assert store.get(longer) == self.NEW + b"!"
         assert store.get(shorter) == self.NEW[:-1]
@@ -191,20 +193,36 @@ class TestReverseDeltas:
         one-hunk delta."""
         old = b"a" * 50 + b"X" + bytes(range(100)) + b"Y" + b"z" * 50
         new = b"a" * 50 + b"P" + bytes(range(100)) + b"Q" + b"z" * 50
-        one_hunk = (50).to_bytes(4, "big") * 2 + old[50:152]
+        one_hunk = varint(50 << 1) + varint(50) + old[50:152]
         for spans, tail in (
-            ([(51, 51, 100)], (50 | 1 << 31).to_bytes(4, "big")
-             + (50).to_bytes(4, "big") + struct.pack(">H3H", 1, 1, 51, 100)
-             + b"XY"),
+            ([(51, 51, 100)], varint(50 << 1 | 1) + varint(50)
+             + struct.pack(">H3H", 1, 1, 51, 100) + b"XY"),
             ([(51, 52, 100)], one_hunk),
             ([(60, 60, 3)], one_hunk),
         ):
             store = ChunkStore()
             a, b = store.put(old), store.put(new)
             store.supersede(a, b, lambda *_chunks: spans)
-            assert dict(store.items())[a] == b + tail
+            assert dict(store.items())[a] == varint(1) + tail
             assert store.get(a) == old
             assert _reloaded(store) == list(store.addresses())
+
+    def test_a_base_far_back_is_found_once_and_remembered(self, store):
+        """A revert's base sits where it was first held, however much
+        was stored after it: found once past the last 16 places and
+        remembered, and each delta against it names that position."""
+        new = store.put(self.NEW)
+        for n in range(100):
+            store.put(b"filler %d" % n)
+        olds = [store.put(self.OLD), store.put(self.OLD + b"?")]
+        for old in olds:
+            store.supersede(old, new)
+        held = dict(store.items())
+        assert [held[old].head()[0] for old in olds] == [0, 0]
+        assert store._far == {new: 0}
+        assert store.get(olds[0]) == self.OLD
+        assert store.get(olds[1]) == self.OLD + b"?"
+        assert _reloaded(store) == list(store.addresses())
 
     def test_a_delta_whose_base_is_gone_is_missing(self, store):
         old, new, _before = self._superseded(store)
@@ -226,9 +244,10 @@ class TestReverseDeltas:
         third = second.apply({key: b"a"})
         assert third.root == first.root
         held = dict(store.items())
+        order = list(held)
         assert type(held[first.root]) is bytes
         assert isinstance(held[second.root], Delta)
-        assert held[second.root][:32] == first.root
+        assert order[held[second.root].head()[0]] == first.root
         assert _reloaded(store) == list(store.addresses())
         assert store.stats.physical_bytes == sum(map(len, held.values()))
         assert second.get(key) == b"b" and third.get(key) == b"a"
@@ -238,17 +257,82 @@ class TestReverseDeltas:
         for old, new in zip(versions, versions[1:]):
             store.supersede(old, new)
         held = dict(store.items())
+        order = list(held)
 
         def links(data):
             count = 0
             while isinstance(data, Delta):
-                data, count = held[data[:32]], count + 1
+                data, count = held[order[data.head()[0]]], count + 1
             return count
 
         assert max(map(links, held.values())) == MAX_CHAIN
         assert _reloaded(store) == list(store.addresses())
         for n, address in enumerate(versions):
             assert store.get(address) == b"v%03d" % n + bytes(200)
+
+
+class TestDamagedHeads:
+    """A delta's head is ``varint(base position) ‖ varint(prefix << 1 |
+    cut) ‖ varint(suffix)``.  Each damage below leaves a delta with no
+    base to rebuild from: a read raises :class:`ChunkNotFoundError`, and
+    a load of the store's records names none for it."""
+
+    OLD, NEW = TestReverseDeltas.OLD, TestReverseDeltas.NEW
+
+    @staticmethod
+    def _padded(position):
+        minimal = varint(position)
+        return minimal[:-1] + bytes((minimal[-1] | 0x80, 0))
+
+    @pytest.mark.parametrize("damage", [
+        "itself", "each other", "past the store", "cut short",
+        "not minimal",
+    ])
+    def test_a_damaged_head_rebuilds_nothing(self, store, damage):
+        old, new = store.put(self.OLD), store.put(self.NEW)
+        other = store.put(self.NEW + b"!")
+        store.supersede(old, new)
+        store.supersede(other, new)
+        held = dict(store.items())
+        body = held[old][held[old].head()[3]:]
+        rest = held[old][1:]  # after the base's position
+        damaged = {
+            "itself": [(old, varint(0) + rest)],
+            "each other": [
+                (old, varint(2) + rest),
+                (other, varint(0) + held[other][1:]),
+            ],
+            "past the store": [(old, varint(3) + rest)],
+            "cut short": [(old, held[old][:2])],
+            "not minimal": [(old, self._padded(1) + rest)],
+        }[damage]
+        assert store.get(old) == self.OLD and body == b"old"
+        for address, stored in damaged:
+            store._entries[address] = Delta(stored)
+        for address, _stored in damaged:
+            with pytest.raises(ChunkNotFoundError):
+                store.get(address)
+            assert store.get_optional(address) is None
+        reloaded = _reloaded(store)
+        assert [
+            address for address, derived in zip(store.addresses(), reloaded)
+            if derived is None
+        ] == [address for address, _stored in damaged]
+
+    def test_a_head_is_read_as_its_three_numbers(self):
+        """Any width of varint, each width's first and last number, the
+        body after it; the node codec's reader, which refuses a varint
+        that is not minimal, agrees."""
+        for numbers in (
+            (0, 127, 128), (16_383, 16_384, (1 << 21) - 1),
+            (1 << 21, (1 << 28) - 1, 1 << 63),
+        ):
+            head = b"".join(map(varint, numbers))
+            assert Delta(head + b"body").head() == (*numbers, len(head))
+            at = 0
+            for number in numbers:
+                read, at = varint_at(head, at, 1 << 64)
+                assert read == number
 
 
 class TestChunkStoreThreadSafety:

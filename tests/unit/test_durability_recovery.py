@@ -217,14 +217,14 @@ class TestCheckpoints:
             ddb.checkpoint()
             ddb.put(b"b", b"2")
             _lsn, newest = ddb.checkpoint()
-        assert newest.read_bytes().startswith(b"SPITZ013")
+        assert newest.read_bytes().startswith(b"SPITZ014")
         newest.write_bytes(b"SPITZDB3" + newest.read_bytes()[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 3; .* snapshot layout 13 only",
+            match="snapshot in layout 3; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -244,7 +244,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 4; .* snapshot layout 13 only",
+            match="snapshot in layout 4; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -264,7 +264,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 5; .* snapshot layout 13 only",
+            match="snapshot in layout 5; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -284,7 +284,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 6; .* snapshot layout 13 only",
+            match="snapshot in layout 6; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -304,7 +304,7 @@ class TestCheckpoints:
         )
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 7; .* snapshot layout 13 only",
+            match="snapshot in layout 7; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -319,7 +319,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB8" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 13 only",
+            match="snapshot in layout 8; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -335,7 +335,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZDB9" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 13 only",
+            match="snapshot in layout 9; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -351,7 +351,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZ010" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 10; .* snapshot layout 13 only",
+            match="snapshot in layout 10; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -366,7 +366,7 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZ011" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 11; .* snapshot layout 13 only",
+            match="snapshot in layout 11; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 
@@ -381,7 +381,22 @@ class TestCheckpoints:
         newest.write_bytes(b"SPITZ012" + newest.read_bytes()[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 12; .* snapshot layout 13 only",
+            match="snapshot in layout 12; .* snapshot layout 14 only",
+        ):
+            recover(tmp_path)
+
+    def test_a_layout_13_checkpoint_stops_recovery_by_name(self, tmp_path):
+        """Layout 13 named each delta's base by its 32-byte address.
+        Re-raised, never a fallback."""
+        with DurableDatabase.open(tmp_path) as ddb:
+            ddb.put(b"a", b"1")
+            ddb.checkpoint()
+            ddb.put(b"b", b"2")
+            _lsn, newest = ddb.checkpoint()
+        newest.write_bytes(b"SPITZ013" + newest.read_bytes()[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 13; .* snapshot layout 14 only",
         ):
             recover(tmp_path)
 

@@ -127,8 +127,8 @@ class TestLiveSet:
 class TestPersistence:
     #: ``history``'s checkpoint: its length and SHA-256.
     PINNED = (
-        43_445,
-        "e167efe6e40e9fe44959343441a9feb33656de447ee21621364a5b09512d2807",
+        37_044,
+        "5f0b69b1287bef71f4a90d6d5608e86f5993835eb9cd8584d161789d46864c80",
     )
 
     def _db(self):
@@ -209,13 +209,13 @@ class TestPersistence:
         checkpoint.write_bytes(b"SPITZDB1" + checkpoint.read_bytes()[8:])
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZ013")
+        assert blob.startswith(b"SPITZ014")
         snapshot_path.write_bytes(b"SPITZDB1" + blob[8:])
         monkeypatch.setattr(
             "pickle.Unpickler", lambda *_: pytest.fail("payload was unpickled")
         )
         with pytest.raises(
-            FormatVersionError, match="snapshot layout 13 only"
+            FormatVersionError, match="snapshot layout 14 only"
         ):
             load_database(snapshot_path)
         assert issubclass(FormatVersionError, StorageError)
@@ -316,7 +316,7 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZDB8" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 8; .* snapshot layout 13 only",
+            match="snapshot in layout 8; .* snapshot layout 14 only",
         ):
             load_database(snapshot_path)
 
@@ -326,15 +326,15 @@ class TestPersistence:
         with a three-digit stamp, so the name check reads both kinds."""
         save_database(self._db(), snapshot_path)
         blob = snapshot_path.read_bytes()
-        assert blob.startswith(b"SPITZ013")
+        assert blob.startswith(b"SPITZ014")
         snapshot_path.write_bytes(b"SPITZDB9" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 9; .* snapshot layout 13 only",
+            match="snapshot in layout 9; .* snapshot layout 14 only",
         ):
             load_database(snapshot_path)
-        snapshot_path.write_bytes(b"SPITZ014" + blob[8:])
-        with pytest.raises(FormatVersionError, match="snapshot in layout 14"):
+        snapshot_path.write_bytes(b"SPITZ015" + blob[8:])
+        with pytest.raises(FormatVersionError, match="snapshot in layout 15"):
             load_database(snapshot_path)
 
     def test_a_layout_10_file_is_refused_by_name(self, snapshot_path):
@@ -345,7 +345,7 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZ010" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 10; .* snapshot layout 13 only",
+            match="snapshot in layout 10; .* snapshot layout 14 only",
         ):
             load_database(snapshot_path)
 
@@ -357,7 +357,7 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZ011" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 11; .* snapshot layout 13 only",
+            match="snapshot in layout 11; .* snapshot layout 14 only",
         ):
             load_database(snapshot_path)
 
@@ -369,7 +369,19 @@ class TestPersistence:
         snapshot_path.write_bytes(b"SPITZ012" + blob[8:])
         with pytest.raises(
             FormatVersionError,
-            match="snapshot in layout 12; .* snapshot layout 13 only",
+            match="snapshot in layout 12; .* snapshot layout 14 only",
+        ):
+            load_database(snapshot_path)
+
+    def test_layout_13_is_refused_by_name(self, snapshot_path):
+        """Layout 13 named each delta's base by its 32-byte address;
+        layout 14 names it by its record's position."""
+        save_database(self._db(), snapshot_path)
+        blob = snapshot_path.read_bytes()
+        snapshot_path.write_bytes(b"SPITZ013" + blob[8:])
+        with pytest.raises(
+            FormatVersionError,
+            match="snapshot in layout 13; .* snapshot layout 14 only",
         ):
             load_database(snapshot_path)
 
@@ -478,7 +490,7 @@ def _nodes_under(store, address):
 
 def _records(blob):
     """``(offset, address, head, length, delta)`` of every chunk record
-    in a layout-13 snapshot: ``magic(8) ‖ digest(32) ‖ manifest
+    in a layout-14 snapshot: ``magic(8) ‖ digest(32) ‖ manifest
     length(u64) ‖ manifest ‖ (varint(length << 1 | delta) ‖ stored
     bytes)*``; ``head`` is the varint's width, and the address, written
     nowhere, the one a load derives."""
@@ -516,7 +528,7 @@ def _restored(blob, record, stored, delta=True):
 
 
 class TestChunkSection:
-    """Layout 13 writes every chunk in its stored form as a ``(length,
+    """Layout 14 writes every chunk in its stored form as a ``(length,
     bytes)`` record after the manifest, its address derived on load:
     the section is accepted only once every record rebuilds and the
     addresses derived are the ones the manifest names, in its order."""
@@ -533,7 +545,7 @@ class TestChunkSection:
         self, saved, snapshot_path
     ):
         db, blob = saved
-        assert blob.startswith(b"SPITZ013")
+        assert blob.startswith(b"SPITZ014")
         records = _records(blob)
         assert len(records) == db.chunks.stats.unique_chunks
         assert [record[1] for record in records] == list(db.chunks.addresses())
@@ -619,11 +631,12 @@ class TestChunkSection:
 
 class TestDeltaRecords:
     """Retired nodes are written as the reverse deltas they are stored
-    as; each is accepted only once its chain — every base in the
-    section, at most ``MAX_CHAIN`` links — rebuilds, and the bytes it
-    rebuilds to hash to the address the manifest names in its place.
-    Every forgery below fails that check, before the manifest's
-    accounting is consulted."""
+    as, each naming its base by the base's record position; each is
+    accepted only once its chain — every base in the section, at most
+    ``MAX_CHAIN`` links — rebuilds, and the bytes it rebuilds to hash to
+    the address the manifest names in its place.  Every forgery below
+    fails that check, before the manifest's accounting is consulted,
+    and the loader names the forged record."""
 
     @pytest.fixture
     def history(self, snapshot_path):
@@ -639,6 +652,22 @@ class TestDeltaRecords:
     @staticmethod
     def _deltas(blob):
         return [record for record in _records(blob) if record[4]]
+
+    @staticmethod
+    def _unnamed(blob):
+        """``(position, record)`` of each delta no delta names as its
+        base: a forgery there fails that record alone."""
+        records = _records(blob)
+        stored = [blob[at + head:at + head + length]
+                  for at, _address, head, length, _delta in records]
+        named = {
+            Delta(data).head()[0]
+            for data, record in zip(stored, records) if record[4]
+        }
+        return [
+            (position, record) for position, record in enumerate(records)
+            if record[4] and position not in named
+        ]
 
     def test_a_round_trip_keeps_every_delta_and_the_audit_clean(
         self, history, snapshot_path
@@ -666,42 +695,89 @@ class TestDeltaRecords:
     ):
         _db, blob = history
         for at, _address, head, length, _delta in self._deltas(blob):
+            body = Delta(blob[at + head:at + head + length]).head()[3]
             flipped = bytearray(blob)
-            flipped[at + head + 40 + (length - 40) // 2] ^= 0x01
+            flipped[at + head + body + (length - body) // 2] ^= 0x01
             self._refused(snapshot_path, bytes(flipped))
 
-    def _rebased(self, blob, record, base):
-        """The delta ``record`` with its base address replaced."""
-        at, _address, head, length, _delta = record
-        stored = blob[at + head:at + head + length]
-        return _restored(blob, record, base + stored[32:])
+    @staticmethod
+    def _forged(blob, record, head):
+        """The delta ``record`` with the varint of the position it
+        names replaced by ``head(that position, the varint's width)``."""
+        at, _address, width, length, _delta = record
+        stored = blob[at + width:at + width + length]
+        position, cut = varint_at(stored, 0, len(blob))
+        return _restored(blob, record, head(position, cut) + stored[cut:])
 
-    def _refused(self, snapshot_path, blob):
-        _refused(snapshot_path, blob, "does not rebuild")
+    def _rebased(self, blob, record, base):
+        """The delta ``record`` naming the record at ``base``."""
+        return self._forged(blob, record, lambda *_: varint(base))
+
+    def _refused(self, snapshot_path, blob, position=None):
+        """Refused, the load naming the record at ``position``."""
+        _refused(snapshot_path, blob, (
+            "does not rebuild" if position is None
+            else f"chunk record {position} does not rebuild"
+        ))
 
     def test_a_delta_naming_an_absent_base_is_tamper(
         self, history, snapshot_path
     ):
+        """A position past the section: no record is its base."""
         _db, blob = history
+        (position, record), *_ = self._unnamed(blob)
         self._refused(snapshot_path, self._rebased(
-            blob, self._deltas(blob)[0], hash_bytes(b"absent")
-        ))
+            blob, record, len(_records(blob))
+        ), position)
 
     def test_a_delta_naming_itself_is_tamper(self, history, snapshot_path):
         _db, blob = history
-        record = self._deltas(blob)[0]
-        self._refused(snapshot_path, self._rebased(blob, record, record[1]))
+        (position, record), *_ = self._unnamed(blob)
+        self._refused(
+            snapshot_path, self._rebased(blob, record, position), position
+        )
 
     def test_two_deltas_naming_each_other_are_tamper(
         self, history, snapshot_path
     ):
         _db, blob = history
-        _first, second, third = self._deltas(blob)[:3]
+        (first, one), (second, two), *_ = self._unnamed(blob)
         # The later record first: rewriting it leaves the earlier one's
         # offset where it was.
-        blob = self._rebased(blob, third, second[1])
+        blob = self._rebased(blob, two, first)
         self._refused(
-            snapshot_path, self._rebased(blob, second, third[1])
+            snapshot_path, self._rebased(blob, one, second), first
+        )
+
+    def test_a_head_cut_short_is_tamper(self, history, snapshot_path):
+        """The head less its last byte, or the base's position and a
+        lone continuation byte: the record ends before its head's three
+        numbers do."""
+        _db, blob = history
+        (position, record), *_ = self._unnamed(blob)
+        at, _address, width, length, _delta = record
+        stored = blob[at + width:at + width + length]
+        body = Delta(stored).head()[3]
+        for cut in (stored[:body - 1], varint(position) + b"\x80"):
+            self._refused(
+                snapshot_path, _restored(blob, record, cut), position
+            )
+
+    def test_a_head_that_is_not_minimal_is_tamper(
+        self, history, snapshot_path
+    ):
+        """The base's position padded with a zero continuation: every
+        byte rebuilds as before, and the record is refused all the same,
+        so each delta has one stored form."""
+        _db, blob = history
+        (position, record), *_ = self._unnamed(blob)
+
+        def padded(base, _cut):
+            minimal = varint(base)
+            return minimal[:-1] + bytes((minimal[-1] | 0x80, 0))
+
+        self._refused(
+            snapshot_path, self._forged(blob, record, padded), position
         )
 
     def test_a_chain_longer_than_max_chain_is_tamper(
@@ -712,10 +788,11 @@ class TestDeltaRecords:
         right bytes, and the chain is one too long."""
         db, blob = history
         stored = dict(db.chunks.items())
+        order = list(stored)
 
         def end(data, links=0):
             while isinstance(data, Delta):
-                data, links = stored[data[:32]], links + 1
+                data, links = stored[order[data.head()[0]]], links + 1
             return data, links
 
         ends = {
@@ -735,10 +812,12 @@ class TestDeltaRecords:
         scratch.put(stored[other])
         scratch.supersede(tip, other)
         forged = dict(scratch.items())[tip]
-        assert isinstance(forged, Delta)
+        assert isinstance(forged, Delta) and forged.head()[0] == 1
         (record,) = [
             record for record in _records(blob) if record[1] == tip
         ]
+        # Named, as in the section, by the position of ``other``.
+        forged = varint(order.index(other)) + forged[1:]
         self._refused(snapshot_path, _restored(blob, record, forged))
 
 

@@ -12,11 +12,21 @@ from repro.forkbase.chunk_store import Delta
 from repro.indexes.pos_tree import DEFAULT_MASK_BITS, PosTree
 from repro.indexes.siri import SiriProof, decode_node
 
-#: A delta's head: base address, prefix and suffix lengths (u32 each).
-DELTA_HEAD = 40
+#: The most a delta's head takes in these trees: varints of its base's
+#: position, ``prefix << 1 | cut`` and the suffix, two bytes each.
+DELTA_HEAD = 6
 #: A multi-hunk delta's head: the same, then a copy count (u16); each
 #: copy is three u16s.
-MULTI_HUNK_HEAD = 42
+MULTI_HUNK_HEAD = DELTA_HEAD + 2
+
+
+def _delta(store, address):
+    """``(stored form, base address, cut, head length)`` of the delta
+    ``address`` is held as; its base is named by position."""
+    stored = dict(store.items())[address]
+    assert isinstance(stored, Delta)
+    position, word, _suffix, head = stored.head()
+    return stored, list(store.addresses())[position], bool(word & 1), head
 
 
 def _items(n, prefix="k"):
@@ -194,12 +204,29 @@ class TestHistoryAsDeltas:
         old_leaf = _leaf_address(tree, key)
         row = 1 + len(key) + 32  # at most: length, whole key, digest
         newer = tree.apply({key: b"inserted"})
-        stored = dict(store.items())[old_leaf]
-        assert isinstance(stored, Delta)
-        assert len(stored) <= DELTA_HEAD + row
-        assert stored[:32] == _leaf_address(newer, key)
+        stored, base, cut, head = _delta(store, old_leaf)
+        assert not cut and head <= DELTA_HEAD
+        assert len(stored) <= head + row
+        assert base == _leaf_address(newer, key)
         assert hash_bytes(store.get(old_leaf)) == old_leaf
         assert tree.get(b"k000500") == b"v500" and tree.get(key) is None
+
+    def test_a_one_row_overwrite_of_a_leaf_stores_a_head_of_8_bytes(
+        self, store
+    ):
+        """A ≈ 1 KB leaf, one row overwritten: its delta names its
+        successor by position in a head of at most 8 bytes, where an
+        address alone took 32."""
+        tree = PosTree.from_items(store, _items(5000, prefix="key "))
+        leaf, pairs = next(
+            (address, pairs) for address, pairs in _leaves(tree)
+            if 900 <= len(store.get(address)) <= 1200
+        )
+        key = pairs[len(pairs) // 2][0]
+        newer = tree.apply({key: b"overwritten"})
+        stored, base, cut, head = _delta(store, leaf)
+        assert base == _leaf_address(newer, key) and not cut
+        assert head <= 8 and len(stored) <= head + 32 + 2
 
     def test_a_batch_that_edits_a_leaf_twice_stores_its_edits(self, store):
         """Two inserts near the two ends of one leaf, in one batch: a
@@ -216,12 +243,12 @@ class TestHistoryAsDeltas:
         )
         newer = tree.apply({low: b"a", high: b"b"})
         assert _leaf_address(newer, low) == _leaf_address(newer, high)
-        stored = dict(store.items())[old_leaf]
-        assert isinstance(stored, Delta) and stored[32] & 0x80
+        stored, _base, cut, head = _delta(store, old_leaf)
+        assert cut and head <= DELTA_HEAD
         # The rows strictly between the two edits, each at least a
         # length byte and a digest.
         between = (len(keys) - 3) * (1 + 32)
-        assert len(stored) == MULTI_HUNK_HEAD + 6 < DELTA_HEAD + between
+        assert len(stored) == head + 2 + 6 < head + between
         assert hash_bytes(store.get(old_leaf)) == old_leaf
         assert tree.get(low) is None and newer.get(low) == b"a"
 
@@ -244,8 +271,8 @@ class TestHistoryAsDeltas:
         sibling = _leaf_address(newer, second)
         assert _leaf_address(newer, first) != sibling
         assert decode_node(store.get(sibling))[1][-1][0] == keys[-1]
-        stored = dict(store.items())[leaf]
-        assert isinstance(stored, Delta) and stored[:32] == sibling
+        stored, base, _cut, _head = _delta(store, leaf)
+        assert base == sibling
         row = 1 + len(first) + 32  # at most: length, whole key, digest
         assert len(stored) <= DELTA_HEAD + row
         assert hash_bytes(store.get(leaf)) == leaf
@@ -275,9 +302,8 @@ class TestHistoryAsDeltas:
         merged = _leaf_address(newer, last)
         assert _leaf_address(newer, pairs[0][0]) == merged
         assert decode_node(store.get(merged))[1][-1][0] > last
-        stored = dict(store.items())[leaf]
-        assert isinstance(stored, Delta) and stored[:32] == merged
-        assert stored[32] & 0x80
+        stored, base, cut, _head = _delta(store, leaf)
+        assert base == merged and cut
         shared = len(pairs) - 1
         unshared = 1 + len(last) - cut + 32
         header = 2 + cut
@@ -338,7 +364,7 @@ class TestPinnedHistory:
     names a retired node's delta from the same edit; neither may move a
     byte of what is stored, and a moved byte moves one of these."""
 
-    PHYSICAL_BYTES = 1_196_635
+    PHYSICAL_BYTES = 1_113_427
     TIP_ROOT = (
         "82da999d1f15d8ab435f8fc571301da04c448de36b92083eea2ebdfb1a01cef5"
     )
