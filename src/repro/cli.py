@@ -357,7 +357,8 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     up a bounded cluster (no on-disk database involved), hammers it
     with client threads through the retrying
     :class:`~repro.core.client.ClusterClient`, and prints the
-    reject/shed/complete split plus queue-wait percentiles.
+    :class:`~repro.core.client.LoadReport` — the outcome split, the
+    cluster's counters and its queue-wait p99.
     """
     report = run_saturation(
         clients=args.clients,
@@ -368,9 +369,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         attempts=args.attempts,
         service_delay=args.service_delay,
     )
-    payload = report.to_dict()
-    payload["counters"] = report.counters
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -523,9 +522,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive a running ``spitz serve`` from separate processes.
 
-    Reports sustained RPS, pooled p50/p99 latency and the
-    completed / rejected(429) / rate-limited / shed(503) split as
-    JSON — the client half of the service-plane bench.
+    Prints the :class:`~repro.core.client.LoadReport` as JSON:
+    sustained RPS, pooled p50/p99 latency and the outcome split —
+    the client half of the service-plane bench.
     """
     from repro.serve.loadgen import run_load
 

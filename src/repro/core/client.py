@@ -14,19 +14,29 @@ the benchmarks and the tests all retry the same way.
 needs wall-clock room to drain its queue), while tests and the
 simulation-minded callers can pass a no-op and read the deterministic
 ``backoff_seconds`` accounting instead.
+
+:func:`drive` is the one load loop over any such client, in process or
+over HTTP, and :class:`LoadReport` merges its tallies:
+:func:`run_saturation` drives it from threads against an in-process
+cluster, :func:`repro.serve.loadgen.run_load` from separate processes
+against a server.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.node import SpitzCluster
 from repro.core.query import SearchPredicate
 from repro.core.request_handler import Request, RequestKind, Response
-from repro.errors import ClusterOverloadedError, SpitzError
+from repro.errors import (
+    ClusterOverloadedError,
+    NetworkError,
+    RateLimitedError,
+    SpitzError,
+)
 
 
 @dataclass
@@ -48,15 +58,6 @@ class ClientStats:
     backoff_seconds: float = 0.0
     #: Calls that exhausted every attempt.
     exhausted: int = 0
-    #: Per-request-kind outcome split, keyed ``"get"``/``"put"``/... ->
-    #: ``{"ok": n, "error": n}``.  The client-side mirror of the
-    #: server's ``requests.kind.<kind>.ok``/``.errors`` counters, so a
-    #: loadgen worker's view can be reconciled against the cluster's.
-    by_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    def record_outcome(self, kind: str, ok: bool) -> None:
-        split = self.by_kind.setdefault(kind, {"ok": 0, "error": 0})
-        split["ok" if ok else "error"] += 1
 
 
 class ClusterClient:
@@ -120,9 +121,6 @@ class ClusterClient:
                 suggested = error.retry_after
             else:
                 if response.ok or not response.retryable:
-                    self.stats.record_outcome(
-                        request.kind.value, response.ok
-                    )
                     return response
                 self.stats.shed_responses += 1
                 last_error, last_response = None, response
@@ -133,7 +131,6 @@ class ClusterClient:
             self.stats.backoff_seconds += delay
             self._sleep(delay)
         self.stats.exhausted += 1
-        self.stats.record_outcome(request.kind.value, False)
         if last_response is not None:
             return last_response
         assert last_error is not None
@@ -177,46 +174,153 @@ class ClusterClient:
         )
 
 
-@dataclass
-class SaturationReport:
-    """Outcome of one offered-load level against a bounded cluster.
+#: Where a driven op ends, exactly one per offered op.
+OUTCOMES = (
+    "completed",
+    # Admission rejections (429 overloaded) that survived retries.
+    "rejected_overload",
+    # Per-client token-bucket rejections (429 rate limited).
+    "rate_limited",
+    # Retryable shed responses (503) that survived retries.
+    "shed",
+    # The client's wait ran out: a node may still process the
+    # envelope, or shed it, or ``stop()`` fail it.
+    "timeouts",
+    "network_errors",
+    # Non-retryable error responses (malformed requests, 401...).
+    "errors",
+)
 
-    Client side, every offered op ends in exactly one of ``completed``,
-    ``rejected_overload``, ``timeouts`` and ``errors``; server side,
-    every accepted envelope in exactly one of ``node.processed``,
-    ``queue.shed`` and ``cluster.failed_on_stop`` (``counters``).
+
+def drive(
+    client: ClusterClient,
+    worker_id: int,
+    ops: int,
+    put_ratio: float = 1.0,
+    verify_every: int = 0,
+) -> Dict[str, object]:
+    """Offer ``ops`` requests through ``client``; return the tally.
+
+    A put/get mix interleaved per ten ops; each read targets this
+    worker's last written key, so a GET never races a key that does
+    not exist.  ``verify_every > 0`` asks every N-th op for a proof.
+    The tally counts each op in exactly one of :data:`OUTCOMES` and
+    carries the latencies of completed ops, the client's attempts
+    (retries included) and the wall-clock window it ran in.
+    """
+    tally: Dict[str, object] = dict.fromkeys(OUTCOMES, 0)
+    latencies: List[float] = []
+    started = time.time()
+    last_put: Optional[bytes] = None
+    for i in range(ops):
+        verify = verify_every > 0 and i % verify_every == 0
+        if i % 10 < put_ratio * 10 or last_put is None:
+            last_put = f"load:{worker_id}:{i}".encode()
+            request = Request(
+                RequestKind.PUT, {"key": last_put, "value": b"v%d" % i},
+                verify=verify,
+            )
+        else:
+            request = Request(
+                RequestKind.GET, {"key": last_put}, verify=verify
+            )
+        begin = time.perf_counter()
+        try:
+            response = client.call(request)
+        except RateLimitedError:
+            outcome = "rate_limited"
+        except ClusterOverloadedError:
+            outcome = "rejected_overload"
+        except TimeoutError:
+            outcome = "timeouts"
+        except NetworkError:
+            outcome = "network_errors"
+        else:
+            if response.ok:
+                outcome = "completed"
+                latencies.append(time.perf_counter() - begin)
+            else:
+                outcome = "shed" if response.retryable else "errors"
+        tally[outcome] += 1  # type: ignore[operator]
+    tally.update(
+        worker=worker_id, attempts=client.stats.attempts,
+        latencies=latencies, started=started, finished=time.time(),
+    )
+    return tally
+
+
+@dataclass
+class LoadReport:
+    """Merged outcome of one load run: ``workers`` drivers each
+    offering ``ops_per_worker`` ops.
+
+    Client side, every offered op ends in exactly one of
+    :data:`OUTCOMES`.  In process, ``counters`` holds the cluster's
+    accounting, where every accepted envelope ends in exactly one of
+    ``node.processed``, ``queue.shed`` and ``cluster.failed_on_stop``.
     """
 
-    clients: int
-    ops_per_client: int
+    workers: int
+    ops_per_worker: int
     offered: int = 0
     completed: int = 0
     rejected_overload: int = 0
-    #: Ops whose deadline passed before the client saw them served:
-    #: its wait ran out (a node may still process the envelope, or shed
-    #: it), or a node shed the envelope and said so in time.
-    timeouts: int = 0
+    rate_limited: int = 0
     shed: int = 0
-    failed_on_stop: int = 0
+    timeouts: int = 0
+    network_errors: int = 0
     errors: int = 0
+    #: Client-side attempts across all workers (retries included).
+    attempts: int = 0
     elapsed_seconds: float = 0.0
+    #: Completed-op latencies, pooled (seconds).
+    latency_p50: Optional[float] = None
+    latency_p99: Optional[float] = None
+    latency_mean: Optional[float] = None
+    #: The cluster's queue-wait p99 (in process only).
     wait_p99: Optional[float] = None
     counters: Dict[str, int] = field(default_factory=dict)
+    per_worker: List[Dict[str, object]] = field(default_factory=list)
+
+    @property
+    def rps(self) -> float:
+        """Sustained completed requests per second of wall time."""
+        if self.elapsed_seconds <= 0:
+            return 0.0
+        return self.completed / self.elapsed_seconds
+
+    def merge(self, tallies: Iterable[Dict[str, object]]) -> None:
+        """Add :func:`drive`'s tallies: sum the outcomes and attempts,
+        pool the latencies and time the window the workers spanned."""
+        latencies: List[float] = []
+        for tally in tallies:
+            latencies.extend(tally.pop("latencies"))  # type: ignore
+            for name in (*OUTCOMES, "attempts"):
+                setattr(self, name, getattr(self, name) + tally[name])
+            self.per_worker.append(tally)
+        self.offered = self.workers * self.ops_per_worker
+        if self.per_worker:
+            self.elapsed_seconds = max(0.0, (
+                max(tally["finished"] for tally in self.per_worker)
+                - min(tally["started"] for tally in self.per_worker)
+            ))
+        if latencies:
+            latencies.sort()
+            self.latency_p50 = _percentile(latencies, 0.50)
+            self.latency_p99 = _percentile(latencies, 0.99)
+            self.latency_mean = sum(latencies) / len(latencies)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "clients": self.clients,
-            "ops_per_client": self.ops_per_client,
-            "offered": self.offered,
-            "completed": self.completed,
-            "rejected_overload": self.rejected_overload,
-            "timeouts": self.timeouts,
-            "shed": self.shed,
-            "failed_on_stop": self.failed_on_stop,
-            "errors": self.errors,
-            "elapsed_seconds": self.elapsed_seconds,
-            "queue_wait_p99": self.wait_p99,
-        }
+        payload = asdict(self)
+        del payload["per_worker"]
+        payload["rps"] = self.rps
+        return payload
+
+
+def _percentile(sorted_values: List[float], q: float) -> float:
+    """Exact rank-``q`` value of a pooled, sorted latency sample."""
+    rank = max(1, int(q * len(sorted_values) + 0.999999))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 def run_saturation(
@@ -228,16 +332,17 @@ def run_saturation(
     deadline: float = 0.25,
     attempts: int = 1,
     service_delay: float = 0.0,
-) -> SaturationReport:
+) -> LoadReport:
     """Drive offered load (possibly past node capacity) at one cluster.
 
     Spins up a bounded in-process cluster, hammers it with ``clients``
-    threads each issuing ``ops_per_client`` PUTs through a
-    :class:`ClusterClient`, and reports the reject/shed/complete split.
-    ``service_delay`` artificially slows every request (benchmarks use
-    it to push a small machine past saturation deterministically).
-    With ``attempts=1`` the report measures raw admission behaviour;
-    higher values measure how far retry-with-backoff recovers goodput.
+    threads each :func:`drive`-ing ``ops_per_client`` PUTs through a
+    :class:`ClusterClient`, and reports the outcome split beside the
+    cluster's own accounting.  ``service_delay`` artificially slows
+    every request (benchmarks use it to push a small machine past
+    saturation deterministically).  With ``attempts=1`` the report
+    measures raw admission behaviour; higher values measure how far
+    retry-with-backoff recovers goodput.
     """
     cluster = SpitzCluster(
         nodes=nodes,
@@ -247,57 +352,26 @@ def run_saturation(
     if service_delay > 0:
         for node in cluster.nodes:
             node.handler = _SlowHandler(node.handler, service_delay)
-    report = SaturationReport(clients=clients, ops_per_client=ops_per_client)
-    lock = threading.Lock()
-    cluster.start()
-    start = time.perf_counter()
 
-    def worker(worker_id: int) -> None:
+    def worker(worker_id: int) -> Dict[str, object]:
         client = ClusterClient(
             cluster, attempts=attempts, backoff=overload_window,
             timeout=deadline,
         )
-        completed = errors = rejected = timeouts = 0
-        for i in range(ops_per_client):
-            key = f"sat:{worker_id}:{i}".encode()
-            try:
-                response = client.put(key, b"v")
-            except ClusterOverloadedError:
-                rejected += 1
-                continue
-            except TimeoutError:
-                # The envelope outlived our wait; a node will process
-                # or shed it, or stop() will fail it.
-                timeouts += 1
-                continue
-            if response.ok:
-                completed += 1
-            elif response.retryable:
-                timeouts += 1
-            else:
-                errors += 1
-        with lock:
-            report.completed += completed
-            report.errors += errors
-            report.timeouts += timeouts
-            # Admission rejections that survived the client's retries.
-            report.rejected_overload += rejected
+        return drive(client, worker_id, ops_per_client)
 
-    threads = [
-        threading.Thread(target=worker, args=(n,), daemon=True)
-        for n in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.elapsed_seconds = time.perf_counter() - start
-    cluster.stop()
+    # Imported here, not at the top: ``import repro`` stays without it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    report = LoadReport(workers=clients, ops_per_worker=ops_per_client)
+    cluster.start()
+    try:
+        with ThreadPoolExecutor(max_workers=clients) as pool:
+            report.merge(pool.map(worker, range(clients)))
+    finally:
+        cluster.stop()
     snap = cluster.stats()
     counters = snap["counters"]
-    report.offered = clients * ops_per_client
-    report.shed = counters.get("queue.shed", 0)
-    report.failed_on_stop = counters.get("cluster.failed_on_stop", 0)
     report.counters = {
         name: counters.get(name, 0)
         for name in (
@@ -308,8 +382,9 @@ def run_saturation(
             "cluster.failed_on_stop",
         )
     }
-    wait = snap["histograms"].get("queue.wait_seconds", {})
-    report.wait_p99 = wait.get("p99")
+    report.wait_p99 = (
+        snap["histograms"].get("queue.wait_seconds", {}).get("p99")
+    )
     return report
 
 
@@ -331,6 +406,8 @@ class _SlowHandler:
 __all__: List[str] = [
     "ClientStats",
     "ClusterClient",
-    "SaturationReport",
+    "LoadReport",
+    "OUTCOMES",
+    "drive",
     "run_saturation",
 ]

@@ -683,35 +683,36 @@ class SpitzDatabase:
         assignments: Mapping[str, Any],
         where: Where = (),
     ) -> int:
-        """Update matching rows; returns the number updated."""
+        """Update matching rows in one commit; returns the number
+        updated."""
         schema = self.table(table)
-        for column_name, value in assignments.items():
-            column = schema.column(column_name)
+        for column_name in assignments:
+            schema.column(column_name)  # validate
             if column_name == schema.primary_key:
                 raise QueryError("cannot update the primary key")
         matches = self.select(table, where)
-        for row in matches:
-            pk = schema.pk_bytes(row)
-            writes = {
-                schema.logical_key(name, pk): encode_value(
-                    schema.column(name).type, value
-                )
-                for name, value in assignments.items()
-            }
+        writes = {
+            schema.logical_key(name, schema.pk_bytes(row)): encode_value(
+                schema.column(name).type, value
+            )
+            for row in matches
+            for name, value in assignments.items()
+        }
+        if writes:
             self._commit(writes, statements=(f"UPDATE {table}",))
         return len(matches)
 
     def delete_rows(self, table: str, where: Where = ()) -> int:
-        """Delete matching rows; returns the number deleted."""
+        """Delete matching rows in one commit; returns the number
+        deleted."""
         schema = self.table(table)
         matches = self.select(table, where)
-        for row in matches:
-            pk = schema.pk_bytes(row)
-            writes: Dict[bytes, object] = {
-                schema.logical_key(ROW_COLUMN, pk): None
-            }
-            for column in schema.columns:
-                writes[schema.logical_key(column.name, pk)] = None
+        writes: Dict[bytes, object] = {
+            schema.logical_key(name, schema.pk_bytes(row)): None
+            for row in matches
+            for name in (ROW_COLUMN, *(c.name for c in schema.columns))
+        }
+        if writes:
             self._commit(writes, statements=(f"DELETE FROM {table}",))
         return len(matches)
 
@@ -731,6 +732,15 @@ class SpitzDatabase:
         all of ``where``, so every path gives one answer.
         """
         schema = self.table(table)
+        return _shape(
+            schema, self._matching(schema, where, as_of_block), columns,
+            limit,
+        )
+
+    def _matching(
+        self, schema: TableSchema, where: Where, as_of_block: Optional[int]
+    ) -> List[Dict[str, Any]]:
+        """Every full row of ``schema`` satisfying all of ``where``."""
         for column, predicate in where:
             for operand in predicate.operands:
                 check_type(schema.column(column), operand)
@@ -742,20 +752,11 @@ class SpitzDatabase:
                 _row(schema, pk, self._live)
                 for pk in self._candidate_pks(schema, plan)
             )
-        rows = [
+        return [
             row for row in candidates
             if row is not None and all(
                 predicate.matches(row[column]) for column, predicate in where
             )
-        ]
-        if limit is not None:
-            rows = rows[:limit]
-        if columns == ("*",):
-            return rows
-        for name in columns:
-            schema.column(name)  # validate
-        return [
-            {name: row[name] for name in columns} for row in rows
         ]
 
     def _candidate_pks(
@@ -875,38 +876,21 @@ class SpitzDatabase:
             row = dict(zip(statement.columns, statement.values))
             return self.insert(statement.table, row)
         if isinstance(statement, sql_module.Select):
-            if statement.aggregate is not None:
-                return self._select_aggregate(statement)
-            if statement.order_by is None:
-                return self.select(
-                    statement.table,
-                    statement.where,
-                    statement.columns,
-                    as_of_block=statement.as_of_block,
-                    limit=statement.limit,
-                )
-            # Sort on full rows (the ORDER BY column need not be
-            # projected), then apply LIMIT and the projection.
-            column, descending = statement.order_by
             schema = self.table(statement.table)
-            schema.column(column)  # validate
-            rows = self.select(
-                statement.table,
-                statement.where,
-                ("*",),
-                as_of_block=statement.as_of_block,
+            rows = self._matching(
+                schema, statement.where, statement.as_of_block
             )
-            rows.sort(key=lambda row: row[column], reverse=descending)
-            if statement.limit is not None:
-                rows = rows[:statement.limit]
-            if statement.columns == ("*",):
-                return rows
-            for name in statement.columns:
-                schema.column(name)
-            return [
-                {name: row[name] for name in statement.columns}
-                for row in rows
-            ]
+            if statement.order_by is not None:
+                # Sort full rows: the column need not be projected.
+                column, descending = statement.order_by
+                schema.column(column)  # validate
+                rows.sort(key=lambda row: row[column], reverse=descending)
+            if statement.aggregate is not None:
+                return _shape(
+                    schema, _aggregated(schema, statement, rows), ("*",),
+                    statement.limit,
+                )
+            return _shape(schema, rows, statement.columns, statement.limit)
         if isinstance(statement, sql_module.Update):
             return self.update(
                 statement.table,
@@ -918,36 +902,41 @@ class SpitzDatabase:
         raise QueryError(f"unsupported statement {statement!r}")
 
 
-    def _select_aggregate(self, statement) -> List[Dict[str, Any]]:
-        """Execute a single-aggregate SELECT (optionally grouped)."""
-        function, target = statement.aggregate
-        schema = self.table(statement.table)
-        if target != "*":
-            schema.column(target)  # validate
-        if statement.group_by is not None:
-            schema.column(statement.group_by)
-        rows = self.select(
-            statement.table,
-            statement.where,
-            ("*",),
-            as_of_block=statement.as_of_block,
-        )
-        label = f"{function}({target})"
-        if statement.group_by is None:
-            return [{label: _aggregate(function, target, rows)}]
-        groups: Dict[Any, List[Dict[str, Any]]] = {}
-        for row in rows:
-            groups.setdefault(row[statement.group_by], []).append(row)
-        result = [
-            {
-                statement.group_by: group_value,
-                label: _aggregate(function, target, group_rows),
-            }
-            for group_value, group_rows in sorted(groups.items())
-        ]
-        if statement.limit is not None:
-            result = result[:statement.limit]
-        return result
+def _shape(
+    schema: TableSchema,
+    rows: List[Dict[str, Any]],
+    columns: Tuple[str, ...],
+    limit: Optional[int],
+) -> List[Dict[str, Any]]:
+    """``rows`` cut to ``limit`` and projected onto ``columns``."""
+    rows = rows[:limit]
+    if columns == ("*",):
+        return rows
+    for name in columns:
+        schema.column(name)  # validate
+    return [{name: row[name] for name in columns} for row in rows]
+
+
+def _aggregated(
+    schema: TableSchema, statement, rows: List[Dict[str, Any]]
+) -> List[Dict[str, Any]]:
+    """A single-aggregate SELECT's rows over its matching ``rows``: one,
+    or one for each ``GROUP BY`` value in ascending order."""
+    function, target = statement.aggregate
+    if target != "*":
+        schema.column(target)  # validate
+    label = f"{function}({target})"
+    group_by = statement.group_by
+    if group_by is None:
+        return [{label: _aggregate(function, target, rows)}]
+    schema.column(group_by)  # validate
+    groups: Dict[Any, List[Dict[str, Any]]] = {}
+    for row in rows:
+        groups.setdefault(row[group_by], []).append(row)
+    return [
+        {group_by: value, label: _aggregate(function, target, members)}
+        for value, members in sorted(groups.items())
+    ]
 
 
 def _aggregate(function: str, target: str, rows) -> Any:

@@ -15,9 +15,7 @@ import struct
 from typing import Iterable, Union
 
 #: Values the canonical encoder accepts.
-Encodable = Union[
-    None, bool, int, float, str, bytes, tuple, list, dict, frozenset
-]
+Encodable = Union[int, str, bytes, tuple]
 
 
 #: A 32-byte SHA-256 digest.  Plain :class:`bytes`, as ``hashlib``
@@ -56,10 +54,9 @@ EMPTY_DIGEST = hash_bytes(b"")
 def canonical_encode(value: Encodable) -> bytes:
     """Encode ``value`` into unambiguous, self-delimiting bytes.
 
-    Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``,
-    ``bytes``, ``tuple``, ``list``, ``dict`` (keys sorted by their own
-    encoding) and ``frozenset`` (elements sorted by encoding).  Raises
-    :class:`TypeError` for anything else.
+    Supported types: ``int``, ``str``, ``bytes`` and ``tuple`` (of
+    these, nested).  Raises :class:`TypeError` for anything else, a
+    ``bool`` included, so that ``True`` never hashes as ``1``.
     """
     out = bytearray()
     _encode_into(value, out)
@@ -67,60 +64,24 @@ def canonical_encode(value: Encodable) -> bytes:
 
 
 def _encode_into(value: Encodable, out: bytearray) -> None:
-    # Each case writes a 1-byte tag, then a length-prefixed payload.
-    # bool must be checked before int (bool is an int subclass).
-    if value is None:
-        out += b"N"
-    elif isinstance(value, bool):
-        out += b"T" if value else b"F"
-    elif isinstance(value, int):
-        payload = str(value).encode("ascii")
-        out += b"I"
-        out += len(payload).to_bytes(4, "big")
-        out += payload
-    elif isinstance(value, float):
-        # repr round-trips floats exactly in Python 3.
-        payload = repr(value).encode("ascii")
-        out += b"D"
-        out += len(payload).to_bytes(4, "big")
-        out += payload
-    elif isinstance(value, str):
-        payload = value.encode("utf-8")
-        out += b"S"
-        out += len(payload).to_bytes(4, "big")
-        out += payload
-    elif isinstance(value, bytes):
-        out += b"B"
-        out += len(value).to_bytes(4, "big")
-        out += value
-    elif isinstance(value, (tuple, list)):
-        out += b"L"
-        out += len(value).to_bytes(4, "big")
+    # A 1-byte tag and a 4-byte length: a tuple's item count, then its
+    # items; otherwise the payload's byte count, then the payload.
+    if isinstance(value, tuple):
+        out += b"L" + len(value).to_bytes(4, "big")
         for item in value:
             _encode_into(item, out)
-    elif isinstance(value, dict):
-        encoded = sorted(
-            (canonical_encode(k), canonical_encode(v))
-            for k, v in value.items()
-        )
-        out += b"M"
-        out += len(encoded).to_bytes(4, "big")
-        for key_bytes, value_bytes in encoded:
-            out += len(key_bytes).to_bytes(4, "big")
-            out += key_bytes
-            out += len(value_bytes).to_bytes(4, "big")
-            out += value_bytes
-    elif isinstance(value, frozenset):
-        encoded_items = sorted(canonical_encode(item) for item in value)
-        out += b"X"
-        out += len(encoded_items).to_bytes(4, "big")
-        for item_bytes in encoded_items:
-            out += len(item_bytes).to_bytes(4, "big")
-            out += item_bytes
+        return
+    if isinstance(value, bytes):
+        tag, payload = b"B", value
+    elif isinstance(value, str):
+        tag, payload = b"S", value.encode("utf-8")
+    elif isinstance(value, int) and not isinstance(value, bool):
+        tag, payload = b"I", str(value).encode("ascii")
     else:
         raise TypeError(
             f"cannot canonically encode value of type {type(value).__name__}"
         )
+    out += tag + len(payload).to_bytes(4, "big") + payload
 
 
 def hash_value(value: Encodable) -> Digest:

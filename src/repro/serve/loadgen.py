@@ -8,14 +8,11 @@ sockets, real serialization, no shared GIL — which is the only
 configuration under which "sustained RPS" and "p99 latency" mean what
 they say.
 
-Each worker process runs an :class:`~repro.serve.client.HttpClusterClient`
-(the standard retry/backoff loop over the wire) against a put/get mix,
-records per-request latencies, and ships its tallies back through a
-``multiprocessing`` queue.  The parent merges them into a
-:class:`LoadReport`: sustained RPS over the overlapping wall-clock
-window, exact p50/p99 from the pooled latencies, and the
-completed/rejected/rate-limited/shed split that the acceptance
-accounting checks against the server's own counters.
+Each worker process runs :func:`~repro.core.client.drive` — the same
+per-request loop as the in-process harness — through an
+:class:`~repro.serve.client.HttpClusterClient` and ships its tally back
+through a ``multiprocessing`` queue; the parent merges the tallies into
+one :class:`~repro.core.client.LoadReport`.
 
 Workers are started with the ``spawn`` context: the benchmark parent
 runs the server's threads in-process, and forking a multi-threaded
@@ -25,79 +22,10 @@ parent can deadlock children on locks held mid-fork.
 from __future__ import annotations
 
 import multiprocessing
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.core.request_handler import Request, RequestKind
-from repro.errors import (
-    ClusterOverloadedError,
-    NetworkError,
-    RateLimitedError,
-)
+from repro.core.client import LoadReport, drive
 from repro.serve.client import HttpClusterClient
-
-
-@dataclass
-class LoadReport:
-    """Merged outcome of one multi-process run against a server."""
-
-    processes: int
-    ops_per_process: int
-    offered: int = 0
-    completed: int = 0
-    #: Admission rejections (429 overloaded) that survived retries.
-    rejected_overload: int = 0
-    #: Per-client token-bucket rejections (429 rate limited).
-    rate_limited: int = 0
-    #: Retryable shed responses (503) that survived retries.
-    shed: int = 0
-    #: Non-retryable error responses (malformed requests, 401...).
-    errors: int = 0
-    timeouts: int = 0
-    network_errors: int = 0
-    #: Client-side attempts across all workers (retries included).
-    attempts: int = 0
-    elapsed_seconds: float = 0.0
-    #: Completed-request latencies, pooled (seconds).
-    latency_p50: Optional[float] = None
-    latency_p99: Optional[float] = None
-    latency_mean: Optional[float] = None
-    per_worker: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def rps(self) -> float:
-        """Sustained completed requests per second of wall time."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.completed / self.elapsed_seconds
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "processes": self.processes,
-            "ops_per_process": self.ops_per_process,
-            "offered": self.offered,
-            "completed": self.completed,
-            "rejected_overload": self.rejected_overload,
-            "rate_limited": self.rate_limited,
-            "shed": self.shed,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "network_errors": self.network_errors,
-            "attempts": self.attempts,
-            "elapsed_seconds": self.elapsed_seconds,
-            "rps": self.rps,
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
-            "latency_mean": self.latency_mean,
-        }
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Exact rank-``q`` value of a pooled, sorted latency sample."""
-    assert sorted_values
-    rank = max(1, int(q * len(sorted_values) + 0.999999))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 def _worker(
@@ -113,69 +41,12 @@ def _worker(
     timeout: float,
     results,  # multiprocessing.Queue
 ) -> None:
-    """One load process: hammer the server, ship tallies back."""
-    tally: Dict[str, object] = {
-        "worker": worker_id,
-        "completed": 0,
-        "rejected_overload": 0,
-        "rate_limited": 0,
-        "shed": 0,
-        "errors": 0,
-        "timeouts": 0,
-        "network_errors": 0,
-        "attempts": 0,
-        "latencies": [],
-    }
-    latencies: List[float] = tally["latencies"]  # type: ignore[assignment]
-    client = HttpClusterClient(
+    """One load process: drive the server, ship the tally back."""
+    with HttpClusterClient(
         host, port, token=token,
         attempts=attempts, backoff=backoff, timeout=timeout,
-    )
-    started = time.time()
-    last_put: Optional[bytes] = None
-    for i in range(ops):
-        verify = verify_every > 0 and i % verify_every == 0
-        # Interleave at per-10-ops granularity; reads target the last
-        # written key so a GET never races a key that does not exist.
-        if i % 10 < put_ratio * 10 or last_put is None:
-            key = f"load:{worker_id}:{i}".encode()
-            request = Request(
-                RequestKind.PUT,
-                {"key": key, "value": b"v%d" % i},
-                verify=verify,
-            )
-            last_put = key
-        else:
-            request = Request(
-                RequestKind.GET, {"key": last_put}, verify=verify
-            )
-        begin = time.perf_counter()
-        try:
-            response = client.call(request)
-        except RateLimitedError:
-            tally["rate_limited"] += 1
-            continue
-        except ClusterOverloadedError:
-            tally["rejected_overload"] += 1
-            continue
-        except TimeoutError:
-            tally["timeouts"] += 1
-            continue
-        except NetworkError:
-            tally["network_errors"] += 1
-            continue
-        if response.ok:
-            tally["completed"] += 1
-            latencies.append(time.perf_counter() - begin)
-        elif response.retryable:
-            tally["shed"] += 1
-        else:
-            tally["errors"] += 1
-    tally["attempts"] = client.stats.attempts
-    tally["started"] = started
-    tally["finished"] = time.time()
-    client.close()
-    results.put(tally)
+    ) as client:
+        results.put(drive(client, worker_id, ops, put_ratio, verify_every))
 
 
 def run_load(
@@ -215,40 +86,10 @@ def run_load(
     ]
     for worker in workers:
         worker.start()
-    report = LoadReport(processes=processes, ops_per_process=ops_per_process)
-    report.offered = processes * ops_per_process
-    latencies: List[float] = []
-    first_start: Optional[float] = None
-    last_finish: Optional[float] = None
-    for _ in workers:
-        tally = results.get(timeout=start_timeout)
-        worker_latencies: List[float] = tally.pop("latencies")
-        latencies.extend(worker_latencies)
-        report.completed += tally["completed"]
-        report.rejected_overload += tally["rejected_overload"]
-        report.rate_limited += tally["rate_limited"]
-        report.shed += tally["shed"]
-        report.errors += tally["errors"]
-        report.timeouts += tally["timeouts"]
-        report.network_errors += tally["network_errors"]
-        report.attempts += tally["attempts"]
-        started, finished = tally["started"], tally["finished"]
-        first_start = (
-            started if first_start is None else min(first_start, started)
-        )
-        last_finish = (
-            finished if last_finish is None else max(last_finish, finished)
-        )
-        report.per_worker.append(tally)
+    report = LoadReport(workers=processes, ops_per_worker=ops_per_process)
+    report.merge(results.get(timeout=start_timeout) for _ in workers)
     for worker in workers:
         worker.join(timeout=10.0)
-    if first_start is not None and last_finish is not None:
-        report.elapsed_seconds = max(last_finish - first_start, 0.0)
-    if latencies:
-        latencies.sort()
-        report.latency_p50 = _percentile(latencies, 0.50)
-        report.latency_p99 = _percentile(latencies, 0.99)
-        report.latency_mean = sum(latencies) / len(latencies)
     return report
 
 

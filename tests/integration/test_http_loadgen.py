@@ -53,7 +53,7 @@ class TestRunLoad:
         assert payload["rps"] == report.rps
 
     def test_report_math_without_processes(self):
-        report = LoadReport(processes=4, ops_per_process=10)
+        report = LoadReport(workers=4, ops_per_worker=10)
         assert report.rps == 0.0
         report.completed, report.elapsed_seconds = 30, 2.0
         assert report.rps == 15.0

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.core.client import run_saturation
+from repro.core.client import OUTCOMES, run_saturation
 from repro.core.node import SpitzCluster
 from repro.core.request_handler import Request, RequestKind
 from repro.errors import ClusterOverloadedError
@@ -53,7 +53,8 @@ class TestSaturation:
 
     def test_expired_envelopes_are_shed_and_counted(self, report):
         assert report.counters["queue.shed"] > 0
-        assert report.shed == report.counters["queue.shed"]
+        # The client counts only the sheds it was told of in time.
+        assert report.shed <= report.counters["queue.shed"]
 
     def test_some_work_still_completes(self, report):
         assert report.completed > 0
@@ -78,18 +79,13 @@ class TestSaturation:
         assert report.wait_p99 <= self.DEADLINE + 1e-6
 
     def test_offered_load_fully_accounted_client_side(self, report):
-        # Every client op ended in exactly one place: completed,
-        # rejected at admission, timed out, or errored.  Timed-out
-        # envelopes show up server-side as processed (after the client
-        # stopped waiting), shed, or failed on stop.
+        # Every client op ended in exactly one of the seven outcomes.
+        # Timed-out envelopes show up server-side as processed (after
+        # the client stopped waiting), shed, or failed on stop.
         assert report.offered == 12 * 25
         assert report.timeouts > 0
-        assert (
-            report.completed
-            + report.rejected_overload
-            + report.timeouts
-            + report.errors
-            == report.offered
+        assert sum(getattr(report, name) for name in OUTCOMES) == (
+            report.offered
         ), report.to_dict()
 
 
@@ -142,10 +138,6 @@ def test_retry_pressure_preserves_the_invariant():
     assert counters["queue.rejected_overload"] > 0
     # Client side, every op ends in exactly one outcome, however many
     # admission attempts it burned on the way.
-    assert (
-        report.completed
-        + report.rejected_overload
-        + report.timeouts
-        + report.errors
-        == report.offered
+    assert sum(getattr(report, name) for name in OUTCOMES) == (
+        report.offered
     ), report.to_dict()

@@ -6,15 +6,20 @@ retryable error, expired envelopes are shed instead of processed, and
 every accepted envelope is still completed exactly once.
 """
 
+import threading
 import time
 
 import pytest
 
-from repro.core.client import ClientStats, ClusterClient
+from repro.core.client import OUTCOMES, ClientStats, ClusterClient, drive
 from repro.core.database import SpitzDatabase
 from repro.core.node import MessageQueue, ProcessorNode, SpitzCluster
 from repro.core.request_handler import Request, RequestKind, Response
-from repro.errors import ClusterOverloadedError
+from repro.errors import (
+    ClusterOverloadedError,
+    NetworkError,
+    RateLimitedError,
+)
 from repro.obs import MetricsRegistry
 
 
@@ -156,9 +161,11 @@ class _ScriptedCluster:
     def __init__(self, outcomes):
         self._outcomes = list(outcomes)
         self.submits = 0
+        self.requests = []
 
     def submit(self, request, timeout=10.0):
         self.submits += 1
+        self.requests.append(request)
         outcome = self._outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -258,3 +265,53 @@ class TestClusterClient:
     def test_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
             ClusterClient(_ScriptedCluster([]), attempts=0)
+
+
+class TestDrive:
+    """The one load loop, over a scripted cluster: no thread, no
+    process, no socket."""
+
+    def test_every_outcome_is_counted_once(self):
+        cluster = _ScriptedCluster([
+            Response(ok=True, result=None),
+            _overloaded(),
+            RateLimitedError(retry_after=0.1),
+            TimeoutError("waited too long"),
+            NetworkError("connection reset"),
+            _shed_response(),
+            Response(ok=False, error="boom", retryable=False),
+            Response(ok=True, result=None),
+        ])
+        client = ClusterClient(cluster, attempts=1, sleep=None)
+        threads = threading.active_count()
+        tally = drive(client, worker_id=3, ops=8)
+        assert threading.active_count() == threads
+        assert {name: tally[name] for name in OUTCOMES} == {
+            "completed": 2,
+            "rejected_overload": 1,
+            "rate_limited": 1,
+            "shed": 1,
+            "timeouts": 1,
+            "network_errors": 1,
+            "errors": 1,
+        }
+        assert len(tally["latencies"]) == tally["completed"]
+        assert all(latency >= 0 for latency in tally["latencies"])
+        assert tally["attempts"] == cluster.submits == 8
+        assert tally["worker"] == 3
+        assert tally["started"] <= tally["finished"]
+
+    def test_reads_follow_the_last_put_and_every_nth_op_verifies(self):
+        cluster = _ScriptedCluster([Response(ok=True)] * 10)
+        client = ClusterClient(cluster, attempts=1, sleep=None)
+        drive(client, worker_id=0, ops=10, put_ratio=0.5, verify_every=4)
+        kinds = [request.kind for request in cluster.requests]
+        assert kinds == [RequestKind.PUT] * 5 + [RequestKind.GET] * 5
+        last_put = cluster.requests[4].payload["key"]
+        assert all(
+            request.payload == {"key": last_put}
+            for request in cluster.requests[5:]
+        )
+        assert [request.verify for request in cluster.requests] == [
+            i % 4 == 0 for i in range(10)
+        ]

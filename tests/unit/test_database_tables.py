@@ -193,6 +193,31 @@ class TestMutations:
             "SELECT id FROM items WHERE name = 'item5'"
         ) == []
 
+    def test_an_update_is_one_commit(self, items_db):
+        height = items_db.ledger.height
+        count = items_db.sql(
+            "UPDATE items SET stock = 9 WHERE stock = 4 AND id < 15"
+        )
+        assert count == 3
+        assert items_db.ledger.height == height + 1
+        assert items_db.ledger.latest_block().write_count == 3
+        assert items_db.sql("SELECT id FROM items WHERE stock = 9") == [
+            {"id": 4}, {"id": 9}, {"id": 14},
+        ]
+
+    def test_a_delete_is_one_commit(self, items_db):
+        height = items_db.ledger.height
+        assert items_db.sql("DELETE FROM items WHERE id < 3") == 3
+        assert items_db.ledger.height == height + 1
+        # Each row's presence flag and its four cells.
+        assert items_db.ledger.latest_block().write_count == 3 * 5
+
+    def test_a_statement_matching_no_row_commits_nothing(self, items_db):
+        height = items_db.ledger.height
+        assert items_db.sql("UPDATE items SET stock = 1 WHERE id > 99") == 0
+        assert items_db.sql("DELETE FROM items WHERE id > 99") == 0
+        assert items_db.ledger.height == height
+
     def test_delete(self, items_db):
         count = items_db.sql("DELETE FROM items WHERE id = 3")
         assert count == 1

@@ -692,6 +692,40 @@ class TestCrashInjection:
             DurableDatabase.open(tmp_path)
 
 
+class TestOneStatementOneRecord:
+    """An UPDATE of many rows is one commit, so one log record: a crash
+    anywhere inside its bytes recovers none of its rows or all."""
+
+    @staticmethod
+    def _three_rows(root, io=None):
+        ddb = DurableDatabase.open(root, io=io)
+        ddb.sql("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        for i in range(3):
+            ddb.sql(f"INSERT INTO t (id, v) VALUES ({i}, 0)")
+        return ddb
+
+    def test_a_crash_inside_an_update_recovers_none_or_all(self, tmp_path):
+        with self._three_rows(tmp_path / "whole") as ddb:
+            before = wal_stream_length(tmp_path / "whole")
+            ddb.sql("UPDATE t SET v = 1 WHERE v = 0")
+            after = wal_stream_length(tmp_path / "whole")
+        assert after > before
+        for cut in (before + 1, (before + after) // 2, after - 1):
+            root = tmp_path / f"cut{cut}"
+            io = CrashyIO(drop_after=cut)
+            ddb = self._three_rows(root, io=io)
+            ddb.sql("UPDATE t SET v = 1 WHERE v = 0")
+            io.simulate_crash()
+            with DurableDatabase.open(root) as restored:
+                values = [row["v"] for row in restored.sql("SELECT v FROM t")]
+                assert values == [0, 0, 0], (cut, before, after, values)
+                assert restored.verify_chain()
+        with DurableDatabase.open(tmp_path / "whole") as restored:
+            assert [
+                row["v"] for row in restored.sql("SELECT v FROM t")
+            ] == [1, 1, 1]
+
+
 class TestDurableCli:
     def test_init_put_get_checkpoint_recover(self, tmp_path, capsys):
         root = str(tmp_path / "db.d")

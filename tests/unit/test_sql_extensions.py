@@ -149,6 +149,15 @@ class TestOrderByExecution:
         with pytest.raises(SchemaError):
             sales_db.sql("SELECT id FROM sales ORDER BY bogus")
 
+    def test_order_by_unknown_column_beside_an_aggregate(self, sales_db):
+        with pytest.raises(SchemaError):
+            sales_db.sql("SELECT COUNT(*) FROM sales ORDER BY bogus")
+        with pytest.raises(SchemaError):
+            sales_db.sql(
+                "SELECT region, SUM(amount) FROM sales GROUP BY region "
+                "ORDER BY bogus"
+            )
+
     def test_order_by_string_column(self, sales_db):
         rows = sales_db.sql("SELECT region FROM sales ORDER BY region")
         assert [r["region"] for r in rows] == [
