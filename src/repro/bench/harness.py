@@ -419,7 +419,7 @@ def fig_http() -> Tuple[FigureResult, FigureResult]:
     """Returns (sustained-throughput figure, overload figure).
 
     Both run the full service plane — socket, JSON wire codec,
-    middleware, separate load-generator OS processes — so "sustained
+    admission, separate load-generator OS processes — so "sustained
     RPS" and "p99" mean end-to-end over HTTP.  Sustained: generous
     queue, retries on.  Overload: tiny queue, slowed handler, tight
     deadlines, no retries; offered load splits into completed (200) /

@@ -473,7 +473,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     The service plane in one command: boots an N-node cluster
     (in-memory, or over a durable directory with ``--durable-root``),
     fronts it with the threaded HTTP server — request-id + auth +
-    per-client rate-limit middleware, 429/503 shedding at the edge —
+    per-client rate-limit admission, 429/503 shedding at the edge —
     and blocks until Ctrl-C, then prints the serving stats.
     """
     from repro.serve.server import serve_cluster

@@ -113,7 +113,7 @@ class SpitzDatabase:
             raise ValueError("block_batch must be positive")
         # One registry serves the whole instance (storage + control
         # layers share it; the cluster and the WAL attach to it too).
-        # Pass ``repro.obs.NULL_REGISTRY`` to run uninstrumented.
+        # Pass ``repro.obs.metrics.NULL_REGISTRY`` to run uninstrumented.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_commits = self.metrics.counter("db.commits")
         self._c_writes_folded = self.metrics.counter("db.writes_folded")

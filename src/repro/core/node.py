@@ -60,6 +60,13 @@ from repro.obs.tracing import (
 )
 
 
+#: How long past its envelope's deadline :meth:`SpitzCluster.submit`
+#: keeps waiting.  A node sheds an envelope it dequeues after the
+#: deadline; this grace lets that shed reply reach its client as a
+#: retryable response instead of being outrun by a ``TimeoutError``.
+SHED_GRACE = 0.05
+
+
 @dataclass
 class Envelope:
     """A request plus the completion event its client waits on.
@@ -598,13 +605,14 @@ class SpitzCluster:
         The timeout doubles as the envelope's deadline: if no node has
         dequeued the request by then, whichever node eventually takes
         it sheds it instead of processing work this (timed-out) caller
-        will never see.  Raises :class:`ClusterOverloadedError` fast on
-        sustained queue saturation and :class:`ClusterStoppedError`
+        will never see; the caller waits :data:`SHED_GRACE` longer to
+        receive that shed.  Raises :class:`ClusterOverloadedError` fast
+        on sustained queue saturation and :class:`ClusterStoppedError`
         after shutdown — both retryable without side effects.
         """
         deadline = time.perf_counter() + timeout
         envelope = self.queue.submit(request, deadline=deadline)
-        if not envelope.done.wait(timeout=timeout):
+        if not envelope.done.wait(timeout=timeout + SHED_GRACE):
             raise TimeoutError("no processor node answered in time")
         assert envelope.response is not None
         return envelope.response

@@ -27,47 +27,6 @@ expired).  Together with ``queue.submitted``, ``node.processed`` and
 processed + shed + failed-on-stop == submitted.
 """
 
-from repro.obs.exposition import (
-    PROM_CONTENT_TYPE,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    BUCKET_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    snapshot_delta,
-)
-from repro.obs.profiler import SamplingProfiler, profile_duration
-from repro.obs.slo import SloEvaluator, SloObjective, default_objectives
-from repro.obs.timeseries import TelemetryPlane, TimeSeries
-from repro.obs.tracing import Span, SpanContext, Trace, Tracer
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = [
-    "BUCKET_BOUNDS",
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "PROM_CONTENT_TYPE",
-    "SamplingProfiler",
-    "SloEvaluator",
-    "SloObjective",
-    "Span",
-    "SpanContext",
-    "TelemetryPlane",
-    "TimeSeries",
-    "Trace",
-    "Tracer",
-    "default_objectives",
-    "parse_prometheus",
-    "profile_duration",
-    "render_prometheus",
-    "snapshot_delta",
-]
+__all__ = ["MetricsRegistry"]

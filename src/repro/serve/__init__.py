@@ -12,14 +12,14 @@ puts a socket in front of it:
   verification works unchanged over the wire);
 - :mod:`repro.serve.ratelimit` — per-client token buckets with an
   injectable clock;
-- :mod:`repro.serve.middleware` — the request-id / auth-token /
-  rate-limit pipeline every HTTP request passes through before it may
-  touch the cluster;
 - :mod:`repro.serve.server` — a threaded stdlib HTTP/1.1 server over
   :class:`~repro.core.node.SpitzCluster`: one endpoint per concern
-  (``/healthz``, ``/readyz``, ``/v1/stats``, ``/v1/digest``,
-  ``POST /v1/request``), with admission-control rejections and
-  deadline sheds mapped to 429/503 + ``Retry-After`` *at the socket
+  (``/healthz``, ``/readyz``, ``/metrics``, ``/v1/stats``,
+  ``/v1/digest``, ``POST /v1/request``).  Every ``/v1/*`` request is
+  admitted by one function (request id, auth token, rate limit) and
+  answered through one traced path, so nothing unauthorized or over
+  budget touches the cluster, and admission-control rejections and
+  deadline sheds map to 429/503 + ``Retry-After`` *at the socket
   edge*;
 - :mod:`repro.serve.client` — an HTTP transport plugged into the
   existing :class:`~repro.core.client.ClusterClient` retry loop, so
@@ -38,18 +38,14 @@ from repro.serve.codec import (
     to_jsonable,
 )
 from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.middleware import AuthMiddleware, RequestContext
 from repro.serve.ratelimit import RateLimiter, TokenBucket
-from repro.serve.server import ServerConfig, SpitzHTTPServer, serve_cluster
+from repro.serve.server import SpitzHTTPServer, serve_cluster
 
 __all__ = [
-    "AuthMiddleware",
     "HttpClusterClient",
     "HttpTransport",
     "LoadReport",
     "RateLimiter",
-    "RequestContext",
-    "ServerConfig",
     "SpitzHTTPServer",
     "TokenBucket",
     "decode_request",

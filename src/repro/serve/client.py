@@ -45,7 +45,7 @@ from repro.errors import (
     RateLimitedError,
 )
 from repro.serve.codec import decode_response, encode_request
-from repro.serve.middleware import AUTH_HEADER
+from repro.serve.server import AUTH_HEADER
 
 
 #: Seconds to connect, and the headroom a request's reply gets past its

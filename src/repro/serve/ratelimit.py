@@ -114,10 +114,6 @@ class RateLimiter:
         self._c_limited = metrics.counter("serve.ratelimit.limited")
         self._g_clients = metrics.gauge("serve.ratelimit.clients")
 
-    @property
-    def enabled(self) -> bool:
-        return self.rate is not None
-
     def _bucket_for(self, client: str) -> TokenBucket:
         with self._lock:
             bucket = self._buckets.get(client)

@@ -13,9 +13,10 @@ until now only in-process threads could reach.  Design points:
   seconds; our backoffs are milliseconds).  A well-behaved client
   (:class:`~repro.serve.client.HttpClusterClient`) honors the body
   value through the exact retry loop the in-process client uses.
-- **Middleware before the queue.**  Every ``/v1/*`` request passes
-  request-id → auth → per-client token bucket; rejected requests
-  never spend cluster capacity (DESIGN.md §6e).
+- **Admission before the queue.**  Every ``/v1/*`` request passes
+  :meth:`SpitzHTTPServer.admit` — request id, auth token, per-client
+  token bucket — and :meth:`SpitzHTTPServer.answer`; rejected
+  requests never spend cluster capacity (DESIGN.md §6e).
 - **One parented trace per HTTP request.**  The handler opens an
   ``http.request`` root span on its serving thread; the cluster's
   ``client.submit`` span (opened inside ``MessageQueue.submit`` on the
@@ -44,33 +45,27 @@ model and keeps the dependency budget at zero.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import threading
 import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.node import SpitzCluster
 from repro.errors import ClusterOverloadedError, ClusterStoppedError
 from repro.obs.exposition import PROM_CONTENT_TYPE, render_prometheus
 from repro.obs.profiler import MAX_PROFILE_SECONDS, profile_duration
-from repro.obs.tracing import STATUS_ERROR, STATUS_OK, STATUS_SHED
+from repro.obs.tracing import STATUS_ERROR, STATUS_OK, STATUS_SHED, Span
 from repro.serve.codec import (
     WireCodecError,
     decode_request,
     encode_response,
     to_jsonable,
-)
-from repro.serve.middleware import (
-    AuthMiddleware,
-    EdgeRejection,
-    MiddlewareStack,
-    RateLimitMiddleware,
-    RequestContext,
-    RequestIdMiddleware,
-    prefers_plain_text,
 )
 from repro.serve.ratelimit import RateLimiter
 
@@ -78,37 +73,69 @@ from repro.serve.ratelimit import RateLimiter
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Ceiling on the per-request cluster timeout a client may ask for.
 MAX_REQUEST_TIMEOUT = 60.0
+#: Header carrying (or receiving) the request id.
+REQUEST_ID_HEADER = "x-request-id"
+#: Header carrying the client's auth token.
+AUTH_HEADER = "x-spitz-token"
 
 
-class ServerConfig:
-    """Knobs for :class:`SpitzHTTPServer` (plain object, no deps)."""
+@dataclass
+class RequestContext:
+    """Everything the edge knows about one in-flight HTTP request."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        auth_tokens: Optional[List[str]] = None,
-        rate: Optional[float] = None,
-        burst: Optional[float] = None,
-        request_timeout: float = 10.0,
-    ):
-        self.host = host
-        self.port = port
-        self.auth_tokens = list(auth_tokens) if auth_tokens else []
-        self.rate = rate
-        self.burst = burst
-        self.request_timeout = request_timeout
+    path: str
+    #: Lower-cased header name → value.
+    headers: Dict[str, str]
+    remote_addr: str
+    #: Set by :meth:`SpitzHTTPServer.admit`: the client's own id when
+    #: it sent one (so retries correlate across attempts), else issued.
+    request_id: str = ""
+    #: Set by :meth:`SpitzHTTPServer.admit` once the caller is
+    #: authenticated: its token, else its host.  The rate-limit key.
+    client_id: str = ""
 
 
-def _overload_body(error: ClusterOverloadedError) -> Dict[str, Any]:
-    return {
-        "error": str(error),
-        "overloaded": True,
-        "retryable": True,
-        "retry_after": error.retry_after,
-        "depth": error.depth,
-        "capacity": error.capacity,
-    }
+class Reply(NamedTuple):
+    """What a route answers: a JSON object, or text for the Prometheus
+    exposition.  ``retry_after`` (seconds) becomes the ``Retry-After``
+    header; ``outcome`` is the ``http.request`` span's status."""
+
+    status: int
+    body: Union[Dict[str, Any], str]
+    retry_after: Optional[float] = None
+    outcome: str = STATUS_OK
+
+
+def prefers_plain_text(accept: Optional[str]) -> bool:
+    """Content negotiation for ``/v1/stats``: does this ``Accept``
+    header ask for the Prometheus text format over JSON?
+
+    Minimal q-value handling over comma-separated media ranges:
+    ``text/plain`` (and ``text/*``) competes with ``application/json``
+    (and ``application/*``/``*/*``, which keep the JSON default).
+    Plain text wins only on a strictly higher q — ties keep JSON, so
+    browsers (``*/*``) and existing clients are unaffected.
+    """
+    if not accept:
+        return False
+    q_text = 0.0
+    q_json = 0.0
+    for part in accept.split(","):
+        fields = part.strip().split(";")
+        media = fields[0].strip().lower()
+        q = 1.0
+        for param in fields[1:]:
+            name, _, value = param.strip().partition("=")
+            if name.strip() == "q":
+                try:
+                    q = float(value)
+                except ValueError:
+                    q = 0.0
+        if media in ("text/plain", "text/*"):
+            q_text = max(q_text, q)
+        elif media in ("application/json", "application/*", "*/*"):
+            q_json = max(q_json, q)
+    return q_text > q_json
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -119,62 +146,39 @@ class _Handler(BaseHTTPRequestHandler):
     # second write stalls behind the peer's delayed ACK (~40ms per
     # request on loopback keep-alive connections).
     disable_nagle_algorithm = True
-    server: "SpitzHTTPServer"
-
-    # -- plumbing -------------------------------------------------------
 
     def log_message(self, format: str, *args: Any) -> None:
         # Access logging is the metrics registry's job, not stderr's.
         pass
 
-    def _reply(
-        self,
-        status: int,
-        body: Dict[str, Any],
-        request_id: str = "",
-        retry_after: Optional[float] = None,
-    ) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+    def send(self, reply: Reply, request_id: str = "", close: bool = False) -> None:
+        """Write ``reply``; ``close`` ends the connection after it."""
+        if isinstance(reply.body, str):
+            payload = reply.body.encode("utf-8")
+            content_type = PROM_CONTENT_TYPE
+        else:
+            payload = json.dumps(reply.body).encode("utf-8")
+            content_type = "application/json"
+        self.send_response(reply.status)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         if request_id:
             self.send_header("X-Request-Id", request_id)
-        if retry_after is not None:
+        if reply.retry_after is not None:
             # Standard header is integer seconds; the precise float
             # rides in the body as "retry_after".
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
+            self.send_header(
+                "Retry-After", str(max(1, math.ceil(reply.retry_after)))
+            )
+        if close:
+            # Sets close_connection too (BaseHTTPRequestHandler).
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
-        self.server.observe_response(status)
-
-    def _reply_text(
-        self, status: int, text: str, content_type: str
-    ) -> None:
-        """Non-JSON reply (the Prometheus exposition path)."""
-        payload = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-        self.server.observe_response(status)
-
-    def _read_body(self) -> Optional[bytes]:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            return None
-        try:
-            size = int(length)
-        except ValueError:
-            return None
-        if size < 0 or size > MAX_BODY_BYTES:
-            return None
-        return self.rfile.read(size)
+        self.server.spitz.observe_response(reply.status)
 
     def _context(self, path: str) -> RequestContext:
         return RequestContext(
-            method=self.command,
             path=path,
             headers={
                 name.lower(): value for name, value in self.headers.items()
@@ -182,118 +186,108 @@ class _Handler(BaseHTTPRequestHandler):
             # Host only — the ephemeral port changes per connection,
             # and the rate limiter keys anonymous callers by this, so
             # including it would hand every reconnect a fresh bucket.
-            remote_addr=(
-                str(self.client_address[0])
-                if isinstance(self.client_address, tuple)
-                else str(self.client_address)
-            ),
+            remote_addr=str(self.client_address[0]),
         )
 
     # -- routes ---------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
+        spitz = self.server.spitz
         split = urlsplit(self.path)
         path = split.path
         if path == "/healthz":
-            self._reply(200, {"status": "alive"})
-            return
-        if path == "/readyz":
-            ready, detail = self.server.readiness()
-            self._reply(200 if ready else 503, detail)
-            return
-        if path == "/metrics":
+            self.send(Reply(200, {"status": "alive"}))
+        elif path == "/readyz":
+            ready, detail = spitz.readiness()
+            self.send(Reply(200 if ready else 503, detail))
+        elif path == "/metrics":
             # Like /healthz: scrapers poll this every few seconds and
             # never spend cluster capacity, so it bypasses auth and
             # rate limiting rather than eating the caller's budget.
-            self._reply_text(200, self.server.metrics_text(), PROM_CONTENT_TYPE)
-            return
-        if path == "/v1/stats":
-            if prefers_plain_text(self.headers.get("Accept")):
-                # Content negotiation: the same telemetry surface in
-                # Prometheus text instead of JSON.
-                self._reply_text(
-                    200, self.server.metrics_text(), PROM_CONTENT_TYPE
-                )
-                return
-            query = parse_qs(split.query)
-            traces = query.get("traces", ["0"])[0] in ("1", "true", "yes")
-            profile_raw = query.get("profile_seconds", [""])[0]
-            try:
-                profile_seconds: Optional[float] = (
-                    float(profile_raw) if profile_raw else None
-                )
-            except ValueError:
-                profile_seconds = None
-            self.server.handle_edge(
-                self, self._context(path), kind="stats",
-                action=lambda: (
-                    200, self.server.stats_body(traces, profile_seconds)
+            self.send(Reply(200, spitz.metrics_text()))
+        elif path == "/v1/stats":
+            spitz.answer(
+                self, self._context(path), "stats",
+                lambda span: spitz.stats_reply(
+                    split.query, self.headers.get("Accept")
                 ),
             )
-            return
-        if path == "/v1/digest":
-            self.server.handle_edge(
-                self, self._context(path), kind="digest",
-                action=lambda: (200, self.server.digest_body()),
+        elif path == "/v1/digest":
+            spitz.answer(
+                self, self._context(path), "digest",
+                lambda span: Reply(
+                    200, to_jsonable({"digest": spitz.cluster.db.digest()})
+                ),
             )
-            return
-        self._reply(404, {"error": f"no route {path!r}"})
+        else:
+            self.send(Reply(404, {"error": f"no route {path!r}"}))
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler contract)
         path = urlsplit(self.path).path
         if path != "/v1/request":
-            self._reply(404, {"error": f"no route {path!r}"})
+            self.send(Reply(404, {"error": f"no route {path!r}"}))
             return
-        body = self._read_body()
-        if body is None:
-            self._reply(
-                411, {"error": "Content-Length required and bounded"}
-            )
+        try:
+            size = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            size = -1
+        if not 0 <= size <= MAX_BODY_BYTES:
+            # The body stays unread, so nothing after it on this
+            # connection can be framed: answer and close.
+            if size > MAX_BODY_BYTES:
+                reply = Reply(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
+            else:
+                reply = Reply(411, {"error": "a valid Content-Length is required"})
+            self.send(reply, close=True)
             return
-        self.server.handle_request_route(self, self._context(path), body)
+        self.server.handle_request_route(
+            self, self._context(path), self.rfile.read(size)
+        )
 
 
 class SpitzHTTPServer:
-    """The service plane: middleware stack + routes over one cluster.
+    """The service plane: admission + routes over one cluster.
 
     Owns the listening socket (``port=0`` binds an ephemeral port —
     read :attr:`port` after construction) and a daemon thread running
     ``serve_forever``.  Does *not* own the cluster: callers that want
-    a one-stop lifecycle use :func:`serve_cluster`.
+    a one-stop lifecycle use :func:`serve_cluster`.  With no
+    ``auth_tokens`` the server is open; with no ``rate`` nobody is
+    rate limited (``burst`` defaults to one second's worth of tokens).
     """
 
-    def __init__(self, cluster: SpitzCluster, config: Optional[ServerConfig] = None):
+    def __init__(
+        self,
+        cluster: SpitzCluster,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        auth_tokens: Optional[List[str]] = None,
+        rate: Optional[float] = None,
+        burst: Optional[float] = None,
+        request_timeout: float = 10.0,
+    ):
         self.cluster = cluster
-        self.config = config if config is not None else ServerConfig()
+        self.request_timeout = request_timeout
         self.metrics = cluster.metrics
         self._c_requests = self.metrics.counter("serve.http.requests")
         self._c_rejected_edge = self.metrics.counter("serve.http.rejected_edge")
+        self._c_unauthorized = self.metrics.counter("serve.unauthorized")
         self._h_latency = self.metrics.histogram("serve.http.latency_seconds")
         self._status_counters: Dict[int, Any] = {}
-        self.limiter = RateLimiter(
-            rate=self.config.rate,
-            burst=self.config.burst,
-            metrics=self.metrics,
-        )
-        self.auth = AuthMiddleware(
-            tokens=self.config.auth_tokens, metrics=self.metrics
-        )
-        self.middleware = MiddlewareStack([
-            RequestIdMiddleware(),
-            self.auth,
-            RateLimitMiddleware(self.limiter),
-        ])
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _Handler
-        )
+        self._tokens = frozenset(auth_tokens or ())
+        self.limiter = RateLimiter(rate=rate, burst=burst, metrics=self.metrics)
+        # Issued ids are ``<prefix>-<n>``: a random per-server prefix
+        # keeps them unique across restarts without a clock.
+        self._id_prefix = os.urandom(4).hex()
+        self._ids = itertools.count(1)
+        self._ids_lock = threading.Lock()
+        self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
-        # The handler reaches everything through ``self.server``.
-        self._httpd.observe_response = self.observe_response  # type: ignore[attr-defined]
-        self._httpd.readiness = self.readiness  # type: ignore[attr-defined]
-        self._httpd.stats_body = self.stats_body  # type: ignore[attr-defined]
-        self._httpd.metrics_text = self.metrics_text  # type: ignore[attr-defined]
-        self._httpd.digest_body = self.digest_body  # type: ignore[attr-defined]
-        self._httpd.handle_edge = self.handle_edge  # type: ignore[attr-defined]
+        # The handler reaches the server through ``self.server.spitz``;
+        # the POST route goes through its own attribute so it can be
+        # wrapped per instance.
+        self._httpd.spitz = self  # type: ignore[attr-defined]
         self._httpd.handle_request_route = self.handle_request_route  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
@@ -317,11 +311,13 @@ class SpitzHTTPServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
         if self._thread is not None:
+            # shutdown() waits for serve_forever, so only a started
+            # server may call it.
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.server_close()
 
     def __enter__(self) -> "SpitzHTTPServer":
         self.start()
@@ -362,30 +358,36 @@ class SpitzHTTPServer:
         detail["status"] = "ready"
         return True, detail
 
-    def stats_body(
-        self, traces: bool, profile_seconds: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """The CLI's exact payload: one serialization path for both.
+    def stats_reply(self, query: str, accept: Optional[str]) -> Reply:
+        """``GET /v1/stats``: the CLI's exact payload, or the Prometheus
+        rendering when the ``Accept`` header prefers text.
 
         The cumulative snapshot, plus the telemetry plane's windowed
         view (``windows``) and SLO statuses (``slo``) when the cluster
-        runs one.  ``profile_seconds`` (capped at
-        :data:`MAX_PROFILE_SECONDS`) samples the live process for that
-        long and inlines the profiler report — the request blocks for
-        the duration, which is the point: it profiles whatever the
-        server is doing *now*.
+        runs one.  ``?traces=1`` adds the flight recorder's data;
+        ``?profile_seconds=N`` (capped at :data:`MAX_PROFILE_SECONDS`)
+        samples the live process for that long and inlines the
+        profiler report — the request blocks for the duration, which
+        is the point: it profiles whatever the server is doing *now*.
         """
+        if prefers_plain_text(accept):
+            return Reply(200, self.metrics_text())
+        params = parse_qs(query)
         snapshot = dict(self.cluster.db.metrics_snapshot())
         telemetry = getattr(self.cluster, "telemetry", None)
         if telemetry is not None:
             snapshot["windows"] = telemetry.windows_snapshot()
             snapshot["slo"] = telemetry.slo_snapshot()
-        if traces:
+        if params.get("traces", ["0"])[0] in ("1", "true", "yes"):
             snapshot["traces"] = self.metrics.flight.snapshot()
-        if profile_seconds is not None and profile_seconds > 0:
-            bounded = min(float(profile_seconds), MAX_PROFILE_SECONDS)
+        try:
+            seconds = float(params.get("profile_seconds", ["0"])[0])
+        except ValueError:
+            seconds = 0.0
+        if seconds > 0:
+            bounded = min(seconds, MAX_PROFILE_SECONDS)
             snapshot["profile"] = profile_duration(bounded).report()
-        return to_jsonable(snapshot)
+        return Reply(200, to_jsonable(snapshot))
 
     def metrics_text(self) -> str:
         """The full Prometheus exposition (``GET /metrics``)."""
@@ -411,128 +413,108 @@ class SpitzHTTPServer:
             shards=shards,
         )
 
-    def digest_body(self) -> Dict[str, Any]:
-        return to_jsonable({"digest": self.cluster.db.digest()})
+    def admit(self, context: RequestContext) -> Optional[Reply]:
+        """Decide whether a ``/v1/*`` request may spend cluster capacity.
 
-    def _reject(
+        In order: name the request, name the caller, check its token,
+        charge its token bucket.  Returns None to admit, else the
+        rejection to send — so nothing unauthorized or over budget ever
+        reaches the queue.  A 401 is final; a 429 is retryable, with
+        ``retry_after`` saying when the caller's bucket refills.
+        """
+        supplied = context.headers.get(REQUEST_ID_HEADER)
+        if supplied:
+            context.request_id = supplied[:128]
+        else:
+            with self._ids_lock:
+                number = next(self._ids)
+            context.request_id = f"{self._id_prefix}-{number}"
+        token = context.headers.get(AUTH_HEADER)
+        if self._tokens and token not in self._tokens:
+            # Before the bucket: an unknown caller spends nobody's budget.
+            self._c_unauthorized.inc()
+            self._c_rejected_edge.inc()
+            return Reply(
+                401,
+                {"error": "missing or unknown auth token", "retryable": False},
+                outcome=STATUS_ERROR,
+            )
+        client = token or context.remote_addr or "anonymous"
+        context.client_id = client
+        admitted, retry_after = self.limiter.try_acquire(client)
+        if admitted:
+            return None
+        self._c_rejected_edge.inc()
+        return Reply(
+            429,
+            {
+                "error": (
+                    f"client {client!r} over its request rate; "
+                    f"retry in ~{retry_after:.3f}s"
+                ),
+                "retryable": True,
+                "retry_after": retry_after,
+            },
+            retry_after,
+            STATUS_SHED,
+        )
+
+    def answer(
         self,
         handler: _Handler,
         context: RequestContext,
-        rejection: EdgeRejection,
+        kind: str,
+        act: Callable[[Optional[Span]], Reply],
     ) -> None:
-        self._c_rejected_edge.inc()
-        body = {
-            "error": rejection.error,
-            "retryable": rejection.retryable,
-            "request_id": context.request_id,
-        }
-        if rejection.retry_after is not None:
-            body["retry_after"] = rejection.retry_after
-        handler._reply(
-            rejection.status, body,
-            request_id=context.request_id,
-            retry_after=rejection.retry_after,
-        )
+        """Admit and answer one ``/v1/*`` request inside its
+        ``http.request`` span.
 
-    def handle_edge(self, handler, context: RequestContext, kind, action) -> None:
-        """Run a GET-side route through middleware + tracing.
-
-        ``action`` returns ``(status, body)``; it runs inside the
-        request's root span so any cluster work it does parents there.
+        ``act`` runs only for an admitted request, inside the span, so
+        any cluster work it does parents there.  The reply is written
+        *after* the span closes: once a client has the response, its
+        trace is already in the flight recorder.
         """
         self._c_requests.inc()
         start = time.perf_counter()
-        tracer = self.metrics.tracer
-        # The reply is written *after* the span closes: once a client
-        # has the response, its trace is already in the recorder —
-        # "one complete trace per request" holds without a race.
-        with tracer.span(
-            "http.request",
-            attributes={"kind": kind, "path": context.path},
+        with self.metrics.tracer.span(
+            "http.request", attributes={"kind": kind, "path": context.path}
         ) as span:
-            rejection = self.middleware.run(context)
+            reply = self.admit(context) or act(span)
             if span is not None:
+                span.status = reply.outcome
                 span.set_attribute("request_id", context.request_id)
                 span.set_attribute("client", context.client_id)
-            if rejection is not None:
-                if span is not None:
-                    span.status = (
-                        STATUS_SHED if rejection.status == 429
-                        else STATUS_ERROR
-                    )
-            else:
-                status, body = action()
-                if span is not None and status >= 400:
-                    span.status = STATUS_ERROR
+                span.set_attribute("http_status", reply.status)
         self._h_latency.observe(time.perf_counter() - start)
-        if rejection is not None:
-            self._reject(handler, context, rejection)
-        else:
-            body["request_id"] = context.request_id
-            handler._reply(status, body, request_id=context.request_id)
+        if isinstance(reply.body, dict):
+            reply.body.setdefault("request_id", context.request_id)
+        handler.send(reply, request_id=context.request_id)
 
     def handle_request_route(
-        self, handler, context: RequestContext, body: bytes
+        self, handler: _Handler, context: RequestContext, body: bytes
     ) -> None:
-        """POST /v1/request: decode, middleware, submit, frame, reply."""
-        self._c_requests.inc()
-        start = time.perf_counter()
-        tracer = self.metrics.tracer
-        # As in handle_edge: the span closes (and the trace lands in
-        # the flight recorder) before the reply goes on the wire.
-        with tracer.span(
-            "http.request",
-            attributes={"kind": "edge", "path": context.path},
-        ) as span:
-            status, payload, retry_after, outcome = self._process(
-                context, body, span
-            )
-            if span is not None:
-                span.status = outcome
-                span.set_attribute("request_id", context.request_id)
-                span.set_attribute("http_status", status)
-        self._h_latency.observe(time.perf_counter() - start)
-        if isinstance(payload, dict):
-            payload.setdefault("request_id", context.request_id)
-        handler._reply(
-            status, payload,
-            request_id=context.request_id,
-            retry_after=retry_after,
+        """``POST /v1/request``: decode, submit, frame, reply."""
+        self.answer(
+            handler, context, "edge", lambda span: self._submit(body, span)
         )
 
-    def _process(self, context, body, span):
-        """Returns (http_status, json_body, retry_after, span_status)."""
-        rejection = self.middleware.run(context)
-        if span is not None:
-            span.set_attribute("client", context.client_id)
-        if rejection is not None:
-            self._c_rejected_edge.inc()
-            reply = {
-                "error": rejection.error,
-                "retryable": rejection.retryable,
-            }
-            if rejection.retry_after is not None:
-                reply["retry_after"] = rejection.retry_after
-            outcome = (
-                STATUS_SHED if rejection.status == 429 else STATUS_ERROR
-            )
-            return rejection.status, reply, rejection.retry_after, outcome
+    def _submit(self, body: bytes, span: Optional[Span]) -> Reply:
+        """One admitted request body through the cluster."""
         try:
             frame = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return (
+            return Reply(
                 400,
                 {"error": f"request body is not JSON: {error}"},
-                None,
-                STATUS_ERROR,
+                outcome=STATUS_ERROR,
             )
         try:
             request = decode_request(frame)
         except WireCodecError as error:
-            return 400, {"error": str(error)}, None, STATUS_ERROR
+            return Reply(400, {"error": str(error)}, outcome=STATUS_ERROR)
         if span is not None:
             span.set_attribute("kind", request.kind.value)
-        timeout = self.config.request_timeout
+        timeout = self.request_timeout
         asked = frame.get("timeout_seconds")
         if isinstance(asked, (int, float)) and asked > 0:
             timeout = min(float(asked), MAX_REQUEST_TIMEOUT)
@@ -541,32 +523,38 @@ class SpitzHTTPServer:
         except ClusterOverloadedError as error:
             # Admission rejection: shed at the socket edge, with the
             # queue's own backoff suggestion on the wire.
-            return 429, _overload_body(error), error.retry_after, STATUS_SHED
+            overload = {
+                "error": str(error),
+                "overloaded": True,
+                "retryable": True,
+                "retry_after": error.retry_after,
+                "depth": error.depth,
+                "capacity": error.capacity,
+            }
+            return Reply(429, overload, error.retry_after, STATUS_SHED)
         except ClusterStoppedError as error:
-            return (
+            return Reply(
                 503,
                 {"error": str(error), "stopped": True, "retryable": False},
-                None,
-                STATUS_ERROR,
+                outcome=STATUS_ERROR,
             )
         except TimeoutError as error:
-            return (
+            return Reply(
                 504,
                 {"error": str(error), "retryable": False},
-                None,
-                STATUS_ERROR,
+                outcome=STATUS_ERROR,
             )
         reply = encode_response(response)
         if response.ok:
-            return 200, reply, None, STATUS_OK
+            return Reply(200, reply)
         if response.retryable:
             # Deadline shed inside the queue: 503 + the queue's live
             # backoff suggestion (the shed response itself carries
             # none), so remote clients pace exactly like local ones.
             retry_after = self.cluster.queue.suggested_backoff()
             reply["retry_after"] = retry_after
-            return 503, reply, retry_after, STATUS_SHED
-        return 200, reply, None, STATUS_ERROR
+            return Reply(503, reply, retry_after, STATUS_SHED)
+        return Reply(200, reply, outcome=STATUS_ERROR)
 
 
 class ClusterService:
@@ -623,24 +611,25 @@ def serve_cluster(
     cluster.start()
     server = SpitzHTTPServer(
         cluster,
-        ServerConfig(
-            host=host,
-            port=port,
-            auth_tokens=auth_tokens,
-            rate=rate,
-            burst=burst,
-            request_timeout=request_timeout,
-        ),
+        host=host,
+        port=port,
+        auth_tokens=auth_tokens,
+        rate=rate,
+        burst=burst,
+        request_timeout=request_timeout,
     )
     server.start()
     return ClusterService(cluster, server)
 
 
 __all__ = [
+    "AUTH_HEADER",
     "ClusterService",
     "MAX_BODY_BYTES",
     "MAX_REQUEST_TIMEOUT",
-    "ServerConfig",
+    "REQUEST_ID_HEADER",
+    "Reply",
+    "RequestContext",
     "SpitzHTTPServer",
     "serve_cluster",
 ]

@@ -1,7 +1,7 @@
 """Integration tests for the HTTP service plane (``repro.serve``).
 
 Everything here runs a real listening socket (ephemeral port) with the
-real middleware stack, wire codec and cluster behind it.  The suite
+real admission path, wire codec and cluster behind it.  The suite
 pins the service-plane contract end to end:
 
 - reads/writes/verified reads round-trip the wire and **verify
@@ -21,6 +21,7 @@ pins the service-plane contract end to end:
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -37,8 +38,7 @@ from repro.errors import (
 )
 from repro.serve.client import HttpClusterClient
 from repro.serve.codec import decode_value
-from repro.serve.middleware import REQUEST_ID_HEADER
-from repro.serve.server import serve_cluster
+from repro.serve.server import MAX_BODY_BYTES, REQUEST_ID_HEADER, serve_cluster
 
 
 @pytest.fixture()
@@ -93,6 +93,45 @@ class TestHealthAndOps:
             assert conn.getresponse().status == 411
         finally:
             conn.close()
+
+    def test_oversized_content_length_is_413_and_closes(self, service):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", service.port, timeout=10
+        )
+        try:
+            conn.putrequest("POST", "/v1/request", skip_accept_encoding=True)
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 413
+            assert response.headers["Connection"] == "close"
+        finally:
+            conn.close()
+
+    def test_unread_body_is_not_parsed_as_the_next_request(self, service):
+        # The refused body is never read, so the server must not frame
+        # it: a smuggled GET inside it gets no answer of its own.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        sock = socket.create_connection(("127.0.0.1", service.port))
+        sock.settimeout(3.0)
+        try:
+            sock.sendall(
+                b"POST /v1/request HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 99999999\r\n\r\n" + smuggled
+            )
+            received = b""
+            while True:
+                try:
+                    chunk = sock.recv(65536)
+                except (socket.timeout, ConnectionResetError):
+                    break
+                if not chunk:
+                    break
+                received += chunk
+        finally:
+            sock.close()
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(b"HTTP/1.1 413 ")
 
     def test_digest_endpoint_decodes_to_live_digest(self, service, client):
         body = client.transport.digest()
@@ -212,6 +251,11 @@ class TestAuth:
 
     def test_missing_token_is_401_on_stats_too(self, locked):
         status, _headers, _body = _raw(locked, "GET", "/v1/stats")
+        assert status == 401
+        # The Prometheus form of the same route is admitted the same way.
+        status, _headers, _body = _raw(
+            locked, "GET", "/v1/stats", headers={"Accept": "text/plain"}
+        )
         assert status == 401
         # ...but liveness stays open: probes never need credentials.
         assert _raw(locked, "GET", "/healthz")[0] == 200

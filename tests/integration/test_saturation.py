@@ -80,10 +80,11 @@ class TestSaturation:
 
     def test_offered_load_fully_accounted_client_side(self, report):
         # Every client op ended in exactly one of the seven outcomes.
-        # Timed-out envelopes show up server-side as processed (after
-        # the client stopped waiting), shed, or failed on stop.
+        # A client waits a grace past its deadline, so the sheds reach
+        # it as retryable responses rather than timeouts: most of the
+        # server's sheds are the client's too.
         assert report.offered == 12 * 25
-        assert report.timeouts > 0
+        assert report.shed * 2 > report.counters["queue.shed"] > 0
         assert sum(getattr(report, name) for name in OUTCOMES) == (
             report.offered
         ), report.to_dict()

@@ -132,6 +132,58 @@ class TestDeadlineShedding:
         finally:
             cluster.stop()
 
+    def test_shed_reply_reaches_a_client_past_its_deadline(self):
+        """A node that dequeues an envelope just after its deadline
+        sheds it; the client must still receive that retryable shed
+        instead of a TimeoutError, and a retrying client resubmits."""
+        cluster = SpitzCluster(nodes=1)  # never started: the test serves
+
+        def served_late(call, envelopes):
+            """Run ``call`` on a client thread and serve each envelope it
+            queues 25 ms later, past its 20 ms deadline; returns what
+            the call returned or raised."""
+            outcome = []
+
+            def client():
+                try:
+                    outcome.append(call())
+                except Exception as error:  # asserted on below
+                    outcome.append(error)
+
+            thread = threading.Thread(target=client)
+            base = cluster.queue.submitted
+            thread.start()
+            for n in range(1, envelopes + 1):
+                give_up = time.perf_counter() + 5.0
+                while (
+                    cluster.queue.submitted < base + n
+                    and time.perf_counter() < give_up
+                ):
+                    time.sleep(0.001)
+                time.sleep(0.025)
+                assert cluster.nodes[0].serve_one(timeout=1.0)
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            return outcome[0]
+
+        try:
+            response = served_late(
+                lambda: cluster.submit(_put_request(8), timeout=0.02), 1
+            )
+            assert isinstance(response, Response), response
+            assert not response.ok and response.retryable
+            retrying = ClusterClient(
+                cluster, attempts=2, timeout=0.02, sleep=None
+            )
+            response = served_late(lambda: retrying.call(_put_request(9)), 2)
+            assert isinstance(response, Response), response
+            assert retrying.stats.shed_responses == 2
+            assert retrying.stats.retries == 1
+            assert cluster.queue.submitted == cluster.queue.shed == 3
+            assert cluster.nodes[0].processed == 0
+        finally:
+            cluster.stop()
+
     def test_accounting_balances_after_stop(self):
         """processed + shed + failed-on-stop == submitted, even with a
         mix of live, expired and stranded envelopes."""

@@ -1,4 +1,5 @@
-"""Unit tests for the per-client token bucket (``repro.serve.ratelimit``).
+"""Unit tests for the per-client token bucket (``repro.serve.ratelimit``)
+and the HTTP server's admission of ``/v1/*`` requests to it.
 
 The clock is injected everywhere, so refill is driven explicitly —
 no sleeps, no flakiness — and the concurrency property is checked
@@ -10,8 +11,15 @@ import threading
 
 import pytest
 
+from repro.core.node import SpitzCluster
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.ratelimit import RateLimiter, TokenBucket
+from repro.serve.server import (
+    AUTH_HEADER,
+    REQUEST_ID_HEADER,
+    RequestContext,
+    SpitzHTTPServer,
+)
 
 
 class FakeClock:
@@ -172,3 +180,82 @@ class TestRateLimiter:
         limiter = RateLimiter(rate=50.0, clock=FakeClock())
         assert limiter.burst == 50.0
         assert RateLimiter(rate=0.5, clock=FakeClock()).burst == 1.0
+
+
+def _context(headers=None, addr="10.0.0.1") -> RequestContext:
+    return RequestContext(
+        path="/v1/digest", headers=dict(headers or {}), remote_addr=addr
+    )
+
+
+class TestAdmission:
+    """``SpitzHTTPServer.admit`` on a server that is never started: no
+    request goes over a socket."""
+
+    @pytest.fixture()
+    def make_server(self):
+        made = []
+
+        def make(**settings) -> SpitzHTTPServer:
+            cluster = SpitzCluster(nodes=1)
+            server = SpitzHTTPServer(cluster, **settings)
+            made.append((cluster, server))
+            return server
+
+        yield make
+        for cluster, server in made:
+            server.stop()
+            cluster.stop()
+
+    @staticmethod
+    def _charged(server):
+        counters = server.metrics.snapshot()["counters"]
+        return (
+            counters.get("serve.ratelimit.admitted", 0),
+            counters.get("serve.ratelimit.limited", 0),
+        )
+
+    def test_unauthorized_request_charges_no_bucket(self, make_server):
+        server = make_server(auth_tokens=["sesame"], rate=0.01, burst=1)
+        before = self._charged(server)
+        for headers in ({}, {AUTH_HEADER: "wrong"}):
+            reply = server.admit(_context(headers))
+            assert reply.status == 401
+            assert reply.body["retryable"] is False
+        assert self._charged(server) == before
+        assert server.limiter.client_count() == 0
+        # The caller's budget is intact: its first request is admitted.
+        assert server.admit(_context({AUTH_HEADER: "sesame"})) is None
+
+    def test_two_tokens_from_one_address_have_separate_buckets(
+        self, make_server
+    ):
+        server = make_server(auth_tokens=["a", "b"], rate=0.01, burst=1)
+        assert server.admit(_context({AUTH_HEADER: "a"})) is None
+        assert server.admit(_context({AUTH_HEADER: "b"})) is None
+        assert server.admit(_context({AUTH_HEADER: "a"})).status == 429
+        assert server.limiter.client_count() == 2
+
+    def test_anonymous_callers_from_one_host_share_a_bucket(
+        self, make_server
+    ):
+        server = make_server(rate=0.01, burst=1)
+        first = _context(addr="10.0.0.1")
+        assert server.admit(first) is None
+        assert first.client_id == "10.0.0.1"
+        reply = server.admit(_context(addr="10.0.0.1"))
+        assert reply.status == 429
+        assert reply.retry_after > 0
+        assert reply.body["retryable"] is True
+        assert server.admit(_context(addr="10.0.0.2")) is None
+
+    def test_request_id_is_kept_cut_or_issued(self, make_server):
+        server = make_server()
+        supplied = _context({REQUEST_ID_HEADER: "x" * 200})
+        assert server.admit(supplied) is None
+        assert supplied.request_id == "x" * 128
+        issued = [_context() for _ in range(3)]
+        for context in issued:
+            assert server.admit(context) is None
+        ids = {context.request_id for context in issued}
+        assert len(ids) == 3 and "" not in ids
